@@ -17,10 +17,10 @@
 //     simulated state — independent of scheduling, worker count, or map
 //     iteration order.
 //
-// A checkpoint is only consistent at a shard barrier: outboxes are
-// empty, inboxes are routed, every tile sits at the same virtual time,
-// and every pending event is strictly in the future. Capture refuses
-// anything else.
+// A checkpoint is only consistent at a shard barrier: every captured
+// halo beacon is sealed for its neighbours, every tile sits at the same
+// virtual time, and every pending event is strictly in the future.
+// Capture refuses anything else.
 package checkpoint
 
 import (

@@ -17,18 +17,25 @@ import (
 	"spider/internal/wifi"
 )
 
-// haloFrame is one boundary transmission captured for mirroring.
-type haloFrame struct {
-	dst   int
+// haloRec is one boundary beacon captured for mirroring, held once
+// however many neighbours hear it: the frame and its body by value, plus
+// a mask of the capturing tile's neighbour slots it reaches. Neighbours
+// inject the record in place, so a mirror is never copied per receiver.
+type haloRec struct {
 	frame wifi.Frame
+	body  wifi.BeaconBody
 	ch    int
 	pos   geo.Point
+	mask  uint8
 }
 
 // neighbor is one adjacent tile (up to 8 in the 2-D grid) with its rect,
-// precomputed so the capture hook is a handful of float compares.
+// precomputed so the capture hook is a handful of float compares. back
+// is this tile's bit in the neighbour's record masks: the neighbour's
+// records whose mask carries it are the ones mirrored here.
 type neighbor struct {
 	dst            int
+	back           uint8
 	x0, x1, y0, y1 float64
 }
 
@@ -64,58 +71,28 @@ type Tile struct {
 	// The owned rect [X0,X1) × [Y0,Y1).
 	X0, X1, Y0, Y1 float64
 
-	// outbox collects boundary transmissions during an epoch (appended
-	// only by this tile's own single-threaded simulation); inbox holds
-	// the frames routed to this tile at the last barrier, injected when
-	// its next epoch starts.
-	outbox []haloFrame
-	inbox  []haloFrame
+	// halo double-buffers the boundary beacons this tile captured:
+	// halo[cur] fills during the running epoch (appended only by this
+	// tile's own single-threaded simulation); halo[cur^1] holds the
+	// previous epoch's records, which every neighbour reads in place at
+	// its next epoch start. The barrier only flips cur, so the records
+	// are the tile's own and the buffers' capacity is its peak epoch.
+	halo [2][]haloRec
+	cur  int
 
-	// neighbors are the adjacent tiles this tile can mirror into.
+	// neighbors are the adjacent tiles this tile can mirror into, in
+	// ascending tile order.
 	neighbors []neighbor
-
-	// bodyFree recycles mirror BeaconBodies tile-locally: mirrorFrame
-	// pops from the capturing tile's list during its epoch; the inject
-	// loop pushes spent bodies onto the receiving tile's list at its next
-	// epoch start. Each list is touched only by its own tile's
-	// goroutine, and InjectFrame delivers synchronously (receivers copy,
-	// nothing is pooled into the target medium), so a body is dead the
-	// moment injection returns. bodySlab arena-feeds the misses during
-	// the first epochs before the recycle flow reaches steady state.
-	bodyFree []*wifi.BeaconBody
-	bodySlab []wifi.BeaconBody
 }
 
-// getBody pops a recycled mirror body, carving from the slab while the
-// free list warms up.
-func (t *Tile) getBody() *wifi.BeaconBody {
-	if n := len(t.bodyFree); n > 0 {
-		b := t.bodyFree[n-1]
-		t.bodyFree = t.bodyFree[:n-1]
-		return b
+// slotOf returns the index of tile dst among t's neighbours, or -1.
+func (t *Tile) slotOf(dst int) int {
+	for k, nb := range t.neighbors {
+		if nb.dst == dst {
+			return k
+		}
 	}
-	if len(t.bodySlab) == 0 {
-		t.bodySlab = make([]wifi.BeaconBody, 128)
-	}
-	b := &t.bodySlab[0]
-	t.bodySlab = t.bodySlab[1:]
-	return b
-}
-
-// mirrorFrame copies a boundary beacon for the outbox into a body the
-// mirror owns outright. The source medium recycles pooled frames (and
-// their bodies) at transmit completion, long before the mirror is
-// injected next epoch — aliasing the pool's body would hand the
-// neighbor a body mid-reuse.
-func (t *Tile) mirrorFrame(f *wifi.Frame) wifi.Frame {
-	g := *f
-	g.Halo = true
-	if b, ok := f.Body.(*wifi.BeaconBody); ok {
-		bb := t.getBody()
-		*bb = *b
-		g.Body = bb
-	}
-	return g
+	return -1
 }
 
 // City is a sharded city-scale run: the planned world split into a 2-D
@@ -238,6 +215,12 @@ func NewCity(spec scenario.CityGridSpec, cfg core.Config, workers int) *City {
 			}
 		}
 	}
+	for _, t := range c.Tiles {
+		for k := range t.neighbors {
+			nb := &t.neighbors[k]
+			nb.back = 1 << c.Tiles[nb.dst].slotOf(t.Index)
+		}
+	}
 	for _, ap := range plan.APs {
 		c.Tiles[lay.TileOf(ap.Pos)].World.AddAP(ap.Spec())
 	}
@@ -269,19 +252,59 @@ func (c *City) clientCfg(i int) core.Config {
 	return cfg
 }
 
-// captureHalo mirrors boundary beacons into the outbox. Only broadcast
-// beacons cross: they are what populates scan tables, they carry no
-// per-client state, and their sources (APs) are static inside their
-// tile — so a captured frame only ever concerns adjacent tiles.
-// Halo-injected frames are never re-captured (injection bypasses the
-// transmit path), so mirrors cannot cascade across the city.
+// captureHalo records a boundary beacon for the neighbours within halo
+// of it. Only broadcast beacons cross: they are what populates scan
+// tables, they carry no per-client state, and their sources (APs) are
+// static inside their tile — so a captured frame only ever concerns
+// adjacent tiles. Halo-injected frames are never re-captured (injection
+// bypasses the transmit path), so mirrors cannot cascade across the
+// city. The record copies the beacon and its body: the source medium
+// recycles pooled frames (and their bodies) at transmit completion, long
+// before the neighbours inject the mirror next epoch. Its frame.Body is
+// pointed at the record's own body once the epoch ends (sealHalo),
+// because appends still move the records until then.
 func (c *City) captureHalo(t *Tile, f *wifi.Frame, ch int, pos geo.Point) {
 	if f.Type != wifi.TypeBeacon || !f.DA.IsBroadcast() || f.Halo {
 		return
 	}
-	for _, nb := range t.neighbors {
+	body, ok := f.Body.(*wifi.BeaconBody)
+	if !ok {
+		return
+	}
+	var mask uint8
+	for k, nb := range t.neighbors {
 		if nb.dist(pos) <= c.Layout.Halo {
-			t.outbox = append(t.outbox, haloFrame{dst: nb.dst, frame: t.mirrorFrame(f), ch: ch, pos: pos})
+			mask |= 1 << k
+		}
+	}
+	if mask == 0 {
+		return
+	}
+	t.halo[t.cur] = append(t.halo[t.cur], haloRec{frame: *f, body: *body, ch: ch, pos: pos, mask: mask})
+}
+
+// sealHalo readies captured records for injection: mark each a halo
+// mirror and point its frame at the record's own body. It runs once the
+// buffer has stopped growing.
+func sealHalo(recs []haloRec) {
+	for i := range recs {
+		recs[i].frame.Halo = true
+		recs[i].frame.Body = &recs[i].body
+	}
+}
+
+// inbound calls fn, in injection order, on every record mirrored into t
+// at the last barrier: neighbours in ascending tile order, each one's
+// previous-epoch records in capture order, those whose mask carries t's
+// bit. Readers never write a record, so neighbours share them in place.
+func (c *City) inbound(t *Tile, fn func(r *haloRec)) {
+	for _, nb := range t.neighbors {
+		src := c.Tiles[nb.dst]
+		recs := src.halo[src.cur^1]
+		for i := range recs {
+			if recs[i].mask&nb.back != 0 {
+				fn(&recs[i])
+			}
 		}
 	}
 }
@@ -290,8 +313,9 @@ func (c *City) captureHalo(t *Tile, f *wifi.Frame, ch int, pos geo.Point) {
 // epochs. Within an epoch each tile advances independently (fanned out
 // over the worker pool); at the barrier the exchange runs
 // single-threaded in tile order. Each tile epoch is a pure function of
-// the tile's prior state plus its inbox, and inboxes are assembled in
-// deterministic order, so the result is invariant in Workers.
+// the tile's prior state plus the records its neighbours captured last
+// epoch, read in deterministic order, so the result is invariant in
+// Workers.
 func (c *City) Run(until time.Duration) error {
 	// Profiles split the run at the admission transient: the t=0 storm
 	// resolves within the first virtual second, and a staggered run
@@ -314,7 +338,8 @@ func (c *City) Run(until time.Duration) error {
 				c.runEpochWatched(t1)
 			} else {
 				_, err = sweep.RunN(ctx, c.Workers, len(c.Tiles), func(_ context.Context, i int) (struct{}, error) {
-					c.advanceTile(c.Tiles[i], t1)
+					c.injectHalo(c.Tiles[i])
+					c.runTile(c.Tiles[i], t1)
 					return struct{}{}, nil
 				})
 				if err != nil {
@@ -331,26 +356,24 @@ func (c *City) Run(until time.Duration) error {
 	return nil
 }
 
-// advanceTile runs one tile's epoch: inject the frames routed here at
-// the last barrier (ghost beacons land at epoch start, at most one
-// epoch stale), then advance the tile's world. Delivery is synchronous
-// and receivers copy, so a mirror body is spent the moment InjectFrame
-// returns — recycle it into this tile's free list.
-func (c *City) advanceTile(t *Tile, t1 time.Duration) {
+// injectHalo injects the beacons t's neighbours mirrored here at the
+// last barrier (ghost beacons land at epoch start, at most one epoch
+// stale). Delivery is synchronous and receivers copy, so injection only
+// reads the neighbours' records. It is the only part of an epoch that
+// reads another tile's state.
+func (c *City) injectHalo(t *Tile) {
+	m := t.World.Medium
+	c.inbound(t, func(r *haloRec) { m.InjectFrame(&r.frame, r.ch, r.pos) })
+}
+
+// runTile advances t's world to t1 and seals the records it captured.
+func (c *City) runTile(t *Tile, t1 time.Duration) {
 	if ch := c.stall[t.Index]; ch != nil {
 		c.stall[t.Index] = nil
 		<-ch
 	}
-	for j := range t.inbox {
-		h := &t.inbox[j]
-		t.World.Medium.InjectFrame(&h.frame, h.ch, h.pos)
-		if bb, ok := h.frame.Body.(*wifi.BeaconBody); ok {
-			t.bodyFree = append(t.bodyFree, bb)
-			h.frame.Body = nil
-		}
-	}
-	t.inbox = t.inbox[:0]
 	t.World.Run(t1)
+	sealHalo(t.halo[t.cur])
 }
 
 // runEpochWatched advances every healthy tile with a wall-clock
@@ -361,7 +384,9 @@ func (c *City) advanceTile(t *Tile, t1 time.Duration) {
 // remaining tiles keep making progress instead of hanging. Unlike the
 // plain path this spawns one goroutine per tile (the watchdog must not
 // sit behind a stuck tile in a worker queue); it exists for fault
-// tolerance, not throughput.
+// tolerance, not throughput. A straggler is abandoned only after its
+// halo injection has finished: from then on it touches nothing but its
+// own tile, so the barrier may flip the buffers it read.
 func (c *City) runEpochWatched(t1 time.Duration) {
 	type result struct {
 		tile     int
@@ -369,22 +394,31 @@ func (c *City) runEpochWatched(t1 time.Duration) {
 	}
 	done := make(chan result, len(c.Tiles))
 	pending := make(map[int]bool)
+	var injected sync.WaitGroup
 	for _, t := range c.Tiles {
 		if c.quarantined[t.Index] {
 			continue
 		}
 		pending[t.Index] = true
 		c.detached.Add(1)
+		injected.Add(1)
 		go func(t *Tile) {
 			r := result{tile: t.Index}
+			injecting := true
 			defer func() {
 				if recover() != nil {
 					r.panicked = true
 				}
+				if injecting {
+					injected.Done()
+				}
 				done <- r
 				c.detached.Done()
 			}()
-			c.advanceTile(t, t1)
+			c.injectHalo(t)
+			injecting = false
+			injected.Done()
+			c.runTile(t, t1)
 		}(t)
 	}
 	timer := time.NewTimer(c.Watchdog)
@@ -397,6 +431,7 @@ func (c *City) runEpochWatched(t1 time.Duration) {
 				c.quarantine(r.tile, fault.ClassTileStall)
 			}
 		case <-timer.C:
+			injected.Wait()
 			// Quarantine stragglers in tile order so the ledger and any
 			// trace of this decision are deterministic given the set.
 			late := make([]int, 0, len(pending))
@@ -429,24 +464,23 @@ func (c *City) quarantine(tile int, class string) {
 	}
 }
 
-// exchange is the barrier phase: route halo outboxes and migrate
-// clients whose position crossed a tile boundary. Strictly
-// single-threaded; outboxes route in tile order and the migration scan
+// exchange is the barrier phase: flip every healthy tile's halo buffers
+// and migrate clients whose position crossed a tile boundary. Strictly
+// single-threaded; the flip moves no record, and the migration scan
 // walks the plan-ordered client arrays — a linear pass over three
 // parallel slices, cache-friendly at metro scale and ordered by planned
 // identity, never by scheduling or map iteration.
 func (c *City) exchange(t1 time.Duration) {
 	for _, t := range c.Tiles {
 		if c.quarantined[t.Index] {
+			// The write buffer may still belong to the tile's abandoned
+			// goroutine: never flip it. Emptying the read side mirrors
+			// nothing more from the sick tile.
+			t.halo[t.cur^1] = t.halo[t.cur^1][:0]
 			continue
 		}
-		for _, h := range t.outbox {
-			if c.quarantined[h.dst] {
-				continue
-			}
-			c.Tiles[h.dst].inbox = append(c.Tiles[h.dst].inbox, h)
-		}
-		t.outbox = t.outbox[:0]
+		t.cur ^= 1
+		t.halo[t.cur] = t.halo[t.cur][:0]
 	}
 	for i := range c.clients {
 		dst := int32(c.Layout.TileOf(c.mobs[i].PositionAt(t1)))

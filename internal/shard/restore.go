@@ -13,9 +13,14 @@ import (
 	"spider/internal/wifi"
 )
 
-// HaloFrameState is one inbox mirror frame as wire bytes. The Halo flag
-// is implicit — the wire format drops it, and every frame sitting in an
-// inbox at a barrier is a halo mirror by construction.
+// HaloFrameState is one mirror frame awaiting injection into tile Dst,
+// as wire bytes. The Halo flag is implicit — the wire format drops it,
+// and every inbox frame at a barrier is a halo mirror by construction.
+//
+// The city holds no inboxes: each captured beacon is one record in its
+// source tile's halo buffer, read in place by every neighbour it
+// reaches. A tile's Inbox is the view of those records it would inject
+// next — derived on export, regrouped by source on restore.
 type HaloFrameState struct {
 	Dst   int
 	Frame []byte
@@ -46,9 +51,9 @@ type TileState struct {
 }
 
 // CityState is a city's complete state at a shard barrier — the only
-// point where a consistent cut exists: outboxes are empty, inboxes are
-// routed, every tile sits at the same virtual time, and every pending
-// event is strictly in the future.
+// point where a consistent cut exists: every captured beacon is sealed
+// in its tile's read-side halo buffer, every tile sits at the same
+// virtual time, and every pending event is strictly in the future.
 type CityState struct {
 	Now        time.Duration
 	Migrations uint64
@@ -90,8 +95,8 @@ func (c *City) ExportState() (CityState, error) {
 		if k.Now() != c.now {
 			return CityState{}, fmt.Errorf("shard: tile %d at %v, barrier at %v", i, k.Now(), c.now)
 		}
-		if len(t.outbox) != 0 {
-			return CityState{}, fmt.Errorf("shard: tile %d has an unrouted outbox", i)
+		if len(t.halo[t.cur]) != 0 {
+			return CityState{}, fmt.Errorf("shard: tile %d has unflipped halo records", i)
 		}
 		ts := TileState{NextSeq: k.NextSeq(), Fired: k.Fired(), RNGs: k.ExportRNGs()}
 		ws, err := t.World.ExportState()
@@ -99,11 +104,11 @@ func (c *City) ExportState() (CityState, error) {
 			return CityState{}, fmt.Errorf("shard: tile %d: %w", i, err)
 		}
 		ts.World = ws
-		for _, h := range t.inbox {
+		c.inbound(t, func(r *haloRec) {
 			ts.Inbox = append(ts.Inbox, HaloFrameState{
-				Dst: h.dst, Frame: h.frame.Encode(), Ch: h.ch, Pos: h.pos,
+				Dst: i, Frame: r.frame.Encode(), Ch: r.ch, Pos: r.pos,
 			})
-		}
+		})
 		if len(c.Injectors) > 0 {
 			is, err := c.Injectors[i].ExportState()
 			if err != nil {
@@ -136,6 +141,12 @@ func (c *City) ExportState() (CityState, error) {
 //     events with their recorded identities.
 //  3. Per tile, last: RestoreRNGs — cancelling every construction- and
 //     replay-time draw by rewinding each stream in place.
+//
+// Inbox frames are regrouped into their source tile's read-side halo
+// buffer, one single-bit record per entry. The source is the tile
+// owning the frame's position: only APs beacon, and APs are static
+// inside their tile. A frame whose source is not a neighbour of its
+// inbox's tile is an error.
 func (c *City) RestoreState(st CityState) error {
 	if c.now != 0 || c.Migrations != 0 || len(c.migLog) != 0 {
 		return fmt.Errorf("shard: RestoreState needs a freshly built city")
@@ -203,18 +214,40 @@ func (c *City) RestoreState(st CityState) error {
 		case c.obs != nil:
 			return fmt.Errorf("shard: tile %d has obs enabled but the checkpoint carries no obs state", i)
 		}
-		t.inbox = t.inbox[:0]
 		for n, hs := range ts.Inbox {
-			f, err := wifi.Decode(hs.Frame)
-			if err != nil {
+			if err := c.restoreMirror(i, hs); err != nil {
 				return fmt.Errorf("shard: tile %d inbox frame %d: %w", i, n, err)
 			}
-			hf := haloFrame{dst: hs.Dst, ch: hs.Ch, pos: hs.Pos, frame: *f}
-			hf.frame.Halo = true
-			t.inbox = append(t.inbox, hf)
 		}
 		k.RestoreRNGs(ts.RNGs)
 	}
+	for _, t := range c.Tiles {
+		sealHalo(t.halo[t.cur^1])
+	}
 	c.now = st.Now
+	return nil
+}
+
+// restoreMirror files one inbox frame of tile dst as a record in its
+// source tile's read-side halo buffer, carrying dst's bit only.
+func (c *City) restoreMirror(dst int, hs HaloFrameState) error {
+	if hs.Dst != dst {
+		return fmt.Errorf("addressed to tile %d", hs.Dst)
+	}
+	src := c.Tiles[c.Layout.TileOf(hs.Pos)]
+	slot := src.slotOf(dst)
+	if slot < 0 {
+		return fmt.Errorf("source tile %d at %v is not a neighbour", src.Index, hs.Pos)
+	}
+	f, err := wifi.Decode(hs.Frame)
+	if err != nil {
+		return err
+	}
+	body, ok := f.Body.(*wifi.BeaconBody)
+	if f.Type != wifi.TypeBeacon || !f.DA.IsBroadcast() || !ok {
+		return fmt.Errorf("not a broadcast beacon")
+	}
+	buf := &src.halo[src.cur^1]
+	*buf = append(*buf, haloRec{frame: *f, body: *body, ch: hs.Ch, pos: hs.Pos, mask: 1 << slot})
 	return nil
 }

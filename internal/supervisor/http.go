@@ -3,8 +3,20 @@ package supervisor
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 )
+
+// decodeSpec reads a campaign spec from a POST body. Unknown fields are
+// refused, so a typo in an option name bounces instead of silently
+// running with the default.
+func decodeSpec(r io.Reader) (Spec, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var sp Spec
+	err := dec.Decode(&sp)
+	return sp, err
+}
 
 // Handler returns the supervisor's HTTP API:
 //
@@ -27,10 +39,8 @@ func (s *Server) Handler() http.Handler {
 		s.MetricsSnapshot().WritePrometheus(w)
 	})
 	mux.HandleFunc("POST /campaigns", func(w http.ResponseWriter, r *http.Request) {
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		var sp Spec
-		if err := dec.Decode(&sp); err != nil {
+		sp, err := decodeSpec(r.Body)
+		if err != nil {
 			writeErr(w, http.StatusBadRequest, "bad campaign spec: "+err.Error())
 			return
 		}
