@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"spider/internal/geo"
+	"spider/internal/wifi"
 )
 
 // This file implements the medium's per-channel radio registries and the
@@ -21,24 +22,32 @@ import (
 // scan is retained behind Config.LinearScan and an equivalence test keeps
 // both honest.
 //
-// Static radios (declared via NewStaticRadio — access points) live in the
-// grid under their fixed position. Mobile radios are gridded too, but
-// under a *drift-bounded* bin: a mobile's position is a function of time,
-// so the cell it was binned in goes stale as it moves. Rather than
-// observing every move (the medium only samples positions it is asked
-// about — a silent client can drive into range without the medium ever
-// evaluating it), each mobile declares an upper bound on its speed
-// (Radio.SetMaxSpeed), and the index guarantees that no bin is ever older
-// than cellSize/vmax: before any bin is consulted, every mobile on the
-// channel is re-binned at its current position if the channel's sweep
-// deadline has passed. A mobile can then have drifted at most one cell
-// side from its binned position, so queries over the mobile grid pad
-// their cell rectangle by one ring and remain supersets of the radios in
-// range. The sweep is O(mobiles on channel) but runs once per sweep
-// period of *virtual* time — during a join storm the medium answers
-// thousands of queries per virtual millisecond against bins it almost
-// never has to refresh, where the old design walked the full mobile list
-// per query. Mobiles that never declare a speed bound stay in an
+// Static radios (declared via NewStaticRadio — access points) live in a
+// flat per-channel cell grid in compressed-sparse-row form: the cells of
+// the bounding box of the channel's statics, row-major, each a
+// registration-ordered run of one member array. A query clips its cell
+// rectangle to the box and appends one contiguous run per row. Statics
+// tune once, so the grid is rebuilt rarely — lazily, on the first query
+// after an add or remove — and into buffers it keeps.
+//
+// Mobile radios are gridded too, but under a *drift-bounded* bin: a
+// mobile's position is a function of time, so the cell it was binned in
+// goes stale as it moves. Rather than observing every move (the medium
+// only samples positions it is asked about — a silent client can drive
+// into range without the medium ever evaluating it), each mobile declares
+// an upper bound on its speed (Radio.SetMaxSpeed), and the index
+// guarantees that no bin is ever older than cellSize/vmax: before any bin
+// is consulted, every mobile on the channel is re-binned at its current
+// position if the channel's sweep deadline has passed. A mobile can then
+// have drifted at most one cell side from its binned position, so queries
+// over the mobile grid pad their cell rectangle by one ring and remain
+// supersets of the radios in range. The sweep is O(mobiles on channel)
+// but runs once per sweep period of *virtual* time — during a join storm
+// the medium answers thousands of queries per virtual millisecond against
+// bins it almost never has to refresh, where the old design walked the
+// full mobile list per query. Every channel switch edits the mobile bins,
+// so they stay a map rather than a grid that would need a rebuild per
+// switch. Mobiles that never declare a speed bound stay in an
 // always-scanned list, the original behavior.
 
 // cellKey addresses one grid cell. Cell side length is the carrier-sense
@@ -47,9 +56,85 @@ import (
 // for drift-bounded mobiles.
 type cellKey struct{ cx, cy int32 }
 
+// staticGrid is one channel's static radios in CSR form over the cell
+// box [x0, x0+w) × [y0, y0+h). Cell (cx, cy) holds
+// members[start[s]:start[s+1]] with s = (cy-y0)·w + (cx-x0), in
+// registration order. The box only ever grows (a removed static leaves
+// its cells empty), so the buffers reserved as radios are added always
+// fit the next rebuild, which therefore never allocates: access points
+// are added while the world is built, and the first frame rebuilds.
+type staticGrid struct {
+	x0, y0, w, h int32
+	start        []int32
+	members      []*Radio
+	stale        bool // an add or remove since the last rebuild
+}
+
+// include grows the box to cover c, reserves buffer room for n members,
+// and marks the grid for rebuild.
+func (g *staticGrid) include(c cellKey, n int) {
+	if g.w == 0 {
+		g.x0, g.y0, g.w, g.h = c.cx, c.cy, 1, 1
+	} else {
+		x1, y1 := max(g.x0+g.w, c.cx+1), max(g.y0+g.h, c.cy+1)
+		g.x0, g.y0 = min(g.x0, c.cx), min(g.y0, c.cy)
+		g.w, g.h = x1-g.x0, y1-g.y0
+	}
+	g.start = slices.Grow(g.start[:0], int(g.w)*int(g.h)+1)
+	g.members = slices.Grow(g.members[:0], n)
+	g.stale = true
+}
+
+// slot returns c's row-major cell index; c must lie inside the box.
+func (g *staticGrid) slot(c cellKey) int {
+	return int(c.cy-g.y0)*int(g.w) + int(c.cx-g.x0)
+}
+
+// rebuild lays statics (registration-ordered, each binCell inside the
+// box) out by counting sort: per-cell counts, prefix sums, then a
+// stable placement pass that keeps registration order within each cell.
+func (g *staticGrid) rebuild(statics []*Radio) {
+	n := int(g.w) * int(g.h)
+	g.start = g.start[:n+1]
+	clear(g.start)
+	for _, r := range statics {
+		g.start[g.slot(r.binCell)+1]++
+	}
+	for i := 1; i <= n; i++ {
+		g.start[i] += g.start[i-1]
+	}
+	// Placement advances start[s] to the end of cell s, which is where
+	// cell s+1 begins; shifting right by one restores the offsets.
+	g.members = g.members[:len(statics)]
+	for _, r := range statics {
+		s := g.slot(r.binCell)
+		g.members[g.start[s]] = r
+		g.start[s]++
+	}
+	copy(g.start[1:], g.start[:n])
+	g.start[0] = 0
+	g.stale = false
+}
+
+// appendRect appends the statics of every cell in [lo, hi], row by row
+// and, within a row, cell by cell: one contiguous run per row.
+func (g *staticGrid) appendRect(out []*Radio, lo, hi cellKey) []*Radio {
+	x0, x1 := max(lo.cx, g.x0), min(hi.cx, g.x0+g.w-1)
+	y0, y1 := max(lo.cy, g.y0), min(hi.cy, g.y0+g.h-1)
+	if x0 > x1 {
+		return out
+	}
+	for cy := y0; cy <= y1; cy++ {
+		row := g.slot(cellKey{x0, cy})
+		out = append(out, g.members[g.start[row]:g.start[row+int(x1-x0)+1]]...)
+	}
+	return out
+}
+
 // channelIndex is the registry of radios tuned to one channel.
 type channelIndex struct {
-	cells map[cellKey][]*Radio // static radios, registration-ordered per cell
+	statics []*Radio // static radios in registration order
+	grid    staticGrid
 
 	// Drift-bounded mobile grid: binned holds every speed-bounded mobile
 	// in registration order; once the population crosses gridThreshold,
@@ -78,10 +163,11 @@ type channelIndex struct {
 const gridThreshold = 32
 
 // mediumIndex is the medium's full registry: one channelIndex per tuned
-// channel (untuned radios, channel 0, hear nothing and are not indexed).
+// channel, indexed by channel number (untuned radios, channel 0, hear
+// nothing and are not indexed; its slot stays nil).
 type mediumIndex struct {
 	cellSize float64
-	chans    map[int]*channelIndex
+	chans    [wifi.MaxChannel + 1]*channelIndex
 
 	// vmax is the largest declared mobile speed; sweepPeriod =
 	// cellSize/vmax keeps every bin within one cell of the truth (zero
@@ -100,7 +186,16 @@ func newMediumIndex(cfg Config) *mediumIndex {
 	if cfg.Range > size {
 		size = cfg.Range
 	}
-	return &mediumIndex{cellSize: size, chans: make(map[int]*channelIndex)}
+	return &mediumIndex{cellSize: size}
+}
+
+// channel returns ch's registry, nil when nothing was ever tuned to it
+// (or ch is no channel at all, as a corrupt ghost frame might claim).
+func (ix *mediumIndex) channel(ch int) *channelIndex {
+	if uint(ch) >= uint(len(ix.chans)) {
+		return nil
+	}
+	return ix.chans[ch]
 }
 
 func (ix *mediumIndex) cellOf(p geo.Point) cellKey {
@@ -121,7 +216,9 @@ func (ix *mediumIndex) noteSpeed(v float64) {
 	ix.vmax = v
 	ix.sweepPeriod = time.Duration(ix.cellSize / v * float64(time.Second))
 	for _, ci := range ix.chans {
-		ci.sweepAt = 0
+		if ci != nil {
+			ci.sweepAt = 0
+		}
 	}
 }
 
@@ -145,20 +242,18 @@ func removeRadio(s []*Radio, r *Radio) []*Radio {
 func (ix *mediumIndex) add(r *Radio, ch int) {
 	ci := ix.chans[ch]
 	if ci == nil {
-		ci = &channelIndex{
-			cells:  make(map[cellKey][]*Radio),
-			mcells: make(map[cellKey][]*Radio),
-		}
+		ci = &channelIndex{mcells: make(map[cellKey][]*Radio)}
 		ix.chans[ch] = ci
 	}
 	switch {
 	case r.static:
-		key := ix.cellOf(r.staticPos)
-		ci.cells[key] = insertOrdered(ci.cells[key], r)
+		r.binCell = ix.cellOf(r.position())
+		ci.statics = insertOrdered(ci.statics, r)
+		ci.grid.include(r.binCell, len(ci.statics))
 	case r.maxSpeed >= 0:
 		ci.binned = insertOrdered(ci.binned, r)
 		if ci.gridded {
-			r.binCell = ix.cellOf(r.pos())
+			r.binCell = ix.cellOf(r.position())
 			r.inMCells = true
 			ci.mcells[r.binCell] = insertOrdered(ci.mcells[r.binCell], r)
 		}
@@ -175,12 +270,8 @@ func (ix *mediumIndex) remove(r *Radio, ch int) {
 	}
 	switch {
 	case r.static:
-		key := ix.cellOf(r.staticPos)
-		if cell := removeRadio(ci.cells[key], r); len(cell) > 0 {
-			ci.cells[key] = cell
-		} else {
-			delete(ci.cells, key)
-		}
+		ci.statics = removeRadio(ci.statics, r)
+		ci.grid.stale = true
 	case r.maxSpeed >= 0:
 		ci.binned = removeRadio(ci.binned, r)
 		if r.inMCells {
@@ -204,7 +295,7 @@ func (ix *mediumIndex) remove(r *Radio, ch int) {
 // any sweep schedule satisfying the drift bound yields candidate
 // supersets, and the exact predicates downstream decide delivery.
 func (ix *mediumIndex) maybeSweep(ch int, now time.Duration) {
-	ci := ix.chans[ch]
+	ci := ix.channel(ch)
 	if ci == nil || now < ci.sweepAt {
 		return
 	}
@@ -216,7 +307,7 @@ func (ix *mediumIndex) maybeSweep(ch int, now time.Duration) {
 	}
 	clear(ci.mcells)
 	for _, r := range ci.binned {
-		r.binCell = ix.cellOf(r.pos())
+		r.binCell = ix.cellOf(r.position())
 		r.inMCells = true
 		ci.mcells[r.binCell] = append(ci.mcells[r.binCell], r)
 	}
@@ -278,60 +369,65 @@ func (ix *mediumIndex) boundsFor(r *Radio, p geo.Point, rad float64, kind uint8)
 // and skips the sort. The result is a superset of the radios within the
 // query radius; callers re-apply the exact distance predicate.
 func (ix *mediumIndex) gather(ch int, lo, hi cellKey, ordered bool, out []*Radio) []*Radio {
-	ci := ix.chans[ch]
+	ci := ix.channel(ch)
 	if ci == nil {
 		return out
 	}
 	if !ordered {
-		for cy := lo.cy; cy <= hi.cy; cy++ {
-			for cx := lo.cx; cx <= hi.cx; cx++ {
-				out = append(out, ci.cells[cellKey{cx, cy}]...)
-			}
-		}
-		if ci.gridded {
-			for cy := lo.cy - 1; cy <= hi.cy+1; cy++ {
-				for cx := lo.cx - 1; cx <= hi.cx+1; cx++ {
-					out = append(out, ci.mcells[cellKey{cx, cy}]...)
-				}
-			}
-		} else {
+		out = ci.appendCells(out, lo, hi)
+		if !ci.gridded {
 			out = append(out, ci.binned...)
 		}
 		return append(out, ci.unbinned...)
 	}
 	// Collect static and mobile cell hits (sorted within a cell, not
-	// across cells), restore global registration order, then merge with
-	// the already-sorted unbinned list rather than sorting the union.
-	st := ix.hits[:0]
-	for cy := lo.cy; cy <= hi.cy; cy++ {
-		for cx := lo.cx; cx <= hi.cx; cx++ {
-			st = append(st, ci.cells[cellKey{cx, cy}]...)
-		}
-	}
-	if ci.gridded {
-		for cy := lo.cy - 1; cy <= hi.cy+1; cy++ {
-			for cx := lo.cx - 1; cx <= hi.cx+1; cx++ {
-				st = append(st, ci.mcells[cellKey{cx, cy}]...)
-			}
-		}
-	} else {
+	// across cells) plus the binned mobiles while their grid is off,
+	// restore global registration order, then merge with the
+	// already-sorted unbinned list rather than sorting the union.
+	st := ci.appendCells(ix.hits[:0], lo, hi)
+	if !ci.gridded {
 		st = append(st, ci.binned...)
 	}
 	slices.SortFunc(st, func(a, b *Radio) int { return int(a.regIdx - b.regIdx) })
 	ix.hits = st
-	mob := ci.unbinned
-	for len(st) > 0 && len(mob) > 0 {
-		if st[0].regIdx < mob[0].regIdx {
-			out = append(out, st[0])
-			st = st[1:]
-		} else {
-			out = append(out, mob[0])
-			mob = mob[1:]
+	return mergeByReg(out, st, ci.unbinned)
+}
+
+// appendCells appends the channel's statics in [lo, hi] (rebuilding the
+// grid first if an add or remove left it stale) and, once the mobile
+// grid is on, the speed-bounded mobiles binned in [lo, hi] padded by one
+// ring.
+func (ci *channelIndex) appendCells(out []*Radio, lo, hi cellKey) []*Radio {
+	if ci.grid.stale {
+		ci.grid.rebuild(ci.statics)
+	}
+	out = ci.grid.appendRect(out, lo, hi)
+	if !ci.gridded {
+		return out
+	}
+	for cy := lo.cy - 1; cy <= hi.cy+1; cy++ {
+		for cx := lo.cx - 1; cx <= hi.cx+1; cx++ {
+			out = append(out, ci.mcells[cellKey{cx, cy}]...)
 		}
 	}
-	out = append(out, st...)
-	out = append(out, mob...)
 	return out
+}
+
+// mergeByReg appends the union of two registration-ordered, disjoint
+// lists to out, in registration order.
+func mergeByReg(out, a, b []*Radio) []*Radio {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if a[i].regIdx < b[j].regIdx {
+			out = append(out, a[i])
+			i++
+		} else {
+			out = append(out, b[j])
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // covers reports whether a gather over the [lo, hi] rectangle on ch has
@@ -347,7 +443,7 @@ func (ix *mediumIndex) covers(r *Radio, ch int, lo, hi cellKey) bool {
 	var c cellKey
 	switch {
 	case r.static:
-		c = ix.cellOf(r.staticPos)
+		c = r.binCell
 	case r.inMCells:
 		c = r.binCell
 		lo = cellKey{lo.cx - 1, lo.cy - 1}

@@ -10,6 +10,7 @@ package radio
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -120,6 +121,68 @@ func TestIndexedMediumMatchesLinearScan(t *testing.T) {
 	}
 }
 
+// TestMixedMobilesMatchLinearScan runs the scripted traffic over worlds
+// whose mobiles are of both kinds, speed-bounded (binned) and unbounded
+// (always scanned), beside the statics: a small world, where the binned
+// mobiles stay a list, and a large one, where enough of them share a
+// channel to switch the mobile grid on. Indexed delivery must merge the
+// statics and both kinds of mobile into the linear scan's order.
+func TestMixedMobilesMatchLinearScan(t *testing.T) {
+	build := func(n int, linear bool) (*sim.Kernel, *Medium, []*Radio, *[]string) {
+		cfg := Defaults()
+		cfg.Loss = 0.15
+		cfg.LinearScan = linear
+		k := sim.NewKernel(12)
+		m := NewMedium(k, cfg)
+		log := &[]string{}
+		var radios []*Radio
+		rng := rand.New(rand.NewSource(98))
+		for i := 0; i < n; i++ {
+			addr := wifi.NewAddr(2, uint32(i))
+			rx := &logRx{k: k, id: i, log: log}
+			ox, oy := rng.Float64()*800, rng.Float64()*800
+			var r *Radio
+			if i%2 == 0 {
+				r = m.NewRadio(addr, func() geo.Point {
+					return geo.Point{X: ox + 5*k.Now().Seconds(), Y: oy}
+				}, rx)
+				if i%8 != 0 {
+					r.SetMaxSpeed(5)
+				}
+			} else {
+				r = m.NewStaticRadio(addr, geo.Point{X: ox, Y: oy}, rx)
+			}
+			r.SetChannel([]int{1, 6, 11}[i%3])
+			radios = append(radios, r)
+		}
+		return k, m, radios, log
+	}
+	for _, v := range []struct {
+		n       int
+		gridded bool
+	}{{60, false}, {300, true}} {
+		t.Run(fmt.Sprint(v.n), func(t *testing.T) {
+			kL, mL, radiosL, logL := build(v.n, true)
+			kI, mI, radiosI, logI := build(v.n, false)
+			runScript(kL, radiosL)
+			runScript(kI, radiosI)
+			gridded := false
+			for _, ci := range mI.idx.chans {
+				gridded = gridded || (ci != nil && ci.gridded)
+			}
+			if gridded != v.gridded {
+				t.Fatalf("mobile grid on = %v, want %v: the world does not test the merge it is meant to", gridded, v.gridded)
+			}
+			if len(*logL) == 0 || !slices.Equal(*logL, *logI) {
+				t.Fatalf("delivery logs differ (linear %d entries, indexed %d)", len(*logL), len(*logI))
+			}
+			if mL.Stats() != mI.Stats() {
+				t.Fatalf("medium stats differ:\n  linear:  %+v\n  indexed: %+v", mL.Stats(), mI.Stats())
+			}
+		})
+	}
+}
+
 func TestIndexedChannelBusyMatchesLinear(t *testing.T) {
 	kL, mL, radiosL, _ := buildScriptedWorld(true)
 	kI, mI, radiosI, _ := buildScriptedWorld(false)
@@ -221,4 +284,84 @@ func BenchmarkMediumBroadcast(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestStaticGridMatchesBruteForce is a property test of the static CSR
+// grid: on random layouts (negative coordinates included), with statics
+// added and retuned between queries so the grid rebuilds, every query
+// rectangle — inside the grid's box, straddling it or wholly outside it,
+// as halo ghost frames produce — must gather exactly the statics a
+// brute-force filter of the registry by cellOf finds. The ordered gather
+// must match in registration order, the unordered one in row-major cell
+// order with registration order within a cell.
+func TestStaticGridMatchesBruteForce(t *testing.T) {
+	found := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		k := sim.NewKernel(seed)
+		m := NewMedium(k, Defaults())
+		ix := m.idx
+		channels := []int{0, 1, 6, 11}
+		var statics []*Radio
+		addStatic := func() {
+			r := m.NewStaticRadio(wifi.NewAddr(7, uint32(len(m.radios))),
+				geo.Point{X: rng.Float64()*3000 - 1500, Y: rng.Float64()*3000 - 2000},
+				ReceiverFunc(func(*wifi.Frame) {}))
+			r.SetChannel(channels[rng.Intn(len(channels))])
+			statics = append(statics, r)
+		}
+		for i := 0; i < 50+rng.Intn(250); i++ {
+			addStatic()
+		}
+		for step := 0; step < 200; step++ {
+			switch rng.Intn(4) {
+			case 0:
+				addStatic()
+			case 1:
+				statics[rng.Intn(len(statics))].SetChannel(channels[rng.Intn(len(channels))])
+			default:
+				cx, cy := int32(rng.Intn(24)-14), int32(rng.Intn(24)-16)
+				lo := cellKey{cx, cy}
+				hi := cellKey{cx + int32(rng.Intn(5)), cy + int32(rng.Intn(5))}
+				for ch := 1; ch <= 11; ch++ { // channels 2–5 and 7–10 stay empty
+					var want, wantRows []*Radio
+					for _, r := range m.radios {
+						c := ix.cellOf(r.Position())
+						if r.channel == ch && c.cx >= lo.cx && c.cx <= hi.cx && c.cy >= lo.cy && c.cy <= hi.cy {
+							want = append(want, r)
+						}
+					}
+					for y := lo.cy; y <= hi.cy; y++ {
+						for x := lo.cx; x <= hi.cx; x++ {
+							for _, r := range want {
+								if ix.cellOf(r.Position()) == (cellKey{x, y}) {
+									wantRows = append(wantRows, r)
+								}
+							}
+						}
+					}
+					found += len(want)
+					if got := ix.gather(ch, lo, hi, true, nil); !slices.Equal(got, want) {
+						t.Fatalf("seed %d step %d ch %d [%v, %v]: ordered gather %v, want %v",
+							seed, step, ch, lo, hi, regIdxs(got), regIdxs(want))
+					}
+					if got := ix.gather(ch, lo, hi, false, nil); !slices.Equal(got, wantRows) {
+						t.Fatalf("seed %d step %d ch %d [%v, %v]: unordered gather %v, want %v",
+							seed, step, ch, lo, hi, regIdxs(got), regIdxs(wantRows))
+					}
+				}
+			}
+		}
+	}
+	if found < 1000 {
+		t.Fatalf("queries found only %d statics in all; the test is nearly vacuous", found)
+	}
+}
+
+func regIdxs(rs []*Radio) []int32 {
+	out := make([]int32, len(rs))
+	for i, r := range rs {
+		out[i] = r.regIdx
+	}
+	return out
 }

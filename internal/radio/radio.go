@@ -271,16 +271,28 @@ type Radio struct {
 	// regIdx is the registration-order index in Medium.radios; candidate
 	// sets sort by it to reproduce the linear scan's iteration order.
 	regIdx int32
-	// static radios (NewStaticRadio) are indexed in the spatial grid under
-	// staticPos; mobile radios live in the per-channel mobile registries —
-	// drift-bounded grid bins when a speed bound is declared (maxSpeed ≥ 0,
-	// via SetMaxSpeed; binCell is the current bin), the always-scanned
-	// unbinned list otherwise.
-	static    bool
-	staticPos geo.Point
-	maxSpeed  float64
-	binCell   cellKey
-	inMCells  bool // binCell currently registered in the mobile grid
+	// static radios (NewStaticRadio) are indexed in the static grid under
+	// their fixed position (binCell is its cell); mobile radios live in
+	// the per-channel mobile registries — drift-bounded grid bins when a
+	// speed bound is declared (maxSpeed ≥ 0, via SetMaxSpeed; binCell is
+	// the current bin), the always-scanned unbinned list otherwise.
+	//
+	// The flags sit together beside regIdx, in what would otherwise be
+	// padding, so that a Radio stays in the 320-byte allocation class.
+	static   bool
+	inMCells bool // binCell currently registered in the mobile grid
+	posValid bool // posVal holds a sample (see the position cache below)
+	posFixed bool
+	maxSpeed float64
+	binCell  cellKey
+
+	// Position cache (see position): the last sample of pos and the
+	// virtual instant it was taken at; posFixed marks a sample that holds
+	// for all time (a static radio's position, a parked radio's first
+	// sample). Derived state — never checkpointed; a restored radio
+	// simply samples afresh.
+	posVal geo.Point
+	posAt  time.Duration
 
 	// Query-bounds cache: the grid-cell rectangle covering this radio's
 	// last carrier-sense (kind 0) and delivery (kind 1) query, valid while
@@ -354,7 +366,10 @@ type txJob struct {
 
 // NewRadio registers a radio on the medium. pos is sampled at transmit
 // and delivery times, so mobile owners pass a closure over their mobility
-// model. The radio starts untuned (channel 0): it hears nothing until
+// model. pos must be a pure function of virtual time: the medium samples
+// it at most once per virtual instant (and, once SetMaxSpeed declares the
+// radio parked, only once), and the mobile sweep re-bins from the same
+// samples. The radio starts untuned (channel 0): it hears nothing until
 // SetChannel.
 func (m *Medium) NewRadio(addr wifi.Addr, pos func() geo.Point, rx Receiver) *Radio {
 	if pos == nil || rx == nil {
@@ -376,7 +391,7 @@ func (m *Medium) NewRadio(addr wifi.Addr, pos func() geo.Point, rx Receiver) *Ra
 func (m *Medium) NewStaticRadio(addr wifi.Addr, pos geo.Point, rx Receiver) *Radio {
 	r := m.NewRadio(addr, func() geo.Point { return pos }, rx)
 	r.static = true
-	r.staticPos = pos
+	r.posVal, r.posValid, r.posFixed = pos, true, true
 	return r
 }
 
@@ -387,7 +402,24 @@ func (r *Radio) Addr() wifi.Addr { return r.addr }
 func (r *Radio) Channel() int { return r.channel }
 
 // Position returns the radio's current position.
-func (r *Radio) Position() geo.Point { return r.pos() }
+func (r *Radio) Position() geo.Point { return r.position() }
+
+// position is the one place the medium reads a radio's position: the
+// fixed position of a static radio; for a parked radio (declared speed
+// bound 0) a sample taken once; otherwise pos memoized per virtual
+// instant, since carrier sense, delivery, the hidden-terminal check and
+// the mobile sweep can all ask about one radio at the same instant.
+func (r *Radio) position() geo.Point {
+	if r.posFixed {
+		return r.posVal
+	}
+	now := r.m.kernel.Now()
+	if !r.posValid || r.posAt != now {
+		r.posVal, r.posAt, r.posValid = r.pos(), now, true
+		r.posFixed = r.maxSpeed == 0
+	}
+	return r.posVal
+}
 
 // SetPromiscuous controls whether the radio also receives unicast frames
 // addressed to other stations (used by opportunistic scanning).
@@ -398,13 +430,15 @@ func (r *Radio) SetPromiscuous(on bool) { r.promiscuous = on }
 // drift-bounded grid bin instead of the always-scanned mobile list. The
 // bound must hold at every instant — a radio that outruns it can slip
 // out of its padded query ring and silently miss deliveries. Zero is a
-// valid bound (a parked station). Owners that cannot bound their speed
+// valid bound (a parked station), under which the medium samples the
+// radio's position once. Owners that cannot bound their speed
 // simply never call this. No-op for static radios, which are gridded
 // under their fixed position already.
 func (r *Radio) SetMaxSpeed(v float64) {
 	if r.static || v < 0 {
 		return
 	}
+	r.posValid, r.posFixed = false, false // a parked radio's one sample is taken from now on
 	ix := r.m.idx
 	if ix == nil {
 		r.maxSpeed = v
@@ -612,12 +646,12 @@ func (r *Radio) kick() {
 	// the linear scan, the CSRange neighborhood under the index); the
 	// exact predicate below is identical either way, and the busy-until
 	// update is a max, so candidate order does not matter.
-	txPos := r.pos()
+	txPos := r.position()
 	for _, x := range m.csCandidates(r, job.ch, txPos) {
 		if x.channel != job.ch {
 			continue
 		}
-		if x != r && txPos.DistSq(x.pos()) > m.cfg.CSRange*m.cfg.CSRange {
+		if x != r && txPos.DistSq(x.position()) > m.cfg.CSRange*m.cfg.CSRange {
 			continue
 		}
 		if start+dur > x.busyUntil {
@@ -644,7 +678,7 @@ func (r *Radio) txComplete() {
 	f, ch, dur := r.txF, r.txCh, r.txDur
 	r.txF = nil
 	r.txBusy = false
-	endPos := r.pos()
+	endPos := r.position()
 	if m.tap != nil {
 		m.tap(f, ch, m.kernel.Now())
 	}
@@ -750,7 +784,7 @@ func (m *Medium) deliver(tx *Radio, txPos geo.Point, f *wifi.Frame, ch int, dur 
 			}
 			continue
 		}
-		d2 := txPos.DistSq(rcv.pos())
+		d2 := txPos.DistSq(rcv.position())
 		if d2 > m.cfg.Range*m.cfg.Range {
 			if addressed {
 				m.stats.OutOfRange++
@@ -785,12 +819,22 @@ func (m *Medium) deliver(tx *Radio, txPos geo.Point, f *wifi.Frame, ch int, dur 
 }
 
 // recordActive registers a transmission for hidden-terminal checks and
-// prunes entries that ended long ago.
+// prunes entries no frame still on the air can overlap. A frame in
+// flight (ending at or after now, t included) is checked at its end
+// against every entry that ended after it started, so an entry that has
+// already ended stays while its end is after the earliest start among
+// the frames in flight.
 func (m *Medium) recordActive(t activeTx) {
 	now := m.kernel.Now()
+	first := t.start
+	for _, a := range m.active {
+		if a.end >= now && a.start < first {
+			first = a.start
+		}
+	}
 	keep := m.active[:0]
 	for _, a := range m.active {
-		if a.end >= now {
+		if a.end >= now || a.end > first {
 			keep = append(keep, a)
 		}
 	}
@@ -803,7 +847,7 @@ func (m *Medium) recordActive(t activeTx) {
 // rcv — the hidden-terminal corruption case. tx is nil for ghost frames.
 func (m *Medium) collidedAt(tx *Radio, txPos geo.Point, rcv *Radio, ch int, now, dur time.Duration) bool {
 	start := now - dur
-	rcvPos := rcv.pos()
+	rcvPos := rcv.position()
 	for _, a := range m.active {
 		if (tx != nil && a.from == tx) || a.ch != ch {
 			continue
@@ -840,32 +884,19 @@ func (m *Medium) InRange(a, b geo.Point) bool { return a.Dist(b) <= m.cfg.Range 
 // channel's registry when indexed, over every radio otherwise.
 func (m *Medium) ChannelBusyUntil(ch int) time.Duration {
 	var max time.Duration
-	if m.idx != nil {
-		if ci := m.idx.chans[ch]; ci != nil {
-			for _, cell := range ci.cells {
-				for _, r := range cell {
-					if r.busyUntil > max {
-						max = r.busyUntil
-					}
-				}
-			}
-			for _, r := range ci.binned {
-				if r.busyUntil > max {
-					max = r.busyUntil
-				}
-			}
-			for _, r := range ci.unbinned {
-				if r.busyUntil > max {
-					max = r.busyUntil
-				}
+	busiest := func(rs []*Radio) {
+		for _, r := range rs {
+			if r.channel == ch && r.busyUntil > max {
+				max = r.busyUntil
 			}
 		}
-		return max
 	}
-	for _, r := range m.radios {
-		if r.channel == ch && r.busyUntil > max {
-			max = r.busyUntil
-		}
+	if m.idx == nil {
+		busiest(m.radios)
+	} else if ci := m.idx.channel(ch); ci != nil {
+		busiest(ci.statics)
+		busiest(ci.binned)
+		busiest(ci.unbinned)
 	}
 	return max
 }

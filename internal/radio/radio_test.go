@@ -482,3 +482,111 @@ func TestHiddenCollisionNotTriggeredByCSMANeighbors(t *testing.T) {
 		t.Fatalf("spurious collisions: %d", m.Stats().Collisions)
 	}
 }
+
+// TestHiddenCollisionSurvivesUnrelatedTraffic: a hidden broadcast that
+// ended while a longer frame is still on the air must keep corrupting
+// that frame, even if some other station — here one 5 km away on
+// another channel — starts transmitting in between. Pruning the ended
+// broadcast at that transmission once let the long frame through.
+func TestHiddenCollisionSurvivesUnrelatedTraffic(t *testing.T) {
+	build := func(far bool) (collisions uint64, atB int) {
+		k := sim.NewKernel(1)
+		m := NewMedium(k, Config{Range: 100, Loss: 0, EdgeStart: 1, CSRange: 150, HiddenCollisions: true})
+		cb := &collector{}
+		a := m.NewRadio(wifi.NewAddr(1, 1), fixed(0, 0), &collector{})
+		b := m.NewRadio(wifi.NewAddr(1, 2), fixed(90, 0), cb)
+		c := m.NewRadio(wifi.NewAddr(1, 3), fixed(180, 0), &collector{})
+		d := m.NewRadio(wifi.NewAddr(1, 4), fixed(5000, 0), &collector{})
+		for _, r := range []*Radio{a, b, c} {
+			r.SetChannel(6)
+		}
+		d.SetChannel(1)
+		short := &wifi.Frame{Type: wifi.TypeData, SA: c.Addr(), DA: wifi.Broadcast,
+			Body: &wifi.DataBody{Proto: wifi.ProtoPing}}
+		if dur := wifi.TxTimeRate(short, m.Config().DataRateKbps); dur >= 600*time.Microsecond {
+			t.Fatalf("short broadcast takes %v; it must end before the far transmission", dur)
+		}
+		a.Send(&wifi.Frame{Type: wifi.TypeData, SA: a.Addr(), DA: b.Addr(),
+			Body: &wifi.DataBody{Proto: wifi.ProtoPing, VirtualLen: 1400}})
+		c.Send(short)
+		if far {
+			k.At(600*time.Microsecond, func() {
+				d.Send(&wifi.Frame{Type: wifi.TypeBeacon, SA: d.Addr(), DA: wifi.Broadcast,
+					Body: &wifi.BeaconBody{Channel: 1}})
+			})
+		}
+		k.Run(50 * time.Millisecond)
+		return m.Stats().Collisions, len(cb.frames)
+	}
+	for _, far := range []bool{false, true} {
+		if coll, got := build(far); coll != 2 || got != 0 {
+			t.Errorf("far transmission %v: %d collisions and %d frames at B, want 2 and 0", far, coll, got)
+		}
+	}
+}
+
+// countedPos returns a position closure that counts its calls.
+func countedPos(calls *int, at func() geo.Point) func() geo.Point {
+	return func() geo.Point { *calls++; return at() }
+}
+
+// TestParkedPositionResampledOnSetMaxSpeed: a radio that moved and then
+// declares itself parked reports where it parked, not a sample taken
+// while it was still moving — and from then on samples once.
+func TestParkedPositionResampledOnSetMaxSpeed(t *testing.T) {
+	k := sim.NewKernel(1)
+	m := NewMedium(k, losslessCfg())
+	calls := 0
+	r := m.NewRadio(wifi.NewAddr(1, 1), countedPos(&calls, func() geo.Point {
+		return geo.Point{X: 10 * min(k.Now(), time.Second).Seconds()} // parks at x=10 after 1 s
+	}), &collector{})
+	r.SetMaxSpeed(10)
+	r.SetChannel(6)
+	k.Run(500 * time.Millisecond)
+	if p := r.Position(); p.X != 5 {
+		t.Fatalf("moving radio at 0.5 s reports %v, want x=5", p)
+	}
+	k.Run(2 * time.Second)
+	r.SetMaxSpeed(0)
+	if p := r.Position(); p.X != 10 {
+		t.Fatalf("parked radio reports %v, want its parked x=10", p)
+	}
+	before := calls
+	k.Run(3 * time.Second)
+	if p := r.Position(); p.X != 10 || calls != before {
+		t.Fatalf("parked radio at 3 s: %v after %d more samples, want x=10 and none", p, calls-before)
+	}
+}
+
+// TestPositionMemoizedPerInstant: reads at one virtual instant sample
+// the closure once and return its value; the next instant samples again,
+// so a closure that changes at an instant boundary is honored.
+func TestPositionMemoizedPerInstant(t *testing.T) {
+	k := sim.NewKernel(1)
+	m := NewMedium(k, losslessCfg())
+	calls := 0
+	r := m.NewRadio(wifi.NewAddr(1, 1), countedPos(&calls, func() geo.Point {
+		if k.Now() >= time.Millisecond {
+			return geo.Point{X: 1000}
+		}
+		return geo.Point{X: 10}
+	}), &collector{})
+	r.SetMaxSpeed(1e6) // any bound but 0 memoizes per instant only
+	for i := 0; i < 2; i++ {
+		if p := r.Position(); p.X != 10 {
+			t.Fatalf("read %d at t=0: %v, want x=10", i, p)
+		}
+	}
+	if calls != 1 {
+		t.Fatalf("two reads at one instant sampled the closure %d times, want 1", calls)
+	}
+	k.Run(time.Millisecond)
+	for i := 0; i < 2; i++ {
+		if p := r.Position(); p.X != 1000 {
+			t.Fatalf("read %d at t=1ms: %v, want x=1000", i, p)
+		}
+	}
+	if calls != 2 {
+		t.Fatalf("closure sampled %d times over two instants, want 2", calls)
+	}
+}
