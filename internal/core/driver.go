@@ -158,7 +158,7 @@ type Driver struct {
 	// Cached callbacks for the self-rescheduling ticks — re-arming with a
 	// fresh method value would allocate one closure per tick per client.
 	scanTickFn, nextSliceFn, inactivityFn, bgScanFn, bgReturnFn, apSliceFn, startFn func()
-	bgHome                                                                 int
+	bgHome                                                                          int
 	// In-flight channel-switch state. A switch that starts while another
 	// is still in flight supersedes it: the generation counter invalidates
 	// stale PSM completions and the pending linger/retune events are

@@ -50,8 +50,8 @@ type DriverState struct {
 	// checkpoints predate staggered admission: both fields decode to
 	// their zero values there, which correctly restores an immediate
 	// start (started, no alarm).
-	Dormant bool
-	StartEv sim.EventState
+	Dormant    bool
+	StartEv    sim.EventState
 	Seq        uint16
 	IdleUntil  time.Duration
 	BGHome     int

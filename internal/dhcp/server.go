@@ -15,9 +15,9 @@ import (
 // stalls the response by an extra SlowThink sample. One RNG draw
 // partitions [0,1) across the three, so probabilities must sum ≤ 1.
 type Chaos struct {
-	Drop     float64
-	Nak      float64
-	SlowProb float64
+	Drop      float64
+	Nak       float64
+	SlowProb  float64
 	SlowThink sim.Dist
 }
 

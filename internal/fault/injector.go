@@ -220,12 +220,12 @@ func (in *Injector) onDriverConnected() {
 // pending at any instant — the next start when healthy, the stop when
 // a fault is active.
 type episode struct {
-	in    *Injector
-	class string
-	key   string // streamKey(class, target): checkpoint identity
-	rng   *rand.Rand
-	mtbf  time.Duration
-	dur   sim.Dist
+	in          *Injector
+	class       string
+	key         string // streamKey(class, target): checkpoint identity
+	rng         *rand.Rand
+	mtbf        time.Duration
+	dur         sim.Dist
 	start, stop func()
 
 	fireFn, stopFn func()

@@ -20,10 +20,10 @@ import (
 //
 //	ap-crash:0@90s+10s; burst-loss:6@2m+30s=0.5; dhcp-drop@1m+20s=0.3
 type Entry struct {
-	Class  string
-	Target int // AP/link index or channel; -1 = every attached target
-	At     time.Duration
-	Dur    time.Duration
+	Class    string
+	Target   int // AP/link index or channel; -1 = every attached target
+	At       time.Duration
+	Dur      time.Duration
 	Param    float64
 	HasParam bool
 }
@@ -60,7 +60,7 @@ func (t Timeline) String() string {
 
 // classInfo describes per-class timeline validation.
 var classInfo = map[string]struct {
-	needsDur   bool // episode classes need a +dur window
+	needsDur   bool   // episode classes need a +dur window
 	paramKind  string // "", "prob", "ms"
 	needsParam bool
 	targetKind string // "ap", "link", "channel", "none"

@@ -55,20 +55,20 @@ func TestParseTimelineSorts(t *testing.T) {
 
 func TestParseTimelineErrors(t *testing.T) {
 	bad := []string{
-		"ap-crash",                    // missing @time
-		"warp-core@1s+1s",             // unknown class
-		"ap-crash@1s",                 // missing duration window
-		"ap-crash:x@1s+1s",            // bad target
-		"ap-crash:-1@1s+1s",           // negative target
-		"ap-crash@1s+1s=0.5",          // class takes no param
-		"dhcp-drop@1s+1s=1.5",         // probability out of range
-		"latency-spike@1s+1s=-20",     // negative latency
-		"burst-loss@1s+1s=0.5",        // burst-loss needs :channel
-		"burst-loss:6@1s+1s",          // burst-loss needs =prob
-		"reset-fail:0@1s+1s=0.5",      // reset-fail takes no target
-		"reset-fail@1s+1s",            // reset-fail needs =prob
-		"ap-crash@notatime+1s",        // bad time
-		"ap-crash@1s+0s",              // zero duration
+		"ap-crash",                // missing @time
+		"warp-core@1s+1s",         // unknown class
+		"ap-crash@1s",             // missing duration window
+		"ap-crash:x@1s+1s",        // bad target
+		"ap-crash:-1@1s+1s",       // negative target
+		"ap-crash@1s+1s=0.5",      // class takes no param
+		"dhcp-drop@1s+1s=1.5",     // probability out of range
+		"latency-spike@1s+1s=-20", // negative latency
+		"burst-loss@1s+1s=0.5",    // burst-loss needs :channel
+		"burst-loss:6@1s+1s",      // burst-loss needs =prob
+		"reset-fail:0@1s+1s=0.5",  // reset-fail takes no target
+		"reset-fail@1s+1s",        // reset-fail needs =prob
+		"ap-crash@notatime+1s",    // bad time
+		"ap-crash@1s+0s",          // zero duration
 	}
 	for _, src := range bad {
 		if _, err := ParseTimeline(src); err == nil {

@@ -14,10 +14,10 @@ type HandleState struct {
 	Name string
 	Kind Kind
 
-	Value uint64  // counter
-	Bits  uint64  // gauge (float64 bits)
-	Sum   float64 // histogram
-	Count uint64
+	Value  uint64  // counter
+	Bits   uint64  // gauge (float64 bits)
+	Sum    float64 // histogram
+	Count  uint64
 	Counts []uint64 // histogram per-bucket, last is +Inf
 }
 

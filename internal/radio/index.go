@@ -13,20 +13,20 @@ import (
 // uniform spatial grid that turns the O(radios) carrier-sense and
 // delivery scans into neighborhood queries.
 //
-// Determinism contract: the index is a pure *pre-filter*. Every radio the
-// linear scan would have touched (drawn loss randomness for, counted in a
-// stat, or delivered to) must appear among the returned candidates, and
-// delivery candidates are sorted back into registration order before use,
-// so the medium's RNG consumes draws in exactly the order the linear scan
-// produced — golden outputs are byte-identical either way. The linear
-// scan is retained behind Config.LinearScan and an equivalence test keeps
-// both honest.
+// Determinism contract: the index is a pure *pre-filter*. A query walks
+// the registry in place (see walk) and the medium keeps, as it goes, every
+// radio the linear scan would have touched: drawn loss randomness for,
+// counted in a stat, or delivered to. Delivery sorts only what it kept
+// back into registration order, so the medium's RNG consumes draws in
+// exactly the order the linear scan produced — golden outputs are
+// byte-identical either way. The linear scan is retained behind
+// Config.LinearScan and equivalence tests keep both honest.
 //
 // Static radios (declared via NewStaticRadio — access points) live in a
 // flat per-channel cell grid in compressed-sparse-row form: the cells of
 // the bounding box of the channel's statics, row-major, each a
 // registration-ordered run of one member array. A query clips its cell
-// rectangle to the box and appends one contiguous run per row. Statics
+// rectangle to the box and visits one contiguous run per row. Statics
 // tune once, so the grid is rebuilt rarely — lazily, on the first query
 // after an add or remove — and into buffers it keeps.
 //
@@ -116,21 +116,6 @@ func (g *staticGrid) rebuild(statics []*Radio) {
 	g.stale = false
 }
 
-// appendRect appends the statics of every cell in [lo, hi], row by row
-// and, within a row, cell by cell: one contiguous run per row.
-func (g *staticGrid) appendRect(out []*Radio, lo, hi cellKey) []*Radio {
-	x0, x1 := max(lo.cx, g.x0), min(hi.cx, g.x0+g.w-1)
-	y0, y1 := max(lo.cy, g.y0), min(hi.cy, g.y0+g.h-1)
-	if x0 > x1 {
-		return out
-	}
-	for cy := y0; cy <= y1; cy++ {
-		row := g.slot(cellKey{x0, cy})
-		out = append(out, g.members[g.start[row]:g.start[row+int(x1-x0)+1]]...)
-	}
-	return out
-}
-
 // channelIndex is the registry of radios tuned to one channel.
 type channelIndex struct {
 	statics []*Radio // static radios in registration order
@@ -174,11 +159,6 @@ type mediumIndex struct {
 	// while only speed-0 mobiles are binned: their bins never stale).
 	vmax        float64
 	sweepPeriod time.Duration
-
-	hits []*Radio // gather's scratch for sorting cell hits; safe to share
-	// because ordered gathers never run reentrantly (each call returns
-	// before any receiver upcall that could trigger another query, and
-	// nested carrier-sense queries take the unordered path).
 }
 
 func newMediumIndex(cfg Config) *mediumIndex {
@@ -222,16 +202,19 @@ func (ix *mediumIndex) noteSpeed(v float64) {
 	}
 }
 
+// byReg orders radios by registration, the linear scan's iteration order.
+func byReg(a, b *Radio) int { return int(a.regIdx - b.regIdx) }
+
 // insertOrdered adds r to a registration-ordered slice. Channel changes
 // are rare (a handful per simulated second) and per-cell lists are small,
 // so the O(n) shift is noise next to the per-frame scans it avoids.
 func insertOrdered(s []*Radio, r *Radio) []*Radio {
-	i, _ := slices.BinarySearchFunc(s, r, func(a, b *Radio) int { return int(a.regIdx - b.regIdx) })
+	i, _ := slices.BinarySearchFunc(s, r, byReg)
 	return slices.Insert(s, i, r)
 }
 
 func removeRadio(s []*Radio, r *Radio) []*Radio {
-	i, ok := slices.BinarySearchFunc(s, r, func(a, b *Radio) int { return int(a.regIdx - b.regIdx) })
+	i, ok := slices.BinarySearchFunc(s, r, byReg)
 	if !ok {
 		return s
 	}
@@ -358,84 +341,53 @@ func (ix *mediumIndex) boundsFor(r *Radio, p geo.Point, rad float64, kind uint8)
 	return lo, hi
 }
 
-// gather appends every channel-ch radio registered in the [lo, hi] cell
-// rectangle: static radios from the covering grid cells, speed-bounded
-// mobiles from the covering mobile cells padded by one ring (a bin can
-// trail its radio by at most one cell side — see maybeSweep), and all
-// unbinned mobiles. With ordered set, the result is in registration
-// order, which is the iteration order of the linear scan and therefore
-// the order the medium's loss RNG must consume draws in; carrier sense
-// passes false (its busy-until update is a max, so order is invisible)
-// and skips the sort. The result is a superset of the radios within the
-// query radius; callers re-apply the exact distance predicate.
-func (ix *mediumIndex) gather(ch int, lo, hi cellKey, ordered bool, out []*Radio) []*Radio {
+// walk calls visit, in place, with each run of channel-ch radios
+// registered in the [lo, hi] cell rectangle: the statics of each grid row
+// the rectangle crosses (one contiguous run per row, row-major, rebuilding
+// the grid first if an add or remove left it stale); the speed-bounded
+// mobiles of the rectangle padded by one ring, cell by cell, once their
+// grid is on (a bin can trail its radio by at most one cell side — see
+// maybeSweep), or the whole binned list while it is off; then every
+// unbinned mobile. The union is a superset of the channel's radios within
+// the query radius, in no particular order: callers apply the exact
+// predicate as they go, and sort what they keep when order matters. visit
+// must not change the registry; runs alias it.
+func (ix *mediumIndex) walk(ch int, lo, hi cellKey, visit func(run []*Radio)) {
 	ci := ix.channel(ch)
 	if ci == nil {
-		return out
+		return
 	}
-	if !ordered {
-		out = ci.appendCells(out, lo, hi)
-		if !ci.gridded {
-			out = append(out, ci.binned...)
+	g := &ci.grid
+	if g.stale {
+		g.rebuild(ci.statics)
+	}
+	x0, x1 := max(lo.cx, g.x0), min(hi.cx, g.x0+g.w-1)
+	y0, y1 := max(lo.cy, g.y0), min(hi.cy, g.y0+g.h-1)
+	for cy := y0; x0 <= x1 && cy <= y1; cy++ {
+		row := g.slot(cellKey{x0, cy})
+		visit(g.members[g.start[row]:g.start[row+int(x1-x0)+1]])
+	}
+	if ci.gridded {
+		for cy := lo.cy - 1; cy <= hi.cy+1; cy++ {
+			for cx := lo.cx - 1; cx <= hi.cx+1; cx++ {
+				if cell := ci.mcells[cellKey{cx, cy}]; len(cell) > 0 {
+					visit(cell)
+				}
+			}
 		}
-		return append(out, ci.unbinned...)
+	} else {
+		visit(ci.binned)
 	}
-	// Collect static and mobile cell hits (sorted within a cell, not
-	// across cells) plus the binned mobiles while their grid is off,
-	// restore global registration order, then merge with the
-	// already-sorted unbinned list rather than sorting the union.
-	st := ci.appendCells(ix.hits[:0], lo, hi)
-	if !ci.gridded {
-		st = append(st, ci.binned...)
-	}
-	slices.SortFunc(st, func(a, b *Radio) int { return int(a.regIdx - b.regIdx) })
-	ix.hits = st
-	return mergeByReg(out, st, ci.unbinned)
+	visit(ci.unbinned)
 }
 
-// appendCells appends the channel's statics in [lo, hi] (rebuilding the
-// grid first if an add or remove left it stale) and, once the mobile
-// grid is on, the speed-bounded mobiles binned in [lo, hi] padded by one
-// ring.
-func (ci *channelIndex) appendCells(out []*Radio, lo, hi cellKey) []*Radio {
-	if ci.grid.stale {
-		ci.grid.rebuild(ci.statics)
-	}
-	out = ci.grid.appendRect(out, lo, hi)
-	if !ci.gridded {
-		return out
-	}
-	for cy := lo.cy - 1; cy <= hi.cy+1; cy++ {
-		for cx := lo.cx - 1; cx <= hi.cx+1; cx++ {
-			out = append(out, ci.mcells[cellKey{cx, cy}]...)
-		}
-	}
-	return out
-}
-
-// mergeByReg appends the union of two registration-ordered, disjoint
-// lists to out, in registration order.
-func mergeByReg(out, a, b []*Radio) []*Radio {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].regIdx < b[j].regIdx {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// covers reports whether a gather over the [lo, hi] rectangle on ch has
-// returned r: unbinned mobiles on the channel always, statics when their
-// cell lies in the query rectangle, binned mobiles when their bin lies in
-// the one-ring-padded rectangle (the rectangle gather consulted).
-// Callers use it to union in a unicast's addressed radio without
-// duplicating it.
+// covers reports whether a walk over the [lo, hi] rectangle on ch visits
+// r: unbinned mobiles on the channel always, statics when their cell lies
+// in the query rectangle, binned mobiles when their bin lies in the
+// one-ring-padded rectangle (the rectangle walk consults). The unicast
+// address path uses it to visit exactly the addressed radios a walk would
+// have, and both paths to union in an addressed radio the walk missed
+// without duplicating it.
 func (ix *mediumIndex) covers(r *Radio, ch int, lo, hi cellKey) bool {
 	if r.channel != ch {
 		return false
@@ -449,7 +401,7 @@ func (ix *mediumIndex) covers(r *Radio, ch int, lo, hi cellKey) bool {
 		lo = cellKey{lo.cx - 1, lo.cy - 1}
 		hi = cellKey{hi.cx + 1, hi.cy + 1}
 	default:
-		return true // whole-list mobiles are always gathered
+		return true // whole-list mobiles are always walked
 	}
 	return c.cx >= lo.cx && c.cx <= hi.cx && c.cy >= lo.cy && c.cy <= hi.cy
 }

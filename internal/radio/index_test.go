@@ -32,7 +32,8 @@ func (l *logRx) RadioReceive(f *wifi.Frame) {
 }
 
 // buildScriptedWorld populates a medium with a deterministic mix of
-// static and mobile radios and returns them with the shared delivery log.
+// static and mobile radios, a few of them promiscuous, and returns them
+// with the shared delivery log.
 func buildScriptedWorld(linear bool) (*sim.Kernel, *Medium, []*Radio, *[]string) {
 	cfg := Defaults()
 	cfg.Loss = 0.15 // exercise the loss RNG so draw order matters
@@ -56,6 +57,7 @@ func buildScriptedWorld(linear bool) (*sim.Kernel, *Medium, []*Radio, *[]string)
 			r = m.NewStaticRadio(addr, geo.Point{X: rng.Float64() * 800, Y: rng.Float64() * 800}, rx)
 		}
 		r.SetChannel([]int{1, 6, 11}[i%3])
+		r.SetPromiscuous(i%20 == 0)
 		radios = append(radios, r)
 	}
 	return k, m, radios, log
@@ -63,15 +65,23 @@ func buildScriptedWorld(linear bool) (*sim.Kernel, *Medium, []*Radio, *[]string)
 
 // runScript drives the same traffic pattern on any medium: periodic
 // broadcasts, unicasts to random peers (including off-channel and
-// far-away ones, so the MissedAway/OutOfRange paths execute), and
-// periodic retunes.
-func runScript(k *sim.Kernel, radios []*Radio) {
+// far-away ones, so the MissedAway/OutOfRange paths execute), periodic
+// retunes, and toggles of radios 0 and 20 in and out of promiscuous
+// reception, so that unicasts are resolved both by address (no radio
+// promiscuous) and by walking the neighborhood. It returns how many
+// unicasts it sent in each of those two states.
+func runScript(k *sim.Kernel, radios []*Radio) (byAddr, walked int) {
 	rng := rand.New(rand.NewSource(7)) // scripted traffic; same for both runs
+	m := radios[0].m
 	var step func()
 	step = func() {
 		src := radios[rng.Intn(len(radios))]
 		if rng.Intn(5) == 0 {
 			src.SetChannel([]int{1, 6, 11}[rng.Intn(3)])
+		}
+		if rng.Intn(4) == 0 {
+			r := radios[20*rng.Intn(2)]
+			r.SetPromiscuous(!r.promiscuous)
 		}
 		if rng.Intn(3) == 0 {
 			src.Send(&wifi.Frame{Type: wifi.TypeBeacon, SA: src.Addr(), DA: wifi.Broadcast,
@@ -81,6 +91,11 @@ func runScript(k *sim.Kernel, radios []*Radio) {
 			if dst != src {
 				src.Send(&wifi.Frame{Type: wifi.TypeData, SA: src.Addr(), DA: dst.Addr(),
 					Body: &wifi.DataBody{Proto: wifi.ProtoPing, VirtualLen: 200}})
+				if m.promiscuous == 0 {
+					byAddr++
+				} else {
+					walked++
+				}
 			}
 		}
 		if k.Now() < 10*time.Second {
@@ -89,6 +104,7 @@ func runScript(k *sim.Kernel, radios []*Radio) {
 	}
 	k.After(0, step)
 	k.Run(10 * time.Second)
+	return byAddr, walked
 }
 
 func TestIndexedMediumMatchesLinearScan(t *testing.T) {
@@ -98,10 +114,13 @@ func TestIndexedMediumMatchesLinearScan(t *testing.T) {
 		t.Fatal("LinearScan flag not wired through NewMedium")
 	}
 	runScript(kL, radiosL)
-	runScript(kI, radiosI)
+	byAddr, walked := runScript(kI, radiosI)
 
 	if len(*logL) == 0 {
 		t.Fatal("script delivered nothing; test is vacuous")
+	}
+	if byAddr < 100 || walked < 100 {
+		t.Fatalf("unicasts resolved by address %d, by walk %d: the script must exercise both", byAddr, walked)
 	}
 	if len(*logL) != len(*logI) {
 		t.Fatalf("delivery counts differ: linear=%d indexed=%d", len(*logL), len(*logI))
@@ -248,11 +267,102 @@ func TestIndexTracksRetunes(t *testing.T) {
 	}
 }
 
+// TestRetiredAddressReRegistered pins delivery to an address carried by
+// two radios, as when a shard tile re-adopts a client that migrated away:
+// the first radio is retired (channel 0), a second is registered under
+// the same address in range of the sender. A unicast to the address must
+// reach the live radio once and count one MissedAway for the retired one,
+// on the indexed and the linear medium alike.
+func TestRetiredAddressReRegistered(t *testing.T) {
+	for _, linear := range []bool{false, true} {
+		k := sim.NewKernel(1)
+		m := NewMedium(k, Config{Range: 100, Loss: 0, EdgeStart: 1, LinearScan: linear})
+		addr := wifi.NewAddr(3, 7)
+		retired := m.NewRadio(addr, fixed(40, 0), ReceiverFunc(func(*wifi.Frame) {
+			t.Error("retired radio received")
+		}))
+		retired.SetChannel(6)
+		retired.SetChannel(0)
+		tx := m.NewStaticRadio(wifi.NewAddr(3, 1), geo.Point{}, ReceiverFunc(func(*wifi.Frame) {}))
+		tx.SetChannel(6)
+		got := 0
+		live := m.NewRadio(addr, fixed(50, 0), ReceiverFunc(func(*wifi.Frame) { got++ }))
+		live.SetChannel(6)
+		tx.Send(&wifi.Frame{Type: wifi.TypeData, SA: tx.Addr(), DA: addr,
+			Body: &wifi.DataBody{Proto: wifi.ProtoPing, VirtualLen: 100}})
+		k.Run(time.Second)
+		if st := m.Stats(); got != 1 || st.Delivered != 1 || st.MissedAway != 1 || st.Retries != 0 {
+			t.Fatalf("linear=%v: live radio received %d frames, stats %+v; want 1 delivery and 1 MissedAway",
+				linear, got, st)
+		}
+	}
+}
+
+// TestPromiscuousFromUpcall pins the one documented difference between
+// the media: a bystander switched to promiscuous reception inside the
+// addressed radio's receive upcall, while no radio was promiscuous. The
+// linear scan reaches the later-registered bystander after the upcall, so
+// it overhears that frame and the next; the indexed medium resolved the
+// first frame's receivers by address before the upcall, so the bystander
+// hears from the next frame on.
+func TestPromiscuousFromUpcall(t *testing.T) {
+	for _, linear := range []bool{false, true} {
+		k := sim.NewKernel(1)
+		m := NewMedium(k, Config{Range: 100, Loss: 0, EdgeStart: 1, LinearScan: linear})
+		var bystander *Radio
+		tx := m.NewStaticRadio(wifi.NewAddr(3, 1), geo.Point{}, ReceiverFunc(func(*wifi.Frame) {}))
+		dst := m.NewStaticRadio(wifi.NewAddr(3, 2), geo.Point{X: 10}, ReceiverFunc(func(*wifi.Frame) {
+			bystander.SetPromiscuous(true)
+		}))
+		overheard := 0
+		bystander = m.NewStaticRadio(wifi.NewAddr(3, 3), geo.Point{X: 20}, ReceiverFunc(func(*wifi.Frame) {
+			overheard++
+		}))
+		for _, r := range []*Radio{tx, dst, bystander} {
+			r.SetChannel(6)
+		}
+		for i := 0; i < 2; i++ {
+			tx.Send(&wifi.Frame{Type: wifi.TypeData, SA: tx.Addr(), DA: dst.Addr(),
+				Body: &wifi.DataBody{Proto: wifi.ProtoPing, VirtualLen: 100}})
+		}
+		k.Run(time.Second)
+		want := 1
+		if linear {
+			want = 2
+		}
+		if st := m.Stats(); overheard != want || st.Delivered != 2+uint64(want) {
+			t.Fatalf("linear=%v: bystander overheard %d of 2 frames, want %d; stats %+v", linear, overheard, want, st)
+		}
+	}
+}
+
 // BenchmarkMediumBroadcast measures one broadcast into a dense static
 // deployment — the medium's hot path — with the spatial index against
 // the linear scan. APs cover a 3×3 km grid; only the handful in range
 // should pay per-frame work on the indexed path.
 func BenchmarkMediumBroadcast(b *testing.B) {
+	benchDenseDeployment(b, func(tx, _ *Radio) *wifi.Frame {
+		return &wifi.Frame{Type: wifi.TypeBeacon, SA: tx.Addr(), DA: wifi.Broadcast,
+			Body: &wifi.BeaconBody{Channel: 6}}
+	})
+}
+
+// BenchmarkMediumDenseUnicast measures one unicast into the same
+// deployment, addressed to the AP nearest the sender on its channel: the
+// common frame of a loaded network, which the indexed medium resolves by
+// address.
+func BenchmarkMediumDenseUnicast(b *testing.B) {
+	benchDenseDeployment(b, func(tx, nearest *Radio) *wifi.Frame {
+		return &wifi.Frame{Type: wifi.TypeData, SA: tx.Addr(), DA: nearest.Addr(),
+			Body: &wifi.DataBody{Proto: wifi.ProtoPing, VirtualLen: 200}}
+	})
+}
+
+// benchDenseDeployment times sending frame(tx, nearest) once per
+// iteration, indexed and linear, from a channel-6 station at the center
+// of 1,000 lossless APs scattered over 3×3 km on channels 1, 6 and 11;
+// nearest is the channel-6 AP closest to the sender, within range.
+func benchDenseDeployment(b *testing.B, frame func(tx, nearest *Radio) *wifi.Frame) {
 	for _, v := range []struct {
 		name   string
 		linear bool
@@ -265,17 +375,23 @@ func BenchmarkMediumBroadcast(b *testing.B) {
 			k := sim.NewKernel(1)
 			m := NewMedium(k, cfg)
 			rng := rand.New(rand.NewSource(4))
+			txPos := geo.Point{X: 1500, Y: 1500}
+			var nearest *Radio
 			for i := 0; i < 1000; i++ {
 				r := m.NewStaticRadio(wifi.NewAddr(4, uint32(i)),
 					geo.Point{X: rng.Float64() * 3000, Y: rng.Float64() * 3000},
 					ReceiverFunc(func(*wifi.Frame) {}))
 				r.SetChannel([]int{1, 6, 11}[i%3])
+				if r.Channel() == 6 && (nearest == nil || txPos.DistSq(r.Position()) < txPos.DistSq(nearest.Position())) {
+					nearest = r
+				}
 			}
-			tx := m.NewStaticRadio(wifi.NewAddr(5, 1), geo.Point{X: 1500, Y: 1500},
-				ReceiverFunc(func(*wifi.Frame) {}))
+			if !m.InRange(txPos, nearest.Position()) {
+				b.Fatalf("nearest channel-6 AP is %.0f m away, beyond range", txPos.Dist(nearest.Position()))
+			}
+			tx := m.NewStaticRadio(wifi.NewAddr(5, 1), txPos, ReceiverFunc(func(*wifi.Frame) {}))
 			tx.SetChannel(6)
-			f := &wifi.Frame{Type: wifi.TypeBeacon, SA: tx.Addr(), DA: wifi.Broadcast,
-				Body: &wifi.BeaconBody{Channel: 6}}
+			f := frame(tx, nearest)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -290,9 +406,8 @@ func BenchmarkMediumBroadcast(b *testing.B) {
 // grid: on random layouts (negative coordinates included), with statics
 // added and retuned between queries so the grid rebuilds, every query
 // rectangle — inside the grid's box, straddling it or wholly outside it,
-// as halo ghost frames produce — must gather exactly the statics a
-// brute-force filter of the registry by cellOf finds. The ordered gather
-// must match in registration order, the unordered one in row-major cell
+// as halo ghost frames produce — must walk exactly the statics a
+// brute-force filter of the registry by cellOf finds, in row-major cell
 // order with registration order within a cell.
 func TestStaticGridMatchesBruteForce(t *testing.T) {
 	found := 0
@@ -324,7 +439,7 @@ func TestStaticGridMatchesBruteForce(t *testing.T) {
 				lo := cellKey{cx, cy}
 				hi := cellKey{cx + int32(rng.Intn(5)), cy + int32(rng.Intn(5))}
 				for ch := 1; ch <= 11; ch++ { // channels 2–5 and 7–10 stay empty
-					var want, wantRows []*Radio
+					var want, wantRows, got []*Radio
 					for _, r := range m.radios {
 						c := ix.cellOf(r.Position())
 						if r.channel == ch && c.cx >= lo.cx && c.cx <= hi.cx && c.cy >= lo.cy && c.cy <= hi.cy {
@@ -341,12 +456,9 @@ func TestStaticGridMatchesBruteForce(t *testing.T) {
 						}
 					}
 					found += len(want)
-					if got := ix.gather(ch, lo, hi, true, nil); !slices.Equal(got, want) {
-						t.Fatalf("seed %d step %d ch %d [%v, %v]: ordered gather %v, want %v",
-							seed, step, ch, lo, hi, regIdxs(got), regIdxs(want))
-					}
-					if got := ix.gather(ch, lo, hi, false, nil); !slices.Equal(got, wantRows) {
-						t.Fatalf("seed %d step %d ch %d [%v, %v]: unordered gather %v, want %v",
+					ix.walk(ch, lo, hi, func(run []*Radio) { got = append(got, run...) })
+					if !slices.Equal(got, wantRows) {
+						t.Fatalf("seed %d step %d ch %d [%v, %v]: walk visited %v, want %v",
 							seed, step, ch, lo, hi, regIdxs(got), regIdxs(wantRows))
 					}
 				}

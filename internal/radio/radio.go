@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"spider/internal/geo"
@@ -129,14 +130,21 @@ type Medium struct {
 
 	// idx is the per-channel/spatial registry (nil under Config.LinearScan).
 	idx *mediumIndex
-	// byAddr resolves a unicast DA to its radio so off-channel and
-	// out-of-range stats survive the indexed path. First registration
-	// wins; the medium assumes one radio per address.
-	byAddr map[wifi.Addr]*Radio
-	// Scratch candidate buffers, reused across queries. Two exist because
-	// a delivery upcall may transmit, nesting a carrier-sense query inside
-	// the delivery iteration; neither query nests within itself.
-	csScratch []*Radio
+	// byAddr resolves a unicast DA to its first registration, so
+	// off-channel and out-of-range stats survive the indexed path.
+	// reregistered holds, per address, the radios registered under it
+	// since, in registration order: a shard tile re-adopting a client that
+	// migrated away registers a fresh radio under the address of the one it
+	// retired. Between them they name every radio carrying an address.
+	byAddr       map[wifi.Addr]*Radio
+	reregistered map[wifi.Addr][]*Radio
+	// promiscuous counts the radios with promiscuous reception on. While
+	// it is zero only addressed radios can take a unicast, so delivery
+	// resolves the receivers by address instead of walking the medium.
+	promiscuous int
+	// dlScratch holds delivery candidates, reused across frames. Delivery
+	// never nests: a receive upcall may transmit, but frames end in their
+	// own events, and the carrier-sense walk needs no buffer.
 	dlScratch []*Radio
 
 	// tap, when set, observes every frame at end of transmission
@@ -212,10 +220,11 @@ type Stats struct {
 // NewMedium creates a medium bound to the kernel.
 func NewMedium(k *sim.Kernel, cfg Config) *Medium {
 	m := &Medium{
-		kernel: k,
-		cfg:    cfg.withDefaults(),
-		rng:    k.RNG("radio.loss"),
-		byAddr: make(map[wifi.Addr]*Radio),
+		kernel:       k,
+		cfg:          cfg.withDefaults(),
+		rng:          k.RNG("radio.loss"),
+		byAddr:       make(map[wifi.Addr]*Radio),
+		reregistered: make(map[wifi.Addr][]*Radio),
 	}
 	if !m.cfg.LinearScan {
 		m.idx = newMediumIndex(m.cfg)
@@ -312,7 +321,7 @@ type Radio struct {
 	retuneCh   int
 	retuneDone func()
 	retuneFn   func()
-	busyUntil   time.Duration // airtime deferral from carrier sense
+	busyUntil  time.Duration // airtime deferral from carrier sense
 
 	// FIFO transmit queue: like a real MAC, the head frame blocks the
 	// line while ARQ retries it, so a station never reorders its own
@@ -379,7 +388,9 @@ func (m *Medium) NewRadio(addr wifi.Addr, pos func() geo.Point, rx Receiver) *Ra
 		maxSpeed: -1, txQueue: make([]txJob, 0, 8)}
 	r.txDoneFn = r.txComplete
 	m.radios = append(m.radios, r)
-	if _, dup := m.byAddr[addr]; !dup {
+	if _, dup := m.byAddr[addr]; dup {
+		m.reregistered[addr] = append(m.reregistered[addr], r)
+	} else {
 		m.byAddr[addr] = r
 	}
 	return r
@@ -422,8 +433,21 @@ func (r *Radio) position() geo.Point {
 }
 
 // SetPromiscuous controls whether the radio also receives unicast frames
-// addressed to other stations (used by opportunistic scanning).
-func (r *Radio) SetPromiscuous(on bool) { r.promiscuous = on }
+// addressed to other stations (used by opportunistic scanning). On an
+// indexed medium, a radio switched on inside a receive upcall while no
+// other radio was promiscuous first hears the next frame to end, as a
+// radio tuned to the channel inside an upcall does.
+func (r *Radio) SetPromiscuous(on bool) {
+	if on == r.promiscuous {
+		return
+	}
+	r.promiscuous = on
+	if on {
+		r.m.promiscuous++
+	} else {
+		r.m.promiscuous--
+	}
+}
 
 // SetMaxSpeed declares an upper bound on the radio's instantaneous speed
 // in m/s, letting the spatial index keep the (mobile) radio in a
@@ -642,29 +666,38 @@ func (r *Radio) kick() {
 	}
 	// Carrier sense: every same-channel station within CSRange of the
 	// transmitter (itself included) defers until this frame clears. The
-	// candidate set is a superset of the affected radios (all radios under
-	// the linear scan, the CSRange neighborhood under the index); the
-	// exact predicate below is identical either way, and the busy-until
-	// update is a max, so candidate order does not matter.
+	// linear scan visits every radio; the index walks the channel's CSRange
+	// neighborhood in place. The predicate is exact either way, and the
+	// busy-until update is a max, so visiting order does not matter.
 	txPos := r.position()
-	for _, x := range m.csCandidates(r, job.ch, txPos) {
-		if x.channel != job.ch {
-			continue
+	ch, end := job.ch, start+dur
+	sense := func(run []*Radio) {
+		for _, x := range run {
+			if x.channel != ch {
+				continue
+			}
+			if x != r && txPos.DistSq(x.position()) > m.cfg.CSRange*m.cfg.CSRange {
+				continue
+			}
+			if end > x.busyUntil {
+				x.busyUntil = end
+			}
 		}
-		if x != r && txPos.DistSq(x.position()) > m.cfg.CSRange*m.cfg.CSRange {
-			continue
-		}
-		if start+dur > x.busyUntil {
-			x.busyUntil = start + dur
-		}
+	}
+	if m.idx == nil {
+		sense(m.radios)
+	} else {
+		m.idx.maybeSweep(ch, now)
+		lo, hi := m.idx.boundsFor(r, txPos, m.cfg.CSRange, qbCS)
+		m.idx.walk(ch, lo, hi, sense)
 	}
 	m.stats.Transmitted++
 	r.air.Tx += dur
 	if m.cfg.HiddenCollisions {
-		m.recordActive(activeTx{from: r, ch: job.ch, start: start, end: start + dur, pos: txPos})
+		m.recordActive(activeTx{from: r, ch: ch, start: start, end: end, pos: txPos})
 	}
-	r.txF, r.txCh, r.txDur = f, job.ch, dur
-	r.txDoneEv = m.kernel.At(start+dur, r.txDoneFn)
+	r.txF, r.txCh, r.txDur = f, ch, dur
+	r.txDoneEv = m.kernel.At(end, r.txDoneFn)
 }
 
 // txComplete is the end-of-transmission event for the in-flight frame —
@@ -723,34 +756,48 @@ func (r *Radio) canRetry(f *wifi.Frame, attempt int) bool {
 // AirtimeStats returns the radio's accumulated state occupancy.
 func (r *Radio) AirtimeStats() Airtime { return r.air }
 
-// csCandidates returns the radios the carrier-sense loop must visit for
-// a transmission by tx on ch at txPos: all radios under the linear scan,
-// or the same-channel CSRange neighborhood (grid cells + mobiles) when
-// indexed. tx (nil for ghost frames) carries the query-bounds cache.
-func (m *Medium) csCandidates(tx *Radio, ch int, txPos geo.Point) []*Radio {
-	if m.idx == nil {
-		return m.radios
-	}
-	m.idx.maybeSweep(ch, m.kernel.Now())
-	lo, hi := m.idx.boundsFor(tx, txPos, m.cfg.CSRange, qbCS)
-	m.csScratch = m.idx.gather(ch, lo, hi, false, m.csScratch[:0])
-	return m.csScratch
-}
-
 // deliveryCandidates returns the radios the delivery loop must visit, in
-// registration order: all radios under the linear scan; when indexed, the
-// same-channel radios near txPos plus — for unicast — the addressed radio
-// wherever (and however tuned) it is, so the missed-away and out-of-range
-// stats count exactly as the linear scan does.
+// registration order: all radios under the linear scan. When indexed, it
+// keeps only the radios whose loop outcome is not yet decided by the
+// predicates that are pure for the instant (position, address, the
+// transmitter's identity): every radio carrying the unicast's address,
+// and every other radio within Range. Only those are sorted. A unicast
+// while no radio is promiscuous visits just the radios carrying its
+// address — exactly those a walk would have covered — instead of walking
+// the neighborhood. Either way the address's first registration, when no
+// walk covers it, is appended as well, wherever (and however tuned) it
+// is, so the missed-away and out-of-range stats count exactly as the
+// linear scan does.
 func (m *Medium) deliveryCandidates(tx *Radio, da wifi.Addr, ch int, txPos geo.Point) []*Radio {
 	if m.idx == nil {
 		return m.radios
 	}
 	m.idx.maybeSweep(ch, m.kernel.Now())
 	lo, hi := m.idx.boundsFor(tx, txPos, m.cfg.Range, qbDelivery)
-	out := m.idx.gather(ch, lo, hi, true, m.dlScratch[:0])
-	if !da.IsBroadcast() {
-		if tgt := m.byAddr[da]; tgt != nil && !m.idx.covers(tgt, ch, lo, hi) {
+	out := m.dlScratch[:0]
+	unicast := !da.IsBroadcast()
+	if unicast && m.promiscuous == 0 {
+		// byAddr's radio registered first, so this is registration order.
+		if tgt := m.byAddr[da]; tgt != nil && tgt != tx && m.idx.covers(tgt, ch, lo, hi) {
+			out = append(out, tgt)
+		}
+		for _, x := range m.reregistered[da] {
+			if x != tx && m.idx.covers(x, ch, lo, hi) {
+				out = append(out, x)
+			}
+		}
+	} else {
+		m.idx.walk(ch, lo, hi, func(run []*Radio) {
+			for _, x := range run {
+				if x != tx && ((unicast && x.addr == da) || txPos.DistSq(x.position()) <= m.cfg.Range*m.cfg.Range) {
+					out = append(out, x)
+				}
+			}
+		})
+		slices.SortFunc(out, byReg)
+	}
+	if unicast {
+		if tgt := m.byAddr[da]; tgt != nil && tgt != tx && !m.idx.covers(tgt, ch, lo, hi) {
 			// Appending out of registration order is safe: an uncovered
 			// target is off-channel or beyond the query rectangle, so the
 			// delivery loop's only action on it is bumping MissedAway or

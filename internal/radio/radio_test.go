@@ -155,6 +155,27 @@ func TestUnicastNotSnoopedWithoutPromiscuous(t *testing.T) {
 	if len(cc.frames) != 1 {
 		t.Fatal("promiscuous radio did not snoop unicast")
 	}
+
+	// A restored medium must know it has a promiscuous radio: unicasts
+	// are resolved by address only while none is.
+	st, err := m.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k2 := sim.NewKernel(1)
+	m2 := NewMedium(k2, losslessCfg())
+	cc2 := &collector{}
+	a2 := m2.NewRadio(a.Addr(), fixed(0, 0), &collector{})
+	m2.NewRadio(b.Addr(), fixed(10, 0), &collector{})
+	m2.NewRadio(c.Addr(), fixed(20, 0), cc2)
+	if err := m2.RestoreState(st, nil); err != nil {
+		t.Fatal(err)
+	}
+	a2.Send(dataFrame(a2, b))
+	k2.Run(3 * time.Second) // busy-until is restored from the first run's clock
+	if len(cc2.frames) != 1 {
+		t.Fatal("restored promiscuous radio did not snoop unicast")
+	}
 }
 
 func TestRandomLossRate(t *testing.T) {

@@ -96,7 +96,7 @@ func (r *Radio) RestoreState(st RadioState, resolve func(TxTag) func(delivered b
 		return fmt.Errorf("radio restore: state for %s applied to %s", st.Addr, r.addr)
 	}
 	r.setChannel(st.Channel)
-	r.promiscuous = st.Promiscuous
+	r.SetPromiscuous(st.Promiscuous)
 	r.suspendedTo = st.SuspendedTo
 	r.busyUntil = st.BusyUntil
 	r.air = st.Air

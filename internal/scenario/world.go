@@ -167,8 +167,8 @@ type linkSeg struct {
 	// ev/idx track the in-flight delivery for checkpoints: ev is the
 	// kernel event identity, idx the carrier's slot in the client's live
 	// registry (upLive/downLive).
-	ev   sim.Event
-	idx  int
+	ev           sim.Event
+	idx          int
 	upFn, downFn func()
 }
 
@@ -299,12 +299,12 @@ type Client struct {
 	// segPool recycles the client's TCP segments (data and uplink ACKs);
 	// upFree/downFree recycle the backhaul carriers, dlSeg is the
 	// downlink decode scratch. All single-threaded with the world.
-	segPool tcpsim.SegPool
+	segPool          tcpsim.SegPool
 	upFree, downFree []*linkSeg
 	// upLive/downLive register carriers currently in flight across a
 	// backhaul, so checkpoints can capture the pending deliveries.
 	upLive, downLive []*linkSeg
-	dlSeg   tcpsim.Segment
+	dlSeg            tcpsim.Segment
 	// statsClosed / invClosed carry the counters of drivers this client
 	// has already retired (one per shard migration), so Stats and
 	// InvariantsTotal cover the whole life regardless of which world the

@@ -96,10 +96,10 @@ func (e Event) Pending() bool { return e.live() }
 // Slot locations. A slot is live while it sits in exactly one of the
 // three queue structures; locFree slots are on the free list.
 const (
-	locFree int8 = iota
-	locHeap      // in Kernel.heap at index pos
-	locBucket    // staged in Kernel.buckets[bucket] at index pos
-	locRun       // in the sorted dispatch run at index pos
+	locFree   int8 = iota
+	locHeap        // in Kernel.heap at index pos
+	locBucket      // staged in Kernel.buckets[bucket] at index pos
+	locRun         // in the sorted dispatch run at index pos
 )
 
 // slot is one arena entry. A slot is live while its index sits in a
