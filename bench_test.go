@@ -311,26 +311,18 @@ func BenchmarkDriveSimulationRate(b *testing.B) {
 	b.ReportMetric(60*float64(b.N)/b.Elapsed().Seconds(), "sim-s/wall-s")
 }
 
-// BenchmarkCityScale measures the city-scale speedup the spatial index
-// buys: a 6×6 km city at the Amherst-like density of ~55 APs/km² —
-// 2000 APs, 200 driving clients — simulated for two virtual seconds per
-// iteration, with the indexed medium against the retained linear scan.
-// Both paths produce byte-identical results (see the equivalence
-// tests); only the wall clock differs. The per-client protocol work
-// (driver, TCP, mobility) is a shared floor, so the ratio understates
-// the medium-path speedup itself; see BenchmarkMediumBroadcast in
-// internal/radio for the isolated number.
-// BenchmarkCityScaleSharded measures what spatial sharding buys on top
-// of the indexed medium: the same 6×6 km / 2000 AP / 200 client city,
-// partitioned into lockstep tiles with the barrier exchange (halo
-// beacons + client migration) between them. The tile layout is fixed by
-// the scenario — "shards" only sets how many tiles advance concurrently
-// — so every variant simulates byte-identical cities (see
-// internal/shard's identity tests); only the wall clock differs. The
-// "unsharded" variant is the monolithic single-kernel build from
-// BenchmarkCityScale; shards=1 against it prices the sharding machinery
-// itself (epoch chopping, halo mirroring, barrier scans), which the
-// issue requires to stay within 5%.
+// BenchmarkCityScaleSharded measures what spatial sharding buys: a 6×6
+// km city at the Amherst-like density of ~55 APs/km² — 2000 APs, 200
+// driving clients — partitioned into lockstep tiles with the barrier
+// exchange (halo beacons + client migration) between them. The tile
+// layout is fixed by the scenario — "shards" only sets how many tiles
+// advance concurrently — so every shards=N variant simulates
+// byte-identical cities (see internal/shard's identity tests); only the
+// wall clock differs. The "unsharded" variant runs the same planned city
+// (CityGridSpec.Plan) on one plain World — one kernel, one medium — so
+// shards=1 against it prices the sharding machinery itself (epoch
+// chopping, halo mirroring, barrier scans) on the same sample of the
+// city; CI's sharding overhead guard holds it within 5%.
 //
 // Each variant builds its city once and advances it 2 virtual seconds
 // per iteration, with a warm-up outside the timer — so ns/op is
@@ -352,9 +344,14 @@ func BenchmarkCityScaleSharded(b *testing.B) {
 		return spec
 	}
 	b.Run("unsharded", func(b *testing.B) {
-		world, mobs := citySpec(1).Build()
-		for _, mob := range mobs {
-			world.AddClient(cfg, mob)
+		spec := citySpec(1)
+		plan := spec.Plan()
+		world := NewWorld(spec.Seed, spec.Radio)
+		for _, ap := range plan.APs {
+			world.AddAP(ap.Spec())
+		}
+		for _, cp := range plan.Clients {
+			world.AddClientAddr(cp.Addr(), cfg, cp.Mob)
 		}
 		world.Run(warmup)
 		b.ResetTimer()
@@ -467,30 +464,4 @@ func BenchmarkMetroSteadyState(b *testing.B) {
 		}
 	}
 	b.ReportMetric(virtual.Seconds()*float64(b.N)/b.Elapsed().Seconds(), "sim-s/wall-s")
-}
-
-func BenchmarkCityScale(b *testing.B) {
-	const virtual = 2 * time.Second
-	for _, v := range []struct {
-		name   string
-		linear bool
-	}{{"indexed", false}, {"linear", true}} {
-		b.Run(v.name, func(b *testing.B) {
-			cfg := Defaults(MultiChannelMultiAP, EqualSchedule(200*time.Millisecond, 1, 6, 11))
-			for i := 0; i < b.N; i++ {
-				spec := CityGrid(int64(i+1), 2000, 200)
-				spec.AreaW, spec.AreaH = 6000, 6000
-				rc := DefaultRadio()
-				rc.DataRateKbps = 24_000
-				rc.LinearScan = v.linear
-				spec.Radio = rc
-				world, mobs := spec.Build()
-				for _, mob := range mobs {
-					world.AddClient(cfg, mob)
-				}
-				world.Run(virtual)
-			}
-			b.ReportMetric(virtual.Seconds()*float64(b.N)/b.Elapsed().Seconds(), "sim-s/wall-s")
-		})
-	}
 }

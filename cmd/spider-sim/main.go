@@ -35,6 +35,7 @@ import (
 	"spider/internal/archive"
 	"spider/internal/checkpoint"
 	"spider/internal/core"
+	"spider/internal/expt"
 	"spider/internal/fault"
 	"spider/internal/metrics"
 	"spider/internal/obs"
@@ -45,24 +46,6 @@ import (
 	"spider/internal/shard"
 	"spider/internal/sweep"
 )
-
-func driverConfig(name string) (core.Config, error) {
-	one := []core.ChannelSlice{{Channel: 1}}
-	three := core.EqualSchedule(200*time.Millisecond, 1, 6, 11)
-	switch name {
-	case "ch1-multi":
-		return core.SpiderDefaults(core.SingleChannelMultiAP, one), nil
-	case "ch1-single":
-		return core.StockDefaults(one), nil
-	case "3ch-multi":
-		return core.SpiderDefaults(core.MultiChannelMultiAP, three), nil
-	case "3ch-single":
-		return core.SpiderDefaults(core.MultiChannelSingleAP, three), nil
-	case "stock":
-		return core.StockDefaults(three), nil
-	}
-	return core.Config{}, fmt.Errorf("unknown config %q", name)
-}
 
 // driveResult holds one replication's §4.3 metrics.
 type driveResult struct {
@@ -457,7 +440,7 @@ func main() {
 		}
 	}()
 
-	cfg, err := driverConfig(*config)
+	cfg, err := expt.DriverConfig(*config)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spider-sim:", err)
 		os.Exit(2)

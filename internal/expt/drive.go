@@ -18,30 +18,40 @@ func init() {
 	register("fig14", func(o Options) (fmt.Stringer, error) { return Fig14(o), nil })
 }
 
-// driveConfigs are the four Spider configurations of §4.1 (Table 2,
-// Fig 10). Multi-channel rows use the paper's static 200 ms schedule on
-// channels 1, 6, 11.
-func spiderConfig(name string) core.Config {
+// DriverConfig returns the named driver configuration: the four Spider
+// configurations of §4.1 (Table 2, Fig 10) — "ch1-multi", "ch1-single",
+// "3ch-multi", "3ch-single" — or "stock". Multi-channel configurations
+// use the paper's static 200 ms schedule on channels 1, 6, 11.
+func DriverConfig(name string) (core.Config, error) {
 	one := []core.ChannelSlice{{Channel: 1}}
 	three := core.EqualSchedule(200*time.Millisecond, 1, 6, 11)
 	switch name {
 	case "ch1-multi":
-		return core.SpiderDefaults(core.SingleChannelMultiAP, one)
+		return core.SpiderDefaults(core.SingleChannelMultiAP, one), nil
 	case "ch1-single":
 		// §4.1 configuration 1 "mimics off-the-shelf Wi-Fi on a single
 		// channel": stock timers, no lease cache, no history — pinned to
 		// channel 1. This is the baseline the 4× claim compares against.
-		return core.StockDefaults(one)
+		return core.StockDefaults(one), nil
 	case "3ch-multi":
-		return core.SpiderDefaults(core.MultiChannelMultiAP, three)
+		return core.SpiderDefaults(core.MultiChannelMultiAP, three), nil
 	case "3ch-single":
-		return core.SpiderDefaults(core.MultiChannelSingleAP, three)
+		return core.SpiderDefaults(core.MultiChannelSingleAP, three), nil
 	case "stock":
 		// The unmodified MadWiFi baseline roams over the occupied
 		// orthogonal channels with stock timers and no optimizations.
-		return core.StockDefaults(three)
+		return core.StockDefaults(three), nil
 	}
-	panic("unknown config " + name)
+	return core.Config{}, fmt.Errorf("unknown config %q", name)
+}
+
+// spiderConfig is DriverConfig for the harness's own fixed names.
+func spiderConfig(name string) core.Config {
+	cfg, err := DriverConfig(name)
+	if err != nil {
+		panic(err)
+	}
+	return cfg
 }
 
 // driveClient runs one Amherst (or Boston) drive with the config and

@@ -24,9 +24,11 @@ func buildBoundaryWorld(linear bool) (*sim.Kernel, *Medium, [2]*Radio, *[]string
 	cfg := Defaults()
 	cfg.Loss = 0 // delivery must be deterministic: membership only
 	cfg.EdgeStart = 1
-	cfg.LinearScan = linear
 	k := sim.NewKernel(5)
 	m := NewMedium(k, cfg)
+	if linear {
+		UseLinearScan(m)
+	}
 	cell := m.cfg.CSRange // == cellSize (max of CSRange, Range)
 	log := &[]string{}
 	rx := &logRx{k: k, id: 0, log: log}

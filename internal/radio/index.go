@@ -19,8 +19,10 @@ import (
 // counted in a stat, or delivered to. Delivery sorts only what it kept
 // back into registration order, so the medium's RNG consumes draws in
 // exactly the order the linear scan produced — golden outputs are
-// byte-identical either way. The linear scan is retained behind
-// Config.LinearScan and equivalence tests keep both honest.
+// byte-identical either way. The linear scan is retained as the medium's
+// idx == nil path, which only radio's tests select (export_test.go), and
+// equivalence tests — scripted traffic here, a full drive and a sharded
+// city in the external tests — keep both honest.
 //
 // Static radios (declared via NewStaticRadio — access points) live in a
 // flat per-channel cell grid in compressed-sparse-row form: the cells of

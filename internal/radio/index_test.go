@@ -37,9 +37,11 @@ func (l *logRx) RadioReceive(f *wifi.Frame) {
 func buildScriptedWorld(linear bool) (*sim.Kernel, *Medium, []*Radio, *[]string) {
 	cfg := Defaults()
 	cfg.Loss = 0.15 // exercise the loss RNG so draw order matters
-	cfg.LinearScan = linear
 	k := sim.NewKernel(11)
 	m := NewMedium(k, cfg)
+	if linear {
+		UseLinearScan(m)
+	}
 	log := &[]string{}
 	var radios []*Radio
 	rng := rand.New(rand.NewSource(99)) // placement only; shared by both runs
@@ -110,8 +112,8 @@ func runScript(k *sim.Kernel, radios []*Radio) (byAddr, walked int) {
 func TestIndexedMediumMatchesLinearScan(t *testing.T) {
 	kL, mL, radiosL, logL := buildScriptedWorld(true)
 	kI, mI, radiosI, logI := buildScriptedWorld(false)
-	if mI.idx == nil || mL.idx != nil {
-		t.Fatal("LinearScan flag not wired through NewMedium")
+	if !Indexed(mI) || Indexed(mL) {
+		t.Fatal("UseLinearScan did not switch the reference medium")
 	}
 	runScript(kL, radiosL)
 	byAddr, walked := runScript(kI, radiosI)
@@ -150,9 +152,11 @@ func TestMixedMobilesMatchLinearScan(t *testing.T) {
 	build := func(n int, linear bool) (*sim.Kernel, *Medium, []*Radio, *[]string) {
 		cfg := Defaults()
 		cfg.Loss = 0.15
-		cfg.LinearScan = linear
 		k := sim.NewKernel(12)
 		m := NewMedium(k, cfg)
+		if linear {
+			UseLinearScan(m)
+		}
 		log := &[]string{}
 		var radios []*Radio
 		rng := rand.New(rand.NewSource(98))
@@ -276,7 +280,10 @@ func TestIndexTracksRetunes(t *testing.T) {
 func TestRetiredAddressReRegistered(t *testing.T) {
 	for _, linear := range []bool{false, true} {
 		k := sim.NewKernel(1)
-		m := NewMedium(k, Config{Range: 100, Loss: 0, EdgeStart: 1, LinearScan: linear})
+		m := NewMedium(k, Config{Range: 100, Loss: 0, EdgeStart: 1})
+		if linear {
+			UseLinearScan(m)
+		}
 		addr := wifi.NewAddr(3, 7)
 		retired := m.NewRadio(addr, fixed(40, 0), ReceiverFunc(func(*wifi.Frame) {
 			t.Error("retired radio received")
@@ -308,7 +315,10 @@ func TestRetiredAddressReRegistered(t *testing.T) {
 func TestPromiscuousFromUpcall(t *testing.T) {
 	for _, linear := range []bool{false, true} {
 		k := sim.NewKernel(1)
-		m := NewMedium(k, Config{Range: 100, Loss: 0, EdgeStart: 1, LinearScan: linear})
+		m := NewMedium(k, Config{Range: 100, Loss: 0, EdgeStart: 1})
+		if linear {
+			UseLinearScan(m)
+		}
 		var bystander *Radio
 		tx := m.NewStaticRadio(wifi.NewAddr(3, 1), geo.Point{}, ReceiverFunc(func(*wifi.Frame) {}))
 		dst := m.NewStaticRadio(wifi.NewAddr(3, 2), geo.Point{X: 10}, ReceiverFunc(func(*wifi.Frame) {
@@ -371,9 +381,11 @@ func benchDenseDeployment(b *testing.B, frame func(tx, nearest *Radio) *wifi.Fra
 			cfg := Defaults()
 			cfg.Loss = 0
 			cfg.EdgeStart = 1
-			cfg.LinearScan = v.linear
 			k := sim.NewKernel(1)
 			m := NewMedium(k, cfg)
+			if v.linear {
+				UseLinearScan(m)
+			}
 			rng := rand.New(rand.NewSource(4))
 			txPos := geo.Point{X: 1500, Y: 1500}
 			var nearest *Radio

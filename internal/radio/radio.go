@@ -53,27 +53,12 @@ type Config struct {
 	// receiver — the classic hidden-terminal failure. Off by default: the
 	// paper's model folds all loss into h.
 	HiddenCollisions bool
-	// LinearScan disables the per-channel/spatial index and retains the
-	// original O(radios) carrier-sense and delivery scans. Results are
-	// byte-identical either way (the equivalence tests enforce it); the
-	// linear path exists as the reference implementation and for
-	// before/after benchmarking.
-	LinearScan bool
 	// NoPool disables the medium's frame/body pool: every frame is a
 	// fresh allocation and nothing is recycled, exactly the pre-pooling
 	// allocator behavior. Results are byte-identical either way (the
 	// pooling equivalence tests enforce it); the unpooled path exists as
 	// the reference implementation and for before/after benchmarking.
 	NoPool bool
-	// HeapOnly disables the kernel's calendar-queue front-end and
-	// schedules every event on the retained binary heap, the original
-	// scheduler. Results are byte-identical either way (the scheduler
-	// equivalence tests enforce it); the heap-only path exists as the
-	// reference implementation and for before/after benchmarking. It
-	// rides in the radio config — like LinearScan and NoPool — because
-	// that is the one knob bag every scenario builder already threads
-	// down to the kernel's construction site.
-	HeapOnly bool
 }
 
 // Defaults returns the configuration used throughout the paper's
@@ -128,7 +113,8 @@ type Medium struct {
 	rng    *rand.Rand
 	radios []*Radio // registration order; the linear-scan iteration order
 
-	// idx is the per-channel/spatial registry (nil under Config.LinearScan).
+	// idx is the per-channel/spatial registry. Only radio's tests set it
+	// to nil, selecting the reference linear scan over radios.
 	idx *mediumIndex
 	// byAddr resolves a unicast DA to its first registration, so
 	// off-channel and out-of-range stats survive the indexed path.
@@ -226,9 +212,7 @@ func NewMedium(k *sim.Kernel, cfg Config) *Medium {
 		byAddr:       make(map[wifi.Addr]*Radio),
 		reregistered: make(map[wifi.Addr][]*Radio),
 	}
-	if !m.cfg.LinearScan {
-		m.idx = newMediumIndex(m.cfg)
-	}
+	m.idx = newMediumIndex(m.cfg)
 	if !m.cfg.NoPool {
 		m.pool = &wifi.Pool{}
 	}

@@ -24,8 +24,8 @@ type CityGridSpec struct {
 	AreaW, AreaH float64
 	// NumAPs scattered uniformly over the area.
 	NumAPs int
-	// NumClients is the vehicle population; Build returns one mobility
-	// per client.
+	// NumClients is the vehicle population; Plan draws one route per
+	// client.
 	NumClients int
 	// Mix assigns AP channels (defaults to the Amherst survey mix).
 	Mix geo.ChannelMix
@@ -71,44 +71,8 @@ func CityGrid(seed int64, numAPs, numClients int) CityGridSpec {
 	}
 }
 
-// Build creates the world with all APs placed and returns one loop
-// mobility per client (a rectangular circuit around a random block,
-// entered at a random offset). Callers attach clients with the driver
-// configuration under study:
-//
-//	world, mobs := scenario.CityGrid(1, 500, 200).Build()
-//	for _, mob := range mobs {
-//		world.AddClient(cfg, mob)
-//	}
-//	world.Run(time.Minute)
-func (s CityGridSpec) Build() (*World, []geo.Mobility) {
-	rcfg := s.Radio
-	if rcfg.Range == 0 {
-		rcfg = radio.Defaults()
-	}
-	w := NewWorld(s.Seed, rcfg)
-	mix := s.Mix
-	if mix == nil {
-		mix = geo.AmherstMix()
-	}
-	bk := s.BackhaulKbps
-	if bk == nil {
-		bk = defaultBackhaulKbps
-	}
-	rng := w.Kernel.RNG("scenario.citygrid")
-	for _, d := range geo.DeployUniform(rng, s.AreaW, s.AreaH, s.NumAPs, mix) {
-		w.AddAP(APSpec{Pos: d.Pos, Channel: d.Channel, BackhaulKbps: bk(rng)})
-	}
-	mobs := make([]geo.Mobility, 0, s.NumClients)
-	for i := 0; i < s.NumClients; i++ {
-		mobs = append(mobs, s.clientMobility(rng))
-	}
-	return w, mobs
-}
-
-// clientMobility draws one vehicle's rectangular loop from the stream —
-// the single definition shared by Build and Plan so both describe the
-// same population.
+// clientMobility draws one vehicle's rectangular loop (a circuit around
+// a random block, entered at a random offset) from the plan's stream.
 func (s CityGridSpec) clientMobility(rng *rand.Rand) *geo.RouteMobility {
 	bw := s.BlockMinM + rng.Float64()*(s.BlockMaxM-s.BlockMinM)
 	bh := s.BlockMinM + rng.Float64()*(s.BlockMaxM-s.BlockMinM)
@@ -166,7 +130,7 @@ type ClientPlan struct {
 func (c ClientPlan) Addr() wifi.Addr { return wifi.NewAddr(0xC0, c.ID) }
 
 // CityPlan is the world-independent description of a city: everything
-// Build randomizes, drawn up front from a standalone stream.
+// random about it, drawn up front from a standalone stream.
 type CityPlan struct {
 	Spec    CityGridSpec
 	APs     []APPlan
@@ -193,12 +157,10 @@ func (p CityPlan) Channels() []int {
 // all drawn from a private generator seeded by Spec.Seed. The sharded
 // runtime builds one world per tile from the subset of the plan that
 // falls inside it; because every random draw happens here, the layout is
-// identical for every tile count.
-//
-// Plan's stream is deliberately separate from Build's kernel streams:
-// planned worlds match each other exactly (any tile count, including
-// one), but are a different sample of the same distributions than the
-// monolithic Build path.
+// identical for every tile count. Plan is the only way a city is drawn:
+// shard.NewCity builds it, and a plain World built from the plan (every
+// AP by APPlan.Spec, every client by AddClientAddr) is the same city on
+// one kernel.
 func (s CityGridSpec) Plan() CityPlan {
 	mix := s.Mix
 	if mix == nil {

@@ -70,7 +70,6 @@ type World struct {
 // NewWorld creates an empty world on a fresh kernel.
 func NewWorld(seed int64, radioCfg radio.Config) *World {
 	k := sim.NewKernel(seed)
-	k.SetHeapOnly(radioCfg.HeapOnly)
 	return &World{
 		Kernel: k,
 		Medium: radio.NewMedium(k, radioCfg),

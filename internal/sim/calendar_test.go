@@ -14,9 +14,14 @@ import (
 // same timestamp — and require exact agreement.
 
 // kernelPair drives a calendar kernel and a heap-only kernel through
-// the same operations and compares their observable behaviour.
+// the same operations and compares their observable behaviour. Between
+// them its operations reach every scheduling entry point the sharded
+// city calls: At and After (also nested, from callbacks), Cancel,
+// Pending, State, Run over successive horizons, NextAt, Len, Fired,
+// NextSeq, and a checkpoint resume through BeginRestore and RestoreAt.
 type kernelPair struct {
 	t        testing.TB
+	seed     int64
 	cal, ref *Kernel
 	calFired []uint64 // event ids in fire order
 	refFired []uint64
@@ -27,9 +32,40 @@ type kernelPair struct {
 }
 
 func newKernelPair(t testing.TB, seed int64) *kernelPair {
-	p := &kernelPair{t: t, cal: NewKernel(seed), ref: NewKernel(seed)}
-	p.ref.SetHeapOnly(true)
+	p := &kernelPair{t: t, seed: seed, cal: NewKernel(seed), ref: NewKernel(seed)}
+	p.ref.heapOnly = true
 	return p
+}
+
+// restore resumes both schedulers from a checkpoint of their tracked
+// events, the way a shard tile resumes: fresh kernels get
+// constructor-time events, BeginRestore drops those and rewinds the
+// clock, sequence counter and fired count, and every captured event is
+// re-armed with its recorded (at, seq) through EventState.Restore, in
+// the order order gives (a permutation of the tracked handles).
+// Untracked events, such as recurring tickers, are not captured and do
+// not survive.
+func (p *kernelPair) restore(order []int) {
+	p.check()
+	now, seq, fired := p.cal.Now(), p.cal.NextSeq(), p.cal.Fired()
+	states := make([]EventState, len(p.calEvs))
+	for i, e := range p.calEvs {
+		states[i] = CaptureEvent(e)
+	}
+	p.cal, p.ref = NewKernel(p.seed), NewKernel(p.seed)
+	p.ref.heapOnly = true
+	for _, k := range []*Kernel{p.cal, p.ref} {
+		for _, d := range []time.Duration{0, bucketW, bucketSpan / 2, 2 * bucketSpan} {
+			k.After(d, func() { p.t.Fatal("constructor event survived BeginRestore") })
+		}
+		k.BeginRestore(now, seq, fired)
+	}
+	for _, i := range order {
+		id := p.ids[i]
+		p.calEvs[i] = states[i].Restore(p.cal, func() { p.calFired = append(p.calFired, id) })
+		p.refEvs[i] = states[i].Restore(p.ref, func() { p.refFired = append(p.refFired, id) })
+	}
+	p.check()
 }
 
 // schedule adds the same event to both kernels at now+d.
@@ -84,6 +120,20 @@ func (p *kernelPair) check() {
 	}
 	if p.cal.Fired() != p.ref.Fired() {
 		p.t.Fatalf("Fired: calendar %d, heap %d", p.cal.Fired(), p.ref.Fired())
+	}
+	if c, r := p.cal.NextSeq(), p.ref.NextSeq(); c != r {
+		p.t.Fatalf("NextSeq: calendar %d, heap %d", c, r)
+	}
+	if c, r := p.cal.Now(), p.ref.Now(); c != r {
+		p.t.Fatalf("Now: calendar %v, heap %v", c, r)
+	}
+	for i := range p.calEvs {
+		ca, cs, cok := p.calEvs[i].State()
+		ra, rs, rok := p.refEvs[i].State()
+		if ca != ra || cs != rs || cok != rok || p.calEvs[i].Pending() != cok || p.refEvs[i].Pending() != rok {
+			p.t.Fatalf("event %d: calendar State (%v,%d,%v) Pending %v, heap State (%v,%d,%v) Pending %v",
+				p.ids[i], ca, cs, cok, p.calEvs[i].Pending(), ra, rs, rok, p.refEvs[i].Pending())
+		}
 	}
 }
 
@@ -148,6 +198,46 @@ func TestCalendarMatchesHeapRandomSchedules(t *testing.T) {
 	}
 }
 
+func TestCalendarMatchesHeapAcrossRestore(t *testing.T) {
+	// Checkpoint resumes mid-schedule: pending events of every horizon
+	// (the run being dispatched, staged buckets, the heap) are captured,
+	// dropped with fresh kernels' constructor events, and re-armed in a
+	// shuffled order — restore order must not matter, the recorded
+	// (at, seq) decides — then both schedulers keep going.
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := newKernelPair(t, seed)
+		horizon := time.Duration(0)
+		restores := 0
+		for step := 0; step < 30; step++ {
+			for i := 0; i < 100; i++ {
+				switch rng.Intn(6) {
+				case 0:
+					p.schedule(0)
+				case 1:
+					p.schedule(time.Duration(rng.Intn(int(bucketW))))
+				case 2, 3:
+					p.schedule(time.Duration(rng.Intn(int(bucketSpan))))
+				case 4:
+					p.schedule(bucketSpan + time.Duration(rng.Intn(int(bucketSpan))))
+				case 5:
+					p.cancel(rng.Intn(1 << 16))
+				}
+			}
+			horizon += time.Duration(rng.Intn(int(100 * time.Millisecond)))
+			p.run(horizon)
+			if step%3 == 2 {
+				p.restore(rng.Perm(len(p.calEvs)))
+				restores++
+			}
+		}
+		p.run(horizon + 10*time.Second)
+		if restores == 0 || p.cal.Len() != 0 || len(p.calFired) == 0 {
+			t.Fatalf("seed %d: %d restores, %d left queued, %d fired", seed, restores, p.cal.Len(), len(p.calFired))
+		}
+	}
+}
+
 func TestCalendarRestore(t *testing.T) {
 	// BeginRestore must drain staged buckets and the run, and RestoreAt
 	// must re-arm through the calendar path with recorded (at, seq)
@@ -180,19 +270,21 @@ func TestCalendarRestore(t *testing.T) {
 
 // FuzzKernelOrdering feeds adversarial operation tapes to both
 // schedulers: every byte pair is an op (schedule with some delta —
-// zero deltas build same-timestamp bursts — cancel, or advance) and the
-// two kernels must agree on fire order, clock, Len and NextAt
-// throughout. Corpus seeds cover the storm shape.
+// zero deltas build same-timestamp bursts — cancel, advance, or resume
+// from a checkpoint) and the two kernels must agree on fire order,
+// clock, Len, NextAt and every handle's state throughout. Corpus seeds
+// cover the storm shape.
 func FuzzKernelOrdering(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 9, 255})        // t=0 burst then drain
-	f.Add([]byte{1, 10, 1, 10, 8, 1, 1, 10, 9, 200})     // jitter + cancel
-	f.Add([]byte{3, 200, 3, 200, 9, 50, 3, 200, 9, 255}) // cross-window
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 9, 255})          // t=0 burst then drain
+	f.Add([]byte{1, 10, 1, 10, 8, 1, 1, 10, 9, 200})       // jitter + cancel
+	f.Add([]byte{3, 200, 3, 200, 9, 50, 3, 200, 9, 255})   // cross-window
+	f.Add([]byte{3, 90, 6, 9, 1, 4, 9, 20, 10, 7, 9, 255}) // resume mid-window
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		p := newKernelPair(t, 42)
 		horizon := time.Duration(0)
 		for i := 0; i+1 < len(tape) && i < 4096; i += 2 {
 			op, arg := tape[i], tape[i+1]
-			switch op % 10 {
+			switch op % 11 {
 			case 0: // same-instant burst member
 				p.schedule(0)
 			case 1, 2: // sub-bucket
@@ -208,6 +300,8 @@ func FuzzKernelOrdering(f *testing.F) {
 			case 9:
 				horizon += time.Duration(arg) * time.Millisecond
 				p.run(horizon)
+			case 10:
+				p.restore(rand.New(rand.NewSource(int64(arg))).Perm(len(p.calEvs)))
 			}
 		}
 		p.run(horizon + time.Second)
@@ -230,7 +324,7 @@ func BenchmarkKernelBurst(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				k := NewKernel(1)
-				k.SetHeapOnly(v.heapOnly)
+				k.heapOnly = v.heapOnly
 				b.StartTimer()
 				for j := 0; j < 100_000; j++ {
 					// 100k events across the first millisecond, in

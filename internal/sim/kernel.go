@@ -23,11 +23,11 @@
 // window, or inside the bucket currently dispatching, take the heap.
 // Because every structure orders by the same (timestamp, sequence) key,
 // dispatch order — and therefore every golden output — is identical to
-// the heap-only scheduler, which is retained behind SetHeapOnly (the
-// radio Config.HeapOnly escape hatch) and pitted against the calendar
-// path by equivalence, property and fuzz tests. Event values handed to
-// callers are generation-checked handles, so Cancel and Pending on a
-// slot that has since been recycled are safe no-ops.
+// the heap-only scheduler, which is retained in-package (a kernel with
+// heapOnly set) as the reference the calendar path is pitted against by
+// property and fuzz tests. Event values handed to callers are
+// generation-checked handles, so Cancel and Pending on a slot that has
+// since been recycled are safe no-ops.
 package sim
 
 import (
@@ -143,9 +143,12 @@ type Kernel struct {
 	srcs    map[string]*CountedSource
 	stopped bool
 
-	// Calendar front-end state. base is the (bucket-aligned) start of
-	// the staging window; run is the sorted dispatch view of the bucket
-	// at base. runLive counts run entries not yet fired or cancelled.
+	// Calendar front-end state. heapOnly bypasses the front-end,
+	// sending every event through the heap: the reference scheduler
+	// sim's tests compare the calendar against, set only on a fresh
+	// kernel. base is the (bucket-aligned) start of the staging window;
+	// run is the sorted dispatch view of the bucket at base. runLive
+	// counts run entries not yet fired or cancelled.
 	heapOnly bool
 	base     time.Duration
 	buckets  [][]int32
@@ -167,18 +170,6 @@ func NewKernel(seed int64) *Kernel {
 		srcs:    make(map[string]*CountedSource),
 		buckets: make([][]int32, numBuckets),
 	}
-}
-
-// SetHeapOnly disables the calendar front-end, sending every event
-// through the retained 4-ary heap. It is the kernel half of the radio
-// Config.HeapOnly escape hatch: both schedulers order by (at, seq), so
-// outputs are byte-identical — the hatch exists so equivalence tests
-// and bisections can prove it. Call before scheduling any events.
-func (k *Kernel) SetHeapOnly(on bool) {
-	if on && (k.nStaged > 0 || k.runLive > 0) {
-		panic("sim: SetHeapOnly with staged events")
-	}
-	k.heapOnly = on
 }
 
 // Now returns the current virtual time.

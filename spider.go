@@ -21,6 +21,13 @@
 //	    mob)
 //	world.Run(10 * time.Minute)
 //	fmt.Println(client.Rec.ThroughputKBps(10 * time.Minute))
+//
+// A city runs on the sharded engine:
+//
+//	city := spider.NewCity(spider.CityGrid(1, 500, 200),
+//	    spider.Defaults(spider.MultiChannelMultiAP, spider.EqualSchedule(200*time.Millisecond, 1, 6, 11)), 0)
+//	if err := city.Run(time.Minute); err != nil { … }
+//	for _, c := range city.Clients() { … }
 package spider
 
 import (
@@ -38,6 +45,7 @@ import (
 	"spider/internal/radio"
 	"spider/internal/scenario"
 	"spider/internal/selection"
+	"spider/internal/shard"
 	"spider/internal/sweep"
 	"spider/internal/usertrace"
 )
@@ -98,6 +106,10 @@ type (
 	DriveSpec = scenario.DriveSpec
 	// CityGridSpec parameterizes a dense city-scale world.
 	CityGridSpec = scenario.CityGridSpec
+	// City is a planned city sharded into lockstep tiles, each with its
+	// own kernel and medium, exchanging halo beacons and migrating
+	// clients at epoch barriers.
+	City = shard.City
 	// RadioConfig parameterizes the shared medium.
 	RadioConfig = radio.Config
 	// Point is a 2-D position in meters.
@@ -140,8 +152,17 @@ func BostonDrive(seed int64) DriveSpec { return scenario.BostonDrive(seed) }
 
 // CityGrid returns a dense 3×3 km urban world with the given AP and
 // client populations — the scale the medium's spatial index is built for.
+// Build it with NewCity.
 func CityGrid(seed int64, numAPs, numClients int) CityGridSpec {
 	return scenario.CityGrid(seed, numAPs, numClients)
+}
+
+// NewCity draws the city from spec (CityGridSpec.Plan), gives every
+// client the driver config cfg, and tiles it for the sharded engine.
+// workers bounds how many tiles advance concurrently (0 = all cores);
+// results are byte-identical at any value. Advance it with City.Run.
+func NewCity(spec CityGridSpec, cfg Config, workers int) *City {
+	return shard.NewCity(spec, cfg, workers)
 }
 
 // StaticLab returns the Fig 9 micro-benchmark world.

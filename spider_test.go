@@ -16,6 +16,23 @@ func TestFacadeQuickstartPath(t *testing.T) {
 	}
 }
 
+func TestFacadeCityPath(t *testing.T) {
+	spec := CityGrid(1, 60, 6)
+	spec.AreaW, spec.AreaH = 1200, 600
+	city := NewCity(spec, Defaults(MultiChannelMultiAP, EqualSchedule(200*time.Millisecond, 1, 6, 11)), 0)
+	if err := city.Run(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	var bytes int64
+	for _, c := range city.Clients() {
+		bytes += c.Rec.TotalBytes()
+	}
+	if city.Layout.NTiles < 2 || len(city.Clients()) != 6 || bytes == 0 {
+		t.Fatalf("%d tiles, %d clients, %d bytes: want a tiled city that moves data",
+			city.Layout.NTiles, len(city.Clients()), bytes)
+	}
+}
+
 func TestFacadeModelPath(t *testing.T) {
 	p := PaperJoinParams(10 * time.Second)
 	if v := p.JoinProb(0.5, 4*time.Second); v <= 0 || v > 1 {
