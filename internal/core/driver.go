@@ -229,9 +229,10 @@ func NewDriver(m *radio.Medium, cfg Config, addr wifi.Addr, mob geo.Mobility, ev
 		inv:        metrics.NewInvariantSet(),
 	}
 	d.radio = m.NewRadio(addr, func() geo.Point { return mob.PositionAt(k.Now()) }, radio.ReceiverFunc(d.receive))
-	// Every mobility model's Speed is its maximum instantaneous speed
-	// (RouteMobility cruises at it, StopAndGo alternates it with standing
-	// still), so the radio can ride the index's drift-bounded mobile grid.
+	// A mobility model's Speed bounds its instantaneous speed, so the
+	// radio can ride the index's drift-bounded mobile grid and the medium
+	// can place it without sampling; a model without a bound reports a
+	// negative Speed, which SetMaxSpeed ignores.
 	d.radio.SetMaxSpeed(mob.Speed())
 	d.pool = m.Pool()
 	d.scanTickFn = d.scanTick

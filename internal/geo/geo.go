@@ -73,6 +73,10 @@ func NewRoute(points ...Point) *Route {
 // Length returns the total path length in meters.
 func (r *Route) Length() float64 { return r.cum[len(r.cum)-1] }
 
+// closed reports whether the route ends where it starts, so that a
+// vehicle looping over it never jumps.
+func (r *Route) closed() bool { return r.points[0] == r.points[len(r.points)-1] }
+
 // Points returns a copy of the route's waypoints.
 func (r *Route) Points() []Point { return append([]Point(nil), r.points...) }
 
@@ -120,7 +124,12 @@ func RectLoop(w, h float64) *Route {
 type Mobility interface {
 	// PositionAt returns the position at virtual time t.
 	PositionAt(t time.Duration) Point
-	// Speed returns the nominal speed in m/s (0 for static).
+	// Speed returns an upper bound in m/s on the instantaneous speed,
+	// holding at every instant up to float and nanosecond rounding (0
+	// for a model that never moves), or a negative value when the model
+	// has none: a loop over an open route, for one, jumps back to its
+	// start every lap. The radio medium relies on the bound to place a
+	// mobile without sampling it.
 	Speed() float64
 }
 
@@ -162,8 +171,14 @@ func (m *RouteMobility) PositionAt(t time.Duration) Point {
 	return m.Route.PointAt(d)
 }
 
-// Speed implements Mobility.
-func (m *RouteMobility) Speed() float64 { return m.SpeedMS }
+// Speed implements Mobility: SpeedMS, or -1 when the mobility loops
+// over an open route.
+func (m *RouteMobility) Speed() float64 {
+	if m.Loop && !m.Route.closed() {
+		return -1
+	}
+	return m.SpeedMS
+}
 
 // Deployment describes one placed access point.
 type Deployment struct {

@@ -88,9 +88,14 @@ func (m *StopAndGo) PositionAt(t time.Duration) Point {
 	return m.Route.PointAt(d)
 }
 
-// Speed implements Mobility (the cruise speed; the long-run average is
-// lower).
-func (m *StopAndGo) Speed() float64 { return m.SpeedMS }
+// Speed implements Mobility: the cruise speed (the long-run average is
+// lower), or -1 when the vehicle loops over an open route.
+func (m *StopAndGo) Speed() float64 {
+	if m.Loop && !m.Route.closed() {
+		return -1
+	}
+	return m.SpeedMS
+}
 
 // AverageSpeed reports the realized mean speed over the first window.
 func (m *StopAndGo) AverageSpeed(window time.Duration) float64 {

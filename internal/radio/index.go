@@ -51,6 +51,13 @@ import (
 // so they stay a map rather than a grid that would need a rebuild per
 // switch. Mobiles that never declare a speed bound stay in an
 // always-scanned list, the original behavior.
+//
+// Whatever a walk visits, the caller's range predicate stays exact. The
+// indexed carrier-sense walk and delivery pre-filter ask Radio.within,
+// which places a speed-bounded mobile from its last position sample when
+// the distance it can have moved since cannot change the answer, and
+// samples it otherwise; the linear scan always samples, so it remains an
+// independent reference for both.
 
 // cellKey addresses one grid cell. Cell side length is the carrier-sense
 // range (the largest query radius), so any circular query touches at most

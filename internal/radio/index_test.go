@@ -398,7 +398,7 @@ func benchDenseDeployment(b *testing.B, frame func(tx, nearest *Radio) *wifi.Fra
 					nearest = r
 				}
 			}
-			if !m.InRange(txPos, nearest.Position()) {
+			if txPos.DistSq(nearest.Position()) > cfg.Range*cfg.Range {
 				b.Fatalf("nearest channel-6 AP is %.0f m away, beyond range", txPos.Dist(nearest.Position()))
 			}
 			tx := m.NewStaticRadio(wifi.NewAddr(5, 1), txPos, ReceiverFunc(func(*wifi.Frame) {}))

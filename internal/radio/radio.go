@@ -256,6 +256,36 @@ func (m *Medium) Kernel() *sim.Kernel { return m.kernel }
 
 // Radio is one physical wireless interface.
 type Radio struct {
+	// The fields carrier sense and delivery read of every radio a
+	// neighborhood walk visits come first and fill the first 64 bytes: a
+	// Radio is 320 bytes, an allocation class whose objects start on
+	// 64-byte boundaries, so a visit touches one cache line.
+	//
+	// Position cache (see position and within): the last sample of pos
+	// and the virtual instant it was taken at; posFixed marks a sample
+	// that holds for all time (a static radio's position, a parked
+	// radio's first sample). Derived state — never checkpointed; a
+	// restored radio simply samples afresh.
+	posVal geo.Point
+	posAt  time.Duration
+	// maxSpeed is the declared speed bound (SetMaxSpeed), negative when
+	// none is.
+	maxSpeed    float64
+	channel     int
+	busyUntil   time.Duration // airtime deferral from carrier sense
+	suspendedTo time.Duration // hardware reset in progress until this time
+	posValid    bool          // posVal holds a sample
+	posFixed    bool
+	promiscuous bool
+	// static radios (NewStaticRadio) are indexed in the static grid under
+	// their fixed position (binCell is its cell); mobile radios live in
+	// the per-channel mobile registries — drift-bounded grid bins when a
+	// speed bound is declared (maxSpeed ≥ 0; binCell is the current bin),
+	// the always-scanned unbinned list otherwise.
+	static   bool
+	inMCells bool  // binCell currently registered in the mobile grid
+	qbValid  uint8 // bit set per kind when qbLo/qbHi[kind] match qbPos
+
 	m    *Medium
 	addr wifi.Addr
 	pos  func() geo.Point
@@ -263,49 +293,23 @@ type Radio struct {
 
 	// regIdx is the registration-order index in Medium.radios; candidate
 	// sets sort by it to reproduce the linear scan's iteration order.
-	regIdx int32
-	// static radios (NewStaticRadio) are indexed in the static grid under
-	// their fixed position (binCell is its cell); mobile radios live in
-	// the per-channel mobile registries — drift-bounded grid bins when a
-	// speed bound is declared (maxSpeed ≥ 0, via SetMaxSpeed; binCell is
-	// the current bin), the always-scanned unbinned list otherwise.
-	//
-	// The flags sit together beside regIdx, in what would otherwise be
-	// padding, so that a Radio stays in the 320-byte allocation class.
-	static   bool
-	inMCells bool // binCell currently registered in the mobile grid
-	posValid bool // posVal holds a sample (see the position cache below)
-	posFixed bool
-	maxSpeed float64
-	binCell  cellKey
-
-	// Position cache (see position): the last sample of pos and the
-	// virtual instant it was taken at; posFixed marks a sample that holds
-	// for all time (a static radio's position, a parked radio's first
-	// sample). Derived state — never checkpointed; a restored radio
-	// simply samples afresh.
-	posVal geo.Point
-	posAt  time.Duration
+	regIdx  int32
+	binCell cellKey
 
 	// Query-bounds cache: the grid-cell rectangle covering this radio's
 	// last carrier-sense (kind 0) and delivery (kind 1) query, valid while
 	// the sampled position still equals qbPos. A station transmitting
 	// several frames from one spot — every AP, and any mobile between
 	// moves — rehashes its cell once instead of once per frame.
-	qbPos   geo.Point
-	qbValid uint8 // bit set per kind when qbLo/qbHi[kind] match qbPos
-	qbLo    [2]cellKey
-	qbHi    [2]cellKey
+	qbPos geo.Point
+	qbLo  [2]cellKey
+	qbHi  [2]cellKey
 
-	channel     int
-	promiscuous bool
-	suspendedTo time.Duration // hardware reset in progress until this time
 	// Cached retune completion (see Retune): target channel, caller
 	// callback, and the single closure reading them.
 	retuneCh   int
 	retuneDone func()
 	retuneFn   func()
-	busyUntil  time.Duration // airtime deferral from carrier sense
 
 	// FIFO transmit queue: like a real MAC, the head frame blocks the
 	// line while ARQ retries it, so a station never reorders its own
@@ -361,9 +365,11 @@ type txJob struct {
 // and delivery times, so mobile owners pass a closure over their mobility
 // model. pos must be a pure function of virtual time: the medium samples
 // it at most once per virtual instant (and, once SetMaxSpeed declares the
-// radio parked, only once), and the mobile sweep re-bins from the same
-// samples. The radio starts untuned (channel 0): it hears nothing until
-// SetChannel.
+// radio parked, only once), the mobile sweep re-bins from the same
+// samples, and carrier sense and delivery skip the sample altogether
+// when the speed bound already places the radio relative to the
+// transmitter (see within). The radio starts untuned (channel 0): it
+// hears nothing until SetChannel.
 func (m *Medium) NewRadio(addr wifi.Addr, pos func() geo.Point, rx Receiver) *Radio {
 	if pos == nil || rx == nil {
 		panic("radio: position and receiver are required")
@@ -416,6 +422,39 @@ func (r *Radio) position() geo.Point {
 	return r.posVal
 }
 
+// boundTol is the tolerance, in meters plus meters per meter of radius
+// and slack, that keeps a bound-decided range check (within) exact: it
+// covers the rounding of the distance and slack arithmetic, and the
+// overshoot of mobility models whose legs are truncated to whole
+// nanoseconds (StopAndGo cruises ~1e-8 faster than its SpeedMS), by
+// orders of magnitude.
+const boundTol = 1e-6
+
+// within reports whether r is within rad of p at now, always exactly as
+// p.DistSq(r.position()) <= rad*rad does, deciding from the position
+// cache when it can. A speed-bounded mobile has moved at most
+// s = maxSpeed·(now − posAt) since its cached sample, so a sample farther
+// from p than rad + s (plus boundTol) is out of range and one nearer than
+// rad − s (minus boundTol) is in range, both without walking the mobility
+// model. Only a radio the bound cannot place, or one with no bound or no
+// sample, is sampled and checked exactly. The medium's indexed walks
+// compare a fixed sample (posFixed: static and parked radios) in place
+// before calling within, so that the common case costs no call.
+func (r *Radio) within(p geo.Point, rad float64, now time.Duration) bool {
+	if r.posValid && r.maxSpeed >= 0 && r.posAt < now {
+		s := r.maxSpeed * 1e-9 * float64(now-r.posAt)
+		s += boundTol * (1 + rad + s)
+		d2 := p.DistSq(r.posVal)
+		if out := rad + s; d2 > out*out {
+			return false
+		}
+		if in := rad - s; in > 0 && d2 < in*in {
+			return true
+		}
+	}
+	return p.DistSq(r.position()) <= rad*rad
+}
+
 // SetPromiscuous controls whether the radio also receives unicast frames
 // addressed to other stations (used by opportunistic scanning). On an
 // indexed medium, a radio switched on inside a receive upcall while no
@@ -435,13 +474,17 @@ func (r *Radio) SetPromiscuous(on bool) {
 
 // SetMaxSpeed declares an upper bound on the radio's instantaneous speed
 // in m/s, letting the spatial index keep the (mobile) radio in a
-// drift-bounded grid bin instead of the always-scanned mobile list. The
-// bound must hold at every instant — a radio that outruns it can slip
-// out of its padded query ring and silently miss deliveries. Zero is a
-// valid bound (a parked station), under which the medium samples the
-// radio's position once. Owners that cannot bound their speed
-// simply never call this. No-op for static radios, which are gridded
-// under their fixed position already.
+// drift-bounded grid bin instead of the always-scanned mobile list, and
+// letting carrier sense and delivery decide whether it is in range from
+// its last position sample (within) instead of sampling it again. The
+// bound must hold at every instant, up to float and nanosecond rounding
+// — a radio that outruns it can slip out of its padded query ring, or
+// be placed out of range from a stale sample, and silently miss
+// deliveries or carrier sense. Zero is a valid bound (a parked station),
+// under which the medium samples the radio's position once. Owners that
+// cannot bound their speed never call this, or pass a negative value,
+// which is ignored. No-op for static radios, which are gridded under
+// their fixed position already.
 func (r *Radio) SetMaxSpeed(v float64) {
 	if r.static || v < 0 {
 		return
@@ -650,30 +693,31 @@ func (r *Radio) kick() {
 	}
 	// Carrier sense: every same-channel station within CSRange of the
 	// transmitter (itself included) defers until this frame clears. The
-	// linear scan visits every radio; the index walks the channel's CSRange
-	// neighborhood in place. The predicate is exact either way, and the
-	// busy-until update is a max, so visiting order does not matter.
+	// linear scan visits every radio and samples each one; the index walks
+	// the channel's CSRange neighborhood in place and lets the speed bound
+	// decide what it can (within). The predicate is exact either way, and
+	// the busy-until update is a max, so visiting order does not matter
+	// and a station already deferred past end needs no range check.
 	txPos := r.position()
-	ch, end := job.ch, start+dur
-	sense := func(run []*Radio) {
-		for _, x := range run {
-			if x.channel != ch {
-				continue
-			}
-			if x != r && txPos.DistSq(x.position()) > m.cfg.CSRange*m.cfg.CSRange {
-				continue
-			}
-			if end > x.busyUntil {
+	ch, end, cs := job.ch, start+dur, m.cfg.CSRange
+	if m.idx == nil {
+		// The reference: every radio, each sampled exactly.
+		for _, x := range m.radios {
+			if x.channel == ch && end > x.busyUntil && (x == r || txPos.DistSq(x.position()) <= cs*cs) {
 				x.busyUntil = end
 			}
 		}
-	}
-	if m.idx == nil {
-		sense(m.radios)
 	} else {
 		m.idx.maybeSweep(ch, now)
-		lo, hi := m.idx.boundsFor(r, txPos, m.cfg.CSRange, qbCS)
-		m.idx.walk(ch, lo, hi, sense)
+		lo, hi := m.idx.boundsFor(r, txPos, cs, qbCS)
+		m.idx.walk(ch, lo, hi, func(run []*Radio) {
+			for _, x := range run {
+				if x.channel == ch && end > x.busyUntil && (x == r ||
+					x.posFixed && txPos.DistSq(x.posVal) <= cs*cs || !x.posFixed && x.within(txPos, cs, now)) {
+					x.busyUntil = end
+				}
+			}
+		})
 	}
 	m.stats.Transmitted++
 	r.air.Tx += dur
@@ -744,8 +788,9 @@ func (r *Radio) AirtimeStats() Airtime { return r.air }
 // registration order: all radios under the linear scan. When indexed, it
 // keeps only the radios whose loop outcome is not yet decided by the
 // predicates that are pure for the instant (position, address, the
-// transmitter's identity): every radio carrying the unicast's address,
-// and every other radio within Range. Only those are sorted. A unicast
+// transmitter's identity; within decides position from the speed bound
+// where it can): every radio carrying the unicast's address, and every
+// other radio within Range. Only those are sorted. A unicast
 // while no radio is promiscuous visits just the radios carrying its
 // address — exactly those a walk would have covered — instead of walking
 // the neighborhood. Either way the address's first registration, when no
@@ -756,8 +801,9 @@ func (m *Medium) deliveryCandidates(tx *Radio, da wifi.Addr, ch int, txPos geo.P
 	if m.idx == nil {
 		return m.radios
 	}
-	m.idx.maybeSweep(ch, m.kernel.Now())
-	lo, hi := m.idx.boundsFor(tx, txPos, m.cfg.Range, qbDelivery)
+	now, rad := m.kernel.Now(), m.cfg.Range
+	m.idx.maybeSweep(ch, now)
+	lo, hi := m.idx.boundsFor(tx, txPos, rad, qbDelivery)
 	out := m.dlScratch[:0]
 	unicast := !da.IsBroadcast()
 	if unicast && m.promiscuous == 0 {
@@ -773,7 +819,8 @@ func (m *Medium) deliveryCandidates(tx *Radio, da wifi.Addr, ch int, txPos geo.P
 	} else {
 		m.idx.walk(ch, lo, hi, func(run []*Radio) {
 			for _, x := range run {
-				if x != tx && ((unicast && x.addr == da) || txPos.DistSq(x.position()) <= m.cfg.Range*m.cfg.Range) {
+				if x != tx && ((unicast && x.addr == da) ||
+					x.posFixed && txPos.DistSq(x.posVal) <= rad*rad || !x.posFixed && x.within(txPos, rad, now)) {
 					out = append(out, x)
 				}
 			}
@@ -906,9 +953,6 @@ func (m *Medium) lossAt(d float64) float64 {
 	frac := (d - edge) / (m.cfg.Range - edge)
 	return m.cfg.Loss + (1-m.cfg.Loss)*frac
 }
-
-// InRange reports whether two positions are within the medium's range.
-func (m *Medium) InRange(a, b geo.Point) bool { return a.Dist(b) <= m.cfg.Range }
 
 // ChannelBusyUntil reports when the channel frees up as observed by the
 // busiest station tuned to it (tests and metrics). A max over the

@@ -3,6 +3,7 @@ package radio
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"spider/internal/geo"
 	"spider/internal/sim"
@@ -609,5 +610,31 @@ func TestPositionMemoizedPerInstant(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("closure sampled %d times over two instants, want 2", calls)
+	}
+}
+
+// TestRadioWalkFieldsShareALine pins the Radio layout the medium's walks
+// rely on: every field they read of a visited radio lies in its first 64
+// bytes, and the struct stays in the 320-byte allocation class, whose
+// objects start on 64-byte boundaries.
+func TestRadioWalkFieldsShareALine(t *testing.T) {
+	var r Radio
+	if size := unsafe.Sizeof(r); size <= 288 || size > 320 {
+		t.Fatalf("Radio is %d bytes, outside the 320-byte allocation class", size)
+	}
+	for name, end := range map[string]uintptr{
+		"posVal":      unsafe.Offsetof(r.posVal) + unsafe.Sizeof(r.posVal),
+		"posAt":       unsafe.Offsetof(r.posAt) + unsafe.Sizeof(r.posAt),
+		"maxSpeed":    unsafe.Offsetof(r.maxSpeed) + unsafe.Sizeof(r.maxSpeed),
+		"channel":     unsafe.Offsetof(r.channel) + unsafe.Sizeof(r.channel),
+		"busyUntil":   unsafe.Offsetof(r.busyUntil) + unsafe.Sizeof(r.busyUntil),
+		"suspendedTo": unsafe.Offsetof(r.suspendedTo) + unsafe.Sizeof(r.suspendedTo),
+		"posValid":    unsafe.Offsetof(r.posValid) + 1,
+		"posFixed":    unsafe.Offsetof(r.posFixed) + 1,
+		"promiscuous": unsafe.Offsetof(r.promiscuous) + 1,
+	} {
+		if end > 64 {
+			t.Errorf("Radio.%s ends at byte %d, past the first cache line", name, end)
+		}
 	}
 }
