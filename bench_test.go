@@ -431,6 +431,34 @@ func BenchmarkMetroJoinStorm(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "storm-s/wall-s")
 }
 
+// BenchmarkJoinStormQuick is the byte budget of the join storm at a size
+// CI affords: spider-bench's quick storm fixture (3×3 km, 500 APs, 1,000
+// clients, 49 tiles), each iteration a fresh city built outside the
+// timer and advanced through its first virtual second, when every
+// client scans, associates and DHCPs at once. Run it with -benchmem: CI
+// fails when B/op rises above a ceiling set between the per-entity free
+// lists and unpooled join frames this path once had and what it
+// allocates now.
+func BenchmarkJoinStormQuick(b *testing.B) {
+	cfg := Defaults(MultiChannelMultiAP, EqualSchedule(200*time.Millisecond, 1, 6, 11))
+	spec := CityGrid(1, 500, 1000)
+	spec.AreaW, spec.AreaH = 3000, 3000
+	rc := DefaultRadio()
+	rc.DataRateKbps = 24_000
+	spec.Radio = rc
+	tiles := 0
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		city := shard.NewCity(spec, cfg, 0)
+		tiles = city.Layout.NTiles
+		b.StartTimer()
+		if err := city.Run(time.Second); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(tiles), "tiles")
+}
+
 // BenchmarkMetroSteadyState is the alloc regression gate for the pooled
 // per-client stack: a small 2-D-tiled district of parked clients on a
 // single-channel multi-AP schedule, warmed until every join and pool

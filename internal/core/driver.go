@@ -104,9 +104,17 @@ func (s Stats) Add(o Stats) Stats {
 	return s
 }
 
+// queuedFrame is one frame parked in the driver's transmit queue until
+// the radio visits its channel.
 type queuedFrame struct {
-	f *wifi.Frame
+	f  *wifi.Frame
+	ch int
 }
+
+// deauthLeavingBody is the deauth a driver sends when it tears down a
+// connected interface (reason 3, station leaving). It is shared and
+// read-only, like every body that is the same on every frame.
+var deauthLeavingBody = &wifi.DeauthBody{Reason: 3}
 
 // Driver is the Spider driver: one physical radio, a channel-centric
 // scheduler, per-channel transmit queues, and up to MaxInterfaces
@@ -131,7 +139,10 @@ type Driver struct {
 	// idleUntil blocks all joins (the stock client's post-failure sulk).
 	idleUntil time.Duration
 
-	txq map[int][]queuedFrame
+	// txq holds the frames waiting for their channel, one queue for all
+	// channels: each channel's frames keep their order, and each channel
+	// is capped at TxQueueFrames on its own.
+	txq []queuedFrame
 
 	sink func(bssid wifi.Addr, db *wifi.DataBody)
 
@@ -224,7 +235,6 @@ func NewDriver(m *radio.Medium, cfg Config, addr wifi.Addr, mob geo.Mobility, ev
 		events:     events,
 		table:      newAPTable(),
 		ifaces:     make(map[wifi.Addr]*Iface),
-		txq:        make(map[int][]queuedFrame),
 		backoffRNG: k.RNG("core.backoff." + addr.String()),
 		inv:        metrics.NewInvariantSet(),
 	}
@@ -818,8 +828,6 @@ func (d *Driver) startJoin(rec *APRecord) {
 		ifc = d.ifaceFree[n-1]
 		d.ifaceFree = d.ifaceFree[:n-1]
 		ifc.rec = rec
-		ifc.state = IfaceJoining
-		ifc.joinStart, ifc.lastHeard = now, now
 		ifc.ip = 0
 		ifc.psmOn, ifc.renewing = false, false
 		ifc.renewEv = sim.Event{}
@@ -828,20 +836,10 @@ func (d *Driver) startJoin(rec *APRecord) {
 		ifc.joiner.SetTracer(d.tr)
 		ifc.dhcpc.SetTracer(d.tr)
 	} else {
-		ifc = &Iface{rec: rec, state: IfaceJoining, joinStart: now, lastHeard: now}
-		// The callbacks read ifc.rec at call time, not capture time, so
-		// they stay correct across recycles.
-		ifc.joiner = mac.NewJoiner(d.kernel, d.cfg.Join, d.Addr(), bssid, rec.SSID,
-			func(f *wifi.Frame) { d.transmit(ifc.rec.Channel, f) },
-			func(res mac.AssocResult) { d.onAssocResult(ifc, res) })
-		ifc.dhcpc = dhcp.NewClient(d.kernel, d.cfg.DHCP, d.Addr(),
-			func(m *dhcp.Message) { d.sendDHCP(ifc, m) },
-			func(res dhcp.Result) { d.onDHCPResult(ifc, res) })
-		ifc.joiner.SetInvariants(d.inv)
-		ifc.dhcpc.SetInvariants(d.inv)
-		ifc.joiner.SetTracer(d.tr)
-		ifc.dhcpc.SetTracer(d.tr)
+		ifc = d.newIface(rec)
 	}
+	ifc.state = IfaceJoining
+	ifc.joinStart, ifc.lastHeard = now, now
 	d.ifaces[bssid] = ifc
 	rec.Attempts++
 	d.stats.AssocAttempts++
@@ -852,6 +850,29 @@ func (d *Driver) startJoin(rec *APRecord) {
 		d.dwelling = true
 	}
 	ifc.joiner.Start()
+}
+
+// newIface builds an interface toward rec's AP with its joiner and DHCP
+// client wired to this driver: frames leave through the per-channel
+// transmit path from the medium's pool, outcomes come back to the
+// driver, violations and trace spans land in the driver's sinks. Both a
+// fresh join and a checkpoint restore build interfaces here. The
+// callbacks read ifc.rec at call time, not capture time, so they stay
+// correct across recycles.
+func (d *Driver) newIface(rec *APRecord) *Iface {
+	ifc := &Iface{rec: rec}
+	ifc.joiner.Init(d.kernel, d.cfg.Join, d.Addr(), rec.BSSID, rec.SSID,
+		func(f *wifi.Frame) { d.transmit(ifc.rec.Channel, f) },
+		func(res mac.AssocResult) { d.onAssocResult(ifc, res) })
+	ifc.dhcpc.Init(d.kernel, d.cfg.DHCP, d.Addr(),
+		func(m *dhcp.Message) { d.sendDHCP(ifc, m) },
+		func(res dhcp.Result) { d.onDHCPResult(ifc, res) })
+	ifc.joiner.SetPool(d.pool)
+	ifc.joiner.SetInvariants(d.inv)
+	ifc.dhcpc.SetInvariants(d.inv)
+	ifc.joiner.SetTracer(d.tr)
+	ifc.dhcpc.SetTracer(d.tr)
+	return ifc
 }
 
 // sendDHCP wraps a DHCP client message in a pooled data frame toward the
@@ -1068,19 +1089,19 @@ func (d *Driver) teardown(ifc *Iface) {
 		d.inv.Violate("core.teardown.timer-leak")
 	}
 	delete(d.ifaces, bssid)
-	// Purge this interface's frames from the per-channel queue: they
+	// Purge this interface's frames from its channel's queue: they
 	// would otherwise hit a dead (or rebooted) AP on the next visit.
-	if q := d.txq[ifc.Channel()]; len(q) > 0 {
-		kept := q[:0]
-		for _, qf := range q {
-			if qf.f.DA == bssid {
-				d.stats.TeardownPurged++
-				continue
-			}
-			kept = append(kept, qf)
+	ch := ifc.Channel()
+	kept := d.txq[:0]
+	for _, qf := range d.txq {
+		if qf.ch == ch && qf.f.DA == bssid {
+			d.stats.TeardownPurged++
+			continue
 		}
-		d.txq[ifc.Channel()] = kept
+		kept = append(kept, qf)
 	}
+	clear(d.txq[len(kept):])
+	d.txq = kept
 	if wasConnected {
 		d.stats.Disconnects++
 		if d.tr != nil {
@@ -1091,7 +1112,7 @@ func (d *Driver) teardown(ifc *Iface) {
 		df.Type = wifi.TypeDeauth
 		df.SA, df.DA, df.BSSID = d.Addr(), bssid, bssid
 		df.Seq = d.nextSeq()
-		df.Body = &wifi.DeauthBody{Reason: 3}
+		df.Body = deauthLeavingBody
 		d.transmit(ifc.Channel(), df)
 		if d.events.OnDisconnected != nil {
 			d.events.OnDisconnected(ifc)
@@ -1149,20 +1170,40 @@ func (d *Driver) transmit(ch int, f *wifi.Frame) {
 		d.radio.Send(f)
 		return
 	}
-	q := d.txq[ch]
-	if len(q) >= d.cfg.TxQueueFrames {
+	// The whole queue bounds any one channel's share, so only a queue
+	// that long needs the per-channel count.
+	if len(d.txq) >= d.cfg.TxQueueFrames && d.queuedOn(ch) >= d.cfg.TxQueueFrames {
 		d.stats.TxQueueDrops++
 		return
 	}
-	d.txq[ch] = append(q, queuedFrame{f: f})
+	d.txq = append(d.txq, queuedFrame{f: f, ch: ch})
 }
 
+// queuedOn counts the frames queued for ch.
+func (d *Driver) queuedOn(ch int) int {
+	n := 0
+	for _, qf := range d.txq {
+		if qf.ch == ch {
+			n++
+		}
+	}
+	return n
+}
+
+// drainTxQueue sends ch's queued frames in queue order and keeps the
+// other channels' frames, in order. The queue is compacted in place
+// while it is read: Send never calls back into the driver's transmit.
 func (d *Driver) drainTxQueue(ch int) {
-	q := d.txq[ch]
-	d.txq[ch] = nil
-	for _, qf := range q {
+	kept := d.txq[:0]
+	for _, qf := range d.txq {
+		if qf.ch != ch {
+			kept = append(kept, qf)
+			continue
+		}
 		d.radio.Send(qf.f)
 	}
+	clear(d.txq[len(kept):])
+	d.txq = kept
 }
 
 // Uplink sends a data payload toward the given AP (queued per channel if

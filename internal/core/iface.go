@@ -35,10 +35,12 @@ func (s IfaceState) String() string {
 // AP it is joined (or joining) to. All interfaces share the one physical
 // radio; frames flow only while the driver dwells on the AP's channel.
 type Iface struct {
-	rec    *APRecord
-	state  IfaceState
-	joiner *mac.Joiner
-	dhcpc  *dhcp.Client
+	rec   *APRecord
+	state IfaceState
+	// The joiner and DHCP client live inside the interface, so one
+	// allocation carries all three (see Driver.newIface).
+	joiner mac.Joiner
+	dhcpc  dhcp.Client
 
 	joinStart time.Duration // when the attempt began (assoc+dhcp measured from here)
 	ip        dhcp.IP

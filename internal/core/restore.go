@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -134,17 +135,15 @@ func (d *Driver) ExportState() DriverState {
 			DHCP:    ifc.dhcpc.ExportState(),
 		})
 	}
-	for ch, q := range d.txq {
-		if len(q) == 0 {
-			continue
+	// The queue is one slice across channels; the checkpoint keeps one
+	// group per channel, ascending, each in queue order.
+	for _, qf := range d.txq {
+		i := sort.Search(len(st.TxQ), func(i int) bool { return st.TxQ[i].Ch >= qf.ch })
+		if i == len(st.TxQ) || st.TxQ[i].Ch != qf.ch {
+			st.TxQ = slices.Insert(st.TxQ, i, TxQueueState{Ch: qf.ch})
 		}
-		qs := TxQueueState{Ch: ch}
-		for _, qf := range q {
-			qs.Frames = append(qs.Frames, qf.f.Encode())
-		}
-		st.TxQ = append(st.TxQ, qs)
+		st.TxQ[i].Frames = append(st.TxQ[i].Frames, qf.f.Encode())
 	}
-	sort.Slice(st.TxQ, func(i, j int) bool { return st.TxQ[i].Ch < st.TxQ[j].Ch })
 	return st
 }
 
@@ -181,21 +180,10 @@ func (d *Driver) RestoreState(st DriverState) error {
 		if rec == nil {
 			return fmt.Errorf("core: restored interface %s has no scan-table record", is.BSSID)
 		}
-		ifc := &Iface{
-			rec: rec, state: IfaceState(is.State),
-			joinStart: is.JoinStart, ip: is.IP, lastHeard: is.LastHeard,
-			psmOn: is.PSMOn, renewing: is.Renewing,
-		}
-		ifc.joiner = mac.NewJoiner(d.kernel, d.cfg.Join, d.Addr(), is.BSSID, rec.SSID,
-			func(f *wifi.Frame) { d.transmit(ifc.rec.Channel, f) },
-			func(res mac.AssocResult) { d.onAssocResult(ifc, res) })
-		ifc.dhcpc = dhcp.NewClient(d.kernel, d.cfg.DHCP, d.Addr(),
-			func(m *dhcp.Message) { d.sendDHCP(ifc, m) },
-			func(res dhcp.Result) { d.onDHCPResult(ifc, res) })
-		ifc.joiner.SetInvariants(d.inv)
-		ifc.dhcpc.SetInvariants(d.inv)
-		ifc.joiner.SetTracer(d.tr)
-		ifc.dhcpc.SetTracer(d.tr)
+		ifc := d.newIface(rec)
+		ifc.state = IfaceState(is.State)
+		ifc.joinStart, ifc.ip, ifc.lastHeard = is.JoinStart, is.IP, is.LastHeard
+		ifc.psmOn, ifc.renewing = is.PSMOn, is.Renewing
 		ifc.joiner.RestoreState(is.Joiner)
 		ifc.dhcpc.RestoreState(is.DHCP)
 		ifc.renewEv = is.RenewEv.Restore(d.kernel, d.ensureRenewFn(ifc))
@@ -211,17 +199,15 @@ func (d *Driver) RestoreState(st DriverState) error {
 		d.swPolls = append(d.swPolls, ifc)
 	}
 
-	d.txq = make(map[int][]queuedFrame, len(st.TxQ))
+	d.txq = d.txq[:0]
 	for _, qs := range st.TxQ {
-		q := make([]queuedFrame, 0, len(qs.Frames))
 		for _, b := range qs.Frames {
 			f, err := wifi.Decode(b)
 			if err != nil {
 				return fmt.Errorf("core: restoring queued frame on ch %d: %w", qs.Ch, err)
 			}
-			q = append(q, queuedFrame{f: f})
+			d.txq = append(d.txq, queuedFrame{f: f, ch: qs.Ch})
 		}
-		d.txq[qs.Ch] = q
 	}
 
 	d.started = !st.Dormant

@@ -131,17 +131,24 @@ type Client struct {
 
 // NewClient creates a client for the interface with the given MAC.
 func NewClient(k *sim.Kernel, cfg ClientConfig, mac wifi.Addr, send func(m *Message), onResult func(Result)) *Client {
+	c := new(Client)
+	c.Init(k, cfg, mac, send, onResult)
+	return c
+}
+
+// Init sets up c in place as NewClient would, so an owner can embed the
+// client by value instead of allocating it separately.
+func (c *Client) Init(k *sim.Kernel, cfg ClientConfig, mac wifi.Addr, send func(m *Message), onResult func(Result)) {
 	if send == nil || onResult == nil {
 		panic("dhcp: client needs send and onResult")
 	}
-	c := &Client{
+	*c = Client{
 		kernel: k, cfg: cfg.withDefaults(), mac: mac,
 		send: send, onResult: onResult, nextXID: 1,
 		rng: k.RNG("dhcp.client." + mac.String()),
 	}
 	c.retxFn = c.onRetx
 	c.failFn = c.fail
-	return c
 }
 
 // Reset returns a recycled client to the state a fresh NewClient would

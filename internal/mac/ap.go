@@ -47,6 +47,26 @@ func DefaultAPConfig(ssid string, channel int) APConfig {
 	}
 }
 
+// Management bodies that are the same on every frame are shared,
+// read-only values. Receivers only read bodies, and a pool recycles only
+// the body kinds it hands out, so nothing ever writes one.
+var (
+	// authOpenBody is open-system authentication: the client's request
+	// and the AP's success response carry the same body.
+	authOpenBody = &wifi.AuthBody{}
+	// deauthClass3Body is the AP's answer to a class-3 frame from a
+	// station that is not associated (reason 7).
+	deauthClass3Body = &wifi.DeauthBody{Reason: 7}
+)
+
+// RespPool is a free list of delayed-response carriers. Every AP of one
+// world shares the world's pool (SetRespPool), so a storm of joins warms
+// one list rather than one per AP; like the frame pool, it is touched
+// only from its world's kernel goroutine. The zero value is ready.
+type RespPool struct {
+	free []*pendingResp
+}
+
 type apClient struct {
 	associated bool
 	aid        uint16
@@ -76,11 +96,11 @@ type AP struct {
 	// scale); beaconEv is the armed tick, recorded by checkpoints.
 	beaconFn func()
 	beaconEv sim.Event
-	// respFree recycles the delayed-response carriers; each holds a
+	// respPool recycles the delayed-response carriers; each holds a
 	// cached fire callback so scheduling a management response allocates
-	// nothing in steady state. resps tracks the in-flight carriers so a
-	// checkpoint can capture them.
-	respFree []*pendingResp
+	// nothing in steady state. resps tracks this AP's in-flight carriers
+	// so a checkpoint can capture them.
+	respPool *RespPool
 	resps    []*pendingResp
 
 	clients map[wifi.Addr]*apClient
@@ -124,10 +144,11 @@ func NewAPAt(m *radio.Medium, cfg APConfig, addr wifi.Addr, pos geo.Point, serve
 		cfg.PSMBufferFrames = DefaultAPConfig(cfg.SSID, cfg.Channel).PSMBufferFrames
 	}
 	ap := &AP{
-		kernel:  m.Kernel(),
-		cfg:     cfg,
-		clients: make(map[wifi.Addr]*apClient),
-		inv:     metrics.NewInvariantSet(),
+		kernel:   m.Kernel(),
+		cfg:      cfg,
+		clients:  make(map[wifi.Addr]*apClient),
+		inv:      metrics.NewInvariantSet(),
+		respPool: new(RespPool),
 	}
 	ap.radio = m.NewStaticRadio(addr, pos, radio.ReceiverFunc(ap.receive))
 	ap.radio.SetChannel(cfg.Channel)
@@ -190,6 +211,14 @@ func (ap *AP) SetBeaconMute(on bool) { ap.muted = on }
 // BeaconsMuted reports whether beaconing is suppressed.
 func (ap *AP) BeaconsMuted() bool { return ap.muted }
 
+// SetRespPool points the AP at a carrier free list shared with the other
+// APs of its world. Call before the AP schedules any response.
+func (ap *AP) SetRespPool(p *RespPool) { ap.respPool = p }
+
+// BeaconInterval returns the configured beacon period (0 when beacons
+// are disabled).
+func (ap *AP) BeaconInterval() time.Duration { return ap.cfg.BeaconInterval }
+
 // SetUplinkHandler registers the wired-side sink for client data frames.
 func (ap *AP) SetUplinkHandler(h func(from wifi.Addr, db *wifi.DataBody)) { ap.uplink = h }
 
@@ -248,8 +277,9 @@ func (ap *AP) beaconFrame(da wifi.Addr, t wifi.FrameType) *wifi.Frame {
 // pendingResp carries one delayed management response to its timer
 // firing. Responses fire in random-delay order, not FIFO, so a free
 // list (LIFO reuse) is safe: each carrier is parked from schedule to
-// fire and owns nothing afterwards. In-flight carriers sit in ap.resps
-// (swap-removed on fire) so checkpoints can capture them.
+// fire and owns nothing afterwards. ap is set while the carrier is
+// armed and cleared when it returns to the pool. In-flight carriers sit
+// in ap.resps (swap-removed on fire) so checkpoints can capture them.
 type pendingResp struct {
 	ap     *AP
 	f      *wifi.Frame
@@ -259,28 +289,28 @@ type pendingResp struct {
 }
 
 func (pr *pendingResp) fire() {
-	ap := pr.ap
+	ap, f := pr.ap, pr.f
 	last := len(ap.resps) - 1
 	ap.resps[pr.idx] = ap.resps[last]
 	ap.resps[pr.idx].idx = pr.idx
 	ap.resps = ap.resps[:last]
-	f := pr.f
-	pr.f = nil
-	ap.respFree = append(ap.respFree, pr)
+	pr.ap, pr.f = nil, nil
+	ap.respPool.free = append(ap.respPool.free, pr)
 	ap.radio.Send(f)
 }
 
 // trackResp parks f on a (recycled) carrier registered in ap.resps.
 func (ap *AP) trackResp(f *wifi.Frame) *pendingResp {
 	var pr *pendingResp
-	if n := len(ap.respFree); n > 0 {
-		pr = ap.respFree[n-1]
-		ap.respFree = ap.respFree[:n-1]
+	p := ap.respPool
+	if n := len(p.free); n > 0 {
+		pr = p.free[n-1]
+		p.free = p.free[:n-1]
 	} else {
-		pr = &pendingResp{ap: ap}
+		pr = new(pendingResp)
 		pr.fireFn = pr.fire
 	}
-	pr.f = f
+	pr.ap, pr.f = ap, f
 	pr.idx = len(ap.resps)
 	ap.resps = append(ap.resps, pr)
 	return pr
@@ -310,7 +340,7 @@ func (ap *AP) receive(f *wifi.Frame) {
 		resp := ap.pool.Frame()
 		resp.Type, resp.SA, resp.DA, resp.BSSID = wifi.TypeAuthResp, ap.Addr(), f.SA, ap.Addr()
 		resp.Seq = ap.nextSeq()
-		resp.Body = &wifi.AuthBody{Status: 0}
+		resp.Body = authOpenBody
 		ap.respondAfterDelay(resp)
 	case wifi.TypeAssocReq:
 		body, ok := f.Body.(*wifi.AssocReqBody)
@@ -375,8 +405,12 @@ func (ap *AP) receive(f *wifi.Frame) {
 			// through our reboot learns its association is gone — without
 			// it, restarted-AP beacons keep refreshing the client's
 			// inactivity timer and the zombie association lives forever.
-			ap.radio.Send(&wifi.Frame{Type: wifi.TypeDeauth, SA: ap.Addr(), DA: f.SA,
-				BSSID: ap.Addr(), Seq: ap.nextSeq(), Body: &wifi.DeauthBody{Reason: 7}})
+			df := ap.pool.Frame()
+			df.Type = wifi.TypeDeauth
+			df.SA, df.DA, df.BSSID = ap.Addr(), f.SA, ap.Addr()
+			df.Seq = ap.nextSeq()
+			df.Body = deauthClass3Body
+			ap.radio.Send(df)
 			return
 		}
 		ap.UplinkFrames++

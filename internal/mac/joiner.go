@@ -97,6 +97,7 @@ type Joiner struct {
 	ssid     string
 	send     func(f *wifi.Frame)
 	onResult func(AssocResult)
+	pool     *wifi.Pool // the medium's frame pool (nil under NoPool)
 
 	stage   JoinStage
 	retries int
@@ -122,17 +123,25 @@ type Joiner struct {
 // NewJoiner creates a join engine for one (client, AP) pair.
 func NewJoiner(k *sim.Kernel, cfg JoinConfig, self, bssid wifi.Addr, ssid string,
 	send func(*wifi.Frame), onResult func(AssocResult)) *Joiner {
+	j := new(Joiner)
+	j.Init(k, cfg, self, bssid, ssid, send, onResult)
+	return j
+}
+
+// Init sets up j in place as NewJoiner would, so an owner can embed the
+// joiner by value instead of allocating it separately.
+func (j *Joiner) Init(k *sim.Kernel, cfg JoinConfig, self, bssid wifi.Addr, ssid string,
+	send func(*wifi.Frame), onResult func(AssocResult)) {
 	if send == nil || onResult == nil {
 		panic("mac: joiner needs send and onResult")
 	}
-	j := &Joiner{
+	*j = Joiner{
 		kernel: k, cfg: cfg.withDefaults(),
 		self: self, bssid: bssid, ssid: ssid,
 		send: send, onResult: onResult,
 		rng: k.RNG("mac.joiner." + self.String() + bssid.String()),
 	}
 	j.timeoutFn = j.onTimeout
-	return j
 }
 
 // ResetTarget re-points a recycled joiner at a new AP, restoring the
@@ -151,6 +160,12 @@ func (j *Joiner) ResetTarget(bssid wifi.Addr, ssid string) {
 
 // Config returns the effective configuration.
 func (j *Joiner) Config() JoinConfig { return j.cfg }
+
+// SetPool points the joiner at the medium's frame pool: its auth and
+// assoc requests are drawn from it and recycled by the medium at
+// transmit completion. A nil pool (the default, and the medium's pool
+// under NoPool) allocates each request fresh.
+func (j *Joiner) SetPool(p *wifi.Pool) { j.pool = p }
 
 // SetInvariants points the joiner at a shared invariant-violation set.
 // A nil set (the default) is safe: violations are simply not counted.
@@ -203,20 +218,24 @@ func (j *Joiner) nextSeq() uint16 {
 }
 
 func (j *Joiner) sendCurrent() {
-	var f *wifi.Frame
+	var t wifi.FrameType
+	var body wifi.Body
 	switch j.stage {
 	case StageAuth:
-		f = &wifi.Frame{Type: wifi.TypeAuthReq, SA: j.self, DA: j.bssid, BSSID: j.bssid,
-			Seq: j.nextSeq(), Body: &wifi.AuthBody{Algorithm: 0}}
+		t, body = wifi.TypeAuthReq, authOpenBody
 	case StageAssoc:
-		f = &wifi.Frame{Type: wifi.TypeAssocReq, SA: j.self, DA: j.bssid, BSSID: j.bssid,
-			Seq: j.nextSeq(), Body: &wifi.AssocReqBody{SSID: j.ssid, ListenInterval: 10}}
+		t, body = wifi.TypeAssocReq, &wifi.AssocReqBody{SSID: j.ssid, ListenInterval: 10}
 	default:
 		// Sends are driven by Start or a live timer; reaching here idle or
 		// associated means a stale timer outlived its state machine.
 		j.inv.Violate("mac.joiner.send-while-idle")
 		return
 	}
+	f := j.pool.Frame()
+	f.Type = t
+	f.SA, f.DA, f.BSSID = j.self, j.bssid, j.bssid
+	f.Seq = j.nextSeq()
+	f.Body = body
 	j.send(f)
 	// Jitter the per-message timer (±20%) so retransmissions cannot
 	// phase-lock against a channel schedule whose period divides it.

@@ -140,30 +140,30 @@ func (c *Client) ExportState() (ClientState, error) {
 func (c *Client) restoreSender(cn *conn, flowID uint32, st tcpsim.SenderState) *tcpsim.Sender {
 	node := cn.node
 	s := tcpsim.NewSender(c.World.Kernel, tcpsim.Config{}, flowID, -1, func(seg *tcpsim.Segment) {
-		ds := c.getLinkSeg(&c.downFree, node, seg)
+		ds := c.World.getLinkSeg(c, node, seg)
 		if ev, ok := node.Link.DownEv(seg.WireSize(), ds.downFn); ok {
 			ds.ev = ev
 			c.trackSeg(&c.downLive, ds)
 		}
 	}, nil)
-	s.SetSegPool(&c.segPool)
+	s.SetSegPool(&c.World.segPool)
 	s.RestoreState(st)
 	return s
 }
 
-func (c *Client) restoreLinkSegs(states []LinkSegState, free, live *[]*linkSeg, fn func(*linkSeg) func()) error {
+func (c *Client) restoreLinkSegs(states []LinkSegState, live *[]*linkSeg, fn func(*linkSeg) func()) error {
 	w := c.World
 	for _, lss := range states {
 		node := w.byBSS[lss.BSSID]
 		if node == nil {
 			return fmt.Errorf("scenario: restored segment in flight to unknown AP %s", lss.BSSID)
 		}
-		seg := c.segPool.Get()
+		seg := w.segPool.Get()
 		if !tcpsim.DecodeSegmentInto(seg, lss.Seg) {
-			c.segPool.Put(seg)
+			w.segPool.Put(seg)
 			return fmt.Errorf("scenario: restoring in-flight segment for %s: bad encoding", c.addr)
 		}
-		ls := c.getLinkSeg(free, node, seg)
+		ls := w.getLinkSeg(c, node, seg)
 		ls.ev = w.Kernel.RestoreAt(lss.At, lss.Seq, fn(ls))
 		c.trackSeg(live, ls)
 	}
@@ -203,10 +203,10 @@ func (c *Client) RestoreState(st ClientState) error {
 	}
 
 	c.upLive, c.downLive = c.upLive[:0], c.downLive[:0]
-	if err := c.restoreLinkSegs(st.UpLive, &c.upFree, &c.upLive, func(ls *linkSeg) func() { return ls.upFn }); err != nil {
+	if err := c.restoreLinkSegs(st.UpLive, &c.upLive, func(ls *linkSeg) func() { return ls.upFn }); err != nil {
 		return err
 	}
-	return c.restoreLinkSegs(st.DownLive, &c.downFree, &c.downLive, func(ls *linkSeg) func() { return ls.downFn })
+	return c.restoreLinkSegs(st.DownLive, &c.downLive, func(ls *linkSeg) func() { return ls.downFn })
 }
 
 // ExportState captures the world for a checkpoint: APs in construction

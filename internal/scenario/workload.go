@@ -135,14 +135,14 @@ func (c *Client) newSender(cn *conn, size int64, onDone func()) *tcpsim.Sender {
 	node := cn.node
 	s := tcpsim.NewSender(c.World.Kernel, tcpsim.Config{}, flowID, size, func(seg *tcpsim.Segment) {
 		// The segment stays alive across the backhaul delay; linkSeg.down
-		// encodes it on arrival and recycles it into c.segPool.
-		ds := c.getLinkSeg(&c.downFree, node, seg)
+		// encodes it on arrival and recycles it into the world's pool.
+		ds := c.World.getLinkSeg(c, node, seg)
 		if ev, ok := node.Link.DownEv(seg.WireSize(), ds.downFn); ok {
 			ds.ev = ev
 			c.trackSeg(&c.downLive, ds)
 		}
 	}, onDone)
-	s.SetSegPool(&c.segPool)
+	s.SetSegPool(&c.World.segPool)
 	return s
 }
 

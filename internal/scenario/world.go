@@ -62,6 +62,16 @@ type World struct {
 
 	Clients []*Client
 
+	// Free lists shared by everything in the world, all single-threaded
+	// with its kernel: segPool recycles the clients' TCP segments (data
+	// and uplink ACKs), linkFree the backhaul carriers, respPool the
+	// APs' delayed-response carriers. A migrating client drains its
+	// carriers here before it leaves (RemoveClient), so no pooled object
+	// crosses to another world's goroutine.
+	segPool  tcpsim.SegPool
+	linkFree []*linkSeg
+	respPool mac.RespPool
+
 	// obs, when set via AttachObs, is wired into every component added
 	// afterwards (and everything that existed at attach time).
 	obs *obs.Obs
@@ -122,6 +132,7 @@ func (w *World) AddAP(spec APSpec) *APNode {
 		}
 	}
 	ap := mac.NewAPAt(w.Medium, apCfg, wifi.NewAddr(0xA0, id), spec.Pos, id)
+	ap.SetRespPool(&w.respPool)
 	node := &APNode{
 		AP:   ap,
 		Link: backhaul.NewLink(w.Kernel, backhaul.Config{RateKbps: spec.BackhaulKbps, Latency: spec.BackhaulLat, QueueBytes: spec.QueueBytes}),
@@ -141,12 +152,12 @@ func (w *World) AddAP(spec APSpec) *APNode {
 		if !ok {
 			return
 		}
-		seg := client.segPool.Get()
+		seg := w.segPool.Get()
 		if !tcpsim.DecodeSegmentInto(seg, db.Header) {
-			client.segPool.Put(seg)
+			w.segPool.Put(seg)
 			return
 		}
-		up := client.getLinkSeg(&client.upFree, node, seg)
+		up := w.getLinkSeg(client, node, seg)
 		if ev, ok := node.Link.UpEv(seg.WireSize(), up.upFn); ok {
 			up.ev = ev
 			client.trackSeg(&client.upLive, up)
@@ -158,8 +169,11 @@ func (w *World) AddAP(spec APSpec) *APNode {
 // linkSeg carries one segment across a backhaul link delay. It exists
 // so the per-segment callbacks handed to Link.Up/Link.Down are cached
 // method values on a recycled object instead of fresh closures — the
-// TCP data path schedules one per segment, every segment.
+// TCP data path schedules one per segment, every segment. A carrier
+// belongs to one world's free list; c, node and seg are set while it is
+// armed and cleared when it goes back.
 type linkSeg struct {
+	w    *World
 	c    *Client
 	node *APNode
 	seg  *tcpsim.Segment
@@ -189,56 +203,60 @@ func (c *Client) untrackSeg(live *[]*linkSeg, ls *linkSeg) {
 	}
 }
 
-// drainLinkSegs cancels every in-flight carrier and recycles it: the
-// segment dies with the backhaul traversal, as if the link dropped it.
-func (c *Client) drainLinkSegs(live, free *[]*linkSeg) {
+// drainLinkSegs cancels every carrier in a live registry and recycles
+// it with its segment: the segment dies with the backhaul traversal, as
+// if the link dropped it.
+func (w *World) drainLinkSegs(live *[]*linkSeg) {
 	for _, ls := range *live {
 		ls.ev.Cancel()
-		c.segPool.Put(ls.seg)
-		ls.node, ls.seg, ls.ev = nil, nil, sim.Event{}
-		*free = append(*free, ls)
+		w.segPool.Put(ls.seg)
+		w.putLinkSeg(ls)
 	}
 	*live = (*live)[:0]
 }
 
-// getLinkSeg pops a carrier from the given free list (or builds one,
-// caching its method-value callbacks) and arms it.
-func (c *Client) getLinkSeg(free *[]*linkSeg, node *APNode, seg *tcpsim.Segment) *linkSeg {
+// getLinkSeg pops a carrier from the world's free list (or builds one,
+// caching its method-value callbacks) and arms it for c.
+func (w *World) getLinkSeg(c *Client, node *APNode, seg *tcpsim.Segment) *linkSeg {
 	var ls *linkSeg
-	if n := len(*free); n > 0 {
-		ls = (*free)[n-1]
-		*free = (*free)[:n-1]
+	if n := len(w.linkFree); n > 0 {
+		ls = w.linkFree[n-1]
+		w.linkFree = w.linkFree[:n-1]
 	} else {
-		ls = &linkSeg{c: c}
+		ls = &linkSeg{w: w}
 		ls.upFn = ls.up
 		ls.downFn = ls.down
 	}
-	ls.node, ls.seg = node, seg
+	ls.c, ls.node, ls.seg = c, node, seg
 	return ls
+}
+
+// putLinkSeg disarms a carrier and returns it to its world's free list.
+func (w *World) putLinkSeg(ls *linkSeg) {
+	ls.c, ls.node, ls.seg, ls.ev = nil, nil, nil, sim.Event{}
+	w.linkFree = append(w.linkFree, ls)
 }
 
 // up completes an uplink ACK's backhaul traversal: hand it to the live
 // sender (if the association still exists) and recycle everything.
 func (ls *linkSeg) up() {
-	c, node, seg := ls.c, ls.node, ls.seg
+	w, c, node, seg := ls.w, ls.c, ls.node, ls.seg
 	c.untrackSeg(&c.upLive, ls)
-	ls.node, ls.seg, ls.ev = nil, nil, sim.Event{}
-	c.upFree = append(c.upFree, ls)
+	w.putLinkSeg(ls)
 	if live, ok := c.conns[node.AP.Addr()]; ok && live.sender != nil {
 		live.sender.HandleAck(seg)
 	}
-	c.segPool.Put(seg)
+	w.segPool.Put(seg)
 }
 
 // down completes a data segment's backhaul traversal: deliver it
 // through the AP toward the client and recycle the segment.
 func (ls *linkSeg) down() {
-	c, node, seg := ls.c, ls.node, ls.seg
+	w, c, node, seg := ls.w, ls.c, ls.node, ls.seg
 	c.untrackSeg(&c.downLive, ls)
-	ls.node, ls.seg, ls.ev = nil, nil, sim.Event{}
-	c.downFree = append(c.downFree, ls)
+	w.putLinkSeg(ls)
 	node.AP.Deliver(c.addr, c.bodyFor(seg))
-	c.segPool.Put(seg)
+	w.segPool.Put(seg)
 }
 
 // Run advances the world to the given virtual time.
@@ -295,13 +313,10 @@ type Client struct {
 	// tcpClosed accumulates sender counters from flows already replaced
 	// or torn down, so TCPStats covers the client's whole history.
 	tcpClosed TCPStats
-	// segPool recycles the client's TCP segments (data and uplink ACKs);
-	// upFree/downFree recycle the backhaul carriers, dlSeg is the
-	// downlink decode scratch. All single-threaded with the world.
-	segPool          tcpsim.SegPool
-	upFree, downFree []*linkSeg
-	// upLive/downLive register carriers currently in flight across a
-	// backhaul, so checkpoints can capture the pending deliveries.
+	// upLive/downLive register the client's carriers currently in
+	// flight across a backhaul (drawn from its world's free list), so
+	// checkpoints can capture the pending deliveries. dlSeg is the
+	// downlink decode scratch.
 	upLive, downLive []*linkSeg
 	dlSeg            tcpsim.Segment
 	// statsClosed / invClosed carry the counters of drivers this client
@@ -406,9 +421,10 @@ func (w *World) RemoveClient(c *Client) []core.APRecord {
 	// Drain in-flight backhaul carriers. Their completions close over
 	// this client and would otherwise fire in THIS world's kernel after
 	// the client moved on — touching the client's new world (its medium
-	// frame pool, its segment pool) from the old world's goroutine.
-	c.drainLinkSegs(&c.upLive, &c.upFree)
-	c.drainLinkSegs(&c.downLive, &c.downFree)
+	// frame pool) from the old world's goroutine. The carriers and their
+	// segments go back to this world's free lists.
+	w.drainLinkSegs(&c.upLive)
+	w.drainLinkSegs(&c.downLive)
 	c.Driver.Shutdown()
 	c.statsClosed = c.statsClosed.Add(c.Driver.Stats())
 	c.invClosed += c.Driver.Invariants().Total()

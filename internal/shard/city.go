@@ -79,6 +79,10 @@ type Tile struct {
 	// are the tile's own and the buffers' capacity is its peak epoch.
 	halo [2][]haloRec
 	cur  int
+	// haloCap is the records one epoch is expected to capture, from the
+	// plan (see sizeHalo). A buffer is sized to it the first time the
+	// tile fills it; append still grows it past that if it must.
+	haloCap int
 
 	// neighbors are the adjacent tiles this tile can mirror into, in
 	// ascending tile order.
@@ -233,12 +237,45 @@ func NewCity(spec scenario.CityGridSpec, cfg core.Config, workers int) *City {
 	if lay.NTiles > 1 {
 		for _, t := range c.Tiles {
 			t := t
+			c.sizeHalo(t)
 			t.World.Medium.SetTxObserver(func(f *wifi.Frame, ch int, _ time.Duration, txPos geo.Point) {
 				c.captureHalo(t, f, ch, txPos)
 			})
 		}
 	}
 	return c
+}
+
+// sizeHalo sets t.haloCap from the plan and sizes the buffer the first
+// epoch fills. Only APs beacon broadcast, and an AP is static, so the
+// APs within halo of a neighbour are exactly the tile's sources of
+// records: each captures at most Epoch/BeaconInterval + 1 beacons per
+// epoch, whatever the phase of its beacon clock. A fresh city grown by
+// append instead leaves every outgrown copy as garbage in its first
+// epoch, the storm's. An AP restarted onto a shorter interval would
+// outgrow the size; append covers that.
+func (c *City) sizeHalo(t *Tile) {
+	n := 0
+	for _, node := range t.World.APs {
+		bi := node.AP.BeaconInterval()
+		if bi <= 0 || c.haloMask(t, node.Spec.Pos) == 0 {
+			continue
+		}
+		n += int(c.Layout.Epoch/bi) + 1
+	}
+	t.haloCap = n
+	t.halo[t.cur] = make([]haloRec, 0, n)
+}
+
+// haloMask returns the neighbour slots of t within halo of pos.
+func (c *City) haloMask(t *Tile, pos geo.Point) uint8 {
+	var mask uint8
+	for k, nb := range t.neighbors {
+		if nb.dist(pos) <= c.Layout.Halo {
+			mask |= 1 << k
+		}
+	}
+	return mask
 }
 
 // clientCfg is the driver config for plan client i: the shared city
@@ -271,16 +308,15 @@ func (c *City) captureHalo(t *Tile, f *wifi.Frame, ch int, pos geo.Point) {
 	if !ok {
 		return
 	}
-	var mask uint8
-	for k, nb := range t.neighbors {
-		if nb.dist(pos) <= c.Layout.Halo {
-			mask |= 1 << k
-		}
-	}
+	mask := c.haloMask(t, pos)
 	if mask == 0 {
 		return
 	}
-	t.halo[t.cur] = append(t.halo[t.cur], haloRec{frame: *f, body: *body, ch: ch, pos: pos, mask: mask})
+	buf := &t.halo[t.cur]
+	if cap(*buf) == 0 {
+		*buf = make([]haloRec, 0, t.haloCap)
+	}
+	*buf = append(*buf, haloRec{frame: *f, body: *body, ch: ch, pos: pos, mask: mask})
 }
 
 // sealHalo readies captured records for injection: mark each a halo

@@ -139,8 +139,7 @@ type Kernel struct {
 	heap    []int32 // 4-ary min-heap of slot indices, keyed by (at, seq)
 	nextSeq uint64
 	seed    int64
-	rngs    map[string]*rand.Rand
-	srcs    map[string]*CountedSource
+	rngs    map[string]*stream
 	stopped bool
 
 	// Calendar front-end state. heapOnly bypasses the front-end,
@@ -166,8 +165,7 @@ type Kernel struct {
 func NewKernel(seed int64) *Kernel {
 	return &Kernel{
 		seed:    seed,
-		rngs:    make(map[string]*rand.Rand),
-		srcs:    make(map[string]*CountedSource),
+		rngs:    make(map[string]*stream),
 		buckets: make([][]int32, numBuckets),
 	}
 }
@@ -182,7 +180,7 @@ func (k *Kernel) Seed() int64 { return k.seed }
 func (k *Kernel) Fired() uint64 { return k.fired }
 
 // NumStreams reports how many named RNG streams exist (drawn or not).
-func (k *Kernel) NumStreams() int { return len(k.srcs) }
+func (k *Kernel) NumStreams() int { return len(k.rngs) }
 
 // streamSeed derives the seed for the named RNG stream by mixing the
 // kernel seed with an FNV-1a hash of the name.
@@ -192,19 +190,25 @@ func (k *Kernel) streamSeed(name string) int64 {
 	return k.seed ^ int64(h.Sum64())
 }
 
+// stream is one named RNG stream: the generator handed to components
+// and the counted source under it, in a single allocation.
+type stream struct {
+	r   rand.Rand
+	src CountedSource
+}
+
 // RNG returns the named random stream, creating it on first use. The
 // stream's seed mixes the kernel seed with the name, so streams are
 // mutually independent and stable across runs. Streams sit on counted
 // sources so checkpoints can record and restore their exact positions.
 func (k *Kernel) RNG(name string) *rand.Rand {
-	if r, ok := k.rngs[name]; ok {
-		return r
+	if s, ok := k.rngs[name]; ok {
+		return &s.r
 	}
-	src := NewCountedSource(k.streamSeed(name))
-	r := rand.New(src)
-	k.rngs[name] = r
-	k.srcs[name] = src
-	return r
+	s := &stream{src: *NewCountedSource(k.streamSeed(name))}
+	s.r = *rand.New(&s.src)
+	k.rngs[name] = s
+	return &s.r
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the

@@ -142,10 +142,10 @@ func (e Event) State() (at time.Duration, seq uint64, ok bool) {
 // position zero are omitted: a rebuilt kernel recreates them fresh on
 // first use, which is the same state.
 func (k *Kernel) ExportRNGs() []RNGPos {
-	out := make([]RNGPos, 0, len(k.srcs))
-	for name, src := range k.srcs {
-		if src.Steps() > 0 {
-			out = append(out, RNGPos{Name: name, N: src.Steps()})
+	out := make([]RNGPos, 0, len(k.rngs))
+	for name, s := range k.rngs {
+		if n := s.src.Steps(); n > 0 {
+			out = append(out, RNGPos{Name: name, N: n})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -160,12 +160,12 @@ func (k *Kernel) ExportRNGs() []RNGPos {
 // created. Cached *rand.Rand pointers held by components stay valid:
 // the reseed mutates the underlying source in place.
 func (k *Kernel) RestoreRNGs(pos []RNGPos) {
-	for name, src := range k.srcs {
-		src.Reseed(k.streamSeed(name), 0)
+	for name, s := range k.rngs {
+		s.src.Reseed(k.streamSeed(name), 0)
 	}
 	for _, p := range pos {
 		k.RNG(p.Name) // ensure the stream exists
-		k.srcs[p.Name].Reseed(k.streamSeed(p.Name), p.N)
+		k.rngs[p.Name].src.Reseed(k.streamSeed(p.Name), p.N)
 	}
 }
 

@@ -17,7 +17,7 @@ func TestCountedSourceTransparent(t *testing.T) {
 			t.Fatalf("draw %d: counted %d != plain %d", i, got, want)
 		}
 	}
-	if n := k.srcs["test.stream"].Steps(); n != 1000 {
+	if n := k.rngs["test.stream"].src.Steps(); n != 1000 {
 		t.Fatalf("steps = %d, want 1000", n)
 	}
 }
@@ -120,5 +120,58 @@ func TestRewindReplaysIdentically(t *testing.T) {
 	if k2.Fired() != kr.Fired() || k2.NextSeq() != kr.NextSeq() {
 		t.Fatalf("counters diverge: fired %d/%d nextSeq %d/%d",
 			k2.Fired(), kr.Fired(), k2.NextSeq(), kr.NextSeq())
+	}
+}
+
+// Every named stream round-trips through ExportRNGs/RestoreRNGs: drawn
+// streams land where they were, a stream only the rebuilt kernel drew
+// is reset to fresh, streams never drawn are left out of the export,
+// and every *rand.Rand handed out before the restore is still the one
+// RNG returns after it.
+func TestRNGStreamsRoundTrip(t *testing.T) {
+	names := []string{"a", "b.client.1", "c", "never"}
+	k := NewKernel(11)
+	for i, name := range names[:3] {
+		r := k.RNG(name)
+		for j := 0; j < 100*i+7; j++ {
+			r.Int63n(1000)
+		}
+	}
+	k.RNG("never")
+	if n := k.NumStreams(); n != 4 {
+		t.Fatalf("NumStreams = %d, want 4", n)
+	}
+	pos := k.ExportRNGs()
+	if len(pos) != 3 || pos[0].Name != "a" || pos[1].Name != "b.client.1" || pos[2].Name != "c" {
+		t.Fatalf("ExportRNGs = %+v", pos)
+	}
+
+	k2 := NewKernel(11)
+	held := map[string]*rand.Rand{}
+	for _, name := range []string{"c", "never", "rebuilt.only"} {
+		held[name] = k2.RNG(name)
+		held[name].Uint64() // construction-time draws restore must cancel
+	}
+	k2.RestoreRNGs(pos)
+	for name, r := range held {
+		if k2.RNG(name) != r {
+			t.Fatalf("stream %q: RNG returned a different generator after restore", name)
+		}
+	}
+	if got := k2.ExportRNGs(); len(got) != len(pos) {
+		t.Fatalf("restored export = %+v, want %+v", got, pos)
+	}
+	fresh := NewKernel(11)
+	for _, name := range append(names, "rebuilt.only") {
+		want, src := k.RNG(name), "original"
+		if name == "rebuilt.only" {
+			want, src = fresh.RNG(name), "fresh"
+		}
+		got := k2.RNG(name)
+		for i := 0; i < 300; i++ {
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("stream %q draw %d: restored %d, %s %d", name, i, g, src, w)
+			}
+		}
 	}
 }
