@@ -14,48 +14,57 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
 	"spider/internal/archive"
+	"spider/internal/campaign"
 	"spider/internal/expt"
 	"spider/internal/obs"
 	"spider/internal/prof"
 	"spider/internal/sweep"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run is the command behind main: it parses args, runs, and returns the
+// process exit code. Every input a campaign spec refuses exits 2 before
+// any experiment runs.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("spider-exp", flag.ContinueOnError)
+	campaignSpec := campaign.Flags(fs)
 	var (
-		id       = flag.String("id", "", "experiment id (fig2…fig14, table1…table4, ablation-…, or 'all')")
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		scale    = flag.Float64("scale", 1.0, "experiment scale in (0,1]")
-		workers  = flag.Int("workers", runtime.NumCPU(), "worker goroutines for parallel sub-runs (results are identical at any count)")
-		shards   = flag.Int("shards", 1, "worker goroutines advancing city tiles in the sharded city experiment (results are identical at any count)")
-		chaos    = flag.String("chaos", "", "fault profile or timeline for the chaos experiment (mild, aggressive, or a script)")
-		list     = flag.Bool("list", false, "list experiment ids and exit")
-		plotOut  = flag.Bool("plot", false, "render figures as terminal charts instead of data columns")
-		svgDir   = flag.String("svg", "", "also write each figure as an SVG into this directory")
-		csvDir   = flag.String("csv", "", "also write each figure's series as CSV into this directory")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		metricsO = flag.String("metrics-out", "", "write Prometheus-format metrics (accumulated across all runs) to this file")
-		traceO   = flag.String("trace-out", "", "write the event trace to this file: .jsonl for JSONL, else Chrome trace JSON (forces -workers 1)")
-		traceF   = flag.String("trace-filter", "", "comma-separated category prefixes to trace (empty = all)")
-		archO    = flag.String("archive-out", "", "write a run archive to this file (experiments run sequentially in id order; byte-identical at any -workers/-shards)")
-		resumeO  = flag.String("resume", "", "campaign state file: skip experiments it records as complete, persist each new one as it finishes (requires -archive-out)")
-		joinSpd  = flag.Duration("join-spread", 0, "stagger client admission in the city/metro experiments over this window (0 = legacy t=0 join storm)")
-		joinRamp = flag.String("join-ramp", "uniform", "admission offset shape with -join-spread: uniform or exp")
+		list     = fs.Bool("list", false, "list experiment ids and exit")
+		plotOut  = fs.Bool("plot", false, "render figures as terminal charts instead of data columns")
+		svgDir   = fs.String("svg", "", "also write each figure as an SVG into this directory")
+		csvDir   = fs.String("csv", "", "also write each figure's series as CSV into this directory")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf  = fs.String("memprofile", "", "write a heap profile to this file at exit")
+		metricsO = fs.String("metrics-out", "", "write Prometheus-format metrics (accumulated across all runs) to this file")
+		traceO   = fs.String("trace-out", "", "write the event trace to this file: .jsonl for JSONL, else Chrome trace JSON (forces -workers 1)")
+		traceF   = fs.String("trace-filter", "", "comma-separated category prefixes to trace (empty = all)")
+		archO    = fs.String("archive-out", "", "write a run archive to this file (experiments run sequentially in id order; byte-identical at any -workers/-shards)")
+		resumeO  = fs.String("resume", "", "campaign state file: skip experiments it records as complete, persist each new one as it finishes (requires -archive-out)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err any) int {
+		fmt.Fprintln(os.Stderr, "spider-exp:", err)
+		return code
+	}
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "spider-exp:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
@@ -65,18 +74,28 @@ func main() {
 
 	if *list {
 		for _, e := range expt.IDs() {
-			fmt.Println(e)
+			fmt.Fprintln(stdout, e)
 		}
-		return
+		return 0
 	}
-	if *id == "" {
-		fmt.Fprintln(os.Stderr, "spider-exp: -id required (or -list); e.g. -id table2")
-		os.Exit(2)
+	sp, err := campaignSpec()
+	if err != nil {
+		return fail(2, err)
+	}
+	if sp.IDs == "" {
+		return fail(2, "-id required (or -list); e.g. -id table2")
 	}
 	if *traceO != "" {
 		// A trace of concurrently interleaved worlds is unreadable and
 		// nondeterministic; tracing serializes the run.
-		*workers = 1
+		sp.Workers = 1
+	}
+	// Unknown or duplicate ids, and every option a campaign spec
+	// refuses, fail here, before any experiment runs — a typo must not
+	// cost a partial campaign.
+	ids, opts, campFP, err := sp.Resolve()
+	if err != nil {
+		return fail(2, err)
 	}
 	var o *obs.Obs
 	if *metricsO != "" || *traceO != "" {
@@ -85,19 +104,7 @@ func main() {
 			o.Tracer.SetFilter(strings.Split(*traceF, ",")...)
 		}
 	}
-	if *joinSpd < 0 || (*joinRamp != "uniform" && *joinRamp != "exp") {
-		fmt.Fprintln(os.Stderr, "spider-exp: -join-spread must be >= 0 and -join-ramp uniform or exp")
-		os.Exit(2)
-	}
-	opts := expt.Options{Seed: *seed, Scale: *scale, Workers: *workers, Chaos: *chaos, Obs: o, Shards: *shards,
-		JoinSpread: *joinSpd, JoinRamp: *joinRamp}
-	// Unknown or duplicate ids fail here, before any experiment runs — a
-	// typo must not cost a partial campaign.
-	ids, err := expt.ResolveIDs(*id)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "spider-exp:", err)
-		os.Exit(2)
-	}
+	opts.Obs = o
 	// Experiments are independent worlds on independent kernels, so a
 	// multi-experiment run fans out on the sweep engine; the -workers
 	// budget covers the whole process (each experiment runs its sub-runs
@@ -109,7 +116,7 @@ func main() {
 		elapsed time.Duration
 	}
 	perExpt := opts
-	exptWorkers := *workers
+	exptWorkers := opts.Workers
 	if len(ids) > 1 {
 		perExpt.Workers = 1
 	}
@@ -120,26 +127,22 @@ func main() {
 		// worker budget back — results are worker-invariant either way.
 		arch = expt.NewArchive(opts)
 		exptWorkers = 1
-		perExpt.Workers = *workers
+		perExpt.Workers = opts.Workers
 	}
 	var camp *campaignState
 	if *resumeO != "" {
 		if arch == nil {
-			fmt.Fprintln(os.Stderr, "spider-exp: -resume requires -archive-out (the archive is what a campaign resumes)")
-			os.Exit(2)
+			return fail(2, "-resume requires -archive-out (the archive is what a campaign resumes)")
 		}
-		campFP := archive.FP(fmt.Sprintf("seed=%d", *seed), expt.ConfigFP(opts),
-			"ids="+strings.Join(ids, ","))
 		camp, err = loadCampaign(*resumeO, campFP)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "spider-exp:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		if camp.Archive != nil {
 			// Continue the interrupted run's document: already-archived
 			// experiments keep their bytes, new ones append in id order.
 			arch = camp.Archive
-			fmt.Printf("   resuming campaign from %s: %d of %d experiments already archived\n",
+			fmt.Fprintf(stdout, "   resuming campaign from %s: %d of %d experiments already archived\n",
 				*resumeO, len(camp.Completed), len(ids))
 		}
 	}
@@ -164,138 +167,102 @@ func main() {
 			return outcome{res: res, elapsed: time.Since(start)}, err
 		})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "spider-exp: %v\n", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
 	for i, e := range ids {
-		o := outs[i]
-		if *plotOut {
-			printPlots(o.res)
+		var figs []expt.Figure
+		if set, ok := outs[i].res.(expt.FigureSet); ok {
+			figs = set.Figures()
+		}
+		if *plotOut && len(figs) > 0 {
+			for _, f := range figs {
+				fmt.Fprintln(stdout, f.Plot(72, 18))
+			}
 		} else {
-			fmt.Println(o.res)
+			fmt.Fprintln(stdout, outs[i].res)
 		}
-		if *svgDir != "" {
-			if err := writeSVGs(*svgDir, o.res); err != nil {
-				fmt.Fprintf(os.Stderr, "spider-exp: %v\n", err)
-				os.Exit(1)
-			}
+		files := fileFigures(figs)
+		if err := writeFigures(stdout, *svgDir, ".svg", files, func(f expt.Figure) string { return f.PlotSVG(640, 360) }); err != nil {
+			return fail(1, err)
 		}
-		if *csvDir != "" {
-			if err := writeCSVs(*csvDir, o.res); err != nil {
-				fmt.Fprintf(os.Stderr, "spider-exp: %v\n", err)
-				os.Exit(1)
-			}
+		if err := writeFigures(stdout, *csvDir, ".csv", files, figureCSV); err != nil {
+			return fail(1, err)
 		}
-		fmt.Printf("   [%s regenerated in %v at scale %.2f, seed %d]\n\n",
-			e, o.elapsed.Round(time.Millisecond), *scale, *seed)
+		fmt.Fprintf(stdout, "   [%s regenerated in %v at scale %.2f, seed %d]\n\n",
+			e, outs[i].elapsed.Round(time.Millisecond), opts.Scale, opts.Seed)
 	}
 	if arch != nil {
 		if err := os.WriteFile(*archO, arch.Encode(), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "spider-exp:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		fmt.Printf("   wrote %s (run %s, %d experiments)\n", *archO, arch.RunID, len(arch.Experiments))
+		fmt.Fprintf(stdout, "   wrote %s (run %s, %d experiments)\n", *archO, arch.RunID, len(arch.Experiments))
 	}
 	if *metricsO != "" {
 		if err := obs.WriteMetricsFile(*metricsO, o.Reg.Snapshot()); err != nil {
-			fmt.Fprintln(os.Stderr, "spider-exp:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		fmt.Printf("   wrote %s\n", *metricsO)
+		fmt.Fprintf(stdout, "   wrote %s\n", *metricsO)
 	}
 	if *traceO != "" {
 		if err := obs.WriteTraceFile(*traceO, o.Tracer); err != nil {
-			fmt.Fprintln(os.Stderr, "spider-exp:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		if d := o.Tracer.Dropped(); d > 0 {
 			fmt.Fprintf(os.Stderr, "spider-exp: trace ring wrapped; oldest %d events dropped (narrow with -trace-filter)\n", d)
 		}
-		fmt.Printf("   wrote %s\n", *traceO)
+		fmt.Fprintf(stdout, "   wrote %s\n", *traceO)
 	}
+	return 0
 }
 
-// writeCSVs saves any figures in the result into dir as <id>.csv with
-// one (series, x, y) row per point.
-func writeCSVs(dir string, res fmt.Stringer) error {
-	var figs []expt.Figure
-	switch r := res.(type) {
-	case expt.Figure:
-		figs = []expt.Figure{r}
-	case expt.Fig4Result:
-		for i, f := range r.Scenarios {
-			f.ID = fmt.Sprintf("%s-%d", f.ID, i+1)
-			figs = append(figs, f)
+// fileFigures returns the figures as their files name them: an ID
+// repeated within one result (Fig 4's scenarios) takes -1, -2, …
+// suffixes.
+func fileFigures(figs []expt.Figure) []expt.Figure {
+	per := map[string]int{}
+	for _, f := range figs {
+		per[f.ID]++
+	}
+	out := make([]expt.Figure, len(figs))
+	seen := map[string]int{}
+	for i, f := range figs {
+		if per[f.ID] > 1 {
+			seen[f.ID]++
+			f.ID = fmt.Sprintf("%s-%d", f.ID, seen[f.ID])
 		}
-	case expt.Fig10Result:
-		figs = []expt.Figure{r.Connections, r.Disruptions, r.Bandwidth}
-	default:
+		out[i] = f
+	}
+	return out
+}
+
+// writeFigures writes each figure into dir as <id><ext>, rendered by
+// render; an empty dir writes nothing.
+func writeFigures(stdout io.Writer, dir, ext string, figs []expt.Figure, render func(expt.Figure) string) error {
+	if dir == "" || len(figs) == 0 {
 		return nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	for _, f := range figs {
-		var b strings.Builder
-		b.WriteString("series,x,y\n")
-		for _, sr := range f.Series {
-			for _, p := range sr.Points {
-				fmt.Fprintf(&b, "%q,%g,%g\n", sr.Name, p.X, p.Y)
-			}
-		}
-		path := filepath.Join(dir, f.ID+".csv")
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		path := filepath.Join(dir, f.ID+ext)
+		if err := os.WriteFile(path, []byte(render(f)), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("   wrote %s\n", path)
+		fmt.Fprintf(stdout, "   wrote %s\n", path)
 	}
 	return nil
 }
 
-// printPlots renders any figures contained in a result as terminal
-// charts; tables and other results fall back to their text form.
-func printPlots(res fmt.Stringer) {
-	switch r := res.(type) {
-	case expt.Figure:
-		fmt.Println(r.Plot(72, 18))
-	case expt.Fig4Result:
-		for _, f := range r.Scenarios {
-			fmt.Println(f.Plot(72, 18))
+// figureCSV renders a figure's series as CSV, one (series, x, y) row
+// per point.
+func figureCSV(f expt.Figure) string {
+	var b strings.Builder
+	b.WriteString("series,x,y\n")
+	for _, sr := range f.Series {
+		for _, p := range sr.Points {
+			fmt.Fprintf(&b, "%q,%g,%g\n", sr.Name, p.X, p.Y)
 		}
-	case expt.Fig10Result:
-		for _, f := range []expt.Figure{r.Connections, r.Disruptions, r.Bandwidth} {
-			fmt.Println(f.Plot(72, 18))
-		}
-	default:
-		fmt.Println(res)
 	}
-}
-
-// writeSVGs saves any figures in the result into dir as <id>.svg.
-func writeSVGs(dir string, res fmt.Stringer) error {
-	var figs []expt.Figure
-	switch r := res.(type) {
-	case expt.Figure:
-		figs = []expt.Figure{r}
-	case expt.Fig4Result:
-		for i, f := range r.Scenarios {
-			f.ID = fmt.Sprintf("%s-%d", f.ID, i+1)
-			figs = append(figs, f)
-		}
-	case expt.Fig10Result:
-		figs = []expt.Figure{r.Connections, r.Disruptions, r.Bandwidth}
-	default:
-		return nil // tables have no SVG form
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, f := range figs {
-		path := filepath.Join(dir, f.ID+".svg")
-		if err := os.WriteFile(path, []byte(f.PlotSVG(640, 360)), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("   wrote %s\n", path)
-	}
-	return nil
+	return b.String()
 }

@@ -21,12 +21,17 @@
 // mean ± stddev across replications. Replication seeds derive from
 // (seed, config, rep), so the same flags always reproduce the same
 // numbers at any worker count.
+//
+// Drives and cities are built by internal/expt (expt.Drive,
+// expt.BuildCity), the same code the paper's experiments run on.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -41,31 +46,16 @@ import (
 	"spider/internal/obs"
 	"spider/internal/pcap"
 	"spider/internal/prof"
-	"spider/internal/radio"
 	"spider/internal/scenario"
-	"spider/internal/shard"
 	"spider/internal/sweep"
 )
 
-// driveResult holds one replication's §4.3 metrics.
+// driveResult is one replication: the drive as run, the checker's
+// verdict, and its observability exports.
 type driveResult struct {
-	seed           int64
-	numAPs         int
-	speedMS        float64
-	mode           core.Mode
-	throughputKBps float64
-	connectivity   float64
-	conns, gaps    []time.Duration
-	instKBps       []float64
-	stats          core.Stats
-	faultReport    string // per-class ledger when -chaos is active
-	checkerErr     error  // invariant/deadlock/timer-leak verdict
-
-	// client is the drive's single client, kept for the archive writer
-	// (its recorder and join log are the per-client ledger); faultStats
-	// is the raw per-class ledger behind faultReport.
-	client     *scenario.Client
-	faultStats []fault.ClassStat
+	expt.DriveRun
+	seed       int64
+	checkerErr error // invariant/deadlock/timer-leak verdict under -chaos
 
 	// Observability exports (nil/empty when -metrics-out/-trace-out are
 	// unset). Each replication snapshots its own registry; the reps path
@@ -84,52 +74,19 @@ type obsSpec struct {
 
 func (s obsSpec) enabled() bool { return s.metrics || s.trace }
 
-// runDrive builds a fresh world from the flags and one seed, runs the
-// drive, and gathers the metrics. Each call is independent, so
-// replications can run concurrently.
-func runDrive(cfg core.Config, city string, seed int64, speed float64, numAPs int, dur time.Duration, pcapOut, chaosSpec string, ospec obsSpec) (driveResult, error) {
-	spec := scenario.AmherstDrive(seed)
-	if city == "boston" {
-		spec = scenario.BostonDrive(seed)
-	}
-	rc := radio.Defaults()
-	rc.DataRateKbps = 24_000
-	rc.Loss = 0.08
-	rc.EdgeStart = 0.55
-	spec.Radio = rc
-	if speed > 0 {
-		spec.SpeedMS = speed
-	}
-	if numAPs > 0 {
-		spec.NumAPs = numAPs
-	}
-	world, mob := spec.Build()
-	// Attach before AddClient and ApplyChaos so the driver histograms and
-	// the injector's episode spans are wired from the start.
-	var o *obs.Obs
+// runDrive builds the drive, runs it, and gathers the exports. Each
+// call is independent, so replications can run concurrently.
+func runDrive(stdout io.Writer, d expt.Drive, dur time.Duration, pcapOut string, ospec obsSpec) (driveResult, error) {
 	if ospec.enabled() {
-		o = obs.New(0)
-		o.Tracer.SetFilter(ospec.filter...)
-		world.AttachObs(o)
+		d.Obs = obs.New(0)
+		d.Obs.Tracer.SetFilter(ospec.filter...)
 	}
-	client := world.AddClient(cfg, mob)
-	var chaos *scenario.Chaos
-	if chaosSpec != "" {
-		fcfg, tl, _, err := fault.Resolve(chaosSpec)
-		if err != nil {
-			return driveResult{}, err
-		}
-		chaos = scenario.ApplyChaos(world, client, fcfg)
-		if len(tl) > 0 {
-			chaos.Injector.ScheduleTimeline(tl)
-			chaos.Checker.StartLiveness(5 * time.Second)
-		}
-	}
+	run := d.Build()
 	var capture *pcap.Capture
 	if pcapOut != "" {
-		capture = pcap.NewCapture(world.Medium, 0)
+		capture = pcap.NewCapture(run.World.Medium, 0)
 	}
-	world.Run(dur)
+	run.World.Run(dur)
 
 	if capture != nil {
 		f, err := os.Create(pcapOut)
@@ -141,63 +98,51 @@ func runDrive(cfg core.Config, city string, seed int64, speed float64, numAPs in
 		if err != nil {
 			return driveResult{}, err
 		}
-		fmt.Printf("wrote %d frames to %s (dropped %d over the capture limit)\n",
+		fmt.Fprintf(stdout, "wrote %d frames to %s (dropped %d over the capture limit)\n",
 			n, pcapOut, capture.Dropped)
 	}
 
-	res := driveResult{
-		seed:           seed,
-		numAPs:         len(world.APs),
-		speedMS:        spec.SpeedMS,
-		mode:           cfg.Mode,
-		throughputKBps: client.Rec.ThroughputKBps(dur),
-		connectivity:   client.Rec.Connectivity(dur),
-		conns:          client.Rec.Connections(dur),
-		gaps:           client.Rec.Disruptions(dur),
-		instKBps:       client.Rec.InstantaneousKBps(dur),
-		stats:          client.Driver.Stats(),
-		client:         client,
+	res := driveResult{DriveRun: run, seed: d.Seed}
+	if run.Chaos != nil {
+		res.checkerErr = run.Chaos.Checker.Verify()
 	}
-	if chaos != nil {
-		res.faultReport = chaos.Injector.Report()
-		res.faultStats = chaos.Injector.Snapshot()
-		res.checkerErr = chaos.Checker.Verify()
-	}
-	if o != nil {
-		res.snap = o.Reg.Snapshot()
-		res.tracer = o.Tracer
+	if d.Obs != nil {
+		res.snap = d.Obs.Reg.Snapshot()
+		res.tracer = d.Obs.Tracer
 	}
 	return res, nil
 }
 
-func report(r driveResult) {
-	fmt.Printf("  avg throughput:   %s\n", metrics.FormatKBps(r.throughputKBps))
-	fmt.Printf("  connectivity:     %s\n", metrics.FormatPct(r.connectivity))
-	if len(r.conns) > 0 {
-		cdf := metrics.DurationsCDF(r.conns)
-		fmt.Printf("  connections:      %d (median %.0fs)\n", len(r.conns), cdf.Median())
+func report(stdout io.Writer, r driveResult, dur time.Duration) {
+	rec := r.Client.Rec
+	fmt.Fprintf(stdout, "  avg throughput:   %s\n", metrics.FormatKBps(rec.ThroughputKBps(dur)))
+	fmt.Fprintf(stdout, "  connectivity:     %s\n", metrics.FormatPct(rec.Connectivity(dur)))
+	if conns := rec.Connections(dur); len(conns) > 0 {
+		fmt.Fprintf(stdout, "  connections:      %d (median %.0fs)\n", len(conns), metrics.DurationsCDF(conns).Median())
 	}
-	if len(r.gaps) > 0 {
-		cdf := metrics.DurationsCDF(r.gaps)
-		fmt.Printf("  disruptions:      %d (median %.0fs)\n", len(r.gaps), cdf.Median())
+	if gaps := rec.Disruptions(dur); len(gaps) > 0 {
+		fmt.Fprintf(stdout, "  disruptions:      %d (median %.0fs)\n", len(gaps), metrics.DurationsCDF(gaps).Median())
 	}
-	inst := metrics.NewCDF(r.instKBps)
+	inst := metrics.NewCDF(rec.InstantaneousKBps(dur))
 	if inst.N() > 0 {
-		fmt.Printf("  inst. bandwidth:  p50 %.0f / p90 %.0f KBps\n",
+		fmt.Fprintf(stdout, "  inst. bandwidth:  p50 %.0f / p90 %.0f KBps\n",
 			inst.Quantile(0.5), inst.Quantile(0.9))
 	}
-	st := r.stats
-	fmt.Printf("\n  joins: %d ok / %d dhcp-failed (%d fast-path, %d soft handoffs), assoc %d/%d, switches %d\n",
+	st := r.Client.Driver.Stats()
+	fmt.Fprintf(stdout, "\n  joins: %d ok / %d dhcp-failed (%d fast-path, %d soft handoffs), assoc %d/%d, switches %d\n",
 		st.JoinSuccesses, st.DHCPFailures, st.FastPathJoins, st.SoftHandoffs,
 		st.AssocSuccesses, st.AssocAttempts, st.Switches)
-	if r.faultReport != "" {
-		fmt.Printf("  recovery: %d blacklisted (%d evictions), %d lease revalidations, %d reset faults\n",
+	if r.Chaos == nil {
+		return
+	}
+	if faults := r.Chaos.Injector.Report(); faults != "" {
+		fmt.Fprintf(stdout, "  recovery: %d blacklisted (%d evictions), %d lease revalidations, %d reset faults\n",
 			st.Blacklisted, st.BlacklistEvictions, st.LeaseRevalidations, st.ResetFaults)
-		fmt.Printf("\n%s", r.faultReport)
+		fmt.Fprintf(stdout, "\n%s", faults)
 		if r.checkerErr != nil {
-			fmt.Printf("\n  CHECKER FAILED: %v\n", r.checkerErr)
+			fmt.Fprintf(stdout, "\n  CHECKER FAILED: %v\n", r.checkerErr)
 		} else {
-			fmt.Printf("  checker: clean\n")
+			fmt.Fprintf(stdout, "  checker: clean\n")
 		}
 	}
 }
@@ -225,13 +170,17 @@ func writeObs(metricsOut, traceOut string, snap obs.Snapshot, tr *obs.Tracer) er
 // ledger, the fault ledger, the metrics snapshot, trace-span summary
 // and headline results. Replications come back index-ordered from the
 // sweep, so the document is byte-identical at any -workers value.
-func writeDriveArchive(path string, seed int64, configFP, chaosSpec string, results []driveResult) error {
+func writeDriveArchive(stdout io.Writer, path string, seed int64, configFP, chaosSpec string, dur time.Duration, results []driveResult) error {
 	a := archive.New(seed, configFP)
 	for i, r := range results {
 		expID := archive.SubID(a.RunID, fmt.Sprintf("experiment/drive[%d]", i), 0)
 		exp := archive.Experiment{ID: expID, Name: fmt.Sprintf("drive[%d]", i), Chaos: chaosSpec}
-		exp.Clients = append(exp.Clients, archive.ClientLedgerFrom(expID, 0, r.client))
-		exp.Faults = archive.FaultsFrom(expID, r.faultStats)
+		exp.Clients = append(exp.Clients, archive.ClientLedgerFrom(expID, 0, r.Client))
+		var faults []fault.ClassStat
+		if r.Chaos != nil {
+			faults = r.Chaos.Injector.Snapshot()
+		}
+		exp.Faults = archive.FaultsFrom(expID, faults)
 		exp.Metrics = archive.MetricsFrom(expID, r.snap)
 		if r.tracer != nil {
 			exp.Spans = archive.SpansFrom(expID, r.tracer.Events())
@@ -242,16 +191,17 @@ func writeDriveArchive(path string, seed int64, configFP, chaosSpec string, resu
 				Name: "drive", Key: key, Num: &v,
 			})
 		}
-		addNum("throughput_KBps", r.throughputKBps)
-		addNum("connectivity", r.connectivity)
-		addNum("connections", float64(len(r.conns)))
-		addNum("disruptions", float64(len(r.gaps)))
+		rec := r.Client.Rec
+		addNum("throughput_KBps", rec.ThroughputKBps(dur))
+		addNum("connectivity", rec.Connectivity(dur))
+		addNum("connections", float64(len(rec.Connections(dur))))
+		addNum("disruptions", float64(len(rec.Disruptions(dur))))
 		a.Experiments = append(a.Experiments, exp)
 	}
 	if err := os.WriteFile(path, a.Encode(), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (run %s, %d experiments)\n", path, a.RunID, len(a.Experiments))
+	fmt.Fprintf(stdout, "wrote %s (run %s, %d experiments)\n", path, a.RunID, len(a.Experiments))
 	return nil
 }
 
@@ -262,48 +212,30 @@ type ckptOpts struct {
 	resume string // -resume: checkpoint file to restore before running
 }
 
-// runCityGrid builds and runs the sharded city-scale scenario and
-// reports fleet-wide aggregates.
-func runCityGrid(cfg core.Config, seed int64, numAPs, clients, shards int, areaW, areaH float64, joinSpread time.Duration, joinRamp string, dur time.Duration, chaosSpec string, ospec obsSpec, metricsOut, traceOut, archiveOut, configFP string, ck ckptOpts) error {
-	if numAPs <= 0 {
-		numAPs = 600
-	}
-	spec := scenario.CityGrid(seed, numAPs, clients)
-	if areaW > 0 {
-		spec.AreaW = areaW
-	}
-	if areaH > 0 {
-		spec.AreaH = areaH
-	}
-	spec.JoinSpread, spec.JoinRamp = joinSpread, joinRamp
-	rc := radio.Defaults()
-	rc.DataRateKbps = 24_000
-	spec.Radio = rc
-
+// runCityGrid builds the sharded city-scale scenario through expt's
+// city builder, runs it, and reports fleet-wide aggregates.
+func runCityGrid(stdout io.Writer, spec scenario.CityGridSpec, cfg core.Config, opts expt.Options, dur time.Duration, ospec obsSpec, metricsOut, traceOut, archiveOut, configFP string, ck ckptOpts) error {
 	start := time.Now()
-	c := shard.NewCity(spec, cfg, shards)
+	var co *expt.CityObs
 	if ospec.enabled() || archiveOut != "" {
-		c.EnableObs(0, ospec.filter...)
+		co = &expt.CityObs{Filter: ospec.filter}
 	}
-	if chaosSpec != "" {
-		fcfg, ok := fault.Profile(chaosSpec)
-		if !ok {
-			return fmt.Errorf("citygrid: unknown chaos profile %q (timeline scripts are single-drive only)", chaosSpec)
-		}
-		c.ApplyChaos(fcfg)
+	c, err := expt.BuildCity(spec, cfg, opts, co)
+	if err != nil {
+		return fmt.Errorf("citygrid: %w", err)
 	}
 	if ck.resume != "" {
 		doc, err := checkpoint.ReadFile(ck.resume)
 		if err != nil {
 			return err
 		}
-		if err := doc.Apply(c, seed, configFP); err != nil {
+		if err := doc.Apply(c, spec.Seed, configFP); err != nil {
 			return err
 		}
-		fmt.Printf("resumed from %s at t=%v\n", ck.resume, c.Now())
+		fmt.Fprintf(stdout, "resumed from %s at t=%v\n", ck.resume, c.Now())
 	}
 	writeCkpt := func() error {
-		doc, err := checkpoint.Capture(c, seed, configFP)
+		doc, err := checkpoint.Capture(c, spec.Seed, configFP)
 		if err != nil {
 			return err
 		}
@@ -335,10 +267,10 @@ func runCityGrid(cfg core.Config, seed int64, numAPs, clients, shards int, areaW
 		}
 	}
 
-	fmt.Printf("City: %.0f×%.0f m, %d APs, %d clients, %v simulated (%v wall)\n",
-		spec.AreaW, spec.AreaH, numAPs, clients, dur, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("Layout: %s, %d shard workers\n", c.Layout, sweep.Workers(shards))
-	fmt.Printf("Driver: %s\n\n", cfg.Mode)
+	fmt.Fprintf(stdout, "City: %.0f×%.0f m, %d APs, %d clients, %v simulated (%v wall)\n",
+		spec.AreaW, spec.AreaH, spec.NumAPs, spec.NumClients, dur, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "Layout: %s, %d shard workers\n", c.Layout, sweep.Workers(c.Workers))
+	fmt.Fprintf(stdout, "Driver: %s\n\n", cfg.Mode)
 
 	var tputs []float64
 	var joins, switches, haloRecs uint64
@@ -350,20 +282,20 @@ func runCityGrid(cfg core.Config, seed int64, numAPs, clients, shards int, areaW
 	}
 	for _, t := range c.Tiles {
 		haloRecs += t.World.Medium.Stats().HaloInjected
-		fmt.Printf("  tile %d [%5.0f, %5.0f)×[%5.0f, %5.0f): %3d APs, %3d clients\n",
+		fmt.Fprintf(stdout, "  tile %d [%5.0f, %5.0f)×[%5.0f, %5.0f): %3d APs, %3d clients\n",
 			t.Index, t.X0, t.X1, t.Y0, t.Y1, len(t.World.APs), len(t.World.Clients))
 	}
 	cdf := metrics.NewCDF(tputs)
-	fmt.Printf("\n  fleet goodput:    mean %s, p50 %s, p90 %s\n",
+	fmt.Fprintf(stdout, "\n  fleet goodput:    mean %s, p50 %s, p90 %s\n",
 		metrics.FormatKBps(metrics.Mean(tputs)),
 		metrics.FormatKBps(cdf.Quantile(0.5)), metrics.FormatKBps(cdf.Quantile(0.9)))
-	fmt.Printf("  joins: %d ok, switches %d\n", joins, switches)
-	fmt.Printf("  shard machinery:  %d migrations, %d halo beacons mirrored\n", c.Migrations, haloRecs)
+	fmt.Fprintf(stdout, "  joins: %d ok, switches %d\n", joins, switches)
+	fmt.Fprintf(stdout, "  shard machinery:  %d migrations, %d halo beacons mirrored\n", c.Migrations, haloRecs)
 	if len(c.Injectors) > 0 {
-		fmt.Printf("  faults injected:  %d\n", c.TotalInjected())
+		fmt.Fprintf(stdout, "  faults injected:  %d\n", c.TotalInjected())
 	}
 	if inv := c.InvariantsTotal(); inv > 0 {
-		fmt.Printf("  INVARIANT VIOLATIONS: %d\n", inv)
+		fmt.Fprintf(stdout, "  INVARIANT VIOLATIONS: %d\n", inv)
 	}
 	// Engine summary: how fast the run went and what it cost. Fired
 	// counts are deterministic (kernel events are the simulation), the
@@ -375,7 +307,7 @@ func runCityGrid(cfg core.Config, seed int64, numAPs, clients, shards int, areaW
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	wall := time.Since(start)
-	fmt.Printf("  engine: %.1f sim-s per wall-s, %d kernel events dispatched, peak heap %d MiB\n",
+	fmt.Fprintf(stdout, "  engine: %.1f sim-s per wall-s, %d kernel events dispatched, peak heap %d MiB\n",
 		dur.Seconds()/wall.Seconds(), fired, ms.HeapSys>>20)
 
 	if metricsOut != "" {
@@ -389,50 +321,63 @@ func runCityGrid(cfg core.Config, seed int64, numAPs, clients, shards int, areaW
 		}
 	}
 	if archiveOut != "" {
-		a := archive.New(seed, configFP)
+		a := archive.New(spec.Seed, configFP)
 		expID := archive.SubID(a.RunID, "experiment/citygrid", 0)
-		a.Experiments = append(a.Experiments, archive.CityExperiment(expID, "citygrid", chaosSpec, c, dur))
+		a.Experiments = append(a.Experiments, archive.CityExperiment(expID, "citygrid", opts.Chaos, c, dur))
 		if err := os.WriteFile(archiveOut, a.Encode(), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s (run %s)\n", archiveOut, a.RunID)
+		fmt.Fprintf(stdout, "wrote %s (run %s)\n", archiveOut, a.RunID)
 	}
 	return nil
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run is the command behind main: it parses args, runs, and returns the
+// process exit code.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("spider-sim", flag.ContinueOnError)
 	var (
-		config   = flag.String("config", "ch1-multi", "driver configuration")
-		city     = flag.String("city", "amherst", "scenario: amherst, boston, or citygrid (sharded fleet)")
-		clients  = flag.Int("clients", 100, "vehicle fleet size (citygrid only)")
-		shards   = flag.Int("shards", 1, "concurrent tile workers (citygrid only; results identical at any value)")
-		minutes  = flag.Int("minutes", 30, "drive duration in simulated minutes")
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		speed    = flag.Float64("speed", 0, "override vehicle speed (m/s)")
-		numAPs   = flag.Int("aps", 0, "override deployed AP count")
-		areaW    = flag.Float64("area-w", 0, "override city width in meters (citygrid only)")
-		areaH    = flag.Float64("area-h", 0, "override city height in meters (citygrid only)")
-		reps     = flag.Int("reps", 1, "independent drive replications")
-		workers  = flag.Int("workers", runtime.NumCPU(), "worker goroutines when -reps > 1")
-		pcapOut  = flag.String("pcap", "", "write an over-the-air capture to this file (single rep only)")
-		chaos    = flag.String("chaos", "", "fault injection: off, mild, aggressive, or a timeline script")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		metricsO = flag.String("metrics-out", "", "write Prometheus-format metrics to this file (reps merge in index order)")
-		traceO   = flag.String("trace-out", "", "write the event trace to this file: .jsonl for JSONL, else Chrome trace JSON (single rep only)")
-		traceF   = flag.String("trace-filter", "", "comma-separated category prefixes to trace (empty = all)")
-		archO    = flag.String("archive-out", "", "write a run archive to this file (byte-identical at any -workers/-shards)")
-		ckptO    = flag.String("checkpoint-out", "", "write a resumable checkpoint to this file (citygrid only)")
-		ckptN    = flag.Int("checkpoint-every", 0, "rewrite -checkpoint-out every N barrier epochs (0 = only at run end)")
-		resume   = flag.String("resume", "", "resume a citygrid run from this checkpoint file (same seed and flags)")
-		joinSpd  = flag.Duration("join-spread", 0, "stagger client admission over this window (citygrid only; 0 = legacy t=0 join storm)")
-		joinRamp = flag.String("join-ramp", "uniform", "admission offset shape with -join-spread: uniform or exp")
+		config   = fs.String("config", "ch1-multi", "driver configuration")
+		city     = fs.String("city", "amherst", "scenario: amherst, boston, or citygrid (sharded fleet)")
+		clients  = fs.Int("clients", 100, "vehicle fleet size (citygrid only)")
+		shards   = fs.Int("shards", 1, "concurrent tile workers (citygrid only; results identical at any value)")
+		minutes  = fs.Int("minutes", 30, "drive duration in simulated minutes")
+		seed     = fs.Int64("seed", 1, "simulation seed")
+		speed    = fs.Float64("speed", 0, "override vehicle speed (m/s)")
+		numAPs   = fs.Int("aps", 0, "override deployed AP count")
+		areaW    = fs.Float64("area-w", 0, "override city width in meters (citygrid only)")
+		areaH    = fs.Float64("area-h", 0, "override city height in meters (citygrid only)")
+		reps     = fs.Int("reps", 1, "independent drive replications")
+		workers  = fs.Int("workers", runtime.NumCPU(), "worker goroutines when -reps > 1")
+		pcapOut  = fs.String("pcap", "", "write an over-the-air capture to this file (single rep only)")
+		chaos    = fs.String("chaos", "", "fault injection: off, mild, aggressive, or a timeline script")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf  = fs.String("memprofile", "", "write a heap profile to this file at exit")
+		metricsO = fs.String("metrics-out", "", "write Prometheus-format metrics to this file (reps merge in index order)")
+		traceO   = fs.String("trace-out", "", "write the event trace to this file: .jsonl for JSONL, else Chrome trace JSON (single rep only)")
+		traceF   = fs.String("trace-filter", "", "comma-separated category prefixes to trace (empty = all)")
+		archO    = fs.String("archive-out", "", "write a run archive to this file (byte-identical at any -workers/-shards)")
+		ckptO    = fs.String("checkpoint-out", "", "write a resumable checkpoint to this file (citygrid only)")
+		ckptN    = fs.Int("checkpoint-every", 0, "rewrite -checkpoint-out every N barrier epochs (0 = only at run end)")
+		resume   = fs.String("resume", "", "resume a citygrid run from this checkpoint file (same seed and flags)")
+		joinSpd  = fs.Duration("join-spread", 0, "stagger client admission over this window (citygrid only; 0 = legacy t=0 join storm)")
+		joinRamp = fs.String("join-ramp", "uniform", "admission offset shape with -join-spread: uniform or exp")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err any) int {
+		fmt.Fprintln(os.Stderr, "spider-sim:", err)
+		return code
+	}
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "spider-sim:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
@@ -442,8 +387,7 @@ func main() {
 
 	cfg, err := expt.DriverConfig(*config)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "spider-sim:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	// The config fingerprint covers every flag that changes results and
 	// none that may not: -workers and -shards are deliberately outside
@@ -467,81 +411,86 @@ func main() {
 			fmt.Sprintf("join-spread=%s", *joinSpd), "join-ramp="+*joinRamp)
 	}
 	configFP := archive.FP(fpParts...)
-	if *joinSpd < 0 || (*joinRamp != "uniform" && *joinRamp != "exp") {
-		fmt.Fprintln(os.Stderr, "spider-sim: -join-spread must be >= 0 and -join-ramp uniform or exp")
-		os.Exit(2)
+	// The same option check every front-end runs: ramp, spread, shard
+	// count and chaos spec, refused before any simulation.
+	opts := expt.Options{Seed: *seed, Chaos: *chaos, Shards: *shards, JoinSpread: *joinSpd, JoinRamp: *joinRamp}
+	if err := opts.Validate(); err != nil {
+		return fail(2, err)
 	}
 	if *joinSpd > 0 && *city != "citygrid" {
-		fmt.Fprintln(os.Stderr, "spider-sim: -join-spread requires -city citygrid")
-		os.Exit(2)
+		return fail(2, "-join-spread requires -city citygrid")
 	}
 	if *city != "citygrid" && (*ckptO != "" || *ckptN > 0 || *resume != "") {
-		fmt.Fprintln(os.Stderr, "spider-sim: -checkpoint-out/-checkpoint-every/-resume require -city citygrid")
-		os.Exit(2)
+		return fail(2, "-checkpoint-out/-checkpoint-every/-resume require -city citygrid")
+	}
+	dur := time.Duration(*minutes) * time.Minute
+	var filter []string
+	if *traceF != "" {
+		filter = strings.Split(*traceF, ",")
 	}
 	if *city == "citygrid" {
 		if *reps > 1 {
-			fmt.Fprintln(os.Stderr, "spider-sim: -city citygrid requires -reps 1 (use -shards for parallelism)")
-			os.Exit(2)
+			return fail(2, "-city citygrid requires -reps 1 (use -shards for parallelism)")
 		}
-		ospec := obsSpec{metrics: *metricsO != "", trace: *traceO != ""}
-		if *traceF != "" {
-			ospec.filter = strings.Split(*traceF, ",")
+		if *numAPs <= 0 {
+			*numAPs = 600
 		}
-		err := runCityGrid(cfg, *seed, *numAPs, *clients, *shards, *areaW, *areaH, *joinSpd, *joinRamp,
-			time.Duration(*minutes)*time.Minute, *chaos, ospec, *metricsO, *traceO, *archO, configFP,
+		spec := scenario.CityGrid(*seed, *numAPs, *clients)
+		if *areaW > 0 {
+			spec.AreaW = *areaW
+		}
+		if *areaH > 0 {
+			spec.AreaH = *areaH
+		}
+		ospec := obsSpec{metrics: *metricsO != "", trace: *traceO != "", filter: filter}
+		err := runCityGrid(stdout, spec, cfg, opts, dur, ospec, *metricsO, *traceO, *archO, configFP,
 			ckptOpts{out: *ckptO, every: *ckptN, resume: *resume})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "spider-sim:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		return
+		return 0
 	}
 	if *reps < 1 {
-		fmt.Fprintln(os.Stderr, "spider-sim: -reps must be at least 1")
-		os.Exit(2)
+		return fail(2, "-reps must be at least 1")
 	}
 	if *pcapOut != "" && *reps > 1 {
-		fmt.Fprintln(os.Stderr, "spider-sim: -pcap requires -reps 1")
-		os.Exit(2)
+		return fail(2, "-pcap requires -reps 1")
 	}
 	if *traceO != "" && *reps > 1 {
-		fmt.Fprintln(os.Stderr, "spider-sim: -trace-out requires -reps 1")
-		os.Exit(2)
+		return fail(2, "-trace-out requires -reps 1")
+	}
+	drive := expt.Drive{Boston: *city == "boston", SpeedMS: *speed, NumAPs: *numAPs, Config: cfg}
+	if *chaos != "" {
+		fcfg, tl, _, _ := fault.Resolve(*chaos) // Validate resolved it already
+		drive.Faults, drive.Timeline = &fcfg, tl
 	}
 	// Archiving wants the metrics snapshot even without -metrics-out;
 	// attaching obs never perturbs results (the registry is passive).
-	ospec := obsSpec{metrics: *metricsO != "" || *archO != "", trace: *traceO != ""}
-	if *traceF != "" {
-		ospec.filter = strings.Split(*traceF, ",")
-	}
-	dur := time.Duration(*minutes) * time.Minute
+	ospec := obsSpec{metrics: *metricsO != "" || *archO != "", trace: *traceO != "", filter: filter}
 	start := time.Now()
 
 	if *reps == 1 {
-		r, err := runDrive(cfg, *city, *seed, *speed, *numAPs, dur, *pcapOut, *chaos, ospec)
+		drive.Seed = *seed
+		r, err := runDrive(stdout, drive, dur, *pcapOut, ospec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "spider-sim:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		fmt.Printf("Drive: %s, %d APs, %.1f m/s, %v simulated (%v wall)\n",
-			*city, r.numAPs, r.speedMS, dur, time.Since(start).Round(time.Millisecond))
-		fmt.Printf("Driver: %s\n\n", r.mode)
-		report(r)
+		fmt.Fprintf(stdout, "Drive: %s, %d APs, %.1f m/s, %v simulated (%v wall)\n",
+			*city, len(r.World.APs), drive.Spec().SpeedMS, dur, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "Driver: %s\n\n", cfg.Mode)
+		report(stdout, r, dur)
 		if err := writeObs(*metricsO, *traceO, r.snap, r.tracer); err != nil {
-			fmt.Fprintln(os.Stderr, "spider-sim:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		if *archO != "" {
-			if err := writeDriveArchive(*archO, *seed, configFP, *chaos, []driveResult{r}); err != nil {
-				fmt.Fprintln(os.Stderr, "spider-sim:", err)
-				os.Exit(1)
+			if err := writeDriveArchive(stdout, *archO, *seed, configFP, *chaos, dur, []driveResult{r}); err != nil {
+				return fail(1, err)
 			}
 		}
 		if r.checkerErr != nil {
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	// Each replication derives its world seed from (seed, config, rep):
@@ -554,7 +503,9 @@ func main() {
 	}
 	acc, err := sweep.Reduce(context.Background(), *workers, *reps,
 		func(_ context.Context, rep int) (driveResult, error) {
-			return runDrive(cfg, *city, sweep.TaskSeed(*seed, *config, rep), *speed, *numAPs, dur, "", *chaos, ospec)
+			d := drive
+			d.Seed = sweep.TaskSeed(*seed, *config, rep)
+			return runDrive(stdout, d, dur, "", ospec)
 		},
 		accum{}, func(a accum, r driveResult) accum {
 			a.results = append(a.results, r)
@@ -564,44 +515,44 @@ func main() {
 			return a
 		})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "spider-sim:", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
 	results := acc.results
 	if *metricsO != "" {
 		if err := obs.WriteMetricsFile(*metricsO, obs.MergeSnapshots(acc.snaps...)); err != nil {
-			fmt.Fprintln(os.Stderr, "spider-sim:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 	}
 	if *archO != "" {
-		if err := writeDriveArchive(*archO, *seed, configFP, *chaos, results); err != nil {
-			fmt.Fprintln(os.Stderr, "spider-sim:", err)
-			os.Exit(1)
+		if err := writeDriveArchive(stdout, *archO, *seed, configFP, *chaos, dur, results); err != nil {
+			return fail(1, err)
 		}
 	}
-	fmt.Printf("Drive: %s, %d APs, %.1f m/s, %v simulated ×%d reps (%v wall, %d workers)\n",
-		*city, results[0].numAPs, results[0].speedMS, dur, *reps,
+	fmt.Fprintf(stdout, "Drive: %s, %d APs, %.1f m/s, %v simulated ×%d reps (%v wall, %d workers)\n",
+		*city, len(results[0].World.APs), drive.Spec().SpeedMS, dur, *reps,
 		time.Since(start).Round(time.Millisecond), sweep.Workers(*workers))
-	fmt.Printf("Driver: %s\n\n", results[0].mode)
+	fmt.Fprintf(stdout, "Driver: %s\n\n", cfg.Mode)
 	var tputs, conn []float64
 	checkerFailed := false
 	for i, r := range results {
-		fmt.Printf("  rep %d (seed %d): %s, connectivity %s, %d connections, %d disruptions\n",
-			i, r.seed, metrics.FormatKBps(r.throughputKBps), metrics.FormatPct(r.connectivity),
-			len(r.conns), len(r.gaps))
+		rec := r.Client.Rec
+		tput, c := rec.ThroughputKBps(dur), rec.Connectivity(dur)
+		fmt.Fprintf(stdout, "  rep %d (seed %d): %s, connectivity %s, %d connections, %d disruptions\n",
+			i, r.seed, metrics.FormatKBps(tput), metrics.FormatPct(c),
+			len(rec.Connections(dur)), len(rec.Disruptions(dur)))
 		if r.checkerErr != nil {
-			fmt.Printf("    CHECKER FAILED: %v\n", r.checkerErr)
+			fmt.Fprintf(stdout, "    CHECKER FAILED: %v\n", r.checkerErr)
 			checkerFailed = true
 		}
-		tputs = append(tputs, r.throughputKBps)
-		conn = append(conn, r.connectivity)
+		tputs = append(tputs, tput)
+		conn = append(conn, c)
 	}
-	fmt.Printf("\n  avg throughput:   %s ± %s\n",
+	fmt.Fprintf(stdout, "\n  avg throughput:   %s ± %s\n",
 		metrics.FormatKBps(metrics.Mean(tputs)), metrics.FormatKBps(metrics.StdDev(tputs)))
-	fmt.Printf("  connectivity:     %s ± %s\n",
+	fmt.Fprintf(stdout, "  connectivity:     %s ± %s\n",
 		metrics.FormatPct(metrics.Mean(conn)), metrics.FormatPct(metrics.StdDev(conn)))
 	if checkerFailed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

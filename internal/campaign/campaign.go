@@ -1,8 +1,10 @@
-// Package campaign holds the resumable campaign-state machinery shared
-// by cmd/spider-exp's -resume flag and the supervisor's store: the
-// completed-experiment ledger riding next to the partial archive, the
-// canonical document codec, and durable persistence through
-// internal/atomicfile.
+// Package campaign is what cmd/spider-exp and the supervisor share about
+// an experiment campaign: its description (Spec), which both
+// front-ends validate and fingerprint through Spec.Resolve, and the
+// resumable state machinery behind spider-exp's -resume flag and the
+// supervisor's store — the completed-experiment ledger riding next to
+// the partial archive, the canonical document codec, and durable
+// persistence through internal/atomicfile.
 //
 // A campaign is a multi-experiment archived run. After each experiment
 // completes, the partial archive plus the completed-id list persist

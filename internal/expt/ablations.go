@@ -6,7 +6,6 @@ import (
 
 	"spider/internal/core"
 	"spider/internal/metrics"
-	"spider/internal/scenario"
 	"spider/internal/wifi"
 )
 
@@ -31,16 +30,11 @@ func AblationSelection(o Options) Table {
 	run := func(useHistory bool) []string {
 		// Densify the deployment: the heuristic only matters when several
 		// candidate APs contest the interface budget at once.
-		spec := scenario.AmherstDrive(o.Seed)
-		spec.Radio = driveRadio()
-		spec.NumAPs = 80
-		w, mob := spec.Build()
 		cfg := core.SpiderDefaults(core.SingleChannelMultiAP, []core.ChannelSlice{{Channel: 1}})
 		cfg.MaxInterfaces = 1
 		cfg.UseHistory = useHistory
-		c := w.AddClient(cfg, mob)
 		dur := o.driveDur()
-		w.Run(dur)
+		c := Drive{Seed: o.Seed, NumAPs: 80, Config: cfg}.Build().Run(dur)
 		name := "recency (stock)"
 		if useHistory {
 			name = "join-history (Spider)"
@@ -70,14 +64,12 @@ func AblationCache(o Options) Table {
 		Columns: []string{"Cache", "Throughput", "Median join", "Fast-path joins"},
 	}
 	run := func(useCache bool) []string {
-		w, mob := buildDrive(o.Seed, 0)
 		cfg := core.SpiderDefaults(core.SingleChannelMultiAP, []core.ChannelSlice{{Channel: 1}})
 		cfg.UseLeaseCache = useCache
-		c := w.AddClient(cfg, mob)
 		// The cache only matters on REPEAT encounters: floor the run at
 		// two-plus laps of the loop regardless of scale.
 		dur := o.scaleDur(40*time.Minute, 14*time.Minute)
-		w.Run(dur)
+		c := Drive{Seed: o.Seed, Config: cfg}.Build().Run(dur)
 		name := "off"
 		if useCache {
 			name = "on"
@@ -109,10 +101,8 @@ func AblationChannel(o Options) Table {
 	}
 	dur := o.driveDur()
 	runFixed := func(ch int) (float64, float64) {
-		w, mob := buildDrive(o.Seed, 0)
 		cfg := core.SpiderDefaults(core.SingleChannelMultiAP, []core.ChannelSlice{{Channel: ch}})
-		c := w.AddClient(cfg, mob)
-		w.Run(dur)
+		c := Drive{Seed: o.Seed, Config: cfg}.Build().Run(dur)
 		return c.Rec.ThroughputKBps(dur), c.Rec.Connectivity(dur)
 	}
 	// The fixed-channel drives and the channel survey are mutually
@@ -131,11 +121,9 @@ func AblationChannel(o Options) Table {
 				metrics.FormatKBps(tput), metrics.FormatPct(conn)}}
 		}
 		// Dynamic policy, phase one: survey 3 s per channel.
-		w, mob := buildDrive(o.Seed, 0)
 		surveyCfg := core.SpiderDefaults(core.MultiChannelMultiAP, core.EqualSchedule(200*time.Millisecond, 1, 6, 11))
 		surveyCfg.MaxInterfaces = 1 // survey only; no point joining yet
-		c := w.AddClient(surveyCfg, mob)
-		w.Run(9 * time.Second)
+		c := Drive{Seed: o.Seed, Config: surveyCfg}.Build().Run(9 * time.Second)
 		counts := map[int]int{}
 		for _, r := range c.Driver.KnownAPs() {
 			counts[r.Channel]++
@@ -153,10 +141,8 @@ func AblationChannel(o Options) Table {
 	}
 	best := steps[nfixed].best
 	// Fresh world, committed to the surveyed winner.
-	w2, mob2 := buildDrive(o.Seed, 0)
 	cfg := core.SpiderDefaults(core.SingleChannelMultiAP, []core.ChannelSlice{{Channel: best}})
-	c2 := w2.AddClient(cfg, mob2)
-	w2.Run(dur)
+	c2 := Drive{Seed: o.Seed, Config: cfg}.Build().Run(dur)
 	tbl.Rows = append(tbl.Rows, []string{
 		fmt.Sprintf("dynamic (surveyed → ch %d)", best),
 		metrics.FormatKBps(c2.Rec.ThroughputKBps(dur)),

@@ -104,6 +104,9 @@ func (r Fig4Result) String() string {
 	return out
 }
 
+// Figures returns the three scenario panels.
+func (r Fig4Result) Figures() []Figure { return r.Scenarios }
+
 // Fig4 reproduces Figure 4: the optimal per-channel bandwidth extracted
 // at each speed for the three offered-bandwidth splits, using the
 // Eqs. 8–10 optimization with βmax=10 s, βmin=500 ms and 100 m range.

@@ -79,21 +79,17 @@ func RunArchived(a *archive.Archive, id string, o Options) (fmt.Stringer, error)
 	exp := archive.Experiment{ID: expID, Name: id, Chaos: o.Chaos}
 	rb := resultBuilder{expID: expID}
 	switch r := res.(type) {
-	case Figure:
-		rb.figure(r)
-	case Table:
-		rb.table(r)
-	case Fig4Result:
-		for _, f := range r.Scenarios {
+	case FigureSet:
+		for _, f := range r.Figures() {
 			rb.figure(f)
 		}
-		for i, v := range r.DividingSpeeds {
-			rb.num("fig4", fmt.Sprintf("dividing_speed[%d]", i), v)
+		if f4, ok := r.(Fig4Result); ok {
+			for i, v := range f4.DividingSpeeds {
+				rb.num("fig4", fmt.Sprintf("dividing_speed[%d]", i), v)
+			}
 		}
-	case Fig10Result:
-		rb.figure(r.Connections)
-		rb.figure(r.Disruptions)
-		rb.figure(r.Bandwidth)
+	case Table:
+		rb.table(r)
 	case ChaosResult:
 		exp.Faults = archive.FaultsFrom(expID, r.Stats)
 		rb.table(r.Drives)

@@ -5,11 +5,8 @@ import (
 	"strings"
 	"time"
 
-	"spider/internal/core"
 	"spider/internal/fault"
 	"spider/internal/metrics"
-	"spider/internal/obs"
-	"spider/internal/scenario"
 	"spider/internal/sweep"
 )
 
@@ -61,25 +58,6 @@ func chaosProfile(spec string) (fault.Config, fault.Timeline, string, error) {
 	return fault.Resolve(spec)
 }
 
-// chaosDrive runs one Amherst drive under the given fault config and
-// returns the client, chaos state and duration.
-func chaosDrive(seed int64, dur time.Duration, cfg core.Config, fcfg fault.Config, tl fault.Timeline, o *obs.Obs) (*scenario.Client, *scenario.Chaos, time.Duration) {
-	spec := scenario.AmherstDrive(seed)
-	spec.Radio = driveRadio()
-	w, m := spec.Build()
-	w.AttachObs(o)
-	c := w.AddClient(cfg, m)
-	ch := scenario.ApplyChaos(w, c, fcfg)
-	if len(tl) > 0 {
-		ch.Injector.ScheduleTimeline(tl)
-		if ch.Checker != nil {
-			ch.Checker.StartLiveness(5 * time.Second)
-		}
-	}
-	w.Run(dur)
-	return c, ch, dur
-}
-
 // ChaosDrive runs the hostile-city experiment: the same Amherst drive
 // with the multi-channel multi-AP Spider configuration, once clean and
 // once under the fault profile (Options.Chaos; "aggressive" by
@@ -106,34 +84,30 @@ func ChaosDrive(o Options) (ChaosResult, error) {
 		},
 	}
 	dur := o.driveDur()
-	cfg := spiderConfig("3ch-multi")
-	seed := sweep.TaskSeed(o.Seed, "chaos", 0)
-
-	type drive struct {
-		c  *scenario.Client
-		ch *scenario.Chaos
-	}
-	runs := fanOut(o, 2, func(i int) drive {
-		if i == 0 {
-			c, ch, _ := chaosDrive(seed, dur, cfg, fault.Config{}, nil, o.Obs)
-			return drive{c, ch}
+	// Run 0 is the clean baseline: the checker without faults.
+	runs := fanOut(o, 2, func(i int) DriveRun {
+		d := Drive{Seed: sweep.TaskSeed(o.Seed, "chaos", 0), Config: spiderConfig("3ch-multi"), Obs: o.Obs,
+			Faults: &fault.Config{}}
+		if i == 1 {
+			d.Faults, d.Timeline = &fcfg, tl
 		}
-		c, ch, _ := chaosDrive(seed, dur, cfg, fcfg, tl, o.Obs)
-		return drive{c, ch}
+		r := d.Build()
+		r.Run(dur)
+		return r
 	})
 
-	row := func(label string, d drive) []string {
-		st := d.c.Driver.Stats()
+	row := func(label string, d DriveRun) []string {
+		st := d.Client.Driver.Stats()
 		fails := 0
-		for _, j := range d.c.Joins {
+		for _, j := range d.Client.Joins {
 			if !j.Success {
 				fails++
 			}
 		}
 		return []string{
 			label,
-			metrics.FormatKBps(d.c.Rec.ThroughputKBps(dur)),
-			metrics.FormatPct(d.c.Rec.Connectivity(dur)),
+			metrics.FormatKBps(d.Client.Rec.ThroughputKBps(dur)),
+			metrics.FormatPct(d.Client.Rec.Connectivity(dur)),
 			fmt.Sprint(st.JoinSuccesses),
 			fmt.Sprint(fails),
 			fmt.Sprint(st.Blacklisted),
@@ -141,7 +115,7 @@ func ChaosDrive(o Options) (ChaosResult, error) {
 	}
 	res.Drives.Rows = [][]string{row("clean", runs[0]), row("chaos", runs[1])}
 
-	res.Stats = runs[1].ch.Injector.Snapshot()
+	res.Stats = runs[1].Chaos.Injector.Snapshot()
 	for _, cs := range res.Stats {
 		if cs.Injected == 0 && cs.Skipped == 0 {
 			continue
@@ -159,7 +133,7 @@ func ChaosDrive(o Options) (ChaosResult, error) {
 	// Both runs' checkers must pass: chaos must not corrupt the driver,
 	// and the clean run guards the harness itself.
 	for i, d := range runs {
-		if err := d.ch.Checker.Verify(); err != nil {
+		if err := d.Chaos.Checker.Verify(); err != nil {
 			res.Checker = err.Error()
 			res.Err = fmt.Errorf("run %d: %w", i, err)
 			break

@@ -50,36 +50,52 @@ func cityRun(o Options, withObs bool) (*shard.City, time.Duration, error) {
 	return specRun("city", spec, dur, o, withObs)
 }
 
-// specRun finishes a city-style spec — radio profile, driver config,
-// shard workers, observability, chaos — and advances it. Shared by the
-// city and metro experiments so both archive through the exact same
-// engine path.
+// specRun builds a city-style spec with the harness's 3-channel
+// multi-AP Spider fleet and advances it. Shared by the city and metro
+// experiments so both archive through the exact same engine path.
 func specRun(id string, spec scenario.CityGridSpec, dur time.Duration, o Options, withObs bool) (*shard.City, time.Duration, error) {
+	var co *CityObs
+	if withObs {
+		co = &CityObs{TraceCap: cityTraceCap}
+	}
+	city, err := BuildCity(spec, spiderConfig("3ch-multi"), o, co)
+	if err == nil {
+		err = city.Run(dur)
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("%s: %w", id, err)
+	}
+	return city, dur, nil
+}
+
+// CityObs enables per-tile observability on a city: each tile's trace
+// ring holds TraceCap events (0 = the obs default) of the Filter
+// categories (none = all).
+type CityObs struct {
+	TraceCap int
+	Filter   []string
+}
+
+// BuildCity finishes a city-style spec — the city radio profile, o's
+// admission stagger, shard workers and chaos profile, observability
+// when co is non-nil — and builds the sharded city, not yet advanced.
+// The city experiments and spider-sim build every city through it.
+func BuildCity(spec scenario.CityGridSpec, cfg core.Config, o Options, co *CityObs) (*shard.City, error) {
 	spec.Radio = radio.Defaults()
 	spec.Radio.DataRateKbps = 24_000
 	spec.JoinSpread, spec.JoinRamp = o.JoinSpread, o.JoinRamp
-	cfg := core.SpiderDefaults(core.MultiChannelMultiAP,
-		core.EqualSchedule(200*time.Millisecond, 1, 6, 11))
-
-	workers := o.Shards
-	if workers <= 0 {
-		workers = 1
-	}
-	city := shard.NewCity(spec, cfg, workers)
-	if withObs {
-		city.EnableObs(cityTraceCap)
+	city := shard.NewCity(spec, cfg, max(o.Shards, 1))
+	if co != nil {
+		city.EnableObs(co.TraceCap, co.Filter...)
 	}
 	if o.Chaos != "" {
 		fcfg, ok := fault.Profile(o.Chaos)
 		if !ok {
-			return nil, 0, fmt.Errorf("%s: unknown chaos profile %q", id, o.Chaos)
+			return nil, fmt.Errorf("unknown chaos profile %q (timeline scripts are single-drive only)", o.Chaos)
 		}
 		city.ApplyChaos(fcfg)
 	}
-	if err := city.Run(dur); err != nil {
-		return nil, 0, err
-	}
-	return city, dur, nil
+	return city, nil
 }
 
 // cityFigure renders a completed city-style run as the experiment's

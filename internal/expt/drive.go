@@ -5,7 +5,10 @@ import (
 	"time"
 
 	"spider/internal/core"
+	"spider/internal/fault"
 	"spider/internal/metrics"
+	"spider/internal/obs"
+	"spider/internal/radio"
 	"spider/internal/scenario"
 	"spider/internal/usertrace"
 )
@@ -54,20 +57,75 @@ func spiderConfig(name string) core.Config {
 	return cfg
 }
 
-// driveClient runs one Amherst (or Boston) drive with the config and
-// returns the measured client and the run duration.
-func driveClient(o Options, boston bool, cfg core.Config) (*scenario.Client, time.Duration) {
-	spec := scenario.AmherstDrive(o.Seed)
-	if boston {
-		spec = scenario.BostonDrive(o.Seed)
+// Drive is one §4.3 vehicular drive: a single client on the Amherst
+// (or Boston) loop under the drive radio profile. The drive experiments
+// and spider-sim build every drive through it.
+type Drive struct {
+	Seed    int64
+	Boston  bool    // the Boston loop instead of Amherst
+	SpeedMS float64 // >0 overrides the loop's vehicle speed
+	NumAPs  int     // >0 overrides the deployed AP count
+	Config  core.Config
+	// Obs, when non-nil, is attached before the client joins, so the
+	// driver histograms and the injector's episode spans are wired from
+	// the start.
+	Obs *obs.Obs
+	// Faults, when non-nil, layers a fault injector and invariant
+	// checker over the drive (scenario.ApplyChaos); Timeline schedules
+	// scripted faults on top and starts the checker's liveness watch.
+	Faults   *fault.Config
+	Timeline fault.Timeline
+}
+
+// Spec is the drive's scenario with its overrides applied. The radio is
+// the outdoor drive profile: paper geometry, 802.11g-class data rate
+// (the testbed's), and an early loss ramp — vehicular links degrade
+// well inside the nominal range, so the usable core of an encounter
+// matches the paper's ~8 s median.
+func (d Drive) Spec() scenario.DriveSpec {
+	spec := scenario.AmherstDrive(d.Seed)
+	if d.Boston {
+		spec = scenario.BostonDrive(d.Seed)
 	}
-	spec.Radio = driveRadio()
-	w, m := spec.Build()
-	w.AttachObs(o.Obs)
-	c := w.AddClient(cfg, m)
-	dur := o.driveDur()
-	w.Run(dur)
-	return c, dur
+	spec.Radio = radio.Defaults()
+	spec.Radio.DataRateKbps = 24_000
+	spec.Radio.Loss = 0.08
+	spec.Radio.EdgeStart = 0.55
+	if d.SpeedMS > 0 {
+		spec.SpeedMS = d.SpeedMS
+	}
+	if d.NumAPs > 0 {
+		spec.NumAPs = d.NumAPs
+	}
+	return spec
+}
+
+// DriveRun is a built drive, not yet advanced.
+type DriveRun struct {
+	World  *scenario.World
+	Client *scenario.Client
+	Chaos  *scenario.Chaos // nil unless Drive.Faults is set
+}
+
+// Build creates the world, joins the client and applies the faults.
+func (d Drive) Build() DriveRun {
+	w, mob := d.Spec().Build()
+	w.AttachObs(d.Obs)
+	r := DriveRun{World: w, Client: w.AddClient(d.Config, mob)}
+	if d.Faults != nil {
+		r.Chaos = scenario.ApplyChaos(w, r.Client, *d.Faults)
+		if len(d.Timeline) > 0 {
+			r.Chaos.Injector.ScheduleTimeline(d.Timeline)
+			r.Chaos.Checker.StartLiveness(5 * time.Second)
+		}
+	}
+	return r
+}
+
+// Run advances the drive to dur and returns its client.
+func (r DriveRun) Run(dur time.Duration) *scenario.Client {
+	r.World.Run(dur)
+	return r.Client
 }
 
 // Table2 reproduces Table 2: average throughput and connectivity for the
@@ -77,6 +135,7 @@ func driveClient(o Options, boston bool, cfg core.Config) (*scenario.Client, tim
 // connectivity, and stock trails everything.
 func Table2(o Options) Table {
 	o = o.withDefaults()
+	dur := o.driveDur()
 	tbl := Table{
 		ID:      "table2",
 		Title:   "Avg. throughput and connectivity for Spider configurations",
@@ -102,7 +161,7 @@ func Table2(o Options) Table {
 		} else {
 			cfg = spiderConfig(r.cfg)
 		}
-		c, dur := driveClient(o, r.boston, cfg)
+		c := Drive{Seed: o.Seed, Boston: r.boston, Config: cfg, Obs: o.Obs}.Build().Run(dur)
 		return []string{
 			r.label,
 			metrics.FormatKBps(c.Rec.ThroughputKBps(dur)),
@@ -117,6 +176,7 @@ func Table2(o Options) Table {
 // shape: one channel maximizes throughput, three maximize connectivity.
 func Table4(o Options) Table {
 	o = o.withDefaults()
+	dur := o.driveDur()
 	tbl := Table{
 		ID:      "table4",
 		Title:   "Throughput and connectivity vs number of channels (multi-AP)",
@@ -136,7 +196,7 @@ func Table4(o Options) Table {
 		if len(r.sched) == 1 {
 			mode = core.SingleChannelMultiAP
 		}
-		c, dur := driveClient(o, false, core.SpiderDefaults(mode, r.sched))
+		c := Drive{Seed: o.Seed, Config: core.SpiderDefaults(mode, r.sched), Obs: o.Obs}.Build().Run(dur)
 		return []string{
 			r.label,
 			metrics.FormatKBps(c.Rec.ThroughputKBps(dur)),
@@ -158,9 +218,13 @@ func (r Fig10Result) String() string {
 	return r.Connections.String() + r.Disruptions.String() + r.Bandwidth.String()
 }
 
+// Figures returns panels a, b and c.
+func (r Fig10Result) Figures() []Figure { return []Figure{r.Connections, r.Disruptions, r.Bandwidth} }
+
 // Fig10 reproduces Figures 10a–c for the four Spider configurations.
 func Fig10(o Options) Fig10Result {
 	o = o.withDefaults()
+	dur := o.driveDur()
 	res := Fig10Result{
 		Connections: Figure{ID: "fig10a", Title: "CDF of connection duration",
 			XLabel: "connection duration (s)", YLabel: "cumulative fraction"},
@@ -178,7 +242,7 @@ func Fig10(o Options) Fig10Result {
 	type panels struct{ conn, gap, bw Series }
 	got := fanOut(o, len(rows), func(i int) panels {
 		r := rows[i]
-		c, dur := driveClient(o, false, spiderConfig(r.cfg))
+		c := Drive{Seed: o.Seed, Config: spiderConfig(r.cfg), Obs: o.Obs}.Build().Run(dur)
 		return panels{
 			conn: cdfSeries(r.label, metrics.DurationsCDF(c.Rec.Connections(dur))),
 			gap:  cdfSeries(r.label, metrics.DurationsCDF(c.Rec.Disruptions(dur))),
@@ -207,6 +271,7 @@ func cdfSeries(name string, c metrics.CDF) Series {
 // connections are long enough to carry the users' flows.
 func Fig13(o Options) Figure {
 	o = o.withDefaults()
+	dur := o.driveDur()
 	fig := Figure{
 		ID:     "fig13",
 		Title:  "Connection lengths: wireless users vs Spider",
@@ -222,7 +287,7 @@ func Fig13(o Options) Figure {
 	}
 	fig.Series = append(fig.Series, fanOut(o, len(rows), func(i int) Series {
 		r := rows[i]
-		c, dur := driveClient(o, false, spiderConfig(r.cfg))
+		c := Drive{Seed: o.Seed, Config: spiderConfig(r.cfg), Obs: o.Obs}.Build().Run(dur)
 		return cdfSeries(r.label, metrics.DurationsCDF(c.Rec.Connections(dur)))
 	})...)
 	return fig
@@ -233,6 +298,7 @@ func Fig13(o Options) Figure {
 // Spider's disruptions are comparable to the gaps users already sustain.
 func Fig14(o Options) Figure {
 	o = o.withDefaults()
+	dur := o.driveDur()
 	fig := Figure{
 		ID:     "fig14",
 		Title:  "Disruption lengths: wireless users vs Spider",
@@ -248,7 +314,7 @@ func Fig14(o Options) Figure {
 	}
 	fig.Series = append(fig.Series, fanOut(o, len(rows), func(i int) Series {
 		r := rows[i]
-		c, dur := driveClient(o, false, spiderConfig(r.cfg))
+		c := Drive{Seed: o.Seed, Config: spiderConfig(r.cfg), Obs: o.Obs}.Build().Run(dur)
 		return cdfSeries(r.label, metrics.DurationsCDF(c.Rec.Disruptions(dur)))
 	})...)
 	return fig

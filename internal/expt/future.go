@@ -39,12 +39,9 @@ func AblationWeb(o Options) Table {
 	names := []string{"ch1-multi", "3ch-multi", "3ch-single", "stock"}
 	tbl.Rows = fanOut(o, len(names), func(i int) []string {
 		name := names[i]
-		spec := scenario.AmherstDrive(o.Seed)
-		spec.Radio = driveRadio()
-		w, mob := spec.Build()
-		c := w.AddClient(spiderConfig(name), mob)
-		c.SetWorkload(scenario.DefaultWebWorkload())
-		w.Run(dur)
+		r := Drive{Seed: o.Seed, Config: spiderConfig(name)}.Build()
+		r.Client.SetWorkload(scenario.DefaultWebWorkload())
+		c := r.Run(dur)
 		med, p90 := "n/a", "n/a"
 		if len(c.Web.LoadTimes) > 0 {
 			cdf := metrics.DurationsCDF(c.Web.LoadTimes)
@@ -73,8 +70,7 @@ func AblationStopGo(o Options) Table {
 	}
 	dur := o.driveDur()
 	run := func(stopgo bool) []string {
-		spec := scenario.AmherstDrive(o.Seed)
-		spec.Radio = driveRadio()
+		spec := Drive{Seed: o.Seed}.Spec()
 		w, mob := spec.Build()
 		name := "constant 10 m/s"
 		avg := spec.SpeedMS
@@ -185,12 +181,7 @@ func AblationDividing(o Options) Table {
 			sched = core.EqualSchedule(200*time.Millisecond, 1, 6, 11)
 			mode = core.MultiChannelMultiAP
 		}
-		spec := scenario.AmherstDrive(o.Seed)
-		spec.Radio = driveRadio()
-		spec.SpeedMS = speed
-		w, mob := spec.Build()
-		c := w.AddClient(core.SpiderDefaults(mode, sched), mob)
-		w.Run(dur)
+		c := Drive{Seed: o.Seed, SpeedMS: speed, Config: core.SpiderDefaults(mode, sched)}.Build().Run(dur)
 		return c.Rec.ThroughputKBps(dur)
 	})
 	for i, speed := range speeds {
@@ -290,9 +281,10 @@ func AblationEnergy(o Options) Table {
 	}
 	model := energy.DefaultModel()
 	names := []string{"ch1-multi", "ch1-single", "3ch-multi", "3ch-single", "stock"}
+	dur := o.driveDur()
 	tbl.Rows = fanOut(o, len(names), func(i int) []string {
 		name := names[i]
-		c, dur := driveClient(o, false, spiderConfig(name))
+		c := Drive{Seed: o.Seed, Config: spiderConfig(name), Obs: o.Obs}.Build().Run(dur)
 		rep := model.Account(c.Driver.Airtime(), dur)
 		jpmb := energy.JoulesPerMB(rep, c.Rec.TotalBytes())
 		return []string{
@@ -319,8 +311,7 @@ func AblationInterference(o Options) Table {
 	}
 	dur := o.scaleDur(20*time.Minute, 3*time.Minute)
 	run := func(n int, hidden bool) (agg, conn float64) {
-		spec := scenario.AmherstDrive(o.Seed)
-		spec.Radio = driveRadio()
+		spec := Drive{Seed: o.Seed}.Spec()
 		spec.Radio.HiddenCollisions = hidden
 		w, _ := spec.Build()
 		route := geo.RectLoop(spec.LoopW, spec.LoopH)

@@ -5,35 +5,10 @@ import (
 
 	"spider/internal/core"
 	"spider/internal/dhcp"
-	"spider/internal/geo"
 	"spider/internal/mac"
-	"spider/internal/radio"
 	"spider/internal/scenario"
 	"spider/internal/wifi"
 )
-
-// driveRadio is the medium configuration for outdoor drive scenarios:
-// paper geometry, 802.11g-class data rate (the testbed's), and an early
-// loss ramp — vehicular links degrade well inside the nominal range, so
-// the usable core of an encounter matches the paper's ~8 s median.
-func driveRadio() radio.Config {
-	cfg := radio.Defaults()
-	cfg.DataRateKbps = 24_000
-	cfg.Loss = 0.08
-	cfg.EdgeStart = 0.55
-	return cfg
-}
-
-// buildDrive creates an Amherst drive world and mobility with the given
-// seed, optionally overriding the speed.
-func buildDrive(seed int64, speedMS float64) (*scenario.World, geo.Mobility) {
-	spec := scenario.AmherstDrive(seed)
-	spec.Radio = driveRadio()
-	if speedMS > 0 {
-		spec.SpeedMS = speedMS
-	}
-	return spec.Build()
-}
 
 // primarySchedule builds the Fig 5/6 style schedule: fraction f of
 // period D on the primary channel, the remainder split evenly over the

@@ -41,12 +41,10 @@ func Fig5(o Options) Figure {
 	fracs := []float64{0.25, 0.50, 0.75, 1.00}
 	fig.Series = fanOut(o, len(fracs), func(i int) Series {
 		f := fracs[i]
-		w, mob := buildDrive(o.Seed, 0)
 		cfg := joinCfg(primarySchedule(6, f, D), mac.ReducedJoinConfig(),
 			dhcp.ReducedClientConfig(100*time.Millisecond))
-		c := w.AddClient(cfg, mob)
-		w.Run(o.driveDur())
-		succ, total := assocOn(c, channelOf(w), 6)
+		r := Drive{Seed: o.Seed, Config: cfg}.Build()
+		succ, total := assocOn(r.Run(o.driveDur()), channelOf(r.World), 6)
 		return Series{Name: fmt.Sprintf("%d%%", int(f*100)), Points: failureAwareCDF(succ, total, xs)}
 	})
 	return fig
@@ -78,11 +76,10 @@ func Fig6(o Options) Figure {
 	}
 	fig.Series = fanOut(o, len(rows), func(i int) Series {
 		r := rows[i]
-		w, mob := buildDrive(o.Seed, 0)
 		cfg := joinCfg(primarySchedule(6, r.f, D), mac.ReducedJoinConfig(), r.dhc)
-		c := w.AddClient(cfg, mob)
-		w.Run(o.driveDur())
-		chans := channelOf(w)
+		run := Drive{Seed: o.Seed, Config: cfg}.Build()
+		c := run.Run(o.driveDur())
+		chans := channelOf(run.World)
 		var succ []time.Duration
 		total := 0
 		for _, e := range c.Joins {
@@ -127,10 +124,8 @@ func Fig11(o Options) Figure {
 	}
 	fig.Series = fanOut(o, len(rows), func(i int) Series {
 		r := rows[i]
-		w, mob := buildDrive(o.Seed, 0)
 		cfg := joinCfg(r.sched, mac.ReducedJoinConfig(), r.dhc)
-		c := w.AddClient(cfg, mob)
-		w.Run(o.driveDur())
+		c := Drive{Seed: o.Seed, Config: cfg}.Build().Run(o.driveDur())
 		succ, total := joinsAll(c)
 		return Series{Name: r.name, Points: failureAwareCDF(succ, total, xs)}
 	})
@@ -169,7 +164,6 @@ func Fig12(o Options) Figure {
 	}
 	fig.Series = fanOut(o, len(rows), func(i int) Series {
 		r := rows[i]
-		w, mob := buildDrive(o.Seed, 0)
 		cfg := joinCfg(r.sched, r.link, r.dhc)
 		cfg.MaxInterfaces = r.ifaces
 		if r.ifaces == 1 {
@@ -180,8 +174,7 @@ func Fig12(o Options) Figure {
 				cfg.MaxInterfaces = 1
 			}
 		}
-		c := w.AddClient(cfg, mob)
-		w.Run(o.driveDur())
+		c := Drive{Seed: o.Seed, Config: cfg}.Build().Run(o.driveDur())
 		succ, total := joinsAll(c)
 		return Series{Name: r.name, Points: failureAwareCDF(succ, total, xs)}
 	})
@@ -224,10 +217,8 @@ func Table3(o Options) Table {
 	flat := fanOut(o, len(rows)*seeds, func(idx int) sample {
 		r := rows[idx/seeds]
 		s := idx % seeds
-		w, mob := buildDrive(o.Seed+int64(100*s), 0)
 		cfg := joinCfg(r.sched, r.link, r.dhc)
-		c := w.AddClient(cfg, mob)
-		w.Run(o.driveDur() / 2)
+		c := Drive{Seed: o.Seed + int64(100*s), Config: cfg}.Build().Run(o.driveDur() / 2)
 		fails, total := 0, 0
 		for _, j := range c.Joins {
 			total++

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"time"
 
+	"spider/internal/fault"
 	"spider/internal/obs"
 	"spider/internal/plot"
 )
@@ -63,6 +64,33 @@ type Options struct {
 
 // DefaultOptions is the paper-like scale.
 func DefaultOptions() Options { return Options{Seed: 1, Scale: 1} }
+
+// Validate refuses options no experiment can honour, so every
+// front-end bounces them before anything runs: a scale outside (0,1],
+// negative worker or shard counts, a negative admission spread, a ramp
+// other than uniform or exp, or a chaos spec fault.Resolve rejects.
+// Zero Seed and Scale are defaults, not errors, and an empty JoinRamp
+// means uniform.
+func (o Options) Validate() error {
+	switch {
+	case !(o.Scale >= 0 && o.Scale <= 1):
+		return fmt.Errorf("scale %g outside (0,1]", o.Scale)
+	case o.Workers < 0:
+		return fmt.Errorf("workers %d negative", o.Workers)
+	case o.Shards < 0:
+		return fmt.Errorf("shards %d negative", o.Shards)
+	case o.JoinSpread < 0:
+		return fmt.Errorf("join spread %v negative", o.JoinSpread)
+	case o.JoinRamp != "" && o.JoinRamp != "uniform" && o.JoinRamp != "exp":
+		return fmt.Errorf("join ramp %q (want uniform or exp)", o.JoinRamp)
+	}
+	if o.Chaos != "" {
+		if _, _, _, err := fault.Resolve(o.Chaos); err != nil {
+			return fmt.Errorf("chaos: %w", err)
+		}
+	}
+	return nil
+}
 
 func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
@@ -148,6 +176,12 @@ func (f Figure) chart() plot.Chart {
 	}
 	return c
 }
+
+// FigureSet is a result that holds figures, in render order.
+type FigureSet interface{ Figures() []Figure }
+
+// Figures makes a lone figure a FigureSet.
+func (f Figure) Figures() []Figure { return []Figure{f} }
 
 // SeriesByName finds a series (nil if absent).
 func (f Figure) SeriesByName(name string) *Series {

@@ -37,6 +37,8 @@ func FuzzCampaignSpec(f *testing.F) {
 		`{"ids":"all","seed":-4,"scale":1e-9,"chaos":"aggressive","workers":3,"shards":2,"join_spread_ms":500,"join_ramp":"exp"}`,
 		`{"ids":"fig2","join_spread_ms":-1}`,
 		`{"ids":"fig2","join_ramp":"linear"}`,
+		// A staggered spec without a ramp.
+		`{"ids":"fig2","seed":3,"scale":0.2,"join_spread_ms":500}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -45,12 +47,12 @@ func FuzzCampaignSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		sp = sp.normalize()
-		ids, opts, fp, err := sp.resolve()
+		sp = sp.Normalize()
+		ids, opts, fp, err := sp.Resolve()
 		if err != nil {
 			return
 		}
-		ids2, opts2, fp2, err := sp.resolve()
+		ids2, opts2, fp2, err := sp.Resolve()
 		if err != nil || fp2 != fp || fmt.Sprint(ids2) != fmt.Sprint(ids) || opts2 != opts {
 			t.Fatalf("spec %+v resolved twice: %v %q, then %v %q (%v)", sp, ids, fp, ids2, fp2, err)
 		}
@@ -62,7 +64,7 @@ func FuzzCampaignSpec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("stored spec %s does not decode: %v", stored, err)
 		}
-		if _, _, fp3, err := back.resolve(); err != nil || fp3 != fp {
+		if _, _, fp3, err := back.Resolve(); err != nil || fp3 != fp {
 			t.Fatalf("stored spec %s re-resolved to %q (%v), want %q", stored, fp3, err, fp)
 		}
 	})

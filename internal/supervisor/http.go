@@ -5,15 +5,17 @@ import (
 	"errors"
 	"io"
 	"net/http"
+
+	"spider/internal/campaign"
 )
 
 // decodeSpec reads a campaign spec from a POST body. Unknown fields are
 // refused, so a typo in an option name bounces instead of silently
 // running with the default.
-func decodeSpec(r io.Reader) (Spec, error) {
+func decodeSpec(r io.Reader) (campaign.Spec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	var sp Spec
+	var sp campaign.Spec
 	err := dec.Decode(&sp)
 	return sp, err
 }

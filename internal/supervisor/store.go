@@ -32,12 +32,12 @@ const (
 )
 
 type record struct {
-	Format  string `json:"format"`
-	Version int    `json:"version"`
-	ID      string `json:"id"`
-	Spec    Spec   `json:"spec"`
-	Status  string `json:"status"`
-	Error   string `json:"error,omitempty"`
+	Format  string        `json:"format"`
+	Version int           `json:"version"`
+	ID      string        `json:"id"`
+	Spec    campaign.Spec `json:"spec"`
+	Status  string        `json:"status"`
+	Error   string        `json:"error,omitempty"`
 	campaign.State
 }
 

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"spider/internal/archive"
+	"spider/internal/campaign"
 	"spider/internal/expt"
 	"spider/internal/obs"
 )
@@ -64,13 +65,13 @@ type RunStatus struct {
 
 // CampaignStatus is the JSON body of GET /campaigns/{id}.
 type CampaignStatus struct {
-	ID            string      `json:"id"`
-	Status        string      `json:"status"`
-	Error         string      `json:"error,omitempty"`
-	Spec          Spec        `json:"spec"`
-	TotalRuns     int         `json:"total_runs"`
-	CompletedRuns int         `json:"completed_runs"`
-	Runs          []RunStatus `json:"runs"`
+	ID            string        `json:"id"`
+	Status        string        `json:"status"`
+	Error         string        `json:"error,omitempty"`
+	Spec          campaign.Spec `json:"spec"`
+	TotalRuns     int           `json:"total_runs"`
+	CompletedRuns int           `json:"completed_runs"`
+	Runs          []RunStatus   `json:"runs"`
 }
 
 // Server is the campaign supervisor: an HTTP-facing registry of
@@ -144,7 +145,7 @@ func New(dir string, maxRuns int) (*Server, error) {
 
 // adopt wires a loaded record into the in-memory registry.
 func (s *Server) adopt(rec *record) (*Campaign, error) {
-	ids, opts, fp, err := rec.Spec.resolve()
+	ids, opts, fp, err := rec.Spec.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -171,9 +172,9 @@ func (s *Server) adopt(rec *record) (*Campaign, error) {
 
 // Submit validates a spec, persists the new campaign, and starts it.
 // It returns the campaign id.
-func (s *Server) Submit(sp Spec) (string, error) {
-	sp = sp.normalize()
-	_, _, fp, err := sp.resolve()
+func (s *Server) Submit(sp campaign.Spec) (string, error) {
+	sp = sp.Normalize()
+	_, _, fp, err := sp.Resolve()
 	if err != nil {
 		return "", err
 	}
@@ -188,7 +189,7 @@ func (s *Server) Submit(sp Spec) (string, error) {
 	rec.ConfigFP = fp
 	c, err := s.adopt(rec)
 	if err != nil {
-		// resolve() just succeeded; only a pathological store could fail
+		// Resolve just succeeded; only a pathological store could fail
 		// here, and the submission must not half-register.
 		delete(s.campaigns, id)
 		s.order = s.order[:len(s.order)-1]

@@ -3,15 +3,20 @@ package supervisor
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"spider/internal/campaign"
 	"spider/internal/expt"
 	"spider/internal/obs"
 )
@@ -21,9 +26,9 @@ import (
 // archive document. The supervisor's served bytes must equal these — a
 // byte-level contract the supervisor-smoke CI job re-proves against the
 // real binary.
-func cliArchiveBytes(t *testing.T, sp Spec) []byte {
+func cliArchiveBytes(t *testing.T, sp campaign.Spec) []byte {
 	t.Helper()
-	ids, opts, _, err := sp.resolve()
+	ids, opts, _, err := sp.Resolve()
 	if err != nil {
 		t.Fatalf("resolve: %v", err)
 	}
@@ -95,7 +100,7 @@ func TestCampaignEndToEnd(t *testing.T) {
 		t.Fatalf("healthz: HTTP %d", code)
 	}
 
-	sp := Spec{IDs: "fig2,fig3", Seed: 3, Scale: 0.2}
+	sp := campaign.Spec{IDs: "fig2,fig3", Seed: 3, Scale: 0.2}
 	code, out := postJSON(t, ts.URL+"/campaigns", `{"ids":"fig2,fig3","seed":3,"scale":0.2}`)
 	if code != http.StatusCreated || out["id"] == "" {
 		t.Fatalf("submit: HTTP %d %v", code, out)
@@ -187,7 +192,7 @@ func TestSpecValidationFailsFast(t *testing.T) {
 // to an uninterrupted run.
 func TestKillRestartResume(t *testing.T) {
 	dir := t.TempDir()
-	sp := Spec{IDs: "fig2,fig3,fig4", Seed: 5, Scale: 0.2}
+	sp := campaign.Spec{IDs: "fig2,fig3,fig4", Seed: 5, Scale: 0.2}
 	want := cliArchiveBytes(t, sp)
 
 	s1, err := New(dir, 1)
@@ -242,7 +247,7 @@ func TestKillRestartResume(t *testing.T) {
 // produce archives byte-identical to sequential, single-campaign runs
 // of the same specs.
 func TestConcurrentCampaignsDeterminism(t *testing.T) {
-	specs := []Spec{
+	specs := []campaign.Spec{
 		{IDs: "fig2,fig3", Seed: 11, Scale: 0.2},
 		{IDs: "fig3,fig4", Seed: 12, Scale: 0.2},
 		{IDs: "fig2,fig3", Seed: 11, Scale: 0.2}, // duplicate of the first
@@ -288,7 +293,7 @@ func TestCancelAndArchiveGating(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	id, err := s.Submit(Spec{IDs: "fig2,fig3,fig4,table3", Seed: 2, Scale: 0.2})
+	id, err := s.Submit(campaign.Spec{IDs: "fig2,fig3,fig4,table3", Seed: 2, Scale: 0.2})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -326,7 +331,7 @@ func TestDrainRejectsSubmissions(t *testing.T) {
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	if _, err := s.Submit(Spec{IDs: "fig2"}); err == nil {
+	if _, err := s.Submit(campaign.Spec{IDs: "fig2"}); err == nil {
 		t.Fatal("drained supervisor accepted a campaign")
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -336,29 +341,138 @@ func TestDrainRejectsSubmissions(t *testing.T) {
 	}
 }
 
-func TestSpecFingerprintMatchesCLI(t *testing.T) {
-	// The supervisor and spider-exp's -resume must agree on campaign
-	// identity: same formula, same inputs.
-	sp := Spec{IDs: "fig3,fig2", Seed: 9, Scale: 0.5, Chaos: "mild"}
-	ids, opts, fp, err := sp.resolve()
+// cliSpec builds a campaign spec the way spider-exp does, from its
+// command line.
+func cliSpec(t *testing.T, args string) campaign.Spec {
+	t.Helper()
+	fs := flag.NewFlagSet("spider-exp", flag.ContinueOnError)
+	spec := campaign.Flags(fs)
+	if err := fs.Parse(strings.Fields(args)); err != nil {
+		t.Fatalf("parse %q: %v", args, err)
+	}
+	sp, err := spec()
 	if err != nil {
-		t.Fatalf("resolve: %v", err)
+		t.Fatalf("flags %q: %v", args, err)
 	}
-	wantIDs := []string{"fig3", "fig2"}
-	if fmt.Sprint(ids) != fmt.Sprint(wantIDs) {
-		t.Fatalf("ids = %v, want %v", ids, wantIDs)
+	return sp
+}
+
+// TestSpecFingerprintMatchesCLI: spider-exp's flags and a POST body
+// naming the same campaign resolve to the same ids, the same archive
+// identity and the same campaign fingerprint — with the admission
+// stagger unset, and set with the ramp left out of the body.
+func TestSpecFingerprintMatchesCLI(t *testing.T) {
+	cases := []struct {
+		flags, body string
+		campFP      string // pinned campaign fingerprint ("" = not pinned)
+		archFP      string // pinned archive config_fp ("" = not pinned)
+	}{
+		{"-id fig3,fig2 -seed 9 -scale 0.5 -chaos mild",
+			`{"ids":"fig3,fig2","seed":9,"scale":0.5,"chaos":"mild"}`, "", ""},
+		{"-id fig2,table2 -seed 3 -scale 0.2",
+			`{"ids":"fig2,table2","seed":3,"scale":0.2}`, "155242b6c9d4d3d7", ""},
+		{"-id fig2 -seed 3 -scale 0.2 -join-spread 500ms",
+			`{"ids":"fig2","seed":3,"scale":0.2,"join_spread_ms":500}`, "", "48e44613e0800b0a"},
+		{"-id fig3,fig2 -seed 9 -scale 0.5 -chaos mild -join-spread 500ms -join-ramp exp",
+			`{"ids":"fig3,fig2","seed":9,"scale":0.5,"chaos":"mild","join_spread_ms":500,"join_ramp":"exp"}`,
+			"f0dff6b766c8d89a", ""},
 	}
-	if opts.Seed != 9 || opts.Scale != 0.5 || opts.Chaos != "mild" {
-		t.Fatalf("opts = %+v", opts)
+	for _, tc := range cases {
+		cliIDs, cliOpts, cliFP, err := cliSpec(t, tc.flags).Resolve()
+		if err != nil {
+			t.Fatalf("%s: resolve: %v", tc.flags, err)
+		}
+		// The supervisor's path: decode the body, normalize at
+		// submission, resolve.
+		sp, err := decodeSpec(strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.body, err)
+		}
+		ids, opts, fp, err := sp.Normalize().Resolve()
+		if err != nil {
+			t.Fatalf("%s: resolve: %v", tc.body, err)
+		}
+		if fmt.Sprint(ids) != fmt.Sprint(cliIDs) {
+			t.Errorf("%s: ids %v, CLI %v", tc.body, ids, cliIDs)
+		}
+		if fp != cliFP || (tc.campFP != "" && fp != tc.campFP) {
+			t.Errorf("%s: campaign fingerprint %s, CLI %s, pinned %q", tc.body, fp, cliFP, tc.campFP)
+		}
+		archFP, cliArchFP := expt.ConfigFP(opts), expt.ConfigFP(cliOpts)
+		if archFP != cliArchFP || (tc.archFP != "" && archFP != tc.archFP) {
+			t.Errorf("%s: archive config_fp %s, CLI %s, pinned %q", tc.body, archFP, cliArchFP, tc.archFP)
+		}
+		// Workers and shards must not move the fingerprint (results are
+		// invariant in them).
+		sp.Workers, sp.Shards = 7, 4
+		if _, _, fp2, _ := sp.Normalize().Resolve(); fp2 != fp {
+			t.Errorf("%s: fingerprint moved with workers/shards: %s vs %s", tc.body, fp, fp2)
+		}
 	}
-	if fp == "" {
-		t.Fatal("empty fingerprint")
+}
+
+// TestStaggeredCampaignMatchesCLI: a staggered campaign submitted
+// without a ramp serves the bytes of spider-exp -archive-out with the
+// same flags (its ramp is uniform either way).
+func TestStaggeredCampaignMatchesCLI(t *testing.T) {
+	s, err := New(t.TempDir(), 1)
+	if err != nil {
+		t.Fatalf("New: %v", err)
 	}
-	// Workers and shards must not move the fingerprint (results are
-	// invariant in them).
-	sp2 := sp
-	sp2.Workers, sp2.Shards = 7, 4
-	if _, _, fp2, _ := sp2.resolve(); fp2 != fp {
-		t.Fatalf("fingerprint moved with workers/shards: %s vs %s", fp, fp2)
+	defer s.Shutdown(context.Background())
+	id, err := s.Submit(campaign.Spec{IDs: "fig2", Seed: 3, Scale: 0.2, JoinSpreadMS: 500})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	s.Wait(id)
+	got, status, _ := s.ArchiveBytes(id)
+	if status != StatusDone {
+		t.Fatalf("campaign ended %s", status)
+	}
+	want := cliArchiveBytes(t, cliSpec(t, "-id fig2 -seed 3 -scale 0.2 -join-spread 500ms"))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("served archive differs from CLI archive (%d vs %d bytes)", len(got), len(want))
+	}
+	// The digest of spider-exp's archive for these flags.
+	if sum := fmt.Sprintf("%x", sha256.Sum256(got)); sum != "bbaa910fcbf72b68376e9a41d9802e19a685cbdbcd2053b074713b97a47c40f3" {
+		t.Fatalf("archive sha256 %s", sum)
+	}
+}
+
+// TestLegacyStaggeredRecordResumes: a store record written before ramps
+// were canonical — a spread with no ramp, fingerprinted with the empty
+// ramp — still verifies against its recorded config_fp, resumes, and
+// serves the archive it would have served then.
+func TestLegacyStaggeredRecordResumes(t *testing.T) {
+	dir := t.TempDir()
+	rec := `{
+	"format": "spider-supervisor-campaign",
+	"version": 1,
+	"id": "c000001",
+	"spec": {"ids": "fig2", "seed": 3, "scale": 0.2, "join_spread_ms": 500},
+	"status": "running",
+	"config_fp": "2e1be1f43e2b59ec",
+	"completed": [],
+	"archive": null
+}
+`
+	if err := os.WriteFile(filepath.Join(dir, "c000001.campaign.json"), []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(dir, 1)
+	if err != nil {
+		t.Fatalf("reopen legacy store: %v", err)
+	}
+	defer s.Shutdown(context.Background())
+	if !s.Wait("c000001") {
+		t.Fatal("legacy campaign not adopted")
+	}
+	got, status, _ := s.ArchiveBytes("c000001")
+	if status != StatusDone {
+		cs, _ := s.Status("c000001")
+		t.Fatalf("legacy campaign ended %s (%s)", status, cs.Error)
+	}
+	if sum := fmt.Sprintf("%x", sha256.Sum256(got)); sum != "dbaf40cac69da244e725198f09ca67bd7f6972b9a9d4ea006a57ef2a8ffcec6e" {
+		t.Fatalf("legacy archive sha256 %s", sum)
 	}
 }
