@@ -4,16 +4,17 @@ import (
 	"fmt"
 
 	"spider/internal/campaign"
+	"spider/internal/docfile"
 )
 
 // A campaign state file makes a multi-experiment archived run
 // crash-resumable at experiment granularity: after each experiment
 // completes, the partial archive and the completed-id list are
-// persisted atomically and durably (internal/campaign over
-// internal/atomicfile). A rerun with -resume pointing at the file skips
-// everything it records and continues from the first missing
-// experiment; the final archive is byte-identical to an uninterrupted
-// run of the same flags.
+// persisted atomically and durably (internal/campaign's State in an
+// internal/docfile document). A rerun with -resume pointing at the
+// file skips everything it records and continues from the first
+// missing experiment; the final archive is byte-identical to an
+// uninterrupted run of the same flags.
 const (
 	campaignFormat  = "spider-exp-campaign"
 	campaignVersion = 1
@@ -32,17 +33,17 @@ type campaignState struct {
 // file does not exist yet.
 func loadCampaign(path, fp string) (*campaignState, error) {
 	var s campaignState
-	ok, err := campaign.LoadFile(path, &s)
+	ok, err := docfile.ReadFile(path, &s)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("campaign state: %w", err)
 	}
 	if !ok {
 		s = campaignState{Format: campaignFormat, Version: campaignVersion}
 		s.ConfigFP = fp
 		return &s, nil
 	}
-	if s.Format != campaignFormat || s.Version != campaignVersion {
-		return nil, fmt.Errorf("campaign state %s: format %q v%d unsupported", path, s.Format, s.Version)
+	if err := docfile.CheckHeader(s.Format, s.Version, campaignFormat, campaignVersion, campaignVersion); err != nil {
+		return nil, fmt.Errorf("campaign state %s: %w", path, err)
 	}
 	if err := s.Verify(fp); err != nil {
 		return nil, fmt.Errorf("campaign state %s: %w", path, err)
@@ -62,5 +63,5 @@ func (s skippedResult) String() string {
 // save persists the state atomically and durably, so a crash at any
 // instant leaves either the previous state or the new one.
 func (s *campaignState) save(path string) error {
-	return campaign.WriteFile(path, s)
+	return docfile.WriteFile(path, s)
 }

@@ -13,12 +13,12 @@
 // Determinism rules:
 //
 //   - Sub-measurement IDs derive from plan identity (seed, config
-//     fingerprint, section name, index) via the same splitmix64
-//     discipline as sweep.TaskSeed — never from wall-clock time or
-//     allocation order.
-//   - Encode is canonical: fixed field order (struct order), tab
-//     indentation, no HTML escaping, exactly one trailing newline.
-//     decode(encode(a)) == a and encode(decode(b)) is byte-stable.
+//     fingerprint, section name, index) through sweep.TaskSeed's
+//     splitmix64 chain — never from wall-clock time or allocation
+//     order.
+//   - Encode and Decode are internal/docfile's canonical encoder and
+//     strict decoder, so decode(encode(a)) == a and encode(decode(b))
+//     is byte-stable.
 //   - Every list is sorted by a plan-derived key (clients by MAC,
 //     metrics by name, fault classes in canonical class order) with
 //     explicit tie-breaks, so archive content is independent of
@@ -27,10 +27,9 @@ package archive
 
 import (
 	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
+
+	"spider/internal/docfile"
 )
 
 // Format and Version identify the data format. Versioning rules (also
@@ -174,42 +173,28 @@ type Result struct {
 	Str string   `json:"str,omitempty"`
 }
 
-// Encode renders the archive in canonical form: struct field order, tab
-// indentation, no HTML escaping, one trailing newline. This is the byte
-// representation the golden tests and spider-diff's byte mode compare.
+// Encode renders the archive in docfile's canonical form. This is the
+// byte representation the golden tests and spider-diff's byte mode
+// compare.
 func (a *Archive) Encode() []byte {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	enc.SetIndent("", "\t")
-	if err := enc.Encode(a); err != nil {
+	b, err := docfile.Encode(a)
+	if err != nil {
 		// All archive fields are plain data; Marshal cannot fail on them.
 		panic(fmt.Sprintf("archive: encode: %v", err))
 	}
-	return buf.Bytes()
+	return b
 }
 
-// Decode parses an archive document, rejecting unknown fields, trailing
-// data, wrong formats and unsupported versions. It never panics on
-// arbitrary input (the fuzz target's contract).
+// Decode parses an archive document through docfile's strict decoder
+// and checks its format and version. It never panics on arbitrary input
+// (the fuzz target's contract).
 func Decode(b []byte) (*Archive, error) {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
 	var a Archive
-	if err := dec.Decode(&a); err != nil {
-		return nil, fmt.Errorf("archive: decode: %w", err)
+	if err := docfile.Decode(bytes.NewReader(b), &a); err != nil {
+		return nil, fmt.Errorf("archive: %w", err)
 	}
-	// Anything after the document — well-formed or not — is a
-	// corruption, not an extension: only clean EOF may follow.
-	var extra json.RawMessage
-	if err := dec.Decode(&extra); !errors.Is(err, io.EOF) {
-		return nil, fmt.Errorf("archive: decode: trailing data after document")
-	}
-	if a.Format != Format {
-		return nil, fmt.Errorf("archive: format %q, want %q", a.Format, Format)
-	}
-	if a.Version != Version {
-		return nil, fmt.Errorf("archive: version %d unsupported (decoder knows %d)", a.Version, Version)
+	if err := docfile.CheckHeader(a.Format, a.Version, Format, Version, Version); err != nil {
+		return nil, fmt.Errorf("archive: %w", err)
 	}
 	return &a, nil
 }

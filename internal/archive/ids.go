@@ -3,17 +3,9 @@ package archive
 import (
 	"fmt"
 	"strconv"
-)
 
-// splitmix64 is the SplitMix64 finalizer — the same bijective avalanche
-// mix sweep.TaskSeed uses, so archive IDs live in the same
-// well-separated space as task seeds without sharing any stream.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
+	"spider/internal/sweep"
+)
 
 func fnv64a(h uint64, s string) uint64 {
 	const fnvPrime = 1099511628211
@@ -36,7 +28,7 @@ func Fingerprint(parts ...string) uint64 {
 		h = fnv64a(h, "|")
 		h = fnv64a(h, p)
 	}
-	return splitmix64(h)
+	return sweep.Mix(h)
 }
 
 // FP renders a fingerprint as the 16-hex-digit form used throughout the
@@ -53,13 +45,10 @@ func RunID(seed int64, configFP string) string {
 
 // SubID derives a sub-measurement ID from its parent's ID, the section
 // it lives in ("client", "fault", "metric", "span", "result",
-// "experiment"), and its index there. The derivation mirrors
-// sweep.TaskSeed's mix(mix(parent) ^ fnv(section)) ^ index chain, so
-// adjacent indices land far apart and IDs are unique within a document
-// by construction.
+// "experiment"), and its index there: sweep.TaskSeed's
+// mix(mix(mix(fnv(parent)) ^ fnv(section)) ^ index) chain, so adjacent
+// indices land far apart and IDs are unique within a document by
+// construction.
 func SubID(parentID, section string, index int) string {
-	x := splitmix64(fnv64a(fnvOffset, parentID))
-	x = splitmix64(x ^ fnv64a(fnvOffset, section))
-	x = splitmix64(x ^ uint64(index))
-	return fmt.Sprintf("%016x", x)
+	return fmt.Sprintf("%016x", uint64(sweep.TaskSeed(int64(fnv64a(fnvOffset, parentID)), section, index)))
 }

@@ -5,12 +5,12 @@
 // stream positions, fault-injector ledgers and episode phases, metric
 // handles, trace rings, and the pending halo frames between tiles.
 //
-// The format follows the archive codec's discipline (docs/CHECKPOINT.md):
+// The format goes through internal/docfile like every persisted
+// document (docs/CHECKPOINT.md):
 //
-//   - Encode is canonical: fixed field order, tab indentation, no HTML
-//     escaping, exactly one trailing newline. decode(encode(c)) == c.
-//   - Decode rejects unknown fields, trailing data, wrong formats and
-//     unsupported versions, and never panics on arbitrary input.
+//   - Encode is docfile's canonical encoder, so decode(encode(c)) == c.
+//   - Decode is docfile's strict decoder plus the format check and the
+//     version window; it never panics on arbitrary input.
 //   - Every list inside the state is sorted by a plan- or kernel-derived
 //     key (clients in world order, RNG streams by name, pending events
 //     by (at, seq)), so a checkpoint's bytes are a pure function of
@@ -25,13 +25,10 @@ package checkpoint
 
 import (
 	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"os"
+	"io/fs"
 
-	"spider/internal/atomicfile"
+	"spider/internal/docfile"
 	"spider/internal/shard"
 )
 
@@ -91,57 +88,55 @@ func (ck *Checkpoint) Apply(c *shard.City, seed int64, configFP string) error {
 	return c.RestoreState(ck.City)
 }
 
-// Encode renders the checkpoint in canonical form: struct field order,
-// tab indentation, no HTML escaping, one trailing newline.
+// Encode renders the checkpoint in docfile's canonical form.
 func (ck *Checkpoint) Encode() []byte {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	enc.SetIndent("", "\t")
-	if err := enc.Encode(ck); err != nil {
+	b, err := docfile.Encode(ck)
+	if err != nil {
 		// The state tree is plain data; Marshal cannot fail on it.
 		panic(fmt.Sprintf("checkpoint: encode: %v", err))
 	}
-	return buf.Bytes()
+	return b
 }
 
-// Decode parses a checkpoint document, rejecting unknown fields,
-// trailing data, wrong formats and unsupported versions. It never
-// panics on arbitrary input (the fuzz target's contract); deep
-// consistency is verified by Apply against the rebuilt world.
+// Decode parses a checkpoint document through docfile's strict decoder
+// and checks its format and version window. It never panics on
+// arbitrary input (the fuzz target's contract); deep consistency is
+// verified by Apply against the rebuilt world.
 func Decode(b []byte) (*Checkpoint, error) {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
 	var ck Checkpoint
-	if err := dec.Decode(&ck); err != nil {
-		return nil, fmt.Errorf("checkpoint: decode: %w", err)
+	if err := docfile.Decode(bytes.NewReader(b), &ck); err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	var extra json.RawMessage
-	if err := dec.Decode(&extra); !errors.Is(err, io.EOF) {
-		return nil, fmt.Errorf("checkpoint: decode: trailing data after document")
+	return ck.checked()
+}
+
+// checked returns the decoded checkpoint if its format and version are
+// ones this decoder reads.
+func (ck *Checkpoint) checked() (*Checkpoint, error) {
+	if err := docfile.CheckHeader(ck.Format, ck.Version, Format, minVersion, Version); err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	if ck.Format != Format {
-		return nil, fmt.Errorf("checkpoint: format %q, want %q", ck.Format, Format)
-	}
-	if ck.Version < minVersion || ck.Version > Version {
-		return nil, fmt.Errorf("checkpoint: version %d unsupported (decoder knows %d..%d)", ck.Version, minVersion, Version)
-	}
-	return &ck, nil
+	return ck, nil
 }
 
 // WriteFile persists the checkpoint atomically and durably via
-// atomicfile.WriteFile (temp + fsync + rename + directory fsync). A
-// crash mid-write leaves the previous checkpoint intact — the property
-// the crash-resume harness relies on.
+// docfile.WriteFile (temp + fsync + rename + directory fsync). A crash
+// mid-write leaves the previous checkpoint intact — the property the
+// crash-resume harness relies on.
 func WriteFile(path string, ck *Checkpoint) error {
-	return atomicfile.WriteFile(path, ck.Encode())
+	return docfile.WriteFile(path, ck)
 }
 
-// ReadFile loads and decodes a checkpoint file.
+// ReadFile loads and decodes a checkpoint file. Unlike a campaign's
+// state file, a checkpoint named for resume must exist.
 func ReadFile(path string) (*Checkpoint, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+	var ck Checkpoint
+	found, err := docfile.ReadFile(path, &ck)
+	if err == nil && !found {
+		err = &fs.PathError{Op: "open", Path: path, Err: fs.ErrNotExist}
 	}
-	return Decode(b)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	return ck.checked()
 }

@@ -190,17 +190,6 @@ func StockDefaults(schedule []ChannelSlice) Config {
 	return cfg
 }
 
-// FullScanSchedule is the stock driver's scan rotation: every 2.4 GHz
-// channel in turn, not just the orthogonal three — most of the cycle is
-// wasted on channels that host almost no APs.
-func FullScanSchedule(dwell time.Duration) []ChannelSlice {
-	out := make([]ChannelSlice, 0, 11)
-	for ch := 1; ch <= 11; ch++ {
-		out = append(out, ChannelSlice{Channel: ch, Dwell: dwell})
-	}
-	return out
-}
-
 // EqualSchedule builds an equal static schedule: dwell on each channel.
 func EqualSchedule(dwell time.Duration, channels ...int) []ChannelSlice {
 	out := make([]ChannelSlice, 0, len(channels))

@@ -12,8 +12,8 @@ func init() {
 	register("metro", func(o Options) (fmt.Stringer, error) { return MetroScale(o) })
 }
 
-// MetroScale is the metro-density workload behind BenchmarkMetroScale:
-// the same open-AP fleet as the city experiment, but over an area wide
+// MetroScale is the metro-density workload (spider-exp -id metro): the
+// same open-AP fleet as the city experiment, but over an area wide
 // enough that the load-aware layout derives a genuinely 2-D tile grid
 // (the square-kilometer city already tiles in both axes; the metro spec
 // pins a non-square grid so row- vs column-adjacency halo exchange is

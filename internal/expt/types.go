@@ -62,9 +62,6 @@ type Options struct {
 	JoinRamp   string
 }
 
-// DefaultOptions is the paper-like scale.
-func DefaultOptions() Options { return Options{Seed: 1, Scale: 1} }
-
 // Validate refuses options no experiment can honour, so every
 // front-end bounces them before anything runs: a scale outside (0,1],
 // negative worker or shard counts, a negative admission spread, a ramp

@@ -98,9 +98,6 @@ func (c *Checker) fail(msg string) {
 	}
 }
 
-// Violations returns direct checker failures recorded so far.
-func (c *Checker) Violations() []string { return c.violations }
-
 // Verify folds checker failures and every watched invariant set into a
 // single error (nil when the run was clean).
 func (c *Checker) Verify() error {

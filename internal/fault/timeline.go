@@ -7,8 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"spider/internal/dhcp"
 )
 
 // Entry is one scripted fault in a timeline.
@@ -331,12 +329,4 @@ func (in *Injector) eachLink(e Entry, fn func(linkTarget)) {
 	for _, l := range in.links {
 		fn(l)
 	}
-}
-
-// ChaosFor exposes AP idx's effective DHCP chaos for tests.
-func (in *Injector) ChaosFor(idx int) (dhcp.Chaos, bool) {
-	if idx < 0 || idx >= len(in.aps) {
-		return dhcp.Chaos{}, false
-	}
-	return in.aps[idx].DHCPServer().ChaosConfig(), true
 }

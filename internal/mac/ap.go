@@ -208,9 +208,6 @@ func (ap *AP) Restart() {
 // the AP otherwise keeps serving — the half-dead box fault mode.
 func (ap *AP) SetBeaconMute(on bool) { ap.muted = on }
 
-// BeaconsMuted reports whether beaconing is suppressed.
-func (ap *AP) BeaconsMuted() bool { return ap.muted }
-
 // SetRespPool points the AP at a carrier free list shared with the other
 // APs of its world. Call before the AP schedules any response.
 func (ap *AP) SetRespPool(p *RespPool) { ap.respPool = p }

@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"strings"
 	"testing"
 )
 
 // FuzzCampaignSpec is the campaign API's input contract: any POST body,
-// decoded exactly as the handler decodes it, is either refused with an
-// error or resolves — never a panic. A spec that resolves must resolve
-// again to the same ids, options and fingerprint, and so must the
-// normalized spec after the JSON round trip the store gives it: a
-// campaign's identity cannot drift between submission and restart.
+// bounded and decoded exactly as the handler decodes it, is either
+// refused with an error or resolves — never a panic. A spec that
+// resolves must resolve again to the same ids, options and fingerprint,
+// and so must the normalized spec after the JSON round trip the store
+// gives it: a campaign's identity cannot drift between submission and
+// restart.
 func FuzzCampaignSpec(f *testing.F) {
 	for _, s := range []string{
 		// Specs the supervisor tests submit.
@@ -39,11 +43,15 @@ func FuzzCampaignSpec(f *testing.F) {
 		`{"ids":"fig2","join_ramp":"linear"}`,
 		// A staggered spec without a ramp.
 		`{"ids":"fig2","seed":3,"scale":0.2,"join_spread_ms":500}`,
+		// A second document after the spec, and a valid spec padded
+		// past the body limit: both refused whole.
+		`{"ids":"fig2"} {"ids":"all"}`,
+		`{"ids":"fig2"}` + strings.Repeat(" ", maxSpecBytes),
 	} {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sp, err := decodeSpec(bytes.NewReader(data))
+		sp, err := decodeSpec(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(data)), maxSpecBytes))
 		if err != nil {
 			return
 		}

@@ -7,16 +7,21 @@ import (
 	"net/http"
 
 	"spider/internal/campaign"
+	"spider/internal/docfile"
 )
 
-// decodeSpec reads a campaign spec from a POST body. Unknown fields are
-// refused, so a typo in an option name bounces instead of silently
-// running with the default.
+// maxSpecBytes bounds a POST /campaigns body. A spec is a few hundred
+// bytes; the bound keeps a hostile client from streaming an unbounded
+// body into the decoder.
+const maxSpecBytes = 1 << 20
+
+// decodeSpec reads a campaign spec from a POST body through docfile's
+// strict decoder: unknown fields are refused, so a typo in an option
+// name bounces instead of silently running with the default, and so is
+// anything after the spec.
 func decodeSpec(r io.Reader) (campaign.Spec, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var sp campaign.Spec
-	err := dec.Decode(&sp)
+	err := docfile.Decode(r, &sp)
 	return sp, err
 }
 
@@ -41,7 +46,7 @@ func (s *Server) Handler() http.Handler {
 		s.MetricsSnapshot().WritePrometheus(w)
 	})
 	mux.HandleFunc("POST /campaigns", func(w http.ResponseWriter, r *http.Request) {
-		sp, err := decodeSpec(r.Body)
+		sp, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, "bad campaign spec: "+err.Error())
 			return

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"spider/internal/campaign"
+	"spider/internal/docfile"
 )
 
 // Campaign lifecycle states. A killed supervisor leaves campaigns at
@@ -48,7 +49,7 @@ func recordPath(dir, id string) string {
 
 // saveRecord persists a campaign record through the atomic writer.
 func saveRecord(dir string, rec *record) error {
-	return campaign.WriteFile(recordPath(dir, rec.ID), rec)
+	return docfile.WriteFile(recordPath(dir, rec.ID), rec)
 }
 
 // loadRecords reads every campaign record in the store directory,
@@ -68,15 +69,15 @@ func loadRecords(dir string) ([]*record, int, error) {
 			continue
 		}
 		var rec record
-		found, err := campaign.LoadFile(filepath.Join(dir, name), &rec)
+		found, err := docfile.ReadFile(filepath.Join(dir, name), &rec)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, fmt.Errorf("supervisor: %w", err)
 		}
 		if !found {
 			continue
 		}
-		if rec.Format != recordFormat || rec.Version != recordVersion {
-			return nil, 0, fmt.Errorf("campaign %s: format %q v%d unsupported", name, rec.Format, rec.Version)
+		if err := docfile.CheckHeader(rec.Format, rec.Version, recordFormat, recordVersion, recordVersion); err != nil {
+			return nil, 0, fmt.Errorf("campaign %s: %w", name, err)
 		}
 		if rec.ID != id {
 			return nil, 0, fmt.Errorf("campaign %s: file names %q", name, rec.ID)

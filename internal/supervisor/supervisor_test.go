@@ -185,6 +185,33 @@ func TestSpecValidationFailsFast(t *testing.T) {
 	}
 }
 
+// TestSubmitRefusesMalformedBodies pins the POST /campaigns body rules
+// the spec fields cannot: a valid spec followed by a second document,
+// and a valid spec padded past maxSpecBytes, are each refused whole —
+// neither runs the leading spec. The handler is called in process so
+// the over-limit body needs no socket the server might reset.
+func TestSubmitRefusesMalformedBodies(t *testing.T) {
+	s, err := New(t.TempDir(), 1)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer s.Shutdown(context.Background())
+	h := s.Handler()
+	for _, c := range []struct{ name, body, want string }{
+		{"trailing data", `{"ids":"fig2"} {"ids":"all"}`, "trailing data"},
+		{"over the limit", `{"ids":"fig2"}` + strings.Repeat(" ", maxSpecBytes), "too large"},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/campaigns", strings.NewReader(c.body)))
+		if rec.Code < 400 || rec.Code >= 500 || !strings.Contains(rec.Body.String(), c.want) {
+			t.Errorf("%s: HTTP %d %s, want a 4xx naming %q", c.name, rec.Code, rec.Body, c.want)
+		}
+	}
+	if l := s.List(); len(l) != 0 {
+		t.Fatalf("refused bodies registered campaigns: %v", l)
+	}
+}
+
 // TestKillRestartResume is the crash-resume contract: a supervisor that
 // dies mid-campaign (here: drained after the first run, state left as
 // "running" on disk — the CI job does it with a real SIGKILL) must

@@ -34,10 +34,10 @@ import (
 	"sync/atomic"
 )
 
-// splitmix64 is the SplitMix64 finalizer: a bijective avalanche mix, so
+// Mix is the SplitMix64 finalizer: a bijective avalanche mix, so
 // distinct (seed, id, rep) triples yield well-separated streams even for
-// adjacent inputs.
-func splitmix64(x uint64) uint64 {
+// adjacent inputs. Archive fingerprints and IDs share it.
+func Mix(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
 	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
@@ -58,9 +58,9 @@ func TaskSeed(base int64, id string, rep int) int64 {
 		h ^= uint64(id[i])
 		h *= fnvPrime
 	}
-	x := splitmix64(uint64(base))
-	x = splitmix64(x ^ h)
-	x = splitmix64(x ^ uint64(rep))
+	x := Mix(uint64(base))
+	x = Mix(x ^ h)
+	x = Mix(x ^ uint64(rep))
 	return int64(x)
 }
 

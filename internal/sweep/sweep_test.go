@@ -181,7 +181,7 @@ func BenchmarkRunNCPUBound(b *testing.B) {
 	work := func(_ context.Context, i int) (uint64, error) {
 		h := uint64(i)
 		for j := 0; j < 1_000_000; j++ {
-			h = splitmix64(h)
+			h = Mix(h)
 		}
 		return h, nil
 	}

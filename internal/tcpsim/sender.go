@@ -153,14 +153,8 @@ func (s *Sender) SRTT() time.Duration { return s.srtt }
 // Done reports whether a finite flow has been fully acknowledged.
 func (s *Sender) Done() bool { return s.closed }
 
-// SndUna returns the lowest unacknowledged byte.
-func (s *Sender) SndUna() uint64 { return s.sndUna }
-
 // NextSeq returns the next byte to be sent.
 func (s *Sender) NextSeq() uint64 { return s.nextSeq }
-
-// Inflight returns the number of outstanding segments.
-func (s *Sender) Inflight() int { return len(s.inflight) }
 
 // Start begins transmission.
 func (s *Sender) Start() { s.pump() }
