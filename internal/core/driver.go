@@ -853,20 +853,16 @@ func (d *Driver) startJoin(rec *APRecord) {
 }
 
 // newIface builds an interface toward rec's AP with its joiner and DHCP
-// client wired to this driver: frames leave through the per-channel
-// transmit path from the medium's pool, outcomes come back to the
-// driver, violations and trace spans land in the driver's sinks. Both a
-// fresh join and a checkpoint restore build interfaces here. The
-// callbacks read ifc.rec at call time, not capture time, so they stay
-// correct across recycles.
+// client wired to this driver: the interface hosts both, so frames leave
+// through the per-channel transmit path from the medium's pool and
+// outcomes come back to the driver; violations and trace spans land in
+// the driver's sinks. Both a fresh join and a checkpoint restore build
+// interfaces here. The host methods read ifc.rec at call time, so they
+// stay correct across recycles.
 func (d *Driver) newIface(rec *APRecord) *Iface {
-	ifc := &Iface{rec: rec}
-	ifc.joiner.Init(d.kernel, d.cfg.Join, d.Addr(), rec.BSSID, rec.SSID,
-		func(f *wifi.Frame) { d.transmit(ifc.rec.Channel, f) },
-		func(res mac.AssocResult) { d.onAssocResult(ifc, res) })
-	ifc.dhcpc.Init(d.kernel, d.cfg.DHCP, d.Addr(),
-		func(m *dhcp.Message) { d.sendDHCP(ifc, m) },
-		func(res dhcp.Result) { d.onDHCPResult(ifc, res) })
+	ifc := &Iface{d: d, rec: rec}
+	ifc.joiner.Init(d.kernel, d.cfg.Join, d.Addr(), rec.BSSID, rec.SSID, ifc)
+	ifc.dhcpc.Init(d.kernel, d.cfg.DHCP, d.Addr(), ifc)
 	ifc.joiner.SetPool(d.pool)
 	ifc.joiner.SetInvariants(d.inv)
 	ifc.dhcpc.SetInvariants(d.inv)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"spider/internal/dhcp"
 	"spider/internal/geo"
@@ -707,5 +708,17 @@ func TestLeaseRenewalFailureTearsDown(t *testing.T) {
 	// The driver recovers with a clean rejoin afterwards.
 	if d.ConnectedCount() != 1 && st.JoinSuccesses <= 1 {
 		t.Fatalf("never recovered after the reboot (stats %+v)", st)
+	}
+}
+
+// Every join attempt allocates an Iface, so its size decides how much
+// a join storm allocates. 512 bytes is a malloc size class; one byte
+// more costs the next class, 576.
+func TestIfaceSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Iface{}); got > 512 {
+		t.Fatalf("Iface is %d bytes, want at most 512", got)
 	}
 }

@@ -35,24 +35,42 @@ func (s IfaceState) String() string {
 // AP it is joined (or joining) to. All interfaces share the one physical
 // radio; frames flow only while the driver dwells on the AP's channel.
 type Iface struct {
-	rec   *APRecord
-	state IfaceState
+	d   *Driver
+	rec *APRecord
 	// The joiner and DHCP client live inside the interface, so one
-	// allocation carries all three (see Driver.newIface).
+	// allocation carries all three (see Driver.newIface). The interface
+	// is their host: it routes their frames and outcomes to d.
 	joiner mac.Joiner
 	dhcpc  dhcp.Client
 
-	joinStart time.Duration // when the attempt began (assoc+dhcp measured from here)
-	ip        dhcp.IP
-	lastHeard time.Duration
+	// The small fields share one word, which keeps the interface at 512
+	// bytes (TestIfaceSize): every join attempt allocates one.
+	state     IfaceState
 	psmOn     bool // we've told this AP we're in power-save
 	renewing  bool // a T1 lease renewal (not a join) is in flight
+	ip        dhcp.IP
+	joinStart time.Duration // when the attempt began (assoc+dhcp measured from here)
+	lastHeard time.Duration
 	renewEv   sim.Event
 	// renewFn is the cached T1 renewal callback (built by the driver's
 	// ensureRenewFn); it reads fields at fire time, so one closure serves
 	// the interface across recycles.
 	renewFn func()
 }
+
+// SendJoinFrame implements mac.JoinHost: the joiner's frames leave
+// through the driver's transmit path on the AP's channel.
+func (ifc *Iface) SendJoinFrame(f *wifi.Frame) { ifc.d.transmit(ifc.rec.Channel, f) }
+
+// JoinResult implements mac.JoinHost.
+func (ifc *Iface) JoinResult(res mac.AssocResult) { ifc.d.onAssocResult(ifc, res) }
+
+// SendDHCP implements dhcp.ClientHost: the message leaves as a data
+// frame toward the AP.
+func (ifc *Iface) SendDHCP(m *dhcp.Message) { ifc.d.sendDHCP(ifc, m) }
+
+// DHCPResult implements dhcp.ClientHost.
+func (ifc *Iface) DHCPResult(res dhcp.Result) { ifc.d.onDHCPResult(ifc, res) }
 
 // BSSID returns the AP this interface is bound to.
 func (ifc *Iface) BSSID() wifi.Addr { return ifc.rec.BSSID }

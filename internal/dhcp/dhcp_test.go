@@ -191,7 +191,7 @@ func TestServerRequestForTakenIPNaked(t *testing.T) {
 }
 
 // loop wires a client and server directly together with optional message
-// dropping, simulating the radio path.
+// dropping, simulating the radio path. It is the client's host.
 type loop struct {
 	k      *sim.Kernel
 	c      *Client
@@ -199,6 +199,15 @@ type loop struct {
 	drop   func(m *Message) bool
 	result *Result
 }
+
+func (l *loop) SendDHCP(m *Message) {
+	if l.drop != nil && l.drop(m) {
+		return
+	}
+	l.k.After(5*time.Millisecond, func() { l.s.HandleMessage(m) })
+}
+
+func (l *loop) DHCPResult(r Result) { l.result = &r }
 
 func newLoop(t *testing.T, ccfg ClientConfig, scfg *ServerConfig) *loop {
 	t.Helper()
@@ -219,12 +228,7 @@ func newLoop(t *testing.T, ccfg ClientConfig, scfg *ServerConfig) *loop {
 		scfg = &cfg
 	}
 	l.s = NewServer(k, *scfg, 7, send)
-	l.c = NewClient(k, ccfg, mac(1), func(m *Message) {
-		if l.drop != nil && l.drop(m) {
-			return
-		}
-		k.After(5*time.Millisecond, func() { l.s.HandleMessage(m) })
-	}, func(r Result) { l.result = &r })
+	l.c = NewClient(k, ccfg, mac(1), l)
 	return l
 }
 
@@ -425,5 +429,32 @@ func TestPropertyLeaseUniqueness(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// clientHost discards what a client sends and reports.
+type clientHost struct{}
+
+func (clientHost) SendDHCP(*Message) {}
+func (clientHost) DHCPResult(Result) {}
+
+// A client draws from the per-MAC stream "dhcp.client.<mac>", the name
+// checkpoints record, and building a second client for the same MAC
+// finds that stream without allocating its name.
+func TestClientStreamNamedByMAC(t *testing.T) {
+	k := sim.NewKernel(1)
+	c := NewClient(k, DefaultClientConfig(), mac(3), clientHost{})
+	if c.rng != k.RNG("dhcp.client."+mac(3).String()) {
+		t.Fatal("client does not draw the per-MAC stream")
+	}
+	var again Client
+	if allocs := testing.AllocsPerRun(100, func() {
+		again.Init(k, DefaultClientConfig(), mac(3), clientHost{})
+	}); allocs > 2 {
+		// The two cached timer callbacks are the only allocations left.
+		t.Fatalf("Init allocated %.1f times, want at most 2 (the timer callbacks)", allocs)
+	}
+	if again.rng != c.rng {
+		t.Fatal("second client for one MAC drew a different stream")
 	}
 }

@@ -357,7 +357,9 @@ func (ap *AP) receive(f *wifi.Frame) {
 		resp := ap.pool.Frame()
 		resp.Type, resp.SA, resp.DA, resp.BSSID = wifi.TypeAssocResp, ap.Addr(), f.SA, ap.Addr()
 		resp.Seq = ap.nextSeq()
-		resp.Body = &wifi.AssocRespBody{Status: 0, AID: c.aid}
+		rb := ap.pool.AssocResp()
+		rb.AID = c.aid // Status 0: success
+		resp.Body = rb
 		ap.respondAfterDelay(resp)
 	case wifi.TypeDeauth:
 		delete(ap.clients, f.SA)

@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -12,9 +13,11 @@ import (
 )
 
 // testClient is a minimal station: one radio, one joiner, one dhcp client.
+// It hosts both, sending their traffic straight to its radio.
 type testClient struct {
 	k      *sim.Kernel
 	radio  *radio.Radio
+	ap     wifi.Addr
 	joiner *Joiner
 	dhcpc  *dhcp.Client
 
@@ -26,17 +29,20 @@ type testClient struct {
 }
 
 func newTestClient(k *sim.Kernel, m *radio.Medium, addr wifi.Addr, pos geo.Point, ap *AP, jcfg JoinConfig, dcfg dhcp.ClientConfig) *testClient {
-	c := &testClient{k: k}
+	c := &testClient{k: k, ap: ap.Addr()}
 	c.radio = m.NewRadio(addr, func() geo.Point { return pos }, radio.ReceiverFunc(c.receive))
 	c.radio.SetChannel(ap.Channel())
-	c.joiner = NewJoiner(k, jcfg, addr, ap.Addr(), ap.SSID(),
-		func(f *wifi.Frame) { c.radio.Send(f) },
-		func(r AssocResult) { c.assocRes = &r })
-	c.dhcpc = dhcp.NewClient(k, dcfg, addr,
-		func(msg *dhcp.Message) { c.radio.Send(msg.Frame(addr, ap.Addr(), ap.Addr())) },
-		func(r dhcp.Result) { c.dhcpRes = &r })
+	c.joiner = NewJoiner(k, jcfg, addr, ap.Addr(), ap.SSID(), c)
+	c.dhcpc = dhcp.NewClient(k, dcfg, addr, c)
 	return c
 }
+
+func (c *testClient) SendJoinFrame(f *wifi.Frame) { c.radio.Send(f) }
+func (c *testClient) JoinResult(r AssocResult)    { c.assocRes = &r }
+func (c *testClient) SendDHCP(m *dhcp.Message) {
+	c.radio.Send(m.Frame(c.radio.Addr(), c.ap, c.ap))
+}
+func (c *testClient) DHCPResult(r dhcp.Result) { c.dhcpRes = &r }
 
 func (c *testClient) receive(f *wifi.Frame) {
 	c.frames = append(c.frames, f)
@@ -394,5 +400,44 @@ func TestJoinStageStrings(t *testing.T) {
 		if s.String() == "" {
 			t.Fatal("empty stage string")
 		}
+	}
+}
+
+// joinerHost discards what a joiner sends and reports.
+type joinerHost struct{}
+
+func (joinerHost) SendJoinFrame(*wifi.Frame) {}
+func (joinerHost) JoinResult(AssocResult)    {}
+
+// A joiner draws from the stream named for its (client, BSSID) pair,
+// "mac.joiner.<client><bssid>", whether freshly built or recycled by
+// ResetTarget: a recycled joiner must draw exactly what a new one would,
+// and re-targeting the first AP must resume that AP's stream.
+func TestJoinerStreamFollowsTarget(t *testing.T) {
+	k := sim.NewKernel(1)
+	self, apA, apB := wifi.NewAddr(2, 7), wifi.NewAddr(0, 1), wifi.NewAddr(0, 2)
+	stream := func(bssid wifi.Addr) *rand.Rand {
+		return k.RNG("mac.joiner." + self.String() + bssid.String())
+	}
+	j := NewJoiner(k, DefaultJoinConfig(), self, apA, "a", joinerHost{})
+	if j.rng != stream(apA) {
+		t.Fatal("new joiner does not draw the (client, BSSID) stream")
+	}
+	j.rng.Int63() // advance A's stream; re-targeting A must not restart it
+	j.ResetTarget(apB, "b")
+	if j.rng != stream(apB) {
+		t.Fatal("recycled joiner does not draw its new target's stream")
+	}
+	j.ResetTarget(apA, "a")
+	if j.rng != stream(apA) {
+		t.Fatal("re-targeted joiner lost its first target's stream")
+	}
+	fresh := NewJoiner(sim.NewKernel(1), DefaultJoinConfig(), self, apA, "a", joinerHost{})
+	fresh.rng.Int63()
+	if a, b := j.rng.Int63(), fresh.rng.Int63(); a != b {
+		t.Fatalf("recycled joiner drew %d, a fresh one %d", a, b)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { j.ResetTarget(apB, "b") }); allocs != 0 {
+		t.Fatalf("ResetTarget allocated %.1f times finding an existing stream", allocs)
 	}
 }

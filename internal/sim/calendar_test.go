@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // The calendar front-end must be observationally identical to the
@@ -307,6 +308,52 @@ func FuzzKernelOrdering(f *testing.F) {
 		p.run(horizon + time.Second)
 		p.run(horizon + 10*time.Second)
 	})
+}
+
+// Once the arena has grown to a workload's peak, the calendar must
+// schedule, cancel and dispatch it without allocating: the staging
+// buckets and the free list are threaded through the slots, so no
+// per-bucket storage grows as the window turns. Each cycle stages a
+// skewed, rotating load across all numBuckets buckets (the bucket that
+// takes the most events moves every cycle), sends a share past the
+// window to the heap, cancels every third staged event and drains.
+func TestCalendarStagingAllocatesNothing(t *testing.T) {
+	k := NewKernel(1)
+	fn := func() {}
+	const perCycle = 4 * numBuckets
+	evs := make([]Event, 0, perCycle)
+	hot := 0
+	cycle := func() {
+		evs = evs[:0]
+		hot = (hot + 37) % numBuckets
+		for i := 0; i < perCycle; i++ {
+			b := i % numBuckets
+			if i >= numBuckets && i < 3*numBuckets {
+				b = hot // half the load piles into one bucket
+			}
+			d := time.Duration(b)*bucketW + time.Duration(i)*time.Microsecond
+			if i%16 == 0 {
+				d += 2 * bucketSpan // beyond the window: the heap
+			}
+			evs = append(evs, k.After(d, fn))
+		}
+		for i := 0; i < len(evs); i += 3 {
+			evs[i].Cancel()
+		}
+		k.Run(k.Now() + 4*bucketSpan)
+		if k.Len() != 0 {
+			t.Fatalf("cycle left %d events queued", k.Len())
+		}
+	}
+	for i := 0; i < numBuckets; i++ {
+		cycle() // grow the arena, the heap and the run to their peaks
+	}
+	if got := unsafe.Sizeof(slot{}); got != 40 {
+		t.Errorf("slot is %d bytes, want 40", got)
+	}
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Fatalf("warm calendar allocated %.1f times per cycle", allocs)
+	}
 }
 
 // BenchmarkKernelBurst is the scheduler-only view of the join storm:

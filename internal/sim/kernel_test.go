@@ -207,6 +207,28 @@ func TestRNGSameNameReturnsSameStream(t *testing.T) {
 	}
 }
 
+// A stream found by a byte-slice name is the stream of that name: the
+// same generator whichever form created it, seeded alike, and a hit
+// allocates nothing.
+func TestRNGBytesFindsNamedStream(t *testing.T) {
+	k := NewKernel(7)
+	name := []byte("mac.joiner.02:01:00:00:00:0702:00:00:00:00:2a")
+	r := k.RNGBytes(name)
+	if got := k.RNG(string(name)); got != r {
+		t.Fatal("RNGBytes created a stream RNG does not find")
+	}
+	if got := k.RNGBytes(name); got != r {
+		t.Fatal("RNGBytes returned distinct objects for one name")
+	}
+	other := NewKernel(7)
+	if a, b := r.Int63(), other.RNG(string(name)).Int63(); a != b {
+		t.Fatalf("stream seeded differently through RNGBytes: %d vs %d", a, b)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { k.RNGBytes(name) }); allocs != 0 {
+		t.Fatalf("RNGBytes hit allocated %.1f times", allocs)
+	}
+}
+
 func TestDeterministicReplay(t *testing.T) {
 	run := func() []time.Duration {
 		k := NewKernel(99)

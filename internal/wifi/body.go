@@ -105,6 +105,8 @@ func decodeAuth(b []byte) (*AuthBody, error) {
 type AssocReqBody struct {
 	SSID           string
 	ListenInterval uint16
+
+	pooled bool // owned by a Pool; recycled with its frame
 }
 
 // BodySize implements Body.
@@ -135,6 +137,8 @@ func decodeAssocReq(b []byte) (*AssocReqBody, error) {
 type AssocRespBody struct {
 	Status uint16 // 0 = success
 	AID    uint16
+
+	pooled bool // owned by a Pool; recycled with its frame
 }
 
 // BodySize implements Body.

@@ -2,9 +2,10 @@ package wifi
 
 // Pool recycles the frame and body allocations that dominate the
 // medium's hot path: beacons (one per AP per 100 ms), data frames and
-// their TCP/DHCP payload bodies, and probe requests. The event kernel
-// went allocation-free in an earlier pass; the pool does the same for
-// the per-frame traffic above it.
+// their TCP/DHCP payload bodies, probe requests, and the association
+// request and response of every join. The event kernel went
+// allocation-free in an earlier pass; the pool does the same for the
+// per-frame traffic above it.
 //
 // Ownership rules (see DESIGN.md §12):
 //
@@ -29,46 +30,57 @@ package wifi
 // Config.NoPool escape hatch. Both paths produce byte-identical
 // simulations; only the allocation count differs.
 type Pool struct {
-	frames  []*Frame
-	beacons []*BeaconBody
-	datas   []*DataBody
-	probes  []*ProbeReqBody
-
-	// Miss arenas: free-list misses carve from these slabs so growing a
-	// pool to its working set costs one allocation per slab, not one per
-	// object — the same trick the event kernel's arena uses.
-	frameSlab  []Frame
-	beaconSlab []BeaconBody
-	dataSlab   []DataBody
-	probeSlab  []ProbeReqBody
+	frames     freeList[Frame]
+	beacons    freeList[BeaconBody]
+	datas      freeList[DataBody]
+	probes     freeList[ProbeReqBody]
+	assocReqs  freeList[AssocReqBody]
+	assocResps freeList[AssocRespBody]
 
 	// Fresh counts allocations that missed the free list; Recycled
 	// counts frames returned. Benchmark/test instrumentation only.
 	Fresh, Recycled uint64
 }
 
+// freeList recycles one kind of pooled object. Misses carve from a slab
+// (the miss arena), so growing a pool to its working set costs one
+// allocation per slab, not one per object — the same trick the event
+// kernel's arena uses.
+type freeList[T any] struct {
+	free []*T
+	slab []T
+}
+
+func (l *freeList[T]) put(x *T) { l.free = append(l.free, x) }
+
 // poolSlab is the arena granule. Frames and bodies are small (≤ ~100
 // bytes), so a granule stays a few KB.
 const poolSlab = 64
+
+// take pops a recycled object from l, or carves one from its slab and
+// counts the miss. The caller resets the object it gets.
+func take[T any](p *Pool, l *freeList[T]) *T {
+	if n := len(l.free); n > 0 {
+		x := l.free[n-1]
+		l.free = l.free[:n-1]
+		return x
+	}
+	p.Fresh++
+	if len(l.slab) == 0 {
+		l.slab = make([]T, poolSlab)
+	}
+	x := &l.slab[0]
+	l.slab = l.slab[1:]
+	return x
+}
 
 // Frame returns a zeroed pool-owned frame.
 func (p *Pool) Frame() *Frame {
 	if p == nil {
 		return &Frame{}
 	}
-	if n := len(p.frames); n > 0 {
-		f := p.frames[n-1]
-		p.frames = p.frames[:n-1]
-		*f = Frame{pooled: true}
-		return f
-	}
-	p.Fresh++
-	if len(p.frameSlab) == 0 {
-		p.frameSlab = make([]Frame, poolSlab)
-	}
-	f := &p.frameSlab[0]
-	p.frameSlab = p.frameSlab[1:]
-	f.pooled = true
+	f := take(p, &p.frames)
+	*f = Frame{pooled: true}
 	return f
 }
 
@@ -77,19 +89,8 @@ func (p *Pool) Beacon() *BeaconBody {
 	if p == nil {
 		return &BeaconBody{}
 	}
-	if n := len(p.beacons); n > 0 {
-		b := p.beacons[n-1]
-		p.beacons = p.beacons[:n-1]
-		*b = BeaconBody{pooled: true}
-		return b
-	}
-	p.Fresh++
-	if len(p.beaconSlab) == 0 {
-		p.beaconSlab = make([]BeaconBody, poolSlab)
-	}
-	b := &p.beaconSlab[0]
-	p.beaconSlab = p.beaconSlab[1:]
-	b.pooled = true
+	b := take(p, &p.beacons)
+	*b = BeaconBody{pooled: true}
 	return b
 }
 
@@ -99,20 +100,8 @@ func (p *Pool) Data() *DataBody {
 	if p == nil {
 		return &DataBody{}
 	}
-	if n := len(p.datas); n > 0 {
-		d := p.datas[n-1]
-		p.datas = p.datas[:n-1]
-		h := d.Header[:0]
-		*d = DataBody{pooled: true, Header: h}
-		return d
-	}
-	p.Fresh++
-	if len(p.dataSlab) == 0 {
-		p.dataSlab = make([]DataBody, poolSlab)
-	}
-	d := &p.dataSlab[0]
-	p.dataSlab = p.dataSlab[1:]
-	d.pooled = true
+	d := take(p, &p.datas)
+	*d = DataBody{pooled: true, Header: d.Header[:0]}
 	return d
 }
 
@@ -121,19 +110,28 @@ func (p *Pool) Probe() *ProbeReqBody {
 	if p == nil {
 		return &ProbeReqBody{}
 	}
-	if n := len(p.probes); n > 0 {
-		b := p.probes[n-1]
-		p.probes = p.probes[:n-1]
-		*b = ProbeReqBody{pooled: true}
-		return b
+	b := take(p, &p.probes)
+	*b = ProbeReqBody{pooled: true}
+	return b
+}
+
+// AssocReq returns a zeroed pool-owned association-request body.
+func (p *Pool) AssocReq() *AssocReqBody {
+	if p == nil {
+		return &AssocReqBody{}
 	}
-	p.Fresh++
-	if len(p.probeSlab) == 0 {
-		p.probeSlab = make([]ProbeReqBody, poolSlab)
+	b := take(p, &p.assocReqs)
+	*b = AssocReqBody{pooled: true}
+	return b
+}
+
+// AssocResp returns a zeroed pool-owned association-response body.
+func (p *Pool) AssocResp() *AssocRespBody {
+	if p == nil {
+		return &AssocRespBody{}
 	}
-	b := &p.probeSlab[0]
-	p.probeSlab = p.probeSlab[1:]
-	b.pooled = true
+	b := take(p, &p.assocResps)
+	*b = AssocRespBody{pooled: true}
 	return b
 }
 
@@ -149,22 +147,32 @@ func (p *Pool) Recycle(f *Frame) {
 	case *BeaconBody:
 		if b.pooled {
 			b.pooled = false
-			p.beacons = append(p.beacons, b)
+			p.beacons.put(b)
 		}
 	case *DataBody:
 		if b.pooled {
 			b.pooled = false
-			p.datas = append(p.datas, b)
+			p.datas.put(b)
 		}
 	case *ProbeReqBody:
 		if b.pooled {
 			b.pooled = false
-			p.probes = append(p.probes, b)
+			p.probes.put(b)
+		}
+	case *AssocReqBody:
+		if b.pooled {
+			b.pooled = false
+			p.assocReqs.put(b)
+		}
+	case *AssocRespBody:
+		if b.pooled {
+			b.pooled = false
+			p.assocResps.put(b)
 		}
 	}
 	f.pooled = false
 	f.Body = nil
-	p.frames = append(p.frames, f)
+	p.frames.put(f)
 	p.Recycled++
 }
 
