@@ -46,10 +46,10 @@ func TestOutputDigests(t *testing.T) {
 			"a.json": cityArchive, "m.prom": cityMetrics, "x.jsonl": cityTrace,
 		}},
 		{"city-ckpt", city + " -checkpoint-out c.ckpt", map[string]string{
-			"c.ckpt": "0170858eedfa538af769a76c5fe760b735c64bf5e778d8cbc17976cbfcfabbb8",
+			"c.ckpt": "2c21eac3751b1043bd8d110f6bceeab808c4232358789e4eda9d182959bdd699",
 		}},
 		{"city-ckpt-archive", city + " -checkpoint-out c.ckpt -archive-out a.json", map[string]string{
-			"c.ckpt": "58737f57223889ac2a4cfb33c5e1b272e328c0aeb9b0a6d054e2eba8631edc75", "a.json": cityArchive,
+			"c.ckpt": "ca6160e6367b030b71780e9bc635be65c9d6edf88ec6d710a0b2fef2afa2706b", "a.json": cityArchive,
 		}},
 		{"city-staggered", "-city citygrid -clients 24 -aps 80 -area-w 2400 -area-h 1600 -minutes 1 -seed 5" +
 			" -join-spread 20s -join-ramp exp -archive-out a.json", map[string]string{

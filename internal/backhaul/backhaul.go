@@ -49,28 +49,7 @@ func (c Config) withDefaults() Config {
 type Link struct {
 	kernel *sim.Kernel
 	cfg    Config
-	down   direction // server -> AP
-	up     direction // AP -> server
-
-	// blackhole silently eats traffic in both directions while set; the
-	// fault injector flips it for backhaul-outage episodes.
-	blackhole bool
-	// faultLat is extra one-way delay during a latency-spike episode.
-	faultLat time.Duration
-
-	// Drops counts messages discarded due to a full queue, per direction.
-	DownDrops, UpDrops uint64
-	// BlackholeDrops counts messages eaten by an injected outage (also
-	// included in the per-direction drop counters).
-	BlackholeDrops uint64
-	// Delivered counts messages that made it through, per direction.
-	DownDelivered, UpDelivered uint64
-	// Bytes counts payload bytes carried.
-	DownBytes, UpBytes uint64
-}
-
-type direction struct {
-	busyUntil time.Duration
+	st     State
 }
 
 // NewLink creates a link on the kernel.
@@ -92,13 +71,13 @@ func (l *Link) SetRateKbps(kbps int) {
 // directions silently drop everything — the dead DSLAM, the unplugged
 // modem. In-flight deliveries already scheduled still arrive (they had
 // left the pipe).
-func (l *Link) SetBlackhole(on bool) { l.blackhole = on }
+func (l *Link) SetBlackhole(on bool) { l.st.Blackhole = on }
 
 // Blackholed reports whether an outage is active.
-func (l *Link) Blackholed() bool { return l.blackhole }
+func (l *Link) Blackholed() bool { return l.st.Blackhole }
 
 // FaultLatency returns the active latency-spike extra delay.
-func (l *Link) FaultLatency() time.Duration { return l.faultLat }
+func (l *Link) FaultLatency() time.Duration { return l.st.FaultLat }
 
 // SetFaultLatency sets extra one-way delay applied to traffic sent
 // while a latency-spike episode is active. Zero ends the episode.
@@ -106,7 +85,7 @@ func (l *Link) SetFaultLatency(extra time.Duration) {
 	if extra < 0 {
 		extra = 0
 	}
-	l.faultLat = extra
+	l.st.FaultLat = extra
 }
 
 // Down sends size bytes from the server side toward the AP, invoking fn
@@ -126,31 +105,31 @@ func (l *Link) Up(size int, fn func()) bool {
 // DownEv is Down returning the delivery event handle, so callers that
 // checkpoint in-flight traffic can record its (at, seq) identity.
 func (l *Link) DownEv(size int, fn func()) (sim.Event, bool) {
-	ev, ok := l.send(&l.down, size, fn)
+	ev, ok := l.send(&l.st.DownBusyUntil, size, fn)
 	if ok {
-		l.DownDelivered++
-		l.DownBytes += uint64(size)
+		l.st.DownDelivered++
+		l.st.DownBytes += uint64(size)
 	} else {
-		l.DownDrops++
+		l.st.DownDrops++
 	}
 	return ev, ok
 }
 
 // UpEv is Up returning the delivery event handle.
 func (l *Link) UpEv(size int, fn func()) (sim.Event, bool) {
-	ev, ok := l.send(&l.up, size, fn)
+	ev, ok := l.send(&l.st.UpBusyUntil, size, fn)
 	if ok {
-		l.UpDelivered++
-		l.UpBytes += uint64(size)
+		l.st.UpDelivered++
+		l.st.UpBytes += uint64(size)
 	} else {
-		l.UpDrops++
+		l.st.UpDrops++
 	}
 	return ev, ok
 }
 
-func (l *Link) send(dir *direction, size int, fn func()) (sim.Event, bool) {
-	if l.blackhole {
-		l.BlackholeDrops++
+func (l *Link) send(busyUntil *time.Duration, size int, fn func()) (sim.Event, bool) {
+	if l.st.Blackhole {
+		l.st.BlackholeDrops++
 		return sim.Event{}, false
 	}
 	if size < 0 {
@@ -158,8 +137,8 @@ func (l *Link) send(dir *direction, size int, fn func()) (sim.Event, bool) {
 	}
 	now := l.kernel.Now()
 	start := now
-	if dir.busyUntil > start {
-		start = dir.busyUntil
+	if *busyUntil > start {
+		start = *busyUntil
 	}
 	// Queue occupancy in bytes implied by the backlog ahead of us.
 	backlogBytes := int(float64((start - now)) / float64(time.Second) * float64(l.cfg.RateKbps) * 1000 / 8)
@@ -167,53 +146,46 @@ func (l *Link) send(dir *direction, size int, fn func()) (sim.Event, bool) {
 		return sim.Event{}, false
 	}
 	txTime := time.Duration(float64(size*8) / float64(l.cfg.RateKbps) / 1000 * float64(time.Second))
-	dir.busyUntil = start + txTime
-	return l.kernel.At(start+txTime+l.cfg.Latency+l.faultLat, fn), true
+	*busyUntil = start + txTime
+	return l.kernel.At(start+txTime+l.cfg.Latency+l.st.FaultLat, fn), true
 }
 
 // State is a Link's complete checkpointable state (the in-flight
 // deliveries themselves are recorded by the layer that owns their
 // callbacks).
 type State struct {
+	// DownBusyUntil/UpBusyUntil are when each direction's shaper frees.
 	DownBusyUntil, UpBusyUntil time.Duration
-	Blackhole                  bool
-	FaultLat                   time.Duration
-	DownDrops, UpDrops         uint64
-	BlackholeDrops             uint64
+	// Blackhole silently eats traffic in both directions while set; the
+	// fault injector flips it for backhaul-outage episodes.
+	Blackhole bool
+	// FaultLat is extra one-way delay during a latency-spike episode.
+	FaultLat time.Duration
+	// DownDrops/UpDrops count messages discarded due to a full queue.
+	DownDrops, UpDrops uint64
+	// BlackholeDrops counts messages eaten by an injected outage (also
+	// included in the per-direction drop counters).
+	BlackholeDrops uint64
+	// DownDelivered/UpDelivered count messages that made it through.
 	DownDelivered, UpDelivered uint64
-	DownBytes, UpBytes         uint64
+	// DownBytes/UpBytes count payload bytes carried.
+	DownBytes, UpBytes uint64
 }
 
 // ExportState captures the link for a checkpoint.
-func (l *Link) ExportState() State {
-	return State{
-		DownBusyUntil: l.down.busyUntil, UpBusyUntil: l.up.busyUntil,
-		Blackhole: l.blackhole, FaultLat: l.faultLat,
-		DownDrops: l.DownDrops, UpDrops: l.UpDrops, BlackholeDrops: l.BlackholeDrops,
-		DownDelivered: l.DownDelivered, UpDelivered: l.UpDelivered,
-		DownBytes: l.DownBytes, UpBytes: l.UpBytes,
-	}
-}
+func (l *Link) ExportState() State { return l.st }
 
 // RestoreState rewinds the link to a checkpointed state.
-func (l *Link) RestoreState(st State) {
-	l.down.busyUntil = st.DownBusyUntil
-	l.up.busyUntil = st.UpBusyUntil
-	l.blackhole = st.Blackhole
-	l.faultLat = st.FaultLat
-	l.DownDrops, l.UpDrops, l.BlackholeDrops = st.DownDrops, st.UpDrops, st.BlackholeDrops
-	l.DownDelivered, l.UpDelivered = st.DownDelivered, st.UpDelivered
-	l.DownBytes, l.UpBytes = st.DownBytes, st.UpBytes
-}
+func (l *Link) RestoreState(st State) { l.st = st }
 
 // QueueDelay reports how long a byte entering the given direction now
 // would wait before transmission begins.
 func (l *Link) QueueDelay(downstream bool) time.Duration {
-	dir := &l.up
+	busyUntil := l.st.UpBusyUntil
 	if downstream {
-		dir = &l.down
+		busyUntil = l.st.DownBusyUntil
 	}
-	d := dir.busyUntil - l.kernel.Now()
+	d := busyUntil - l.kernel.Now()
 	if d < 0 {
 		return 0
 	}

@@ -61,8 +61,8 @@ func TestQueueOverflowDrops(t *testing.T) {
 	if accepted >= 100 {
 		t.Fatal("no drops despite tiny queue")
 	}
-	if l.DownDrops == 0 || l.DownDrops != uint64(100-accepted) {
-		t.Fatalf("DownDrops=%d accepted=%d", l.DownDrops, accepted)
+	if l.st.DownDrops == 0 || l.st.DownDrops != uint64(100-accepted) {
+		t.Fatalf("DownDrops=%d accepted=%d", l.st.DownDrops, accepted)
 	}
 	k.RunAll()
 }
@@ -150,7 +150,7 @@ func TestByteCounters(t *testing.T) {
 	l.Down(100, func() {})
 	l.Up(200, func() {})
 	k.RunAll()
-	if l.DownBytes != 100 || l.UpBytes != 200 || l.DownDelivered != 1 || l.UpDelivered != 1 {
+	if l.st.DownBytes != 100 || l.st.UpBytes != 200 || l.st.DownDelivered != 1 || l.st.UpDelivered != 1 {
 		t.Fatalf("counters: %+v", *l)
 	}
 }

@@ -25,8 +25,9 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
-	"io/fs"
+	"os"
 
 	"spider/internal/docfile"
 	"spider/internal/shard"
@@ -40,15 +41,17 @@ import (
 //
 //	1 — initial format.
 //	2 — DriverState gained Dormant/StartEv (staggered admission).
-//	    Version-1 documents decode losslessly: both fields default to
-//	    an immediately-started driver, the only state v1 could express.
+//	3 — each component's plain fields are stored as one unit, every
+//	    timer as an EventState ({Pending, At, Seq}), Dormant became
+//	    Started, and the driver's AssocTimes/JoinTimes/SwitchLatency
+//	    logs are gone. Older documents are refused.
 const (
 	Format  = "spider-checkpoint"
-	Version = 2
+	Version = 3
 )
 
 // minVersion is the oldest document version the decoder still accepts.
-const minVersion = 1
+const minVersion = 3
 
 // Checkpoint is one resumable snapshot document.
 type Checkpoint struct {
@@ -99,24 +102,26 @@ func (ck *Checkpoint) Encode() []byte {
 }
 
 // Decode parses a checkpoint document through docfile's strict decoder
-// and checks its format and version window. It never panics on
-// arbitrary input (the fuzz target's contract); deep consistency is
-// verified by Apply against the rebuilt world.
+// and checks its format and version window. The header is read first,
+// leniently, so a document of another version is refused for its
+// version, not for the fields that version carries. Decode never
+// panics on arbitrary input (the fuzz target's contract); deep
+// consistency is verified by Apply against the rebuilt world.
 func Decode(b []byte) (*Checkpoint, error) {
+	var hdr struct {
+		Format  string `json:"format"`
+		Version int    `json:"version"`
+	}
+	if json.Unmarshal(b, &hdr) == nil {
+		if err := docfile.CheckHeader(hdr.Format, hdr.Version, Format, minVersion, Version); err != nil {
+			return nil, fmt.Errorf("checkpoint: %w", err)
+		}
+	}
 	var ck Checkpoint
 	if err := docfile.Decode(bytes.NewReader(b), &ck); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	return ck.checked()
-}
-
-// checked returns the decoded checkpoint if its format and version are
-// ones this decoder reads.
-func (ck *Checkpoint) checked() (*Checkpoint, error) {
-	if err := docfile.CheckHeader(ck.Format, ck.Version, Format, minVersion, Version); err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	return ck, nil
+	return &ck, nil
 }
 
 // WriteFile persists the checkpoint atomically and durably via
@@ -130,13 +135,9 @@ func WriteFile(path string, ck *Checkpoint) error {
 // ReadFile loads and decodes a checkpoint file. Unlike a campaign's
 // state file, a checkpoint named for resume must exist.
 func ReadFile(path string) (*Checkpoint, error) {
-	var ck Checkpoint
-	found, err := docfile.ReadFile(path, &ck)
-	if err == nil && !found {
-		err = &fs.PathError{Op: "open", Path: path, Err: fs.ErrNotExist}
-	}
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	return ck.checked()
+	return Decode(b)
 }

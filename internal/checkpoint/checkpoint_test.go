@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -212,14 +213,74 @@ func TestApplyRejectsMismatch(t *testing.T) {
 	if _, err := Decode(bad); err == nil {
 		t.Fatal("decoded a wrong-format document")
 	}
-	bad = bytes.Replace(ck.Encode(), []byte(`"version": 2`), []byte(`"version": 99`), 1)
-	if _, err := Decode(bad); err == nil {
-		t.Fatal("decoded an unsupported version")
+	current := []byte(fmt.Sprintf(`"version": %d`, Version))
+	for _, v := range []int{minVersion - 1, Version + 1} {
+		bad = bytes.Replace(ck.Encode(), current, []byte(fmt.Sprintf(`"version": %d`, v)), 1)
+		if _, err := Decode(bad); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("version %d: decode error %v, want a version error", v, err)
+		}
 	}
 	if _, err := Decode(append(ck.Encode(), []byte("{}")...)); err == nil {
 		t.Fatal("decoded trailing data")
 	}
-	if _, err := Decode([]byte(`{"format": "spider-checkpoint", "version": 1, "unknown_field": 1}`)); err == nil {
+	if _, err := Decode([]byte(`{"format": "spider-checkpoint", "version": 3, "unknown_field": 1}`)); err == nil {
 		t.Fatal("decoded an unknown field")
+	}
+}
+
+// TestDecodeRefusesVersion2: a version-2 document is refused for its
+// version, not for the v2-only fields its body carries (the driver's
+// Dormant flag and duration logs).
+func TestDecodeRefusesVersion2(t *testing.T) {
+	doc := []byte(`{"format": "spider-checkpoint", "version": 2, "seed": 1, "config_fp": "fp",
+		"city": {"Tiles": [{"World": {"Clients": [{"Driver": {"Dormant": true, "AssocTimes": [1]}}]}}]}}`)
+	_, err := Decode(doc)
+	if err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("decode error %v, want a version-2 refusal", err)
+	}
+}
+
+// TestApplyRefusesCorruptState: edits that leave a checkpoint
+// well-formed JSON but describe no state the simulator can hold are
+// refused by Apply with an error, never a panic.
+func TestApplyRefusesCorruptState(t *testing.T) {
+	const seed = 3
+	c := buildCity(seed, 1, false)
+	if err := c.Run(4 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := Capture(c, seed, "fp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := ck.Encode()
+	for _, tc := range []struct {
+		name string
+		edit func(st *shard.CityState)
+	}{
+		{"timer seq at next seq", func(st *shard.CityState) {
+			ts := &st.Tiles[0]
+			ts.World.APs[0].AP.Beacon.Seq = ts.NextSeq
+		}},
+		{"timer in the past", func(st *shard.CityState) {
+			st.Tiles[0].World.APs[0].AP.Beacon.At = st.Now - time.Millisecond
+		}},
+		{"radio on channel 99", func(st *shard.CityState) {
+			st.Tiles[0].World.Medium.Radios[0].Channel = 99
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			edited, err := Decode(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !edited.City.Tiles[0].World.APs[0].AP.Beacon.Pending {
+				t.Fatal("fixture is dead: the first AP has no pending beacon")
+			}
+			tc.edit(&edited.City)
+			if err := edited.Apply(buildCity(seed, 1, false), seed, "fp"); err == nil {
+				t.Fatal("Apply accepted the corrupt checkpoint")
+			}
+		})
 	}
 }

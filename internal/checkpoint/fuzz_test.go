@@ -2,6 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -57,6 +59,134 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		}
 		if re := b.Encode(); !bytes.Equal(enc, re) {
 			t.Fatalf("canonical encoding is not a fixed point")
+		}
+	})
+}
+
+// mutable names the state fields FuzzApplyCheckpoint edits: counts,
+// indices, tile ids, times, event sequence numbers, channels, and the
+// halo frames' destinations and positions. A slice of numbers is
+// matched by its own field name (ResidentTile).
+var mutable = map[string]bool{
+	"Now": true, "NextSeq": true, "Fired": true, "Migrations": true,
+	"Client": true, "From": true, "To": true, "ResidentTile": true, "Dst": true,
+	"At": true, "Seq": true, "IdleUntil": true, "SuspendedTo": true, "BusyUntil": true,
+	"Channel": true, "Ch": true, "TxCh": true, "SwCh": true,
+	"SchedIdx": true, "APSliceIdx": true, "BGHome": true, "SwOutstanding": true,
+	"NextIP": true, "AID": true, "Total": true, "X": true, "Y": true,
+}
+
+// leaf is one editable number in a checkpoint and its path there.
+type leaf struct {
+	v    reflect.Value
+	path string
+}
+
+// numericLeaves appends every settable number under v whose field is
+// named in mutable, in a fixed walk order.
+func numericLeaves(v reflect.Value, name, path string, out []leaf) []leaf {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			out = numericLeaves(v.Elem(), name, path, out)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Type().Field(i); f.IsExported() || f.Anonymous {
+				out = numericLeaves(v.Field(i), f.Name, path+"."+f.Name, out)
+			}
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			out = numericLeaves(v.Index(i), name, fmt.Sprintf("%s[%d]", path, i), out)
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64:
+		if mutable[name] && v.CanSet() {
+			out = append(out, leaf{v, path})
+		}
+	}
+	return out
+}
+
+// set writes x into l, converted to its kind.
+func (l leaf) set(x int64) {
+	switch l.v.Kind() {
+	case reflect.Float32, reflect.Float64:
+		l.v.SetFloat(float64(x))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		l.v.SetUint(uint64(x))
+	default:
+		l.v.SetInt(x)
+	}
+}
+
+// FuzzApplyCheckpoint is the restore path's robustness contract: a real
+// capture with one count, index, tile id, time, sequence number,
+// channel or halo field set to an arbitrary value is either refused by
+// Apply with an error, or restores into a city that runs one more
+// epoch without a panic and without adding invariant violations.
+func FuzzApplyCheckpoint(f *testing.F) {
+	spec := testSpec(3)
+	spec.NumAPs, spec.NumClients = 8, 3
+	spec.AreaW, spec.AreaH = 600, 300
+	cfg := core.SpiderDefaults(core.MultiChannelMultiAP,
+		core.EqualSchedule(200*time.Millisecond, 1, 6, 11))
+	build := func() *shard.City {
+		c := shard.NewCity(spec, cfg, 1)
+		c.EnableObs(0)
+		c.ApplyChaos(fault.Aggressive())
+		return c
+	}
+	src := build()
+	if err := src.Run(2 * time.Second); err != nil {
+		f.Fatal(err)
+	}
+	ck, err := Capture(src, 3, "fp")
+	if err != nil {
+		f.Fatal(err)
+	}
+	enc := ck.Encode()
+	// resume applies ck to a fresh city and runs it one epoch on. It
+	// reports whether Apply accepted ck, then the epoch's error and the
+	// invariant violations the epoch added.
+	resume := func(ck *Checkpoint) (applied bool, added uint64, err error) {
+		c := build()
+		if ck.Apply(c, 3, "fp") != nil {
+			return false, 0, nil
+		}
+		before := c.InvariantsTotal()
+		err = c.Run(c.Now() + c.Layout.Epoch)
+		return true, c.InvariantsTotal() - before, err
+	}
+	applied, baseline, err := resume(ck)
+	if !applied || err != nil {
+		f.Fatalf("the unedited capture does not resume: applied=%v, %v", applied, err)
+	}
+	n := len(numericLeaves(reflect.ValueOf(&ck.City), "", "", nil))
+	for _, v := range []int64{0, -1, 1, 99, 1 << 40, -(1 << 40)} {
+		for _, i := range []int{0, n / 3, n / 2, n - 1} {
+			f.Add(uint32(i), v)
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, idx uint32, v int64) {
+		edited, err := Decode(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves := numericLeaves(reflect.ValueOf(&edited.City), "", "", nil)
+		l := leaves[int(idx)%len(leaves)]
+		l.set(v)
+		applied, added, err := resume(edited)
+		switch {
+		case !applied:
+		case err != nil:
+			t.Fatalf("city%s = %d: resumed city failed its next epoch: %v", l.path, v, err)
+		case added > baseline:
+			t.Fatalf("city%s = %d: resumed city added %d invariant violations in one epoch, unedited %d",
+				l.path, v, added, baseline)
 		}
 	})
 }

@@ -148,9 +148,8 @@ func TestRestoreRejectsMisroutedMirror(t *testing.T) {
 }
 
 // TestWarmStartFixtureReexports: the committed fixture, applied onto a
-// fresh city, captures back to its own bytes — its halo inbox included.
-// The fixture is a version-1 document and Capture writes the current
-// version, which decodes v1 losslessly, so only the header differs.
+// fresh city, captures back to its own bytes — header and halo inbox
+// included.
 func TestWarmStartFixtureReexports(t *testing.T) {
 	ck, err := readWarmFixture()
 	if err != nil {
@@ -164,7 +163,6 @@ func TestWarmStartFixtureReexports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again.Version = ck.Version
 	if !bytes.Equal(again.Encode(), ck.Encode()) {
 		t.Fatal("the warm-start fixture does not re-export to its own bytes")
 	}

@@ -31,7 +31,7 @@ func (d *Driver) apSliceTick() {
 // Besides the periodic tick, teardown calls it when a connected vAP
 // dies so the dead AP's slice is redistributed immediately.
 func (d *Driver) apSliceRebalance() {
-	if d.switching {
+	if d.sc.Switching {
 		return
 	}
 	ch := d.radio.Channel()
@@ -47,24 +47,24 @@ func (d *Driver) apSliceRebalance() {
 	d.connScratch = connected
 	if len(connected) < 2 {
 		// Nothing to serialize: make sure a lone AP is awake.
-		if len(connected) == 1 && connected[0].psmOn {
+		if len(connected) == 1 && connected[0].sc.PSMOn {
 			d.setPSM(connected[0], false)
 		}
 		return
 	}
-	d.apSliceIdx = (d.apSliceIdx + 1) % len(connected)
+	d.sc.APSliceIdx = (d.sc.APSliceIdx + 1) % len(connected)
 	for i, ifc := range connected {
-		d.setPSM(ifc, i != d.apSliceIdx)
+		d.setPSM(ifc, i != d.sc.APSliceIdx)
 	}
 }
 
 // setPSM announces the power-save state to one AP if it differs from
 // what the AP already believes.
 func (d *Driver) setPSM(ifc *Iface, on bool) {
-	if ifc.psmOn == on {
+	if ifc.sc.PSMOn == on {
 		return
 	}
-	ifc.psmOn = on
+	ifc.sc.PSMOn = on
 	f := d.pool.Frame()
 	f.Type = wifi.TypeNull
 	f.SA, f.DA, f.BSSID = d.Addr(), ifc.BSSID(), ifc.BSSID()
@@ -86,5 +86,5 @@ func (d *Driver) APSliceActive() wifi.Addr {
 	if len(connected) < 2 {
 		return wifi.Addr{}
 	}
-	return connected[d.apSliceIdx%len(connected)].BSSID()
+	return connected[d.sc.APSliceIdx%len(connected)].BSSID()
 }

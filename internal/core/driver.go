@@ -128,16 +128,11 @@ type Driver struct {
 	table  *apTable
 	ifaces map[wifi.Addr]*Iface
 
-	schedIdx   int
-	apSliceIdx int
-	switching  bool
+	// sc holds the plain evolving fields, checkpointed whole.
+	sc driverScalars
 	// stopped is set by Shutdown: every self-rescheduling tick and every
 	// in-flight completion checks it and winds down instead of re-arming.
-	stopped  bool
-	dwelling bool // multi-channel single-AP: pinned to the connected AP's channel
-	seq      uint16
-	// idleUntil blocks all joins (the stock client's post-failure sulk).
-	idleUntil time.Duration
+	stopped bool
 
 	// txq holds the frames waiting for their channel, one queue for all
 	// channels: each channel's frames keep their order, and each channel
@@ -156,11 +151,8 @@ type Driver struct {
 	bgScanEv   sim.Event
 	bgReturnEv sim.Event
 	apSliceEv  sim.Event
-	// startEv is the deferred-admission alarm (Config.StartAt); started
-	// flips when it fires. A driver with StartAt in the past is started
-	// at construction and never owns a startEv.
+	// startEv is the deferred-admission alarm (Config.StartAt).
 	startEv sim.Event
-	started bool
 
 	// pool is the medium's frame pool (nil under NoPool); every frame the
 	// driver originates comes from it and is recycled by the medium at
@@ -169,23 +161,14 @@ type Driver struct {
 	// Cached callbacks for the self-rescheduling ticks — re-arming with a
 	// fresh method value would allocate one closure per tick per client.
 	scanTickFn, nextSliceFn, inactivityFn, bgScanFn, bgReturnFn, apSliceFn, startFn func()
-	bgHome                                                                          int
-	// In-flight channel-switch state. A switch that starts while another
-	// is still in flight supersedes it: the generation counter invalidates
-	// stale PSM completions and the pending linger/retune events are
-	// cancelled, so exactly one switch owns the radio at a time. Keeping
-	// the state in fields (instead of per-switch closures) makes the whole
-	// path allocation-free apart from one generation guard per PSM burst.
-	swGen         uint64
-	swCh          int
-	swReset       time.Duration
-	swPolls       []*Iface // scratch: connected ifaces to wake on arrival
-	swOutstanding int
-	swLingerEv    sim.Event
-	swRetuneEv    sim.Event
-	beginResetFn  func()
-	lingerFn      func()
-	arriveFn      func()
+	// The in-flight channel switch's interfaces to wake on arrival and
+	// its two stages; the rest of its state is in sc.
+	swPolls      []*Iface
+	swLingerEv   sim.Event
+	swRetuneEv   sim.Event
+	beginResetFn func()
+	lingerFn     func()
+	arriveFn     func()
 	// ifScratch backs liveIfaces (connScratch the AP slicer's filtered
 	// view of it); ifaceFree recycles torn-down interfaces
 	// (with their joiner and DHCP state machines) for the next join.
@@ -214,14 +197,37 @@ type Driver struct {
 	// call sites skips argument construction when tracing is off.
 	tr                     *obs.Tracer
 	hAssoc, hJoin, hSwitch *obs.Histogram
-	dwellStart             time.Duration
+}
 
-	// Measurement series consumed by the experiment harness.
-	AssocTimes    []time.Duration // successful link-layer association durations
-	JoinTimes     []time.Duration // successful assoc+DHCP durations
-	SwitchLatency []time.Duration
-
-	stats Stats
+// driverScalars are a driver's plain evolving fields. DriverState
+// embeds them, so a checkpoint stores them whole.
+type driverScalars struct {
+	SchedIdx   int
+	APSliceIdx int
+	Switching  bool
+	// Dwelling pins a multi-channel single-AP driver to its connected
+	// AP's channel.
+	Dwelling bool
+	// Started flips when the deferred-admission alarm (Config.StartAt)
+	// fires; a driver whose StartAt is past starts at construction.
+	Started bool
+	Seq     uint16
+	// IdleUntil blocks all joins (the stock client's post-failure sulk).
+	IdleUntil  time.Duration
+	BGHome     int
+	DwellStart time.Duration
+	// The in-flight channel switch. A switch that starts while another
+	// is still in flight supersedes it: the generation counter
+	// invalidates stale PSM completions and the pending linger/retune
+	// events are cancelled, so exactly one switch owns the radio at a
+	// time. Keeping the state in fields (instead of per-switch closures)
+	// makes the whole path allocation-free apart from one generation
+	// guard per PSM burst.
+	SwGen         uint64
+	SwCh          int
+	SwReset       time.Duration
+	SwOutstanding int
+	Stats         Stats
 }
 
 // NewDriver creates a driver, registers its radio on the medium with the
@@ -251,8 +257,8 @@ func NewDriver(m *radio.Medium, cfg Config, addr wifi.Addr, mob geo.Mobility, ev
 	d.bgScanFn = d.backgroundScanTick
 	d.bgReturnFn = func() {
 		d.bgReturnEv = sim.Event{}
-		if d.dwelling && !d.stopped { // still associated: come home
-			d.switchTo(d.bgHome)
+		if d.sc.Dwelling && !d.stopped { // still associated: come home
+			d.switchTo(d.sc.BGHome)
 		}
 	}
 	d.beginResetFn = func() {
@@ -263,7 +269,7 @@ func NewDriver(m *radio.Medium, cfg Config, addr wifi.Addr, mob geo.Mobility, ev
 		if d.stopped {
 			return
 		}
-		d.swRetuneEv = d.radio.Retune(d.swCh, d.swReset, d.arriveFn)
+		d.swRetuneEv = d.radio.Retune(d.sc.SwCh, d.sc.SwReset, d.arriveFn)
 	}
 	d.arriveFn = d.arrive
 	d.startFn = d.start
@@ -287,7 +293,7 @@ func (d *Driver) start() {
 	if d.stopped {
 		return
 	}
-	d.started = true
+	d.sc.Started = true
 	d.radio.SetChannel(d.cfg.Schedule[0].Channel)
 	d.scanEv = d.kernel.After(0, d.scanTickFn)
 	if len(d.cfg.Schedule) > 1 {
@@ -337,7 +343,7 @@ func (d *Driver) Shutdown() {
 	d.swLingerEv = sim.Event{}
 	d.swRetuneEv.Cancel()
 	d.swRetuneEv = sim.Event{}
-	d.switching = false
+	d.sc.Switching = false
 	// Frames already committed to the radio finish as pure physics — the
 	// airtime is spent and deliveries still draw loss — but their
 	// completion callbacks are stripped so nothing upcalls into the
@@ -396,7 +402,7 @@ func (d *Driver) backgroundScanTick() {
 }
 
 func (d *Driver) backgroundScanVisit() {
-	if !d.dwelling || d.switching {
+	if !d.sc.Dwelling || d.sc.Switching {
 		return
 	}
 	home := d.radio.Channel()
@@ -406,17 +412,17 @@ func (d *Driver) backgroundScanVisit() {
 	// Visit the next scheduled channel that is not home.
 	target := 0
 	for i := 1; i <= len(d.cfg.Schedule); i++ {
-		ch := d.cfg.Schedule[(d.schedIdx+i)%len(d.cfg.Schedule)].Channel
+		ch := d.cfg.Schedule[(d.sc.SchedIdx+i)%len(d.cfg.Schedule)].Channel
 		if ch != home {
 			target = ch
-			d.schedIdx = (d.schedIdx + i) % len(d.cfg.Schedule)
+			d.sc.SchedIdx = (d.sc.SchedIdx + i) % len(d.cfg.Schedule)
 			break
 		}
 	}
 	if target == 0 {
 		return
 	}
-	d.bgHome = home
+	d.sc.BGHome = home
 	d.switchTo(target)
 	d.bgReturnEv = d.kernel.After(d.cfg.BackgroundScanDwell, d.bgReturnFn)
 }
@@ -429,7 +435,7 @@ func (d *Driver) Config() Config { return d.cfg }
 
 // Stats returns a snapshot of the counters.
 func (d *Driver) Stats() Stats {
-	s := d.stats
+	s := d.sc.Stats
 	s.BlacklistEvictions = d.table.evictions
 	return s
 }
@@ -455,7 +461,7 @@ func (d *Driver) AttachObs(o *obs.Obs) {
 		"Successful full-join (assoc+DHCP) durations.")
 	d.hSwitch = o.Reg.Histogram("spider_switch_latency_seconds",
 		"Modeled channel-switch latencies (PSM + reset + polls).")
-	d.dwellStart = d.kernel.Now()
+	d.sc.DwellStart = d.kernel.Now()
 }
 
 // AddConnectedHook registers an observer invoked after each successful
@@ -486,7 +492,7 @@ func (d *Driver) SetResetFaultHook(fn func() time.Duration) { d.resetFault = fn 
 // reason across consecutive polls with no intervening switches before
 // declaring a deadlock.
 func (d *Driver) Stalled() string {
-	if !d.started {
+	if !d.sc.Started {
 		// A dormant driver is healthy exactly while its admission alarm is
 		// pending (or after retirement); dormant with no alarm is wedged.
 		if d.startEv.Pending() || d.stopped {
@@ -494,13 +500,13 @@ func (d *Driver) Stalled() string {
 		}
 		return "dormant with no admission alarm"
 	}
-	if d.switching {
+	if d.sc.Switching {
 		return "channel switch in flight"
 	}
-	if d.dwelling && len(d.ifaces) == 0 {
+	if d.sc.Dwelling && len(d.ifaces) == 0 {
 		return "dwelling with no interfaces"
 	}
-	if !d.dwelling && len(d.cfg.Schedule) > 1 && !d.sliceEv.Pending() {
+	if !d.sc.Dwelling && len(d.cfg.Schedule) > 1 && !d.sliceEv.Pending() {
 		return "channel rotation stopped"
 	}
 	return ""
@@ -590,27 +596,27 @@ func (d *Driver) nextSlice() {
 	if d.stopped {
 		return
 	}
-	if d.dwelling {
+	if d.sc.Dwelling {
 		// Pinned to a connected AP's channel (multi-channel single-AP
 		// mode); the rotation resumes on disconnect.
 		return
 	}
-	if d.switching {
+	if d.sc.Switching {
 		// The previous switch is still in flight at this slice boundary:
 		// the schedule asked for a dwell shorter than the switch costs.
-		d.stats.DwellOverruns++
+		d.sc.Stats.DwellOverruns++
 		if d.tr != nil {
 			d.tr.Instant("core.dwell", "overrun")
 		}
 	}
-	prevCh := d.cfg.Schedule[d.schedIdx].Channel
-	d.schedIdx = (d.schedIdx + 1) % len(d.cfg.Schedule)
-	next := d.cfg.Schedule[d.schedIdx]
+	prevCh := d.cfg.Schedule[d.sc.SchedIdx].Channel
+	d.sc.SchedIdx = (d.sc.SchedIdx + 1) % len(d.cfg.Schedule)
+	next := d.cfg.Schedule[d.sc.SchedIdx]
 	d.sliceEv = d.kernel.After(next.Dwell, d.nextSliceFn)
 	if d.tr != nil {
-		d.tr.Complete("core.dwell", "ch"+strconv.Itoa(prevCh), d.dwellStart)
+		d.tr.Complete("core.dwell", "ch"+strconv.Itoa(prevCh), d.sc.DwellStart)
 	}
-	d.dwellStart = d.kernel.Now()
+	d.sc.DwellStart = d.kernel.Now()
 	d.switchTo(next.Channel)
 }
 
@@ -636,17 +642,17 @@ var (
 // wherever the newest switch points.
 func (d *Driver) switchTo(ch int) {
 	from := d.radio.Channel()
-	if from == ch && !d.switching {
+	if from == ch && !d.sc.Switching {
 		return
 	}
-	d.swGen++
+	d.sc.SwGen++
 	d.swLingerEv.Cancel()
 	d.swLingerEv = sim.Event{}
 	d.swRetuneEv.Cancel()
 	d.swRetuneEv = sim.Event{}
-	d.switching = true
-	d.swCh = ch
-	d.swOutstanding = 0
+	d.sc.Switching = true
+	d.sc.SwCh = ch
+	d.sc.SwOutstanding = 0
 	var latency time.Duration
 	connected := 0
 	ifaces := d.liveIfaces()
@@ -656,33 +662,32 @@ func (d *Driver) switchTo(ch int) {
 	// the announcement and leave the AP transmitting to nobody.
 	var psmDone func(bool)
 	for _, ifc := range ifaces {
-		if ifc.Channel() == from && ifc.state >= IfaceDHCP {
+		if ifc.Channel() == from && ifc.sc.State >= IfaceDHCP {
 			connected++
 			if psmDone == nil {
-				psmDone = d.psmDoneFor(d.swGen)
+				psmDone = d.psmDoneFor(d.sc.SwGen)
 			}
-			d.swOutstanding++
+			d.sc.SwOutstanding++
 			psm := d.pool.Frame()
 			psm.Type = wifi.TypeNull
 			psm.SA, psm.DA, psm.BSSID = d.Addr(), ifc.BSSID(), ifc.BSSID()
 			psm.PowerMgmt = true
 			psm.Seq = d.nextSeq()
-			ifc.psmOn = true
+			ifc.sc.PSMOn = true
 			latency += nullUnicastTxTime
-			d.radio.SendTagged(psm, psmDone, radio.TxTag{Kind: radio.TagPSM, Gen: d.swGen})
+			d.radio.SendTagged(psm, psmDone, radio.TxTag{Kind: radio.TagPSM, Gen: d.sc.SwGen})
 		}
 	}
 	latency += d.cfg.ResetBase
 	// Collect the polls we will owe on the new channel.
 	d.swPolls = d.swPolls[:0]
 	for _, ifc := range ifaces {
-		if ifc.Channel() == ch && ifc.state >= IfaceDHCP {
+		if ifc.Channel() == ch && ifc.sc.State >= IfaceDHCP {
 			d.swPolls = append(d.swPolls, ifc)
 		}
 	}
 	latency += time.Duration(len(d.swPolls)) * nullBroadcastTxTime
-	d.stats.Switches++
-	d.SwitchLatency = append(d.SwitchLatency, latency)
+	d.sc.Stats.Switches++
 	d.hSwitch.Observe(latency.Seconds())
 	if d.tr != nil {
 		d.tr.Instant("core.switch", "switch",
@@ -697,12 +702,12 @@ func (d *Driver) switchTo(ch int) {
 	reset := d.cfg.ResetBase
 	if d.resetFault != nil {
 		if stuck := d.resetFault(); stuck > 0 {
-			d.stats.ResetFaults++
+			d.sc.Stats.ResetFaults++
 			reset += stuck
 		}
 	}
-	d.swReset = reset
-	if d.swOutstanding == 0 {
+	d.sc.SwReset = reset
+	if d.sc.SwOutstanding == 0 {
 		d.beginResetFn()
 	}
 }
@@ -713,11 +718,11 @@ func (d *Driver) switchTo(ch int) {
 // rebind restored radio-queue entries (TagPSM) to their generation.
 func (d *Driver) psmDoneFor(gen uint64) func(bool) {
 	return func(bool) {
-		if d.swGen != gen {
+		if d.sc.SwGen != gen {
 			return // a later switch superseded this one
 		}
-		d.swOutstanding--
-		if d.swOutstanding == 0 {
+		d.sc.SwOutstanding--
+		if d.sc.SwOutstanding == 0 {
 			d.beginResetFn()
 		}
 	}
@@ -729,7 +734,7 @@ func (d *Driver) psmDoneFor(gen uint64) func(bool) {
 // retune event was cancelled).
 func (d *Driver) arrive() {
 	d.swRetuneEv = sim.Event{}
-	d.switching = false
+	d.sc.Switching = false
 	if d.stopped {
 		// Shut down while the retune was in flight: stay deaf.
 		d.radio.SetChannel(0)
@@ -739,23 +744,23 @@ func (d *Driver) arrive() {
 	// map check skips interfaces torn down (and possibly recycled toward
 	// a different AP — psmOn is cleared on reuse) while we were away.
 	for _, ifc := range d.swPolls {
-		if ifc.psmOn && d.ifaces[ifc.BSSID()] == ifc {
+		if ifc.sc.PSMOn && d.ifaces[ifc.BSSID()] == ifc {
 			wake := d.pool.Frame()
 			wake.Type = wifi.TypeNull
 			wake.SA, wake.DA, wake.BSSID = d.Addr(), ifc.BSSID(), ifc.BSSID()
 			wake.Seq = d.nextSeq()
 			d.radio.Send(wake)
-			ifc.psmOn = false
+			ifc.sc.PSMOn = false
 		}
 	}
 	d.swPolls = d.swPolls[:0]
-	d.drainTxQueue(d.swCh)
+	d.drainTxQueue(d.sc.SwCh)
 	d.probe()
 }
 
 func (d *Driver) nextSeq() uint16 {
-	d.seq++
-	return d.seq
+	d.sc.Seq++
+	return d.sc.Seq
 }
 
 // ---- Scanning ----
@@ -775,7 +780,7 @@ func (d *Driver) probe() {
 	if d.radio.Channel() == 0 {
 		return
 	}
-	d.stats.ProbesSent++
+	d.sc.Stats.ProbesSent++
 	f := d.pool.Frame()
 	f.Type = wifi.TypeProbeReq
 	f.SA, f.DA, f.BSSID = d.Addr(), wifi.Broadcast, wifi.Broadcast
@@ -789,7 +794,7 @@ func (d *Driver) probe() {
 // maybeJoin starts joins toward the best candidates on the current
 // channel, respecting the interface budget.
 func (d *Driver) maybeJoin() {
-	if d.switching || d.stopped {
+	if d.sc.Switching || d.stopped {
 		return
 	}
 	ch := d.radio.Channel()
@@ -801,7 +806,7 @@ func (d *Driver) maybeJoin() {
 		return
 	}
 	now := d.kernel.Now()
-	if now < d.idleUntil {
+	if now < d.sc.IdleUntil {
 		return
 	}
 	for _, rec := range d.table.candidates(ch, now, 2*time.Second, d.cfg.UseHistory) {
@@ -828,8 +833,7 @@ func (d *Driver) startJoin(rec *APRecord) {
 		ifc = d.ifaceFree[n-1]
 		d.ifaceFree = d.ifaceFree[:n-1]
 		ifc.rec = rec
-		ifc.ip = 0
-		ifc.psmOn, ifc.renewing = false, false
+		ifc.sc = ifaceScalars{}
 		ifc.renewEv = sim.Event{}
 		ifc.joiner.ResetTarget(bssid, rec.SSID)
 		ifc.dhcpc.Reset()
@@ -838,16 +842,16 @@ func (d *Driver) startJoin(rec *APRecord) {
 	} else {
 		ifc = d.newIface(rec)
 	}
-	ifc.state = IfaceJoining
-	ifc.joinStart, ifc.lastHeard = now, now
+	ifc.sc.State = IfaceJoining
+	ifc.sc.JoinStart, ifc.sc.LastHeard = now, now
 	d.ifaces[bssid] = ifc
 	rec.Attempts++
-	d.stats.AssocAttempts++
+	d.sc.Stats.AssocAttempts++
 	// Single-association roaming drivers (stock and Spider's config 4)
 	// stop scanning while a join is in progress: the rotation resumes
 	// only if the attempt fails.
 	if d.cfg.Mode == MultiChannelSingleAP || d.cfg.Mode == StockWiFi {
-		d.dwelling = true
+		d.sc.Dwelling = true
 	}
 	ifc.joiner.Start()
 }
@@ -895,12 +899,11 @@ func (d *Driver) onAssocResult(ifc *Iface, res mac.AssocResult) {
 		d.failJoin(ifc)
 		return
 	}
-	d.stats.AssocSuccesses++
-	d.AssocTimes = append(d.AssocTimes, res.Elapsed)
+	d.sc.Stats.AssocSuccesses++
 	d.hAssoc.Observe(res.Elapsed.Seconds())
-	ifc.state = IfaceDHCP
-	ifc.lastHeard = d.kernel.Now()
-	d.stats.DHCPAttempts++
+	ifc.sc.State = IfaceDHCP
+	ifc.sc.LastHeard = d.kernel.Now()
+	d.sc.Stats.DHCPAttempts++
 	var cached dhcp.IP
 	if d.cfg.UseLeaseCache {
 		cached = ifc.rec.CachedLease(d.kernel.Now())
@@ -909,35 +912,35 @@ func (d *Driver) onAssocResult(ifc *Iface, res mac.AssocResult) {
 		// Re-association with a cached lease: the REQUEST-first start IS
 		// the revalidation — a rebooted server NAKs it and the client
 		// falls back to discovery inside the same attempt window.
-		d.stats.LeaseRevalidations++
+		d.sc.Stats.LeaseRevalidations++
 	}
 	ifc.dhcpc.Start(cached)
 }
 
 func (d *Driver) onDHCPResult(ifc *Iface, res dhcp.Result) {
-	if ifc.renewing {
+	if ifc.sc.Renewing {
 		d.onRenewResult(ifc, res)
 		return
 	}
-	elapsed := d.kernel.Now() - ifc.joinStart
+	elapsed := d.kernel.Now() - ifc.sc.JoinStart
 	if d.events.OnJoinResult != nil {
 		d.events.OnJoinResult(ifc.BSSID(), res.Success, elapsed)
 	}
 	if !res.Success {
-		d.stats.DHCPFailures++
+		d.sc.Stats.DHCPFailures++
 		if d.cfg.GlobalIdleOnDHCPFail > 0 {
-			d.idleUntil = d.kernel.Now() + d.cfg.GlobalIdleOnDHCPFail
+			d.sc.IdleUntil = d.kernel.Now() + d.cfg.GlobalIdleOnDHCPFail
 		}
 		d.failJoin(ifc)
 		return
 	}
-	d.stats.DHCPSuccesses++
-	d.stats.JoinSuccesses++
+	d.sc.Stats.DHCPSuccesses++
+	d.sc.Stats.JoinSuccesses++
 	if res.FastPath {
-		d.stats.FastPathJoins++
+		d.sc.Stats.FastPathJoins++
 	}
 	if d.ConnectedCount() > 0 {
-		d.stats.SoftHandoffs++
+		d.sc.Stats.SoftHandoffs++
 	}
 	rec := ifc.rec
 	rec.Successes++
@@ -945,18 +948,17 @@ func (d *Driver) onDHCPResult(ifc *Iface, res dhcp.Result) {
 	rec.TotalJoin += elapsed
 	rec.LeaseIP = res.IP
 	rec.LeaseExpiry = d.kernel.Now() + res.LeaseDur
-	d.JoinTimes = append(d.JoinTimes, elapsed)
 	d.hJoin.Observe(elapsed.Seconds())
 	if d.tr != nil {
 		d.tr.Instant("core.join", "connected",
 			obs.S("bssid", ifc.BSSID().String()), obs.D("elapsed", elapsed))
 	}
-	ifc.state = IfaceConnected
-	ifc.ip = res.IP
-	ifc.lastHeard = d.kernel.Now()
+	ifc.sc.State = IfaceConnected
+	ifc.sc.IP = res.IP
+	ifc.sc.LastHeard = d.kernel.Now()
 	// Multi-channel single-AP: dwell on this AP's channel.
 	if d.cfg.Mode == MultiChannelSingleAP || d.cfg.Mode == StockWiFi {
-		d.dwelling = true
+		d.sc.Dwelling = true
 	}
 	d.scheduleRenewal(ifc, res.LeaseDur)
 	if d.events.OnConnected != nil {
@@ -990,9 +992,9 @@ func (d *Driver) ensureRenewFn(ifc *Iface) func() {
 			if !ifc.Connected() || d.ifaces[ifc.BSSID()] != ifc {
 				return
 			}
-			ifc.renewing = true
-			d.stats.Renewals++
-			ifc.dhcpc.Start(ifc.ip)
+			ifc.sc.Renewing = true
+			d.sc.Stats.Renewals++
+			ifc.dhcpc.Start(ifc.sc.IP)
 		}
 	}
 	return ifc.renewFn
@@ -1002,9 +1004,9 @@ func (d *Driver) ensureRenewFn(ifc *Iface) func() {
 // the cache); failure means the server no longer honors the address —
 // the association is torn down so a clean rejoin can happen.
 func (d *Driver) onRenewResult(ifc *Iface, res dhcp.Result) {
-	ifc.renewing = false
-	if !res.Success || res.IP != ifc.ip {
-		d.stats.RenewalFailures++
+	ifc.sc.Renewing = false
+	if !res.Success || res.IP != ifc.sc.IP {
+		d.sc.Stats.RenewalFailures++
 		d.teardown(ifc)
 		return
 	}
@@ -1042,7 +1044,7 @@ func (d *Driver) applyFailBackoff(rec *APRecord) {
 		rec.BlacklistUntil = now + q
 		rec.HoldUntil = rec.BlacklistUntil
 		rec.ConsecFails = 0
-		d.stats.Blacklisted++
+		d.sc.Stats.Blacklisted++
 		if d.tr != nil {
 			d.tr.Instant("core.fault", "quarantine",
 				obs.S("bssid", rec.BSSID.String()), obs.D("for", q))
@@ -1091,7 +1093,7 @@ func (d *Driver) teardown(ifc *Iface) {
 	kept := d.txq[:0]
 	for _, qf := range d.txq {
 		if qf.ch == ch && qf.f.DA == bssid {
-			d.stats.TeardownPurged++
+			d.sc.Stats.TeardownPurged++
 			continue
 		}
 		kept = append(kept, qf)
@@ -1099,7 +1101,7 @@ func (d *Driver) teardown(ifc *Iface) {
 	clear(d.txq[len(kept):])
 	d.txq = kept
 	if wasConnected {
-		d.stats.Disconnects++
+		d.sc.Stats.Disconnects++
 		if d.tr != nil {
 			d.tr.Instant("core.join", "disconnect", obs.S("bssid", bssid.String()))
 		}
@@ -1115,15 +1117,15 @@ func (d *Driver) teardown(ifc *Iface) {
 		}
 	}
 	// Resume rotation once nothing is joined or joining anymore.
-	if d.dwelling && len(d.ifaces) == 0 && d.ConnectedCount() == 0 {
-		d.dwelling = false
+	if d.sc.Dwelling && len(d.ifaces) == 0 && d.ConnectedCount() == 0 {
+		d.sc.Dwelling = false
 		if len(d.cfg.Schedule) > 1 && !d.sliceEv.Pending() {
 			d.sliceEv = d.kernel.After(0, d.nextSliceFn)
 		}
 	}
 	// FatVAP-style slicing: hand the dead vAP's slice to the survivors
 	// immediately instead of idling the channel until the next tick.
-	if d.cfg.APCentric && wasConnected && !d.switching {
+	if d.cfg.APCentric && wasConnected && !d.sc.Switching {
 		d.apSliceRebalance()
 	}
 	for _, fn := range d.teardownHooks {
@@ -1144,7 +1146,7 @@ func (d *Driver) inactivityTick() {
 	}
 	now := d.kernel.Now()
 	for _, ifc := range d.liveIfaces() {
-		if now-ifc.lastHeard > d.cfg.InactivityTimeout {
+		if now-ifc.sc.LastHeard > d.cfg.InactivityTimeout {
 			if ifc.Connected() {
 				d.teardown(ifc)
 			} else {
@@ -1162,14 +1164,14 @@ func (d *Driver) inactivityTick() {
 // visit. This is Spider's "one packet queue per channel that is swapped
 // in and out of the driver".
 func (d *Driver) transmit(ch int, f *wifi.Frame) {
-	if d.radio.Channel() == ch && !d.switching {
+	if d.radio.Channel() == ch && !d.sc.Switching {
 		d.radio.Send(f)
 		return
 	}
 	// The whole queue bounds any one channel's share, so only a queue
 	// that long needs the per-channel count.
 	if len(d.txq) >= d.cfg.TxQueueFrames && d.queuedOn(ch) >= d.cfg.TxQueueFrames {
-		d.stats.TxQueueDrops++
+		d.sc.Stats.TxQueueDrops++
 		return
 	}
 	d.txq = append(d.txq, queuedFrame{f: f, ch: ch})
@@ -1210,7 +1212,7 @@ func (d *Driver) Uplink(bssid wifi.Addr, db *wifi.DataBody) bool {
 	if !ok {
 		return false
 	}
-	d.stats.UplinkFrames++
+	d.sc.Stats.UplinkFrames++
 	f := d.pool.Frame()
 	f.Type = wifi.TypeData
 	f.SA, f.DA, f.BSSID = d.Addr(), bssid, bssid
@@ -1235,12 +1237,12 @@ func (d *Driver) receive(f *wifi.Frame) {
 		}
 		d.table.observe(f.BSSID, body.SSID, int(body.Channel), int(body.BackhaulKbps), now, f.Halo)
 		if ifc, ok := d.ifaces[f.BSSID]; ok {
-			ifc.lastHeard = now
+			ifc.sc.LastHeard = now
 		}
 		d.maybeJoin()
 	case wifi.TypeAuthResp, wifi.TypeAssocResp, wifi.TypeDeauth:
 		if ifc, ok := d.ifaces[f.SA]; ok {
-			ifc.lastHeard = now
+			ifc.sc.LastHeard = now
 			ifc.joiner.HandleFrame(f)
 			if f.Type == wifi.TypeDeauth && ifc.Connected() {
 				d.teardown(ifc)
@@ -1253,7 +1255,7 @@ func (d *Driver) receive(f *wifi.Frame) {
 		}
 		ifc, known := d.ifaces[f.SA]
 		if known {
-			ifc.lastHeard = now
+			ifc.sc.LastHeard = now
 		}
 		if db.Proto == wifi.ProtoDHCP {
 			if known {
@@ -1266,8 +1268,8 @@ func (d *Driver) receive(f *wifi.Frame) {
 		if !known {
 			return
 		}
-		d.stats.DownlinkFrames++
-		d.stats.DownlinkBytes += uint64(db.BodySize())
+		d.sc.Stats.DownlinkFrames++
+		d.sc.Stats.DownlinkBytes += uint64(db.BodySize())
 		if d.sink != nil {
 			d.sink(f.SA, db)
 		}

@@ -9,6 +9,7 @@ import (
 	"spider/internal/dhcp"
 	"spider/internal/geo"
 	"spider/internal/mac"
+	"spider/internal/obs"
 	"spider/internal/radio"
 	"spider/internal/sim"
 	"spider/internal/wifi"
@@ -63,6 +64,7 @@ func TestDriverJoinsAPOnSingleChannel(t *testing.T) {
 	w := newWorld(1, 0)
 	w.addAP(1, "open", 6, geo.Point{X: 30})
 	d := w.addDriver(singleChannelCfg(SingleChannelSingleAP, 6), geo.Static{P: geo.Point{}})
+	d.AttachObs(obs.New(0))
 	w.k.Run(20 * time.Second)
 	if d.ConnectedCount() != 1 {
 		t.Fatalf("connected %d, want 1 (stats %+v)", d.ConnectedCount(), d.Stats())
@@ -70,11 +72,14 @@ func TestDriverJoinsAPOnSingleChannel(t *testing.T) {
 	if len(w.connected) != 1 || w.connected[0] != w.aps[0].Addr() {
 		t.Fatalf("OnConnected events: %v", w.connected)
 	}
-	if len(d.JoinTimes) != 1 || d.JoinTimes[0] <= 0 {
-		t.Fatalf("join times: %v", d.JoinTimes)
+	if st := d.Stats(); st.JoinSuccesses != 1 || st.AssocSuccesses != 1 {
+		t.Fatalf("%d joins and %d associations, want 1 each", st.JoinSuccesses, st.AssocSuccesses)
 	}
-	if len(d.AssocTimes) != 1 {
-		t.Fatalf("assoc times: %v", d.AssocTimes)
+	if n, sum := d.hJoin.Count(), d.hJoin.Sum(); n != 1 || sum <= 0 {
+		t.Fatalf("join latency histogram: %d observations summing to %gs", n, sum)
+	}
+	if n := d.hAssoc.Count(); n != 1 {
+		t.Fatalf("association latency histogram: %d observations", n)
 	}
 }
 
@@ -586,19 +591,20 @@ func TestAirtimeAccounting(t *testing.T) {
 }
 
 func TestDriverDeterministicAcrossRuns(t *testing.T) {
-	run := func() (uint64, int) {
+	run := func() (Stats, float64) {
 		w := newWorld(77, 0.1)
 		for i := uint32(1); i <= 3; i++ {
 			w.addAP(i, "a", 6, geo.Point{X: float64(25 * i)})
 		}
 		d := w.addDriver(singleChannelCfg(SingleChannelMultiAP, 6), geo.Static{P: geo.Point{}})
+		d.AttachObs(obs.New(0))
 		w.k.Run(30 * time.Second)
-		return d.Stats().JoinSuccesses, len(d.JoinTimes)
+		return d.Stats(), d.hJoin.Sum()
 	}
 	a1, b1 := run()
 	a2, b2 := run()
 	if a1 != a2 || b1 != b2 {
-		t.Fatalf("non-deterministic: (%d,%d) vs (%d,%d)", a1, b1, a2, b2)
+		t.Fatalf("non-deterministic: (%+v, %gs of joins) vs (%+v, %gs)", a1, b1, a2, b2)
 	}
 }
 

@@ -43,19 +43,25 @@ type Iface struct {
 	joiner mac.Joiner
 	dhcpc  dhcp.Client
 
-	// The small fields share one word, which keeps the interface at 512
-	// bytes (TestIfaceSize): every join attempt allocates one.
-	state     IfaceState
-	psmOn     bool // we've told this AP we're in power-save
-	renewing  bool // a T1 lease renewal (not a join) is in flight
-	ip        dhcp.IP
-	joinStart time.Duration // when the attempt began (assoc+dhcp measured from here)
-	lastHeard time.Duration
-	renewEv   sim.Event
+	sc      ifaceScalars
+	renewEv sim.Event
 	// renewFn is the cached T1 renewal callback (built by the driver's
 	// ensureRenewFn); it reads fields at fire time, so one closure serves
 	// the interface across recycles.
 	renewFn func()
+}
+
+// ifaceScalars are an interface's plain evolving fields, checkpointed
+// whole. The small fields share one word, which keeps the interface at
+// 512 bytes (TestIfaceSize): every join attempt allocates one.
+type ifaceScalars struct {
+	State    IfaceState
+	PSMOn    bool // we've told this AP we're in power-save
+	Renewing bool // a T1 lease renewal (not a join) is in flight
+	IP       dhcp.IP
+	// JoinStart is when the attempt began (assoc+dhcp measured from here).
+	JoinStart time.Duration
+	LastHeard time.Duration
 }
 
 // SendJoinFrame implements mac.JoinHost: the joiner's frames leave
@@ -79,13 +85,13 @@ func (ifc *Iface) BSSID() wifi.Addr { return ifc.rec.BSSID }
 func (ifc *Iface) Channel() int { return ifc.rec.Channel }
 
 // State returns the lifecycle stage.
-func (ifc *Iface) State() IfaceState { return ifc.state }
+func (ifc *Iface) State() IfaceState { return ifc.sc.State }
 
 // IP returns the leased address (zero until connected).
-func (ifc *Iface) IP() dhcp.IP { return ifc.ip }
+func (ifc *Iface) IP() dhcp.IP { return ifc.sc.IP }
 
 // Connected reports whether the interface holds a lease.
-func (ifc *Iface) Connected() bool { return ifc.state == IfaceConnected }
+func (ifc *Iface) Connected() bool { return ifc.sc.State == IfaceConnected }
 
 // TimersPending reports whether any timer owned by this interface — the
 // joiner's link timer, the DHCP client's retx/deadline timers, or the

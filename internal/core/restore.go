@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"time"
 
 	"spider/internal/dhcp"
 	"spider/internal/mac"
@@ -17,16 +16,11 @@ import (
 // joiner and DHCP client ride along; the AP record is referenced by
 // BSSID into the driver's exported scan table.
 type IfaceSnapshot struct {
-	BSSID     wifi.Addr
-	State     uint8
-	JoinStart time.Duration
-	IP        dhcp.IP
-	LastHeard time.Duration
-	PSMOn     bool
-	Renewing  bool
-	RenewEv   sim.EventState
-	Joiner    mac.JoinerState
-	DHCP      dhcp.ClientState
+	BSSID wifi.Addr
+	ifaceScalars
+	RenewEv sim.EventState
+	Joiner  mac.JoinerState
+	DHCP    dhcp.ClientState
 }
 
 // TxQueueState is one per-channel transmit queue in a driver
@@ -42,28 +36,10 @@ type TxQueueState struct {
 // identity of its own timers, including the in-flight channel-switch
 // stages.
 type DriverState struct {
-	SchedIdx   int
-	APSliceIdx int
-	Switching  bool
-	Dwelling   bool
-	// Dormant marks a driver whose deferred admission (Config.StartAt)
-	// has not fired yet; StartEv is its pending alarm. Version-1
-	// checkpoints predate staggered admission: both fields decode to
-	// their zero values there, which correctly restores an immediate
-	// start (started, no alarm).
-	Dormant    bool
+	driverScalars
+	SwPolls []wifi.Addr
+
 	StartEv    sim.EventState
-	Seq        uint16
-	IdleUntil  time.Duration
-	BGHome     int
-	DwellStart time.Duration
-
-	SwGen         uint64
-	SwCh          int
-	SwReset       time.Duration
-	SwOutstanding int
-	SwPolls       []wifi.Addr
-
 	ScanEv     sim.EventState
 	SliceEv    sim.EventState
 	InactEv    sim.EventState
@@ -73,16 +49,11 @@ type DriverState struct {
 	SwLingerEv sim.EventState
 	SwRetuneEv sim.EventState
 
-	Table     []APRecord // sorted by BSSID
-	Evictions uint64
-	Ifaces    []IfaceSnapshot // sorted by BSSID
-	TxQ       []TxQueueState  // sorted by channel
-
-	Stats         Stats
-	AssocTimes    []time.Duration
-	JoinTimes     []time.Duration
-	SwitchLatency []time.Duration
-	Invariants    []metrics.InvariantCount
+	Table      []APRecord // sorted by BSSID
+	Evictions  uint64
+	Ifaces     []IfaceSnapshot // sorted by BSSID
+	TxQ        []TxQueueState  // sorted by channel
+	Invariants []metrics.InvariantCount
 }
 
 // ExportState captures the driver for a checkpoint. Retired (Shutdown)
@@ -91,15 +62,9 @@ type DriverState struct {
 // the physics the medium layer carries.
 func (d *Driver) ExportState() DriverState {
 	st := DriverState{
-		SchedIdx: d.schedIdx, APSliceIdx: d.apSliceIdx,
-		Switching: d.switching, Dwelling: d.dwelling,
-		Seq: d.seq, IdleUntil: d.idleUntil, BGHome: d.bgHome,
-		DwellStart: d.dwellStart,
-		Dormant:    !d.started,
-		StartEv:    sim.CaptureEvent(d.startEv),
-		SwGen:      d.swGen, SwCh: d.swCh, SwReset: d.swReset,
-		SwOutstanding: d.swOutstanding,
+		driverScalars: d.sc,
 
+		StartEv:    sim.CaptureEvent(d.startEv),
 		ScanEv:     sim.CaptureEvent(d.scanEv),
 		SliceEv:    sim.CaptureEvent(d.sliceEv),
 		InactEv:    sim.CaptureEvent(d.inactEv),
@@ -109,14 +74,9 @@ func (d *Driver) ExportState() DriverState {
 		SwLingerEv: sim.CaptureEvent(d.swLingerEv),
 		SwRetuneEv: sim.CaptureEvent(d.swRetuneEv),
 
-		Table:     d.ExportAPRecords(),
-		Evictions: d.table.evictions,
-
-		Stats:         d.stats,
-		AssocTimes:    append([]time.Duration(nil), d.AssocTimes...),
-		JoinTimes:     append([]time.Duration(nil), d.JoinTimes...),
-		SwitchLatency: append([]time.Duration(nil), d.SwitchLatency...),
-		Invariants:    d.inv.ExportState(),
+		Table:      d.ExportAPRecords(),
+		Evictions:  d.table.evictions,
+		Invariants: d.inv.ExportState(),
 	}
 	// Only still-live poll entries matter: arrive() skips interfaces
 	// that were torn down (or recycled) while the switch was in flight.
@@ -127,9 +87,7 @@ func (d *Driver) ExportState() DriverState {
 	}
 	for _, ifc := range d.Interfaces() {
 		st.Ifaces = append(st.Ifaces, IfaceSnapshot{
-			BSSID: ifc.BSSID(), State: uint8(ifc.state),
-			JoinStart: ifc.joinStart, IP: ifc.ip, LastHeard: ifc.lastHeard,
-			PSMOn: ifc.psmOn, Renewing: ifc.renewing,
+			BSSID: ifc.BSSID(), ifaceScalars: ifc.sc,
 			RenewEv: sim.CaptureEvent(ifc.renewEv),
 			Joiner:  ifc.joiner.ExportState(),
 			DHCP:    ifc.dhcpc.ExportState(),
@@ -154,16 +112,13 @@ func (d *Driver) ExportState() DriverState {
 // the radio's own state restores separately through the medium layer
 // (TagPSM queue entries rebind via psmDoneFor).
 func (d *Driver) RestoreState(st DriverState) error {
-	d.schedIdx, d.apSliceIdx = st.SchedIdx, st.APSliceIdx
-	d.switching, d.dwelling = st.Switching, st.Dwelling
-	d.seq, d.idleUntil, d.bgHome = st.Seq, st.IdleUntil, st.BGHome
-	d.dwellStart = st.DwellStart
-	d.swGen, d.swCh, d.swReset = st.SwGen, st.SwCh, st.SwReset
-	d.swOutstanding = st.SwOutstanding
-	d.stats = st.Stats
-	d.AssocTimes = append(d.AssocTimes[:0], st.AssocTimes...)
-	d.JoinTimes = append(d.JoinTimes[:0], st.JoinTimes...)
-	d.SwitchLatency = append(d.SwitchLatency[:0], st.SwitchLatency...)
+	if st.SchedIdx < 0 || st.SchedIdx >= max(len(d.cfg.Schedule), 1) || st.APSliceIdx < 0 {
+		return fmt.Errorf("core: restored schedule index %d or AP slice %d out of range", st.SchedIdx, st.APSliceIdx)
+	}
+	if !wifi.Tunable(st.SwCh) || !wifi.Tunable(st.BGHome) {
+		return fmt.Errorf("core: restored switch target %d or background home %d is no channel", st.SwCh, st.BGHome)
+	}
+	d.sc = st.driverScalars
 	d.inv.RestoreState(st.Invariants)
 
 	d.table.byBSSID = make(map[wifi.Addr]*APRecord, len(st.Table))
@@ -181,9 +136,7 @@ func (d *Driver) RestoreState(st DriverState) error {
 			return fmt.Errorf("core: restored interface %s has no scan-table record", is.BSSID)
 		}
 		ifc := d.newIface(rec)
-		ifc.state = IfaceState(is.State)
-		ifc.joinStart, ifc.ip, ifc.lastHeard = is.JoinStart, is.IP, is.LastHeard
-		ifc.psmOn, ifc.renewing = is.PSMOn, is.Renewing
+		ifc.sc = is.ifaceScalars
 		ifc.joiner.RestoreState(is.Joiner)
 		ifc.dhcpc.RestoreState(is.DHCP)
 		ifc.renewEv = is.RenewEv.Restore(d.kernel, d.ensureRenewFn(ifc))
@@ -201,33 +154,29 @@ func (d *Driver) RestoreState(st DriverState) error {
 
 	d.txq = d.txq[:0]
 	for _, qs := range st.TxQ {
-		for _, b := range qs.Frames {
-			f, err := wifi.Decode(b)
-			if err != nil {
-				return fmt.Errorf("core: restoring queued frame on ch %d: %w", qs.Ch, err)
-			}
+		fs, err := wifi.DecodeFrames(qs.Frames)
+		if err != nil {
+			return fmt.Errorf("core: restoring queue on ch %d: %w", qs.Ch, err)
+		}
+		for _, f := range fs {
 			d.txq = append(d.txq, queuedFrame{f: f, ch: qs.Ch})
 		}
 	}
 
-	d.started = !st.Dormant
 	d.startEv = st.StartEv.Restore(d.kernel, d.startFn)
 	d.scanEv = st.ScanEv.Restore(d.kernel, d.scanTickFn)
 	d.sliceEv = st.SliceEv.Restore(d.kernel, d.nextSliceFn)
 	d.inactEv = st.InactEv.Restore(d.kernel, d.inactivityFn)
 	d.bgScanEv = st.BGScanEv.Restore(d.kernel, d.bgScanFn)
 	d.bgReturnEv = st.BGReturnEv.Restore(d.kernel, d.bgReturnFn)
-	if st.APSliceEv.Pending {
-		if d.apSliceFn == nil {
-			d.apSliceFn = d.apSliceTick
-		}
-		d.apSliceEv = st.APSliceEv.Restore(d.kernel, d.apSliceFn)
+	if st.APSliceEv.Pending && d.apSliceFn == nil {
+		d.apSliceFn = d.apSliceTick
 	}
+	d.apSliceEv = st.APSliceEv.Restore(d.kernel, d.apSliceFn)
 	d.swLingerEv = st.SwLingerEv.Restore(d.kernel, d.lingerFn)
-	if st.SwRetuneEv.Pending {
-		d.swRetuneEv = d.radio.RestoreRetune(d.swCh, st.SwRetuneEv.At, st.SwRetuneEv.Seq, d.arriveFn)
-	}
-	return nil
+	var err error
+	d.swRetuneEv, err = d.radio.RestoreRetune(d.sc.SwCh, st.SwRetuneEv, d.arriveFn)
+	return err
 }
 
 // PSMDone exposes psmDoneFor for checkpoint restore: the medium layer

@@ -47,7 +47,7 @@ func TestTxQueueSharedAcrossChannels(t *testing.T) {
 	}
 	w, d := build()
 	apA, apB, apC, apD := wifi.NewAddr(0, 11), wifi.NewAddr(0, 1), wifi.NewAddr(0, 6), wifi.NewAddr(0, 12)
-	d.switching = true // off the air: every frame queues
+	d.sc.Switching = true // off the air: every frame queues
 	for i, q := range []struct {
 		ch int
 		da wifi.Addr
@@ -83,7 +83,7 @@ func TestTxQueueSharedAcrossChannels(t *testing.T) {
 	// Tearing down the interface to apA purges its two frames on 11 and
 	// nothing else.
 	ifc := d.newIface(&APRecord{BSSID: apA, Channel: 11})
-	ifc.state = IfaceJoining
+	ifc.sc.State = IfaceJoining
 	d.ifaces[apA] = ifc
 	d.teardown(ifc)
 	if got := d.Stats().TeardownPurged; got != 2 {
@@ -104,7 +104,7 @@ func TestTxQueueSharedAcrossChannels(t *testing.T) {
 			sent = append(sent, f.Seq)
 		}
 	})
-	d.switching = false
+	d.sc.Switching = false
 	d.drainTxQueue(1)
 	w.k.Run(w.k.Now() + time.Second)
 	if !reflect.DeepEqual(sent, []uint16{2, 5, 9}) {

@@ -112,14 +112,7 @@ type Client struct {
 	host   ClientHost
 	rng    *rand.Rand
 
-	state    clientState
-	fastPath bool // beside state, so the two share one word
-	xid      uint32
-	nextXID  uint32
-	offered  IP
-	cached   IP
-	started  time.Duration
-	retxN    int
+	sc clientScalars
 
 	retxTimer sim.Event
 	deadline  sim.Event
@@ -135,6 +128,19 @@ type Client struct {
 	// tr, when set, records each acquisition attempt as a trace span
 	// plus instants for offer/ack/nak arrivals.
 	tr *obs.Tracer
+}
+
+// clientScalars are a DHCP client's plain evolving fields, checkpointed
+// whole.
+type clientScalars struct {
+	State    clientState
+	FastPath bool // beside State, so the two share one word
+	XID      uint32
+	NextXID  uint32
+	Offered  IP
+	Cached   IP
+	Started  time.Duration
+	RetxN    int
 
 	// Counters across attempts (Table 3 feeds on these).
 	Attempts, Successes, Failures uint64
@@ -155,7 +161,7 @@ func (c *Client) Init(k *sim.Kernel, cfg ClientConfig, mac wifi.Addr, host Clien
 	}
 	*c = Client{
 		kernel: k, cfg: cfg.withDefaults(), mac: mac,
-		host: host, nextXID: 1,
+		host: host, sc: clientScalars{NextXID: 1},
 		rng: clientStream(k, mac),
 	}
 	c.retxFn = c.onRetx
@@ -178,13 +184,7 @@ func clientStream(k *sim.Kernel, mac wifi.Addr) *rand.Rand {
 // draws exactly what a fresh one would.
 func (c *Client) Reset() {
 	c.stopTimers()
-	c.state = stateIdle
-	c.xid = 0
-	c.nextXID = 1
-	c.offered, c.cached = 0, 0
-	c.retxN = 0
-	c.fastPath = false
-	c.Attempts, c.Successes, c.Failures = 0, 0, 0
+	c.sc = clientScalars{NextXID: 1}
 }
 
 // Config returns the effective configuration.
@@ -199,7 +199,7 @@ func (c *Client) SetInvariants(inv *metrics.InvariantSet) { c.inv = inv }
 func (c *Client) SetTracer(tr *obs.Tracer) { c.tr = tr }
 
 // Busy reports whether an acquisition attempt is in flight.
-func (c *Client) Busy() bool { return c.state == stateDiscovering || c.state == stateRequesting }
+func (c *Client) Busy() bool { return c.sc.State == stateDiscovering || c.sc.State == stateRequesting }
 
 // TimersPending reports whether any client timer event is still armed —
 // after Abort it must be false, or the owner leaked a timer.
@@ -211,22 +211,22 @@ func (c *Client) TimersPending() bool { return c.retxTimer.Pending() || c.deadli
 // attempt.
 func (c *Client) Start(cachedIP IP) {
 	c.stopTimers()
-	c.Attempts++
-	c.started = c.kernel.Now()
-	c.retxN = 0
-	c.cached = cachedIP
-	c.xid = c.nextXID
-	c.nextXID++
+	c.sc.Attempts++
+	c.sc.Started = c.kernel.Now()
+	c.sc.RetxN = 0
+	c.sc.Cached = cachedIP
+	c.sc.XID = c.sc.NextXID
+	c.sc.NextXID++
 	c.deadline = c.kernel.After(c.cfg.AttemptWindow, c.failFn)
 	if cachedIP != 0 {
-		c.state = stateRequesting
-		c.offered = cachedIP
-		c.fastPath = true
+		c.sc.State = stateRequesting
+		c.sc.Offered = cachedIP
+		c.sc.FastPath = true
 		c.sendCurrent()
 		return
 	}
-	c.fastPath = false
-	c.state = stateDiscovering
+	c.sc.FastPath = false
+	c.sc.State = stateDiscovering
 	c.sendCurrent()
 }
 
@@ -234,7 +234,7 @@ func (c *Client) Start(cachedIP IP) {
 // driver calls it when the underlying association is lost.
 func (c *Client) Abort() {
 	c.stopTimers()
-	c.state = stateIdle
+	c.sc.State = stateIdle
 }
 
 func (c *Client) stopTimers() {
@@ -245,11 +245,11 @@ func (c *Client) stopTimers() {
 }
 
 func (c *Client) sendCurrent() {
-	switch c.state {
+	switch c.sc.State {
 	case stateDiscovering:
-		c.msg = Message{Op: Discover, XID: c.xid, ClientMAC: c.mac}
+		c.msg = Message{Op: Discover, XID: c.sc.XID, ClientMAC: c.mac}
 	case stateRequesting:
-		c.msg = Message{Op: Request, XID: c.xid, ClientMAC: c.mac, YourIP: c.offered}
+		c.msg = Message{Op: Request, XID: c.sc.XID, ClientMAC: c.mac, YourIP: c.sc.Offered}
 	default:
 		// A send can only be driven by Start or a live timer; reaching it
 		// idle/bound means a stale timer outlived its state machine.
@@ -261,7 +261,7 @@ func (c *Client) sendCurrent() {
 	// cap) and carry randomized jitter. The jitter, beyond congestion
 	// etiquette, breaks phase locks between the timer and a virtualized
 	// driver's channel schedule.
-	timeout := c.cfg.RetxTimeout << uint(c.retxN)
+	timeout := c.cfg.RetxTimeout << uint(c.sc.RetxN)
 	if timeout > c.cfg.RetxBackoffCap {
 		timeout = c.cfg.RetxBackoffCap
 	}
@@ -275,38 +275,38 @@ func (c *Client) sendCurrent() {
 // think-time raises the failure rate.
 func (c *Client) onRetx() {
 	c.retxTimer = sim.Event{}
-	c.retxN++
-	c.xid = c.nextXID
-	c.nextXID++
+	c.sc.RetxN++
+	c.sc.XID = c.sc.NextXID
+	c.sc.NextXID++
 	c.sendCurrent()
 }
 
 func (c *Client) fail() {
 	c.deadline = sim.Event{} // we are its firing; the handle is spent
-	if c.state != stateDiscovering && c.state != stateRequesting {
+	if c.sc.State != stateDiscovering && c.sc.State != stateRequesting {
 		// A deadline can only fire during a live attempt; anything else is
 		// a timer that outlived Abort/completion.
 		c.inv.Violate("dhcp.client.deadline-while-idle")
 		return
 	}
 	c.stopTimers()
-	c.state = stateIdle
-	c.Failures++
+	c.sc.State = stateIdle
+	c.sc.Failures++
 	if c.tr != nil {
-		c.tr.Complete("dhcp", "acquire", c.started,
-			obs.S("result", "failed"), obs.I("retx", int64(c.retxN)))
+		c.tr.Complete("dhcp", "acquire", c.sc.Started,
+			obs.S("result", "failed"), obs.I("retx", int64(c.sc.RetxN)))
 	}
-	c.host.DHCPResult(Result{Success: false, Elapsed: c.kernel.Now() - c.started, Retx: c.retxN})
+	c.host.DHCPResult(Result{Success: false, Elapsed: c.kernel.Now() - c.sc.Started, Retx: c.sc.RetxN})
 }
 
 // HandleMessage processes a server message addressed to this client.
 func (c *Client) HandleMessage(m *Message) {
-	if m.ClientMAC != c.mac || m.XID != c.xid {
+	if m.ClientMAC != c.mac || m.XID != c.sc.XID {
 		return // stale or foreign
 	}
 	switch m.Op {
 	case Offer:
-		if c.state != stateDiscovering {
+		if c.sc.State != stateDiscovering {
 			return
 		}
 		if c.tr != nil {
@@ -314,43 +314,43 @@ func (c *Client) HandleMessage(m *Message) {
 		}
 		c.retxTimer.Cancel()
 		c.retxTimer = sim.Event{}
-		c.state = stateRequesting
-		c.offered = m.YourIP
+		c.sc.State = stateRequesting
+		c.sc.Offered = m.YourIP
 		c.sendCurrent()
 	case Ack:
-		if c.state != stateRequesting {
+		if c.sc.State != stateRequesting {
 			return
 		}
 		c.stopTimers()
-		c.state = stateBound
-		c.Successes++
+		c.sc.State = stateBound
+		c.sc.Successes++
 		if c.tr != nil {
-			c.tr.Complete("dhcp", "acquire", c.started,
+			c.tr.Complete("dhcp", "acquire", c.sc.Started,
 				obs.S("result", "ok"), obs.S("ip", m.YourIP.String()),
-				obs.I("retx", int64(c.retxN)))
+				obs.I("retx", int64(c.sc.RetxN)))
 		}
 		c.host.DHCPResult(Result{
 			Success: true, IP: m.YourIP,
 			LeaseDur: time.Duration(m.LeaseSecs) * time.Second,
-			Elapsed:  c.kernel.Now() - c.started,
-			Retx:     c.retxN, FastPath: c.fastPath,
+			Elapsed:  c.kernel.Now() - c.sc.Started,
+			Retx:     c.sc.RetxN, FastPath: c.sc.FastPath,
 		})
 	case Nak:
-		if c.state != stateRequesting {
+		if c.sc.State != stateRequesting {
 			return
 		}
 		if c.tr != nil {
-			c.tr.Instant("dhcp", "nak", obs.S("ip", c.offered.String()))
+			c.tr.Instant("dhcp", "nak", obs.S("ip", c.sc.Offered.String()))
 		}
 		// Cached address rejected: fall back to full discovery inside the
 		// same attempt window.
 		c.retxTimer.Cancel()
 		c.retxTimer = sim.Event{}
-		c.cached = 0
-		c.fastPath = false
-		c.state = stateDiscovering
-		c.xid = c.nextXID
-		c.nextXID++
+		c.sc.Cached = 0
+		c.sc.FastPath = false
+		c.sc.State = stateDiscovering
+		c.sc.XID = c.sc.NextXID
+		c.sc.NextXID++
 		c.sendCurrent()
 	}
 }

@@ -246,7 +246,7 @@ func TestClientFullHandshake(t *testing.T) {
 	if l.result.FastPath {
 		t.Fatal("full handshake claimed fast path")
 	}
-	if l.c.Successes != 1 || l.c.Attempts != 1 {
+	if l.c.sc.Successes != 1 || l.c.sc.Attempts != 1 {
 		t.Fatalf("counters: %+v", l.c)
 	}
 }
@@ -312,8 +312,8 @@ func TestClientFailsWhenServerSilent(t *testing.T) {
 	if l.result.Elapsed != 500*time.Millisecond {
 		t.Fatalf("failure at %v, want at window end", l.result.Elapsed)
 	}
-	if l.c.Failures != 1 {
-		t.Fatalf("failure counter %d", l.c.Failures)
+	if l.c.sc.Failures != 1 {
+		t.Fatalf("failure counter %d", l.c.sc.Failures)
 	}
 }
 
@@ -350,7 +350,7 @@ func TestClientIgnoresStaleXID(t *testing.T) {
 	l.c.Start(0)
 	// Inject an OFFER with a bogus XID.
 	l.c.HandleMessage(&Message{Op: Offer, XID: 999, ClientMAC: mac(1), YourIP: 0x0A000064})
-	if l.c.state == stateRequesting {
+	if l.c.sc.State == stateRequesting {
 		t.Fatal("client accepted stale XID")
 	}
 	l.k.Run(10 * time.Second)
@@ -363,7 +363,7 @@ func TestClientIgnoresForeignMAC(t *testing.T) {
 	l := newLoop(t, DefaultClientConfig(), nil)
 	l.c.Start(0)
 	l.c.HandleMessage(&Message{Op: Offer, XID: 1, ClientMAC: mac(99), YourIP: 0x0A000064})
-	if l.c.state == stateRequesting {
+	if l.c.sc.State == stateRequesting {
 		t.Fatal("client accepted foreign OFFER")
 	}
 	l.k.RunAll()

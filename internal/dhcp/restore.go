@@ -19,32 +19,24 @@ type BindingState struct {
 type PendingRespState struct {
 	Msg  Message
 	Kind uint8
-	At   time.Duration
-	Seq  uint64
+	Ev   sim.EventState
 }
 
 // ServerState is a Server's complete checkpointable state. Chaos
 // configuration is not part of it: the fault injector re-applies active
 // chaos after component restore, from its own recorded episode state.
 type ServerState struct {
+	serverScalars
+	ServerStats
 	Bindings []BindingState
-	NextIP   int
 	Pending  []PendingRespState
-
-	Discovers, Offers, Requests, Acks, Naks uint64
-	ChaosDrops, ChaosNaks, ChaosSlows       uint64
 }
 
 // ExportState captures the server for a checkpoint. Bindings sort by
 // MAC and pending responses by (at, seq), so the export is canonical
 // regardless of map iteration or free-list history.
 func (s *Server) ExportState() ServerState {
-	st := ServerState{
-		NextIP:    s.nextIP,
-		Discovers: s.Discovers, Offers: s.Offers, Requests: s.Requests,
-		Acks: s.Acks, Naks: s.Naks,
-		ChaosDrops: s.ChaosDrops, ChaosNaks: s.ChaosNaks, ChaosSlows: s.ChaosSlows,
-	}
+	st := ServerState{serverScalars: s.sc, ServerStats: s.ServerStats}
 	for mac, b := range s.bindings {
 		st.Bindings = append(st.Bindings, BindingState{MAC: mac, IP: b.ip, Expires: b.expires})
 	}
@@ -52,18 +44,11 @@ func (s *Server) ExportState() ServerState {
 		return st.Bindings[i].MAC.Less(st.Bindings[j].MAC)
 	})
 	for _, r := range s.pending {
-		at, seq, ok := r.ev.State()
-		if !ok {
-			continue
+		if ev := sim.CaptureEvent(r.ev); ev.Pending {
+			st.Pending = append(st.Pending, PendingRespState{Msg: r.msg, Kind: uint8(r.kind), Ev: ev})
 		}
-		st.Pending = append(st.Pending, PendingRespState{Msg: r.msg, Kind: uint8(r.kind), At: at, Seq: seq})
 	}
-	sort.Slice(st.Pending, func(i, j int) bool {
-		if st.Pending[i].At != st.Pending[j].At {
-			return st.Pending[i].At < st.Pending[j].At
-		}
-		return st.Pending[i].Seq < st.Pending[j].Seq
-	})
+	sort.Slice(st.Pending, func(i, j int) bool { return st.Pending[i].Ev.Before(st.Pending[j].Ev) })
 	return st
 }
 
@@ -71,85 +56,39 @@ func (s *Server) ExportState() ServerState {
 // re-arming every pending response with its recorded (at, seq). Call
 // after the owning kernel's BeginRestore.
 func (s *Server) RestoreState(st ServerState) {
+	s.sc, s.ServerStats = st.serverScalars, st.ServerStats
 	s.bindings = make(map[wifi.Addr]binding, len(st.Bindings))
 	for _, b := range st.Bindings {
 		s.bindings[b.MAC] = binding{ip: b.IP, expires: b.Expires}
 	}
-	s.nextIP = st.NextIP
-	s.Discovers, s.Offers, s.Requests = st.Discovers, st.Offers, st.Requests
-	s.Acks, s.Naks = st.Acks, st.Naks
-	s.ChaosDrops, s.ChaosNaks, s.ChaosSlows = st.ChaosDrops, st.ChaosNaks, st.ChaosSlows
 	s.pending = s.pending[:0]
 	for _, p := range st.Pending {
-		var r *srvResp
-		if n := len(s.respFree); n > 0 {
-			r = s.respFree[n-1]
-			s.respFree = s.respFree[:n-1]
-		} else {
-			r = &srvResp{s: s}
-			r.fireFn = r.fire
-		}
-		r.msg, r.kind = p.Msg, respKind(p.Kind)
-		r.idx = len(s.pending)
-		s.pending = append(s.pending, r)
-		r.ev = s.kernel.RestoreAt(p.At, p.Seq, r.fireFn)
+		r := s.trackResp(respKind(p.Kind), p.Msg)
+		r.ev = p.Ev.Restore(s.kernel, r.fireFn)
 	}
 }
 
 // ClientState is a DHCP client's complete checkpointable state.
 type ClientState struct {
-	State    uint8
-	XID      uint32
-	NextXID  uint32
-	Offered  IP
-	Cached   IP
-	Started  time.Duration
-	RetxN    int
-	FastPath bool
-
-	RetxPending  bool
-	RetxAt       time.Duration
-	RetxSeq      uint64
-	DeadlinePend bool
-	DeadlineAt   time.Duration
-	DeadlineSeq  uint64
-
-	Attempts, Successes, Failures uint64
+	clientScalars
+	Retx     sim.EventState
+	Deadline sim.EventState
 }
 
 // ExportState captures the client for a checkpoint.
 func (c *Client) ExportState() ClientState {
-	st := ClientState{
-		State: uint8(c.state), XID: c.xid, NextXID: c.nextXID,
-		Offered: c.offered, Cached: c.cached, Started: c.started,
-		RetxN: c.retxN, FastPath: c.fastPath,
-		Attempts: c.Attempts, Successes: c.Successes, Failures: c.Failures,
+	return ClientState{
+		clientScalars: c.sc,
+		Retx:          sim.CaptureEvent(c.retxTimer),
+		Deadline:      sim.CaptureEvent(c.deadline),
 	}
-	if at, seq, ok := c.retxTimer.State(); ok {
-		st.RetxPending, st.RetxAt, st.RetxSeq = true, at, seq
-	}
-	if at, seq, ok := c.deadline.State(); ok {
-		st.DeadlinePend, st.DeadlineAt, st.DeadlineSeq = true, at, seq
-	}
-	return st
 }
 
 // RestoreState rewinds the client to a checkpointed state, re-arming
 // its timers with their recorded identities.
 func (c *Client) RestoreState(st ClientState) {
-	c.state = clientState(st.State)
-	c.xid, c.nextXID = st.XID, st.NextXID
-	c.offered, c.cached = st.Offered, st.Cached
-	c.started, c.retxN, c.fastPath = st.Started, st.RetxN, st.FastPath
-	c.Attempts, c.Successes, c.Failures = st.Attempts, st.Successes, st.Failures
-	c.retxTimer.Cancel()
-	c.retxTimer = sim.Event{}
-	if st.RetxPending {
-		c.retxTimer = c.kernel.RestoreAt(st.RetxAt, st.RetxSeq, c.retxFn)
-	}
-	c.deadline.Cancel()
-	c.deadline = sim.Event{}
-	if st.DeadlinePend {
-		c.deadline = c.kernel.RestoreAt(st.DeadlineAt, st.DeadlineSeq, c.failFn)
-	}
+	c.sc = st.clientScalars
+	c.stopTimers()
+	c.retxTimer = st.Retx.Restore(c.kernel, c.retxFn)
+	c.deadline = st.Deadline.Restore(c.kernel, c.failFn)
 }

@@ -102,7 +102,7 @@ type Server struct {
 	send   func(to wifi.Addr, m *Message)
 
 	bindings map[wifi.Addr]binding
-	nextIP   int
+	sc       serverScalars
 
 	// pending tracks scheduled-but-unsent responses so checkpoints can
 	// capture them; respFree recycles fired records.
@@ -117,7 +117,17 @@ type Server struct {
 	// inv counts protocol-impossible inputs (nil-safe; see SetInvariants).
 	inv *metrics.InvariantSet
 
-	// Stats.
+	ServerStats
+}
+
+// serverScalars are a server's plain evolving fields. A checkpoint
+// stores them whole, and its counters (ServerStats) whole beside them.
+type serverScalars struct {
+	NextIP int
+}
+
+// ServerStats are a server's counters.
+type ServerStats struct {
 	Discovers, Offers, Requests, Acks, Naks uint64
 	// ChaosDrops/ChaosNaks/ChaosSlows count injected misbehaviors.
 	ChaosDrops, ChaosNaks, ChaosSlows uint64
@@ -165,7 +175,7 @@ func (s *Server) SetInvariants(inv *metrics.InvariantSet) { s.inv = inv }
 // is exactly what happens to a rebooting box's last in-flight replies.
 func (s *Server) Reset() {
 	s.bindings = make(map[wifi.Addr]binding)
-	s.nextIP = 0
+	s.sc.NextIP = 0
 }
 
 // respKind selects the stat bumped when a scheduled response fires.
@@ -212,6 +222,13 @@ func (r *srvResp) fire() {
 
 // scheduleResp queues m to be sent after delay, tracking it as pending.
 func (s *Server) scheduleResp(kind respKind, m Message, delay time.Duration) {
+	r := s.trackResp(kind, m)
+	r.ev = s.kernel.After(delay, r.fireFn)
+}
+
+// trackResp files a response as pending, in a record drawn from the
+// free list; the caller arms its event.
+func (s *Server) trackResp(kind respKind, m Message) *srvResp {
 	var r *srvResp
 	if n := len(s.respFree); n > 0 {
 		r = s.respFree[n-1]
@@ -223,7 +240,7 @@ func (s *Server) scheduleResp(kind respKind, m Message, delay time.Duration) {
 	r.msg, r.kind = m, kind
 	r.idx = len(s.pending)
 	s.pending = append(s.pending, r)
-	r.ev = s.kernel.After(delay, r.fireFn)
+	return r
 }
 
 // chaosIntercept applies injected misbehavior to one incoming message.
@@ -348,9 +365,9 @@ func (s *Server) lookupOrAllocate(mac wifi.Addr) (IP, bool) {
 		return b.ip, true
 	}
 	for i := 0; i < s.cfg.PoolSize; i++ {
-		ip := s.cfg.PoolStart + IP((s.nextIP+i)%s.cfg.PoolSize)
+		ip := s.cfg.PoolStart + IP((s.sc.NextIP+i)%s.cfg.PoolSize)
 		if s.ipFree(ip) {
-			s.nextIP = (s.nextIP + i + 1) % s.cfg.PoolSize
+			s.sc.NextIP = (s.sc.NextIP + i + 1) % s.cfg.PoolSize
 			s.bindings[mac] = binding{ip: ip, expires: now + s.cfg.LeaseDur}
 			return ip, true
 		}

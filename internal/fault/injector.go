@@ -84,11 +84,8 @@ type Injector struct {
 	// closures are not reifiable, so the injector refuses to checkpoint.
 	timelineUsed bool
 
-	// Reset-fault state: the profile probability plus any timeline
-	// window override.
-	resetRNG         *rand.Rand
-	resetWindowProb  float64
-	resetWindowUntil time.Duration
+	resetRNG *rand.Rand
+	sc       injectorScalars
 
 	classes map[string]*ClassStat
 	// outstanding tracks unrecovered fault start times per class; the
@@ -97,6 +94,14 @@ type Injector struct {
 
 	// tr, when set, records each fault episode as a trace span.
 	tr *obs.Tracer
+}
+
+// injectorScalars are an injector's plain evolving fields,
+// checkpointed whole: the reset-fault window a timeline sets over the
+// profile probability.
+type injectorScalars struct {
+	ResetWindowProb  float64
+	ResetWindowUntil time.Duration
 }
 
 // NewInjector creates an injector for the kernel's run. Nothing fires
@@ -399,8 +404,8 @@ func (in *Injector) ensureResetHook() {
 	in.resetRNG = in.stream(ClassResetFail, 0)
 	in.driver.SetResetFaultHook(func() time.Duration {
 		p := in.cfg.ResetFailProb
-		if in.kernel.Now() < in.resetWindowUntil && in.resetWindowProb > p {
-			p = in.resetWindowProb
+		if in.kernel.Now() < in.sc.ResetWindowUntil && in.sc.ResetWindowProb > p {
+			p = in.sc.ResetWindowProb
 		}
 		if p <= 0 || in.resetRNG.Float64() >= p {
 			return 0

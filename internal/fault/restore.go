@@ -31,10 +31,7 @@ type InjectorState struct {
 	Classes     []ClassStat
 	Outstanding []OutstandingState
 	Streams     []sim.RNGPos // keyed streamKey(class, target); positions > 0 only
-
-	ResetWindowProb  float64
-	ResetWindowUntil time.Duration
-
+	injectorScalars
 	Episodes []EpisodeState
 }
 
@@ -46,11 +43,7 @@ func (in *Injector) ExportState() (InjectorState, error) {
 	if in.timelineUsed {
 		return InjectorState{}, fmt.Errorf("fault: scripted timelines are not checkpointable")
 	}
-	st := InjectorState{
-		Classes:          in.Snapshot(),
-		ResetWindowProb:  in.resetWindowProb,
-		ResetWindowUntil: in.resetWindowUntil,
-	}
+	st := InjectorState{Classes: in.Snapshot(), injectorScalars: in.sc}
 	for _, class := range Classes {
 		if o := in.outstanding[class]; len(o) > 0 {
 			st.Outstanding = append(st.Outstanding,
@@ -94,7 +87,7 @@ func (in *Injector) RestoreState(st InjectorState) error {
 	for _, o := range st.Outstanding {
 		in.outstanding[o.Class] = append([]time.Duration(nil), o.Starts...)
 	}
-	in.resetWindowProb, in.resetWindowUntil = st.ResetWindowProb, st.ResetWindowUntil
+	in.sc = st.injectorScalars
 
 	for _, fs := range in.streams {
 		fs.src.Reseed(fs.seed, 0)

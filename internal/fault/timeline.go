@@ -273,8 +273,8 @@ func (in *Injector) applyEntry(e Entry) {
 		// The hook records actual stuck resets; the window only raises
 		// the probability.
 		in.ensureResetHook()
-		in.resetWindowProb = e.Param
-		in.resetWindowUntil = until
+		in.sc.ResetWindowProb = e.Param
+		in.sc.ResetWindowUntil = until
 	}
 }
 

@@ -68,16 +68,22 @@ type RespPool struct {
 }
 
 type apClient struct {
-	associated bool
-	aid        uint16
-	psm        bool
-	buffer     []*wifi.Frame // PSM-parked frames
-	pending    []*wifi.Frame // awaiting the radio, one in flight at a time
-	txBusy     bool
-	draining   bool // PS-poll drain in progress: transmit despite PSM
+	sc      apClientScalars
+	buffer  []*wifi.Frame // PSM-parked frames
+	pending []*wifi.Frame // awaiting the radio, one in flight at a time
 	// doneFn is the pump's MAC-completion callback, built once per
 	// client instead of once per frame.
 	doneFn func(bool)
+}
+
+// apClientScalars are an association-table entry's plain fields,
+// checkpointed whole.
+type apClientScalars struct {
+	Associated bool
+	AID        uint16
+	PSM        bool
+	TxBusy     bool
+	Draining   bool // PS-poll drain in progress: transmit despite PSM
 }
 
 // AP is one access point: radio, MAC state machines, and DHCP server.
@@ -89,7 +95,7 @@ type AP struct {
 	radio  *radio.Radio
 	dhcpd  *dhcp.Server
 	pool   *wifi.Pool // the medium's frame pool (nil under NoPool)
-	seq    uint16
+	sc     apScalars
 
 	// beaconFn caches the beacon method value so each re-arm does not
 	// allocate a fresh closure (ten per second per AP adds up at metro
@@ -109,16 +115,25 @@ type AP struct {
 	// it keeps before any latency timer fires.
 	dhcpMsg dhcp.Message
 
-	// down marks a crashed (rebooting) AP: radio dark, state wiped.
-	down bool
-	// muted suppresses beacons while the AP otherwise keeps working —
-	// the half-dead box whose management plane wedged.
-	muted bool
-
 	// inv collects invariant violations from the AP and its DHCP server.
 	inv *metrics.InvariantSet
 
-	// Stats.
+	APStats
+}
+
+// apScalars are an AP's plain evolving fields. A checkpoint stores them
+// whole, and its counters (APStats) whole beside them.
+type apScalars struct {
+	Seq uint16
+	// Down marks a crashed (rebooting) AP: radio dark, state wiped.
+	Down bool
+	// Muted suppresses beacons while the AP otherwise keeps working —
+	// the half-dead box whose management plane wedged.
+	Muted bool
+}
+
+// APStats are an AP's counters.
+type APStats struct {
 	AssocGrants   uint64
 	PSMBuffered   uint64
 	PSMDrops      uint64
@@ -178,16 +193,16 @@ func (ap *AP) DHCPServer() *dhcp.Server { return ap.dhcpd }
 func (ap *AP) Invariants() *metrics.InvariantSet { return ap.inv }
 
 // Down reports whether the AP is crashed (rebooting).
-func (ap *AP) Down() bool { return ap.down }
+func (ap *AP) Down() bool { return ap.sc.Down }
 
 // Crash takes the AP dark: radio off, association table and DHCP lease
 // database wiped — the volatile memory of consumer CPE. Responses the
 // AP had already scheduled die on the dark radio. No-op if already down.
 func (ap *AP) Crash() {
-	if ap.down {
+	if ap.sc.Down {
 		return
 	}
-	ap.down = true
+	ap.sc.Down = true
 	ap.radio.SetChannel(0)
 	ap.clients = make(map[wifi.Addr]*apClient)
 	ap.dhcpd.Reset()
@@ -197,16 +212,16 @@ func (ap *AP) Crash() {
 // state. Clients that still believe they are associated discover the
 // truth via the class-3 deauth their next data frame provokes.
 func (ap *AP) Restart() {
-	if !ap.down {
+	if !ap.sc.Down {
 		return
 	}
-	ap.down = false
+	ap.sc.Down = false
 	ap.radio.SetChannel(ap.cfg.Channel)
 }
 
 // SetBeaconMute suppresses (true) or resumes (false) beaconing while
 // the AP otherwise keeps serving — the half-dead box fault mode.
-func (ap *AP) SetBeaconMute(on bool) { ap.muted = on }
+func (ap *AP) SetBeaconMute(on bool) { ap.sc.Muted = on }
 
 // SetRespPool points the AP at a carrier free list shared with the other
 // APs of its world. Call before the AP schedules any response.
@@ -222,13 +237,13 @@ func (ap *AP) SetUplinkHandler(h func(from wifi.Addr, db *wifi.DataBody)) { ap.u
 // Associated reports whether the client is currently associated.
 func (ap *AP) Associated(client wifi.Addr) bool {
 	c, ok := ap.clients[client]
-	return ok && c.associated
+	return ok && c.sc.Associated
 }
 
 // InPSM reports whether the associated client has announced power-save.
 func (ap *AP) InPSM(client wifi.Addr) bool {
 	c, ok := ap.clients[client]
-	return ok && c.psm
+	return ok && c.sc.PSM
 }
 
 // BufferedFrames reports the client's PSM queue depth.
@@ -240,14 +255,14 @@ func (ap *AP) BufferedFrames(client wifi.Addr) int {
 }
 
 func (ap *AP) nextSeq() uint16 {
-	ap.seq++
-	return ap.seq
+	ap.sc.Seq++
+	return ap.sc.Seq
 }
 
 func (ap *AP) beacon() {
 	// The schedule keeps ticking through crashes and silences so the
 	// beat resumes cleanly; only the transmission is suppressed.
-	if !ap.down && !ap.muted {
+	if !ap.sc.Down && !ap.sc.Muted {
 		ap.radio.Send(ap.beaconFrame(wifi.Broadcast, wifi.TypeBeacon))
 	} else {
 		ap.BeaconsMissed++
@@ -320,7 +335,7 @@ func (ap *AP) respondAfterDelay(f *wifi.Frame) {
 }
 
 func (ap *AP) receive(f *wifi.Frame) {
-	if ap.down {
+	if ap.sc.Down {
 		return // a crashed box hears nothing (its radio is dark anyway)
 	}
 	switch f.Type {
@@ -349,35 +364,35 @@ func (ap *AP) receive(f *wifi.Frame) {
 			c = &apClient{}
 			ap.clients[f.SA] = c
 		}
-		if !c.associated {
+		if !c.sc.Associated {
 			ap.AssocGrants++
-			c.associated = true
-			c.aid = uint16(len(ap.clients))
+			c.sc.Associated = true
+			c.sc.AID = uint16(len(ap.clients))
 		}
 		resp := ap.pool.Frame()
 		resp.Type, resp.SA, resp.DA, resp.BSSID = wifi.TypeAssocResp, ap.Addr(), f.SA, ap.Addr()
 		resp.Seq = ap.nextSeq()
 		rb := ap.pool.AssocResp()
-		rb.AID = c.aid // Status 0: success
+		rb.AID = c.sc.AID // Status 0: success
 		resp.Body = rb
 		ap.respondAfterDelay(resp)
 	case wifi.TypeDeauth:
 		delete(ap.clients, f.SA)
 	case wifi.TypeNull:
 		c, ok := ap.clients[f.SA]
-		if !ok || !c.associated {
+		if !ok || !c.sc.Associated {
 			return
 		}
-		c.psm = f.PowerMgmt
-		if !c.psm {
+		c.sc.PSM = f.PowerMgmt
+		if !c.sc.PSM {
 			ap.flush(f.SA, c)
 		} else {
-			c.draining = false
+			c.sc.Draining = false
 			ap.pump(f.SA, c) // parks whatever had not reached the air
 		}
 	case wifi.TypePSPoll:
 		c, ok := ap.clients[f.SA]
-		if !ok || !c.associated {
+		if !ok || !c.sc.Associated {
 			return
 		}
 		// Simplification: a PS-poll drains the whole buffer rather than
@@ -398,7 +413,7 @@ func (ap *AP) receive(f *wifi.Frame) {
 			}
 			return
 		}
-		if !ok || !c.associated {
+		if !ok || !c.sc.Associated {
 			// Class-3 frame from a non-associated station: per 802.11 the
 			// AP answers with a deauth. This is how a client that slept
 			// through our reboot learns its association is gone — without
@@ -426,7 +441,7 @@ func (ap *AP) flush(client wifi.Addr, c *apClient) {
 		c.buffer[i] = nil
 	}
 	c.buffer = c.buffer[:0]
-	c.draining = true
+	c.sc.Draining = true
 	ap.pump(client, c)
 }
 
@@ -435,10 +450,10 @@ func (ap *AP) flush(client wifi.Addr, c *apClient) {
 // can park everything not yet on the air — committing a deep queue would
 // burn retries into the void after the client leaves the channel.
 func (ap *AP) pump(client wifi.Addr, c *apClient) {
-	if c.txBusy || !c.associated {
+	if c.sc.TxBusy || !c.sc.Associated {
 		return
 	}
-	if c.psm && !c.draining {
+	if c.sc.PSM && !c.sc.Draining {
 		// Park anything still pending.
 		c.buffer = append(c.buffer, c.pending...)
 		for i := range c.pending {
@@ -449,7 +464,7 @@ func (ap *AP) pump(client wifi.Addr, c *apClient) {
 		return
 	}
 	if len(c.pending) == 0 {
-		c.draining = false
+		c.sc.Draining = false
 		return
 	}
 	// Shift-down pop keeps the slice anchored to its backing array, so
@@ -458,7 +473,7 @@ func (ap *AP) pump(client wifi.Addr, c *apClient) {
 	copy(c.pending, c.pending[1:])
 	c.pending[len(c.pending)-1] = nil
 	c.pending = c.pending[:len(c.pending)-1]
-	c.txBusy = true
+	c.sc.TxBusy = true
 	ap.DownDelivered++
 	ap.radio.SendTagged(f, ap.ensureDoneFn(client, c),
 		radio.TxTag{Kind: radio.TagAPPump, Addr: client})
@@ -470,7 +485,7 @@ func (ap *AP) pump(client wifi.Addr, c *apClient) {
 func (ap *AP) ensureDoneFn(client wifi.Addr, c *apClient) func(bool) {
 	if c.doneFn == nil {
 		c.doneFn = func(bool) {
-			c.txBusy = false
+			c.sc.TxBusy = false
 			ap.pump(client, c)
 		}
 	}
@@ -518,7 +533,7 @@ func (ap *AP) sendDHCP(to wifi.Addr, m *dhcp.Message) {
 func (ap *AP) Deliver(to wifi.Addr, db *wifi.DataBody) bool {
 	ap.DownFrames++
 	c, ok := ap.clients[to]
-	if !ok || !c.associated {
+	if !ok || !c.sc.Associated {
 		return false
 	}
 	f := ap.pool.Frame()
@@ -526,7 +541,7 @@ func (ap *AP) Deliver(to wifi.Addr, db *wifi.DataBody) bool {
 	f.SA, f.DA, f.BSSID = ap.Addr(), to, ap.Addr()
 	f.Seq = ap.nextSeq()
 	f.Body = db
-	if c.psm {
+	if c.sc.PSM {
 		if len(c.buffer) >= ap.cfg.PSMBufferFrames {
 			ap.PSMDrops++
 			return false

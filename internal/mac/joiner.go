@@ -109,12 +109,9 @@ type Joiner struct {
 	host   JoinHost
 	pool   *wifi.Pool // the medium's frame pool (nil under NoPool)
 
-	stage   JoinStage
-	seq     uint16 // beside stage, so the two share one word
-	retries int
-	started time.Duration
-	timer   sim.Event
-	rng     *rand.Rand
+	sc    joinerScalars
+	timer sim.Event
+	rng   *rand.Rand
 	// timeoutFn caches the retransmission callback so each send does not
 	// allocate a fresh method value.
 	timeoutFn func()
@@ -122,11 +119,19 @@ type Joiner struct {
 	// inv counts impossible-state transitions (nil-safe; see SetInvariants).
 	inv *metrics.InvariantSet
 	// tr, when set, records each handshake phase as a trace span.
-	// stageStart is the kernel time the current phase began.
-	tr         *obs.Tracer
-	stageStart time.Duration
+	tr *obs.Tracer
+}
 
-	// Counters.
+// joinerScalars are a joiner's plain evolving fields, checkpointed
+// whole.
+type joinerScalars struct {
+	Stage   JoinStage
+	Seq     uint16 // beside Stage, so the two share one word
+	Retries int
+	Started time.Duration
+	// StageStart is the kernel time the current phase began.
+	StageStart time.Duration
+
 	Attempts, Successes, Failures uint64
 }
 
@@ -169,12 +174,9 @@ func joinerStream(k *sim.Kernel, self, bssid wifi.Addr) *rand.Rand {
 // exactly the values a newly constructed one would.
 func (j *Joiner) ResetTarget(bssid wifi.Addr, ssid string) {
 	j.cancelTimer()
-	j.stage = StageIdle
-	j.retries = 0
-	j.seq = 0
+	j.sc = joinerScalars{}
 	j.bssid, j.ssid = bssid, ssid
 	j.rng = joinerStream(j.kernel, j.self, bssid)
-	j.Attempts, j.Successes, j.Failures = 0, 0, 0
 }
 
 // Config returns the effective configuration.
@@ -200,26 +202,26 @@ func (j *Joiner) SetTracer(tr *obs.Tracer) { j.tr = tr }
 func (j *Joiner) TimerPending() bool { return j.timer.Pending() }
 
 // Stage returns the current join stage.
-func (j *Joiner) Stage() JoinStage { return j.stage }
+func (j *Joiner) Stage() JoinStage { return j.sc.Stage }
 
 // Busy reports whether a join attempt is in flight.
-func (j *Joiner) Busy() bool { return j.stage == StageAuth || j.stage == StageAssoc }
+func (j *Joiner) Busy() bool { return j.sc.Stage == StageAuth || j.sc.Stage == StageAssoc }
 
 // Start begins a join attempt. Restarts any attempt in flight.
 func (j *Joiner) Start() {
 	j.cancelTimer()
-	j.Attempts++
-	j.started = j.kernel.Now()
-	j.stageStart = j.started
-	j.retries = 0
-	j.stage = StageAuth
+	j.sc.Attempts++
+	j.sc.Started = j.kernel.Now()
+	j.sc.StageStart = j.sc.Started
+	j.sc.Retries = 0
+	j.sc.Stage = StageAuth
 	j.sendCurrent()
 }
 
 // Abort cancels the attempt without reporting a result.
 func (j *Joiner) Abort() {
 	j.cancelTimer()
-	j.stage = StageIdle
+	j.sc.Stage = StageIdle
 }
 
 // Reset returns the joiner to idle, e.g. after the AP goes out of range
@@ -232,14 +234,14 @@ func (j *Joiner) cancelTimer() {
 }
 
 func (j *Joiner) nextSeq() uint16 {
-	j.seq++
-	return j.seq
+	j.sc.Seq++
+	return j.sc.Seq
 }
 
 func (j *Joiner) sendCurrent() {
 	var t wifi.FrameType
 	var body wifi.Body
-	switch j.stage {
+	switch j.sc.Stage {
 	case StageAuth:
 		t, body = wifi.TypeAuthReq, authOpenBody
 	case StageAssoc:
@@ -270,17 +272,17 @@ func (j *Joiner) onTimeout() {
 		j.inv.Violate("mac.joiner.timeout-while-idle")
 		return
 	}
-	j.retries++
-	if j.retries > j.cfg.MaxRetries {
-		stage := j.stage
-		j.stage = StageIdle
-		j.Failures++
+	j.sc.Retries++
+	if j.sc.Retries > j.cfg.MaxRetries {
+		stage := j.sc.Stage
+		j.sc.Stage = StageIdle
+		j.sc.Failures++
 		if j.tr != nil {
-			j.tr.Complete("mac.join", stage.String(), j.stageStart,
+			j.tr.Complete("mac.join", stage.String(), j.sc.StageStart,
 				obs.S("bssid", j.bssid.String()), obs.S("result", "failed"))
 		}
 		j.host.JoinResult(AssocResult{Success: false, Stage: stage,
-			Elapsed: j.kernel.Now() - j.started, Retries: j.retries - 1})
+			Elapsed: j.kernel.Now() - j.sc.Started, Retries: j.sc.Retries - 1})
 		return
 	}
 	j.sendCurrent()
@@ -293,7 +295,7 @@ func (j *Joiner) HandleFrame(f *wifi.Frame) {
 	}
 	switch f.Type {
 	case wifi.TypeAuthResp:
-		if j.stage != StageAuth {
+		if j.sc.Stage != StageAuth {
 			return
 		}
 		body, ok := f.Body.(*wifi.AuthBody)
@@ -301,16 +303,16 @@ func (j *Joiner) HandleFrame(f *wifi.Frame) {
 			return
 		}
 		j.cancelTimer()
-		j.retries = 0
+		j.sc.Retries = 0
 		if j.tr != nil {
-			j.tr.Complete("mac.join", "auth", j.stageStart,
+			j.tr.Complete("mac.join", "auth", j.sc.StageStart,
 				obs.S("bssid", j.bssid.String()))
 		}
-		j.stageStart = j.kernel.Now()
-		j.stage = StageAssoc
+		j.sc.StageStart = j.kernel.Now()
+		j.sc.Stage = StageAssoc
 		j.sendCurrent()
 	case wifi.TypeAssocResp:
-		if j.stage != StageAssoc {
+		if j.sc.Stage != StageAssoc {
 			return
 		}
 		body, ok := f.Body.(*wifi.AssocRespBody)
@@ -318,17 +320,17 @@ func (j *Joiner) HandleFrame(f *wifi.Frame) {
 			return
 		}
 		j.cancelTimer()
-		j.stage = StageAssociated
-		j.Successes++
+		j.sc.Stage = StageAssociated
+		j.sc.Successes++
 		if j.tr != nil {
-			j.tr.Complete("mac.join", "assoc", j.stageStart,
+			j.tr.Complete("mac.join", "assoc", j.sc.StageStart,
 				obs.S("bssid", j.bssid.String()))
 		}
 		j.host.JoinResult(AssocResult{Success: true, Stage: StageAssociated,
-			Elapsed: j.kernel.Now() - j.started, Retries: j.retries})
+			Elapsed: j.kernel.Now() - j.sc.Started, Retries: j.sc.Retries})
 	case wifi.TypeDeauth:
-		if j.stage == StageAssociated {
-			j.stage = StageIdle
+		if j.sc.Stage == StageAssociated {
+			j.sc.Stage = StageIdle
 		}
 	}
 }

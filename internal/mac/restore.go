@@ -3,10 +3,10 @@ package mac
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"spider/internal/dhcp"
 	"spider/internal/metrics"
+	"spider/internal/sim"
 	"spider/internal/wifi"
 )
 
@@ -14,106 +14,54 @@ import (
 // ride as wire encodings (the codec covers every frame/body type the
 // MAC parks).
 type APClientState struct {
-	Addr       wifi.Addr
-	Associated bool
-	AID        uint16
-	PSM        bool
-	TxBusy     bool
-	Draining   bool
-	Buffer     [][]byte
-	Pending    [][]byte
+	Addr wifi.Addr
+	apClientScalars
+	Buffer  [][]byte
+	Pending [][]byte
 }
 
 // APRespState is one delayed management response in flight.
 type APRespState struct {
 	Frame []byte
-	At    time.Duration
-	Seq   uint64
+	Ev    sim.EventState
 }
 
 // APState is an AP's complete checkpointable state (its DHCP server
 // rides along so composing layers handle one object per AP).
 type APState struct {
-	Seq    uint16
-	Down   bool
-	Muted  bool
+	apScalars
+	APStats
 	Client []APClientState
 	Resps  []APRespState
-
-	BeaconPending bool
-	BeaconAt      time.Duration
-	BeaconSeq     uint64
-
-	AssocGrants, PSMBuffered, PSMDrops, PSMFlushed uint64
-	UplinkFrames, DownFrames, DownDelivered        uint64
-	BeaconsMissed                                  uint64
+	Beacon sim.EventState
 
 	DHCP       dhcp.ServerState
 	Invariants []metrics.InvariantCount
-}
-
-func encodeFrames(fs []*wifi.Frame) [][]byte {
-	if len(fs) == 0 {
-		return nil
-	}
-	out := make([][]byte, len(fs))
-	for i, f := range fs {
-		out[i] = f.Encode()
-	}
-	return out
-}
-
-func (ap *AP) decodeFrames(bs [][]byte) ([]*wifi.Frame, error) {
-	if len(bs) == 0 {
-		return nil, nil
-	}
-	out := make([]*wifi.Frame, len(bs))
-	for i, b := range bs {
-		f, err := wifi.Decode(b)
-		if err != nil {
-			return nil, fmt.Errorf("mac: restoring frame: %w", err)
-		}
-		out[i] = f
-	}
-	return out, nil
 }
 
 // ExportState captures the AP for a checkpoint. Clients sort by MAC and
 // in-flight responses by (at, seq), so the export is canonical.
 func (ap *AP) ExportState() APState {
 	st := APState{
-		Seq: ap.seq, Down: ap.down, Muted: ap.muted,
-		AssocGrants: ap.AssocGrants, PSMBuffered: ap.PSMBuffered,
-		PSMDrops: ap.PSMDrops, PSMFlushed: ap.PSMFlushed,
-		UplinkFrames: ap.UplinkFrames, DownFrames: ap.DownFrames,
-		DownDelivered: ap.DownDelivered, BeaconsMissed: ap.BeaconsMissed,
+		apScalars:  ap.sc,
+		APStats:    ap.APStats,
+		Beacon:     sim.CaptureEvent(ap.beaconEv),
 		DHCP:       ap.dhcpd.ExportState(),
 		Invariants: ap.inv.ExportState(),
 	}
-	if at, seq, ok := ap.beaconEv.State(); ok {
-		st.BeaconPending, st.BeaconAt, st.BeaconSeq = true, at, seq
-	}
 	for addr, c := range ap.clients {
 		st.Client = append(st.Client, APClientState{
-			Addr: addr, Associated: c.associated, AID: c.aid,
-			PSM: c.psm, TxBusy: c.txBusy, Draining: c.draining,
-			Buffer: encodeFrames(c.buffer), Pending: encodeFrames(c.pending),
+			Addr: addr, apClientScalars: c.sc,
+			Buffer: wifi.EncodeFrames(c.buffer), Pending: wifi.EncodeFrames(c.pending),
 		})
 	}
 	sort.Slice(st.Client, func(i, j int) bool { return st.Client[i].Addr.Less(st.Client[j].Addr) })
 	for _, pr := range ap.resps {
-		at, seq, ok := pr.ev.State()
-		if !ok {
-			continue
+		if ev := sim.CaptureEvent(pr.ev); ev.Pending {
+			st.Resps = append(st.Resps, APRespState{Frame: pr.f.Encode(), Ev: ev})
 		}
-		st.Resps = append(st.Resps, APRespState{Frame: pr.f.Encode(), At: at, Seq: seq})
 	}
-	sort.Slice(st.Resps, func(i, j int) bool {
-		if st.Resps[i].At != st.Resps[j].At {
-			return st.Resps[i].At < st.Resps[j].At
-		}
-		return st.Resps[i].Seq < st.Resps[j].Seq
-	})
+	sort.Slice(st.Resps, func(i, j int) bool { return st.Resps[i].Ev.Before(st.Resps[j].Ev) })
 	return st
 }
 
@@ -124,29 +72,21 @@ func (ap *AP) ExportState() APState {
 // (channel, queue, in-flight frame) restores separately through the
 // medium layer.
 func (ap *AP) RestoreState(st APState) error {
-	ap.seq, ap.down, ap.muted = st.Seq, st.Down, st.Muted
-	ap.AssocGrants, ap.PSMBuffered = st.AssocGrants, st.PSMBuffered
-	ap.PSMDrops, ap.PSMFlushed = st.PSMDrops, st.PSMFlushed
-	ap.UplinkFrames, ap.DownFrames = st.UplinkFrames, st.DownFrames
-	ap.DownDelivered, ap.BeaconsMissed = st.DownDelivered, st.BeaconsMissed
+	ap.sc, ap.APStats = st.apScalars, st.APStats
 	ap.dhcpd.RestoreState(st.DHCP)
 	ap.inv.RestoreState(st.Invariants)
 
 	ap.clients = make(map[wifi.Addr]*apClient, len(st.Client))
 	for _, cs := range st.Client {
-		buf, err := ap.decodeFrames(cs.Buffer)
+		buf, err := wifi.DecodeFrames(cs.Buffer)
 		if err != nil {
-			return err
+			return fmt.Errorf("mac: restoring PSM buffer: %w", err)
 		}
-		pend, err := ap.decodeFrames(cs.Pending)
+		pend, err := wifi.DecodeFrames(cs.Pending)
 		if err != nil {
-			return err
+			return fmt.Errorf("mac: restoring pending frames: %w", err)
 		}
-		ap.clients[cs.Addr] = &apClient{
-			associated: cs.Associated, aid: cs.AID, psm: cs.PSM,
-			txBusy: cs.TxBusy, draining: cs.Draining,
-			buffer: buf, pending: pend,
-		}
+		ap.clients[cs.Addr] = &apClient{sc: cs.apClientScalars, buffer: buf, pending: pend}
 	}
 
 	ap.resps = ap.resps[:0]
@@ -156,13 +96,11 @@ func (ap *AP) RestoreState(st APState) error {
 			return fmt.Errorf("mac: restoring response: %w", err)
 		}
 		pr := ap.trackResp(f)
-		pr.ev = ap.kernel.RestoreAt(rs.At, rs.Seq, pr.fireFn)
+		pr.ev = rs.Ev.Restore(ap.kernel, pr.fireFn)
 	}
 
 	ap.beaconEv.Cancel()
-	if st.BeaconPending {
-		ap.beaconEv = ap.kernel.RestoreAt(st.BeaconAt, st.BeaconSeq, ap.beaconFn)
-	}
+	ap.beaconEv = st.Beacon.Restore(ap.kernel, ap.beaconFn)
 	return nil
 }
 
@@ -170,41 +108,19 @@ func (ap *AP) RestoreState(st APState) error {
 // identity (BSSID/SSID) is restored by the owner via ResetTarget before
 // RestoreState, matching how pooled joiners are re-pointed.
 type JoinerState struct {
-	Stage      uint8
-	Retries    int
-	Started    time.Duration
-	Seq        uint16
-	StageStart time.Duration
-
-	TimerPending bool
-	TimerAt      time.Duration
-	TimerSeq     uint64
-
-	Attempts, Successes, Failures uint64
+	joinerScalars
+	Timer sim.EventState
 }
 
 // ExportState captures the joiner for a checkpoint.
 func (j *Joiner) ExportState() JoinerState {
-	st := JoinerState{
-		Stage: uint8(j.stage), Retries: j.retries, Started: j.started,
-		Seq: j.seq, StageStart: j.stageStart,
-		Attempts: j.Attempts, Successes: j.Successes, Failures: j.Failures,
-	}
-	if at, seq, ok := j.timer.State(); ok {
-		st.TimerPending, st.TimerAt, st.TimerSeq = true, at, seq
-	}
-	return st
+	return JoinerState{joinerScalars: j.sc, Timer: sim.CaptureEvent(j.timer)}
 }
 
 // RestoreState rewinds the joiner to a checkpointed state, re-arming
 // its retransmission timer with the recorded identity.
 func (j *Joiner) RestoreState(st JoinerState) {
-	j.stage = JoinStage(st.Stage)
-	j.retries, j.started, j.seq = st.Retries, st.Started, st.Seq
-	j.stageStart = st.StageStart
-	j.Attempts, j.Successes, j.Failures = st.Attempts, st.Successes, st.Failures
+	j.sc = st.joinerScalars
 	j.cancelTimer()
-	if st.TimerPending {
-		j.timer = j.kernel.RestoreAt(st.TimerAt, st.TimerSeq, j.timeoutFn)
-	}
+	j.timer = st.Timer.Restore(j.kernel, j.timeoutFn)
 }

@@ -18,10 +18,16 @@ import (
 // non-zero transfer, connections/disruptions are maximal runs of
 // busy/idle bins, and instantaneous bandwidth is the per-busy-bin rate.
 type Recorder struct {
-	bin   time.Duration
-	bins  map[int64]int64
-	total int64
-	maxT  time.Duration
+	bin  time.Duration
+	bins map[int64]int64
+	sc   recorderScalars
+}
+
+// recorderScalars are a recorder's plain evolving fields, checkpointed
+// whole.
+type recorderScalars struct {
+	Total int64
+	MaxT  time.Duration
 }
 
 // NewRecorder creates a recorder with the given bin width (the paper
@@ -39,14 +45,14 @@ func (r *Recorder) Add(t time.Duration, bytes int) {
 		return
 	}
 	r.bins[int64(t/r.bin)] += int64(bytes)
-	r.total += int64(bytes)
-	if t > r.maxT {
-		r.maxT = t
+	r.sc.Total += int64(bytes)
+	if t > r.sc.MaxT {
+		r.sc.MaxT = t
 	}
 }
 
 // TotalBytes returns all bytes recorded.
-func (r *Recorder) TotalBytes() int64 { return r.total }
+func (r *Recorder) TotalBytes() int64 { return r.sc.Total }
 
 // BinCount is one non-empty bin of a recorder's ledger.
 type BinCount struct {
@@ -71,10 +77,10 @@ func (r *Recorder) Bins() []BinCount {
 // Callers that measured "until the run ended" can pass it to the
 // window-taking methods instead of re-deriving the duration.
 func (r *Recorder) Window() time.Duration {
-	if r.total == 0 {
+	if r.sc.Total == 0 {
 		return 0
 	}
-	return (r.maxT/r.bin + 1) * r.bin
+	return (r.sc.MaxT/r.bin + 1) * r.bin
 }
 
 // numBins returns how many bins the window covers, counting a trailing
@@ -107,7 +113,7 @@ func (r *Recorder) ThroughputKBps(window time.Duration) float64 {
 	if window <= 0 {
 		return 0
 	}
-	return float64(r.total) / 1000 / window.Seconds()
+	return float64(r.sc.Total) / 1000 / window.Seconds()
 }
 
 // Connectivity returns the fraction of bins within the window that saw a

@@ -1,7 +1,5 @@
 package metrics
 
-import "time"
-
 // InvariantCount is one named violation counter in a checkpoint,
 // carried in first-violation order so a restored set reports
 // identically.
@@ -39,14 +37,13 @@ func (s *InvariantSet) RestoreState(st []InvariantCount) {
 // RecorderState is a Recorder's checkpointable state: its ledger in
 // deterministic bin order.
 type RecorderState struct {
-	Bins  []BinCount
-	Total int64
-	MaxT  time.Duration
+	Bins []BinCount
+	recorderScalars
 }
 
 // ExportState captures the recorder for a checkpoint.
 func (r *Recorder) ExportState() RecorderState {
-	return RecorderState{Bins: r.Bins(), Total: r.total, MaxT: r.maxT}
+	return RecorderState{Bins: r.Bins(), recorderScalars: r.sc}
 }
 
 // RestoreState rewinds the recorder to a checkpointed state.
@@ -55,6 +52,5 @@ func (r *Recorder) RestoreState(st RecorderState) {
 	for _, b := range st.Bins {
 		r.bins[b.Index] = b.Bytes
 	}
-	r.total = st.Total
-	r.maxT = st.MaxT
+	r.sc = st.recorderScalars
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 )
 
 // HandleState is one typed metric handle's value in a checkpoint.
@@ -112,12 +111,8 @@ func (r *Registry) RestoreHandles(st []HandleState) error {
 // recording order plus the counters that extend it. The clock binding
 // and filter are reconstructed by the rebuild.
 type TracerState struct {
-	Events  []TraceEvent
-	Total   uint64
-	Dropped uint64
-	Base    time.Duration
-	High    time.Duration
-	Shard   int
+	Events []TraceEvent
+	tracerScalars
 }
 
 // ExportState captures the tracer for a checkpoint.
@@ -128,8 +123,7 @@ func (t *Tracer) ExportState() TracerState {
 	st := TracerState{Events: t.Events()}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st.Total, st.Dropped = t.total, t.dropped
-	st.Base, st.High, st.Shard = t.base, t.high, t.shard
+	st.tracerScalars = t.sc
 	return st
 }
 
@@ -161,7 +155,6 @@ func (t *Tracer) RestoreState(st TracerState) error {
 	for i, ev := range st.Events {
 		t.ring[(start+uint64(i))%capN] = ev
 	}
-	t.total, t.dropped = st.Total, st.Dropped
-	t.base, t.high, t.shard = st.Base, st.High, st.Shard
+	t.sc = st.tracerScalars
 	return nil
 }

@@ -54,15 +54,21 @@ const defaultTraceCap = 1 << 16
 // tracer shared across sequential worlds (spider-exp) renders as one
 // concatenated timeline instead of overlapping runs.
 type Tracer struct {
-	mu      sync.Mutex
-	now     func() time.Duration
-	base    time.Duration
-	high    time.Duration
-	ring    []TraceEvent
-	total   uint64
-	filter  []string
-	dropped uint64
-	shard   int
+	mu     sync.Mutex
+	now    func() time.Duration
+	sc     tracerScalars
+	ring   []TraceEvent
+	filter []string
+}
+
+// tracerScalars are a tracer's plain evolving fields, checkpointed
+// whole.
+type tracerScalars struct {
+	Total   uint64
+	Dropped uint64
+	Base    time.Duration
+	High    time.Duration
+	Shard   int
 }
 
 // NewTracer creates a tracer with the given ring capacity (0 = default).
@@ -83,7 +89,7 @@ func (t *Tracer) AttachClock(now func() time.Duration) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.base = t.high
+	t.sc.Base = t.sc.High
 	t.now = now
 }
 
@@ -96,7 +102,7 @@ func (t *Tracer) SetShard(shard int) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.shard = shard
+	t.sc.Shard = shard
 }
 
 // SetFilter restricts recording to events whose category starts with
@@ -131,16 +137,16 @@ func (t *Tracer) record(ev TraceEvent) {
 	if !t.pass(ev.Cat) {
 		return
 	}
-	ev.Shard = t.shard
-	if ev.Ts > t.high {
-		t.high = ev.Ts
+	ev.Shard = t.sc.Shard
+	if ev.Ts > t.sc.High {
+		t.sc.High = ev.Ts
 	}
-	i := t.total % uint64(len(t.ring))
-	if t.total >= uint64(len(t.ring)) {
-		t.dropped++
+	i := t.sc.Total % uint64(len(t.ring))
+	if t.sc.Total >= uint64(len(t.ring)) {
+		t.sc.Dropped++
 	}
 	t.ring[i] = ev
-	t.total++
+	t.sc.Total++
 }
 
 // Instant records a point event at the current clock time.
@@ -153,7 +159,7 @@ func (t *Tracer) Instant(cat, name string, args ...Arg) {
 	if t.now == nil {
 		return
 	}
-	t.record(TraceEvent{Ts: t.base + t.now(), Ph: PhaseInstant, Cat: cat, Name: name, Args: args})
+	t.record(TraceEvent{Ts: t.sc.Base + t.now(), Ph: PhaseInstant, Cat: cat, Name: name, Args: args})
 }
 
 // Complete records a span from start (a time in the attached clock's
@@ -171,7 +177,7 @@ func (t *Tracer) Complete(cat, name string, start time.Duration, args ...Arg) {
 	if dur < 0 {
 		dur = 0
 	}
-	t.record(TraceEvent{Ts: t.base + start, Dur: dur, Ph: PhaseComplete, Cat: cat, Name: name, Args: args})
+	t.record(TraceEvent{Ts: t.sc.Base + start, Dur: dur, Ph: PhaseComplete, Cat: cat, Name: name, Args: args})
 }
 
 // Total returns how many events were recorded (including overwritten).
@@ -181,7 +187,7 @@ func (t *Tracer) Total() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.total
+	return t.sc.Total
 }
 
 // Dropped returns how many events the ring overwrote.
@@ -191,7 +197,7 @@ func (t *Tracer) Dropped() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropped
+	return t.sc.Dropped
 }
 
 // Events returns the retained events in recording order (oldest first).
@@ -201,7 +207,7 @@ func (t *Tracer) Events() []TraceEvent {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := t.total
+	n := t.sc.Total
 	capN := uint64(len(t.ring))
 	if n <= capN {
 		return append([]TraceEvent(nil), t.ring[:n]...)

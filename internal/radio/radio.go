@@ -508,7 +508,7 @@ func (r *Radio) SetMaxSpeed(v float64) {
 // SetChannel tunes the radio instantly. Access points tune once at
 // startup; clients model the hardware-reset cost with Retune.
 func (r *Radio) SetChannel(ch int) {
-	if ch != 0 && !wifi.ValidChannel(ch) {
+	if !wifi.Tunable(ch) {
 		panic(fmt.Sprintf("radio: invalid channel %d", ch))
 	}
 	r.setChannel(ch)
@@ -539,7 +539,7 @@ func (r *Radio) setChannel(ch int) {
 // cancel a retune it has decided to supersede — the radio stays deaf
 // (channel 0) until someone retunes it again.
 func (r *Radio) Retune(ch int, reset time.Duration, done func()) sim.Event {
-	if ch != 0 && !wifi.ValidChannel(ch) {
+	if !wifi.Tunable(ch) {
 		panic(fmt.Sprintf("radio: invalid channel %d", ch))
 	}
 	now := r.m.kernel.Now()
@@ -548,29 +548,15 @@ func (r *Radio) Retune(ch int, reset time.Duration, done func()) sim.Event {
 	if now+reset > r.suspendedTo {
 		r.suspendedTo = now + reset
 	}
-	// One cached completion per radio: at most one retune is in flight
-	// (the only overlapping caller, the driver's switch supersede,
-	// cancels the pending event before retuning again), so the target
-	// channel and callback can live in fields instead of a per-call
-	// closure.
-	r.retuneCh, r.retuneDone = ch, done
-	if r.retuneFn == nil {
-		r.retuneFn = func() {
-			r.setChannel(r.retuneCh)
-			if r.retuneDone != nil {
-				r.retuneDone()
-			}
-		}
-	}
-	return r.m.kernel.After(reset, r.retuneFn)
+	return r.m.kernel.After(reset, r.retuneTo(ch, done))
 }
 
-// RestoreRetune re-arms a checkpointed in-flight retune with its
-// recorded event identity. The radio's deaf channel, suspendedTo, and
-// accumulated reset airtime were already restored through RestoreState;
-// unlike Retune this adds nothing — it only re-creates the completion
-// event. done plays the role of the original Retune done callback.
-func (r *Radio) RestoreRetune(ch int, at time.Duration, seq uint64, done func()) sim.Event {
+// retuneTo points the radio's one cached retune completion at ch and
+// done. At most one retune is in flight (the only overlapping caller,
+// the driver's switch supersede, cancels the pending event before
+// retuning again), so the target channel and callback can live in
+// fields instead of a per-call closure.
+func (r *Radio) retuneTo(ch int, done func()) func() {
 	r.retuneCh, r.retuneDone = ch, done
 	if r.retuneFn == nil {
 		r.retuneFn = func() {
@@ -580,7 +566,22 @@ func (r *Radio) RestoreRetune(ch int, at time.Duration, seq uint64, done func())
 			}
 		}
 	}
-	return r.m.kernel.RestoreAt(at, seq, r.retuneFn)
+	return r.retuneFn
+}
+
+// RestoreRetune re-arms a checkpointed in-flight retune to ch, if es
+// is pending. The radio's deaf channel, suspendedTo, and accumulated
+// reset airtime were already restored through RestoreState; unlike
+// Retune this adds nothing — it only re-creates the completion event.
+// done plays the role of the original Retune done callback.
+func (r *Radio) RestoreRetune(ch int, es sim.EventState, done func()) (sim.Event, error) {
+	if !es.Pending {
+		return sim.Event{}, nil
+	}
+	if !wifi.Tunable(ch) {
+		return sim.Event{}, fmt.Errorf("radio %s: retune restored to invalid channel %d", r.addr, ch)
+	}
+	return es.Restore(r.m.kernel, r.retuneTo(ch, done)), nil
 }
 
 // Suspended reports whether the radio is mid-reset at time t.

@@ -39,8 +39,10 @@ type TxJobState struct {
 }
 
 // RadioState is a radio's complete checkpointable state. When TxBusy,
-// the queue head is the in-flight frame and TxDoneAt/TxDoneSeq carry
-// the identity of its end-of-transmission event.
+// the queue head is the in-flight frame and TxDone is its
+// end-of-transmission event. Radio's fields are listed here one by
+// one, not grouped: its layout is pinned (TestRadioWalkFieldsShareALine)
+// around the first cache line the medium's walks read.
 type RadioState struct {
 	Addr        wifi.Addr
 	Channel     int
@@ -52,8 +54,7 @@ type RadioState struct {
 	TxBusy      bool
 	TxCh        int
 	TxDur       time.Duration
-	TxDoneAt    time.Duration
-	TxDoneSeq   uint64
+	TxDone      sim.EventState
 }
 
 // ExportState captures the radio for a checkpoint. It fails if a queued
@@ -76,12 +77,10 @@ func (r *Radio) ExportState() (RadioState, error) {
 		})
 	}
 	if r.txBusy {
-		at, seq, ok := r.txDoneEv.State()
-		if !ok {
+		st.TxCh, st.TxDur = r.txCh, r.txDur
+		if st.TxDone = sim.CaptureEvent(r.txDoneEv); !st.TxDone.Pending {
 			return RadioState{}, fmt.Errorf("radio %s: transmitting but no pending completion event", r.addr)
 		}
-		st.TxCh, st.TxDur = r.txCh, r.txDur
-		st.TxDoneAt, st.TxDoneSeq = at, seq
 	}
 	return st, nil
 }
@@ -95,6 +94,9 @@ func (r *Radio) RestoreState(st RadioState, resolve func(TxTag) func(delivered b
 	if st.Addr != r.addr {
 		return fmt.Errorf("radio restore: state for %s applied to %s", st.Addr, r.addr)
 	}
+	if !wifi.Tunable(st.Channel) {
+		return fmt.Errorf("radio %s: restored to invalid channel %d", r.addr, st.Channel)
+	}
 	r.setChannel(st.Channel)
 	r.SetPromiscuous(st.Promiscuous)
 	r.suspendedTo = st.SuspendedTo
@@ -103,6 +105,9 @@ func (r *Radio) RestoreState(st RadioState, resolve func(TxTag) func(delivered b
 	r.txQueue = r.txQueue[:0]
 	r.txHead = 0
 	for _, js := range st.Queue {
+		if !wifi.Tunable(js.Ch) {
+			return fmt.Errorf("radio %s: queued frame on invalid channel %d", r.addr, js.Ch)
+		}
 		f, err := wifi.Decode(js.Frame)
 		if err != nil {
 			return fmt.Errorf("radio %s: restoring queued frame: %w", r.addr, err)
@@ -122,14 +127,14 @@ func (r *Radio) RestoreState(st RadioState, resolve func(TxTag) func(delivered b
 	r.txF = nil
 	r.txDoneEv = sim.Event{}
 	if st.TxBusy {
-		if len(r.txQueue) == 0 {
-			return fmt.Errorf("radio %s: transmitting with an empty queue", r.addr)
+		if len(r.txQueue) == 0 || !st.TxDone.Pending || !wifi.Tunable(st.TxCh) {
+			return fmt.Errorf("radio %s: transmitting with no queue, no completion or an invalid channel", r.addr)
 		}
 		// The in-flight frame IS the queue head: txComplete delivers txF
 		// and retries/pops the head job, so the identity must hold.
 		r.txF = r.txQueue[0].f
 		r.txCh, r.txDur = st.TxCh, st.TxDur
-		r.txDoneEv = r.m.kernel.RestoreAt(st.TxDoneAt, st.TxDoneSeq, r.txDoneFn)
+		r.txDoneEv = st.TxDone.Restore(r.m.kernel, r.txDoneFn)
 	}
 	return nil
 }
@@ -199,6 +204,9 @@ func (m *Medium) RestoreState(st MediumState, resolve func(owner wifi.Addr, tag 
 	}
 	m.active = m.active[:0]
 	for _, a := range st.Active {
+		if !wifi.ValidChannel(a.Ch) {
+			return fmt.Errorf("medium restore: active transmission on invalid channel %d", a.Ch)
+		}
 		from := m.byAddr[a.From]
 		if from == nil {
 			return fmt.Errorf("medium restore: active transmitter %s not registered", a.From)

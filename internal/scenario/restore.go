@@ -3,13 +3,13 @@ package scenario
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"spider/internal/backhaul"
 	"spider/internal/core"
 	"spider/internal/mac"
 	"spider/internal/metrics"
 	"spider/internal/radio"
+	"spider/internal/sim"
 	"spider/internal/tcpsim"
 	"spider/internal/wifi"
 )
@@ -19,8 +19,7 @@ import (
 type LinkSegState struct {
 	BSSID wifi.Addr
 	Seg   []byte
-	At    time.Duration
-	Seq   uint64
+	Ev    sim.EventState
 }
 
 // ConnState is one live association's traffic state. The flow identity
@@ -39,18 +38,14 @@ type ConnState struct {
 // driver, metrics, logs, lifetime ledgers, live flows, and every
 // segment in flight across a backhaul.
 type ClientState struct {
-	Addr     wifi.Addr
-	NextFlow uint32
+	Addr wifi.Addr
+	clientScalars
 
 	Driver core.DriverState
 	Rec    metrics.RecorderState
 
 	Joins  []JoinEvent
 	Assocs []AssocEvent
-
-	TCPClosed   TCPStats
-	StatsClosed core.Stats
-	InvClosed   uint64
 
 	Conns    []ConnState    // sorted by BSSID
 	UpLive   []LinkSegState // sorted by (At, Seq)
@@ -77,20 +72,13 @@ type WorldState struct {
 func exportLinkSegs(live []*linkSeg) ([]LinkSegState, error) {
 	out := make([]LinkSegState, 0, len(live))
 	for _, ls := range live {
-		at, seq, ok := ls.ev.State()
-		if !ok {
+		ev := sim.CaptureEvent(ls.ev)
+		if !ev.Pending {
 			return nil, fmt.Errorf("scenario: tracked backhaul segment has no pending delivery")
 		}
-		out = append(out, LinkSegState{
-			BSSID: ls.node.AP.Addr(), Seg: ls.seg.AppendEncode(nil), At: at, Seq: seq,
-		})
+		out = append(out, LinkSegState{BSSID: ls.node.AP.Addr(), Seg: ls.seg.AppendEncode(nil), Ev: ev})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
-		}
-		return out[i].Seq < out[j].Seq
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Ev.Before(out[j].Ev) })
 	return out, nil
 }
 
@@ -102,14 +90,11 @@ func (c *Client) ExportState() (ClientState, error) {
 		return ClientState{}, fmt.Errorf("scenario: client %s runs a web workload; not checkpointable", c.addr)
 	}
 	st := ClientState{
-		Addr: c.addr, NextFlow: c.nextFlow,
-		Driver:      c.Driver.ExportState(),
-		Rec:         c.Rec.ExportState(),
-		Joins:       append([]JoinEvent(nil), c.Joins...),
-		Assocs:      append([]AssocEvent(nil), c.Assocs...),
-		TCPClosed:   c.tcpClosed,
-		StatsClosed: c.statsClosed,
-		InvClosed:   c.invClosed,
+		Addr: c.addr, clientScalars: c.sc,
+		Driver: c.Driver.ExportState(),
+		Rec:    c.Rec.ExportState(),
+		Joins:  append([]JoinEvent(nil), c.Joins...),
+		Assocs: append([]AssocEvent(nil), c.Assocs...),
 	}
 	for b, cn := range c.conns {
 		if cn.onAbort != nil {
@@ -134,23 +119,6 @@ func (c *Client) ExportState() (ClientState, error) {
 	return st, nil
 }
 
-// restoreSender rebuilds a bulk-download sender on cn with the standard
-// downlink transmit path — newSender minus the flow-allocation side
-// effects (no nextFlow bump, no ledger absorb).
-func (c *Client) restoreSender(cn *conn, flowID uint32, st tcpsim.SenderState) *tcpsim.Sender {
-	node := cn.node
-	s := tcpsim.NewSender(c.World.Kernel, tcpsim.Config{}, flowID, -1, func(seg *tcpsim.Segment) {
-		ds := c.World.getLinkSeg(c, node, seg)
-		if ev, ok := node.Link.DownEv(seg.WireSize(), ds.downFn); ok {
-			ds.ev = ev
-			c.trackSeg(&c.downLive, ds)
-		}
-	}, nil)
-	s.SetSegPool(&c.World.segPool)
-	s.RestoreState(st)
-	return s
-}
-
 func (c *Client) restoreLinkSegs(states []LinkSegState, live *[]*linkSeg, fn func(*linkSeg) func()) error {
 	w := c.World
 	for _, lss := range states {
@@ -164,7 +132,7 @@ func (c *Client) restoreLinkSegs(states []LinkSegState, live *[]*linkSeg, fn fun
 			return fmt.Errorf("scenario: restoring in-flight segment for %s: bad encoding", c.addr)
 		}
 		ls := w.getLinkSeg(c, node, seg)
-		ls.ev = w.Kernel.RestoreAt(lss.At, lss.Seq, fn(ls))
+		ls.ev = lss.Ev.Restore(w.Kernel, fn(ls))
 		c.trackSeg(live, ls)
 	}
 	return nil
@@ -178,16 +146,13 @@ func (c *Client) RestoreState(st ClientState) error {
 	if c.addr != st.Addr {
 		return fmt.Errorf("scenario: state for client %s applied to %s", st.Addr, c.addr)
 	}
-	c.nextFlow = st.NextFlow
+	c.sc = st.clientScalars
 	if err := c.Driver.RestoreState(st.Driver); err != nil {
 		return err
 	}
 	c.Rec.RestoreState(st.Rec)
 	c.Joins = append(c.Joins[:0], st.Joins...)
 	c.Assocs = append(c.Assocs[:0], st.Assocs...)
-	c.tcpClosed = st.TCPClosed
-	c.statsClosed = st.StatsClosed
-	c.invClosed = st.InvClosed
 
 	c.conns = make(map[wifi.Addr]*conn, len(st.Conns))
 	for _, ks := range st.Conns {
@@ -198,7 +163,8 @@ func (c *Client) RestoreState(st ClientState) error {
 		cn := &conn{node: node, delivered: ks.Delivered}
 		cn.receiver = tcpsim.NewReceiver(ks.FlowID)
 		cn.receiver.RestoreState(ks.Receiver)
-		cn.sender = c.restoreSender(cn, ks.FlowID, ks.Sender)
+		cn.sender = c.downlinkSender(node, ks.FlowID, -1, nil)
+		cn.sender.RestoreState(ks.Sender)
 		c.conns[ks.BSSID] = cn
 	}
 

@@ -127,12 +127,17 @@ func (w *WebWorkload) resume(c *Client, page int64) {
 func (c *Client) newSender(cn *conn, size int64, onDone func()) *tcpsim.Sender {
 	// The conn's previous sender (a finished page fetch being replaced)
 	// leaves the stats ledger here, not the world.
-	c.tcpClosed.absorb(cn.sender)
-	c.nextFlow++
-	flowID := c.nextFlow
+	c.sc.TCPClosed = c.sc.TCPClosed.Add(cn.sender.Stats())
+	c.sc.NextFlow++
+	flowID := c.sc.NextFlow
 	cn.receiver = tcpsim.NewReceiver(flowID)
 	cn.delivered = 0
-	node := cn.node
+	return c.downlinkSender(cn.node, flowID, size, onDone)
+}
+
+// downlinkSender builds flow flowID's sender, transmitting down node's
+// backhaul link; a checkpoint restore rebuilds senders here too.
+func (c *Client) downlinkSender(node *APNode, flowID uint32, size int64, onDone func()) *tcpsim.Sender {
 	s := tcpsim.NewSender(c.World.Kernel, tcpsim.Config{}, flowID, size, func(seg *tcpsim.Segment) {
 		// The segment stays alive across the backhaul delay; linkSeg.down
 		// encodes it on arrival and recycles it into the world's pool.

@@ -282,7 +282,7 @@ type conn struct {
 	node      *APNode
 	sender    *tcpsim.Sender
 	receiver  *tcpsim.Receiver
-	delivered uint64 // receiver.Delivered already credited to metrics
+	delivered uint64 // receiver.Delivered() already credited to metrics
 	onAbort   func() // workload hook: connection died mid-transfer
 }
 
@@ -297,7 +297,7 @@ type Client struct {
 
 	addr     wifi.Addr
 	conns    map[wifi.Addr]*conn
-	nextFlow uint32
+	sc       clientScalars
 	workload Workload
 	// Single-session web workload state.
 	webActive bool
@@ -310,21 +310,27 @@ type Client struct {
 	Joins  []JoinEvent
 	Assocs []AssocEvent
 
-	// tcpClosed accumulates sender counters from flows already replaced
-	// or torn down, so TCPStats covers the client's whole history.
-	tcpClosed TCPStats
 	// upLive/downLive register the client's carriers currently in
 	// flight across a backhaul (drawn from its world's free list), so
 	// checkpoints can capture the pending deliveries. dlSeg is the
 	// downlink decode scratch.
 	upLive, downLive []*linkSeg
 	dlSeg            tcpsim.Segment
-	// statsClosed / invClosed carry the counters of drivers this client
+}
+
+// clientScalars are a client's plain evolving fields, checkpointed
+// whole.
+type clientScalars struct {
+	NextFlow uint32
+	// TCPClosed accumulates sender counters from flows already replaced
+	// or torn down, so TCPStats covers the client's whole history.
+	TCPClosed TCPStats
+	// StatsClosed / InvClosed carry the counters of drivers this client
 	// has already retired (one per shard migration), so Stats and
 	// InvariantsTotal cover the whole life regardless of which world the
 	// client currently resides in.
-	statsClosed core.Stats
-	invClosed   uint64
+	StatsClosed core.Stats
+	InvClosed   uint64
 }
 
 // Addr returns the client's MAC address, stable across migrations.
@@ -332,39 +338,22 @@ func (c *Client) Addr() wifi.Addr { return c.addr }
 
 // Stats returns the client's lifetime driver counters: every retired
 // driver plus the live one.
-func (c *Client) Stats() core.Stats { return c.statsClosed.Add(c.Driver.Stats()) }
+func (c *Client) Stats() core.Stats { return c.sc.StatsClosed.Add(c.Driver.Stats()) }
 
 // InvariantsTotal returns the client's lifetime invariant-violation
 // count across every driver it has run on.
-func (c *Client) InvariantsTotal() uint64 { return c.invClosed + c.Driver.Invariants().Total() }
+func (c *Client) InvariantsTotal() uint64 { return c.sc.InvClosed + c.Driver.Invariants().Total() }
 
 // TCPStats aggregates one client's TCP sender counters across every
 // flow it has ever run — live senders plus those already closed.
-type TCPStats struct {
-	SegmentsSent uint64
-	RetxSegments uint64
-	Timeouts     uint64
-	FastRetx     uint64
-	BytesAcked   uint64
-}
-
-func (t *TCPStats) absorb(s *tcpsim.Sender) {
-	if s == nil {
-		return
-	}
-	t.SegmentsSent += s.SegmentsSent
-	t.RetxSegments += s.RetxSegments
-	t.Timeouts += s.Timeouts
-	t.FastRetx += s.FastRetx
-	t.BytesAcked += s.BytesAcked
-}
+type TCPStats = tcpsim.Stats
 
 // TCPStats returns the client's all-time TCP totals (closed flows plus
 // whatever is live right now).
 func (c *Client) TCPStats() TCPStats {
-	t := c.tcpClosed
+	t := c.sc.TCPClosed
 	for _, cn := range c.conns {
-		t.absorb(cn.sender)
+		t = t.Add(cn.sender.Stats())
 	}
 	return t
 }
@@ -426,8 +415,8 @@ func (w *World) RemoveClient(c *Client) []core.APRecord {
 	w.drainLinkSegs(&c.upLive)
 	w.drainLinkSegs(&c.downLive)
 	c.Driver.Shutdown()
-	c.statsClosed = c.statsClosed.Add(c.Driver.Stats())
-	c.invClosed += c.Driver.Invariants().Total()
+	c.sc.StatsClosed = c.sc.StatsClosed.Add(c.Driver.Stats())
+	c.sc.InvClosed += c.Driver.Invariants().Total()
 	delete(w.byMAC, c.addr)
 	for i, x := range w.Clients {
 		if x == c {
@@ -492,7 +481,7 @@ func (c *Client) closeFlow(ifc *core.Iface) {
 	if cn.sender != nil {
 		cn.sender.Stop()
 	}
-	c.tcpClosed.absorb(cn.sender)
+	c.sc.TCPClosed = c.sc.TCPClosed.Add(cn.sender.Stats())
 	// Remove the conn BEFORE the abort hook runs: workloads resume on
 	// "any live association" and must not pick the one being torn down.
 	delete(c.conns, ifc.BSSID())
@@ -516,9 +505,9 @@ func (c *Client) downlink(bssid wifi.Addr, db *wifi.DataBody) {
 	if ack == nil {
 		return
 	}
-	if d := cn.receiver.Delivered - cn.delivered; d > 0 {
+	if d := cn.receiver.Delivered() - cn.delivered; d > 0 {
 		c.Rec.Add(c.World.Kernel.Now(), int(d))
-		cn.delivered = cn.receiver.Delivered
+		cn.delivered = cn.receiver.Delivered()
 	}
 	c.Driver.Uplink(bssid, c.bodyFor(ack))
 }

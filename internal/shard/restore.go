@@ -219,6 +219,9 @@ func (c *City) RestoreState(st CityState) error {
 				return fmt.Errorf("shard: tile %d inbox frame %d: %w", i, n, err)
 			}
 		}
+		if err := k.RestoreErr(); err != nil {
+			return fmt.Errorf("shard: tile %d: %w", i, err)
+		}
 		k.RestoreRNGs(ts.RNGs)
 	}
 	for _, t := range c.Tiles {
@@ -233,6 +236,9 @@ func (c *City) RestoreState(st CityState) error {
 func (c *City) restoreMirror(dst int, hs HaloFrameState) error {
 	if hs.Dst != dst {
 		return fmt.Errorf("addressed to tile %d", hs.Dst)
+	}
+	if !wifi.ValidChannel(hs.Ch) {
+		return fmt.Errorf("on invalid channel %d", hs.Ch)
 	}
 	src := c.Tiles[c.Layout.TileOf(hs.Pos)]
 	slot := src.slotOf(dst)

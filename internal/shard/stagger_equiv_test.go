@@ -167,7 +167,7 @@ func TestStaggeredCheckpointMidRamp(t *testing.T) {
 	dormant := 0
 	for _, ts := range st.Tiles {
 		for _, cs := range ts.World.Clients {
-			if cs.Driver.Dormant {
+			if !cs.Driver.Started {
 				dormant++
 			}
 		}

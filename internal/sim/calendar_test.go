@@ -19,7 +19,7 @@ import (
 // them its operations reach every scheduling entry point the sharded
 // city calls: At and After (also nested, from callbacks), Cancel,
 // Pending, State, Run over successive horizons, NextAt, Len, Fired,
-// NextSeq, and a checkpoint resume through BeginRestore and RestoreAt.
+// NextSeq, and a checkpoint resume through BeginRestore and EventState.Restore.
 type kernelPair struct {
 	t        testing.TB
 	seed     int64
@@ -129,11 +129,10 @@ func (p *kernelPair) check() {
 		p.t.Fatalf("Now: calendar %v, heap %v", c, r)
 	}
 	for i := range p.calEvs {
-		ca, cs, cok := p.calEvs[i].State()
-		ra, rs, rok := p.refEvs[i].State()
-		if ca != ra || cs != rs || cok != rok || p.calEvs[i].Pending() != cok || p.refEvs[i].Pending() != rok {
-			p.t.Fatalf("event %d: calendar State (%v,%d,%v) Pending %v, heap State (%v,%d,%v) Pending %v",
-				p.ids[i], ca, cs, cok, p.calEvs[i].Pending(), ra, rs, rok, p.refEvs[i].Pending())
+		c, r := CaptureEvent(p.calEvs[i]), CaptureEvent(p.refEvs[i])
+		if c != r || p.calEvs[i].Pending() != c.Pending || p.refEvs[i].Pending() != r.Pending {
+			p.t.Fatalf("event %d: calendar %+v Pending %v, heap %+v Pending %v",
+				p.ids[i], c, p.calEvs[i].Pending(), r, p.refEvs[i].Pending())
 		}
 	}
 }
@@ -240,17 +239,16 @@ func TestCalendarMatchesHeapAcrossRestore(t *testing.T) {
 }
 
 func TestCalendarRestore(t *testing.T) {
-	// BeginRestore must drain staged buckets and the run, and RestoreAt
-	// must re-arm through the calendar path with recorded (at, seq)
-	// identity intact.
+	// BeginRestore must drain staged buckets and the run, and
+	// EventState.Restore must re-arm through the calendar path with
+	// recorded (at, seq) identity intact.
 	k := NewKernel(1)
 	var fired []int
 	k.After(time.Millisecond, func() { fired = append(fired, 0) })
 	e1 := k.After(5*time.Millisecond, func() { fired = append(fired, 1) })
 	e2 := k.After(500*time.Millisecond, func() { fired = append(fired, 2) }) // far heap
 	k.Run(time.Millisecond)
-	at1, seq1, _ := e1.State()
-	at2, seq2, _ := e2.State()
+	st1, st2 := CaptureEvent(e1), CaptureEvent(e2)
 	nextSeq, firedN := k.NextSeq(), k.Fired()
 
 	k.BeginRestore(k.Now(), nextSeq, firedN)
@@ -260,8 +258,8 @@ func TestCalendarRestore(t *testing.T) {
 	if e1.Pending() || e2.Pending() {
 		t.Fatalf("handles still pending after BeginRestore")
 	}
-	k.RestoreAt(at2, seq2, func() { fired = append(fired, 2) })
-	k.RestoreAt(at1, seq1, func() { fired = append(fired, 1) })
+	st2.Restore(k, func() { fired = append(fired, 2) })
+	st1.Restore(k, func() { fired = append(fired, 1) })
 	k.RunAll()
 	want := []int{0, 1, 2}
 	if len(fired) != 3 || fired[0] != want[0] || fired[1] != want[1] || fired[2] != want[2] {

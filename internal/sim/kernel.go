@@ -169,6 +169,8 @@ type Kernel struct {
 
 	// Fired counts events executed; useful for tests and budget guards.
 	fired uint64
+	// restoreErr is the first recorded timer EventState.Restore refused.
+	restoreErr error
 }
 
 // NewKernel returns a kernel whose clock starts at zero and whose RNG

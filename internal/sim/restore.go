@@ -13,7 +13,7 @@
 //     kernel seed and fast-forwards it by the recorded number of
 //     source steps; and
 //  3. has each component re-arm its recorded pending timers via
-//     RestoreAt with the original (at, seq) pair.
+//     EventState.Restore with the original (at, seq) pair.
 //
 // The event heap is keyed by (at, seq), so re-insertion order is
 // irrelevant: ties between restored events break exactly as they did
@@ -127,16 +127,6 @@ type RNGPos struct {
 // out the same tie-break sequence numbers the uninterrupted run would.
 func (k *Kernel) NextSeq() uint64 { return k.nextSeq }
 
-// State reports the scheduled time and tie-break sequence of a still
-// pending event, for checkpoint export. ok is false if the event has
-// fired or been cancelled.
-func (e Event) State() (at time.Duration, seq uint64, ok bool) {
-	if !e.live() {
-		return 0, 0, false
-	}
-	return e.at, e.k.slots[e.idx].seq, true
-}
-
 // ExportRNGs returns the positions of all named RNG streams that have
 // consumed at least one source step, sorted by name. Streams at
 // position zero are omitted: a rebuilt kernel recreates them fresh on
@@ -174,7 +164,7 @@ func (k *Kernel) RestoreRNGs(pos []RNGPos) {
 // Event handles are invalidated (their slots' generations bump), so a
 // freshly built world can be rewound wholesale: constructors' scheduled
 // events vanish and components re-arm from recorded state via
-// RestoreAt.
+// EventState.Restore.
 func (k *Kernel) BeginRestore(now time.Duration, nextSeq, fired uint64) {
 	for _, idx := range k.heap {
 		k.release(idx)
@@ -203,6 +193,7 @@ func (k *Kernel) BeginRestore(now time.Duration, nextSeq, fired uint64) {
 	k.nextSeq = nextSeq
 	k.fired = fired
 	k.stopped = false
+	k.restoreErr = nil
 }
 
 // EventState is the serializable identity of one possibly-pending
@@ -216,42 +207,58 @@ type EventState struct {
 // CaptureEvent records a timer's identity for a checkpoint (zero value
 // if it has fired or been cancelled).
 func CaptureEvent(e Event) EventState {
-	if at, seq, ok := e.State(); ok {
-		return EventState{Pending: true, At: at, Seq: seq}
+	if !e.live() {
+		return EventState{}
 	}
-	return EventState{}
+	return EventState{Pending: true, At: e.at, Seq: e.k.slots[e.idx].seq}
+}
+
+// Before orders captured timers as the kernel fires them, by (At,
+// Seq): the canonical order for a checkpoint's lists of timers.
+func (es EventState) Before(o EventState) bool {
+	if es.At != o.At {
+		return es.At < o.At
+	}
+	return es.Seq < o.Seq
 }
 
 // Restore re-arms a captured timer on k with fn, or returns the zero
-// Event if none was pending.
+// Event if none was pending. It is the re-arm half of checkpoint
+// restore: the timer is reinserted with its recorded (at, seq) key
+// instead of the next sequence number, so it sorts against every
+// other event — restored or new — exactly as in the uninterrupted run.
+//
+// A recorded identity the restored kernel cannot hold — an instant
+// before Now, or a seq at or above NextSeq — marks a corrupt
+// checkpoint: the timer is dropped, the first such error is kept for
+// RestoreErr, and the zero Event is returned.
 func (es EventState) Restore(k *Kernel, fn func()) Event {
 	if !es.Pending {
 		return Event{}
 	}
-	return k.RestoreAt(es.At, es.Seq, fn)
-}
-
-// RestoreAt schedules fn with an explicit recorded (at, seq) identity
-// instead of allocating the next sequence number. It is the re-arm
-// half of checkpoint restore: a timer that was pending at snapshot
-// time is reinserted with its original key, so it sorts against every
-// other event — restored or new — exactly as in the uninterrupted run.
-// seq must come from a snapshot taken below the restored NextSeq.
-func (k *Kernel) RestoreAt(at time.Duration, seq uint64, fn func()) Event {
 	if fn == nil {
 		panic("sim: nil event func")
 	}
-	if at < k.now {
-		panic(fmt.Sprintf("sim: restoring into the past: now=%v at=%v", k.now, at))
-	}
-	if seq >= k.nextSeq {
-		panic(fmt.Sprintf("sim: restored seq %d not below next seq %d", seq, k.nextSeq))
+	switch {
+	case k.restoreErr != nil:
+		return Event{}
+	case es.At < k.now:
+		k.restoreErr = fmt.Errorf("sim: timer restored into the past: now=%v at=%v", k.now, es.At)
+		return Event{}
+	case es.Seq >= k.nextSeq:
+		k.restoreErr = fmt.Errorf("sim: restored timer seq %d not below next seq %d", es.Seq, k.nextSeq)
+		return Event{}
 	}
 	idx := k.alloc()
 	s := &k.slots[idx]
 	s.fn = fn
-	s.at = at
-	s.seq = seq
+	s.at = es.At
+	s.seq = es.Seq
 	k.enqueue(idx)
-	return Event{k: k, at: at, idx: idx, gen: s.gen}
+	return Event{k: k, at: es.At, idx: idx, gen: s.gen}
 }
+
+// RestoreErr reports the first timer Restore refused since the last
+// BeginRestore. A restore that leaves it set has not rebuilt the
+// recorded state, and its kernel must be discarded.
+func (k *Kernel) RestoreErr() error { return k.restoreErr }

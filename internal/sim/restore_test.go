@@ -54,7 +54,7 @@ func TestRNGRestorePosition(t *testing.T) {
 	}
 }
 
-// A kernel rewound with BeginRestore and re-armed with RestoreAt must
+// A kernel rewound with BeginRestore and re-armed with EventState.Restore must
 // replay the remainder of a run in the original order, including ties,
 // and hand out the same sequence numbers to newly scheduled events.
 func TestRewindReplaysIdentically(t *testing.T) {
@@ -87,9 +87,8 @@ func TestRewindReplaysIdentically(t *testing.T) {
 	b1 = func() { log = append(log, 2); evB = k1.After(3*time.Millisecond, b1) }
 	k1.Run(20 * time.Millisecond)
 
-	atA, seqA, okA := evA.State()
-	atB, seqB, okB := evB.State()
-	if !okA || !okB {
+	stA, stB := CaptureEvent(evA), CaptureEvent(evB)
+	if !stA.Pending || !stB.Pending {
 		t.Fatal("expected both chains pending at the cut")
 	}
 	snapNow, snapSeq, snapFired := k1.Now(), k1.NextSeq(), k1.Fired()
@@ -105,8 +104,8 @@ func TestRewindReplaysIdentically(t *testing.T) {
 	}
 	// Re-arm in the "wrong" (swapped) order: (at, seq) keys must make
 	// insertion order irrelevant.
-	k2.RestoreAt(atB, seqB, b2)
-	k2.RestoreAt(atA, seqA, a2)
+	stB.Restore(k2, b2)
+	stA.Restore(k2, a2)
 	k2.Run(50 * time.Millisecond)
 
 	if len(log) != len(ref) {

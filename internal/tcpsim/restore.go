@@ -1,108 +1,44 @@
 package tcpsim
 
-import (
-	"time"
-
-	"spider/internal/sim"
-)
-
-// UnackedState is one outstanding segment in a checkpoint.
-type UnackedState struct {
-	Seq    uint64
-	Len    int
-	SentAt time.Duration
-	Retx   bool
-}
+import "spider/internal/sim"
 
 // SenderState is a Sender's complete checkpointable state. The flow
 // identity, config and callbacks are reconstructed by the owner; this
 // carries only what evolves during the run.
 type SenderState struct {
-	Remaining int64
-	NextSeq   uint64
-	SndUna    uint64
-	Inflight  []UnackedState
-
-	Cwnd     float64
-	Ssthresh float64
-	SRTT     time.Duration
-	RTTVar   time.Duration
-	RTO      time.Duration
-	Backoff  int
-	DupAcks  int
-	LastAck  uint64
-
-	RTOPending    bool
-	RTOAt         time.Duration
-	RTOSeq        uint64
-	Closed        bool
-	LastTimeoutAt time.Duration
-
-	InRecovery bool
-	Recover    uint64
-
-	Timeouts     uint64
-	FastRetx     uint64
-	SegmentsSent uint64
-	RetxSegments uint64
-	BytesAcked   uint64
+	senderScalars
+	Inflight []unacked
+	RTOTimer sim.EventState
 }
 
 // ExportState captures the sender for a checkpoint.
 func (s *Sender) ExportState() SenderState {
-	st := SenderState{
-		Remaining: s.remaining, NextSeq: s.nextSeq, SndUna: s.sndUna,
-		Cwnd: s.cwnd, Ssthresh: s.ssthresh,
-		SRTT: s.srtt, RTTVar: s.rttvar, RTO: s.rto,
-		Backoff: s.backoff, DupAcks: s.dupAcks, LastAck: s.lastAck,
-		Closed: s.closed, LastTimeoutAt: s.lastTimeoutAt,
-		InRecovery: s.inRecovery, Recover: s.recover,
-		Timeouts: s.Timeouts, FastRetx: s.FastRetx,
-		SegmentsSent: s.SegmentsSent, RetxSegments: s.RetxSegments,
-		BytesAcked: s.BytesAcked,
+	return SenderState{
+		senderScalars: s.sc,
+		Inflight:      append([]unacked(nil), s.inflight...),
+		RTOTimer:      sim.CaptureEvent(s.rtoTimer),
 	}
-	for _, u := range s.inflight {
-		st.Inflight = append(st.Inflight, UnackedState{Seq: u.seq, Len: u.len, SentAt: u.sentAt, Retx: u.retx})
-	}
-	if at, seq, ok := s.rtoTimer.State(); ok {
-		st.RTOPending, st.RTOAt, st.RTOSeq = true, at, seq
-	}
-	return st
 }
 
 // RestoreState rewinds a freshly constructed sender to a checkpointed
 // state, re-arming the RTO timer with its recorded (at, seq) identity.
 // Call after the owning kernel's BeginRestore.
 func (s *Sender) RestoreState(st SenderState) {
-	s.remaining, s.nextSeq, s.sndUna = st.Remaining, st.NextSeq, st.SndUna
-	s.inflight = s.inflight[:0]
-	for _, u := range st.Inflight {
-		s.inflight = append(s.inflight, unacked{seq: u.Seq, len: u.Len, sentAt: u.SentAt, retx: u.Retx})
-	}
-	s.cwnd, s.ssthresh = st.Cwnd, st.Ssthresh
-	s.srtt, s.rttvar, s.rto = st.SRTT, st.RTTVar, st.RTO
-	s.backoff, s.dupAcks, s.lastAck = st.Backoff, st.DupAcks, st.LastAck
-	s.closed, s.lastTimeoutAt = st.Closed, st.LastTimeoutAt
-	s.inRecovery, s.recover = st.InRecovery, st.Recover
-	s.Timeouts, s.FastRetx = st.Timeouts, st.FastRetx
-	s.SegmentsSent, s.RetxSegments, s.BytesAcked = st.SegmentsSent, st.RetxSegments, st.BytesAcked
+	s.sc = st.senderScalars
+	s.inflight = append(s.inflight[:0], st.Inflight...)
 	s.rtoTimer.Cancel()
-	s.rtoTimer = sim.Event{}
-	if st.RTOPending {
-		s.rtoTimer = s.kernel.RestoreAt(st.RTOAt, st.RTOSeq, s.onRTOFn)
-	}
+	s.rtoTimer = st.RTOTimer.Restore(s.kernel, s.onRTOFn)
 }
 
 // ReceiverState is a Receiver's checkpointable state.
 type ReceiverState struct {
-	RcvNxt    uint64
-	OOO       [][2]uint64
-	Delivered uint64
+	receiverScalars
+	OOO [][2]uint64
 }
 
 // ExportState captures the receiver for a checkpoint.
 func (r *Receiver) ExportState() ReceiverState {
-	st := ReceiverState{RcvNxt: r.rcvNxt, Delivered: r.Delivered}
+	st := ReceiverState{receiverScalars: r.sc}
 	for _, x := range r.ooo {
 		st.OOO = append(st.OOO, [2]uint64{x.start, x.end})
 	}
@@ -111,7 +47,7 @@ func (r *Receiver) ExportState() ReceiverState {
 
 // RestoreState rewinds the receiver to a checkpointed state.
 func (r *Receiver) RestoreState(st ReceiverState) {
-	r.rcvNxt, r.Delivered = st.RcvNxt, st.Delivered
+	r.sc = st.receiverScalars
 	r.ooo = r.ooo[:0]
 	for _, x := range st.OOO {
 		r.ooo = append(r.ooo, segRange{start: x[0], end: x[1]})

@@ -56,11 +56,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// unacked is one outstanding segment; a checkpoint stores the list
+// as it is.
 type unacked struct {
-	seq    uint64
-	len    int
-	sentAt time.Duration
-	retx   bool
+	Seq    uint64
+	Len    int
+	SentAt time.Duration
+	Retx   bool
 }
 
 // Sender is the server-side endpoint of one bulk or finite download.
@@ -72,44 +74,65 @@ type Sender struct {
 	flowID   uint32
 	transmit func(*Segment)
 
-	// remaining is bytes left to hand to the network; -1 = unbounded.
-	remaining int64
-	nextSeq   uint64
-	sndUna    uint64
-	inflight  []unacked
+	sc       senderScalars
+	inflight []unacked
 
-	cwnd     float64 // segments
-	ssthresh float64
-	srtt     time.Duration
-	rttvar   time.Duration
-	rto      time.Duration
-	backoff  int
-	dupAcks  int
-	lastAck  uint64
-
-	rtoTimer      sim.Event
-	onRTOFn       func() // cached method value: armRTO runs per ACK
-	closed        bool
-	onDone        func()
-	lastTimeoutAt time.Duration
+	rtoTimer sim.Event
+	onRTOFn  func() // cached method value: armRTO runs per ACK
+	onDone   func()
 
 	// segs, when set, recycles transmitted segments. The owner of the
 	// transmit callback must Put each segment back once it is done
 	// encoding it (a nil pool allocates fresh and never recycles).
 	segs *SegPool
+}
+
+// senderScalars are a sender's plain evolving fields, checkpointed
+// whole.
+type senderScalars struct {
+	// Remaining is bytes left to hand to the network; -1 = unbounded.
+	Remaining int64
+	NextSeq   uint64
+	SndUna    uint64
+
+	Cwnd     float64 // segments
+	Ssthresh float64
+	SRTT     time.Duration
+	RTTVar   time.Duration
+	RTO      time.Duration
+	Backoff  int
+	DupAcks  int
+	LastAck  uint64
+
+	Closed        bool
+	LastTimeoutAt time.Duration
 
 	// NewReno-style recovery state.
-	inRecovery bool
-	recover    uint64
+	InRecovery bool
+	Recover    uint64
 
-	// Stats.
-	Timeouts     uint64
-	FastRetx     uint64
+	Stats
+}
+
+// Stats counts what a sender did.
+type Stats struct {
 	SegmentsSent uint64
 	// RetxSegments counts segments resent by retransmitHead — the
 	// wasted-airtime share of SegmentsSent.
 	RetxSegments uint64
+	Timeouts     uint64
+	FastRetx     uint64
 	BytesAcked   uint64
+}
+
+// Add returns the field-wise sum of two snapshots.
+func (t Stats) Add(o Stats) Stats {
+	t.SegmentsSent += o.SegmentsSent
+	t.RetxSegments += o.RetxSegments
+	t.Timeouts += o.Timeouts
+	t.FastRetx += o.FastRetx
+	t.BytesAcked += o.BytesAcked
+	return t
 }
 
 // NewSender creates a sender for one flow. size is the bytes to send
@@ -121,9 +144,11 @@ func NewSender(k *sim.Kernel, cfg Config, flowID uint32, size int64, transmit fu
 	}
 	c := cfg.withDefaults()
 	s := &Sender{
-		kernel: k, cfg: c, flowID: flowID, transmit: transmit,
-		remaining: size, cwnd: float64(c.InitCwnd), ssthresh: float64(c.MaxCwnd),
-		rto: c.InitialRTO, onDone: onDone,
+		kernel: k, cfg: c, flowID: flowID, transmit: transmit, onDone: onDone,
+		sc: senderScalars{
+			Remaining: size, Cwnd: float64(c.InitCwnd), Ssthresh: float64(c.MaxCwnd),
+			RTO: c.InitialRTO,
+		},
 	}
 	s.onRTOFn = s.onRTO
 	return s
@@ -138,52 +163,60 @@ func (s *Sender) SetSegPool(p *SegPool) { s.segs = p }
 // (and its paired receiver) from a checkpoint.
 func (s *Sender) FlowID() uint32 { return s.flowID }
 
+// Stats returns the sender's counters (zero for a nil sender).
+func (s *Sender) Stats() Stats {
+	if s == nil {
+		return Stats{}
+	}
+	return s.sc.Stats
+}
+
 // Config returns the effective configuration.
 func (s *Sender) Config() Config { return s.cfg }
 
 // Cwnd returns the current congestion window in segments.
-func (s *Sender) Cwnd() float64 { return s.cwnd }
+func (s *Sender) Cwnd() float64 { return s.sc.Cwnd }
 
 // RTO returns the current retransmission timeout.
-func (s *Sender) RTO() time.Duration { return s.rto }
+func (s *Sender) RTO() time.Duration { return s.sc.RTO }
 
 // SRTT returns the smoothed RTT estimate (0 before the first sample).
-func (s *Sender) SRTT() time.Duration { return s.srtt }
+func (s *Sender) SRTT() time.Duration { return s.sc.SRTT }
 
 // Done reports whether a finite flow has been fully acknowledged.
-func (s *Sender) Done() bool { return s.closed }
+func (s *Sender) Done() bool { return s.sc.Closed }
 
 // NextSeq returns the next byte to be sent.
-func (s *Sender) NextSeq() uint64 { return s.nextSeq }
+func (s *Sender) NextSeq() uint64 { return s.sc.NextSeq }
 
 // Start begins transmission.
 func (s *Sender) Start() { s.pump() }
 
 // Stop cancels timers and halts the flow (e.g. scenario teardown).
 func (s *Sender) Stop() {
-	s.closed = true
+	s.sc.Closed = true
 	s.rtoTimer.Cancel()
 	s.rtoTimer = sim.Event{}
 }
 
 // pump transmits new segments while the window allows.
 func (s *Sender) pump() {
-	if s.closed {
+	if s.sc.Closed {
 		return
 	}
-	for float64(len(s.inflight)) < s.cwnd && s.remaining != 0 {
+	for float64(len(s.inflight)) < s.sc.Cwnd && s.sc.Remaining != 0 {
 		l := s.cfg.MSS
-		if s.remaining > 0 && int64(l) > s.remaining {
-			l = int(s.remaining)
+		if s.sc.Remaining > 0 && int64(l) > s.sc.Remaining {
+			l = int(s.sc.Remaining)
 		}
 		seg := s.segs.Get()
-		seg.FlowID, seg.Seq, seg.Len = s.flowID, s.nextSeq, l
-		s.inflight = append(s.inflight, unacked{seq: s.nextSeq, len: l, sentAt: s.kernel.Now()})
-		s.nextSeq += uint64(l)
-		if s.remaining > 0 {
-			s.remaining -= int64(l)
+		seg.FlowID, seg.Seq, seg.Len = s.flowID, s.sc.NextSeq, l
+		s.inflight = append(s.inflight, unacked{Seq: s.sc.NextSeq, Len: l, SentAt: s.kernel.Now()})
+		s.sc.NextSeq += uint64(l)
+		if s.sc.Remaining > 0 {
+			s.sc.Remaining -= int64(l)
 		}
-		s.SegmentsSent++
+		s.sc.SegmentsSent++
 		s.transmit(seg)
 	}
 	s.armRTO()
@@ -192,10 +225,10 @@ func (s *Sender) pump() {
 func (s *Sender) armRTO() {
 	s.rtoTimer.Cancel()
 	s.rtoTimer = sim.Event{}
-	if len(s.inflight) == 0 || s.closed {
+	if len(s.inflight) == 0 || s.sc.Closed {
 		return
 	}
-	s.rtoTimer = s.kernel.After(s.rto, s.onRTOFn)
+	s.rtoTimer = s.kernel.After(s.sc.RTO, s.onRTOFn)
 }
 
 // onRTO handles a retransmission timeout: multiplicative backoff, window
@@ -205,28 +238,28 @@ func (s *Sender) armRTO() {
 // expensive (§2.2.2).
 func (s *Sender) onRTO() {
 	s.rtoTimer = sim.Event{}
-	if len(s.inflight) == 0 || s.closed {
+	if len(s.inflight) == 0 || s.sc.Closed {
 		return
 	}
-	s.Timeouts++
-	s.lastTimeoutAt = s.kernel.Now()
-	s.ssthresh = s.cwnd / 2
-	if s.ssthresh < 2 {
-		s.ssthresh = 2
+	s.sc.Timeouts++
+	s.sc.LastTimeoutAt = s.kernel.Now()
+	s.sc.Ssthresh = s.sc.Cwnd / 2
+	if s.sc.Ssthresh < 2 {
+		s.sc.Ssthresh = 2
 	}
-	s.cwnd = 1
-	s.backoff++
-	s.rto *= 2
-	if s.rto > s.cfg.RTOMax {
-		s.rto = s.cfg.RTOMax
+	s.sc.Cwnd = 1
+	s.sc.Backoff++
+	s.sc.RTO *= 2
+	if s.sc.RTO > s.cfg.RTOMax {
+		s.sc.RTO = s.cfg.RTOMax
 	}
-	s.dupAcks = 0
-	s.inRecovery = false
+	s.sc.DupAcks = 0
+	s.sc.InRecovery = false
 	// Go-back-N: return the outstanding bytes to the send buffer.
-	if s.remaining > 0 {
-		s.remaining += int64(s.nextSeq - s.sndUna)
+	if s.sc.Remaining > 0 {
+		s.sc.Remaining += int64(s.sc.NextSeq - s.sc.SndUna)
 	}
-	s.nextSeq = s.sndUna
+	s.sc.NextSeq = s.sc.SndUna
 	s.inflight = s.inflight[:0]
 	s.pump() // sends one segment (cwnd = 1) and re-arms the timer
 }
@@ -237,26 +270,26 @@ func (s *Sender) retransmitHead() {
 		return
 	}
 	u := &s.inflight[0]
-	u.retx = true
-	u.sentAt = s.kernel.Now()
-	s.SegmentsSent++
-	s.RetxSegments++
+	u.Retx = true
+	u.SentAt = s.kernel.Now()
+	s.sc.SegmentsSent++
+	s.sc.RetxSegments++
 	seg := s.segs.Get()
-	seg.FlowID, seg.Seq, seg.Len, seg.Retx = s.flowID, u.seq, u.len, true
+	seg.FlowID, seg.Seq, seg.Len, seg.Retx = s.flowID, u.Seq, u.Len, true
 	s.transmit(seg)
 }
 
 // HandleAck processes a cumulative ACK from the receiver.
 func (s *Sender) HandleAck(seg *Segment) {
-	if s.closed || !seg.IsAck || seg.FlowID != s.flowID {
+	if s.sc.Closed || !seg.IsAck || seg.FlowID != s.flowID {
 		return
 	}
 	ack := seg.Ack
-	if ack > s.sndUna {
-		newly := ack - s.sndUna
-		s.BytesAcked += newly
-		s.sndUna = ack
-		s.dupAcks = 0
+	if ack > s.sc.SndUna {
+		newly := ack - s.sc.SndUna
+		s.sc.BytesAcked += newly
+		s.sc.SndUna = ack
+		s.sc.DupAcks = 0
 		// Drop fully acked segments. RTT-sample the OLDEST freed segment
 		// that was neither retransmitted nor sent before the last timeout
 		// (Karn's algorithm, bounded below the last timeout so go-back-N
@@ -267,10 +300,10 @@ func (s *Sender) HandleAck(seg *Segment) {
 		var sample unacked
 		haveSample := false
 		n := 0
-		for n < len(s.inflight) && s.inflight[n].seq+uint64(s.inflight[n].len) <= ack {
+		for n < len(s.inflight) && s.inflight[n].Seq+uint64(s.inflight[n].Len) <= ack {
 			u := s.inflight[n]
 			n++
-			if !haveSample && !u.retx && u.sentAt >= s.lastTimeoutAt {
+			if !haveSample && !u.Retx && u.SentAt >= s.sc.LastTimeoutAt {
 				sample, haveSample = u, true
 			}
 		}
@@ -281,12 +314,12 @@ func (s *Sender) HandleAck(seg *Segment) {
 			s.inflight = s.inflight[:len(s.inflight)-n]
 		}
 		if haveSample {
-			s.sampleRTT(s.kernel.Now() - sample.sentAt)
+			s.sampleRTT(s.kernel.Now() - sample.SentAt)
 		}
-		s.backoff = 0
-		if s.inRecovery {
-			if ack >= s.recover {
-				s.inRecovery = false
+		s.sc.Backoff = 0
+		if s.sc.InRecovery {
+			if ack >= s.sc.Recover {
+				s.sc.InRecovery = false
 			} else {
 				// NewReno partial ack: the next hole is lost too.
 				s.retransmitHead()
@@ -294,15 +327,15 @@ func (s *Sender) HandleAck(seg *Segment) {
 		}
 		// Congestion control.
 		segsAcked := float64(newly) / float64(s.cfg.MSS)
-		if s.cwnd < s.ssthresh {
-			s.cwnd += segsAcked // slow start
+		if s.sc.Cwnd < s.sc.Ssthresh {
+			s.sc.Cwnd += segsAcked // slow start
 		} else {
-			s.cwnd += segsAcked / s.cwnd // congestion avoidance
+			s.sc.Cwnd += segsAcked / s.sc.Cwnd // congestion avoidance
 		}
-		if s.cwnd > float64(s.cfg.MaxCwnd) {
-			s.cwnd = float64(s.cfg.MaxCwnd)
+		if s.sc.Cwnd > float64(s.cfg.MaxCwnd) {
+			s.sc.Cwnd = float64(s.cfg.MaxCwnd)
 		}
-		if s.remaining == 0 && len(s.inflight) == 0 {
+		if s.sc.Remaining == 0 && len(s.inflight) == 0 {
 			s.Stop()
 			if s.onDone != nil {
 				s.onDone()
@@ -313,22 +346,22 @@ func (s *Sender) HandleAck(seg *Segment) {
 		return
 	}
 	// Duplicate ACK.
-	if ack == s.lastAck || ack == s.sndUna {
-		s.dupAcks++
-		if s.dupAcks == s.cfg.DupAckThresh && len(s.inflight) > 0 && !s.inRecovery {
-			s.FastRetx++
-			s.ssthresh = s.cwnd / 2
-			if s.ssthresh < 2 {
-				s.ssthresh = 2
+	if ack == s.sc.LastAck || ack == s.sc.SndUna {
+		s.sc.DupAcks++
+		if s.sc.DupAcks == s.cfg.DupAckThresh && len(s.inflight) > 0 && !s.sc.InRecovery {
+			s.sc.FastRetx++
+			s.sc.Ssthresh = s.sc.Cwnd / 2
+			if s.sc.Ssthresh < 2 {
+				s.sc.Ssthresh = 2
 			}
-			s.cwnd = s.ssthresh
-			s.inRecovery = true
-			s.recover = s.nextSeq
+			s.sc.Cwnd = s.sc.Ssthresh
+			s.sc.InRecovery = true
+			s.sc.Recover = s.sc.NextSeq
 			s.retransmitHead()
 			s.armRTO()
 		}
 	}
-	s.lastAck = ack
+	s.sc.LastAck = ack
 }
 
 // sampleRTT applies Jacobson's estimator and recomputes the RTO.
@@ -336,23 +369,23 @@ func (s *Sender) sampleRTT(rtt time.Duration) {
 	if rtt <= 0 {
 		rtt = time.Microsecond
 	}
-	if s.srtt == 0 {
-		s.srtt = rtt
-		s.rttvar = rtt / 2
+	if s.sc.SRTT == 0 {
+		s.sc.SRTT = rtt
+		s.sc.RTTVar = rtt / 2
 	} else {
-		diff := s.srtt - rtt
+		diff := s.sc.SRTT - rtt
 		if diff < 0 {
 			diff = -diff
 		}
-		s.rttvar = (3*s.rttvar + diff) / 4
-		s.srtt = (7*s.srtt + rtt) / 8
+		s.sc.RTTVar = (3*s.sc.RTTVar + diff) / 4
+		s.sc.SRTT = (7*s.sc.SRTT + rtt) / 8
 	}
-	s.rto = s.srtt + 4*s.rttvar
-	if s.rto < s.cfg.RTOMin {
-		s.rto = s.cfg.RTOMin
+	s.sc.RTO = s.sc.SRTT + 4*s.sc.RTTVar
+	if s.sc.RTO < s.cfg.RTOMin {
+		s.sc.RTO = s.cfg.RTOMin
 	}
-	if s.rto > s.cfg.RTOMax {
-		s.rto = s.cfg.RTOMax
+	if s.sc.RTO > s.cfg.RTOMax {
+		s.sc.RTO = s.cfg.RTOMax
 	}
 }
 
@@ -360,14 +393,20 @@ func (s *Sender) sampleRTT(rtt time.Duration) {
 // buffering at flow granularity.
 type Receiver struct {
 	flowID uint32
-	rcvNxt uint64
+	sc     receiverScalars
 	// ooo holds out-of-order byte ranges, kept small and sorted.
 	ooo []segRange
-	// Delivered counts in-order bytes handed to the application.
-	Delivered uint64
 	// ack is the scratch segment HandleData returns: one ACK is in
 	// flight per call, so the caller must encode it before the next.
 	ack Segment
+}
+
+// receiverScalars are a receiver's plain evolving fields, checkpointed
+// whole.
+type receiverScalars struct {
+	RcvNxt uint64
+	// Delivered counts in-order bytes handed to the application.
+	Delivered uint64
 }
 
 type segRange struct{ start, end uint64 }
@@ -384,16 +423,16 @@ func (r *Receiver) HandleData(seg *Segment) *Segment {
 		return nil
 	}
 	start, end := seg.Seq, seg.Seq+uint64(seg.Len)
-	if end > r.rcvNxt {
+	if end > r.sc.RcvNxt {
 		r.insert(segRange{start, end})
 		// Advance rcvNxt over contiguous ranges, then compact the slice
 		// in place — re-slicing off the front would strand the backing
 		// array and make every future insert reallocate.
 		k := 0
-		for k < len(r.ooo) && r.ooo[k].start <= r.rcvNxt {
-			if r.ooo[k].end > r.rcvNxt {
-				r.Delivered += r.ooo[k].end - r.rcvNxt
-				r.rcvNxt = r.ooo[k].end
+		for k < len(r.ooo) && r.ooo[k].start <= r.sc.RcvNxt {
+			if r.ooo[k].end > r.sc.RcvNxt {
+				r.sc.Delivered += r.ooo[k].end - r.sc.RcvNxt
+				r.sc.RcvNxt = r.ooo[k].end
 			}
 			k++
 		}
@@ -402,7 +441,7 @@ func (r *Receiver) HandleData(seg *Segment) *Segment {
 			r.ooo = r.ooo[:n]
 		}
 	}
-	r.ack = Segment{FlowID: r.flowID, Ack: r.rcvNxt, IsAck: true}
+	r.ack = Segment{FlowID: r.flowID, Ack: r.sc.RcvNxt, IsAck: true}
 	return &r.ack
 }
 
@@ -431,4 +470,7 @@ func (r *Receiver) insert(n segRange) {
 }
 
 // NextExpected returns the receiver's cumulative position.
-func (r *Receiver) NextExpected() uint64 { return r.rcvNxt }
+func (r *Receiver) NextExpected() uint64 { return r.sc.RcvNxt }
+
+// Delivered returns the in-order bytes handed to the application.
+func (r *Receiver) Delivered() uint64 { return r.sc.Delivered }

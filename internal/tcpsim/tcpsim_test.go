@@ -114,12 +114,12 @@ func TestBulkFlowSaturatesBottleneck(t *testing.T) {
 	p := newPipe(t, 2000)
 	p.start(-1, Config{})
 	p.k.Run(20 * time.Second)
-	gotKbps := float64(p.receiver.Delivered*8) / 20 / 1000
+	gotKbps := float64(p.receiver.Delivered()*8) / 20 / 1000
 	if gotKbps < 1700 || gotKbps > 2100 {
 		t.Fatalf("bulk throughput %.0f kbps over a 2000 kbps bottleneck", gotKbps)
 	}
-	if p.sender.Timeouts != 0 {
-		t.Fatalf("clean path produced %d timeouts", p.sender.Timeouts)
+	if p.sender.Stats().Timeouts != 0 {
+		t.Fatalf("clean path produced %d timeouts", p.sender.Stats().Timeouts)
 	}
 }
 
@@ -130,8 +130,8 @@ func TestFiniteFlowCompletes(t *testing.T) {
 	if !p.done {
 		t.Fatal("finite flow never completed")
 	}
-	if p.receiver.Delivered != 100_000 {
-		t.Fatalf("delivered %d bytes, want 100000", p.receiver.Delivered)
+	if p.receiver.Delivered() != 100_000 {
+		t.Fatalf("delivered %d bytes, want 100000", p.receiver.Delivered())
 	}
 	if !p.sender.Done() {
 		t.Fatal("sender not marked done")
@@ -144,10 +144,10 @@ func TestLossRecoveredByFastRetransmit(t *testing.T) {
 	p.dropData = func(seg *Segment) bool { return !seg.Retx && r.Float64() < 0.02 }
 	p.start(-1, Config{})
 	p.k.Run(30 * time.Second)
-	if p.sender.FastRetx == 0 {
+	if p.sender.Stats().FastRetx == 0 {
 		t.Fatal("no fast retransmits under loss")
 	}
-	gotKbps := float64(p.receiver.Delivered*8) / 30 / 1000
+	gotKbps := float64(p.receiver.Delivered()*8) / 30 / 1000
 	if gotKbps < 800 {
 		t.Fatalf("throughput collapsed to %.0f kbps under 2%% loss", gotKbps)
 	}
@@ -159,10 +159,10 @@ func TestBlackoutCausesTimeoutsAndBackoff(t *testing.T) {
 	p.blackout = func() bool { return dark }
 	p.start(-1, Config{})
 	p.k.Run(5 * time.Second)
-	preTimeouts := p.sender.Timeouts
+	preTimeouts := p.sender.Stats().Timeouts
 	dark = true
 	p.k.Run(15 * time.Second) // 10s blackout
-	if p.sender.Timeouts <= preTimeouts {
+	if p.sender.Stats().Timeouts <= preTimeouts {
 		t.Fatal("no RTO during blackout")
 	}
 	if p.sender.RTO() <= 400*time.Millisecond {
@@ -173,9 +173,9 @@ func TestBlackoutCausesTimeoutsAndBackoff(t *testing.T) {
 	}
 	// Recovery.
 	dark = false
-	before := p.receiver.Delivered
+	before := p.receiver.Delivered()
 	p.k.Run(45 * time.Second)
-	if p.receiver.Delivered <= before {
+	if p.receiver.Delivered() <= before {
 		t.Fatal("flow never recovered after blackout")
 	}
 }
@@ -217,10 +217,10 @@ func TestStopSilencesSender(t *testing.T) {
 	p := newPipe(t, 2000)
 	p.start(-1, Config{})
 	p.k.Run(time.Second)
-	sent := p.sender.SegmentsSent
+	sent := p.sender.Stats().SegmentsSent
 	p.sender.Stop()
 	p.k.Run(10 * time.Second)
-	if p.sender.SegmentsSent != sent {
+	if p.sender.Stats().SegmentsSent != sent {
 		t.Fatal("sender transmitted after Stop")
 	}
 }
@@ -228,8 +228,8 @@ func TestStopSilencesSender(t *testing.T) {
 func TestReceiverInOrderDelivery(t *testing.T) {
 	r := NewReceiver(1)
 	ack := r.HandleData(&Segment{FlowID: 1, Seq: 0, Len: 100})
-	if ack.Ack != 100 || r.Delivered != 100 {
-		t.Fatalf("ack=%d delivered=%d", ack.Ack, r.Delivered)
+	if ack.Ack != 100 || r.Delivered() != 100 {
+		t.Fatalf("ack=%d delivered=%d", ack.Ack, r.Delivered())
 	}
 	ack = r.HandleData(&Segment{FlowID: 1, Seq: 100, Len: 50})
 	if ack.Ack != 150 {
@@ -243,12 +243,12 @@ func TestReceiverOutOfOrderAssembly(t *testing.T) {
 	if ack.Ack != 0 {
 		t.Fatalf("ack for out-of-order = %d, want 0", ack.Ack)
 	}
-	if r.Delivered != 0 {
+	if r.Delivered() != 0 {
 		t.Fatal("delivered out-of-order bytes")
 	}
 	ack = r.HandleData(&Segment{FlowID: 1, Seq: 0, Len: 100}) // fill hole
-	if ack.Ack != 200 || r.Delivered != 200 {
-		t.Fatalf("after fill: ack=%d delivered=%d", ack.Ack, r.Delivered)
+	if ack.Ack != 200 || r.Delivered() != 200 {
+		t.Fatalf("after fill: ack=%d delivered=%d", ack.Ack, r.Delivered())
 	}
 }
 
@@ -256,8 +256,8 @@ func TestReceiverDuplicateDataNotDoubleCounted(t *testing.T) {
 	r := NewReceiver(1)
 	r.HandleData(&Segment{FlowID: 1, Seq: 0, Len: 100})
 	ack := r.HandleData(&Segment{FlowID: 1, Seq: 0, Len: 100})
-	if ack.Ack != 100 || r.Delivered != 100 {
-		t.Fatalf("duplicate counted: ack=%d delivered=%d", ack.Ack, r.Delivered)
+	if ack.Ack != 100 || r.Delivered() != 100 {
+		t.Fatalf("duplicate counted: ack=%d delivered=%d", ack.Ack, r.Delivered())
 	}
 }
 
@@ -266,8 +266,8 @@ func TestReceiverOverlappingSegments(t *testing.T) {
 	r.HandleData(&Segment{FlowID: 1, Seq: 50, Len: 100})  // [50,150) buffered
 	r.HandleData(&Segment{FlowID: 1, Seq: 100, Len: 100}) // [100,200) overlaps
 	ack := r.HandleData(&Segment{FlowID: 1, Seq: 0, Len: 60})
-	if ack.Ack != 200 || r.Delivered != 200 {
-		t.Fatalf("overlap merge: ack=%d delivered=%d", ack.Ack, r.Delivered)
+	if ack.Ack != 200 || r.Delivered() != 200 {
+		t.Fatalf("overlap merge: ack=%d delivered=%d", ack.Ack, r.Delivered())
 	}
 }
 
@@ -291,8 +291,8 @@ func TestPropertyReceiverReassembly(t *testing.T) {
 		for _, i := range perm {
 			rcv.HandleData(&Segment{FlowID: 1, Seq: uint64(i * 100), Len: 100})
 		}
-		if rcv.Delivered != uint64(n*100) || rcv.NextExpected() != uint64(n*100) {
-			t.Fatalf("perm %v: delivered=%d", perm, rcv.Delivered)
+		if rcv.Delivered() != uint64(n*100) || rcv.NextExpected() != uint64(n*100) {
+			t.Fatalf("perm %v: delivered=%d", perm, rcv.Delivered())
 		}
 	}
 }

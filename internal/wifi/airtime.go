@@ -16,6 +16,10 @@ var OrthogonalChannels = []int{1, 6, 11}
 // ValidChannel reports whether ch is a usable 2.4 GHz channel number.
 func ValidChannel(ch int) bool { return ch >= MinChannel && ch <= MaxChannel }
 
+// Tunable reports whether a radio can sit on ch: a valid channel, or 0
+// for deaf (mid-reset).
+func Tunable(ch int) bool { return ch == 0 || ValidChannel(ch) }
+
 // Rate constants for the 802.11b-class link the paper assumes
 // (Bw = 11 Mbps wireless bandwidth).
 const (

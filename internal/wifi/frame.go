@@ -214,6 +214,35 @@ var (
 	ErrBadType   = errors.New("wifi: unknown frame type")
 )
 
+// EncodeFrames returns each frame's wire encoding (nil for no frames):
+// the form checkpoints keep frame queues in.
+func EncodeFrames(fs []*Frame) [][]byte {
+	if len(fs) == 0 {
+		return nil
+	}
+	out := make([][]byte, len(fs))
+	for i, f := range fs {
+		out[i] = f.Encode()
+	}
+	return out
+}
+
+// DecodeFrames decodes what EncodeFrames produced.
+func DecodeFrames(bs [][]byte) ([]*Frame, error) {
+	if len(bs) == 0 {
+		return nil, nil
+	}
+	out := make([]*Frame, len(bs))
+	for i, b := range bs {
+		f, err := Decode(b)
+		if err != nil {
+			return nil, fmt.Errorf("frame %d: %w", i, err)
+		}
+		out[i] = f
+	}
+	return out, nil
+}
+
 // Decode parses a wire-format frame.
 func Decode(b []byte) (*Frame, error) {
 	if len(b) < headerSize {
