@@ -47,7 +47,7 @@ var checkpointedTypes = []checkpointed{
 		derived: []string{"kernel", "cfg", "radio", "events", "sink", "pool", "backoffRNG",
 			"resetFault", "connectedHooks", "teardownHooks", "tr", "hAssoc", "hJoin", "hSwitch",
 			"scanTickFn", "nextSliceFn", "inactivityFn", "bgScanFn", "bgReturnFn", "apSliceFn",
-			"startFn", "beginResetFn", "lingerFn", "arriveFn",
+			"startFn", "beginResetFn", "lingerFn", "arriveFn", "psmFree",
 			"ifScratch", "connScratch", "ifaceFree", "dhcpMsg",
 			"stopped"}, // retired drivers are never exported
 	},
@@ -81,7 +81,7 @@ var checkpointedTypes = []checkpointed{
 		comp: typeOf[dhcp.Server](), state: typeOf[dhcp.ServerState](),
 		units:      []string{"sc", "ServerStats"},
 		translated: []string{"bindings", "pending"},
-		derived: []string{"kernel", "cfg", "rng", "send", "respFree", "inv",
+		derived: []string{"kernel", "cfg", "rng", "send", "respPool", "inv",
 			"chaos", "chaosRNG", "onFault"}, // the injector re-applies chaos
 	},
 	{

@@ -169,6 +169,10 @@ type Driver struct {
 	beginResetFn func()
 	lingerFn     func()
 	arriveFn     func()
+	// psmFree recycles the switches' PSM completion waiters. A driver
+	// seldom owes more than one at a time, so it is a plain stack: a
+	// slab.List's first slab of four would mostly sit idle, per client.
+	psmFree []*psmWaiter
 	// ifScratch backs liveIfaces (connScratch the AP slicer's filtered
 	// view of it); ifaceFree recycles torn-down interfaces
 	// (with their joiner and DHCP state machines) for the next join.
@@ -660,13 +664,14 @@ func (d *Driver) switchTo(ch int) {
 	// buffer for us while we are away. The hardware reset waits for these
 	// frames to actually clear the air — resetting under them would flush
 	// the announcement and leave the AP transmitting to nobody.
-	var psmDone func(bool)
+	var w *psmWaiter
 	for _, ifc := range ifaces {
 		if ifc.Channel() == from && ifc.sc.State >= IfaceDHCP {
 			connected++
-			if psmDone == nil {
-				psmDone = d.psmDoneFor(d.sc.SwGen)
+			if w == nil {
+				w = d.psmWaiter(d.sc.SwGen)
 			}
+			w.owed++
 			d.sc.SwOutstanding++
 			psm := d.pool.Frame()
 			psm.Type = wifi.TypeNull
@@ -675,8 +680,11 @@ func (d *Driver) switchTo(ch int) {
 			psm.Seq = d.nextSeq()
 			ifc.sc.PSMOn = true
 			latency += nullUnicastTxTime
-			d.radio.SendTagged(psm, psmDone, radio.TxTag{Kind: radio.TagPSM, Gen: d.sc.SwGen})
+			d.radio.SendTagged(psm, w.fn, radio.TxTag{Kind: radio.TagPSM, Gen: d.sc.SwGen})
 		}
+	}
+	if w != nil {
+		w.release() // a dark radio completes sends at once; the hold outlived them
 	}
 	latency += d.cfg.ResetBase
 	// Collect the polls we will owe on the new channel.
@@ -712,19 +720,54 @@ func (d *Driver) switchTo(ch int) {
 	}
 }
 
-// psmDoneFor builds the generation-guarded PSM completion callback for
-// one switch: straggling completions from a superseded switch see a
-// newer generation and do nothing. Checkpoint restore also uses it to
-// rebind restored radio-queue entries (TagPSM) to their generation.
-func (d *Driver) psmDoneFor(gen uint64) func(bool) {
-	return func(bool) {
-		if d.sc.SwGen != gen {
-			return // a later switch superseded this one
-		}
-		d.sc.SwOutstanding--
-		if d.sc.SwOutstanding == 0 {
-			d.beginResetFn()
-		}
+// psmWaiter takes one switch's PSM-announcement completions: a
+// completion from a superseded switch sees a newer generation and does
+// nothing. Waiters are recycled through the driver's free list, so a
+// switch binds its completions without building a closure. owed counts
+// the completions still to come plus, while the switch is sending, the
+// switch's own hold; at zero the waiter goes back to the list. A
+// completion that never comes (its radio orphaned) only keeps the
+// waiter from being reused.
+type psmWaiter struct {
+	d    *Driver
+	gen  uint64
+	owed int
+	fn   func(bool) // cached done method value
+}
+
+// psmWaiter returns a waiter for generation gen holding one count
+// owed. Checkpoint restore also uses it (through PSMDone) to rebind a
+// restored radio-queue entry (TagPSM) to its generation; there the
+// count is the entry's completion.
+func (d *Driver) psmWaiter(gen uint64) *psmWaiter {
+	var w *psmWaiter
+	if n := len(d.psmFree); n > 0 {
+		w = d.psmFree[n-1]
+		d.psmFree = d.psmFree[:n-1]
+	} else {
+		w = &psmWaiter{d: d}
+		w.fn = w.done
+	}
+	w.gen, w.owed = gen, 1
+	return w
+}
+
+// release drops one owed count, recycling the waiter at zero.
+func (w *psmWaiter) release() {
+	if w.owed--; w.owed == 0 {
+		w.d.psmFree = append(w.d.psmFree, w)
+	}
+}
+
+func (w *psmWaiter) done(bool) {
+	d, gen := w.d, w.gen
+	w.release()
+	if d.sc.SwGen != gen {
+		return // a later switch superseded this one
+	}
+	d.sc.SwOutstanding--
+	if d.sc.SwOutstanding == 0 {
+		d.beginResetFn()
 	}
 }
 

@@ -110,7 +110,7 @@ func (d *Driver) ExportState() DriverState {
 // per-channel queues, switch machinery, and every timer re-armed with
 // its recorded identity. Call after the owning kernel's BeginRestore;
 // the radio's own state restores separately through the medium layer
-// (TagPSM queue entries rebind via psmDoneFor).
+// (TagPSM queue entries rebind via PSMDone).
 func (d *Driver) RestoreState(st DriverState) error {
 	if st.SchedIdx < 0 || st.SchedIdx >= max(len(d.cfg.Schedule), 1) || st.APSliceIdx < 0 {
 		return fmt.Errorf("core: restored schedule index %d or AP slice %d out of range", st.SchedIdx, st.APSliceIdx)
@@ -179,6 +179,7 @@ func (d *Driver) RestoreState(st DriverState) error {
 	return err
 }
 
-// PSMDone exposes psmDoneFor for checkpoint restore: the medium layer
-// rebinds restored TagPSM queue entries through it.
-func (d *Driver) PSMDone(gen uint64) func(bool) { return d.psmDoneFor(gen) }
+// PSMDone returns the PSM completion callback of switch generation gen,
+// for checkpoint restore: the medium layer rebinds restored TagPSM
+// queue entries through it, one call per entry.
+func (d *Driver) PSMDone(gen uint64) func(bool) { return d.psmWaiter(gen).fn }

@@ -6,6 +6,7 @@ import (
 
 	"spider/internal/metrics"
 	"spider/internal/sim"
+	"spider/internal/slab"
 	"spider/internal/wifi"
 )
 
@@ -105,9 +106,9 @@ type Server struct {
 	sc       serverScalars
 
 	// pending tracks scheduled-but-unsent responses so checkpoints can
-	// capture them; respFree recycles fired records.
+	// capture them; respPool recycles fired records.
 	pending  []*srvResp
-	respFree []*srvResp
+	respPool *RespPool
 
 	// Fault-injection state (inert until SetChaos).
 	chaos    Chaos
@@ -145,8 +146,22 @@ func NewServer(k *sim.Kernel, cfg ServerConfig, serverID uint32, send func(to wi
 		rng:      k.RNG("dhcp.server"),
 		send:     send,
 		bindings: make(map[wifi.Addr]binding),
+		respPool: new(RespPool),
 	}
 }
+
+// RespPool is a free list of scheduled-response records. Every server
+// of one world shares the world's pool (SetRespPool), so a storm of
+// joins warms one list rather than one per AP; it is touched only from
+// its world's kernel goroutine. The zero value is ready.
+type RespPool struct {
+	list slab.List[srvResp]
+}
+
+// SetRespPool points the server at a response free list shared with
+// the other servers of its world. Call before the server schedules any
+// response.
+func (s *Server) SetRespPool(p *RespPool) { s.respPool = p }
 
 // Config returns the effective configuration.
 func (s *Server) Config() ServerConfig { return s.cfg }
@@ -191,7 +206,8 @@ const (
 // srvResp is one scheduled response: the server's think-time delay in
 // flight. Responses are tracked (not anonymous closures) so a
 // checkpoint can record each one's message and (at, seq) identity and a
-// restore can re-arm it.
+// restore can re-arm it. s is set while the record is armed and cleared
+// when it returns to the pool.
 type srvResp struct {
 	s      *Server
 	msg    Message
@@ -217,7 +233,8 @@ func (r *srvResp) fire() {
 		s.Naks++
 	}
 	s.send(r.msg.ClientMAC, &r.msg)
-	s.respFree = append(s.respFree, r)
+	r.s = nil
+	s.respPool.list.Put(r)
 }
 
 // scheduleResp queues m to be sent after delay, tracking it as pending.
@@ -229,15 +246,11 @@ func (s *Server) scheduleResp(kind respKind, m Message, delay time.Duration) {
 // trackResp files a response as pending, in a record drawn from the
 // free list; the caller arms its event.
 func (s *Server) trackResp(kind respKind, m Message) *srvResp {
-	var r *srvResp
-	if n := len(s.respFree); n > 0 {
-		r = s.respFree[n-1]
-		s.respFree = s.respFree[:n-1]
-	} else {
-		r = &srvResp{s: s}
+	r, fresh := s.respPool.list.Get()
+	if fresh {
 		r.fireFn = r.fire
 	}
-	r.msg, r.kind = m, kind
+	r.s, r.msg, r.kind = s, m, kind
 	r.idx = len(s.pending)
 	s.pending = append(s.pending, r)
 	return r

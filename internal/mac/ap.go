@@ -13,6 +13,7 @@ import (
 	"spider/internal/metrics"
 	"spider/internal/radio"
 	"spider/internal/sim"
+	"spider/internal/slab"
 	"spider/internal/wifi"
 )
 
@@ -64,7 +65,7 @@ var (
 // one list rather than one per AP; like the frame pool, it is touched
 // only from its world's kernel goroutine. The zero value is ready.
 type RespPool struct {
-	free []*pendingResp
+	list slab.List[pendingResp]
 }
 
 type apClient struct {
@@ -307,19 +308,14 @@ func (pr *pendingResp) fire() {
 	ap.resps[pr.idx].idx = pr.idx
 	ap.resps = ap.resps[:last]
 	pr.ap, pr.f = nil, nil
-	ap.respPool.free = append(ap.respPool.free, pr)
+	ap.respPool.list.Put(pr)
 	ap.radio.Send(f)
 }
 
 // trackResp parks f on a (recycled) carrier registered in ap.resps.
 func (ap *AP) trackResp(f *wifi.Frame) *pendingResp {
-	var pr *pendingResp
-	p := ap.respPool
-	if n := len(p.free); n > 0 {
-		pr = p.free[n-1]
-		p.free = p.free[:n-1]
-	} else {
-		pr = new(pendingResp)
+	pr, fresh := ap.respPool.list.Get()
+	if fresh {
 		pr.fireFn = pr.fire
 	}
 	pr.ap, pr.f = ap, f

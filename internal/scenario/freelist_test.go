@@ -36,15 +36,20 @@ func TestMigrationDrainsCarriersIntoOldWorld(t *testing.T) {
 	if up == 0 || down == 0 {
 		t.Fatalf("no carriers in flight to migrate with (up %d, down %d)", up, down)
 	}
-	freeBefore := len(a.linkFree)
+	freeBefore := a.linkFree.Len()
 	recs := a.RemoveClient(c)
 	if len(c.upLive) != 0 || len(c.downLive) != 0 {
 		t.Fatalf("carriers still live after RemoveClient: up %d, down %d", len(c.upLive), len(c.downLive))
 	}
-	if got := len(a.linkFree) - freeBefore; got != up+down {
+	if got := a.linkFree.Len() - freeBefore; got != up+down {
 		t.Fatalf("%d carriers returned to the old world's free list, want %d", got, up+down)
 	}
-	for i, ls := range a.linkFree {
+	// Pop every free carrier to inspect it, then put them back in order.
+	free := make([]*linkSeg, a.linkFree.Len())
+	for i := range free {
+		free[i], _ = a.linkFree.Get()
+	}
+	for i, ls := range free {
 		if ls.c != nil || ls.node != nil || ls.seg != nil || ls.ev.Pending() {
 			t.Fatalf("free carrier %d still armed: client %v, node %v, seg %v, pending %v",
 				i, ls.c != nil, ls.node != nil, ls.seg != nil, ls.ev.Pending())
@@ -52,6 +57,9 @@ func TestMigrationDrainsCarriersIntoOldWorld(t *testing.T) {
 		if ls.w != a {
 			t.Fatalf("free carrier %d belongs to another world", i)
 		}
+	}
+	for i := len(free) - 1; i >= 0; i-- {
+		a.linkFree.Put(free[i])
 	}
 	b.AdoptClient(c, cfg, here, recs)
 

@@ -18,6 +18,7 @@ import (
 	"spider/internal/obs"
 	"spider/internal/radio"
 	"spider/internal/sim"
+	"spider/internal/slab"
 	"spider/internal/tcpsim"
 	"spider/internal/wifi"
 )
@@ -65,12 +66,14 @@ type World struct {
 	// Free lists shared by everything in the world, all single-threaded
 	// with its kernel: segPool recycles the clients' TCP segments (data
 	// and uplink ACKs), linkFree the backhaul carriers, respPool the
-	// APs' delayed-response carriers. A migrating client drains its
-	// carriers here before it leaves (RemoveClient), so no pooled object
-	// crosses to another world's goroutine.
-	segPool  tcpsim.SegPool
-	linkFree []*linkSeg
-	respPool mac.RespPool
+	// APs' delayed-response carriers and dhcpResps their DHCP servers'
+	// scheduled responses. A migrating client drains its carriers here
+	// before it leaves (RemoveClient), so no pooled object crosses to
+	// another world's goroutine.
+	segPool   tcpsim.SegPool
+	linkFree  slab.List[linkSeg]
+	respPool  mac.RespPool
+	dhcpResps dhcp.RespPool
 
 	// obs, when set via AttachObs, is wired into every component added
 	// afterwards (and everything that existed at attach time).
@@ -133,6 +136,7 @@ func (w *World) AddAP(spec APSpec) *APNode {
 	}
 	ap := mac.NewAPAt(w.Medium, apCfg, wifi.NewAddr(0xA0, id), spec.Pos, id)
 	ap.SetRespPool(&w.respPool)
+	ap.DHCPServer().SetRespPool(&w.dhcpResps)
 	node := &APNode{
 		AP:   ap,
 		Link: backhaul.NewLink(w.Kernel, backhaul.Config{RateKbps: spec.BackhaulKbps, Latency: spec.BackhaulLat, QueueBytes: spec.QueueBytes}),
@@ -215,15 +219,12 @@ func (w *World) drainLinkSegs(live *[]*linkSeg) {
 	*live = (*live)[:0]
 }
 
-// getLinkSeg pops a carrier from the world's free list (or builds one,
+// getLinkSeg pops a carrier from the world's free list (or carves one,
 // caching its method-value callbacks) and arms it for c.
 func (w *World) getLinkSeg(c *Client, node *APNode, seg *tcpsim.Segment) *linkSeg {
-	var ls *linkSeg
-	if n := len(w.linkFree); n > 0 {
-		ls = w.linkFree[n-1]
-		w.linkFree = w.linkFree[:n-1]
-	} else {
-		ls = &linkSeg{w: w}
+	ls, fresh := w.linkFree.Get()
+	if fresh {
+		ls.w = w
 		ls.upFn = ls.up
 		ls.downFn = ls.down
 	}
@@ -234,7 +235,7 @@ func (w *World) getLinkSeg(c *Client, node *APNode, seg *tcpsim.Segment) *linkSe
 // putLinkSeg disarms a carrier and returns it to its world's free list.
 func (w *World) putLinkSeg(ls *linkSeg) {
 	ls.c, ls.node, ls.seg, ls.ev = nil, nil, nil, sim.Event{}
-	w.linkFree = append(w.linkFree, ls)
+	w.linkFree.Put(ls)
 }
 
 // up completes an uplink ACK's backhaul traversal: hand it to the live

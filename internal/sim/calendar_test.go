@@ -238,6 +238,44 @@ func TestCalendarMatchesHeapAcrossRestore(t *testing.T) {
 	}
 }
 
+// TestReserveKeepsHandlesAndOrder: Reserve moves the slot arena while
+// events sit in all three queue structures (the dispatch run, staged
+// buckets and the heap). Every handle must stay valid and the calendar
+// must keep dispatching in the heap-only reference's order.
+func TestReserveKeepsHandlesAndOrder(t *testing.T) {
+	p := newKernelPair(t, 1)
+	for i := 0; i < 40; i++ {
+		p.schedule(time.Duration(i) * bucketW / 40)                  // the first bucket: the run
+		p.schedule(bucketW + time.Duration(i)*bucketSpan/80)         // staged
+		p.schedule(2*bucketSpan + time.Duration(i)*time.Millisecond) // the heap
+	}
+	p.run(bucketW / 2)
+	if p.cal.runLive == 0 || p.cal.nStaged == 0 || len(p.cal.heap) == 0 {
+		t.Fatalf("fixture leaves run %d, staged %d, heap %d: want events in all three",
+			p.cal.runLive, p.cal.nStaged, len(p.cal.heap))
+	}
+	n, before := len(p.cal.slots), p.cal.SlotCap()
+	for _, k := range []*Kernel{p.cal, p.ref} {
+		k.Reserve(before / 2) // already there: no-op
+		if k.SlotCap() != before {
+			t.Fatalf("Reserve below capacity moved it from %d to %d", before, k.SlotCap())
+		}
+		k.Reserve(4 * before)
+		if k.SlotCap() < 4*before || len(k.slots) != n {
+			t.Fatalf("Reserve(%d): capacity %d, %d slots (had %d)", 4*before, k.SlotCap(), len(k.slots), n)
+		}
+	}
+	p.check()
+	for i := 0; i < 30; i++ {
+		p.cancel(7 * i)
+		p.schedule(time.Duration(i) * bucketSpan / 30)
+	}
+	p.run(4 * bucketSpan)
+	if p.cal.Len() != 0 || len(p.calFired) == 0 {
+		t.Fatalf("%d events left queued, %d fired", p.cal.Len(), len(p.calFired))
+	}
+}
+
 func TestCalendarRestore(t *testing.T) {
 	// BeginRestore must drain staged buckets and the run, and
 	// EventState.Restore must re-arm through the calendar path with

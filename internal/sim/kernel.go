@@ -270,6 +270,21 @@ func (k *Kernel) alloc() int32 {
 	return int32(len(k.slots) - 1)
 }
 
+// Reserve grows the slot arena's capacity to at least n slots and
+// changes nothing else: handles stay valid and dispatch order is
+// untouched. A kernel whose peak of queued events is known ahead
+// reserves it once instead of growing by doubling, which leaves every
+// outgrown arena behind as garbage.
+func (k *Kernel) Reserve(n int) {
+	if n > cap(k.slots) {
+		k.slots = slices.Grow(k.slots, n-len(k.slots))
+	}
+}
+
+// SlotCap reports the slot arena's capacity, the most events the
+// kernel can hold queued before its arena grows.
+func (k *Kernel) SlotCap() int { return cap(k.slots) }
+
 // After schedules fn to run d after the current virtual time. Negative d
 // is treated as zero so that jittered delays cannot reach into the past.
 func (k *Kernel) After(d time.Duration, fn func()) Event {

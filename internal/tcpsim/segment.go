@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 
+	"spider/internal/slab"
 	"spider/internal/wifi"
 )
 
@@ -38,29 +39,16 @@ type Segment struct {
 // one behave exactly as before. Single-threaded like the kernel that
 // drives it: one pool must not be shared across worlds.
 type SegPool struct {
-	free []*Segment
-	slab []Segment
+	list slab.List[Segment]
 }
 
 // Get returns a zeroed segment, reusing a recycled one when available.
-// Misses carve from a slab so growing to the in-flight working set
-// costs one allocation per 64 segments.
 func (p *SegPool) Get() *Segment {
 	if p == nil {
 		return &Segment{}
 	}
-	if n := len(p.free); n > 0 {
-		s := p.free[n-1]
-		p.free = p.free[:n-1]
-		*s = Segment{pooled: true}
-		return s
-	}
-	if len(p.slab) == 0 {
-		p.slab = make([]Segment, 64)
-	}
-	s := &p.slab[0]
-	p.slab = p.slab[1:]
-	s.pooled = true
+	s, _ := p.list.Get()
+	*s = Segment{pooled: true}
 	return s
 }
 
@@ -72,7 +60,7 @@ func (p *SegPool) Put(s *Segment) {
 		return
 	}
 	s.pooled = false
-	p.free = append(p.free, s)
+	p.list.Put(s)
 }
 
 const segHeaderLen = 4 + 8 + 8 + 2 + 1

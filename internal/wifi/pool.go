@@ -1,5 +1,7 @@
 package wifi
 
+import "spider/internal/slab"
+
 // Pool recycles the frame and body allocations that dominate the
 // medium's hot path: beacons (one per AP per 100 ms), data frames and
 // their TCP/DHCP payload bodies, probe requests, and the association
@@ -30,47 +32,35 @@ package wifi
 // Config.NoPool escape hatch. Both paths produce byte-identical
 // simulations; only the allocation count differs.
 type Pool struct {
-	frames     freeList[Frame]
-	beacons    freeList[BeaconBody]
-	datas      freeList[DataBody]
-	probes     freeList[ProbeReqBody]
-	assocReqs  freeList[AssocReqBody]
-	assocResps freeList[AssocRespBody]
+	frames     slab.List[Frame]
+	beacons    slab.List[BeaconBody]
+	datas      slab.List[DataBody]
+	probes     slab.List[ProbeReqBody]
+	assocReqs  slab.List[AssocReqBody]
+	assocResps slab.List[AssocRespBody]
+	// headers backs the Header of every carved data body: one array per
+	// body, carved in step with the body slabs, so encoding a payload
+	// header into a fresh body does not grow its Header from nil. Only
+	// carved from, never put back: a header stays with its body.
+	headers slab.List[[dataHeaderCap]byte]
 
 	// Fresh counts allocations that missed the free list; Recycled
 	// counts frames returned. Benchmark/test instrumentation only.
 	Fresh, Recycled uint64
 }
 
-// freeList recycles one kind of pooled object. Misses carve from a slab
-// (the miss arena), so growing a pool to its working set costs one
-// allocation per slab, not one per object — the same trick the event
-// kernel's arena uses.
-type freeList[T any] struct {
-	free []*T
-	slab []T
-}
+// dataHeaderCap is the Header capacity a carved data body starts with:
+// the TCP segment and the DHCP message headers both encode to 23 bytes.
+// A longer header outgrows it and reallocates, as append does.
+const dataHeaderCap = 23
 
-func (l *freeList[T]) put(x *T) { l.free = append(l.free, x) }
-
-// poolSlab is the arena granule. Frames and bodies are small (≤ ~100
-// bytes), so a granule stays a few KB.
-const poolSlab = 64
-
-// take pops a recycled object from l, or carves one from its slab and
-// counts the miss. The caller resets the object it gets.
-func take[T any](p *Pool, l *freeList[T]) *T {
-	if n := len(l.free); n > 0 {
-		x := l.free[n-1]
-		l.free = l.free[:n-1]
-		return x
+// take pops a recycled object from l, or carves one and counts the
+// miss. The caller resets the object it gets.
+func take[T any](p *Pool, l *slab.List[T]) *T {
+	x, fresh := l.Get()
+	if fresh {
+		p.Fresh++
 	}
-	p.Fresh++
-	if len(l.slab) == 0 {
-		l.slab = make([]T, poolSlab)
-	}
-	x := &l.slab[0]
-	l.slab = l.slab[1:]
 	return x
 }
 
@@ -101,6 +91,10 @@ func (p *Pool) Data() *DataBody {
 		return &DataBody{}
 	}
 	d := take(p, &p.datas)
+	if d.Header == nil {
+		h, _ := p.headers.Get()
+		d.Header = h[:0]
+	}
 	*d = DataBody{pooled: true, Header: d.Header[:0]}
 	return d
 }
@@ -147,32 +141,32 @@ func (p *Pool) Recycle(f *Frame) {
 	case *BeaconBody:
 		if b.pooled {
 			b.pooled = false
-			p.beacons.put(b)
+			p.beacons.Put(b)
 		}
 	case *DataBody:
 		if b.pooled {
 			b.pooled = false
-			p.datas.put(b)
+			p.datas.Put(b)
 		}
 	case *ProbeReqBody:
 		if b.pooled {
 			b.pooled = false
-			p.probes.put(b)
+			p.probes.Put(b)
 		}
 	case *AssocReqBody:
 		if b.pooled {
 			b.pooled = false
-			p.assocReqs.put(b)
+			p.assocReqs.Put(b)
 		}
 	case *AssocRespBody:
 		if b.pooled {
 			b.pooled = false
-			p.assocResps.put(b)
+			p.assocResps.Put(b)
 		}
 	}
 	f.pooled = false
 	f.Body = nil
-	p.frames.put(f)
+	p.frames.Put(f)
 	p.Recycled++
 }
 
