@@ -46,10 +46,10 @@ func TestOutputDigests(t *testing.T) {
 			"a.json": cityArchive, "m.prom": cityMetrics, "x.jsonl": cityTrace,
 		}},
 		{"city-ckpt", city + " -checkpoint-out c.ckpt", map[string]string{
-			"c.ckpt": "2c21eac3751b1043bd8d110f6bceeab808c4232358789e4eda9d182959bdd699",
+			"c.ckpt": "403289bfb8602faafa64b83af5f285c5d19c73ad72a96018edfa3f26aaf070fa",
 		}},
 		{"city-ckpt-archive", city + " -checkpoint-out c.ckpt -archive-out a.json", map[string]string{
-			"c.ckpt": "ca6160e6367b030b71780e9bc635be65c9d6edf88ec6d710a0b2fef2afa2706b", "a.json": cityArchive,
+			"c.ckpt": "f123ed7961f502963cb4cbc2840bfdef174354a253739f678fe86b9aba4fe55a", "a.json": cityArchive,
 		}},
 		{"city-staggered", "-city citygrid -clients 24 -aps 80 -area-w 2400 -area-h 1600 -minutes 1 -seed 5" +
 			" -join-spread 20s -join-ramp exp -archive-out a.json", map[string]string{

@@ -45,13 +45,15 @@ import (
 //	    timer as an EventState ({Pending, At, Seq}), Dormant became
 //	    Started, and the driver's AssocTimes/JoinTimes/SwitchLatency
 //	    logs are gone. Older documents are refused.
+//	4 — CityState lost ShardFaults: no city keeps a shard-fault ledger
+//	    any more. Older documents are refused.
 const (
 	Format  = "spider-checkpoint"
-	Version = 3
+	Version = 4
 )
 
 // minVersion is the oldest document version the decoder still accepts.
-const minVersion = 3
+const minVersion = 4
 
 // Checkpoint is one resumable snapshot document.
 type Checkpoint struct {

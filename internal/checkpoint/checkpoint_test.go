@@ -15,6 +15,7 @@ import (
 	"spider/internal/radio"
 	"spider/internal/scenario"
 	"spider/internal/shard"
+	"spider/internal/wifi"
 )
 
 func testSpec(seed int64) scenario.CityGridSpec {
@@ -223,7 +224,7 @@ func TestApplyRejectsMismatch(t *testing.T) {
 	if _, err := Decode(append(ck.Encode(), []byte("{}")...)); err == nil {
 		t.Fatal("decoded trailing data")
 	}
-	if _, err := Decode([]byte(`{"format": "spider-checkpoint", "version": 3, "unknown_field": 1}`)); err == nil {
+	if _, err := Decode([]byte(fmt.Sprintf(`{"format": "spider-checkpoint", "version": %d, "unknown_field": 1}`, Version))); err == nil {
 		t.Fatal("decoded an unknown field")
 	}
 }
@@ -268,6 +269,12 @@ func TestApplyRefusesCorruptState(t *testing.T) {
 		{"radio on channel 99", func(st *shard.CityState) {
 			st.Tiles[0].World.Medium.Radios[0].Channel = 99
 		}},
+		{"scan-table record on channel -1", func(st *shard.CityState) {
+			firstTableRecord(t, st).Channel = -1
+		}},
+		{"scan-table record with zero BSSID", func(st *shard.CityState) {
+			firstTableRecord(t, st).BSSID = wifi.Addr{}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			edited, err := Decode(enc)
@@ -283,4 +290,29 @@ func TestApplyRefusesCorruptState(t *testing.T) {
 			}
 		})
 	}
+}
+
+// firstTableRecord returns the first scan-table record of any client
+// in st, in tile and client order.
+func firstTableRecord(t *testing.T, st *shard.CityState) *core.APRecord {
+	t.Helper()
+	i, j := firstTableClient(st)
+	if i < 0 {
+		t.Fatal("fixture is dead: no client has a scan-table record")
+	}
+	return &st.Tiles[i].World.Clients[j].Driver.Table[0]
+}
+
+// firstTableClient returns the tile and client index of the first
+// client in st, in tile and client order, whose scan table is not
+// empty, or -1, -1.
+func firstTableClient(st *shard.CityState) (tile, client int) {
+	for i, ts := range st.Tiles {
+		for j, cs := range ts.World.Clients {
+			if len(cs.Driver.Table) > 0 {
+				return i, j
+			}
+		}
+	}
+	return -1, -1
 }

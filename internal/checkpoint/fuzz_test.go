@@ -22,14 +22,7 @@ import (
 func FuzzDecodeCheckpoint(f *testing.F) {
 	// A real checkpoint mid-run, chaos on, as the main seed — a small
 	// city so per-exec decode cost leaves the fuzzer time to mutate.
-	spec := testSpec(1)
-	spec.NumAPs, spec.NumClients = 8, 3
-	spec.AreaW, spec.AreaH = 600, 300
-	cfg := core.SpiderDefaults(core.MultiChannelMultiAP,
-		core.EqualSchedule(200*time.Millisecond, 1, 6, 11))
-	c := shard.NewCity(spec, cfg, 1)
-	c.EnableObs(0)
-	c.ApplyChaos(fault.Aggressive())
+	c := smallCity(1)
 	if err := c.Run(2 * time.Second); err != nil {
 		f.Fatal(err)
 	}
@@ -63,17 +56,33 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	})
 }
 
+// smallCity is the fuzz targets' city: small enough that one decode or
+// one resumed epoch leaves the fuzzer time to mutate, with obs and chaos
+// on so every part of the state tree is populated.
+func smallCity(seed int64) *shard.City {
+	spec := testSpec(seed)
+	spec.NumAPs, spec.NumClients = 8, 3
+	spec.AreaW, spec.AreaH = 600, 300
+	cfg := core.SpiderDefaults(core.MultiChannelMultiAP,
+		core.EqualSchedule(200*time.Millisecond, 1, 6, 11))
+	c := shard.NewCity(spec, cfg, 1)
+	c.EnableObs(0)
+	c.ApplyChaos(fault.Aggressive())
+	return c
+}
+
 // mutable names the state fields FuzzApplyCheckpoint edits: counts,
-// indices, tile ids, times, event sequence numbers, channels, and the
-// halo frames' destinations and positions. A slice of numbers is
-// matched by its own field name (ResidentTile).
+// indices, tile ids, times, event sequence numbers, channels, RNG
+// stream positions (N), and the halo frames' destinations and
+// positions. A slice of numbers is matched by its own field name
+// (ResidentTile).
 var mutable = map[string]bool{
 	"Now": true, "NextSeq": true, "Fired": true, "Migrations": true,
 	"Client": true, "From": true, "To": true, "ResidentTile": true, "Dst": true,
 	"At": true, "Seq": true, "IdleUntil": true, "SuspendedTo": true, "BusyUntil": true,
 	"Channel": true, "Ch": true, "TxCh": true, "SwCh": true,
 	"SchedIdx": true, "APSliceIdx": true, "BGHome": true, "SwOutstanding": true,
-	"NextIP": true, "AID": true, "Total": true, "X": true, "Y": true,
+	"NextIP": true, "AID": true, "Total": true, "X": true, "Y": true, "N": true,
 }
 
 // leaf is one editable number in a checkpoint and its path there.
@@ -124,21 +133,12 @@ func (l leaf) set(x int64) {
 
 // FuzzApplyCheckpoint is the restore path's robustness contract: a real
 // capture with one count, index, tile id, time, sequence number,
-// channel or halo field set to an arbitrary value is either refused by
-// Apply with an error, or restores into a city that runs one more
-// epoch without a panic and without adding invariant violations.
+// channel, RNG position or halo field set to an arbitrary value is
+// either refused by Apply with an error, or restores into a city that
+// runs one more epoch without a panic and without adding invariant
+// violations.
 func FuzzApplyCheckpoint(f *testing.F) {
-	spec := testSpec(3)
-	spec.NumAPs, spec.NumClients = 8, 3
-	spec.AreaW, spec.AreaH = 600, 300
-	cfg := core.SpiderDefaults(core.MultiChannelMultiAP,
-		core.EqualSchedule(200*time.Millisecond, 1, 6, 11))
-	build := func() *shard.City {
-		c := shard.NewCity(spec, cfg, 1)
-		c.EnableObs(0)
-		c.ApplyChaos(fault.Aggressive())
-		return c
-	}
+	build := func() *shard.City { return smallCity(3) }
 	src := build()
 	if err := src.Run(2 * time.Second); err != nil {
 		f.Fatal(err)
@@ -164,12 +164,20 @@ func FuzzApplyCheckpoint(f *testing.F) {
 	if !applied || err != nil {
 		f.Fatalf("the unedited capture does not resume: applied=%v, %v", applied, err)
 	}
-	n := len(numericLeaves(reflect.ValueOf(&ck.City), "", "", nil))
+	leaves := numericLeaves(reflect.ValueOf(&ck.City), "", "", nil)
+	n := len(leaves)
 	for _, v := range []int64{0, -1, 1, 99, 1 << 40, -(1 << 40)} {
 		for _, i := range []int{0, n / 3, n / 2, n - 1} {
 			f.Add(uint32(i), v)
 		}
 	}
+	// The corrupt-table document: a client's first scan-table record on
+	// channel -1, which the driver's restore must refuse.
+	i, j := firstTableClient(&ck.City)
+	f.Add(leafIndex(f, leaves, fmt.Sprintf(".Tiles[%d].World.Clients[%d].Driver.Table[0].Channel", i, j)), int64(-1))
+	// The far-position document: tile 0's loss stream at 2^34 draws,
+	// drawn on the next epoch's first delivery.
+	f.Add(leafIndex(f, leaves, rngPath(f, &ck.City, 0, "radio.loss")), int64(1<<34))
 
 	f.Fuzz(func(t *testing.T, idx uint32, v int64) {
 		edited, err := Decode(enc)
@@ -189,4 +197,64 @@ func FuzzApplyCheckpoint(f *testing.F) {
 				l.path, v, added, baseline)
 		}
 	})
+}
+
+// leafIndex returns the index of the leaf at path.
+func leafIndex(tb testing.TB, leaves []leaf, path string) uint32 {
+	tb.Helper()
+	for i, l := range leaves {
+		if l.path == path {
+			return uint32(i)
+		}
+	}
+	tb.Fatalf("no editable leaf at city%s", path)
+	return 0
+}
+
+// rngPath is the leaf path of the position of tile's kernel stream
+// name.
+func rngPath(tb testing.TB, st *shard.CityState, tile int, name string) string {
+	tb.Helper()
+	for k, p := range st.Tiles[tile].RNGs {
+		if p.Name == name {
+			return fmt.Sprintf(".Tiles[%d].RNGs[%d].N", tile, k)
+		}
+	}
+	tb.Fatalf("tile %d has no stream %q", tile, name)
+	return ""
+}
+
+// TestApplyFarRNGPositions: a checkpoint whose tile-0 stream positions
+// all read 2^34 applies, and its next epoch runs in well under the
+// hours a draw-by-draw replay of those positions would take.
+func TestApplyFarRNGPositions(t *testing.T) {
+	src := smallCity(3)
+	if err := src.Run(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := Capture(src, 3, "fp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := &ck.City.Tiles[0]
+	if len(ts.RNGs) == 0 || ts.Injector == nil || len(ts.Injector.Streams) == 0 {
+		t.Fatal("fixture is dead: tile 0 has no kernel or fault stream positions")
+	}
+	for i := range ts.RNGs {
+		ts.RNGs[i].N = 1 << 34
+	}
+	for i := range ts.Injector.Streams {
+		ts.Injector.Streams[i].N = 1 << 34
+	}
+	c := smallCity(3)
+	if err := ck.Apply(c, 3, "fp"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := c.Run(c.Now() + c.Layout.Epoch); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("the epoch after far stream positions took %v", d)
+	}
 }

@@ -123,6 +123,9 @@ func (d *Driver) RestoreState(st DriverState) error {
 
 	d.table.byBSSID = make(map[wifi.Addr]*APRecord, len(st.Table))
 	for _, rec := range st.Table {
+		if !wifi.ValidChannel(rec.Channel) || rec.BSSID == (wifi.Addr{}) {
+			return fmt.Errorf("core: restored scan-table record %s on channel %d", rec.BSSID, rec.Channel)
+		}
 		r := rec
 		d.table.byBSSID[r.BSSID] = &r
 	}

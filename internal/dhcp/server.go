@@ -146,14 +146,14 @@ func NewServer(k *sim.Kernel, cfg ServerConfig, serverID uint32, send func(to wi
 		rng:      k.RNG("dhcp.server"),
 		send:     send,
 		bindings: make(map[wifi.Addr]binding),
-		respPool: new(RespPool),
 	}
 }
 
 // RespPool is a free list of scheduled-response records. Every server
 // of one world shares the world's pool (SetRespPool), so a storm of
 // joins warms one list rather than one per AP; it is touched only from
-// its world's kernel goroutine. The zero value is ready.
+// its world's kernel goroutine. The zero value is ready. A server given
+// no pool makes its own at its first response.
 type RespPool struct {
 	list slab.List[srvResp]
 }
@@ -246,6 +246,9 @@ func (s *Server) scheduleResp(kind respKind, m Message, delay time.Duration) {
 // trackResp files a response as pending, in a record drawn from the
 // free list; the caller arms its event.
 func (s *Server) trackResp(kind respKind, m Message) *srvResp {
+	if s.respPool == nil {
+		s.respPool = new(RespPool)
+	}
 	r, fresh := s.respPool.list.Get()
 	if fresh {
 		r.fireFn = r.fire

@@ -33,35 +33,15 @@ const (
 	ClassLatencySpike  = "latency-spike"
 	ClassBurstLoss     = "burst-loss"
 	ClassResetFail     = "reset-fail"
-
-	// Shard-layer fault classes: injected against the metro runtime
-	// itself rather than any in-world component. A tile that stops
-	// making progress (stall), a tile that misses the epoch barrier
-	// (timeout), and a migration record corrupted in transit between
-	// tiles. The shard layer counts these through a city-level ledger;
-	// they live here so reports and archives name them canonically.
-	ClassTileStall        = "tile-stall"
-	ClassBarrierTimeout   = "barrier-timeout"
-	ClassMigrationCorrupt = "migration-corrupt"
 )
 
-// Classes lists every fault class in canonical report order. The shard
-// classes sit at the end so anything ordered by class index (merged
-// ledgers, reports) keeps its pre-shard prefix.
+// Classes lists every fault class in canonical report order.
 var Classes = []string{
 	ClassAPCrash, ClassBeaconSilence,
 	ClassDHCPDrop, ClassDHCPNak, ClassDHCPSlow,
 	ClassBlackhole, ClassLatencySpike,
 	ClassBurstLoss, ClassResetFail,
-	ClassTileStall, ClassBarrierTimeout, ClassMigrationCorrupt,
 }
-
-// WorldClasses is the prefix of Classes an Injector can actually
-// inject: faults against in-world components. The shard classes target
-// the metro runtime and are counted by the City's own ledger, so
-// injector metric registration stops here — keeping the metric set (and
-// therefore every existing archive) unchanged.
-var WorldClasses = Classes[:9]
 
 // Config parameterizes the injector. The zero value disables every
 // class: attaching a zero-config injector is pure bookkeeping — no

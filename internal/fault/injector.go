@@ -121,10 +121,10 @@ func NewInjectorSeeded(k *sim.Kernel, cfg Config, seed int64) *Injector {
 		cfg:         cfg,
 		seed:        seed,
 		streams:     make(map[string]*faultStream),
-		classes:     make(map[string]*ClassStat, len(WorldClasses)),
+		classes:     make(map[string]*ClassStat, len(Classes)),
 		outstanding: make(map[string][]time.Duration),
 	}
-	for _, c := range WorldClasses {
+	for _, c := range Classes {
 		in.classes[c] = &ClassStat{Class: c}
 	}
 	return in
@@ -143,7 +143,7 @@ func (in *Injector) AttachObs(o *obs.Obs) {
 		return
 	}
 	in.tr = o.Tracer
-	for _, class := range WorldClasses {
+	for _, class := range Classes {
 		cs := in.classes[class]
 		name := strings.ReplaceAll(class, "-", "_")
 		o.Reg.CounterFunc("fault_"+name+"_injected_total",
@@ -422,11 +422,10 @@ func (in *Injector) ensureResetHook() {
 	})
 }
 
-// Snapshot returns every injectable class's counters in canonical
-// order (the shard classes are the City's, not the injector's).
+// Snapshot returns every class's counters in canonical order.
 func (in *Injector) Snapshot() []ClassStat {
-	out := make([]ClassStat, 0, len(WorldClasses))
-	for _, c := range WorldClasses {
+	out := make([]ClassStat, 0, len(Classes))
+	for _, c := range Classes {
 		out = append(out, *in.classes[c])
 	}
 	return out
@@ -435,7 +434,7 @@ func (in *Injector) Snapshot() []ClassStat {
 // TotalInjected sums injected faults across classes.
 func (in *Injector) TotalInjected() uint64 {
 	var t uint64
-	for _, c := range WorldClasses {
+	for _, c := range Classes {
 		t += in.classes[c].Injected
 	}
 	return t

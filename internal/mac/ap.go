@@ -63,7 +63,8 @@ var (
 // RespPool is a free list of delayed-response carriers. Every AP of one
 // world shares the world's pool (SetRespPool), so a storm of joins warms
 // one list rather than one per AP; like the frame pool, it is touched
-// only from its world's kernel goroutine. The zero value is ready.
+// only from its world's kernel goroutine. The zero value is ready. An AP
+// given no pool makes its own at its first response.
 type RespPool struct {
 	list slab.List[pendingResp]
 }
@@ -160,11 +161,10 @@ func NewAPAt(m *radio.Medium, cfg APConfig, addr wifi.Addr, pos geo.Point, serve
 		cfg.PSMBufferFrames = DefaultAPConfig(cfg.SSID, cfg.Channel).PSMBufferFrames
 	}
 	ap := &AP{
-		kernel:   m.Kernel(),
-		cfg:      cfg,
-		clients:  make(map[wifi.Addr]*apClient),
-		inv:      metrics.NewInvariantSet(),
-		respPool: new(RespPool),
+		kernel:  m.Kernel(),
+		cfg:     cfg,
+		clients: make(map[wifi.Addr]*apClient),
+		inv:     metrics.NewInvariantSet(),
 	}
 	ap.radio = m.NewStaticRadio(addr, pos, radio.ReceiverFunc(ap.receive))
 	ap.radio.SetChannel(cfg.Channel)
@@ -314,6 +314,9 @@ func (pr *pendingResp) fire() {
 
 // trackResp parks f on a (recycled) carrier registered in ap.resps.
 func (ap *AP) trackResp(f *wifi.Frame) *pendingResp {
+	if ap.respPool == nil {
+		ap.respPool = new(RespPool)
+	}
 	pr, fresh := ap.respPool.list.Get()
 	if fresh {
 		pr.fireFn = pr.fire

@@ -218,6 +218,28 @@ func TestFullJoinWithDHCPOverAir(t *testing.T) {
 	}
 }
 
+// TestRespPoolOnFirstResponse: NewAPAt allocates no response pool. A
+// standalone AP makes its own at its first response; one handed a
+// shared pool, as a world hands its APs, draws from that one.
+func TestRespPoolOnFirstResponse(t *testing.T) {
+	k, _, ap, c := setup(t)
+	if ap.respPool != nil {
+		t.Fatal("NewAPAt allocated a response pool")
+	}
+	joinAndLease(t, k, c)
+	if ap.respPool == nil {
+		t.Fatal("a standalone AP answered a join without a response pool")
+	}
+
+	k, _, ap, c = setup(t)
+	var shared RespPool
+	ap.SetRespPool(&shared)
+	joinAndLease(t, k, c)
+	if ap.respPool != &shared {
+		t.Fatal("an AP given a shared pool replaced it")
+	}
+}
+
 func TestPSMBuffersAndPSPollFlushes(t *testing.T) {
 	k, _, ap, c := setup(t)
 	joinAndLease(t, k, c)

@@ -599,20 +599,15 @@ func (r *Radio) Suspended(t time.Duration) bool { return t < r.suspendedTo }
 //
 // Send reports false if the radio is untuned, in which case nothing is
 // queued.
-func (r *Radio) Send(f *wifi.Frame) bool { return r.SendNotify(f, nil) }
+func (r *Radio) Send(f *wifi.Frame) bool { return r.SendTagged(f, nil, TxTag{}) }
 
-// SendNotify is Send with a completion callback: done fires when the MAC
-// finishes with the frame (delivered, retries exhausted, or flushed on a
-// channel change), letting senders pace themselves against the actual
-// airtime instead of guessing.
-func (r *Radio) SendNotify(f *wifi.Frame, done func(delivered bool)) bool {
-	return r.SendTagged(f, done, TxTag{})
-}
-
-// SendTagged is SendNotify with a checkpoint tag naming the callback:
-// closures cannot be serialized, so owners that pass a done callback
-// also record which callback it is, letting a restore rebuild it (see
-// TxTag). Untagged callbacks are legal but make the radio's queue
+// SendTagged is Send with a completion callback and a checkpoint tag
+// naming it. done fires when the MAC finishes with the frame
+// (delivered, retries exhausted, or flushed on a channel change),
+// letting senders pace themselves against the actual airtime instead of
+// guessing. Closures cannot be serialized, so owners that pass a done
+// callback also record which callback it is, letting a restore rebuild
+// it (see TxTag). Untagged callbacks are legal but make the radio's queue
 // uncheckpointable while they sit in it.
 func (r *Radio) SendTagged(f *wifi.Frame, done func(delivered bool), tag TxTag) bool {
 	ch := r.channel

@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime/pprof"
 	"sort"
-	"sync"
 	"time"
 
 	"spider/internal/core"
@@ -115,13 +114,6 @@ type City struct {
 	// and therefore every simulated byte — is identical at any value.
 	Workers int
 
-	// Watchdog, when positive, bounds the wall-clock time one epoch may
-	// take. A tile that has not reached the barrier when it expires is
-	// quarantined — counted as a shard-layer fault and frozen — instead
-	// of hanging the whole city. Zero (the default) disables the
-	// watchdog and keeps the exact historical Run path.
-	Watchdog time.Duration
-
 	// Migrations counts clients handed between tiles at barriers.
 	Migrations uint64
 
@@ -147,19 +139,6 @@ type City struct {
 	// AdoptClient calls — reproducing each medium's radio registration
 	// order, which a fresh build alone cannot.
 	migLog []MigRecord
-
-	// Shard-layer fault state: the city-level ledger (keyed by the
-	// fault.Class* shard classes), per-tile quarantine flags, and the
-	// injection hooks the crash harness uses.
-	shardFaults map[string]uint64
-	quarantined []bool
-	stall       []chan struct{} // armed tile-stall gates, nil when clear
-	corruptNext bool            // corrupt the next migration's handoff
-
-	// detached tracks watchdog-spawned tile goroutines, including
-	// abandoned ones, so Quiesce can establish a happens-before edge
-	// before city state is read.
-	detached sync.WaitGroup
 }
 
 // MigRecord is one client handoff between tiles, by plan identity.
@@ -181,9 +160,6 @@ func NewCity(spec scenario.CityGridSpec, cfg core.Config, workers int) *City {
 		mobs:         make([]geo.Mobility, len(plan.Clients)),
 		clients:      make([]*scenario.Client, len(plan.Clients)),
 		residentTile: make([]int32, len(plan.Clients)),
-		shardFaults:  make(map[string]uint64),
-		quarantined:  make([]bool, lay.NTiles),
-		stall:        make([]chan struct{}, lay.NTiles),
 	}
 	rcfg := spec.Radio
 	if rcfg.Range == 0 {
@@ -366,7 +342,8 @@ func (c *City) inbound(t *Tile, fn func(r *haloRec)) {
 // single-threaded in tile order. Each tile epoch is a pure function of
 // the tile's prior state plus the records its neighbours captured last
 // epoch, read in deterministic order, so the result is invariant in
-// Workers.
+// Workers. A tile that panics fails the run: Run returns the pool's
+// *sweep.PanicError naming the tile and leaves the city mid-epoch.
 func (c *City) Run(until time.Duration) error {
 	// Profiles split the run at the admission transient: the t=0 storm
 	// resolves within the first virtual second, and a staggered run
@@ -385,19 +362,14 @@ func (c *City) Run(until time.Duration) error {
 		}
 		var err error
 		pprof.Do(context.Background(), pprof.Labels("phase", phase), func(ctx context.Context) {
-			if c.Watchdog > 0 {
-				c.runEpochWatched(t1)
-			} else {
-				_, err = sweep.RunN(ctx, c.Workers, len(c.Tiles), func(_ context.Context, i int) (struct{}, error) {
-					c.injectHalo(c.Tiles[i])
-					c.runTile(c.Tiles[i], t1)
-					return struct{}{}, nil
-				})
-				if err != nil {
-					return
-				}
+			_, err = sweep.RunN(ctx, c.Workers, len(c.Tiles), func(_ context.Context, i int) (struct{}, error) {
+				c.injectHalo(c.Tiles[i])
+				c.runTile(c.Tiles[i], t1)
+				return struct{}{}, nil
+			})
+			if err == nil {
+				c.exchange(t1)
 			}
-			c.exchange(t1)
 		})
 		if err != nil {
 			return err
@@ -419,103 +391,11 @@ func (c *City) injectHalo(t *Tile) {
 
 // runTile advances t's world to t1 and seals the records it captured.
 func (c *City) runTile(t *Tile, t1 time.Duration) {
-	if ch := c.stall[t.Index]; ch != nil {
-		c.stall[t.Index] = nil
-		<-ch
-	}
 	t.World.Run(t1)
 	sealHalo(t.halo[t.cur])
 }
 
-// runEpochWatched advances every healthy tile with a wall-clock
-// watchdog at the barrier. A tile that panics is recovered, counted
-// (tile-stall) and quarantined; a tile still running when the watchdog
-// expires is counted (barrier-timeout) and quarantined — its goroutine
-// is abandoned and the tile is never touched again, so the city's
-// remaining tiles keep making progress instead of hanging. Unlike the
-// plain path this spawns one goroutine per tile (the watchdog must not
-// sit behind a stuck tile in a worker queue); it exists for fault
-// tolerance, not throughput. A straggler is abandoned only after its
-// halo injection has finished: from then on it touches nothing but its
-// own tile, so the barrier may flip the buffers it read.
-func (c *City) runEpochWatched(t1 time.Duration) {
-	type result struct {
-		tile     int
-		panicked bool
-	}
-	done := make(chan result, len(c.Tiles))
-	pending := make(map[int]bool)
-	var injected sync.WaitGroup
-	for _, t := range c.Tiles {
-		if c.quarantined[t.Index] {
-			continue
-		}
-		pending[t.Index] = true
-		c.detached.Add(1)
-		injected.Add(1)
-		go func(t *Tile) {
-			r := result{tile: t.Index}
-			injecting := true
-			defer func() {
-				if recover() != nil {
-					r.panicked = true
-				}
-				if injecting {
-					injected.Done()
-				}
-				done <- r
-				c.detached.Done()
-			}()
-			c.injectHalo(t)
-			injecting = false
-			injected.Done()
-			c.runTile(t, t1)
-		}(t)
-	}
-	timer := time.NewTimer(c.Watchdog)
-	defer timer.Stop()
-	for len(pending) > 0 {
-		select {
-		case r := <-done:
-			delete(pending, r.tile)
-			if r.panicked {
-				c.quarantine(r.tile, fault.ClassTileStall)
-			}
-		case <-timer.C:
-			injected.Wait()
-			// Quarantine stragglers in tile order so the ledger and any
-			// trace of this decision are deterministic given the set.
-			late := make([]int, 0, len(pending))
-			for i := range pending {
-				late = append(late, i)
-			}
-			sort.Ints(late)
-			for _, i := range late {
-				c.quarantine(i, fault.ClassBarrierTimeout)
-			}
-			return
-		}
-	}
-}
-
-// Quiesce blocks until every watchdog-spawned tile goroutine has
-// exited, including ones the watchdog abandoned. Release any injected
-// stalls first, then call this before reading state from a city that
-// quarantined a tile.
-func (c *City) Quiesce() { c.detached.Wait() }
-
-// quarantine freezes a tile and counts the shard-layer fault that
-// killed it. Quarantined tiles stop advancing, stop exchanging halo
-// frames, and pin their resident clients — the sick shard degrades to a
-// counted error instead of corrupting or hanging the rest of the city.
-func (c *City) quarantine(tile int, class string) {
-	if !c.quarantined[tile] {
-		c.quarantined[tile] = true
-		c.shardFaults[class]++
-	}
-}
-
-// exchange is the barrier phase: flip every healthy tile's halo buffers
+// exchange is the barrier phase: flip every tile's halo buffers
 // and migrate clients whose position crossed a tile boundary. Strictly
 // single-threaded; the flip moves no record, and the migration scan
 // walks the plan-ordered client arrays — a linear pass over three
@@ -523,13 +403,6 @@ func (c *City) quarantine(tile int, class string) {
 // identity, never by scheduling or map iteration.
 func (c *City) exchange(t1 time.Duration) {
 	for _, t := range c.Tiles {
-		if c.quarantined[t.Index] {
-			// The write buffer may still belong to the tile's abandoned
-			// goroutine: never flip it. Emptying the read side mirrors
-			// nothing more from the sick tile.
-			t.halo[t.cur^1] = t.halo[t.cur^1][:0]
-			continue
-		}
 		t.cur ^= 1
 		t.halo[t.cur] = t.halo[t.cur][:0]
 	}
@@ -538,39 +411,12 @@ func (c *City) exchange(t1 time.Duration) {
 		if dst == c.residentTile[i] {
 			continue
 		}
-		// A quarantined tile's world is off-limits (its abandoned
-		// goroutine may still own it): clients neither leave nor enter.
-		if c.quarantined[c.residentTile[i]] || c.quarantined[dst] {
-			continue
-		}
 		recs := c.Tiles[c.residentTile[i]].World.RemoveClient(c.clients[i])
-		if c.corruptNext && len(recs) > 0 {
-			c.corruptNext = false
-			recs[0].Channel = -1
-		}
-		recs = c.validateHandoff(recs)
 		c.Tiles[dst].World.AdoptClient(c.clients[i], c.clientCfg(i), c.mobs[i], recs)
 		c.migLog = append(c.migLog, MigRecord{Client: int32(i), From: c.residentTile[i], To: dst})
 		c.residentTile[i] = dst
 		c.Migrations++
 	}
-}
-
-// validateHandoff screens a migrating client's AP records before the
-// destination tile adopts them. A corrupted record (impossible channel,
-// zero BSSID) is repaired by dropping it — the client re-scans — and
-// counted as a migration-corrupt shard fault rather than poisoning the
-// destination world's scan tables.
-func (c *City) validateHandoff(recs []core.APRecord) []core.APRecord {
-	out := recs[:0]
-	for _, r := range recs {
-		if r.Channel < 1 || r.Channel > 14 || r.BSSID == (wifi.Addr{}) {
-			c.shardFaults[fault.ClassMigrationCorrupt]++
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
 }
 
 // Now returns the city's lockstep virtual time.
@@ -637,16 +483,15 @@ func (c *City) ApplyChaos(cfg fault.Config) {
 }
 
 // FaultStats merges the per-tile fault ledgers into one per-class
-// ledger in canonical class order, followed by any non-zero shard-layer
-// classes from the city's own ledger. Tiles attach disjoint target
-// sets, so the per-class sums equal a single-world injector's and are
-// independent of the tile layout.
+// ledger in canonical class order (nil without ApplyChaos). Tiles
+// attach disjoint target sets, so the per-class sums equal a
+// single-world injector's and are independent of the tile layout.
 func (c *City) FaultStats() []fault.ClassStat {
 	if len(c.Injectors) == 0 {
-		return c.ShardFaults()
+		return nil
 	}
 	merged := make([]fault.ClassStat, 0, len(fault.Classes))
-	for ci, class := range fault.WorldClasses {
+	for ci, class := range fault.Classes {
 		cs := fault.ClassStat{Class: class}
 		for _, inj := range c.Injectors {
 			s := inj.Snapshot()[ci]
@@ -660,51 +505,13 @@ func (c *City) FaultStats() []fault.ClassStat {
 		}
 		merged = append(merged, cs)
 	}
-	return append(merged, c.ShardFaults()...)
+	return merged
 }
 
-// InjectTileStall arms a stall on one tile: its next epoch blocks until
-// the returned release func is called, modelling a wedged shard. Run
-// with Watchdog set to see it quarantined instead of hanging. The
-// injection itself is counted (tile-stall); the watchdog's detection
-// counts separately (barrier-timeout). Call release after Run returns
-// so the abandoned goroutine exits before city state is read.
-func (c *City) InjectTileStall(tile int) (release func()) {
-	ch := make(chan struct{})
-	c.stall[tile] = ch
-	c.shardFaults[fault.ClassTileStall]++
-	return func() { close(ch) }
-}
-
-// InjectMigrationCorruption arms a one-shot corruption of the next
-// migration's handoff records, exercising the adopt-side validation.
-func (c *City) InjectMigrationCorruption() { c.corruptNext = true }
-
-// ShardFaults returns the city-level shard-fault ledger in canonical
-// class order, non-zero classes only. These are runtime-layer faults
-// (a wedged tile, a corrupted handoff) counted by the city itself, as
-// opposed to the in-world faults the per-tile injectors track.
-func (c *City) ShardFaults() []fault.ClassStat {
-	var out []fault.ClassStat
-	for _, class := range fault.Classes {
-		if n := c.shardFaults[class]; n > 0 {
-			out = append(out, fault.ClassStat{Class: class, Injected: n})
-		}
-	}
-	return out
-}
-
-// QuarantinedTiles returns the indexes of tiles frozen by the watchdog,
-// in tile order.
-func (c *City) QuarantinedTiles() []int {
-	var out []int
-	for i, q := range c.quarantined {
-		if q {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+// QuarantinedTiles returns nil: no tile is ever quarantined, because a
+// tile panic fails Run instead. Its one caller is cmd/spider-bench's
+// city workload check.
+func (c *City) QuarantinedTiles() []int { return nil }
 
 // TotalInjected sums injected faults across every tile's injector.
 func (c *City) TotalInjected() uint64 {

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-
 	"time"
 
 	"spider/internal/fault"
@@ -67,28 +66,16 @@ type CityState struct {
 	// that the replay reconverged.
 	ResidentTile []int32
 
-	// ShardFaults is the city-level runtime-fault ledger (non-zero
-	// classes only, canonical order).
-	ShardFaults []fault.ClassStat
-
 	Tiles []TileState
 }
 
-// ExportState captures the city at the current barrier. The city must
-// be healthy: a quarantined tile's world may still be owned by its
-// abandoned goroutine, so a sick city refuses to checkpoint.
+// ExportState captures the city at the current barrier.
 func (c *City) ExportState() (CityState, error) {
-	for i, q := range c.quarantined {
-		if q {
-			return CityState{}, fmt.Errorf("shard: tile %d is quarantined; a sick city does not checkpoint", i)
-		}
-	}
 	st := CityState{
 		Now:          c.now,
 		Migrations:   c.Migrations,
 		MigLog:       append([]MigRecord(nil), c.migLog...),
 		ResidentTile: append([]int32(nil), c.residentTile...),
-		ShardFaults:  c.ShardFaults(),
 	}
 	for i, t := range c.Tiles {
 		k := t.World.Kernel
@@ -180,9 +167,6 @@ func (c *City) RestoreState(st CityState) error {
 	}
 	c.migLog = append(c.migLog, st.MigLog...)
 	c.Migrations = st.Migrations
-	for _, cs := range st.ShardFaults {
-		c.shardFaults[cs.Class] = cs.Injected
-	}
 
 	for i, ts := range st.Tiles {
 		t := c.Tiles[i]

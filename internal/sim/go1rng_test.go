@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -177,5 +178,77 @@ func BenchmarkStdlibSourceCreateAndDraw(b *testing.B) {
 		for j := 0; j < 6; j++ {
 			s.Uint64()
 		}
+	}
+}
+
+func TestGo1OutputRecurrence(t *testing.T) {
+	// The identity jump-ahead rests on: out[m] = out[m−607] + out[m−273]
+	// (mod 2⁶⁴) for every m ≥ 607.
+	src := rand.NewSource(11).(rand.Source64)
+	out := make([]uint64, 5000)
+	for i := range out {
+		out[i] = src.Uint64()
+	}
+	for m := g1Len; m < len(out); m++ {
+		if out[m] != out[m-g1Len]+out[m-g1Tap] {
+			t.Fatalf("out[%d] = %#x, out[m-607]+out[m-273] = %#x", m, out[m], out[m-g1Len]+out[m-g1Tap])
+		}
+	}
+}
+
+func TestGo1JumpMatchesReplay(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	positions := []uint64{0, 1, 272, 273, 274, 605, 606, 607, 608, 1213, 1214,
+		g1JumpMin - 1, g1JumpMin, g1JumpMin + 1, g1JumpMin + uint64(rng.Int63n(1<<24))}
+	for _, seed := range []int64{1, -776103469239275} {
+		for _, n := range positions {
+			var ref, got go1Source
+			ref.seed(g1Norm(seed))
+			for i := uint64(0); i < n; i++ {
+				ref.Uint64()
+			}
+			got.seed(g1Norm(seed))
+			got.jump(n)
+			for i := 0; i < 2*g1Len; i++ {
+				if g, w := got.Uint64(), ref.Uint64(); g != w {
+					t.Fatalf("seed %d, jump %d: draw %d = %#x, replay %#x", seed, n, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+func TestCountedSourceFarPosition(t *testing.T) {
+	// A position no replay could reach in reasonable time: a source
+	// reseeded there must agree with one reseeded 1,000 draws earlier
+	// and drawn forward, and both must materialize quickly.
+	const far = 1 << 34
+	a, b := NewCountedSource(5), NewCountedSource(5)
+	a.Reseed(5, far)
+	b.Reseed(5, far-1000)
+	for i := 0; i < 1000; i++ {
+		b.Uint64()
+	}
+	for i := 0; i < 2*g1Len; i++ {
+		if g, w := a.Uint64(), b.Uint64(); g != w {
+			t.Fatalf("draw %d past 2^34: %#x, %#x", i, g, w)
+		}
+	}
+	if a.Steps() != far+2*g1Len {
+		t.Fatalf("Steps = %d, want %d", a.Steps(), far+2*g1Len)
+	}
+}
+
+func BenchmarkCountedSourceMaterialize(b *testing.B) {
+	// Replay below g1JumpMin, jump-ahead from it: the crossover should
+	// sit where the two cost about the same.
+	for _, pos := range []uint64{g1JumpMin - 1, g1JumpMin, 1 << 34} {
+		b.Run(fmt.Sprintf("pos=%d", pos), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c := NewCountedSource(int64(i))
+				c.Reseed(int64(i), pos)
+				c.Uint64()
+			}
+		})
 	}
 }

@@ -79,16 +79,22 @@ func (c *CountedSource) Uint64() uint64 {
 	return c.src.Uint64()
 }
 
-// materialize builds the full register and replays the stream to its
+// materialize builds the full register and brings the stream to its
 // current position. Reached either when a live stream crosses the
 // sparse horizon (replay ≤ g1Tap draws) or on the first draw after a
 // Reseed with a large burn — which is exactly the work an eager reseed
-// would have done, deferred until the stream is actually used.
+// would have done, deferred until the stream is actually used. Beyond
+// g1JumpMin draws the register is computed by jump-ahead rather than
+// replayed, so any position a checkpoint names costs milliseconds.
 func (c *CountedSource) materialize() {
 	g := new(go1Source)
 	g.seed(c.x0)
-	for i := uint64(0); i < c.pos; i++ {
-		g.Uint64()
+	if c.pos >= g1JumpMin {
+		g.jump(c.pos)
+	} else {
+		for i := uint64(0); i < c.pos; i++ {
+			g.Uint64()
+		}
 	}
 	c.src = g
 }
