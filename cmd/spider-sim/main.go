@@ -147,24 +147,6 @@ func report(stdout io.Writer, r driveResult, dur time.Duration) {
 	}
 }
 
-// writeObs writes the single-rep observability exports.
-func writeObs(metricsOut, traceOut string, snap obs.Snapshot, tr *obs.Tracer) error {
-	if metricsOut != "" {
-		if err := obs.WriteMetricsFile(metricsOut, snap); err != nil {
-			return err
-		}
-	}
-	if traceOut != "" {
-		if err := obs.WriteTraceFile(traceOut, tr); err != nil {
-			return err
-		}
-		if d := tr.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "spider-sim: trace ring wrapped; oldest %d events dropped (narrow with -trace-filter)\n", d)
-		}
-	}
-	return nil
-}
-
 // writeDriveArchive archives one or more drive replications as one
 // document: rep i becomes experiment "drive[i]" holding the client's
 // ledger, the fault ledger, the metrics snapshot, trace-span summary
@@ -469,34 +451,11 @@ func run(args []string, stdout io.Writer) int {
 	ospec := obsSpec{metrics: *metricsO != "" || *archO != "", trace: *traceO != "", filter: filter}
 	start := time.Now()
 
-	if *reps == 1 {
-		drive.Seed = *seed
-		r, err := runDrive(stdout, drive, dur, *pcapOut, ospec)
-		if err != nil {
-			return fail(1, err)
-		}
-		fmt.Fprintf(stdout, "Drive: %s, %d APs, %.1f m/s, %v simulated (%v wall)\n",
-			*city, len(r.World.APs), drive.Spec().SpeedMS, dur, time.Since(start).Round(time.Millisecond))
-		fmt.Fprintf(stdout, "Driver: %s\n\n", cfg.Mode)
-		report(stdout, r, dur)
-		if err := writeObs(*metricsO, *traceO, r.snap, r.tracer); err != nil {
-			return fail(1, err)
-		}
-		if *archO != "" {
-			if err := writeDriveArchive(stdout, *archO, *seed, configFP, *chaos, dur, []driveResult{r}); err != nil {
-				return fail(1, err)
-			}
-		}
-		if r.checkerErr != nil {
-			return 1
-		}
-		return 0
-	}
-
-	// Each replication derives its world seed from (seed, config, rep):
-	// distinct streams per rep, reproducible at any -workers value. The
-	// fold runs after the sweep, over the index-ordered results, so both
-	// the report and the merged metrics are worker-count independent.
+	// One rep runs on -seed itself; with more, each replication derives
+	// its world seed from (seed, config, rep): distinct streams per rep,
+	// reproducible at any -workers value. The fold runs after the sweep,
+	// over the index-ordered results, so both the report and the merged
+	// metrics are worker-count independent.
 	type accum struct {
 		results []driveResult
 		snaps   []obs.Snapshot
@@ -504,8 +463,11 @@ func run(args []string, stdout io.Writer) int {
 	acc, err := sweep.Reduce(context.Background(), *workers, *reps,
 		func(_ context.Context, rep int) (driveResult, error) {
 			d := drive
-			d.Seed = sweep.TaskSeed(*seed, *config, rep)
-			return runDrive(stdout, d, dur, "", ospec)
+			d.Seed = *seed
+			if *reps > 1 {
+				d.Seed = sweep.TaskSeed(*seed, *config, rep)
+			}
+			return runDrive(stdout, d, dur, *pcapOut, ospec)
 		},
 		accum{}, func(a accum, r driveResult) accum {
 			a.results = append(a.results, r)
@@ -518,9 +480,33 @@ func run(args []string, stdout io.Writer) int {
 		return fail(1, err)
 	}
 	results := acc.results
+	var checkerFailed bool
+	if *reps == 1 {
+		r := results[0]
+		fmt.Fprintf(stdout, "Drive: %s, %d APs, %.1f m/s, %v simulated (%v wall)\n",
+			*city, len(r.World.APs), drive.Spec().SpeedMS, dur, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "Driver: %s\n\n", cfg.Mode)
+		report(stdout, r, dur)
+		checkerFailed = r.checkerErr != nil
+	} else {
+		fmt.Fprintf(stdout, "Drive: %s, %d APs, %.1f m/s, %v simulated ×%d reps (%v wall, %d workers)\n",
+			*city, len(results[0].World.APs), drive.Spec().SpeedMS, dur, *reps,
+			time.Since(start).Round(time.Millisecond), sweep.Workers(*workers))
+		fmt.Fprintf(stdout, "Driver: %s\n\n", cfg.Mode)
+		checkerFailed = reportReps(stdout, results, dur)
+	}
 	if *metricsO != "" {
 		if err := obs.WriteMetricsFile(*metricsO, obs.MergeSnapshots(acc.snaps...)); err != nil {
 			return fail(1, err)
+		}
+	}
+	if *traceO != "" { // -trace-out requires -reps 1
+		tr := results[0].tracer
+		if err := obs.WriteTraceFile(*traceO, tr); err != nil {
+			return fail(1, err)
+		}
+		if d := tr.Dropped(); d > 0 {
+			fmt.Fprintf(os.Stderr, "spider-sim: trace ring wrapped; oldest %d events dropped (narrow with -trace-filter)\n", d)
 		}
 	}
 	if *archO != "" {
@@ -528,12 +514,17 @@ func run(args []string, stdout io.Writer) int {
 			return fail(1, err)
 		}
 	}
-	fmt.Fprintf(stdout, "Drive: %s, %d APs, %.1f m/s, %v simulated ×%d reps (%v wall, %d workers)\n",
-		*city, len(results[0].World.APs), drive.Spec().SpeedMS, dur, *reps,
-		time.Since(start).Round(time.Millisecond), sweep.Workers(*workers))
-	fmt.Fprintf(stdout, "Driver: %s\n\n", cfg.Mode)
+	if checkerFailed {
+		return 1
+	}
+	return 0
+}
+
+// reportReps prints one line per replication, then the mean ± stddev
+// of throughput and connectivity. It reports whether any replication's
+// invariant checker failed.
+func reportReps(stdout io.Writer, results []driveResult, dur time.Duration) (checkerFailed bool) {
 	var tputs, conn []float64
-	checkerFailed := false
 	for i, r := range results {
 		rec := r.Client.Rec
 		tput, c := rec.ThroughputKBps(dur), rec.Connectivity(dur)
@@ -551,8 +542,5 @@ func run(args []string, stdout io.Writer) int {
 		metrics.FormatKBps(metrics.Mean(tputs)), metrics.FormatKBps(metrics.StdDev(tputs)))
 	fmt.Fprintf(stdout, "  connectivity:     %s ± %s\n",
 		metrics.FormatPct(metrics.Mean(conn)), metrics.FormatPct(metrics.StdDev(conn)))
-	if checkerFailed {
-		return 1
-	}
-	return 0
+	return checkerFailed
 }

@@ -11,6 +11,7 @@ import (
 
 	"spider/internal/archive"
 	"spider/internal/core"
+	"spider/internal/dhcp"
 	"spider/internal/fault"
 	"spider/internal/radio"
 	"spider/internal/scenario"
@@ -274,6 +275,10 @@ func TestApplyRefusesCorruptState(t *testing.T) {
 		}},
 		{"scan-table record with zero BSSID", func(st *shard.CityState) {
 			firstTableRecord(t, st).BSSID = wifi.Addr{}
+		}},
+		{"DHCP response of unknown kind", func(st *shard.CityState) {
+			ap := &st.Tiles[0].World.APs[0].AP
+			ap.DHCP.Pending = append(ap.DHCP.Pending, dhcp.PendingRespState{Kind: 3, Ev: ap.Beacon})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -44,7 +44,7 @@ var checkpointedTypes = []checkpointed{
 		translated: []string{"table", "ifaces", "txq", "swPolls", "inv",
 			"scanEv", "sliceEv", "inactEv", "bgScanEv", "bgReturnEv", "apSliceEv", "startEv",
 			"swLingerEv", "swRetuneEv"},
-		derived: []string{"kernel", "cfg", "radio", "events", "sink", "pool", "backoffRNG",
+		derived: []string{"kernel", "cfg", "pol", "radio", "events", "sink", "pool", "backoffRNG",
 			"resetFault", "connectedHooks", "teardownHooks", "tr", "hAssoc", "hJoin", "hSwitch",
 			"scanTickFn", "nextSliceFn", "inactivityFn", "bgScanFn", "bgReturnFn", "apSliceFn",
 			"startFn", "beginResetFn", "lingerFn", "arriveFn", "psmFree",

@@ -6,7 +6,7 @@ import (
 )
 
 // startAPSlicer begins FatVAP-style per-AP time slicing when the config
-// asks for it. Every APSliceDwell the driver picks the next connected
+// asks for it. Every pol.apSliceDwell the driver picks the next connected
 // interface on the current channel as the "active" AP, wakes it (PSM
 // off), and claims power-save at every other connected AP on the channel
 // — serializing service across same-channel APs exactly the way Spider's
@@ -15,7 +15,7 @@ func (d *Driver) startAPSlicer() {
 	if d.apSliceFn == nil {
 		d.apSliceFn = d.apSliceTick
 	}
-	d.apSliceEv = d.kernel.After(d.cfg.APSliceDwell, d.apSliceFn)
+	d.apSliceEv = d.kernel.After(d.pol.apSliceDwell, d.apSliceFn)
 }
 
 func (d *Driver) apSliceTick() {
@@ -24,7 +24,7 @@ func (d *Driver) apSliceTick() {
 		return
 	}
 	d.apSliceRebalance()
-	d.apSliceEv = d.kernel.After(d.cfg.APSliceDwell, d.apSliceFn)
+	d.apSliceEv = d.kernel.After(d.pol.apSliceDwell, d.apSliceFn)
 }
 
 // apSliceRebalance advances the slice rotation and reassigns PSM state.
@@ -71,20 +71,4 @@ func (d *Driver) setPSM(ifc *Iface, on bool) {
 	f.PowerMgmt = on
 	f.Seq = d.nextSeq()
 	d.radio.Send(f)
-}
-
-// apSliceActive reports, for tests, which BSSID is currently served
-// (zero Addr if slicing is idle).
-func (d *Driver) APSliceActive() wifi.Addr {
-	ch := d.radio.Channel()
-	var connected []*Iface
-	for _, ifc := range d.Interfaces() {
-		if ifc.Channel() == ch && ifc.Connected() {
-			connected = append(connected, ifc)
-		}
-	}
-	if len(connected) < 2 {
-		return wifi.Addr{}
-	}
-	return connected[d.sc.APSliceIdx%len(connected)].BSSID()
 }

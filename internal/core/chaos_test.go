@@ -20,11 +20,12 @@ func TestRetryBudgetBlacklistsFailingAP(t *testing.T) {
 	ap := w.addAP(1, "open", 6, geo.Point{X: 30})
 	ap.DHCPServer().SetChaos(w.k.RNG("test.chaos"), dhcp.Chaos{Drop: 1}, nil)
 	cfg := singleChannelCfg(SingleChannelMultiAP, 6)
-	cfg.HoldDown = 500 * time.Millisecond
-	cfg.BackoffCap = 2 * time.Second
-	cfg.MaxConsecFails = 3
-	cfg.Quarantine = 3 * time.Second
-	d := w.addDriver(cfg, geo.Static{P: geo.Point{}})
+	pol := policyFor(cfg.Mode)
+	pol.holdDown = 500 * time.Millisecond
+	pol.backoffCap = 2 * time.Second
+	pol.maxConsecFails = 3
+	pol.quarantine = 3 * time.Second
+	d := w.addDriverPolicy(cfg, pol, geo.Static{P: geo.Point{}})
 	w.k.Run(2 * time.Minute)
 
 	st := d.Stats()
@@ -56,18 +57,16 @@ func TestRetryBudgetBlacklistsFailingAP(t *testing.T) {
 func TestBackoffEscalates(t *testing.T) {
 	w := newWorld(12, 0)
 	ap := w.addAP(1, "open", 6, geo.Point{X: 30})
-	cfg := singleChannelCfg(SingleChannelMultiAP, 6)
-	cfg = cfg.withDefaults()
-	d := w.addDriver(cfg, geo.Static{P: geo.Point{}})
+	d := w.addDriver(singleChannelCfg(SingleChannelMultiAP, 6), geo.Static{P: geo.Point{}})
 	rec := d.table.observe(ap.Addr(), "open", 6, 0, 0, false)
 
 	d.applyFailBackoff(rec)
-	if got := rec.HoldUntil; got != cfg.HoldDown {
-		t.Fatalf("first failure HoldUntil = %v, want exactly %v", got, cfg.HoldDown)
+	if got := rec.HoldUntil; got != d.pol.holdDown {
+		t.Fatalf("first failure HoldUntil = %v, want exactly %v", got, d.pol.holdDown)
 	}
 	d.applyFailBackoff(rec)
 	second := rec.HoldUntil
-	if second <= cfg.HoldDown {
+	if second <= d.pol.holdDown {
 		t.Fatalf("second failure did not escalate: %v", second)
 	}
 	d.applyFailBackoff(rec)
@@ -87,8 +86,9 @@ func TestTeardownLeavesNoTimers(t *testing.T) {
 	w := newWorld(13, 0)
 	ap := w.addAP(1, "open", 6, geo.Point{X: 30})
 	cfg := singleChannelCfg(SingleChannelMultiAP, 6)
-	cfg.HoldDown = 500 * time.Millisecond
-	d := w.addDriver(cfg, geo.Static{P: geo.Point{}})
+	pol := policyFor(cfg.Mode)
+	pol.holdDown = 500 * time.Millisecond
+	d := w.addDriverPolicy(cfg, pol, geo.Static{P: geo.Point{}})
 	leaks := 0
 	d.AddTeardownHook(func(_ *Iface, leaked bool) {
 		if leaked {
@@ -140,8 +140,9 @@ func TestLeaseRevalidationOnReassociation(t *testing.T) {
 	w := newWorld(14, 0)
 	ap := w.addAP(1, "open", 6, geo.Point{X: 30})
 	cfg := singleChannelCfg(SingleChannelMultiAP, 6)
-	cfg.HoldDown = time.Second
-	d := w.addDriver(cfg, geo.Static{P: geo.Point{}})
+	pol := policyFor(cfg.Mode)
+	pol.holdDown = time.Second
+	d := w.addDriverPolicy(cfg, pol, geo.Static{P: geo.Point{}})
 	w.k.At(20*time.Second, ap.Crash)
 	w.k.At(40*time.Second, ap.Restart)
 	w.k.Run(90 * time.Second)

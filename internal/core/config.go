@@ -81,62 +81,19 @@ type Config struct {
 	Join mac.JoinConfig
 	// DHCP is the client timeout policy.
 	DHCP dhcp.ClientConfig
-	// ResetBase is the hardware-reset component of a channel switch
-	// (Table 1: ≈4.94 ms on the Atheros chipset).
-	ResetBase time.Duration
-	// ScanInterval is the probe-burst period while dwelling on a channel.
-	ScanInterval time.Duration
-	// InactivityTimeout drops an interface whose AP has not been heard
-	// for this long (out of range).
-	InactivityTimeout time.Duration
-	// HoldDown is the per-AP back-off after a failed join attempt. The
-	// stock value is the DHCP client's 60 s idle; Spider retries sooner.
-	// From the second consecutive failure the hold grows exponentially
-	// (±20% jitter) up to BackoffCap — a crashed AP should not be
-	// hammered every HoldDown forever.
-	HoldDown time.Duration
-	// BackoffCap bounds the exponential growth of the per-AP hold-down.
-	// Zero defaults to 8× HoldDown.
-	BackoffCap time.Duration
-	// MaxConsecFails is the per-AP consecutive-failure budget: once an AP
-	// fails this many joins in a row it is quarantined (blacklisted) for
-	// Quarantine instead of merely held down. Zero takes the default (5);
-	// negative disables quarantine.
-	MaxConsecFails int
-	// Quarantine is the base blacklist duration once the failure budget
-	// is exhausted. It doubles with each successive quarantine of the
-	// same AP (capped at 4×) and carries ±25% jitter so a fleet of
-	// failed APs does not return in lockstep. Zero defaults to 8×
-	// HoldDown when MaxConsecFails is set.
-	Quarantine time.Duration
-	// GlobalIdleOnDHCPFail reproduces the stock DHCP client's behaviour
-	// of going idle after a failed attempt window ("it is idle for 60
-	// seconds if it fails") — no joins to ANY AP until it expires.
-	// Spider leaves it zero and relies on the per-AP HoldDown.
-	GlobalIdleOnDHCPFail time.Duration
-	// BackgroundScanEvery/BackgroundScanDwell: while a multi-channel
-	// single-AP driver dwells on its associated AP's channel, it must
-	// still peek at the other scheduled channels periodically or it has
-	// nowhere to go when the link dies. Every is the period, Dwell the
-	// off-channel excursion length. Zero disables.
-	BackgroundScanEvery time.Duration
-	BackgroundScanDwell time.Duration
 	// APCentric switches the driver to FatVAP-style scheduling: even APs
-	// on the SAME channel are served one at a time in APSliceDwell slices,
+	// on the SAME channel are served one at a time in 100 ms slices,
 	// with PSM claimed at all the others. Spider's contribution is
 	// precisely NOT doing this ("in contrast to previous work that slices
 	// time across individual APs, Spider schedules a physical Wi-Fi card
 	// among 802.11 channels"); the flag exists so the design choice can
 	// be measured (ablation-apcentric).
-	APCentric    bool
-	APSliceDwell time.Duration
+	APCentric bool
 	// UseLeaseCache enables REQUEST-first rejoins from cached leases.
 	UseLeaseCache bool
 	// UseHistory enables the join-history selection heuristic; without it
 	// APs are picked by recency (stock behaviour).
 	UseHistory bool
-	// TxQueueFrames bounds each per-channel transmit queue.
-	TxQueueFrames int
 	// StartAt defers the driver's admission to the given absolute virtual
 	// time: until then the radio stays untuned (channel 0 hears nothing)
 	// and no scheduler, scan, or inactivity timer runs. Zero — or any
@@ -147,44 +104,33 @@ type Config struct {
 }
 
 // SpiderDefaults returns Spider's tuned policy for the given mode and
-// schedule: reduced timers, lease caching, history-driven selection.
+// schedule: reduced link and DHCP timeouts, lease caching,
+// history-driven selection. The driver's own timers follow from the
+// mode (see policyFor).
 func SpiderDefaults(mode Mode, schedule []ChannelSlice) Config {
 	cfg := Config{
-		Mode:              mode,
-		Schedule:          schedule,
-		MaxInterfaces:     7,
-		Join:              mac.ReducedJoinConfig(),
-		DHCP:              dhcp.ReducedClientConfig(200 * time.Millisecond),
-		ResetBase:         4940 * time.Microsecond,
-		ScanInterval:      250 * time.Millisecond,
-		InactivityTimeout: 3 * time.Second,
-		HoldDown:          4 * time.Second,
-		UseLeaseCache:     true,
-		UseHistory:        true,
-		TxQueueFrames:     128,
+		Mode:          mode,
+		Schedule:      schedule,
+		MaxInterfaces: 7,
+		Join:          mac.ReducedJoinConfig(),
+		DHCP:          dhcp.ReducedClientConfig(200 * time.Millisecond),
+		UseLeaseCache: true,
+		UseHistory:    true,
 	}
 	// Spider stretches the stock 3 s DHCP window slightly: with the
 	// backed-off retry ladder, the extra second is what lets a
 	// slow-but-valuable AP answer the final patient request.
 	cfg.DHCP.AttemptWindow = 4500 * time.Millisecond
-	if mode == MultiChannelSingleAP {
-		cfg.BackgroundScanEvery = 1500 * time.Millisecond
-		cfg.BackgroundScanDwell = 300 * time.Millisecond
-	}
 	return cfg
 }
 
 // StockDefaults returns the unmodified-driver baseline policy: default
-// timers, no cache, no history, sticky link-death detection, and the
-// stock DHCP client's 60 s global idle after a failed attempt.
+// link and DHCP timeouts, no cache, no history. Its mode, StockWiFi,
+// gives it the stock driver's timers (see policyFor).
 func StockDefaults(schedule []ChannelSlice) Config {
 	cfg := SpiderDefaults(StockWiFi, schedule)
 	cfg.Join = mac.DefaultJoinConfig()
 	cfg.DHCP = dhcp.DefaultClientConfig()
-	cfg.ScanInterval = 500 * time.Millisecond
-	cfg.InactivityTimeout = 8 * time.Second
-	cfg.HoldDown = 20 * time.Second
-	cfg.GlobalIdleOnDHCPFail = 60 * time.Second
 	cfg.UseLeaseCache = false
 	cfg.UseHistory = false
 	return cfg
@@ -200,42 +146,87 @@ func EqualSchedule(dwell time.Duration, channels ...int) []ChannelSlice {
 }
 
 func (c Config) withDefaults() Config {
-	d := SpiderDefaults(c.Mode, c.Schedule)
 	if len(c.Schedule) == 0 {
 		c.Schedule = EqualSchedule(200*time.Millisecond, 1, 6, 11)
 	}
 	if c.MaxInterfaces <= 0 {
-		c.MaxInterfaces = d.MaxInterfaces
+		c.MaxInterfaces = 7
 	}
 	if !c.Mode.MultiAP() {
 		c.MaxInterfaces = 1
 	}
-	if c.ResetBase <= 0 {
-		c.ResetBase = d.ResetBase
-	}
-	if c.ScanInterval <= 0 {
-		c.ScanInterval = d.ScanInterval
-	}
-	if c.InactivityTimeout <= 0 {
-		c.InactivityTimeout = d.InactivityTimeout
-	}
-	if c.HoldDown <= 0 {
-		c.HoldDown = d.HoldDown
-	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = 8 * c.HoldDown
-	}
-	if c.MaxConsecFails == 0 {
-		c.MaxConsecFails = 5
-	}
-	if c.Quarantine <= 0 {
-		c.Quarantine = 8 * c.HoldDown
-	}
-	if c.TxQueueFrames <= 0 {
-		c.TxQueueFrames = d.TxQueueFrames
-	}
-	if c.APCentric && c.APSliceDwell <= 0 {
-		c.APSliceDwell = 100 * time.Millisecond
-	}
 	return c
+}
+
+// policy holds the driver's timers and queue bounds. No experiment
+// varies them: the driver takes them from its mode (policyFor).
+type policy struct {
+	// resetBase is the hardware-reset component of a channel switch
+	// (Table 1: ≈4.94 ms on the Atheros chipset).
+	resetBase time.Duration
+	// scanInterval is the probe-burst period while dwelling on a channel.
+	scanInterval time.Duration
+	// inactivity drops an interface whose AP has not been heard for this
+	// long (out of range).
+	inactivity time.Duration
+	// holdDown is the per-AP back-off after a failed join attempt: 20 s
+	// for the stock driver, 4 s for Spider, which retries sooner.
+	// From the second consecutive failure the hold grows exponentially
+	// (±20% jitter) up to backoffCap — a crashed AP should not be
+	// hammered every holdDown forever.
+	holdDown   time.Duration
+	backoffCap time.Duration
+	// maxConsecFails is the per-AP consecutive-failure budget: once an AP
+	// fails this many joins in a row it is quarantined (blacklisted) for
+	// quarantine instead of merely held down. The quarantine doubles with
+	// each successive quarantine of the same AP (capped at 4×) and
+	// carries ±25% jitter so a fleet of failed APs does not return in
+	// lockstep.
+	maxConsecFails int
+	quarantine     time.Duration
+	// globalIdle reproduces the stock DHCP client's behaviour of going
+	// idle after a failed attempt window ("it is idle for 60 seconds if
+	// it fails") — no joins to ANY AP until it expires. Spider leaves it
+	// zero and relies on the per-AP hold-down.
+	globalIdle time.Duration
+	// bgScanEvery/bgScanDwell: while a multi-channel single-AP driver
+	// dwells on its associated AP's channel, it must still peek at the
+	// other scheduled channels periodically or it has nowhere to go when
+	// the link dies. Every is the period, dwell the off-channel excursion
+	// length. Zero disables.
+	bgScanEvery time.Duration
+	bgScanDwell time.Duration
+	// apSliceDwell is the per-AP slice of APCentric scheduling.
+	apSliceDwell time.Duration
+	// txQueueFrames bounds each per-channel transmit queue.
+	txQueueFrames int
+}
+
+// policyFor returns the timers a mode runs with: the stock driver's
+// for StockWiFi, Spider's reduced ones for the four Spider modes, and
+// the background scan only for MultiChannelSingleAP, the one mode that
+// dwells on one channel while its schedule names others.
+func policyFor(m Mode) policy {
+	p := policy{
+		resetBase:      4940 * time.Microsecond,
+		scanInterval:   250 * time.Millisecond,
+		inactivity:     3 * time.Second,
+		holdDown:       4 * time.Second,
+		maxConsecFails: 5,
+		apSliceDwell:   100 * time.Millisecond,
+		txQueueFrames:  128,
+	}
+	switch m {
+	case StockWiFi:
+		p.scanInterval = 500 * time.Millisecond
+		p.inactivity = 8 * time.Second
+		p.holdDown = 20 * time.Second
+		p.globalIdle = 60 * time.Second
+	case MultiChannelSingleAP:
+		p.bgScanEvery = 1500 * time.Millisecond
+		p.bgScanDwell = 300 * time.Millisecond
+	}
+	p.backoffCap = 8 * p.holdDown
+	p.quarantine = 8 * p.holdDown
+	return p
 }

@@ -122,6 +122,7 @@ var deauthLeavingBody = &wifi.DeauthBody{Reason: 3}
 type Driver struct {
 	kernel *sim.Kernel
 	cfg    Config
+	pol    policy
 	radio  *radio.Radio
 	events Events
 
@@ -136,7 +137,7 @@ type Driver struct {
 
 	// txq holds the frames waiting for their channel, one queue for all
 	// channels: each channel's frames keep their order, and each channel
-	// is capped at TxQueueFrames on its own.
+	// is capped at pol.txQueueFrames on its own.
 	txq []queuedFrame
 
 	sink func(bssid wifi.Addr, db *wifi.DataBody)
@@ -238,10 +239,17 @@ type driverScalars struct {
 // given mobility model, tunes to the first scheduled channel, and starts
 // the scheduler and scanner.
 func NewDriver(m *radio.Medium, cfg Config, addr wifi.Addr, mob geo.Mobility, events Events) *Driver {
+	return newDriver(m, cfg, policyFor(cfg.Mode), addr, mob, events)
+}
+
+// newDriver is NewDriver with the timers given rather than taken from
+// the mode.
+func newDriver(m *radio.Medium, cfg Config, pol policy, addr wifi.Addr, mob geo.Mobility, events Events) *Driver {
 	k := m.Kernel()
 	d := &Driver{
 		kernel:     k,
 		cfg:        cfg.withDefaults(),
+		pol:        pol,
 		events:     events,
 		table:      newAPTable(),
 		ifaces:     make(map[wifi.Addr]*Iface),
@@ -304,8 +312,8 @@ func (d *Driver) start() {
 		d.sliceEv = d.kernel.After(d.cfg.Schedule[0].Dwell, d.nextSliceFn)
 	}
 	d.inactEv = d.kernel.After(time.Second, d.inactivityFn)
-	if d.cfg.BackgroundScanEvery > 0 && len(d.cfg.Schedule) > 1 {
-		d.bgScanEv = d.kernel.After(d.cfg.BackgroundScanEvery, d.bgScanFn)
+	if d.pol.bgScanEvery > 0 && len(d.cfg.Schedule) > 1 {
+		d.bgScanEv = d.kernel.After(d.pol.bgScanEvery, d.bgScanFn)
 	}
 	if d.cfg.APCentric {
 		d.startAPSlicer()
@@ -402,7 +410,7 @@ func (d *Driver) backgroundScanTick() {
 		return
 	}
 	d.backgroundScanVisit()
-	d.bgScanEv = d.kernel.After(d.cfg.BackgroundScanEvery, d.bgScanFn)
+	d.bgScanEv = d.kernel.After(d.pol.bgScanEvery, d.bgScanFn)
 }
 
 func (d *Driver) backgroundScanVisit() {
@@ -428,7 +436,7 @@ func (d *Driver) backgroundScanVisit() {
 	}
 	d.sc.BGHome = home
 	d.switchTo(target)
-	d.bgReturnEv = d.kernel.After(d.cfg.BackgroundScanDwell, d.bgReturnFn)
+	d.bgReturnEv = d.kernel.After(d.pol.bgScanDwell, d.bgReturnFn)
 }
 
 // Addr returns the client MAC address.
@@ -686,7 +694,7 @@ func (d *Driver) switchTo(ch int) {
 	if w != nil {
 		w.release() // a dark radio completes sends at once; the hold outlived them
 	}
-	latency += d.cfg.ResetBase
+	latency += d.pol.resetBase
 	// Collect the polls we will owe on the new channel.
 	d.swPolls = d.swPolls[:0]
 	for _, ifc := range ifaces {
@@ -707,7 +715,7 @@ func (d *Driver) switchTo(ch int) {
 	}
 	// A fault-injected flaky chipset can stretch this reset; the modeled
 	// latency above keeps the healthy figure — the stretch is the fault.
-	reset := d.cfg.ResetBase
+	reset := d.pol.resetBase
 	if d.resetFault != nil {
 		if stuck := d.resetFault(); stuck > 0 {
 			d.sc.Stats.ResetFaults++
@@ -814,7 +822,7 @@ func (d *Driver) scanTick() {
 		return
 	}
 	d.probe()
-	d.scanEv = d.kernel.After(d.cfg.ScanInterval, d.scanTickFn)
+	d.scanEv = d.kernel.After(d.pol.scanInterval, d.scanTickFn)
 }
 
 // probe sends a wildcard probe request on the current channel
@@ -971,8 +979,8 @@ func (d *Driver) onDHCPResult(ifc *Iface, res dhcp.Result) {
 	}
 	if !res.Success {
 		d.sc.Stats.DHCPFailures++
-		if d.cfg.GlobalIdleOnDHCPFail > 0 {
-			d.sc.IdleUntil = d.kernel.Now() + d.cfg.GlobalIdleOnDHCPFail
+		if d.pol.globalIdle > 0 {
+			d.sc.IdleUntil = d.kernel.Now() + d.pol.globalIdle
 		}
 		d.failJoin(ifc)
 		return
@@ -1071,13 +1079,13 @@ func (d *Driver) failJoin(ifc *Iface) {
 func (d *Driver) applyFailBackoff(rec *APRecord) {
 	rec.ConsecFails++
 	now := d.kernel.Now()
-	if d.cfg.MaxConsecFails > 0 && rec.ConsecFails >= d.cfg.MaxConsecFails {
+	if rec.ConsecFails >= d.pol.maxConsecFails {
 		// Retry budget exhausted: quarantine the AP. The duration doubles
 		// with each successive quarantine (capped at 4× base) and carries
 		// ±25% jitter so a fleet of crashed APs does not come back — and
 		// fail again — in lockstep.
 		rec.Quarantines++
-		q := d.cfg.Quarantine
+		q := d.pol.quarantine
 		shift := rec.Quarantines - 1
 		if shift > 2 {
 			shift = 2
@@ -1095,15 +1103,15 @@ func (d *Driver) applyFailBackoff(rec *APRecord) {
 	} else {
 		// First failure keeps the plain hold-down; repeats escalate
 		// exponentially (with jitter) up to the cap.
-		hold := d.cfg.HoldDown
+		hold := d.pol.holdDown
 		if rec.ConsecFails >= 2 {
 			shift := rec.ConsecFails - 1
 			if shift > 6 {
 				shift = 6
 			}
 			hold <<= uint(shift)
-			if d.cfg.BackoffCap > 0 && hold > d.cfg.BackoffCap {
-				hold = d.cfg.BackoffCap
+			if hold > d.pol.backoffCap {
+				hold = d.pol.backoffCap
 			}
 			hold += time.Duration((d.backoffRNG.Float64()*0.4 - 0.2) * float64(hold))
 		}
@@ -1189,7 +1197,7 @@ func (d *Driver) inactivityTick() {
 	}
 	now := d.kernel.Now()
 	for _, ifc := range d.liveIfaces() {
-		if now-ifc.sc.LastHeard > d.cfg.InactivityTimeout {
+		if now-ifc.sc.LastHeard > d.pol.inactivity {
 			if ifc.Connected() {
 				d.teardown(ifc)
 			} else {
@@ -1213,7 +1221,7 @@ func (d *Driver) transmit(ch int, f *wifi.Frame) {
 	}
 	// The whole queue bounds any one channel's share, so only a queue
 	// that long needs the per-channel count.
-	if len(d.txq) >= d.cfg.TxQueueFrames && d.queuedOn(ch) >= d.cfg.TxQueueFrames {
+	if len(d.txq) >= d.pol.txQueueFrames && d.queuedOn(ch) >= d.pol.txQueueFrames {
 		d.sc.Stats.TxQueueDrops++
 		return
 	}

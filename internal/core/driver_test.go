@@ -46,12 +46,18 @@ func (w *world) addAP(i uint32, ssid string, ch int, pos geo.Point) *mac.AP {
 }
 
 func (w *world) addDriver(cfg Config, mob geo.Mobility) *Driver {
+	return w.addDriverPolicy(cfg, policyFor(cfg.Mode), mob)
+}
+
+// addDriverPolicy is addDriver with the driver's timers given rather
+// than taken from the mode.
+func (w *world) addDriverPolicy(cfg Config, pol policy, mob geo.Mobility) *Driver {
 	ev := Events{
 		OnConnected:    func(ifc *Iface) { w.connected = append(w.connected, ifc.BSSID()) },
 		OnDisconnected: func(ifc *Iface) { w.disconnected = append(w.disconnected, ifc.BSSID()) },
 		OnJoinResult:   func(_ wifi.Addr, ok bool, _ time.Duration) { w.joinResults = append(w.joinResults, ok) },
 	}
-	w.driver = NewDriver(w.m, cfg, wifi.NewAddr(1, 1), mob, ev)
+	w.driver = newDriver(w.m, cfg, pol, wifi.NewAddr(1, 1), mob, ev)
 	return w.driver
 }
 
@@ -135,7 +141,7 @@ func TestMultiChannelRotationVisitsAllChannels(t *testing.T) {
 	ev := Events{OnSwitch: func(from, to int, lat time.Duration, n int) {
 		switches = append(switches, to)
 		visited[to] = true
-		if lat < cfg.ResetBase {
+		if lat < policyFor(cfg.Mode).resetBase {
 			t.Errorf("switch latency %v below reset base", lat)
 		}
 	}}
@@ -170,8 +176,9 @@ func TestMultiChannelSingleAPDwellsOnConnectedChannel(t *testing.T) {
 	w := newWorld(7, 0)
 	w.addAP(1, "a", 6, geo.Point{X: 20})
 	cfg := SpiderDefaults(MultiChannelSingleAP, EqualSchedule(200*time.Millisecond, 1, 6, 11))
-	cfg.BackgroundScanEvery = 0 // isolate the dwell behaviour
-	d := w.addDriver(cfg, geo.Static{P: geo.Point{}})
+	pol := policyFor(cfg.Mode)
+	pol.bgScanEvery = 0 // isolate the dwell behaviour
+	d := w.addDriverPolicy(cfg, pol, geo.Static{P: geo.Point{}})
 	w.k.Run(20 * time.Second)
 	if d.ConnectedCount() != 1 {
 		t.Fatalf("not connected (stats %+v)", d.Stats())
@@ -344,8 +351,9 @@ func TestHoldDownBlocksImmediateRetry(t *testing.T) {
 	}
 	mac.NewAPAt(w.m, cfg, wifi.NewAddr(0, 1), geo.Point{X: 20}, 1)
 	dcfg := singleChannelCfg(SingleChannelSingleAP, 6)
-	dcfg.HoldDown = 20 * time.Second
-	d := w.addDriver(dcfg, geo.Static{P: geo.Point{}})
+	pol := policyFor(dcfg.Mode)
+	pol.holdDown = 20 * time.Second
+	d := w.addDriverPolicy(dcfg, pol, geo.Static{P: geo.Point{}})
 	w.k.Run(10 * time.Second)
 	first := d.Stats().DHCPFailures
 	if first == 0 {
@@ -537,8 +545,9 @@ func TestTxQueueOverflowDrops(t *testing.T) {
 	w := newWorld(32, 0)
 	ap := w.addAP(1, "a", 6, geo.Point{X: 20})
 	cfg := SpiderDefaults(MultiChannelMultiAP, EqualSchedule(200*time.Millisecond, 6, 11))
-	cfg.TxQueueFrames = 4
-	d := w.addDriver(cfg, geo.Static{P: geo.Point{}})
+	pol := policyFor(cfg.Mode)
+	pol.txQueueFrames = 4
+	d := w.addDriverPolicy(cfg, pol, geo.Static{P: geo.Point{}})
 	w.k.Run(20 * time.Second)
 	if d.ConnectedCount() != 1 {
 		t.Fatalf("not connected (stats %+v)", d.Stats())

@@ -35,15 +35,16 @@ func txqSeqs(t *testing.T, st DriverState) map[int][]uint16 {
 
 // The driver keeps one transmit queue for every channel. Frames for
 // channels 11, 1 and 6, interleaved, must behave as three queues: each
-// channel capped at TxQueueFrames on its own, drained in its own order,
+// channel capped at the policy's txQueueFrames on its own, drained in its own order,
 // purged of a torn-down interface's frames only, and checkpointed as one
 // group per channel, ascending.
 func TestTxQueueSharedAcrossChannels(t *testing.T) {
 	build := func() (*world, *Driver) {
 		w := newWorld(41, 0)
 		cfg := singleChannelCfg(SingleChannelMultiAP, 1)
-		cfg.TxQueueFrames = 3
-		return w, w.addDriver(cfg, geo.Static{})
+		pol := policyFor(cfg.Mode)
+		pol.txQueueFrames = 3
+		return w, w.addDriverPolicy(cfg, pol, geo.Static{})
 	}
 	w, d := build()
 	apA, apB, apC, apD := wifi.NewAddr(0, 11), wifi.NewAddr(0, 1), wifi.NewAddr(0, 6), wifi.NewAddr(0, 12)

@@ -16,11 +16,6 @@ type ClientConfig struct {
 	// RetxTimeout is the per-message retransmission timer. The stock
 	// default is 1 s; the reduced configurations use 100–600 ms.
 	RetxTimeout time.Duration
-	// RetxBackoffCap bounds the RFC 2131-style doubling of the timer on
-	// successive retransmissions. Defaults to 8× RetxTimeout: quick first
-	// retries recover losses, later patient ones give slow servers a
-	// chance inside the attempt window.
-	RetxBackoffCap time.Duration
 	// AttemptWindow bounds one acquisition attempt end to end. The stock
 	// client "attempts to acquire a lease for 3 seconds".
 	AttemptWindow time.Duration
@@ -63,9 +58,6 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	}
 	if c.IdleAfterFail <= 0 {
 		c.IdleAfterFail = d.IdleAfterFail
-	}
-	if c.RetxBackoffCap <= 0 {
-		c.RetxBackoffCap = 8 * c.RetxTimeout
 	}
 	return c
 }
@@ -260,10 +252,12 @@ func (c *Client) sendCurrent() {
 	// RFC 2131 §4.1: retransmission timers double on each retry (up to a
 	// cap) and carry randomized jitter. The jitter, beyond congestion
 	// etiquette, breaks phase locks between the timer and a virtualized
-	// driver's channel schedule.
+	// driver's channel schedule. The cap is 8× the first timer: quick
+	// first retries recover losses, later patient ones give slow servers
+	// a chance inside the attempt window.
 	timeout := c.cfg.RetxTimeout << uint(c.sc.RetxN)
-	if timeout > c.cfg.RetxBackoffCap {
-		timeout = c.cfg.RetxBackoffCap
+	if limit := 8 * c.cfg.RetxTimeout; timeout > limit {
+		timeout = limit
 	}
 	jitter := time.Duration((c.rng.Float64()*0.4 - 0.2) * float64(timeout))
 	c.retxTimer = c.kernel.After(timeout+jitter, c.retxFn)

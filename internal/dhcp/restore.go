@@ -1,6 +1,7 @@
 package dhcp
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -54,8 +55,9 @@ func (s *Server) ExportState() ServerState {
 
 // RestoreState rewinds a freshly built server to a checkpointed state,
 // re-arming every pending response with its recorded (at, seq). Call
-// after the owning kernel's BeginRestore.
-func (s *Server) RestoreState(st ServerState) {
+// after the owning kernel's BeginRestore. A pending response whose kind
+// is not offer, ack or nak is refused: it would be sent uncounted.
+func (s *Server) RestoreState(st ServerState) error {
 	s.sc, s.ServerStats = st.serverScalars, st.ServerStats
 	s.bindings = make(map[wifi.Addr]binding, len(st.Bindings))
 	for _, b := range st.Bindings {
@@ -63,9 +65,13 @@ func (s *Server) RestoreState(st ServerState) {
 	}
 	s.pending = s.pending[:0]
 	for _, p := range st.Pending {
+		if respKind(p.Kind) > respNak {
+			return fmt.Errorf("dhcp: restoring a pending response of unknown kind %d", p.Kind)
+		}
 		r := s.trackResp(respKind(p.Kind), p.Msg)
 		r.ev = p.Ev.Restore(s.kernel, r.fireFn)
 	}
+	return nil
 }
 
 // ClientState is a DHCP client's complete checkpointable state.

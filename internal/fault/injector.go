@@ -104,18 +104,14 @@ type injectorScalars struct {
 	ResetWindowUntil time.Duration
 }
 
-// NewInjector creates an injector for the kernel's run. Nothing fires
-// until components are attached.
-func NewInjector(k *sim.Kernel, cfg Config) *Injector {
-	return NewInjectorSeeded(k, cfg, k.Seed())
-}
-
-// NewInjectorSeeded is NewInjector with an explicit stream seed. Sharded
-// runs derive each tile's kernel seed from the world seed, but faults
-// must draw from the *world's* streams — every tile passes the world
-// seed here (with global target indices at attach time) so a target
-// sees the same fault schedule in any tile layout.
-func NewInjectorSeeded(k *sim.Kernel, cfg Config, seed int64) *Injector {
+// NewInjector creates an injector on kernel k whose fault streams derive
+// from seed. Nothing fires until components are attached. A whole-world
+// run passes its kernel's seed; sharded runs derive each tile's kernel
+// seed from the world seed, but faults must draw from the *world's*
+// streams, so every tile passes the world seed (and global target
+// indices at attach time) and a target sees the same fault schedule in
+// any tile layout.
+func NewInjector(k *sim.Kernel, cfg Config, seed int64) *Injector {
 	in := &Injector{
 		kernel:      k,
 		cfg:         cfg,
@@ -297,14 +293,9 @@ func (in *Injector) scheduleEpisodes(class string, target int, mtbf time.Duratio
 
 // AttachAP registers an access point as fault target: crash/reboot
 // cycles, beacon silences, and DHCP server misbehavior per the config.
-// Target index is assignment order (the scenario's AP order).
-func (in *Injector) AttachAP(ap *mac.AP) {
-	in.AttachAPIndexed(ap, len(in.aps))
-}
-
-// AttachAPIndexed is AttachAP with an explicit stream index (sharded
-// runs pass the AP's global plan index).
-func (in *Injector) AttachAPIndexed(ap *mac.AP, streamIdx int) {
+// streamIdx names the AP's fault streams: a whole world passes its
+// attach order, a sharded run the AP's global plan index.
+func (in *Injector) AttachAP(ap *mac.AP, streamIdx int) {
 	idx := len(in.aps)
 	in.aps = append(in.aps, ap)
 	in.apStream = append(in.apStream, streamIdx)
@@ -343,14 +334,10 @@ func (in *Injector) setServerChaos(idx int, c dhcp.Chaos) {
 }
 
 // AttachLink registers a backhaul link as fault target: blackhole
-// outages and latency spikes. Target index is assignment order.
-func (in *Injector) AttachLink(l *backhaul.Link) {
-	in.AttachLinkIndexed(l, len(in.links))
-}
-
-// AttachLinkIndexed is AttachLink with an explicit stream index (sharded
-// runs pass the owning AP's global plan index).
-func (in *Injector) AttachLinkIndexed(l *backhaul.Link, streamIdx int) {
+// outages and latency spikes. streamIdx names the link's fault streams:
+// a whole world passes its attach order, a sharded run the owning AP's
+// global plan index.
+func (in *Injector) AttachLink(l *backhaul.Link, streamIdx int) {
 	in.links = append(in.links, l)
 	in.linkStream = append(in.linkStream, streamIdx)
 	if in.cfg.BlackholeMTBF > 0 {

@@ -17,8 +17,8 @@ func blackholeRun(seed int64) (uint64, []string) {
 		BlackholeMTBF: 20 * time.Second,
 		BlackholeDur:  sim.Uniform{Min: time.Second, Max: 5 * time.Second},
 	}
-	in := NewInjector(k, cfg)
-	in.AttachLink(l)
+	in := NewInjector(k, cfg, k.Seed())
+	in.AttachLink(l, 0)
 	var trace []string
 	// Sample the link state at a fine grain to fingerprint the episode
 	// schedule.
@@ -70,8 +70,8 @@ func TestEpisodesDeterministic(t *testing.T) {
 func TestZeroConfigSchedulesNothing(t *testing.T) {
 	k := sim.NewKernel(7)
 	l := backhaul.NewLink(k, backhaul.Config{RateKbps: 1000, Latency: 10 * time.Millisecond, QueueBytes: 64 << 10})
-	in := NewInjector(k, Config{})
-	in.AttachLink(l)
+	in := NewInjector(k, Config{}, k.Seed())
+	in.AttachLink(l, 0)
 	before := k.Fired()
 	k.Run(time.Minute)
 	if fired := k.Fired() - before; fired != 0 {
@@ -85,12 +85,12 @@ func TestZeroConfigSchedulesNothing(t *testing.T) {
 func TestTimelineBlackholeApplies(t *testing.T) {
 	k := sim.NewKernel(7)
 	l := backhaul.NewLink(k, backhaul.Config{RateKbps: 1000, Latency: 10 * time.Millisecond, QueueBytes: 64 << 10})
-	in := NewInjector(k, Config{})
+	in := NewInjector(k, Config{}, k.Seed())
 	tl, err := ParseTimeline("blackhole:0@10s+5s; latency-spike:0@20s+5s=250")
 	if err != nil {
 		t.Fatal(err)
 	}
-	in.AttachLink(l)
+	in.AttachLink(l, 0)
 	in.ScheduleTimeline(tl)
 	check := func(at time.Duration, wantHole bool, wantLat time.Duration) {
 		k.At(at, func() {
@@ -118,7 +118,7 @@ func TestTimelineBlackholeApplies(t *testing.T) {
 
 func TestTimelineSkipsUnresolvableTargets(t *testing.T) {
 	k := sim.NewKernel(7)
-	in := NewInjector(k, Config{})
+	in := NewInjector(k, Config{}, k.Seed())
 	tl, err := ParseTimeline("blackhole:3@10s+5s; ap-crash@10s+5s; burst-loss:6@10s+5s=0.5")
 	if err != nil {
 		t.Fatal(err)

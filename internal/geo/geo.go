@@ -258,16 +258,3 @@ func DeployUniform(r *rand.Rand, w, h float64, n int, mix ChannelMix) []Deployme
 	}
 	return deps
 }
-
-// DeploySpaced places APs at a regular spacing along a route — useful for
-// controlled experiments where AP encounters must be periodic.
-func DeploySpaced(route *Route, spacing float64, channel int) []Deployment {
-	if spacing <= 0 {
-		panic("geo: spacing must be positive")
-	}
-	var deps []Deployment
-	for d := 0.0; d <= route.Length(); d += spacing {
-		deps = append(deps, Deployment{Pos: route.PointAt(d), Channel: channel})
-	}
-	return deps
-}

@@ -209,28 +209,3 @@ func TestDeployAlongRouteNearRoute(t *testing.T) {
 		}
 	}
 }
-
-func TestDeploySpaced(t *testing.T) {
-	deps := DeploySpaced(StraightRoad(1000), 250, 6)
-	if len(deps) != 5 {
-		t.Fatalf("got %d APs, want 5", len(deps))
-	}
-	for i, d := range deps {
-		if d.Channel != 6 {
-			t.Fatal("channel not propagated")
-		}
-		want := float64(i) * 250
-		if math.Abs(d.Pos.X-want) > 1e-9 {
-			t.Fatalf("AP %d at x=%v, want %v", i, d.Pos.X, want)
-		}
-	}
-}
-
-func TestDeploySpacedBadSpacingPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	DeploySpaced(StraightRoad(10), 0, 1)
-}

@@ -120,27 +120,3 @@ func (m *StopAndGo) AverageSpeed(window time.Duration) float64 {
 	}
 	return d / window.Seconds()
 }
-
-// ManhattanRoute builds a city-grid walk: n blocks of the given length,
-// turning left/right/straight at each corner with equal probability,
-// deterministic in the RNG. Useful for drives that do not retrace a
-// fixed loop.
-func ManhattanRoute(r *rand.Rand, blocks int, blockLen float64) *Route {
-	if blocks < 1 {
-		blocks = 1
-	}
-	pts := []Point{{0, 0}}
-	dir := Point{1, 0}
-	cur := Point{0, 0}
-	for i := 0; i < blocks; i++ {
-		cur = cur.Add(dir.Scale(blockLen))
-		pts = append(pts, cur)
-		switch r.Intn(3) {
-		case 0: // left
-			dir = Point{-dir.Y, dir.X}
-		case 1: // right
-			dir = Point{dir.Y, -dir.X}
-		}
-	}
-	return NewRoute(pts...)
-}

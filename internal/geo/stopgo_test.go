@@ -1,7 +1,6 @@
 package geo
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 )
@@ -96,35 +95,5 @@ func TestStopAndGoNegativeTimeClamps(t *testing.T) {
 	}
 	if m.Speed() != 10 {
 		t.Fatal("cruise speed accessor")
-	}
-}
-
-func TestManhattanRouteStructure(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	route := ManhattanRoute(r, 20, 150)
-	if route.Length() != 20*150 {
-		t.Fatalf("length %v, want 3000 (axis-aligned blocks)", route.Length())
-	}
-	pts := route.Points()
-	if len(pts) != 21 {
-		t.Fatalf("%d waypoints", len(pts))
-	}
-	// Every leg is axis-aligned with length 150.
-	for i := 1; i < len(pts); i++ {
-		dx, dy := pts[i].X-pts[i-1].X, pts[i].Y-pts[i-1].Y
-		if dx != 0 && dy != 0 {
-			t.Fatalf("diagonal leg %d", i)
-		}
-		if d := pts[i].Dist(pts[i-1]); d != 150 {
-			t.Fatalf("leg %d length %v", i, d)
-		}
-	}
-}
-
-func TestManhattanRouteDegenerate(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	route := ManhattanRoute(r, 0, 100)
-	if route.Length() != 100 {
-		t.Fatalf("min one block, got %v", route.Length())
 	}
 }

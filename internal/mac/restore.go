@@ -73,7 +73,9 @@ func (ap *AP) ExportState() APState {
 // medium layer.
 func (ap *AP) RestoreState(st APState) error {
 	ap.sc, ap.APStats = st.apScalars, st.APStats
-	ap.dhcpd.RestoreState(st.DHCP)
+	if err := ap.dhcpd.RestoreState(st.DHCP); err != nil {
+		return err
+	}
 	ap.inv.RestoreState(st.Invariants)
 
 	ap.clients = make(map[wifi.Addr]*apClient, len(st.Client))

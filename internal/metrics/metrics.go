@@ -286,18 +286,6 @@ func StdDev(samples []float64) float64 {
 	return math.Sqrt(ss / float64(len(samples)-1))
 }
 
-// MeanDuration averages durations.
-func MeanDuration(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range ds {
-		sum += d
-	}
-	return sum / time.Duration(len(ds))
-}
-
 // FormatKBps renders a throughput the way the paper's tables do.
 func FormatKBps(v float64) string { return fmt.Sprintf("%.1f KB/s", v) }
 

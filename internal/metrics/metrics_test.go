@@ -206,15 +206,6 @@ func TestMeanStdDev(t *testing.T) {
 	}
 }
 
-func TestMeanDuration(t *testing.T) {
-	if MeanDuration([]time.Duration{time.Second, 3 * time.Second}) != 2*time.Second {
-		t.Fatal("mean duration broken")
-	}
-	if MeanDuration(nil) != 0 {
-		t.Fatal("empty mean duration should be 0")
-	}
-}
-
 func TestFormatters(t *testing.T) {
 	if FormatKBps(121.53) != "121.5 KB/s" {
 		t.Fatalf("FormatKBps = %q", FormatKBps(121.53))

@@ -265,13 +265,8 @@ type jsonlEvent struct {
 	Args  map[string]string `json:"args,omitempty"`
 }
 
-// WriteJSONL writes one JSON object per retained event.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	return WriteEventsJSONL(w, t.Events())
-}
-
 // WriteEventsJSONL writes one JSON object per event — the export shared
-// by single tracers and merged multi-shard timelines.
+// by single tracers (Tracer.Events) and merged multi-shard timelines.
 func WriteEventsJSONL(w io.Writer, events []TraceEvent) error {
 	enc := json.NewEncoder(w)
 	for _, ev := range events {
@@ -302,16 +297,11 @@ type chromeEvent struct {
 	Args  map[string]string `json:"args,omitempty"`
 }
 
-// WriteChromeTrace writes the retained events as Chrome trace_event
-// JSON ({"traceEvents": [...]}), loadable in chrome://tracing and
-// Perfetto. Each event category renders as its own named track.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	return WriteEventsChromeTrace(w, t.Events())
-}
-
-// WriteEventsChromeTrace is WriteChromeTrace over an explicit event set
-// (e.g. a MergeEvents timeline). Shards render as separate processes;
-// each category is a named track within its shard.
+// WriteEventsChromeTrace writes events as Chrome trace_event JSON
+// ({"traceEvents": [...]}), loadable in chrome://tracing and Perfetto.
+// The events are one tracer's (Tracer.Events) or a MergeEvents
+// timeline. Shards render as separate processes; each category is a
+// named track within its shard.
 func WriteEventsChromeTrace(w io.Writer, events []TraceEvent) error {
 	cats := make(map[string]int)
 	var catNames []string

@@ -130,7 +130,7 @@ func TestWriteJSONL(t *testing.T) {
 	tr.Complete("dhcp", "acquire", time.Millisecond, I("retx", 2))
 
 	var b strings.Builder
-	if err := tr.WriteJSONL(&b); err != nil {
+	if err := WriteEventsJSONL(&b, tr.Events()); err != nil {
 		t.Fatal(err)
 	}
 	sc := bufio.NewScanner(strings.NewReader(b.String()))
@@ -163,7 +163,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	tr.Complete("mac.join", "assoc", time.Millisecond)
 
 	var b strings.Builder
-	if err := tr.WriteChromeTrace(&b); err != nil {
+	if err := WriteEventsChromeTrace(&b, tr.Events()); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

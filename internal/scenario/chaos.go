@@ -43,11 +43,11 @@ const livenessPoll = 5 * time.Second
 // RNG draws — so a wrapped run stays byte-identical to an unwrapped
 // one.
 func ApplyChaos(w *World, client *Client, cfg fault.Config) *Chaos {
-	inj := fault.NewInjector(w.Kernel, cfg)
+	inj := fault.NewInjector(w.Kernel, cfg, w.Kernel.Seed())
 	chk := fault.NewChecker(w.Kernel)
-	for _, n := range w.APs {
-		inj.AttachAP(n.AP)
-		inj.AttachLink(n.Link)
+	for i, n := range w.APs {
+		inj.AttachAP(n.AP, i)
+		inj.AttachLink(n.Link, i)
 		chk.Watch("ap", n.AP.Invariants())
 	}
 	inj.AttachMedium(w.Medium, w.Channels())

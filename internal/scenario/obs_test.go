@@ -148,7 +148,7 @@ func TestObsExportValidity(t *testing.T) {
 
 	// Chrome trace: the whole document unmarshals and holds events.
 	var tb strings.Builder
-	if err := o.Tracer.WriteChromeTrace(&tb); err != nil {
+	if err := obs.WriteEventsChromeTrace(&tb, o.Tracer.Events()); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -163,7 +163,7 @@ func TestObsExportValidity(t *testing.T) {
 
 	// JSONL: every line parses.
 	var jb strings.Builder
-	if err := o.Tracer.WriteJSONL(&jb); err != nil {
+	if err := obs.WriteEventsJSONL(&jb, o.Tracer.Events()); err != nil {
 		t.Fatal(err)
 	}
 	jsc := bufio.NewScanner(strings.NewReader(jb.String()))

@@ -131,16 +131,6 @@ func TestChannelMixOfDeployment(t *testing.T) {
 	}
 }
 
-func TestJoinFailureRate(t *testing.T) {
-	c := &Client{Joins: []JoinEvent{{Success: true}, {Success: false}, {Success: false}, {Success: true}}}
-	if got := c.JoinFailureRate(); got != 0.5 {
-		t.Fatalf("failure rate %v", got)
-	}
-	if (&Client{}).JoinFailureRate() != 0 {
-		t.Fatal("empty log should be 0")
-	}
-}
-
 func TestIndoorWorldSingleAP(t *testing.T) {
 	w := Indoor(6, 1, 4000)
 	if len(w.APs) != 1 || w.APs[0].AP.Channel() != 1 {

@@ -542,17 +542,3 @@ func (c *Client) SuccessfulJoins() []JoinEvent {
 	}
 	return out
 }
-
-// JoinFailureRate returns failed/total joins (0 if none attempted).
-func (c *Client) JoinFailureRate() float64 {
-	if len(c.Joins) == 0 {
-		return 0
-	}
-	fail := 0
-	for _, j := range c.Joins {
-		if !j.Success {
-			fail++
-		}
-	}
-	return float64(fail) / float64(len(c.Joins))
-}

@@ -153,7 +153,7 @@ type MigRecord struct {
 // same spec yields the same city under any layout.
 func NewCity(spec scenario.CityGridSpec, cfg core.Config, workers int) *City {
 	plan := spec.Plan()
-	lay := DeriveLayoutPlan(spec, plan)
+	lay := DeriveLayout(spec, plan)
 	c := &City{
 		Spec: spec, Plan: plan, Layout: lay, Workers: workers,
 		cfg:          cfg,
@@ -468,11 +468,11 @@ func (c *City) TraceEvents() []obs.TraceEvent {
 func (c *City) ApplyChaos(cfg fault.Config) {
 	channels := c.Plan.Channels()
 	for ti, t := range c.Tiles {
-		inj := fault.NewInjectorSeeded(t.World.Kernel, cfg, c.Spec.Seed)
+		inj := fault.NewInjector(t.World.Kernel, cfg, c.Spec.Seed)
 		for _, n := range t.World.APs {
 			gi := int(n.Spec.ID) - 1
-			inj.AttachAPIndexed(n.AP, gi)
-			inj.AttachLinkIndexed(n.Link, gi)
+			inj.AttachAP(n.AP, gi)
+			inj.AttachLink(n.Link, gi)
 		}
 		inj.AttachMedium(t.World.Medium, channels)
 		if c.obs != nil {

@@ -72,20 +72,12 @@ type Layout struct {
 	XBounds, YBounds []float64
 }
 
-// DeriveLayout computes the tile decomposition for a city spec,
-// planning the city itself to read the AP density. Use DeriveLayoutPlan
-// when the plan is already in hand (NewCity is — planning a metro twice
-// would be wasteful).
-func DeriveLayout(spec scenario.CityGridSpec) Layout {
-	return DeriveLayoutPlan(spec, spec.Plan())
-}
-
-// DeriveLayoutPlan computes the tile decomposition for a planned city.
+// DeriveLayout computes the tile decomposition for a planned city.
 // The result depends only on the scenario geometry, the plan's AP
 // positions and the radio config — not on worker count, GOMAXPROCS, or
 // any runtime state — which is what makes sharded runs reproducible
 // across machines.
-func DeriveLayoutPlan(spec scenario.CityGridSpec, plan scenario.CityPlan) Layout {
+func DeriveLayout(spec scenario.CityGridSpec, plan scenario.CityPlan) Layout {
 	rc := spec.Radio
 	if rc.Range == 0 {
 		rc = radio.Defaults()

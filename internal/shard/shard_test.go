@@ -96,7 +96,7 @@ func TestLayoutInvariants(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			l := DeriveLayout(tc.spec)
+			l := DeriveLayout(tc.spec, tc.spec.Plan())
 			rc := tc.spec.Radio
 			if rc.Range == 0 {
 				rc = radio.Defaults()

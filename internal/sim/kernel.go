@@ -148,7 +148,6 @@ type Kernel struct {
 	nextSeq uint64
 	seed    int64
 	rngs    map[string]*stream
-	stopped bool
 
 	// Calendar front-end state. heapOnly bypasses the front-end,
 	// sending every event through the heap: the reference scheduler
@@ -442,12 +441,10 @@ func (k *Kernel) next() (int32, bool) {
 	return ri, true
 }
 
-// Stop makes Run return after the currently executing event completes.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// NextAt reports the virtual time of the earliest queued event. ok is
-// false when the queue is empty. Epoch runners use it as the kernel's
-// contribution to a lookahead bound without disturbing dispatch order.
+// NextAt reports the virtual time of the earliest queued event, without
+// disturbing dispatch order. ok is false when the queue is empty. The
+// calendar-versus-heap tests compare it at every step, as one more view
+// of the queue the two schedulers must agree on.
 func (k *Kernel) NextAt() (at time.Duration, ok bool) {
 	idx, ok := k.next()
 	if !ok {
@@ -491,12 +488,11 @@ func (k *Kernel) pop(idx int32) func() {
 	return fn
 }
 
-// Run executes events in timestamp order until the queue drains, Stop is
-// called, or the clock would pass until. Events scheduled exactly at
-// until still run. It returns the virtual time when execution stopped.
+// Run executes events in timestamp order until the queue drains or the
+// clock would pass until. Events scheduled exactly at until still run.
+// It returns the virtual time when execution stopped.
 func (k *Kernel) Run(until time.Duration) time.Duration {
-	k.stopped = false
-	for !k.stopped {
+	for {
 		idx, ok := k.next()
 		if !ok || k.slots[idx].at > until {
 			break
@@ -506,7 +502,7 @@ func (k *Kernel) Run(until time.Duration) time.Duration {
 		k.fired++
 		fn()
 	}
-	if k.now < until && !k.stopped {
+	if k.now < until {
 		// Nothing left before the horizon: advance the clock so callers
 		// measuring durations against Now see the full interval.
 		k.now = until
@@ -514,11 +510,10 @@ func (k *Kernel) Run(until time.Duration) time.Duration {
 	return k.now
 }
 
-// RunAll executes events until the queue is fully drained or Stop is
-// called. Use only with workloads that terminate on their own.
+// RunAll executes events until the queue is fully drained. Use only
+// with workloads that terminate on their own.
 func (k *Kernel) RunAll() time.Duration {
-	k.stopped = false
-	for !k.stopped {
+	for {
 		idx, ok := k.next()
 		if !ok {
 			break

@@ -154,17 +154,6 @@ func TestRunAdvancesClockToHorizonWhenIdle(t *testing.T) {
 	}
 }
 
-func TestStopHaltsRun(t *testing.T) {
-	k := NewKernel(1)
-	fired := 0
-	k.At(time.Millisecond, func() { fired++; k.Stop() })
-	k.At(2*time.Millisecond, func() { fired++ })
-	k.Run(time.Second)
-	if fired != 1 {
-		t.Fatalf("Stop did not halt run: fired=%d", fired)
-	}
-}
-
 func TestRunAllDrainsQueue(t *testing.T) {
 	k := NewKernel(1)
 	fired := 0

@@ -198,7 +198,6 @@ func (k *Kernel) BeginRestore(now time.Duration, nextSeq, fired uint64) {
 	k.base = now &^ (bucketW - 1)
 	k.nextSeq = nextSeq
 	k.fired = fired
-	k.stopped = false
 	k.restoreErr = nil
 }
 

@@ -78,8 +78,11 @@ const (
 	StockWiFi             = core.StockWiFi
 )
 
-// Defaults returns Spider's tuned policy (reduced timers, lease cache,
-// join-history selection) for a mode and schedule.
+// Defaults returns Spider's tuned policy (reduced link and DHCP
+// timeouts, lease cache, join-history selection) for a mode and
+// schedule. The driver's own timers (scan, inactivity, hold-down,
+// quarantine) follow from the mode: Spider's for the four Spider modes,
+// the stock driver's for StockWiFi.
 func Defaults(mode Mode, schedule []ChannelSlice) Config {
 	return core.SpiderDefaults(mode, schedule)
 }
