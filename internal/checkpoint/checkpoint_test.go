@@ -297,6 +297,95 @@ func TestApplyRefusesCorruptState(t *testing.T) {
 	}
 }
 
+// TestApplyErrorPrecedence: when two tiles A < B of a checkpoint are
+// corrupt, Apply reports A's error, with A's first error in restore
+// order, at any worker count, although the tiles restore concurrently.
+func TestApplyErrorPrecedence(t *testing.T) {
+	const seed = 3
+	c := buildCity(seed, 1, false)
+	if err := c.Run(4 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := Capture(c, seed, "fp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := ck.Encode()
+	st := &ck.City
+
+	// Case 1 corrupts a scan-table record in the first and the last tile
+	// holding one.
+	var tables []int
+	for i, ts := range st.Tiles {
+		for _, cs := range ts.World.Clients {
+			if len(cs.Driver.Table) > 0 {
+				tables = append(tables, i)
+				break
+			}
+		}
+	}
+	// Case 2 corrupts an inbox frame in the first tile with one and the
+	// world of the last tile.
+	inbox := -1
+	for i, ts := range st.Tiles {
+		if len(ts.Inbox) > 0 {
+			inbox = i
+			break
+		}
+	}
+	last := len(st.Tiles) - 1
+	if len(tables) < 2 || inbox < 0 || inbox >= last {
+		t.Fatalf("fixture is dead: tiles with tables %v, first inbox in tile %d of %d", tables, inbox, len(st.Tiles))
+	}
+	a, b := tables[0], tables[len(tables)-1]
+	corruptTable := func(st *shard.CityState, i int) {
+		for j := range st.Tiles[i].World.Clients {
+			if cs := &st.Tiles[i].World.Clients[j]; len(cs.Driver.Table) > 0 {
+				cs.Driver.Table[0].Channel = -1
+				return
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name         string
+		editA, editB func(st *shard.CityState)
+		tileB        int
+		want         string
+	}{
+		{"scan-table records on channel -1",
+			func(st *shard.CityState) { corruptTable(st, a) },
+			func(st *shard.CityState) { corruptTable(st, b) },
+			b, "shard: tile 1: core: restored scan-table record 02:a0:00:00:00:08 on channel -1"},
+		{"inbox frame on channel 99, then a radio on channel 99",
+			func(st *shard.CityState) { st.Tiles[inbox].Inbox[0].Ch = 99 },
+			func(st *shard.CityState) { st.Tiles[last].World.Medium.Radios[0].Channel = 99 },
+			last, "shard: tile 0 inbox frame 0: on invalid channel 99"},
+	} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				apply := func(edits ...func(st *shard.CityState)) error {
+					edited, err := Decode(enc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, edit := range edits {
+						edit(&edited.City)
+					}
+					return edited.Apply(buildCity(seed, workers, false), seed, "fp")
+				}
+				// B's corruption alone is refused, so the pair tests
+				// which of two errors wins.
+				if err := apply(tc.editB); err == nil || !strings.HasPrefix(err.Error(), fmt.Sprintf("shard: tile %d", tc.tileB)) {
+					t.Fatalf("with tile %d corrupt alone, Apply returned %v", tc.tileB, err)
+				}
+				if err := apply(tc.editA, tc.editB); err == nil || err.Error() != tc.want {
+					t.Fatalf("Apply returned %v, want %q", err, tc.want)
+				}
+			})
+		}
+	}
+}
+
 // firstTableRecord returns the first scan-table record of any client
 // in st, in tile and client order.
 func firstTableRecord(t *testing.T, st *shard.CityState) *core.APRecord {

@@ -2,8 +2,8 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"runtime/pprof"
-	"sort"
 	"time"
 
 	"spider/internal/core"
@@ -109,9 +109,11 @@ type City struct {
 	Layout Layout
 	Tiles  []*Tile
 
-	// Workers bounds how many tiles advance concurrently (0 = all
-	// cores). It is the ONLY thing "-shards" controls; the tile layout —
-	// and therefore every simulated byte — is identical at any value.
+	// Workers bounds how many tiles are built, advanced through an
+	// epoch, exported or restored concurrently (0 = all cores). It is
+	// the ONLY thing "-shards" controls; the tile layout — and therefore
+	// every simulated and every checkpointed byte — is identical at any
+	// value.
 	Workers int
 
 	// Migrations counts clients handed between tiles at barriers.
@@ -150,7 +152,10 @@ type MigRecord struct {
 // NewCity plans the city and builds its tiles. Every AP and client is
 // placed by the plan's global identity — MAC addresses, DHCP subnets
 // and fault streams are position-derived, not tile-derived — so the
-// same spec yields the same city under any layout.
+// same spec yields the same city under any layout. The tiles are built
+// on the worker pool, at most workers at a time; a panic while building
+// one panics out of NewCity as the pool's *sweep.PanicError naming the
+// tile.
 func NewCity(spec scenario.CityGridSpec, cfg core.Config, workers int) *City {
 	plan := spec.Plan()
 	lay := DeriveLayout(spec, plan)
@@ -167,10 +172,8 @@ func NewCity(spec scenario.CityGridSpec, cfg core.Config, workers int) *City {
 	}
 	for iy := 0; iy < lay.Ny; iy++ {
 		for ix := 0; ix < lay.Nx; ix++ {
-			i := iy*lay.Nx + ix
 			c.Tiles = append(c.Tiles, &Tile{
-				Index: i,
-				World: scenario.NewWorld(sweep.TaskSeed(spec.Seed, "shard.tile", i), rcfg),
+				Index: iy*lay.Nx + ix,
 				X0:    lay.XBounds[ix], X1: lay.XBounds[ix+1],
 				Y0: lay.YBounds[iy], Y1: lay.YBounds[iy+1],
 			})
@@ -201,28 +204,46 @@ func NewCity(spec scenario.CityGridSpec, cfg core.Config, workers int) *City {
 			nb.back = 1 << c.Tiles[nb.dst].slotOf(t.Index)
 		}
 	}
-	for _, ap := range plan.APs {
-		c.Tiles[lay.TileOf(ap.Pos)].World.AddAP(ap.Spec())
+
+	// Each tile's share of the plan, in plan order.
+	tileAPs := make([][]int32, lay.NTiles)
+	for i, ap := range plan.APs {
+		tile := lay.TileOf(ap.Pos)
+		tileAPs[tile] = append(tileAPs[tile], int32(i))
 	}
+	tileClients := make([][]int32, lay.NTiles)
 	for i, cp := range plan.Clients {
 		tile := lay.TileOf(cp.Mob.PositionAt(0))
 		c.mobs[i] = cp.Mob
 		c.residentTile[i] = int32(tile)
-		c.clients[i] = c.Tiles[tile].World.AddClientAddr(cp.Addr(), c.clientCfg(i), cp.Mob)
+		tileClients[tile] = append(tileClients[tile], int32(i))
 	}
-	for _, t := range c.Tiles {
-		k := t.World.Kernel
-		k.Reserve(k.Len() + slotsPerClient*len(t.World.Clients))
-	}
-	if lay.NTiles > 1 {
-		for _, t := range c.Tiles {
-			t := t
+
+	// Build the tile worlds on the worker pool. A task reads only the
+	// plan and writes only its own tile, its world and its clients'
+	// slots of c.clients; within the tile it adds every AP, then every
+	// client, in plan order, which is the add sequence the world would
+	// see from a serial build. A task returns no error; one that panics
+	// panics out of forTiles.
+	_ = c.forTiles(func(i int) error {
+		t := c.Tiles[i]
+		w := scenario.NewWorld(sweep.TaskSeed(spec.Seed, "shard.tile", i), rcfg)
+		t.World = w
+		for _, ai := range tileAPs[i] {
+			w.AddAP(plan.APs[ai].Spec())
+		}
+		for _, ci := range tileClients[i] {
+			c.clients[ci] = w.AddClientAddr(plan.Clients[ci].Addr(), c.clientCfg(int(ci)), c.mobs[ci])
+		}
+		w.Kernel.Reserve(w.Kernel.Len() + slotsPerClient*len(w.Clients))
+		if lay.NTiles > 1 {
 			c.sizeHalo(t)
-			t.World.Medium.SetTxObserver(func(f *wifi.Frame, ch int, _ time.Duration, txPos geo.Point) {
+			w.Medium.SetTxObserver(func(f *wifi.Frame, ch int, _ time.Duration, txPos geo.Point) {
 				c.captureHalo(t, f, ch, txPos)
 			})
 		}
-	}
+		return nil
+	})
 	return c
 }
 
@@ -379,6 +400,31 @@ func (c *City) Run(until time.Duration) error {
 	return nil
 }
 
+// forTiles runs fn(i) for every tile i on the worker pool, at most
+// Workers at a time. Every tile runs whatever the others return, and the
+// error returned is the lowest-indexed tile's, so which error a caller
+// sees never depends on scheduling. A panic in fn panics out of forTiles
+// as the pool's *sweep.PanicError, which names the tile.
+func (c *City) forTiles(fn func(i int) error) error {
+	errs := make([]error, len(c.Tiles))
+	_, err := sweep.RunN(context.Background(), c.Workers, len(c.Tiles), func(_ context.Context, i int) (struct{}, error) {
+		errs[i] = fn(i)
+		return struct{}{}, nil
+	})
+	if err != nil {
+		// The tasks return no error, so err wraps a task's panic.
+		var pe *sweep.PanicError
+		errors.As(err, &pe)
+		panic(pe)
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // injectHalo injects the beacons t's neighbours mirrored here at the
 // last barrier (ghost beacons land at epoch start, at most one epoch
 // stale). Delivery is synchronous and receivers copy, so injection only
@@ -524,27 +570,18 @@ func (c *City) TotalInjected() uint64 {
 
 // Clients returns every client in the city ordered by MAC address — an
 // order derived from planned identity, independent of which tile each
-// client currently resides in.
+// client currently resides in. c.clients is in plan order, which is
+// MAC order: plan client i has ID i+1, written big-endian into its
+// address.
 func (c *City) Clients() []*scenario.Client {
-	out := make([]*scenario.Client, len(c.clients))
-	copy(out, c.clients)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Addr(), out[j].Addr()
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
-	return out
+	return append([]*scenario.Client(nil), c.clients...)
 }
 
 // InvariantsTotal sums lifetime invariant violations across all
 // clients.
 func (c *City) InvariantsTotal() uint64 {
 	var t uint64
-	for _, cl := range c.Clients() {
+	for _, cl := range c.clients {
 		t += cl.InvariantsTotal()
 	}
 	return t

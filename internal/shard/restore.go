@@ -69,26 +69,31 @@ type CityState struct {
 	Tiles []TileState
 }
 
-// ExportState captures the city at the current barrier.
+// ExportState captures the city at the current barrier. Tiles export
+// on the worker pool: a tile's task reads only its own tile and its
+// neighbours' sealed read-side halo records, and writes only its own
+// slot of st.Tiles.
 func (c *City) ExportState() (CityState, error) {
 	st := CityState{
 		Now:          c.now,
 		Migrations:   c.Migrations,
 		MigLog:       append([]MigRecord(nil), c.migLog...),
 		ResidentTile: append([]int32(nil), c.residentTile...),
+		Tiles:        make([]TileState, len(c.Tiles)),
 	}
-	for i, t := range c.Tiles {
+	if err := c.forTiles(func(i int) error {
+		t := c.Tiles[i]
 		k := t.World.Kernel
 		if k.Now() != c.now {
-			return CityState{}, fmt.Errorf("shard: tile %d at %v, barrier at %v", i, k.Now(), c.now)
+			return fmt.Errorf("shard: tile %d at %v, barrier at %v", i, k.Now(), c.now)
 		}
 		if len(t.halo[t.cur]) != 0 {
-			return CityState{}, fmt.Errorf("shard: tile %d has unflipped halo records", i)
+			return fmt.Errorf("shard: tile %d has unflipped halo records", i)
 		}
 		ts := TileState{NextSeq: k.NextSeq(), Fired: k.Fired(), RNGs: k.ExportRNGs()}
 		ws, err := t.World.ExportState()
 		if err != nil {
-			return CityState{}, fmt.Errorf("shard: tile %d: %w", i, err)
+			return fmt.Errorf("shard: tile %d: %w", i, err)
 		}
 		ts.World = ws
 		c.inbound(t, func(r *haloRec) {
@@ -99,7 +104,7 @@ func (c *City) ExportState() (CityState, error) {
 		if len(c.Injectors) > 0 {
 			is, err := c.Injectors[i].ExportState()
 			if err != nil {
-				return CityState{}, fmt.Errorf("shard: tile %d: %w", i, err)
+				return fmt.Errorf("shard: tile %d: %w", i, err)
 			}
 			ts.Injector = &is
 		}
@@ -109,7 +114,10 @@ func (c *City) ExportState() (CityState, error) {
 				Tracer:  c.obs[i].Tracer.ExportState(),
 			}
 		}
-		st.Tiles = append(st.Tiles, ts)
+		st.Tiles[i] = ts
+		return nil
+	}); err != nil {
+		return CityState{}, err
 	}
 	return st, nil
 }
@@ -120,20 +128,24 @@ func (c *City) ExportState() (CityState, error) {
 // presence mismatches are errors, not silent drift.
 //
 // Order matters:
-//  1. Replay the migration log, reproducing each medium's radio
-//     registration sequence. The replay schedules events and churns
-//     component state, all of which the next step discards.
-//  2. Per tile: BeginRestore (drops every pending event, sets the
-//     clock), then world → injector → obs state, whose restores re-arm
-//     events with their recorded identities.
-//  3. Per tile, last: RestoreRNGs — cancelling every construction- and
-//     replay-time draw by rewinding each stream in place.
+//  1. Replay the migration log, serially, reproducing each medium's
+//     radio registration sequence. The replay schedules events and
+//     churns component state, all of which the next phase discards.
+//  2. Per tile, on the worker pool: BeginRestore (drops every pending
+//     event, sets the clock), then world → injector → obs state, whose
+//     restores re-arm events with their recorded identities, then the
+//     inbox frames are decoded and checked, and last RestoreRNGs —
+//     cancelling every construction- and replay-time draw by rewinding
+//     each stream in place. A task touches only its own tile.
+//  3. Serially, in (tile, frame) order: each decoded inbox frame is
+//     filed in its source tile's read-side halo buffer, one single-bit
+//     record per entry. It is the only write across tiles, and its
+//     order is the order a serial restore would file them in.
 //
-// Inbox frames are regrouped into their source tile's read-side halo
-// buffer, one single-bit record per entry. The source is the tile
-// owning the frame's position: only APs beacon, and APs are static
-// inside their tile. A frame whose source is not a neighbour of its
-// inbox's tile is an error.
+// The source of an inbox frame is the tile owning the frame's position:
+// only APs beacon, and APs are static inside their tile. A frame whose
+// source is not a neighbour of its inbox's tile is an error. When
+// several tiles fail, the lowest-indexed one's first error is returned.
 func (c *City) RestoreState(st CityState) error {
 	if c.now != 0 || c.Migrations != 0 || len(c.migLog) != 0 {
 		return fmt.Errorf("shard: RestoreState needs a freshly built city")
@@ -168,7 +180,9 @@ func (c *City) RestoreState(st CityState) error {
 	c.migLog = append(c.migLog, st.MigLog...)
 	c.Migrations = st.Migrations
 
-	for i, ts := range st.Tiles {
+	mirrors := make([][]mirror, len(c.Tiles))
+	if err := c.forTiles(func(i int) error {
+		ts := &st.Tiles[i]
 		t := c.Tiles[i]
 		k := t.World.Kernel
 		k.BeginRestore(st.Now, ts.NextSeq, ts.Fired)
@@ -199,14 +213,25 @@ func (c *City) RestoreState(st CityState) error {
 			return fmt.Errorf("shard: tile %d has obs enabled but the checkpoint carries no obs state", i)
 		}
 		for n, hs := range ts.Inbox {
-			if err := c.restoreMirror(i, hs); err != nil {
+			m, err := c.decodeMirror(i, hs)
+			if err != nil {
 				return fmt.Errorf("shard: tile %d inbox frame %d: %w", i, n, err)
 			}
+			mirrors[i] = append(mirrors[i], m)
 		}
 		if err := k.RestoreErr(); err != nil {
 			return fmt.Errorf("shard: tile %d: %w", i, err)
 		}
 		k.RestoreRNGs(ts.RNGs)
+		return nil
+	}); err != nil {
+		return err
+	}
+	for _, ms := range mirrors {
+		for _, m := range ms {
+			buf := &m.src.halo[m.src.cur^1]
+			*buf = append(*buf, m.rec)
+		}
 	}
 	for _, t := range c.Tiles {
 		sealHalo(t.halo[t.cur^1])
@@ -215,29 +240,35 @@ func (c *City) RestoreState(st CityState) error {
 	return nil
 }
 
-// restoreMirror files one inbox frame of tile dst as a record in its
-// source tile's read-side halo buffer, carrying dst's bit only.
-func (c *City) restoreMirror(dst int, hs HaloFrameState) error {
+// mirror is one decoded inbox frame, bound for its source tile's
+// read-side halo buffer.
+type mirror struct {
+	src *Tile
+	rec haloRec
+}
+
+// decodeMirror decodes and checks one inbox frame of tile dst into the
+// record its source tile will hold, carrying dst's bit only. It reads
+// the layout and the source's neighbour list, never a halo buffer.
+func (c *City) decodeMirror(dst int, hs HaloFrameState) (mirror, error) {
 	if hs.Dst != dst {
-		return fmt.Errorf("addressed to tile %d", hs.Dst)
+		return mirror{}, fmt.Errorf("addressed to tile %d", hs.Dst)
 	}
 	if !wifi.ValidChannel(hs.Ch) {
-		return fmt.Errorf("on invalid channel %d", hs.Ch)
+		return mirror{}, fmt.Errorf("on invalid channel %d", hs.Ch)
 	}
 	src := c.Tiles[c.Layout.TileOf(hs.Pos)]
 	slot := src.slotOf(dst)
 	if slot < 0 {
-		return fmt.Errorf("source tile %d at %v is not a neighbour", src.Index, hs.Pos)
+		return mirror{}, fmt.Errorf("source tile %d at %v is not a neighbour", src.Index, hs.Pos)
 	}
 	f, err := wifi.Decode(hs.Frame)
 	if err != nil {
-		return err
+		return mirror{}, err
 	}
 	body, ok := f.Body.(*wifi.BeaconBody)
 	if f.Type != wifi.TypeBeacon || !f.DA.IsBroadcast() || !ok {
-		return fmt.Errorf("not a broadcast beacon")
+		return mirror{}, fmt.Errorf("not a broadcast beacon")
 	}
-	buf := &src.halo[src.cur^1]
-	*buf = append(*buf, haloRec{frame: *f, body: *body, ch: hs.Ch, pos: hs.Pos, mask: 1 << slot})
-	return nil
+	return mirror{src: src, rec: haloRec{frame: *f, body: *body, ch: hs.Ch, pos: hs.Pos, mask: 1 << slot}}, nil
 }
