@@ -92,20 +92,22 @@ func (l *Link) SetFaultLatency(extra time.Duration) {
 // when the last byte arrives. It reports false (and drops) if the shaper
 // queue is over budget.
 func (l *Link) Down(size int, fn func()) bool {
-	_, ok := l.DownEv(size, fn)
+	_, ok := l.DownEv(size, sim.Func(fn), 0)
 	return ok
 }
 
 // Up sends size bytes from the AP toward the server.
 func (l *Link) Up(size int, fn func()) bool {
-	_, ok := l.UpEv(size, fn)
+	_, ok := l.UpEv(size, sim.Func(fn), 0)
 	return ok
 }
 
-// DownEv is Down returning the delivery event handle, so callers that
-// checkpoint in-flight traffic can record its (at, seq) identity.
-func (l *Link) DownEv(size int, fn func()) (sim.Event, bool) {
-	ev, ok := l.send(&l.st.DownBusyUntil, size, fn)
+// DownEv is Down firing h.Fire(kind) on arrival and returning the
+// delivery event handle, so callers that checkpoint in-flight traffic
+// can record its (at, seq) identity. A caller that owns the delivery
+// passes itself as h and builds no closure per transfer.
+func (l *Link) DownEv(size int, h sim.Handler, kind uint8) (sim.Event, bool) {
+	ev, ok := l.send(&l.st.DownBusyUntil, size, h, kind)
 	if ok {
 		l.st.DownDelivered++
 		l.st.DownBytes += uint64(size)
@@ -115,9 +117,9 @@ func (l *Link) DownEv(size int, fn func()) (sim.Event, bool) {
 	return ev, ok
 }
 
-// UpEv is Up returning the delivery event handle.
-func (l *Link) UpEv(size int, fn func()) (sim.Event, bool) {
-	ev, ok := l.send(&l.st.UpBusyUntil, size, fn)
+// UpEv is DownEv toward the server.
+func (l *Link) UpEv(size int, h sim.Handler, kind uint8) (sim.Event, bool) {
+	ev, ok := l.send(&l.st.UpBusyUntil, size, h, kind)
 	if ok {
 		l.st.UpDelivered++
 		l.st.UpBytes += uint64(size)
@@ -127,7 +129,7 @@ func (l *Link) UpEv(size int, fn func()) (sim.Event, bool) {
 	return ev, ok
 }
 
-func (l *Link) send(busyUntil *time.Duration, size int, fn func()) (sim.Event, bool) {
+func (l *Link) send(busyUntil *time.Duration, size int, h sim.Handler, kind uint8) (sim.Event, bool) {
 	if l.st.Blackhole {
 		l.st.BlackholeDrops++
 		return sim.Event{}, false
@@ -147,7 +149,7 @@ func (l *Link) send(busyUntil *time.Duration, size int, fn func()) (sim.Event, b
 	}
 	txTime := time.Duration(float64(size*8) / float64(l.cfg.RateKbps) / 1000 * float64(time.Second))
 	*busyUntil = start + txTime
-	return l.kernel.At(start+txTime+l.cfg.Latency+l.st.FaultLat, fn), true
+	return l.kernel.FireAt(start+txTime+l.cfg.Latency+l.st.FaultLat, h, kind), true
 }
 
 // State is a Link's complete checkpointable state (the in-flight

@@ -46,8 +46,7 @@ var checkpointedTypes = []checkpointed{
 			"swLingerEv", "swRetuneEv"},
 		derived: []string{"kernel", "cfg", "pol", "radio", "events", "sink", "pool", "backoffRNG",
 			"resetFault", "connectedHooks", "teardownHooks", "tr", "hAssoc", "hJoin", "hSwitch",
-			"scanTickFn", "nextSliceFn", "inactivityFn", "bgScanFn", "bgReturnFn", "apSliceFn",
-			"startFn", "beginResetFn", "lingerFn", "arriveFn", "psmFree",
+			"psmFree",
 			"ifScratch", "connScratch", "ifaceFree", "dhcpMsg",
 			"stopped"}, // retired drivers are never exported
 	},
@@ -55,13 +54,13 @@ var checkpointedTypes = []checkpointed{
 		comp: typeOf[core.Iface](), state: typeOf[core.IfaceSnapshot](),
 		units:      []string{"sc"},
 		translated: []string{"rec", "joiner", "dhcpc", "renewEv"},
-		derived:    []string{"d", "renewFn"},
+		derived:    []string{"d"},
 	},
 	{
 		comp: typeOf[mac.AP](), state: typeOf[mac.APState](),
 		units:      []string{"sc", "APStats"},
 		translated: []string{"dhcpd", "beaconEv", "resps", "clients", "inv"},
-		derived:    []string{"kernel", "cfg", "radio", "pool", "beaconFn", "respPool", "uplink", "dhcpMsg"},
+		derived:    []string{"kernel", "cfg", "radio", "pool", "respPool", "uplink", "dhcpMsg"},
 	},
 	{
 		comp:       fieldType(typeOf[mac.AP](), "clients").Elem().Elem(), // *apClient
@@ -75,7 +74,7 @@ var checkpointedTypes = []checkpointed{
 		units:      []string{"sc"},
 		translated: []string{"timer"},
 		derived: []string{"kernel", "cfg", "self", "bssid", "ssid", "host", "pool", "rng",
-			"timeoutFn", "inv", "tr"},
+			"inv", "tr"},
 	},
 	{
 		comp: typeOf[dhcp.Server](), state: typeOf[dhcp.ServerState](),
@@ -88,13 +87,13 @@ var checkpointedTypes = []checkpointed{
 		comp: typeOf[dhcp.Client](), state: typeOf[dhcp.ClientState](),
 		units:      []string{"sc"},
 		translated: []string{"retxTimer", "deadline"},
-		derived:    []string{"kernel", "cfg", "mac", "host", "rng", "retxFn", "failFn", "msg", "inv", "tr"},
+		derived:    []string{"kernel", "cfg", "mac", "host", "rng", "msg", "inv", "tr"},
 	},
 	{
 		comp: typeOf[tcpsim.Sender](), state: typeOf[tcpsim.SenderState](),
 		units:      []string{"sc"},
 		translated: []string{"inflight", "rtoTimer"},
-		derived:    []string{"kernel", "cfg", "flowID", "transmit", "onRTOFn", "onDone", "segs"},
+		derived:    []string{"kernel", "cfg", "flowID", "transmit", "onDone", "segs"},
 	},
 	{
 		comp: typeOf[tcpsim.Receiver](), state: typeOf[tcpsim.ReceiverState](),
@@ -149,7 +148,7 @@ var checkpointedTypes = []checkpointed{
 		derived: []string{"m", "pos", "rx", "regIdx", "static", "maxSpeed",
 			"posVal", "posAt", "posValid", "posFixed", "inMCells", "binCell",
 			"qbValid", "qbPos", "qbLo", "qbHi",
-			"retuneDone", "retuneFn", "txHead", "txF", "txDoneFn"},
+			"retuneDone", "retuneKind", "txHead", "txF"},
 	},
 }
 

@@ -12,10 +12,7 @@ import (
 // — serializing service across same-channel APs exactly the way Spider's
 // channel-centric design avoids.
 func (d *Driver) startAPSlicer() {
-	if d.apSliceFn == nil {
-		d.apSliceFn = d.apSliceTick
-	}
-	d.apSliceEv = d.kernel.After(d.pol.apSliceDwell, d.apSliceFn)
+	d.apSliceEv = d.kernel.FireAfter(d.pol.apSliceDwell, d, timerAPSlice)
 }
 
 func (d *Driver) apSliceTick() {
@@ -24,7 +21,7 @@ func (d *Driver) apSliceTick() {
 		return
 	}
 	d.apSliceRebalance()
-	d.apSliceEv = d.kernel.After(d.pol.apSliceDwell, d.apSliceFn)
+	d.apSliceEv = d.kernel.FireAfter(d.pol.apSliceDwell, d, timerAPSlice)
 }
 
 // apSliceRebalance advances the slice rotation and reassigns PSM state.

@@ -43,12 +43,10 @@ type Iface struct {
 	joiner mac.Joiner
 	dhcpc  dhcp.Client
 
-	sc      ifaceScalars
+	sc ifaceScalars
+	// renewEv is the T1 renewal timer; it fires through the interface
+	// (Fire), which serves it across recycles with no closure.
 	renewEv sim.Event
-	// renewFn is the cached T1 renewal callback (built by the driver's
-	// ensureRenewFn); it reads fields at fire time, so one closure serves
-	// the interface across recycles.
-	renewFn func()
 }
 
 // ifaceScalars are an interface's plain evolving fields, checkpointed
@@ -63,6 +61,10 @@ type ifaceScalars struct {
 	JoinStart time.Duration
 	LastHeard time.Duration
 }
+
+// Fire implements sim.Handler: the interface's one timer, the T1 lease
+// renewal, fires through it.
+func (ifc *Iface) Fire(uint8) { ifc.d.renew(ifc) }
 
 // SendJoinFrame implements mac.JoinHost: the joiner's frames leave
 // through the driver's transmit path on the AP's channel.

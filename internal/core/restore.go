@@ -142,7 +142,7 @@ func (d *Driver) RestoreState(st DriverState) error {
 		ifc.sc = is.ifaceScalars
 		ifc.joiner.RestoreState(is.Joiner)
 		ifc.dhcpc.RestoreState(is.DHCP)
-		ifc.renewEv = is.RenewEv.Restore(d.kernel, d.ensureRenewFn(ifc))
+		ifc.renewEv = is.RenewEv.Restore(d.kernel, ifc, 0)
 		d.ifaces[is.BSSID] = ifc
 	}
 
@@ -166,19 +166,16 @@ func (d *Driver) RestoreState(st DriverState) error {
 		}
 	}
 
-	d.startEv = st.StartEv.Restore(d.kernel, d.startFn)
-	d.scanEv = st.ScanEv.Restore(d.kernel, d.scanTickFn)
-	d.sliceEv = st.SliceEv.Restore(d.kernel, d.nextSliceFn)
-	d.inactEv = st.InactEv.Restore(d.kernel, d.inactivityFn)
-	d.bgScanEv = st.BGScanEv.Restore(d.kernel, d.bgScanFn)
-	d.bgReturnEv = st.BGReturnEv.Restore(d.kernel, d.bgReturnFn)
-	if st.APSliceEv.Pending && d.apSliceFn == nil {
-		d.apSliceFn = d.apSliceTick
-	}
-	d.apSliceEv = st.APSliceEv.Restore(d.kernel, d.apSliceFn)
-	d.swLingerEv = st.SwLingerEv.Restore(d.kernel, d.lingerFn)
+	d.startEv = st.StartEv.Restore(d.kernel, d, timerStart)
+	d.scanEv = st.ScanEv.Restore(d.kernel, d, timerScan)
+	d.sliceEv = st.SliceEv.Restore(d.kernel, d, timerSlice)
+	d.inactEv = st.InactEv.Restore(d.kernel, d, timerInactivity)
+	d.bgScanEv = st.BGScanEv.Restore(d.kernel, d, timerBGScan)
+	d.bgReturnEv = st.BGReturnEv.Restore(d.kernel, d, timerBGReturn)
+	d.apSliceEv = st.APSliceEv.Restore(d.kernel, d, timerAPSlice)
+	d.swLingerEv = st.SwLingerEv.Restore(d.kernel, d, timerLinger)
 	var err error
-	d.swRetuneEv, err = d.radio.RestoreRetune(d.sc.SwCh, st.SwRetuneEv, d.arriveFn)
+	d.swRetuneEv, err = d.radio.RestoreRetune(d.sc.SwCh, st.SwRetuneEv, d, timerArrive)
 	return err
 }
 

@@ -106,14 +106,13 @@ type Client struct {
 
 	sc clientScalars
 
+	// The two timers fire through the client itself (Fire), so arming
+	// them allocates nothing.
 	retxTimer sim.Event
 	deadline  sim.Event
-	// retxFn/failFn cache the timer callbacks so each send does not
-	// allocate a fresh closure; msg is the send scratch — the host
-	// encodes it synchronously and never retains the pointer.
-	retxFn func()
-	failFn func()
-	msg    Message
+	// msg is the send scratch: the host encodes it synchronously and
+	// never retains the pointer.
+	msg Message
 
 	// inv counts impossible-state transitions (nil-safe; see SetInvariants).
 	inv *metrics.InvariantSet
@@ -156,8 +155,21 @@ func (c *Client) Init(k *sim.Kernel, cfg ClientConfig, mac wifi.Addr, host Clien
 		host: host, sc: clientScalars{NextXID: 1},
 		rng: clientStream(k, mac),
 	}
-	c.retxFn = c.onRetx
-	c.failFn = c.fail
+}
+
+// Client timer kinds, for Fire.
+const (
+	timerRetx     uint8 = iota // the current exchange timed out
+	timerDeadline              // the attempt window ran out
+)
+
+// Fire implements sim.Handler: the client's timers fire through it.
+func (c *Client) Fire(kind uint8) {
+	if kind == timerDeadline {
+		c.fail()
+		return
+	}
+	c.onRetx()
 }
 
 // clientStream returns the per-MAC stream "dhcp.client.<mac>". The name
@@ -209,7 +221,7 @@ func (c *Client) Start(cachedIP IP) {
 	c.sc.Cached = cachedIP
 	c.sc.XID = c.sc.NextXID
 	c.sc.NextXID++
-	c.deadline = c.kernel.After(c.cfg.AttemptWindow, c.failFn)
+	c.deadline = c.kernel.FireAfter(c.cfg.AttemptWindow, c, timerDeadline)
 	if cachedIP != 0 {
 		c.sc.State = stateRequesting
 		c.sc.Offered = cachedIP
@@ -260,7 +272,7 @@ func (c *Client) sendCurrent() {
 		timeout = limit
 	}
 	jitter := time.Duration((c.rng.Float64()*0.4 - 0.2) * float64(timeout))
-	c.retxTimer = c.kernel.After(timeout+jitter, c.retxFn)
+	c.retxTimer = c.kernel.FireAfter(timeout+jitter, c, timerRetx)
 }
 
 // onRetx restarts a timed-out exchange under a fresh transaction id, like

@@ -69,7 +69,7 @@ func (s *Server) RestoreState(st ServerState) error {
 			return fmt.Errorf("dhcp: restoring a pending response of unknown kind %d", p.Kind)
 		}
 		r := s.trackResp(respKind(p.Kind), p.Msg)
-		r.ev = p.Ev.Restore(s.kernel, r.fireFn)
+		r.ev = p.Ev.Restore(s.kernel, r, 0)
 	}
 	return nil
 }
@@ -95,6 +95,6 @@ func (c *Client) ExportState() ClientState {
 func (c *Client) RestoreState(st ClientState) {
 	c.sc = st.clientScalars
 	c.stopTimers()
-	c.retxTimer = st.Retx.Restore(c.kernel, c.retxFn)
-	c.deadline = st.Deadline.Restore(c.kernel, c.failFn)
+	c.retxTimer = st.Retx.Restore(c.kernel, c, timerRetx)
+	c.deadline = st.Deadline.Restore(c.kernel, c, timerDeadline)
 }

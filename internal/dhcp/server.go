@@ -207,17 +207,18 @@ const (
 // flight. Responses are tracked (not anonymous closures) so a
 // checkpoint can record each one's message and (at, seq) identity and a
 // restore can re-arm it. s is set while the record is armed and cleared
-// when it returns to the pool.
+// when it returns to the pool. The record is its own timer's owner.
 type srvResp struct {
-	s      *Server
-	msg    Message
-	kind   respKind
-	ev     sim.Event
-	idx    int // position in s.pending
-	fireFn func()
+	s    *Server
+	msg  Message
+	kind respKind
+	ev   sim.Event
+	idx  int // position in s.pending
 }
 
-func (r *srvResp) fire() {
+// Fire implements sim.Handler: the think-time delay ran out, so the
+// response goes out.
+func (r *srvResp) Fire(uint8) {
 	s := r.s
 	// Swap-remove from the pending list.
 	last := len(s.pending) - 1
@@ -240,7 +241,7 @@ func (r *srvResp) fire() {
 // scheduleResp queues m to be sent after delay, tracking it as pending.
 func (s *Server) scheduleResp(kind respKind, m Message, delay time.Duration) {
 	r := s.trackResp(kind, m)
-	r.ev = s.kernel.After(delay, r.fireFn)
+	r.ev = s.kernel.FireAfter(delay, r, 0)
 }
 
 // trackResp files a response as pending, in a record drawn from the
@@ -249,10 +250,7 @@ func (s *Server) trackResp(kind respKind, m Message) *srvResp {
 	if s.respPool == nil {
 		s.respPool = new(RespPool)
 	}
-	r, fresh := s.respPool.list.Get()
-	if fresh {
-		r.fireFn = r.fire
-	}
+	r, _ := s.respPool.list.Get()
 	r.s, r.msg, r.kind = s, m, kind
 	r.idx = len(s.pending)
 	s.pending = append(s.pending, r)

@@ -229,8 +229,6 @@ type episode struct {
 	dur         sim.Dist
 	start, stop func()
 
-	fireFn, stopFn func()
-
 	inFault bool
 	t0      time.Duration // active episode's start, for the trace span
 	ev      sim.Event
@@ -243,7 +241,23 @@ func (ep *episode) arm() {
 	if gap < time.Millisecond {
 		gap = time.Millisecond
 	}
-	ep.ev = ep.in.kernel.After(gap, ep.fireFn)
+	ep.ev = ep.in.kernel.FireAfter(gap, ep, episodeStart)
+}
+
+// Episode timer kinds, for Fire.
+const (
+	episodeStart uint8 = iota // a fault begins
+	episodeStop               // the active fault ends
+)
+
+// Fire implements sim.Handler: the episode's start and stop fire
+// through it.
+func (ep *episode) Fire(kind uint8) {
+	if kind == episodeStop {
+		ep.finish()
+		return
+	}
+	ep.fire()
 }
 
 func (ep *episode) fire() {
@@ -259,7 +273,7 @@ func (ep *episode) fire() {
 	if d < time.Millisecond {
 		d = time.Millisecond
 	}
-	ep.ev = in.kernel.After(d, ep.stopFn)
+	ep.ev = in.kernel.FireAfter(d, ep, episodeStop)
 }
 
 func (ep *episode) finish() {
@@ -285,8 +299,6 @@ func (in *Injector) scheduleEpisodes(class string, target int, mtbf time.Duratio
 		rng: in.stream(class, target), mtbf: mtbf, dur: dur,
 		start: start, stop: stop,
 	}
-	ep.fireFn = ep.fire
-	ep.stopFn = ep.finish
 	in.episodes = append(in.episodes, ep)
 	ep.arm()
 }

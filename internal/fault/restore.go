@@ -114,11 +114,11 @@ func (in *Injector) RestoreState(st InjectorState) error {
 			return fmt.Errorf("fault: restored episode %q was never attached", es.Key)
 		}
 		ep.inFault, ep.t0 = es.InFault, es.T0
-		fn := ep.fireFn
+		kind := episodeStart
 		if es.InFault {
-			fn = ep.stopFn
+			kind = episodeStop
 		}
-		ep.ev = es.Ev.Restore(in.kernel, fn)
+		ep.ev = es.Ev.Restore(in.kernel, ep, kind)
 	}
 	return nil
 }

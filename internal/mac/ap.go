@@ -99,13 +99,12 @@ type AP struct {
 	pool   *wifi.Pool // the medium's frame pool (nil under NoPool)
 	sc     apScalars
 
-	// beaconFn caches the beacon method value so each re-arm does not
-	// allocate a fresh closure (ten per second per AP adds up at metro
-	// scale); beaconEv is the armed tick, recorded by checkpoints.
-	beaconFn func()
+	// beaconEv is the armed beacon tick, recorded by checkpoints. It
+	// fires through the AP itself (Fire), so re-arming it ten times a
+	// second per AP allocates nothing.
 	beaconEv sim.Event
-	// respPool recycles the delayed-response carriers; each holds a
-	// cached fire callback so scheduling a management response allocates
+	// respPool recycles the delayed-response carriers; each is its own
+	// timer's owner, so scheduling a management response allocates
 	// nothing in steady state. resps tracks this AP's in-flight carriers
 	// so a checkpoint can capture them.
 	respPool *RespPool
@@ -171,9 +170,8 @@ func NewAPAt(m *radio.Medium, cfg APConfig, addr wifi.Addr, pos geo.Point, serve
 	ap.pool = m.Pool()
 	ap.dhcpd = dhcp.NewServer(ap.kernel, cfg.DHCP, serverID, ap.sendDHCP)
 	ap.dhcpd.SetInvariants(ap.inv)
-	ap.beaconFn = ap.beacon
 	if cfg.BeaconInterval > 0 {
-		ap.beaconEv = ap.kernel.After(cfg.BeaconInterval, ap.beaconFn)
+		ap.beaconEv = ap.kernel.FireAfter(cfg.BeaconInterval, ap, 0)
 	}
 	return ap
 }
@@ -260,6 +258,10 @@ func (ap *AP) nextSeq() uint16 {
 	return ap.sc.Seq
 }
 
+// Fire implements sim.Handler: the AP's one timer, the beacon tick,
+// fires through it.
+func (ap *AP) Fire(uint8) { ap.beacon() }
+
 func (ap *AP) beacon() {
 	// The schedule keeps ticking through crashes and silences so the
 	// beat resumes cleanly; only the transmission is suppressed.
@@ -268,7 +270,7 @@ func (ap *AP) beacon() {
 	} else {
 		ap.BeaconsMissed++
 	}
-	ap.beaconEv = ap.kernel.After(ap.cfg.BeaconInterval, ap.beaconFn)
+	ap.beaconEv = ap.kernel.FireAfter(ap.cfg.BeaconInterval, ap, 0)
 }
 
 // beaconFrame builds a pooled beacon or probe-response frame — the two
@@ -293,15 +295,17 @@ func (ap *AP) beaconFrame(da wifi.Addr, t wifi.FrameType) *wifi.Frame {
 // fire and owns nothing afterwards. ap is set while the carrier is
 // armed and cleared when it returns to the pool. In-flight carriers sit
 // in ap.resps (swap-removed on fire) so checkpoints can capture them.
+// The carrier is its own timer's owner.
 type pendingResp struct {
-	ap     *AP
-	f      *wifi.Frame
-	ev     sim.Event
-	idx    int // position in ap.resps
-	fireFn func()
+	ap  *AP
+	f   *wifi.Frame
+	ev  sim.Event
+	idx int // position in ap.resps
 }
 
-func (pr *pendingResp) fire() {
+// Fire implements sim.Handler: the processing delay ran out, so the
+// response goes on the air.
+func (pr *pendingResp) Fire(uint8) {
 	ap, f := pr.ap, pr.f
 	last := len(ap.resps) - 1
 	ap.resps[pr.idx] = ap.resps[last]
@@ -317,10 +321,7 @@ func (ap *AP) trackResp(f *wifi.Frame) *pendingResp {
 	if ap.respPool == nil {
 		ap.respPool = new(RespPool)
 	}
-	pr, fresh := ap.respPool.list.Get()
-	if fresh {
-		pr.fireFn = pr.fire
-	}
+	pr, _ := ap.respPool.list.Get()
 	pr.ap, pr.f = ap, f
 	pr.idx = len(ap.resps)
 	ap.resps = append(ap.resps, pr)
@@ -330,7 +331,7 @@ func (ap *AP) trackResp(f *wifi.Frame) *pendingResp {
 // respondAfterDelay transmits f after the AP's processing delay.
 func (ap *AP) respondAfterDelay(f *wifi.Frame) {
 	pr := ap.trackResp(f)
-	pr.ev = ap.kernel.After(ap.cfg.RespDelay.Sample(ap.kernel.RNG("mac.ap.resp")), pr.fireFn)
+	pr.ev = ap.kernel.FireAfter(ap.cfg.RespDelay.Sample(ap.kernel.RNG("mac.ap.resp")), pr, 0)
 }
 
 func (ap *AP) receive(f *wifi.Frame) {

@@ -109,12 +109,11 @@ type Joiner struct {
 	host   JoinHost
 	pool   *wifi.Pool // the medium's frame pool (nil under NoPool)
 
-	sc    joinerScalars
+	sc joinerScalars
+	// timer is the retransmission timeout; it fires through the joiner
+	// itself (Fire), so arming it allocates nothing.
 	timer sim.Event
 	rng   *rand.Rand
-	// timeoutFn caches the retransmission callback so each send does not
-	// allocate a fresh method value.
-	timeoutFn func()
 
 	// inv counts impossible-state transitions (nil-safe; see SetInvariants).
 	inv *metrics.InvariantSet
@@ -154,7 +153,6 @@ func (j *Joiner) Init(k *sim.Kernel, cfg JoinConfig, self, bssid wifi.Addr, ssid
 		host: host,
 		rng:  joinerStream(k, self, bssid),
 	}
-	j.timeoutFn = j.onTimeout
 }
 
 // joinerStream returns the (client, BSSID) stream, named
@@ -263,8 +261,12 @@ func (j *Joiner) sendCurrent() {
 	// Jitter the per-message timer (±20%) so retransmissions cannot
 	// phase-lock against a channel schedule whose period divides it.
 	jitter := time.Duration((j.rng.Float64()*0.4 - 0.2) * float64(j.cfg.LinkTimeout))
-	j.timer = j.kernel.After(j.cfg.LinkTimeout+jitter, j.timeoutFn)
+	j.timer = j.kernel.FireAfter(j.cfg.LinkTimeout+jitter, j, 0)
 }
+
+// Fire implements sim.Handler: the joiner's one timer, the
+// retransmission timeout, fires through it.
+func (j *Joiner) Fire(uint8) { j.onTimeout() }
 
 func (j *Joiner) onTimeout() {
 	j.timer = sim.Event{} // we are its firing; the handle is spent

@@ -98,11 +98,11 @@ func (ap *AP) RestoreState(st APState) error {
 			return fmt.Errorf("mac: restoring response: %w", err)
 		}
 		pr := ap.trackResp(f)
-		pr.ev = rs.Ev.Restore(ap.kernel, pr.fireFn)
+		pr.ev = rs.Ev.Restore(ap.kernel, pr, 0)
 	}
 
 	ap.beaconEv.Cancel()
-	ap.beaconEv = st.Beacon.Restore(ap.kernel, ap.beaconFn)
+	ap.beaconEv = st.Beacon.Restore(ap.kernel, ap, 0)
 	return nil
 }
 
@@ -124,5 +124,5 @@ func (j *Joiner) ExportState() JoinerState {
 func (j *Joiner) RestoreState(st JoinerState) {
 	j.sc = st.joinerScalars
 	j.cancelTimer()
-	j.timer = st.Timer.Restore(j.kernel, j.timeoutFn)
+	j.timer = st.Timer.Restore(j.kernel, j, 0)
 }

@@ -348,7 +348,7 @@ func TestRetuneSuspendsRadio(t *testing.T) {
 	k, _, a, b, _, cb := newPair(t, losslessCfg(), 50)
 	reset := 5 * time.Millisecond
 	done := false
-	b.Retune(11, reset, func() { done = true })
+	b.Retune(11, reset, sim.Func(func() { done = true }), 0)
 	if b.Channel() != 0 {
 		t.Fatal("radio not deaf during reset")
 	}
@@ -369,7 +369,7 @@ func TestRetuneSuspendsRadio(t *testing.T) {
 func TestSendDuringSuspensionDefersStart(t *testing.T) {
 	k, _, _, b, _, _ := newPair(t, losslessCfg(), 50)
 	reset := 10 * time.Millisecond
-	b.Retune(11, reset, nil)
+	b.Retune(11, reset, nil, 0)
 	// Queue a send immediately; the radio is deaf, so Send on channel 0
 	// must report false.
 	if b.Send(dataFrame(b, b)) {

@@ -134,7 +134,7 @@ func (r *Radio) RestoreState(st RadioState, resolve func(TxTag) func(delivered b
 		// and retries/pops the head job, so the identity must hold.
 		r.txF = r.txQueue[0].f
 		r.txCh, r.txDur = st.TxCh, st.TxDur
-		r.txDoneEv = st.TxDone.Restore(r.m.kernel, r.txDoneFn)
+		r.txDoneEv = st.TxDone.Restore(r.m.kernel, r, timerTxDone)
 	}
 	return nil
 }

@@ -119,7 +119,7 @@ func (c *Client) ExportState() (ClientState, error) {
 	return st, nil
 }
 
-func (c *Client) restoreLinkSegs(states []LinkSegState, live *[]*linkSeg, fn func(*linkSeg) func()) error {
+func (c *Client) restoreLinkSegs(states []LinkSegState, live *[]*linkSeg, kind uint8) error {
 	w := c.World
 	for _, lss := range states {
 		node := w.byBSS[lss.BSSID]
@@ -132,7 +132,7 @@ func (c *Client) restoreLinkSegs(states []LinkSegState, live *[]*linkSeg, fn fun
 			return fmt.Errorf("scenario: restoring in-flight segment for %s: bad encoding", c.addr)
 		}
 		ls := w.getLinkSeg(c, node, seg)
-		ls.ev = lss.Ev.Restore(w.Kernel, fn(ls))
+		ls.ev = lss.Ev.Restore(w.Kernel, ls, kind)
 		c.trackSeg(live, ls)
 	}
 	return nil
@@ -169,10 +169,10 @@ func (c *Client) RestoreState(st ClientState) error {
 	}
 
 	c.upLive, c.downLive = c.upLive[:0], c.downLive[:0]
-	if err := c.restoreLinkSegs(st.UpLive, &c.upLive, func(ls *linkSeg) func() { return ls.upFn }); err != nil {
+	if err := c.restoreLinkSegs(st.UpLive, &c.upLive, segUp); err != nil {
 		return err
 	}
-	return c.restoreLinkSegs(st.DownLive, &c.downLive, func(ls *linkSeg) func() { return ls.downFn })
+	return c.restoreLinkSegs(st.DownLive, &c.downLive, segDown)
 }
 
 // ExportState captures the world for a checkpoint: APs in construction

@@ -142,7 +142,7 @@ func (c *Client) downlinkSender(node *APNode, flowID uint32, size int64, onDone 
 		// The segment stays alive across the backhaul delay; linkSeg.down
 		// encodes it on arrival and recycles it into the world's pool.
 		ds := c.World.getLinkSeg(c, node, seg)
-		if ev, ok := node.Link.DownEv(seg.WireSize(), ds.downFn); ok {
+		if ev, ok := node.Link.DownEv(seg.WireSize(), ds, segDown); ok {
 			ds.ev = ev
 			c.trackSeg(&c.downLive, ds)
 		}

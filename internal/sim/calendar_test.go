@@ -63,8 +63,8 @@ func (p *kernelPair) restore(order []int) {
 	}
 	for _, i := range order {
 		id := p.ids[i]
-		p.calEvs[i] = states[i].Restore(p.cal, func() { p.calFired = append(p.calFired, id) })
-		p.refEvs[i] = states[i].Restore(p.ref, func() { p.refFired = append(p.refFired, id) })
+		p.calEvs[i] = states[i].Restore(p.cal, Func(func() { p.calFired = append(p.calFired, id) }), 0)
+		p.refEvs[i] = states[i].Restore(p.ref, Func(func() { p.refFired = append(p.refFired, id) }), 0)
 	}
 	p.check()
 }
@@ -296,8 +296,8 @@ func TestCalendarRestore(t *testing.T) {
 	if e1.Pending() || e2.Pending() {
 		t.Fatalf("handles still pending after BeginRestore")
 	}
-	st2.Restore(k, func() { fired = append(fired, 2) })
-	st1.Restore(k, func() { fired = append(fired, 1) })
+	st2.Restore(k, Func(func() { fired = append(fired, 2) }), 0)
+	st1.Restore(k, Func(func() { fired = append(fired, 1) }), 0)
 	k.RunAll()
 	want := []int{0, 1, 2}
 	if len(fired) != 3 || fired[0] != want[0] || fired[1] != want[1] || fired[2] != want[2] {
@@ -384,8 +384,8 @@ func TestCalendarStagingAllocatesNothing(t *testing.T) {
 	for i := 0; i < numBuckets; i++ {
 		cycle() // grow the arena, the heap and the run to their peaks
 	}
-	if got := unsafe.Sizeof(slot{}); got != 40 {
-		t.Errorf("slot is %d bytes, want 40", got)
+	if got := unsafe.Sizeof(slot{}); got != 48 {
+		t.Errorf("slot is %d bytes, want 48", got)
 	}
 	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
 		t.Fatalf("warm calendar allocated %.1f times per cycle", allocs)

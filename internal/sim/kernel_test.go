@@ -429,6 +429,78 @@ func TestCancelledSlotReuseKeepsOrder(t *testing.T) {
 	}
 }
 
+// kindLog is a timer owner for the handler tests: it records each
+// kind it is fired with.
+type kindLog struct {
+	k     *Kernel
+	fired []uint8
+	at    []time.Duration
+}
+
+func (l *kindLog) Fire(kind uint8) {
+	l.fired = append(l.fired, kind)
+	l.at = append(l.at, l.k.Now())
+}
+
+// One owner, several timers: FireAt hands each event's kind back to
+// the owner, and owner events order against one-off closures by (at,
+// seq) like any other event.
+func TestFireAtPassesKindToOwner(t *testing.T) {
+	k := NewKernel(1)
+	l := &kindLog{k: k}
+	k.FireAt(3*time.Millisecond, l, 7)
+	k.FireAfter(time.Millisecond, l, 1)
+	k.At(time.Millisecond, func() { l.fired = append(l.fired, 99) })
+	k.FireAfter(-time.Second, l, 0) // clamped to now
+	k.Run(time.Second)
+	want := []uint8{0, 1, 99, 7}
+	if len(l.fired) != len(want) {
+		t.Fatalf("fired %v, want %v", l.fired, want)
+	}
+	for i := range want {
+		if l.fired[i] != want[i] {
+			t.Fatalf("fired %v, want %v", l.fired, want)
+		}
+	}
+}
+
+// Arming a timer through its owner, or a one-off through a func value
+// built once, allocates nothing once the arena has room: neither the
+// owner's pointer nor the func value is boxed.
+func TestFireAtAllocatesNothing(t *testing.T) {
+	k := NewKernel(1)
+	l := &kindLog{k: k, fired: make([]uint8, 0, 1024), at: make([]time.Duration, 0, 1024)}
+	fn := func() {}
+	k.Reserve(8)
+	allocs := testing.AllocsPerRun(100, func() {
+		e := k.FireAfter(time.Millisecond, l, 3)
+		k.After(time.Millisecond, fn)
+		e.Cancel()
+		k.Run(k.Now() + time.Millisecond)
+	})
+	if allocs != 0 {
+		t.Fatalf("arming through an owner allocated %.1f times per run", allocs)
+	}
+}
+
+func TestNilHandlerPanics(t *testing.T) {
+	for name, arm := range map[string]func(k *Kernel){
+		"FireAt":    func(k *Kernel) { k.FireAt(0, nil, 0) },
+		"At":        func(k *Kernel) { k.At(0, nil) },
+		"After":     func(k *Kernel) { k.After(0, nil) },
+		"FireAfter": func(k *Kernel) { k.FireAfter(0, nil, 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with a nil callback did not panic", name)
+				}
+			}()
+			arm(NewKernel(1))
+		}()
+	}
+}
+
 func BenchmarkKernelScheduleAndRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := NewKernel(1)

@@ -227,8 +227,8 @@ func (es EventState) Before(o EventState) bool {
 	return es.Seq < o.Seq
 }
 
-// Restore re-arms a captured timer on k with fn, or returns the zero
-// Event if none was pending. It is the re-arm half of checkpoint
+// Restore re-arms a captured timer on k to fire h.Fire(kind), or
+// returns the zero Event if none was pending. It is the re-arm half of checkpoint
 // restore: the timer is reinserted with its recorded (at, seq) key
 // instead of the next sequence number, so it sorts against every
 // other event — restored or new — exactly as in the uninterrupted run.
@@ -237,12 +237,12 @@ func (es EventState) Before(o EventState) bool {
 // before Now, or a seq at or above NextSeq — marks a corrupt
 // checkpoint: the timer is dropped, the first such error is kept for
 // RestoreErr, and the zero Event is returned.
-func (es EventState) Restore(k *Kernel, fn func()) Event {
+func (es EventState) Restore(k *Kernel, h Handler, kind uint8) Event {
 	if !es.Pending {
 		return Event{}
 	}
-	if fn == nil {
-		panic("sim: nil event func")
+	if h == nil {
+		panic("sim: nil event handler")
 	}
 	switch {
 	case k.restoreErr != nil:
@@ -256,7 +256,7 @@ func (es EventState) Restore(k *Kernel, fn func()) Event {
 	}
 	idx := k.alloc()
 	s := &k.slots[idx]
-	s.fn = fn
+	s.h, s.kind = h, kind
 	s.at = es.At
 	s.seq = es.Seq
 	k.enqueue(idx)

@@ -104,8 +104,8 @@ func TestRewindReplaysIdentically(t *testing.T) {
 	}
 	// Re-arm in the "wrong" (swapped) order: (at, seq) keys must make
 	// insertion order irrelevant.
-	stB.Restore(k2, b2)
-	stA.Restore(k2, a2)
+	stB.Restore(k2, Func(b2), 0)
+	stA.Restore(k2, Func(a2), 0)
 	k2.Run(50 * time.Millisecond)
 
 	if len(log) != len(ref) {

@@ -27,7 +27,7 @@ func (s *Sender) RestoreState(st SenderState) {
 	s.sc = st.senderScalars
 	s.inflight = append(s.inflight[:0], st.Inflight...)
 	s.rtoTimer.Cancel()
-	s.rtoTimer = st.RTOTimer.Restore(s.kernel, s.onRTOFn)
+	s.rtoTimer = st.RTOTimer.Restore(s.kernel, s, 0)
 }
 
 // ReceiverState is a Receiver's checkpointable state.

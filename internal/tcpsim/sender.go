@@ -77,8 +77,7 @@ type Sender struct {
 	sc       senderScalars
 	inflight []unacked
 
-	rtoTimer sim.Event
-	onRTOFn  func() // cached method value: armRTO runs per ACK
+	rtoTimer sim.Event // fires through the sender itself (Fire)
 	onDone   func()
 
 	// segs, when set, recycles transmitted segments. The owner of the
@@ -150,7 +149,6 @@ func NewSender(k *sim.Kernel, cfg Config, flowID uint32, size int64, transmit fu
 			RTO: c.InitialRTO,
 		},
 	}
-	s.onRTOFn = s.onRTO
 	return s
 }
 
@@ -228,8 +226,13 @@ func (s *Sender) armRTO() {
 	if len(s.inflight) == 0 || s.sc.Closed {
 		return
 	}
-	s.rtoTimer = s.kernel.After(s.sc.RTO, s.onRTOFn)
+	s.rtoTimer = s.kernel.FireAfter(s.sc.RTO, s, 0)
 }
+
+// Fire implements sim.Handler: the sender's one timer, the
+// retransmission timeout, fires through it. armRTO runs per ACK, so
+// re-arming must not allocate.
+func (s *Sender) Fire(uint8) { s.onRTO() }
 
 // onRTO handles a retransmission timeout: multiplicative backoff, window
 // collapse to one segment, and go-back-N — everything outstanding is
