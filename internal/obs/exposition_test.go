@@ -52,6 +52,31 @@ func TestExpositionHostileNames(t *testing.T) {
 	}
 }
 
+// TestExpositionNameCollisions pins the writer's answer to names that
+// sanitize onto one exposition name, or onto a histogram's series:
+// each later metric takes a free "_<n>" suffix instead of a second
+// TYPE for one name.
+func TestExpositionNameCollisions(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("a-b", "sanitizes to a_b")
+	r.Gauge("a_b", "already a_b")
+	r.Histogram("h", "histogram", 1)
+	r.Counter("h-count", "sanitizes onto h's _count series")
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatalf("WritePrometheus: %v", err)
+	}
+	out := buf.String()
+	for _, want := range []string{"# TYPE a_b counter\n", "# TYPE a_b_2 gauge\n", "# TYPE h histogram\n", "# TYPE h_count_2 counter\n"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("%q missing from:\n%s", want, out)
+		}
+	}
+	if err := CheckExposition(buf.Bytes()); err != nil {
+		t.Fatalf("CheckExposition: %v\n%s", err, out)
+	}
+}
+
 func TestSanitizeMetricName(t *testing.T) {
 	cases := map[string]string{
 		"good_name:total": "good_name:total", // valid: unchanged

@@ -442,13 +442,17 @@ func EscapeLabelValue(s string) string {
 // become '_'; simulation metrics are all well-named, so this only moves
 // hostile or foreign names), HELP text escapes backslashes and
 // newlines, and label values escape backslashes, newlines and quotes.
+// Two metrics whose names sanitize onto one exposition name (or onto
+// a histogram's _bucket, _sum or _count series) would give one name
+// two TYPEs, so a later one takes the first free "_<n>" suffix.
 // Before this hardening a help string containing a newline, or a metric
 // name with a '-', produced output a Prometheus scrape would reject —
 // which the supervisor's live /metrics endpoint turns from a cosmetic
 // file bug into a service outage.
 func (s Snapshot) WritePrometheus(w io.Writer) error {
+	taken := make(map[string]bool, len(s))
 	for _, p := range s {
-		name := SanitizeMetricName(p.Name)
+		name := exposedName(SanitizeMetricName(p.Name), p.Kind, taken)
 		if p.Help != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, escapeHelp(p.Help)); err != nil {
 				return err
@@ -484,6 +488,40 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// histogramSeries are the suffixes of a histogram's sample names.
+var histogramSeries = []string{"_bucket", "_sum", "_count"}
+
+// exposedName returns name, or name with the first "_<n>" suffix that
+// makes it free, and marks the metric's sample names as taken. A name
+// is free when neither it nor, for a histogram, its series names are
+// already taken.
+func exposedName(name string, kind Kind, taken map[string]bool) string {
+	free := func(n string) bool {
+		if taken[n] {
+			return false
+		}
+		if kind == KindHistogram {
+			for _, suf := range histogramSeries {
+				if taken[n+suf] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	out := name
+	for i := 2; !free(out); i++ {
+		out = name + "_" + strconv.Itoa(i)
+	}
+	taken[out] = true
+	if kind == KindHistogram {
+		for _, suf := range histogramSeries {
+			taken[out+suf] = true
+		}
+	}
+	return out
 }
 
 // WritePrometheus exports the registry's current state (a convenience

@@ -16,7 +16,8 @@
 //     task index and stack, failing the sweep with a usable message
 //     instead of crashing the process.
 //   - Cancellation is context-based: the first failure cancels the
-//     sweep's context, and unstarted tasks are skipped.
+//     sweep's context, and unstarted tasks above the lowest failure
+//     are skipped.
 //
 // The engine is the substrate under internal/expt and the -workers flag
 // of cmd/spider-exp and cmd/spider-sim, and the seam for any future
@@ -106,10 +107,12 @@ func runOne[T any](ctx context.Context, i int, task func(context.Context, int) (
 // order, regardless of completion order.
 //
 // On the first task error the sweep's context is cancelled: running
-// tasks see ctx.Err() and unstarted tasks are skipped. The returned
-// error is the lowest-indexed task failure, wrapped with its index —
-// deterministic because indices are claimed in ascending order, so
-// every index below the first failure has already run to completion.
+// tasks see ctx.Err(), and unstarted tasks above the lowest failure so
+// far are skipped. A claimed task below it still runs, even if the
+// failure came first, so no index below a failure is ever skipped. The
+// returned error is the lowest-indexed genuine task failure, wrapped
+// with its index; a task that returns the sweep's cancellation counts
+// as skipped, not failed.
 func RunN[T any](ctx context.Context, workers, n int, task func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, ctx.Err()
@@ -138,9 +141,13 @@ func RunN[T any](ctx context.Context, workers, n int, task func(ctx context.Cont
 		return results, firstError(errs)
 	}
 
+	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var next atomic.Int64
+	// lowest is the lowest index that has failed so far (n: none).
+	var lowest atomic.Int64
+	lowest.Store(int64(n))
 	var wg sync.WaitGroup
 	for wi := 0; wi < w; wi++ {
 		wg.Add(1)
@@ -151,14 +158,24 @@ func RunN[T any](ctx context.Context, workers, n int, task func(ctx context.Cont
 				if i >= n {
 					return
 				}
-				if err := ctx.Err(); err != nil {
+				if claimHook != nil {
+					claimHook(ctx, i)
+				}
+				if err := parent.Err(); err != nil {
 					errs[i] = err
+					return
+				}
+				if int64(i) > lowest.Load() {
+					errs[i] = context.Canceled
 					return
 				}
 				var err error
 				results[i], err = runOne(ctx, i, task)
 				if err != nil {
 					errs[i] = err
+					if !isCancel(err) {
+						lowerTo(&lowest, int64(i))
+					}
 					cancel()
 				}
 			}
@@ -166,6 +183,27 @@ func RunN[T any](ctx context.Context, workers, n int, task func(ctx context.Cont
 	}
 	wg.Wait()
 	return results, firstError(errs)
+}
+
+// claimHook, when set, runs between a worker's claim of index i and
+// its decision whether to run it. Tests set it to force a failure into
+// that window; it is nil otherwise.
+var claimHook func(ctx context.Context, i int)
+
+// lowerTo lowers v to i unless it already holds a lower value.
+func lowerTo(v *atomic.Int64, i int64) {
+	for {
+		cur := v.Load()
+		if i >= cur || v.CompareAndSwap(cur, i) {
+			return
+		}
+	}
+}
+
+// isCancel reports whether err is a context's cancellation or deadline:
+// the marker of a skipped task, not a failure.
+func isCancel(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // firstError returns the lowest-indexed genuine failure, preferring real
@@ -176,7 +214,7 @@ func firstError(errs []error) error {
 		if err == nil {
 			continue
 		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if isCancel(err) {
 			if skipped == nil {
 				skipped = fmt.Errorf("sweep: task %d skipped: %w", i, err)
 			}

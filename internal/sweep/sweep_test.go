@@ -114,6 +114,34 @@ func TestRunNFirstErrorWinsAndCancels(t *testing.T) {
 	}
 }
 
+// A worker claims an index, then decides whether to run it. A failure
+// at a higher index that lands in between must not skip the claimed
+// lower index: its task runs, and its own failure is the one reported.
+// The claim hook holds index 0 in that window until index 1 has failed
+// and cancelled the sweep; index 2, above the failure, is skipped.
+func TestRunNRunsClaimedIndexBelowLaterFailure(t *testing.T) {
+	claimHook = func(ctx context.Context, i int) {
+		if i == 0 {
+			<-ctx.Done() // index 1's failure cancels the sweep
+		}
+	}
+	defer func() { claimHook = nil }()
+	var ran [3]atomic.Bool
+	_, err := RunN(context.Background(), 2, 3, func(_ context.Context, i int) (int, error) {
+		ran[i].Store(true)
+		return 0, fmt.Errorf("task %d failed", i)
+	})
+	if !ran[0].Load() {
+		t.Fatal("claimed index 0 was skipped after index 1 failed")
+	}
+	if err == nil || !strings.Contains(err.Error(), "task 0 failed") {
+		t.Fatalf("err = %v, want index 0's failure", err)
+	}
+	if ran[2].Load() {
+		t.Error("index 2, above the failure, ran")
+	}
+}
+
 func TestRunNRespectsParentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
