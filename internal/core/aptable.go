@@ -186,11 +186,12 @@ func (t *apTable) candidates(channel int, now, staleAfter time.Duration, useHist
 	return t.sorter.recs
 }
 
-// all returns every record (tests and metrics).
+// all returns every record in BSSID order.
 func (t *apTable) all() []*APRecord {
 	out := make([]*APRecord, 0, len(t.byBSSID))
 	for _, r := range t.byBSSID {
 		out = append(out, r)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].BSSID.Less(out[j].BSSID) })
 	return out
 }

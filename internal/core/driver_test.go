@@ -585,6 +585,28 @@ func TestKnownAPsAccumulate(t *testing.T) {
 	}
 }
 
+// The scan table lists its records in BSSID order, not map order, so
+// anything that prints or folds it is deterministic.
+func TestKnownAPsInBSSIDOrder(t *testing.T) {
+	w := newWorld(33, 0)
+	for i, id := range []uint32{9, 3, 7, 1, 5, 8, 2} {
+		w.addAP(id, "ap", 6, geo.Point{X: float64(10 + 5*i)})
+	}
+	d := w.addDriver(singleChannelCfg(SingleChannelMultiAP, 6), geo.Static{P: geo.Point{}})
+	w.k.Run(5 * time.Second)
+	for try := 0; try < 5; try++ {
+		recs := d.KnownAPs()
+		if len(recs) != 7 {
+			t.Fatalf("known %d APs, want 7", len(recs))
+		}
+		for i := 1; i < len(recs); i++ {
+			if !recs[i-1].BSSID.Less(recs[i].BSSID) {
+				t.Fatalf("KnownAPs not in BSSID order: %s before %s", recs[i-1].BSSID, recs[i].BSSID)
+			}
+		}
+	}
+}
+
 func TestAirtimeAccounting(t *testing.T) {
 	w := newWorld(34, 0)
 	w.addAP(1, "a", 6, geo.Point{X: 20})
