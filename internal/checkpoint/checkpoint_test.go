@@ -120,6 +120,78 @@ func TestCrashResumeArchiveIdentity(t *testing.T) {
 	}
 }
 
+// staggeredCity is a staggered-admission city: the geometry of
+// spider-sim's -join-spread 20s -join-ramp exp digest run, so clients
+// are still joining at most barriers.
+func staggeredCity() *shard.City {
+	spec := scenario.CityGrid(5, 80, 24)
+	spec.AreaW, spec.AreaH = 2400, 1600
+	spec.JoinSpread, spec.JoinRamp = 20*time.Second, "exp"
+	cfg := core.SpiderDefaults(core.MultiChannelMultiAP,
+		core.EqualSchedule(200*time.Millisecond, 1, 6, 11))
+	c := shard.NewCity(spec, cfg, 2)
+	c.EnableObs(0)
+	return c
+}
+
+// TestResumeAtEveryBarrier: at every barrier of a run, the checkpoint
+// restores into a fresh city that re-exports it byte for byte, and the
+// run carries on in that city. After a restore at every barrier the
+// final archive is the uninterrupted run's.
+func TestResumeAtEveryBarrier(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		seed  int64
+		chaos string
+		until time.Duration
+		build func() *shard.City
+	}{
+		{"clean", 1, "", 21 * time.Second, func() *shard.City { return buildCity(1, 2, false) }},
+		{"aggressive", 1, "aggressive", 21 * time.Second, func() *shard.City { return buildCity(1, 2, true) }},
+		{"staggered", 5, "", time.Minute, staggeredCity},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			ref := tc.build()
+			if err := ref.Run(tc.until); err != nil {
+				t.Fatal(err)
+			}
+			want := archiveBytes(t, ref, tc.seed, tc.chaos, tc.until)
+
+			c := tc.build()
+			for c.Now() < tc.until {
+				if err := c.Run(c.Now() + c.Layout.Epoch); err != nil {
+					t.Fatal(err)
+				}
+				ck, err := Capture(c, tc.seed, "fp")
+				if err != nil {
+					t.Fatalf("capture at %v: %v", c.Now(), err)
+				}
+				enc := ck.Encode()
+				loaded, err := Decode(enc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				next := tc.build()
+				if err := loaded.Apply(next, tc.seed, "fp"); err != nil {
+					t.Fatalf("restore at %v: %v", c.Now(), err)
+				}
+				again, err := Capture(next, tc.seed, "fp")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(again.Encode(), enc) {
+					t.Fatalf("restored at %v: the city re-exports different bytes", c.Now())
+				}
+				c = next
+			}
+			if got := archiveBytes(t, c, tc.seed, tc.chaos, tc.until); !bytes.Equal(got, want) {
+				t.Fatal("resumed at every barrier: archive differs from the uninterrupted run")
+			}
+		})
+	}
+}
+
 // TestCodecByteStability: decode(encode) re-encodes to identical bytes,
 // and a checkpoint taken twice at the same barrier is byte-identical.
 func TestCodecByteStability(t *testing.T) {
@@ -280,6 +352,13 @@ func TestApplyRefusesCorruptState(t *testing.T) {
 			ap := &st.Tiles[0].World.APs[0].AP
 			ap.DHCP.Pending = append(ap.DHCP.Pending, dhcp.PendingRespState{Kind: 3, Ev: ap.Beacon})
 		}},
+		{"queued frame with a completion tag of unknown kind", func(st *shard.CityState) {
+			i, r, q := firstTaggedJob(st)
+			if i < 0 {
+				t.Fatal("fixture is dead: no queued frame carries a completion tag")
+			}
+			st.Tiles[i].World.Medium.Radios[r].Queue[q].Tag.Kind = radio.TagPSM + 1
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			edited, err := Decode(enc)
@@ -409,4 +488,20 @@ func firstTableClient(st *shard.CityState) (tile, client int) {
 		}
 	}
 	return -1, -1
+}
+
+// firstTaggedJob returns the tile, radio and queue index of the first
+// queued frame in st, in tile, radio and queue order, that carries a
+// completion tag, or -1, -1, -1.
+func firstTaggedJob(st *shard.CityState) (tile, r, q int) {
+	for i, ts := range st.Tiles {
+		for j, rs := range ts.World.Medium.Radios {
+			for k, js := range rs.Queue {
+				if js.Tag.Kind != radio.TagNone {
+					return i, j, k
+				}
+			}
+		}
+	}
+	return -1, -1, -1
 }

@@ -46,7 +46,6 @@ var checkpointedTypes = []checkpointed{
 			"swLingerEv", "swRetuneEv"},
 		derived: []string{"kernel", "cfg", "pol", "radio", "events", "sink", "pool", "backoffRNG",
 			"resetFault", "connectedHooks", "teardownHooks", "tr", "hAssoc", "hJoin", "hSwitch",
-			"psmFree",
 			"ifScratch", "connScratch", "ifaceFree", "dhcpMsg",
 			"stopped"}, // retired drivers are never exported
 	},
@@ -67,7 +66,6 @@ var checkpointedTypes = []checkpointed{
 		state:      typeOf[mac.APClientState](),
 		units:      []string{"sc"},
 		translated: []string{"buffer", "pending"},
-		derived:    []string{"doneFn"},
 	},
 	{
 		comp: typeOf[mac.Joiner](), state: typeOf[mac.JoinerState](),

@@ -9,6 +9,7 @@ import (
 
 	"spider/internal/core"
 	"spider/internal/fault"
+	"spider/internal/radio"
 	"spider/internal/shard"
 )
 
@@ -72,17 +73,17 @@ func smallCity(seed int64) *shard.City {
 }
 
 // mutable names the state fields FuzzApplyCheckpoint edits: counts,
-// indices, tile ids, times, event sequence numbers, channels, RNG
-// stream positions (N), and the halo frames' destinations and
-// positions. A slice of numbers is matched by its own field name
-// (ResidentTile).
+// indices, tile ids, times, event sequence numbers, channels, kinds
+// (completion tags, metric handles), RNG stream positions (N), and the
+// halo frames' destinations and positions. A slice of numbers is
+// matched by its own field name (ResidentTile).
 var mutable = map[string]bool{
 	"Now": true, "NextSeq": true, "Fired": true, "Migrations": true,
 	"Client": true, "From": true, "To": true, "ResidentTile": true, "Dst": true,
 	"At": true, "Seq": true, "IdleUntil": true, "SuspendedTo": true, "BusyUntil": true,
 	"Channel": true, "Ch": true, "TxCh": true, "SwCh": true,
 	"SchedIdx": true, "APSliceIdx": true, "BGHome": true, "SwOutstanding": true,
-	"NextIP": true, "AID": true, "Total": true, "X": true, "Y": true, "N": true,
+	"NextIP": true, "AID": true, "Total": true, "X": true, "Y": true, "N": true, "Kind": true,
 }
 
 // leaf is one editable number in a checkpoint and its path there.
@@ -178,6 +179,14 @@ func FuzzApplyCheckpoint(f *testing.F) {
 	// The far-position document: tile 0's loss stream at 2^34 draws,
 	// drawn on the next epoch's first delivery.
 	f.Add(leafIndex(f, leaves, rngPath(f, &ck.City, 0, "radio.loss")), int64(1<<34))
+	// The unknown-tag document: a queued frame's completion tag of a
+	// kind no owner sends, which the radio's restore must refuse.
+	i, r, q := firstTaggedJob(&ck.City)
+	if i < 0 {
+		f.Fatal("fixture is dead: no queued frame carries a completion tag")
+	}
+	f.Add(leafIndex(f, leaves, fmt.Sprintf(".Tiles[%d].World.Medium.Radios[%d].Queue[%d].Tag.Kind", i, r, q)),
+		int64(radio.TagPSM+1))
 
 	f.Fuzz(func(t *testing.T, idx uint32, v int64) {
 		edited, err := Decode(enc)

@@ -163,10 +163,6 @@ type Driver struct {
 	swPolls    []*Iface
 	swLingerEv sim.Event
 	swRetuneEv sim.Event
-	// psmFree recycles the switches' PSM completion waiters. A driver
-	// seldom owes more than one at a time, so it is a plain stack: a
-	// slab.List's first slab of four would mostly sit idle, per client.
-	psmFree []*psmWaiter
 	// ifScratch backs liveIfaces (connScratch the AP slicer's filtered
 	// view of it); ifaceFree recycles torn-down interfaces
 	// (with their joiner and DHCP state machines) for the next join.
@@ -249,7 +245,7 @@ func newDriver(m *radio.Medium, cfg Config, pol policy, addr wifi.Addr, mob geo.
 		backoffRNG: k.RNG("core.backoff." + addr.String()),
 		inv:        metrics.NewInvariantSet(),
 	}
-	d.radio = m.NewRadio(addr, func() geo.Point { return mob.PositionAt(k.Now()) }, radio.ReceiverFunc(d.receive))
+	d.radio = m.NewRadio(addr, func() geo.Point { return mob.PositionAt(k.Now()) }, d)
 	// A mobility model's Speed bounds its instantaneous speed, so the
 	// radio can ride the index's drift-bounded mobile grid and the medium
 	// can place it without sampling; a model without a bound reports a
@@ -366,11 +362,10 @@ func (d *Driver) Shutdown() {
 	d.swRetuneEv = sim.Event{}
 	d.sc.Switching = false
 	// Frames already committed to the radio finish as pure physics — the
-	// airtime is spent and deliveries still draw loss — but their
-	// completion callbacks are stripped so nothing upcalls into the
-	// retired driver (a stale PSM completion could otherwise schedule a
-	// linger tick).
-	d.radio.Orphan()
+	// airtime is spent and deliveries still draw loss — but their tags
+	// are stripped so nothing upcalls into the retired driver (a stale
+	// PSM completion could otherwise schedule a linger tick).
+	d.radio.Orphan(nil)
 	d.radio.SetChannel(0)
 }
 
@@ -680,14 +675,9 @@ func (d *Driver) switchTo(ch int) {
 	// buffer for us while we are away. The hardware reset waits for these
 	// frames to actually clear the air — resetting under them would flush
 	// the announcement and leave the AP transmitting to nobody.
-	var w *psmWaiter
 	for _, ifc := range ifaces {
 		if ifc.Channel() == from && ifc.sc.State >= IfaceDHCP {
 			connected++
-			if w == nil {
-				w = d.psmWaiter(d.sc.SwGen)
-			}
-			w.owed++
 			d.sc.SwOutstanding++
 			psm := d.pool.Frame()
 			psm.Type = wifi.TypeNull
@@ -696,11 +686,8 @@ func (d *Driver) switchTo(ch int) {
 			psm.Seq = d.nextSeq()
 			ifc.sc.PSMOn = true
 			latency += nullUnicastTxTime
-			d.radio.SendTagged(psm, w.fn, radio.TxTag{Kind: radio.TagPSM, Gen: d.sc.SwGen})
+			d.radio.SendTagged(psm, radio.TxTag{Kind: radio.TagPSM, Gen: d.sc.SwGen})
 		}
-	}
-	if w != nil {
-		w.release() // a dark radio completes sends at once; the hold outlived them
 	}
 	latency += d.pol.resetBase
 	// Collect the polls we will owe on the new channel.
@@ -736,50 +723,12 @@ func (d *Driver) switchTo(ch int) {
 	}
 }
 
-// psmWaiter takes one switch's PSM-announcement completions: a
-// completion from a superseded switch sees a newer generation and does
-// nothing. Waiters are recycled through the driver's free list, so a
-// switch binds its completions without building a closure. owed counts
-// the completions still to come plus, while the switch is sending, the
-// switch's own hold; at zero the waiter goes back to the list. A
-// completion that never comes (its radio orphaned) only keeps the
-// waiter from being reused.
-type psmWaiter struct {
-	d    *Driver
-	gen  uint64
-	owed int
-	fn   func(bool) // cached done method value
-}
-
-// psmWaiter returns a waiter for generation gen holding one count
-// owed. Checkpoint restore also uses it (through PSMDone) to rebind a
-// restored radio-queue entry (TagPSM) to its generation; there the
-// count is the entry's completion.
-func (d *Driver) psmWaiter(gen uint64) *psmWaiter {
-	var w *psmWaiter
-	if n := len(d.psmFree); n > 0 {
-		w = d.psmFree[n-1]
-		d.psmFree = d.psmFree[:n-1]
-	} else {
-		w = &psmWaiter{d: d}
-		w.fn = w.done
-	}
-	w.gen, w.owed = gen, 1
-	return w
-}
-
-// release drops one owed count, recycling the waiter at zero.
-func (w *psmWaiter) release() {
-	if w.owed--; w.owed == 0 {
-		w.d.psmFree = append(w.d.psmFree, w)
-	}
-}
-
-func (w *psmWaiter) done(bool) {
-	d, gen := w.d, w.gen
-	w.release()
-	if d.sc.SwGen != gen {
-		return // a later switch superseded this one
+// TxDone implements radio.Receiver: a PSM announcement of switch
+// generation tag.Gen has left the air. A completion from a superseded
+// switch sees a newer generation and does nothing.
+func (d *Driver) TxDone(tag radio.TxTag, _ bool) {
+	if d.sc.SwGen != tag.Gen {
+		return
 	}
 	d.sc.SwOutstanding--
 	if d.sc.SwOutstanding == 0 {
@@ -1292,7 +1241,9 @@ func (d *Driver) Uplink(bssid wifi.Addr, db *wifi.DataBody) bool {
 
 // ---- Receive path ----
 
-func (d *Driver) receive(f *wifi.Frame) {
+// RadioReceive implements radio.Receiver: every frame the radio hears
+// enters the driver here.
+func (d *Driver) RadioReceive(f *wifi.Frame) {
 	if d.stopped {
 		return
 	}

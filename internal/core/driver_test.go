@@ -400,6 +400,39 @@ func TestSwitchLatencyGrowsWithConnectedIfaces(t *testing.T) {
 	}
 }
 
+// A switch's PSM announcements complete through the driver itself
+// (TxDone, by the frames' switch generation), so a switch allocates
+// nothing: no completion waiter per switch. The radio's queue and the
+// frame pool are warm (a drained burst left them full) and nothing
+// fires, so every round's announcements queue behind the last round's.
+func TestSwitchWithPSMAnnouncementsAllocatesNothing(t *testing.T) {
+	const runs = 100
+	w := newWorld(21, 0)
+	w.addAP(1, "a", 6, geo.Point{X: 10})
+	w.addAP(2, "a", 6, geo.Point{X: 20})
+	d := NewDriver(w.m, SpiderDefaults(SingleChannelMultiAP, []ChannelSlice{{Channel: 6}}),
+		wifi.NewAddr(1, 1), geo.Static{P: geo.Point{}}, Events{})
+	w.k.Run(30 * time.Second)
+	if d.ConnectedCount() != 2 {
+		t.Fatalf("connected %d of 2", d.ConnectedCount())
+	}
+	for i := 0; i < 2*(runs+1)+8; i++ {
+		f := d.pool.Frame()
+		f.Type, f.SA, f.DA = wifi.TypeNull, d.Addr(), wifi.Broadcast
+		d.radio.Send(f)
+	}
+	w.k.Run(w.k.Now() + time.Second)
+	fired := w.k.Fired()
+
+	allocs := testing.AllocsPerRun(runs, func() { d.switchTo(11) })
+	if allocs != 0 {
+		t.Errorf("a switch announcing PSM to 2 APs allocated %.1f times per round", allocs)
+	}
+	if d.sc.SwOutstanding != 2 || w.k.Fired() != fired {
+		t.Fatalf("%d announcements outstanding and %d events fired, want 2 and none", d.sc.SwOutstanding, w.k.Fired()-fired)
+	}
+}
+
 func TestPSMAnnouncedOnSwitch(t *testing.T) {
 	w := newWorld(15, 0)
 	ap := w.addAP(1, "a", 6, geo.Point{X: 20})

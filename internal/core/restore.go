@@ -109,8 +109,7 @@ func (d *Driver) ExportState() DriverState {
 // scan table, virtual interfaces (with their joiner and DHCP machines),
 // per-channel queues, switch machinery, and every timer re-armed with
 // its recorded identity. Call after the owning kernel's BeginRestore;
-// the radio's own state restores separately through the medium layer
-// (TagPSM queue entries rebind via PSMDone).
+// the radio's own state restores separately through the medium layer.
 func (d *Driver) RestoreState(st DriverState) error {
 	if st.SchedIdx < 0 || st.SchedIdx >= max(len(d.cfg.Schedule), 1) || st.APSliceIdx < 0 {
 		return fmt.Errorf("core: restored schedule index %d or AP slice %d out of range", st.SchedIdx, st.APSliceIdx)
@@ -178,8 +177,3 @@ func (d *Driver) RestoreState(st DriverState) error {
 	d.swRetuneEv, err = d.radio.RestoreRetune(d.sc.SwCh, st.SwRetuneEv, d, timerArrive)
 	return err
 }
-
-// PSMDone returns the PSM completion callback of switch generation gen,
-// for checkpoint restore: the medium layer rebinds restored TagPSM
-// queue entries through it, one call per entry.
-func (d *Driver) PSMDone(gen uint64) func(bool) { return d.psmWaiter(gen).fn }

@@ -73,9 +73,6 @@ type apClient struct {
 	sc      apClientScalars
 	buffer  []*wifi.Frame // PSM-parked frames
 	pending []*wifi.Frame // awaiting the radio, one in flight at a time
-	// doneFn is the pump's MAC-completion callback, built once per
-	// client instead of once per frame.
-	doneFn func(bool)
 }
 
 // apClientScalars are an association-table entry's plain fields,
@@ -165,7 +162,7 @@ func NewAPAt(m *radio.Medium, cfg APConfig, addr wifi.Addr, pos geo.Point, serve
 		clients: make(map[wifi.Addr]*apClient),
 		inv:     metrics.NewInvariantSet(),
 	}
-	ap.radio = m.NewStaticRadio(addr, pos, radio.ReceiverFunc(ap.receive))
+	ap.radio = m.NewStaticRadio(addr, pos, ap)
 	ap.radio.SetChannel(cfg.Channel)
 	ap.pool = m.Pool()
 	ap.dhcpd = dhcp.NewServer(ap.kernel, cfg.DHCP, serverID, ap.sendDHCP)
@@ -196,12 +193,15 @@ func (ap *AP) Down() bool { return ap.sc.Down }
 
 // Crash takes the AP dark: radio off, association table and DHCP lease
 // database wiped — the volatile memory of consumer CPE. Responses the
-// AP had already scheduled die on the dark radio. No-op if already down.
+// AP had already scheduled die on the dark radio, and the frames it had
+// committed finish untagged: no completion reaches a table entry
+// created after the restart. No-op if already down.
 func (ap *AP) Crash() {
 	if ap.sc.Down {
 		return
 	}
 	ap.sc.Down = true
+	ap.radio.Orphan(nil)
 	ap.radio.SetChannel(0)
 	ap.clients = make(map[wifi.Addr]*apClient)
 	ap.dhcpd.Reset()
@@ -334,7 +334,9 @@ func (ap *AP) respondAfterDelay(f *wifi.Frame) {
 	pr.ev = ap.kernel.FireAfter(ap.cfg.RespDelay.Sample(ap.kernel.RNG("mac.ap.resp")), pr, 0)
 }
 
-func (ap *AP) receive(f *wifi.Frame) {
+// RadioReceive implements radio.Receiver: the AP's MAC answers every
+// frame its radio hears.
+func (ap *AP) RadioReceive(f *wifi.Frame) {
 	if ap.sc.Down {
 		return // a crashed box hears nothing (its radio is dark anyway)
 	}
@@ -378,6 +380,9 @@ func (ap *AP) receive(f *wifi.Frame) {
 		ap.respondAfterDelay(resp)
 	case wifi.TypeDeauth:
 		delete(ap.clients, f.SA)
+		// The entry's frame still on the radio finishes untagged, so
+		// its completion cannot reach a re-association's entry.
+		ap.radio.Orphan(func(tag radio.TxTag) bool { return tag.Addr == f.SA })
 	case wifi.TypeNull:
 		c, ok := ap.clients[f.SA]
 		if !ok || !c.sc.Associated {
@@ -475,32 +480,18 @@ func (ap *AP) pump(client wifi.Addr, c *apClient) {
 	c.pending = c.pending[:len(c.pending)-1]
 	c.sc.TxBusy = true
 	ap.DownDelivered++
-	ap.radio.SendTagged(f, ap.ensureDoneFn(client, c),
-		radio.TxTag{Kind: radio.TagAPPump, Addr: client})
+	ap.radio.SendTagged(f, radio.TxTag{Kind: radio.TagAPPump, Addr: client})
 }
 
-// ensureDoneFn builds (once per client) the pump's MAC-completion
-// callback. Checkpoint restore also uses it, via PumpDone, to rebind
-// radio-queue entries to their owning client.
-func (ap *AP) ensureDoneFn(client wifi.Addr, c *apClient) func(bool) {
-	if c.doneFn == nil {
-		c.doneFn = func(bool) {
-			c.sc.TxBusy = false
-			ap.pump(client, c)
-		}
+// TxDone implements radio.Receiver: the MAC is done with the client's
+// committed downlink frame, so the pump commits the next. A client the
+// AP has forgotten has no frame tagged on the radio (deauth and Crash
+// strip them), so the lookup finds the entry that sent the frame.
+func (ap *AP) TxDone(tag radio.TxTag, _ bool) {
+	if c := ap.clients[tag.Addr]; c != nil {
+		c.sc.TxBusy = false
+		ap.pump(tag.Addr, c)
 	}
-	return c.doneFn
-}
-
-// PumpDone returns the MAC-completion callback for the client's
-// committed downlink frames, or nil for an unknown client. Checkpoint
-// restore uses it to re-attach restored radio queue entries.
-func (ap *AP) PumpDone(client wifi.Addr) func(bool) {
-	c, ok := ap.clients[client]
-	if !ok {
-		return nil
-	}
-	return ap.ensureDoneFn(client, c)
 }
 
 func (ap *AP) trimBuffer(c *apClient) {

@@ -79,3 +79,44 @@ func TestArmingTimersAllocatesNothing(t *testing.T) {
 		t.Fatalf("%d events fired; every round must arm fresh timers", k.Fired())
 	}
 }
+
+// Every downlink frame the pump commits completes through the AP itself
+// (TxDone, by the frame's tag), so pumping to a client the AP has never
+// pumped to allocates nothing: no completion closure per client. The
+// radio's queue is warm (a drained burst left its capacity) and nothing
+// fires, so every round commits one more frame behind the first.
+func TestPumpingToFreshClientsAllocatesNothing(t *testing.T) {
+	const runs = 100
+	k := sim.NewKernel(1)
+	m := radio.NewMedium(k, radio.Config{Range: 100, EdgeStart: 1})
+	ap := NewAPAt(m, quietAPConfig("net", 6), wifi.NewAddr(0, 1), geo.Point{}, 1)
+	frame := func(da wifi.Addr) *wifi.Frame {
+		f := m.Pool().Frame()
+		f.Type, f.SA, f.DA, f.BSSID = wifi.TypeData, ap.Addr(), da, ap.Addr()
+		f.Body = &wifi.DataBody{Proto: wifi.ProtoPing, VirtualLen: 100}
+		return f
+	}
+	for i := 0; i < runs+8; i++ {
+		ap.radio.Send(frame(wifi.Broadcast))
+	}
+	k.RunAll()
+	fired := k.Fired()
+
+	clients := make([]wifi.Addr, runs+1)
+	for i := range clients {
+		clients[i] = wifi.NewAddr(1, uint32(i))
+		ap.clients[clients[i]] = &apClient{sc: apClientScalars{Associated: true},
+			pending: []*wifi.Frame{frame(clients[i])}}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		ap.pump(clients[i], ap.clients[clients[i]])
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("pumping to a fresh client allocated %.1f times per round", allocs)
+	}
+	if ap.DownDelivered != runs+1 || k.Fired() != fired {
+		t.Fatalf("%d frames committed and %d events fired, want %d and none", ap.DownDelivered, k.Fired()-fired, runs+1)
+	}
+}

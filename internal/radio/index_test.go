@@ -31,6 +31,8 @@ func (l *logRx) RadioReceive(f *wifi.Frame) {
 	*l.log = append(*l.log, fmt.Sprintf("%v rx=%d type=%v sa=%v da=%v", l.k.Now(), l.id, f.Type, f.SA, f.DA))
 }
 
+func (*logRx) TxDone(TxTag, bool) {}
+
 // buildScriptedWorld populates a medium with a deterministic mix of
 // static and mobile radios, a few of them promiscuous, and returns them
 // with the shared delivery log.

@@ -96,13 +96,22 @@ type Receiver interface {
 	// receives. It runs inside the simulation event loop; implementations
 	// must not block.
 	RadioReceive(f *wifi.Frame)
+	// TxDone is invoked when the MAC finishes with a frame the owner
+	// sent with a tag (SendTagged): delivered, retries exhausted, or
+	// flushed on a channel change. The tag is the completion's only
+	// identity, so a restored queue needs no rebinding.
+	TxDone(tag TxTag, delivered bool)
 }
 
-// ReceiverFunc adapts a function to the Receiver interface.
+// ReceiverFunc adapts a function to the Receiver interface; it ignores
+// transmit completions.
 type ReceiverFunc func(f *wifi.Frame)
 
 // RadioReceive implements Receiver.
 func (fn ReceiverFunc) RadioReceive(f *wifi.Frame) { fn(f) }
+
+// TxDone implements Receiver.
+func (ReceiverFunc) TxDone(TxTag, bool) {}
 
 // Medium is the shared air. All radios in one Medium can interfere; the
 // per-channel airtime ledger serializes transmissions exactly as a
@@ -356,11 +365,7 @@ type txJob struct {
 	f       *wifi.Frame
 	ch      int // channel the frame was queued for
 	attempt int
-	done    func(delivered bool)
-	// tag names the done callback for checkpoints: closures cannot be
-	// serialized, so tagged sends record enough identity for the owner
-	// to rebuild the callback at restore (see TxTag).
-	tag TxTag
+	tag     TxTag // handed to the owner's TxDone unless TagNone
 }
 
 // NewRadio registers a radio on the medium. pos is sampled at transmit
@@ -602,42 +607,46 @@ func (r *Radio) Suspended(t time.Duration) bool { return t < r.suspendedTo }
 //
 // Send reports false if the radio is untuned, in which case nothing is
 // queued.
-func (r *Radio) Send(f *wifi.Frame) bool { return r.SendTagged(f, nil, TxTag{}) }
+func (r *Radio) Send(f *wifi.Frame) bool { return r.SendTagged(f, TxTag{}) }
 
-// SendTagged is Send with a completion callback and a checkpoint tag
-// naming it. done fires when the MAC finishes with the frame
+// SendTagged is Send with a completion: unless tag is TagNone, the
+// owner's TxDone gets tag back when the MAC finishes with the frame
 // (delivered, retries exhausted, or flushed on a channel change),
 // letting senders pace themselves against the actual airtime instead of
-// guessing. Closures cannot be serialized, so owners that pass a done
-// callback also record which callback it is, letting a restore rebuild
-// it (see TxTag). Untagged callbacks are legal but make the radio's queue
-// uncheckpointable while they sit in it.
-func (r *Radio) SendTagged(f *wifi.Frame, done func(delivered bool), tag TxTag) bool {
+// guessing. An untuned radio completes the frame at once, undelivered.
+func (r *Radio) SendTagged(f *wifi.Frame, tag TxTag) bool {
 	ch := r.channel
 	if ch == 0 {
-		if done != nil {
-			done(false)
-		}
+		r.notifyDone(tag, false)
 		return false
 	}
 	if r.txHead == len(r.txQueue) && r.txHead > 0 {
 		r.txQueue = r.txQueue[:0]
 		r.txHead = 0
 	}
-	r.txQueue = append(r.txQueue, txJob{f: f, ch: ch, done: done, tag: tag})
+	r.txQueue = append(r.txQueue, txJob{f: f, ch: ch, tag: tag})
 	r.kick()
 	return true
 }
 
-// Orphan strips the completion callback and checkpoint tag from every
-// queued (and in-flight) frame. A retiring driver calls it: committed
-// frames still finish as physics — airtime is spent, deliveries draw
-// loss — but nothing upcalls into the retired owner, and the queue
-// stays checkpointable without a resolver for a dead driver.
-func (r *Radio) Orphan() {
+// notifyDone hands a finished frame's tag to the owner.
+func (r *Radio) notifyDone(tag TxTag, delivered bool) {
+	if tag.Kind != TagNone {
+		r.rx.TxDone(tag, delivered)
+	}
+}
+
+// Orphan strips the tag from every queued (and in-flight) frame match
+// selects, or from all of them when match is nil. Stripped frames still
+// finish as physics — airtime is spent, deliveries draw loss — but their
+// completions reach no one. A retiring driver orphans its whole queue
+// and an AP a deleted client's frames, so a stale completion cannot
+// land on whatever the tag names later.
+func (r *Radio) Orphan(match func(TxTag) bool) {
 	for i := r.txHead; i < len(r.txQueue); i++ {
-		r.txQueue[i].done = nil
-		r.txQueue[i].tag = TxTag{}
+		if match == nil || match(r.txQueue[i].tag) {
+			r.txQueue[i].tag = TxTag{}
+		}
 	}
 }
 
@@ -666,12 +675,10 @@ func (r *Radio) kick() {
 			break
 		}
 		// Channel changed under the queued frame: flush it.
-		f, done := job.f, job.done
+		f, tag := job.f, job.tag
 		r.popHead()
 		m.stats.FlushedOnRetune++
-		if done != nil {
-			done(false)
-		}
+		r.notifyDone(tag, false)
 		m.pool.Recycle(f)
 	}
 	job := &r.txQueue[r.txHead]
@@ -750,11 +757,9 @@ func (r *Radio) txComplete() {
 		m.stats.Retries++
 		r.txQueue[r.txHead].attempt++
 	} else {
-		done := r.txQueue[r.txHead].done
+		tag := r.txQueue[r.txHead].tag
 		r.popHead()
-		if done != nil {
-			done(delivered)
-		}
+		r.notifyDone(tag, delivered)
 		m.pool.Recycle(f)
 	}
 	r.kick()

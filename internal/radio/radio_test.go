@@ -1,6 +1,8 @@
 package radio
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -12,9 +14,11 @@ import (
 
 type collector struct {
 	frames []*wifi.Frame
+	done   []TxTag
 }
 
 func (c *collector) RadioReceive(f *wifi.Frame) { c.frames = append(c.frames, f) }
+func (c *collector) TxDone(tag TxTag, _ bool)   { c.done = append(c.done, tag) }
 
 func fixed(x, y float64) func() geo.Point {
 	return func() geo.Point { return geo.Point{X: x, Y: y} }
@@ -169,13 +173,50 @@ func TestUnicastNotSnoopedWithoutPromiscuous(t *testing.T) {
 	a2 := m2.NewRadio(a.Addr(), fixed(0, 0), &collector{})
 	m2.NewRadio(b.Addr(), fixed(10, 0), &collector{})
 	m2.NewRadio(c.Addr(), fixed(20, 0), cc2)
-	if err := m2.RestoreState(st, nil); err != nil {
+	if err := m2.RestoreState(st); err != nil {
 		t.Fatal(err)
 	}
 	a2.Send(dataFrame(a2, b))
 	k2.Run(3 * time.Second) // busy-until is restored from the first run's clock
 	if len(cc2.frames) != 1 {
 		t.Fatal("restored promiscuous radio did not snoop unicast")
+	}
+}
+
+// TestRestoredTagsCompleteToOwner: tagged frames queued at an export
+// complete to the restored radio's owner with their tags, untagged ones
+// to no one, and a queued tag of no known kind is refused at restore.
+func TestRestoredTagsCompleteToOwner(t *testing.T) {
+	k, m, a, b, _, _ := newPair(t, losslessCfg(), 10)
+	tags := []TxTag{{Kind: TagAPPump, Addr: b.Addr()}, {}, {Kind: TagPSM, Gen: 7}}
+	for _, tag := range tags {
+		a.SendTagged(dataFrame(a, b), tag)
+	}
+	st, err := m.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := func(st MediumState) (*sim.Kernel, *collector, error) {
+		k2 := sim.NewKernel(1)
+		m2 := NewMedium(k2, losslessCfg())
+		ca2 := &collector{}
+		m2.NewRadio(a.Addr(), fixed(0, 0), ca2)
+		m2.NewRadio(b.Addr(), fixed(10, 0), &collector{})
+		k2.BeginRestore(k.Now(), k.NextSeq(), k.Fired())
+		return k2, ca2, m2.RestoreState(st)
+	}
+	k2, ca2, err := restore(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k2.Run(time.Second)
+	if want := []TxTag{tags[0], tags[2]}; !slices.Equal(ca2.done, want) {
+		t.Fatalf("restored owner saw completions %+v, want %+v", ca2.done, want)
+	}
+
+	st.Radios[0].Queue[1].Tag.Kind = TagPSM + 1
+	if _, _, err := restore(st); err == nil || !strings.Contains(err.Error(), "unknown completion tag kind") {
+		t.Fatalf("restore of a queued tag of unknown kind: %v, want a refusal", err)
 	}
 }
 

@@ -10,20 +10,21 @@ import (
 	"spider/internal/wifi"
 )
 
-// TxTag kinds. A tag names a done callback well enough for the frame's
-// owner to rebuild the closure at restore time.
+// TxTag kinds. A tag says which of its owner's completions a frame is,
+// well enough for the owner to act on it after a checkpoint round trip.
 const (
-	// TagNone marks a frame sent without a completion callback.
+	// TagNone marks a frame whose completion nobody awaits.
 	TagNone uint8 = iota
 	// TagAPPump is an AP's downlink pump completion; Addr is the client
-	// being pumped (the AP itself is identified by the radio's owner).
+	// being pumped (the AP itself is the radio's owner).
 	TagAPPump
 	// TagPSM is a client driver's PSM-entry confirmation; Gen is the
-	// switch generation the callback is guarded by.
+	// switch generation the completion is guarded by.
 	TagPSM
 )
 
-// TxTag is the serializable identity of a transmit-completion callback.
+// TxTag is the serializable identity of a transmit completion, handed
+// back to the radio's owner through Receiver.TxDone.
 type TxTag struct {
 	Kind uint8
 	Addr wifi.Addr
@@ -57,10 +58,7 @@ type RadioState struct {
 	TxDone      sim.EventState
 }
 
-// ExportState captures the radio for a checkpoint. It fails if a queued
-// frame carries an untagged completion callback — closures cannot be
-// serialized, so such a queue is uncheckpointable (production senders
-// always tag; see SendTagged).
+// ExportState captures the radio for a checkpoint.
 func (r *Radio) ExportState() (RadioState, error) {
 	st := RadioState{
 		Addr: r.addr, Channel: r.channel, Promiscuous: r.promiscuous,
@@ -69,9 +67,6 @@ func (r *Radio) ExportState() (RadioState, error) {
 	}
 	for i := r.txHead; i < len(r.txQueue); i++ {
 		job := &r.txQueue[i]
-		if job.done != nil && job.tag.Kind == TagNone {
-			return RadioState{}, fmt.Errorf("radio %s: queued frame has an untagged completion callback", r.addr)
-		}
 		st.Queue = append(st.Queue, TxJobState{
 			Frame: job.f.Encode(), Ch: job.ch, Attempt: job.attempt, Tag: job.tag,
 		})
@@ -86,11 +81,11 @@ func (r *Radio) ExportState() (RadioState, error) {
 }
 
 // RestoreState rewinds a freshly built radio to a checkpointed state.
-// resolve rebuilds a tagged completion callback from its identity; it is
-// consulted once per tagged queue entry and must not return nil for a
-// tag it recognizes. Call after the owning kernel's BeginRestore; any
-// in-flight retune is re-armed separately by its owner via RestoreRetune.
-func (r *Radio) RestoreState(st RadioState, resolve func(TxTag) func(delivered bool)) error {
+// Queued tags need no rebinding: their completions go to the radio's
+// owner, which looks each one up when it arrives. Call after the owning
+// kernel's BeginRestore; any in-flight retune is re-armed separately by
+// its owner via RestoreRetune.
+func (r *Radio) RestoreState(st RadioState) error {
 	if st.Addr != r.addr {
 		return fmt.Errorf("radio restore: state for %s applied to %s", st.Addr, r.addr)
 	}
@@ -108,20 +103,14 @@ func (r *Radio) RestoreState(st RadioState, resolve func(TxTag) func(delivered b
 		if !wifi.Tunable(js.Ch) {
 			return fmt.Errorf("radio %s: queued frame on invalid channel %d", r.addr, js.Ch)
 		}
+		if js.Tag.Kind > TagPSM {
+			return fmt.Errorf("radio %s: queued frame has unknown completion tag kind %d", r.addr, js.Tag.Kind)
+		}
 		f, err := wifi.Decode(js.Frame)
 		if err != nil {
 			return fmt.Errorf("radio %s: restoring queued frame: %w", r.addr, err)
 		}
-		var done func(bool)
-		if js.Tag.Kind != TagNone {
-			if resolve == nil {
-				return fmt.Errorf("radio %s: tagged frame but no callback resolver", r.addr)
-			}
-			if done = resolve(js.Tag); done == nil {
-				return fmt.Errorf("radio %s: unresolvable completion tag kind=%d", r.addr, js.Tag.Kind)
-			}
-		}
-		r.txQueue = append(r.txQueue, txJob{f: f, ch: js.Ch, attempt: js.Attempt, done: done, tag: js.Tag})
+		r.txQueue = append(r.txQueue, txJob{f: f, ch: js.Ch, attempt: js.Attempt, tag: js.Tag})
 	}
 	r.txBusy = st.TxBusy
 	r.txF = nil
@@ -191,9 +180,8 @@ func (m *Medium) ExportState() (MediumState, error) {
 // RestoreState rewinds a freshly built medium to a checkpointed state.
 // The rebuilt world must have registered the same radios in the same
 // order (deterministic construction guarantees it); the per-radio
-// address check catches drift. resolve rebuilds tagged completion
-// callbacks, keyed by the owning radio's address.
-func (m *Medium) RestoreState(st MediumState, resolve func(owner wifi.Addr, tag TxTag) func(delivered bool)) error {
+// address check catches drift.
+func (m *Medium) RestoreState(st MediumState) error {
 	if len(st.Radios) != len(m.radios) {
 		return fmt.Errorf("medium restore: %d radios in state, %d registered", len(st.Radios), len(m.radios))
 	}
@@ -214,13 +202,7 @@ func (m *Medium) RestoreState(st MediumState, resolve func(owner wifi.Addr, tag 
 		m.active = append(m.active, activeTx{from: from, ch: a.Ch, start: a.Start, end: a.End, pos: a.Pos})
 	}
 	for i, r := range m.radios {
-		rs := st.Radios[i]
-		var rr func(TxTag) func(bool)
-		if resolve != nil {
-			owner := r.addr
-			rr = func(tag TxTag) func(bool) { return resolve(owner, tag) }
-		}
-		if err := r.RestoreState(rs, rr); err != nil {
+		if err := r.RestoreState(st.Radios[i]); err != nil {
 			return err
 		}
 	}

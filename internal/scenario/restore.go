@@ -201,8 +201,8 @@ func (w *World) ExportState() (WorldState, error) {
 // The rebuild must have produced the same APs and clients in the same
 // order (deterministic construction plus migration replay guarantee
 // it). Call between the kernel's BeginRestore and RestoreRNGs: the APs
-// restore first, then every client, then the medium — whose tagged
-// queue entries rebind through the now-restored AP tables and drivers.
+// restore first, then every client, then the medium, whose tagged queue
+// entries need no rebinding (their completions go to the radios' owners).
 func (w *World) RestoreState(st WorldState) error {
 	if len(st.APs) != len(w.APs) {
 		return fmt.Errorf("scenario: %d APs in state, %d built", len(st.APs), len(w.APs))
@@ -223,17 +223,5 @@ func (w *World) RestoreState(st WorldState) error {
 			return err
 		}
 	}
-	return w.Medium.RestoreState(st.Medium, func(owner wifi.Addr, tag radio.TxTag) func(bool) {
-		switch tag.Kind {
-		case radio.TagAPPump:
-			if node := w.byBSS[owner]; node != nil {
-				return node.AP.PumpDone(tag.Addr)
-			}
-		case radio.TagPSM:
-			if c := w.byMAC[owner]; c != nil {
-				return c.Driver.PSMDone(tag.Gen)
-			}
-		}
-		return nil
-	})
+	return w.Medium.RestoreState(st.Medium)
 }
