@@ -88,73 +88,38 @@ func (l *Link) SetFaultLatency(extra time.Duration) {
 	l.st.FaultLat = extra
 }
 
-// Down sends size bytes from the server side toward the AP, invoking fn
-// when the last byte arrives. It reports false (and drops) if the shaper
-// queue is over budget.
-func (l *Link) Down(size int, fn func()) bool {
-	_, ok := l.DownEv(size, sim.Func(fn), 0)
-	return ok
-}
-
-// Up sends size bytes from the AP toward the server.
-func (l *Link) Up(size int, fn func()) bool {
-	_, ok := l.UpEv(size, sim.Func(fn), 0)
-	return ok
-}
-
-// DownEv is Down firing h.Fire(kind) on arrival and returning the
-// delivery event handle, so callers that checkpoint in-flight traffic
-// can record its (at, seq) identity. A caller that owns the delivery
-// passes itself as h and builds no closure per transfer.
-func (l *Link) DownEv(size int, h sim.Handler, kind uint8) (sim.Event, bool) {
-	ev, ok := l.send(&l.st.DownBusyUntil, size, h, kind)
-	if ok {
-		l.st.DownDelivered++
-		l.st.DownBytes += uint64(size)
-	} else {
-		l.st.DownDrops++
+// Send puts size bytes on the link toward the AP (downstream) or toward
+// the server, and reports when the last byte arrives; the caller arms
+// the delivery for that instant. It reports false, and the bytes are
+// dropped, during a blackhole or when the shaper queue is over budget.
+func (l *Link) Send(downstream bool, size int) (arrive time.Duration, ok bool) {
+	size = max(size, 0)
+	busyUntil, drops, delivered, bytes := &l.st.UpBusyUntil, &l.st.UpDrops, &l.st.UpDelivered, &l.st.UpBytes
+	if downstream {
+		busyUntil, drops, delivered, bytes = &l.st.DownBusyUntil, &l.st.DownDrops, &l.st.DownDelivered, &l.st.DownBytes
 	}
-	return ev, ok
-}
-
-// UpEv is DownEv toward the server.
-func (l *Link) UpEv(size int, h sim.Handler, kind uint8) (sim.Event, bool) {
-	ev, ok := l.send(&l.st.UpBusyUntil, size, h, kind)
-	if ok {
-		l.st.UpDelivered++
-		l.st.UpBytes += uint64(size)
-	} else {
-		l.st.UpDrops++
-	}
-	return ev, ok
-}
-
-func (l *Link) send(busyUntil *time.Duration, size int, h sim.Handler, kind uint8) (sim.Event, bool) {
 	if l.st.Blackhole {
 		l.st.BlackholeDrops++
-		return sim.Event{}, false
-	}
-	if size < 0 {
-		size = 0
+		*drops++
+		return 0, false
 	}
 	now := l.kernel.Now()
-	start := now
-	if *busyUntil > start {
-		start = *busyUntil
-	}
+	start := max(now, *busyUntil)
 	// Queue occupancy in bytes implied by the backlog ahead of us.
 	backlogBytes := int(float64((start - now)) / float64(time.Second) * float64(l.cfg.RateKbps) * 1000 / 8)
 	if backlogBytes > l.cfg.QueueBytes {
-		return sim.Event{}, false
+		*drops++
+		return 0, false
 	}
 	txTime := time.Duration(float64(size*8) / float64(l.cfg.RateKbps) / 1000 * float64(time.Second))
 	*busyUntil = start + txTime
-	return l.kernel.FireAt(start+txTime+l.cfg.Latency+l.st.FaultLat, h, kind), true
+	*delivered++
+	*bytes += uint64(size)
+	return start + txTime + l.cfg.Latency + l.st.FaultLat, true
 }
 
 // State is a Link's complete checkpointable state (the in-flight
-// deliveries themselves are recorded by the layer that owns their
-// callbacks).
+// deliveries themselves are recorded by the layer that arms them).
 type State struct {
 	// DownBusyUntil/UpBusyUntil are when each direction's shaper frees.
 	DownBusyUntil, UpBusyUntil time.Duration

@@ -7,11 +7,22 @@ import (
 	"spider/internal/sim"
 )
 
+// carry sends size bytes one way and runs fn when they arrive, arming
+// the delivery as a carrier set does; it reports whether the link took
+// them.
+func carry(k *sim.Kernel, l *Link, downstream bool, size int, fn func()) bool {
+	at, ok := l.Send(downstream, size)
+	if ok {
+		k.FireAt(at, sim.Func(fn), 0)
+	}
+	return ok
+}
+
 func TestLatencyOnlyForSmallMessage(t *testing.T) {
 	k := sim.NewKernel(1)
 	l := NewLink(k, Config{RateKbps: 8000, Latency: 20 * time.Millisecond, QueueBytes: 1 << 20})
 	var at time.Duration
-	l.Down(1000, func() { at = k.Now() })
+	carry(k, l, true, 1000, func() { at = k.Now() })
 	k.RunAll()
 	// 1000B at 8 Mbps = 1ms + 20ms latency.
 	want := 21 * time.Millisecond
@@ -25,7 +36,7 @@ func TestRateShapingSerializes(t *testing.T) {
 	l := NewLink(k, Config{RateKbps: 800, Latency: time.Millisecond, QueueBytes: 1 << 20})
 	var arrivals []time.Duration
 	for i := 0; i < 3; i++ {
-		l.Down(1000, func() { arrivals = append(arrivals, k.Now()) })
+		carry(k, l, true, 1000, func() { arrivals = append(arrivals, k.Now()) })
 	}
 	k.RunAll()
 	// Each 1000B at 800 kbps = 10ms serialization.
@@ -41,8 +52,8 @@ func TestDirectionsIndependent(t *testing.T) {
 	k := sim.NewKernel(1)
 	l := NewLink(k, Config{RateKbps: 800, Latency: time.Millisecond, QueueBytes: 1 << 20})
 	var down, up time.Duration
-	l.Down(1000, func() { down = k.Now() })
-	l.Up(1000, func() { up = k.Now() })
+	carry(k, l, true, 1000, func() { down = k.Now() })
+	carry(k, l, false, 1000, func() { up = k.Now() })
 	k.RunAll()
 	if down != up || down != 11*time.Millisecond {
 		t.Fatalf("down=%v up=%v, want both 11ms (no cross-direction serialization)", down, up)
@@ -54,7 +65,7 @@ func TestQueueOverflowDrops(t *testing.T) {
 	l := NewLink(k, Config{RateKbps: 100, Latency: time.Millisecond, QueueBytes: 2000})
 	accepted := 0
 	for i := 0; i < 100; i++ {
-		if l.Down(1500, func() {}) {
+		if carry(k, l, true, 1500, func() {}) {
 			accepted++
 		}
 	}
@@ -78,7 +89,7 @@ func TestThroughputMatchesRate(t *testing.T) {
 	var fill func()
 	fill = func() {
 		for inflight < 4 {
-			if !l.Down(msgSize, func() {
+			if !carry(k, l, true, msgSize, func() {
 				delivered += msgSize
 				inflight--
 				fill()
@@ -115,7 +126,7 @@ func TestQueueDelayReflectsBacklog(t *testing.T) {
 	if l.QueueDelay(true) != 0 {
 		t.Fatal("idle link has queue delay")
 	}
-	l.Down(1000, func() {}) // 10ms serialization
+	carry(k, l, true, 1000, func() {}) // 10ms serialization
 	if d := l.QueueDelay(true); d != 10*time.Millisecond {
 		t.Fatalf("queue delay %v, want 10ms", d)
 	}
@@ -137,7 +148,7 @@ func TestNegativeSizeTreatedAsZero(t *testing.T) {
 	k := sim.NewKernel(1)
 	l := NewLink(k, DefaultConfig())
 	fired := false
-	l.Down(-10, func() { fired = true })
+	carry(k, l, true, -10, func() { fired = true })
 	k.RunAll()
 	if !fired {
 		t.Fatal("negative-size message never delivered")
@@ -147,8 +158,8 @@ func TestNegativeSizeTreatedAsZero(t *testing.T) {
 func TestByteCounters(t *testing.T) {
 	k := sim.NewKernel(1)
 	l := NewLink(k, DefaultConfig())
-	l.Down(100, func() {})
-	l.Up(200, func() {})
+	carry(k, l, true, 100, func() {})
+	carry(k, l, false, 200, func() {})
 	k.RunAll()
 	if l.st.DownBytes != 100 || l.st.UpBytes != 200 || l.st.DownDelivered != 1 || l.st.UpDelivered != 1 {
 		t.Fatalf("counters: %+v", *l)

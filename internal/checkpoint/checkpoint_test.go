@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -134,21 +135,56 @@ func staggeredCity() *shard.City {
 	return c
 }
 
+// stormCity is spider-bench's quick storm: a 3×3 km district of 500
+// APs whose 1,000 clients all join at t=0, so every kind of carrier is
+// in flight at the first barriers.
+func stormCity() *shard.City {
+	spec := scenario.CityGrid(1, 500, 1000)
+	spec.AreaW, spec.AreaH = 3000, 3000
+	spec.Radio = radio.Defaults()
+	spec.Radio.DataRateKbps = 24_000
+	cfg := core.SpiderDefaults(core.MultiChannelMultiAP,
+		core.EqualSchedule(200*time.Millisecond, 1, 6, 11))
+	c := shard.NewCity(spec, cfg, 2)
+	c.EnableObs(0)
+	return c
+}
+
+// carriersInFlight counts a checkpoint's carriers of each kind: AP
+// management responses, DHCP replies, and segments up and down a
+// backhaul.
+func carriersInFlight(ck *Checkpoint) (n [4]int) {
+	for _, tile := range ck.City.Tiles {
+		for _, ap := range tile.World.APs {
+			n[0] += len(ap.AP.Resps)
+			n[1] += len(ap.AP.DHCP.Pending)
+		}
+		for _, c := range tile.World.Clients {
+			n[2] += len(c.UpLive)
+			n[3] += len(c.DownLive)
+		}
+	}
+	return n
+}
+
 // TestResumeAtEveryBarrier: at every barrier of a run, the checkpoint
 // restores into a fresh city that re-exports it byte for byte, and the
 // run carries on in that city. After a restore at every barrier the
-// final archive is the uninterrupted run's.
+// final archive is the uninterrupted run's. The storm case must catch
+// every kind of carrier in flight at some barrier.
 func TestResumeAtEveryBarrier(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		seed  int64
-		chaos string
-		until time.Duration
-		build func() *shard.City
+		name     string
+		seed     int64
+		chaos    string
+		until    time.Duration
+		build    func() *shard.City
+		carriers bool
 	}{
-		{"clean", 1, "", 21 * time.Second, func() *shard.City { return buildCity(1, 2, false) }},
-		{"aggressive", 1, "aggressive", 21 * time.Second, func() *shard.City { return buildCity(1, 2, true) }},
-		{"staggered", 5, "", time.Minute, staggeredCity},
+		{"clean", 1, "", 21 * time.Second, func() *shard.City { return buildCity(1, 2, false) }, false},
+		{"aggressive", 1, "aggressive", 21 * time.Second, func() *shard.City { return buildCity(1, 2, true) }, false},
+		{"staggered", 5, "", time.Minute, staggeredCity, false},
+		{"storm", 1, "", 3 * time.Second, stormCity, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
@@ -159,6 +195,7 @@ func TestResumeAtEveryBarrier(t *testing.T) {
 			want := archiveBytes(t, ref, tc.seed, tc.chaos, tc.until)
 
 			c := tc.build()
+			var seen [4]int // the most of each carrier kind at one barrier
 			for c.Now() < tc.until {
 				if err := c.Run(c.Now() + c.Layout.Epoch); err != nil {
 					t.Fatal(err)
@@ -166,6 +203,9 @@ func TestResumeAtEveryBarrier(t *testing.T) {
 				ck, err := Capture(c, tc.seed, "fp")
 				if err != nil {
 					t.Fatalf("capture at %v: %v", c.Now(), err)
+				}
+				for i, n := range carriersInFlight(ck) {
+					seen[i] = max(seen[i], n)
 				}
 				enc := ck.Encode()
 				loaded, err := Decode(enc)
@@ -187,6 +227,9 @@ func TestResumeAtEveryBarrier(t *testing.T) {
 			}
 			if got := archiveBytes(t, c, tc.seed, tc.chaos, tc.until); !bytes.Equal(got, want) {
 				t.Fatal("resumed at every barrier: archive differs from the uninterrupted run")
+			}
+			if tc.carriers && slices.Contains(seen[:], 0) {
+				t.Fatalf("most carriers in flight at one barrier (AP responses, DHCP replies, uplink, downlink segments): %v; want every kind", seen)
 			}
 		})
 	}

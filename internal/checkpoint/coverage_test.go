@@ -58,8 +58,8 @@ var checkpointedTypes = []checkpointed{
 	{
 		comp: typeOf[mac.AP](), state: typeOf[mac.APState](),
 		units:      []string{"sc", "APStats"},
-		translated: []string{"dhcpd", "beaconEv", "resps", "clients", "inv"},
-		derived:    []string{"kernel", "cfg", "radio", "pool", "respPool", "uplink", "dhcpMsg"},
+		translated: []string{"dhcpd", "beaconEv", "responses", "clients", "inv"},
+		derived:    []string{"kernel", "cfg", "radio", "pool", "uplink", "dhcpMsg"},
 	},
 	{
 		comp:       fieldType(typeOf[mac.AP](), "clients").Elem().Elem(), // *apClient
@@ -77,8 +77,8 @@ var checkpointedTypes = []checkpointed{
 	{
 		comp: typeOf[dhcp.Server](), state: typeOf[dhcp.ServerState](),
 		units:      []string{"sc", "ServerStats"},
-		translated: []string{"bindings", "pending"},
-		derived: []string{"kernel", "cfg", "rng", "send", "respPool", "inv",
+		translated: []string{"bindings", "replies"},
+		derived: []string{"kernel", "cfg", "rng", "send", "inv",
 			"chaos", "chaosRNG", "onFault"}, // the injector re-applies chaos
 	},
 	{
@@ -122,7 +122,7 @@ var checkpointedTypes = []checkpointed{
 	{
 		comp: typeOf[scenario.Client](), state: typeOf[scenario.ClientState](),
 		units:      []string{"sc"},
-		translated: []string{"addr", "Driver", "Rec", "conns", "Joins", "Assocs", "upLive", "downLive"},
+		translated: []string{"addr", "Driver", "Rec", "conns", "Joins", "Assocs", "segs"},
 		derived: []string{"World", "workload", "dlSeg",
 			"webActive", "webPage", "Web"}, // a web workload refuses to export
 	},

@@ -13,7 +13,7 @@ import (
 func TestChaosDropSuppressesReplies(t *testing.T) {
 	k := sim.NewKernel(1)
 	replies := 0
-	s := fastServer(k, func(to wifi.Addr, m *Message) { replies++ })
+	s := fastServer(k, func(to wifi.Addr, m Message) { replies++ })
 	faults := []string{}
 	s.SetChaos(k.RNG("chaos"), Chaos{Drop: 1}, func(kind string) { faults = append(faults, kind) })
 	s.HandleMessage(&Message{Op: Discover, XID: 1, ClientMAC: mac(1)})
@@ -32,7 +32,7 @@ func TestChaosDropSuppressesReplies(t *testing.T) {
 func TestChaosNakRefusesRequests(t *testing.T) {
 	k := sim.NewKernel(2)
 	var got []*Message
-	s := fastServer(k, func(to wifi.Addr, m *Message) { got = append(got, m) })
+	s := fastServer(k, func(to wifi.Addr, m Message) { got = append(got, &m) })
 	s.SetChaos(k.RNG("chaos"), Chaos{Nak: 1}, nil)
 	s.HandleMessage(&Message{Op: Discover, XID: 1, ClientMAC: mac(1)})
 	s.HandleMessage(&Message{Op: Request, XID: 2, ClientMAC: mac(1), YourIP: 0x0A000064})
@@ -50,7 +50,7 @@ func TestChaosNakRefusesRequests(t *testing.T) {
 func TestChaosSlowDelaysReplies(t *testing.T) {
 	k := sim.NewKernel(3)
 	var offerAt time.Duration
-	s := fastServer(k, func(to wifi.Addr, m *Message) {
+	s := fastServer(k, func(to wifi.Addr, m Message) {
 		if m.Op == Offer {
 			offerAt = k.Now()
 		}
@@ -72,7 +72,7 @@ func TestChaosSlowDelaysReplies(t *testing.T) {
 func TestServerResetForgetsBindings(t *testing.T) {
 	k := sim.NewKernel(4)
 	var offers []IP
-	s := fastServer(k, func(to wifi.Addr, m *Message) {
+	s := fastServer(k, func(to wifi.Addr, m Message) {
 		if m.Op == Offer {
 			offers = append(offers, m.YourIP)
 		}

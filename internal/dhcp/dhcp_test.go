@@ -78,7 +78,7 @@ func TestOpString(t *testing.T) {
 }
 
 // fastServer returns a server with deterministic small latencies.
-func fastServer(k *sim.Kernel, send func(to wifi.Addr, m *Message)) *Server {
+func fastServer(k *sim.Kernel, send func(to wifi.Addr, m Message)) *Server {
 	cfg := ServerConfig{
 		OfferLatency: sim.Constant{V: 50 * time.Millisecond},
 		AckLatency:   sim.Constant{V: 30 * time.Millisecond},
@@ -92,7 +92,7 @@ func fastServer(k *sim.Kernel, send func(to wifi.Addr, m *Message)) *Server {
 func TestServerDiscoverOfferRequestAck(t *testing.T) {
 	k := sim.NewKernel(1)
 	var sent []*Message
-	s := fastServer(k, func(to wifi.Addr, m *Message) { sent = append(sent, m) })
+	s := fastServer(k, func(to wifi.Addr, m Message) { sent = append(sent, &m) })
 	s.HandleMessage(&Message{Op: Discover, XID: 1, ClientMAC: mac(1)})
 	k.RunAll()
 	if len(sent) != 1 || sent[0].Op != Offer {
@@ -115,7 +115,7 @@ func TestServerDiscoverOfferRequestAck(t *testing.T) {
 func TestServerLatencyAppliedBeforeOffer(t *testing.T) {
 	k := sim.NewKernel(1)
 	var offerAt time.Duration
-	s := fastServer(k, func(to wifi.Addr, m *Message) { offerAt = k.Now() })
+	s := fastServer(k, func(to wifi.Addr, m Message) { offerAt = k.Now() })
 	s.HandleMessage(&Message{Op: Discover, XID: 1, ClientMAC: mac(1)})
 	k.RunAll()
 	if offerAt != 50*time.Millisecond {
@@ -126,7 +126,7 @@ func TestServerLatencyAppliedBeforeOffer(t *testing.T) {
 func TestServerReusesBindingForSameMAC(t *testing.T) {
 	k := sim.NewKernel(1)
 	var ips []IP
-	s := fastServer(k, func(to wifi.Addr, m *Message) { ips = append(ips, m.YourIP) })
+	s := fastServer(k, func(to wifi.Addr, m Message) { ips = append(ips, m.YourIP) })
 	s.HandleMessage(&Message{Op: Discover, XID: 1, ClientMAC: mac(1)})
 	k.RunAll()
 	s.HandleMessage(&Message{Op: Discover, XID: 2, ClientMAC: mac(1)})
@@ -139,7 +139,7 @@ func TestServerReusesBindingForSameMAC(t *testing.T) {
 func TestServerPoolExhaustionSilent(t *testing.T) {
 	k := sim.NewKernel(1)
 	count := 0
-	s := fastServer(k, func(to wifi.Addr, m *Message) { count++ })
+	s := fastServer(k, func(to wifi.Addr, m Message) { count++ })
 	for i := uint32(0); i < 5; i++ { // pool size 3
 		s.HandleMessage(&Message{Op: Discover, XID: i, ClientMAC: mac(i)})
 	}
@@ -152,7 +152,7 @@ func TestServerPoolExhaustionSilent(t *testing.T) {
 func TestServerRequestFirstWithValidCachedIP(t *testing.T) {
 	k := sim.NewKernel(1)
 	var sent []*Message
-	s := fastServer(k, func(to wifi.Addr, m *Message) { sent = append(sent, m) })
+	s := fastServer(k, func(to wifi.Addr, m Message) { sent = append(sent, &m) })
 	s.HandleMessage(&Message{Op: Request, XID: 1, ClientMAC: mac(1), YourIP: 0x0A000064})
 	k.RunAll()
 	if len(sent) != 1 || sent[0].Op != Ack {
@@ -163,7 +163,7 @@ func TestServerRequestFirstWithValidCachedIP(t *testing.T) {
 func TestServerRequestFirstOutOfPoolNaked(t *testing.T) {
 	k := sim.NewKernel(1)
 	var sent []*Message
-	s := fastServer(k, func(to wifi.Addr, m *Message) { sent = append(sent, m) })
+	s := fastServer(k, func(to wifi.Addr, m Message) { sent = append(sent, &m) })
 	s.HandleMessage(&Message{Op: Request, XID: 1, ClientMAC: mac(1), YourIP: 0x01020304})
 	k.RunAll()
 	if len(sent) != 1 || sent[0].Op != Nak {
@@ -174,7 +174,7 @@ func TestServerRequestFirstOutOfPoolNaked(t *testing.T) {
 func TestServerRequestForTakenIPNaked(t *testing.T) {
 	k := sim.NewKernel(1)
 	var sent []*Message
-	s := fastServer(k, func(to wifi.Addr, m *Message) { sent = append(sent, m) })
+	s := fastServer(k, func(to wifi.Addr, m Message) { sent = append(sent, &m) })
 	// Client 1 takes .100 via full handshake.
 	s.HandleMessage(&Message{Op: Discover, XID: 1, ClientMAC: mac(1)})
 	k.RunAll()
@@ -213,12 +213,12 @@ func newLoop(t *testing.T, ccfg ClientConfig, scfg *ServerConfig) *loop {
 	t.Helper()
 	k := sim.NewKernel(1)
 	l := &loop{k: k}
-	send := func(to wifi.Addr, m *Message) {
-		if l.drop != nil && l.drop(m) {
+	send := func(to wifi.Addr, m Message) {
+		if l.drop != nil && l.drop(&m) {
 			return
 		}
 		// 5ms air delay each way.
-		k.After(5*time.Millisecond, func() { l.c.HandleMessage(m) })
+		k.After(5*time.Millisecond, func() { l.c.HandleMessage(&m) })
 	}
 	if scfg == nil {
 		cfg := ServerConfig{
@@ -404,7 +404,7 @@ func TestPropertyLeaseUniqueness(t *testing.T) {
 			OfferLatency: sim.Constant{V: time.Millisecond},
 			AckLatency:   sim.Constant{V: time.Millisecond},
 			PoolSize:     8,
-		}, 1, func(to wifi.Addr, m *Message) {
+		}, 1, func(to wifi.Addr, m Message) {
 			if m.Op == Ack {
 				if prev, taken := assigned[m.YourIP]; taken && prev != to {
 					ok = false

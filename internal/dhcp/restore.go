@@ -36,7 +36,11 @@ type ServerState struct {
 // ExportState captures the server for a checkpoint. Bindings sort by
 // MAC and pending responses by (at, seq), so the export is canonical
 // regardless of map iteration or free-list history.
-func (s *Server) ExportState() ServerState {
+func (s *Server) ExportState() (ServerState, error) {
+	replies, err := s.replies.Capture()
+	if err != nil {
+		return ServerState{}, fmt.Errorf("dhcp: server %d: %w", s.cfg.ServerID, err)
+	}
 	st := ServerState{serverScalars: s.sc, ServerStats: s.ServerStats}
 	for mac, b := range s.bindings {
 		st.Bindings = append(st.Bindings, BindingState{MAC: mac, IP: b.ip, Expires: b.expires})
@@ -44,13 +48,10 @@ func (s *Server) ExportState() ServerState {
 	sort.Slice(st.Bindings, func(i, j int) bool {
 		return st.Bindings[i].MAC.Less(st.Bindings[j].MAC)
 	})
-	for _, r := range s.pending {
-		if ev := sim.CaptureEvent(r.ev); ev.Pending {
-			st.Pending = append(st.Pending, PendingRespState{Msg: r.msg, Kind: uint8(r.kind), Ev: ev})
-		}
+	for _, r := range replies {
+		st.Pending = append(st.Pending, PendingRespState{Msg: r.P, Kind: r.Kind, Ev: r.Ev})
 	}
-	sort.Slice(st.Pending, func(i, j int) bool { return st.Pending[i].Ev.Before(st.Pending[j].Ev) })
-	return st
+	return st, nil
 }
 
 // RestoreState rewinds a freshly built server to a checkpointed state,
@@ -63,13 +64,14 @@ func (s *Server) RestoreState(st ServerState) error {
 	for _, b := range st.Bindings {
 		s.bindings[b.MAC] = binding{ip: b.IP, expires: b.Expires}
 	}
-	s.pending = s.pending[:0]
+	s.replies.Drain(nil)
 	for _, p := range st.Pending {
-		if respKind(p.Kind) > respNak {
+		if p.Kind > respNak {
 			return fmt.Errorf("dhcp: restoring a pending response of unknown kind %d", p.Kind)
 		}
-		r := s.trackResp(respKind(p.Kind), p.Msg)
-		r.ev = p.Ev.Restore(s.kernel, r, 0)
+		if err := s.replies.Restore(p.Ev, p.Msg, p.Kind); err != nil {
+			return fmt.Errorf("dhcp: restoring a pending response: %w", err)
+		}
 	}
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"spider/internal/metrics"
 	"spider/internal/sim"
-	"spider/internal/slab"
 	"spider/internal/wifi"
 )
 
@@ -100,15 +99,14 @@ type Server struct {
 	kernel *sim.Kernel
 	cfg    ServerConfig
 	rng    *rand.Rand
-	send   func(to wifi.Addr, m *Message)
+	send   func(to wifi.Addr, m Message)
 
 	bindings map[wifi.Addr]binding
 	sc       serverScalars
 
-	// pending tracks scheduled-but-unsent responses so checkpoints can
-	// capture them; respPool recycles fired records.
-	pending  []*srvResp
-	respPool *RespPool
+	// replies holds each response across the server's think time; the
+	// carrier's kind byte is the response kind.
+	replies sim.Carriers[Message]
 
 	// Fault-injection state (inert until SetChaos).
 	chaos    Chaos
@@ -136,32 +134,25 @@ type ServerStats struct {
 
 // NewServer creates a server. send transmits a message toward a client;
 // the AP wires it to its radio path.
-func NewServer(k *sim.Kernel, cfg ServerConfig, serverID uint32, send func(to wifi.Addr, m *Message)) *Server {
+func NewServer(k *sim.Kernel, cfg ServerConfig, serverID uint32, send func(to wifi.Addr, m Message)) *Server {
 	if send == nil {
 		panic("dhcp: server needs a send function")
 	}
-	return &Server{
+	s := &Server{
 		kernel:   k,
 		cfg:      cfg.withDefaults(serverID),
 		rng:      k.RNG("dhcp.server"),
 		send:     send,
 		bindings: make(map[wifi.Addr]binding),
 	}
+	s.replies.Init(k, s)
+	return s
 }
 
-// RespPool is a free list of scheduled-response records. Every server
-// of one world shares the world's pool (SetRespPool), so a storm of
-// joins warms one list rather than one per AP; it is touched only from
-// its world's kernel goroutine. The zero value is ready. A server given
-// no pool makes its own at its first response.
-type RespPool struct {
-	list slab.List[srvResp]
-}
-
-// SetRespPool points the server at a response free list shared with
-// the other servers of its world. Call before the server schedules any
-// response.
-func (s *Server) SetRespPool(p *RespPool) { s.respPool = p }
+// SetRespPool points the server at a carrier pool shared with the other
+// servers of its world. Call before the server schedules any response;
+// a server given no pool makes its own at its first response.
+func (s *Server) SetRespPool(p *sim.CarrierPool[Message]) { s.replies.SetPool(p) }
 
 // Config returns the effective configuration.
 func (s *Server) Config() ServerConfig { return s.cfg }
@@ -193,39 +184,18 @@ func (s *Server) Reset() {
 	s.sc.NextIP = 0
 }
 
-// respKind selects the stat bumped when a scheduled response fires.
-type respKind uint8
-
-// Response kinds.
+// Response kinds: a reply carrier's kind byte, which selects the stat
+// bumped when the reply goes out.
 const (
-	respOffer respKind = iota
+	respOffer uint8 = iota
 	respAck
 	respNak
 )
 
-// srvResp is one scheduled response: the server's think-time delay in
-// flight. Responses are tracked (not anonymous closures) so a
-// checkpoint can record each one's message and (at, seq) identity and a
-// restore can re-arm it. s is set while the record is armed and cleared
-// when it returns to the pool. The record is its own timer's owner.
-type srvResp struct {
-	s    *Server
-	msg  Message
-	kind respKind
-	ev   sim.Event
-	idx  int // position in s.pending
-}
-
-// Fire implements sim.Handler: the think-time delay ran out, so the
+// Arrive implements sim.CarrierOwner: the think time ran out, so the
 // response goes out.
-func (r *srvResp) Fire(uint8) {
-	s := r.s
-	// Swap-remove from the pending list.
-	last := len(s.pending) - 1
-	s.pending[r.idx] = s.pending[last]
-	s.pending[r.idx].idx = r.idx
-	s.pending = s.pending[:last]
-	switch r.kind {
+func (s *Server) Arrive(m Message, kind uint8) {
+	switch kind {
 	case respOffer:
 		s.Offers++
 	case respAck:
@@ -233,28 +203,7 @@ func (r *srvResp) Fire(uint8) {
 	case respNak:
 		s.Naks++
 	}
-	s.send(r.msg.ClientMAC, &r.msg)
-	r.s = nil
-	s.respPool.list.Put(r)
-}
-
-// scheduleResp queues m to be sent after delay, tracking it as pending.
-func (s *Server) scheduleResp(kind respKind, m Message, delay time.Duration) {
-	r := s.trackResp(kind, m)
-	r.ev = s.kernel.FireAfter(delay, r, 0)
-}
-
-// trackResp files a response as pending, in a record drawn from the
-// free list; the caller arms its event.
-func (s *Server) trackResp(kind respKind, m Message) *srvResp {
-	if s.respPool == nil {
-		s.respPool = new(RespPool)
-	}
-	r, _ := s.respPool.list.Get()
-	r.s, r.msg, r.kind = s, m, kind
-	r.idx = len(s.pending)
-	s.pending = append(s.pending, r)
-	return r
+	s.send(m.ClientMAC, m)
 }
 
 // chaosIntercept applies injected misbehavior to one incoming message.
@@ -277,7 +226,7 @@ func (s *Server) chaosIntercept(m *Message) (proceed bool, extra time.Duration) 
 			// Copy out of m before the latency elapses: the message may be
 			// a transport's decode scratch, dead after HandleMessage returns.
 			resp := Message{Op: Nak, XID: m.XID, ClientMAC: m.ClientMAC, ServerID: s.cfg.ServerID}
-			s.scheduleResp(respNak, resp, s.cfg.AckLatency.Sample(s.rng))
+			s.replies.ArmAfter(s.cfg.AckLatency.Sample(s.rng), resp, respNak)
 			return false, 0
 		}
 		s.ChaosDrops++
@@ -318,7 +267,7 @@ func (s *Server) HandleMessage(m *Message) {
 		}
 		resp := Message{Op: Offer, XID: m.XID, ClientMAC: m.ClientMAC,
 			YourIP: ip, ServerID: s.cfg.ServerID, LeaseSecs: uint32(s.cfg.LeaseDur.Seconds())}
-		s.scheduleResp(respOffer, resp, s.cfg.OfferLatency.Sample(s.rng)+extra)
+		s.replies.ArmAfter(s.cfg.OfferLatency.Sample(s.rng)+extra, resp, respOffer)
 	case Request:
 		s.Requests++
 		b, ok := s.bindings[m.ClientMAC]
@@ -329,7 +278,7 @@ func (s *Server) HandleMessage(m *Message) {
 		if ok && m.YourIP != 0 && m.YourIP != b.ip {
 			// Client asked for a stale cached address someone else holds.
 			resp := Message{Op: Nak, XID: m.XID, ClientMAC: m.ClientMAC, ServerID: s.cfg.ServerID}
-			s.scheduleResp(respNak, resp, s.cfg.AckLatency.Sample(s.rng)+extra)
+			s.replies.ArmAfter(s.cfg.AckLatency.Sample(s.rng)+extra, resp, respNak)
 			return
 		}
 		if !ok {
@@ -341,7 +290,7 @@ func (s *Server) HandleMessage(m *Message) {
 				ok = true
 			} else {
 				resp := Message{Op: Nak, XID: m.XID, ClientMAC: m.ClientMAC, ServerID: s.cfg.ServerID}
-				s.scheduleResp(respNak, resp, s.cfg.AckLatency.Sample(s.rng)+extra)
+				s.replies.ArmAfter(s.cfg.AckLatency.Sample(s.rng)+extra, resp, respNak)
 				return
 			}
 		}
@@ -349,7 +298,7 @@ func (s *Server) HandleMessage(m *Message) {
 		s.bindings[m.ClientMAC] = b
 		resp := Message{Op: Ack, XID: m.XID, ClientMAC: m.ClientMAC,
 			YourIP: b.ip, ServerID: s.cfg.ServerID, LeaseSecs: uint32(s.cfg.LeaseDur.Seconds())}
-		s.scheduleResp(respAck, resp, s.cfg.AckLatency.Sample(s.rng)+extra)
+		s.replies.ArmAfter(s.cfg.AckLatency.Sample(s.rng)+extra, resp, respAck)
 	default:
 		// A server receiving a server-side op (Offer/Ack/Nak) means some
 		// component routed a frame backwards — count it, don't crash.

@@ -13,7 +13,6 @@ import (
 	"spider/internal/metrics"
 	"spider/internal/radio"
 	"spider/internal/sim"
-	"spider/internal/slab"
 	"spider/internal/wifi"
 )
 
@@ -60,15 +59,6 @@ var (
 	deauthClass3Body = &wifi.DeauthBody{Reason: 7}
 )
 
-// RespPool is a free list of delayed-response carriers. Every AP of one
-// world shares the world's pool (SetRespPool), so a storm of joins warms
-// one list rather than one per AP; like the frame pool, it is touched
-// only from its world's kernel goroutine. The zero value is ready. An AP
-// given no pool makes its own at its first response.
-type RespPool struct {
-	list slab.List[pendingResp]
-}
-
 type apClient struct {
 	sc      apClientScalars
 	buffer  []*wifi.Frame // PSM-parked frames
@@ -100,12 +90,10 @@ type AP struct {
 	// fires through the AP itself (Fire), so re-arming it ten times a
 	// second per AP allocates nothing.
 	beaconEv sim.Event
-	// respPool recycles the delayed-response carriers; each is its own
-	// timer's owner, so scheduling a management response allocates
-	// nothing in steady state. resps tracks this AP's in-flight carriers
-	// so a checkpoint can capture them.
-	respPool *RespPool
-	resps    []*pendingResp
+	// responses holds each management response across the processing
+	// delay; its carriers are recycled, so scheduling a response
+	// allocates nothing in steady state.
+	responses sim.Carriers[*wifi.Frame]
 
 	clients map[wifi.Addr]*apClient
 	uplink  func(from wifi.Addr, db *wifi.DataBody)
@@ -162,6 +150,7 @@ func NewAPAt(m *radio.Medium, cfg APConfig, addr wifi.Addr, pos geo.Point, serve
 		clients: make(map[wifi.Addr]*apClient),
 		inv:     metrics.NewInvariantSet(),
 	}
+	ap.responses.Init(ap.kernel, ap)
 	ap.radio = m.NewStaticRadio(addr, pos, ap)
 	ap.radio.SetChannel(cfg.Channel)
 	ap.pool = m.Pool()
@@ -222,9 +211,10 @@ func (ap *AP) Restart() {
 // the AP otherwise keeps serving — the half-dead box fault mode.
 func (ap *AP) SetBeaconMute(on bool) { ap.sc.Muted = on }
 
-// SetRespPool points the AP at a carrier free list shared with the other
-// APs of its world. Call before the AP schedules any response.
-func (ap *AP) SetRespPool(p *RespPool) { ap.respPool = p }
+// SetRespPool points the AP at a carrier pool shared with the other
+// APs of its world. Call before the AP schedules any response; an AP
+// given no pool makes its own at its first response.
+func (ap *AP) SetRespPool(p *sim.CarrierPool[*wifi.Frame]) { ap.responses.SetPool(p) }
 
 // BeaconInterval returns the configured beacon period (0 when beacons
 // are disabled).
@@ -289,50 +279,14 @@ func (ap *AP) beaconFrame(da wifi.Addr, t wifi.FrameType) *wifi.Frame {
 	return f
 }
 
-// pendingResp carries one delayed management response to its timer
-// firing. Responses fire in random-delay order, not FIFO, so a free
-// list (LIFO reuse) is safe: each carrier is parked from schedule to
-// fire and owns nothing afterwards. ap is set while the carrier is
-// armed and cleared when it returns to the pool. In-flight carriers sit
-// in ap.resps (swap-removed on fire) so checkpoints can capture them.
-// The carrier is its own timer's owner.
-type pendingResp struct {
-	ap  *AP
-	f   *wifi.Frame
-	ev  sim.Event
-	idx int // position in ap.resps
-}
-
-// Fire implements sim.Handler: the processing delay ran out, so the
-// response goes on the air.
-func (pr *pendingResp) Fire(uint8) {
-	ap, f := pr.ap, pr.f
-	last := len(ap.resps) - 1
-	ap.resps[pr.idx] = ap.resps[last]
-	ap.resps[pr.idx].idx = pr.idx
-	ap.resps = ap.resps[:last]
-	pr.ap, pr.f = nil, nil
-	ap.respPool.list.Put(pr)
-	ap.radio.Send(f)
-}
-
-// trackResp parks f on a (recycled) carrier registered in ap.resps.
-func (ap *AP) trackResp(f *wifi.Frame) *pendingResp {
-	if ap.respPool == nil {
-		ap.respPool = new(RespPool)
-	}
-	pr, _ := ap.respPool.list.Get()
-	pr.ap, pr.f = ap, f
-	pr.idx = len(ap.resps)
-	ap.resps = append(ap.resps, pr)
-	return pr
-}
-
 // respondAfterDelay transmits f after the AP's processing delay.
 func (ap *AP) respondAfterDelay(f *wifi.Frame) {
-	pr := ap.trackResp(f)
-	pr.ev = ap.kernel.FireAfter(ap.cfg.RespDelay.Sample(ap.kernel.RNG("mac.ap.resp")), pr, 0)
+	ap.responses.ArmAfter(ap.cfg.RespDelay.Sample(ap.kernel.RNG("mac.ap.resp")), f, 0)
 }
+
+// Arrive implements sim.CarrierOwner: the processing delay ran out, so
+// the response goes on the air.
+func (ap *AP) Arrive(f *wifi.Frame, _ uint8) { ap.radio.Send(f) }
 
 // RadioReceive implements radio.Receiver: the AP's MAC answers every
 // frame its radio hears.
@@ -505,7 +459,7 @@ func (ap *AP) trimBuffer(c *apClient) {
 // bypass PSM buffering: the lease process is controlled by the AP and
 // cannot be deferred by the client's power-save claim — the paper's
 // central observation.
-func (ap *AP) sendDHCP(to wifi.Addr, m *dhcp.Message) {
+func (ap *AP) sendDHCP(to wifi.Addr, m dhcp.Message) {
 	db := ap.pool.Data()
 	db.Proto = wifi.ProtoDHCP
 	db.Header = m.AppendEncode(db.Header[:0])

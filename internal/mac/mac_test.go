@@ -223,19 +223,19 @@ func TestFullJoinWithDHCPOverAir(t *testing.T) {
 // shared pool, as a world hands its APs, draws from that one.
 func TestRespPoolOnFirstResponse(t *testing.T) {
 	k, _, ap, c := setup(t)
-	if ap.respPool != nil {
+	if ap.responses.Pool() != nil {
 		t.Fatal("NewAPAt allocated a response pool")
 	}
 	joinAndLease(t, k, c)
-	if ap.respPool == nil {
+	if ap.responses.Pool() == nil {
 		t.Fatal("a standalone AP answered a join without a response pool")
 	}
 
 	k, _, ap, c = setup(t)
-	var shared RespPool
+	var shared sim.CarrierPool[*wifi.Frame]
 	ap.SetRespPool(&shared)
 	joinAndLease(t, k, c)
-	if ap.respPool != &shared {
+	if ap.responses.Pool() != &shared {
 		t.Fatal("an AP given a shared pool replaced it")
 	}
 }

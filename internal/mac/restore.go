@@ -41,12 +41,20 @@ type APState struct {
 
 // ExportState captures the AP for a checkpoint. Clients sort by MAC and
 // in-flight responses by (at, seq), so the export is canonical.
-func (ap *AP) ExportState() APState {
+func (ap *AP) ExportState() (APState, error) {
+	dhcpd, err := ap.dhcpd.ExportState()
+	if err != nil {
+		return APState{}, err
+	}
+	resps, err := ap.responses.Capture()
+	if err != nil {
+		return APState{}, fmt.Errorf("mac: AP %s: %w", ap.Addr(), err)
+	}
 	st := APState{
 		apScalars:  ap.sc,
 		APStats:    ap.APStats,
 		Beacon:     sim.CaptureEvent(ap.beaconEv),
-		DHCP:       ap.dhcpd.ExportState(),
+		DHCP:       dhcpd,
 		Invariants: ap.inv.ExportState(),
 	}
 	for addr, c := range ap.clients {
@@ -56,13 +64,10 @@ func (ap *AP) ExportState() APState {
 		})
 	}
 	sort.Slice(st.Client, func(i, j int) bool { return st.Client[i].Addr.Less(st.Client[j].Addr) })
-	for _, pr := range ap.resps {
-		if ev := sim.CaptureEvent(pr.ev); ev.Pending {
-			st.Resps = append(st.Resps, APRespState{Frame: pr.f.Encode(), Ev: ev})
-		}
+	for _, r := range resps {
+		st.Resps = append(st.Resps, APRespState{Frame: r.P.Encode(), Ev: r.Ev})
 	}
-	sort.Slice(st.Resps, func(i, j int) bool { return st.Resps[i].Ev.Before(st.Resps[j].Ev) })
-	return st
+	return st, nil
 }
 
 // RestoreState rewinds a freshly built AP to a checkpointed state:
@@ -91,14 +96,15 @@ func (ap *AP) RestoreState(st APState) error {
 		ap.clients[cs.Addr] = &apClient{sc: cs.apClientScalars, buffer: buf, pending: pend}
 	}
 
-	ap.resps = ap.resps[:0]
+	ap.responses.Drain(nil)
 	for _, rs := range st.Resps {
 		f, err := wifi.Decode(rs.Frame)
 		if err != nil {
 			return fmt.Errorf("mac: restoring response: %w", err)
 		}
-		pr := ap.trackResp(f)
-		pr.ev = rs.Ev.Restore(ap.kernel, pr, 0)
+		if err := ap.responses.Restore(rs.Ev, f, 0); err != nil {
+			return fmt.Errorf("mac: restoring response: %w", err)
+		}
 	}
 
 	ap.beaconEv.Cancel()

@@ -26,7 +26,8 @@ func (poolHost) DHCPResult(dhcp.Result)        {}
 // through its owner, so arming one allocates nothing: no closure per
 // owner, per carrier or per radio. The kernel is warm (its arena
 // reserved, the RNG streams created by a first round) and nothing
-// fires, so no response carrier is recycled: each round carves one.
+// fires, so no response carrier is recycled: each round carves one
+// from an empty pool.
 func TestArmingTimersAllocatesNothing(t *testing.T) {
 	const runs = 100
 	k := sim.NewKernel(1)
@@ -42,7 +43,13 @@ func TestArmingTimersAllocatesNothing(t *testing.T) {
 	for i := range frames {
 		frames[i] = m.Pool().Frame()
 	}
-	ap.resps = make([]*pendingResp, 0, runs+1)
+	// Size the AP's response set for every round, then hand it an
+	// empty pool.
+	for _, f := range frames {
+		ap.respondAfterDelay(f)
+	}
+	ap.responses.Drain(nil)
+	ap.SetRespPool(new(sim.CarrierPool[*wifi.Frame]))
 	radios := make([]*radio.Radio, runs+1)
 	for i := range radios {
 		radios[i] = m.NewRadio(wifi.NewAddr(1, uint32(i)), func() geo.Point { return geo.Point{} }, radio.ReceiverFunc(func(*wifi.Frame) {}))

@@ -297,7 +297,7 @@ type Radio struct {
 
 	m    *Medium
 	addr wifi.Addr
-	pos  func() geo.Point
+	pos  func() geo.Point // nil for a static radio, whose posVal is fixed
 	rx   Receiver
 
 	// regIdx is the registration-order index in Medium.radios; candidate
@@ -378,10 +378,31 @@ type txJob struct {
 // transmitter (see within). The radio starts untuned (channel 0): it
 // hears nothing until SetChannel.
 func (m *Medium) NewRadio(addr wifi.Addr, pos func() geo.Point, rx Receiver) *Radio {
-	if pos == nil || rx == nil {
-		panic("radio: position and receiver are required")
+	if pos == nil {
+		panic("radio: position is required")
 	}
-	r := &Radio{m: m, addr: addr, pos: pos, rx: rx, regIdx: int32(len(m.radios)),
+	r := m.register(addr, rx)
+	r.pos = pos
+	return r
+}
+
+// NewStaticRadio registers a radio that never moves (an access point).
+// Static radios are tracked in the medium's spatial grid, so dense worlds
+// pay per-neighborhood — not per-deployment — cost on every frame. The
+// position is fixed here, so the radio has no position func.
+func (m *Medium) NewStaticRadio(addr wifi.Addr, pos geo.Point, rx Receiver) *Radio {
+	r := m.register(addr, rx)
+	r.static = true
+	r.posVal, r.posValid, r.posFixed = pos, true, true
+	return r
+}
+
+// register adds an untuned radio to the medium.
+func (m *Medium) register(addr wifi.Addr, rx Receiver) *Radio {
+	if rx == nil {
+		panic("radio: receiver is required")
+	}
+	r := &Radio{m: m, addr: addr, rx: rx, regIdx: int32(len(m.radios)),
 		maxSpeed: -1, txQueue: make([]txJob, 0, 8)}
 	m.radios = append(m.radios, r)
 	if _, dup := m.byAddr[addr]; dup {
@@ -389,16 +410,6 @@ func (m *Medium) NewRadio(addr wifi.Addr, pos func() geo.Point, rx Receiver) *Ra
 	} else {
 		m.byAddr[addr] = r
 	}
-	return r
-}
-
-// NewStaticRadio registers a radio that never moves (an access point).
-// Static radios are tracked in the medium's spatial grid, so dense worlds
-// pay per-neighborhood — not per-deployment — cost on every frame.
-func (m *Medium) NewStaticRadio(addr wifi.Addr, pos geo.Point, rx Receiver) *Radio {
-	r := m.NewRadio(addr, func() geo.Point { return pos }, rx)
-	r.static = true
-	r.posVal, r.posValid, r.posFixed = pos, true, true
 	return r
 }
 

@@ -8,6 +8,8 @@ import (
 	"spider/internal/core"
 	"spider/internal/geo"
 	"spider/internal/sim"
+	"spider/internal/tcpsim"
+	"spider/internal/wifi"
 )
 
 // A client migrates while its uplink ACKs and downlink segments are in
@@ -29,37 +31,24 @@ func TestMigrationDrainsCarriersIntoOldWorld(t *testing.T) {
 	c := a.AddClient(cfg, here)
 	stay := a.AddClient(cfg, geo.Static{P: geo.Point{X: 5}})
 
-	for a.Kernel.Now() < 30*time.Second && (len(c.upLive) == 0 || len(c.downLive) == 0) {
+	var up, down int
+	for a.Kernel.Now() < 30*time.Second && (up == 0 || down == 0) {
 		a.Run(a.Kernel.Now() + time.Millisecond)
+		up, down = inFlight(t, c)
 	}
-	up, down := len(c.upLive), len(c.downLive)
 	if up == 0 || down == 0 {
 		t.Fatalf("no carriers in flight to migrate with (up %d, down %d)", up, down)
 	}
-	freeBefore := a.linkFree.Len()
+	freeBefore, segsBefore := a.segCarriers.Len(), a.segPool.Len()
 	recs := a.RemoveClient(c)
-	if len(c.upLive) != 0 || len(c.downLive) != 0 {
-		t.Fatalf("carriers still live after RemoveClient: up %d, down %d", len(c.upLive), len(c.downLive))
+	if c.segs.Len() != 0 {
+		t.Fatalf("%d carriers still live after RemoveClient", c.segs.Len())
 	}
-	if got := a.linkFree.Len() - freeBefore; got != up+down {
+	if got := a.segCarriers.Len() - freeBefore; got != up+down {
 		t.Fatalf("%d carriers returned to the old world's free list, want %d", got, up+down)
 	}
-	// Pop every free carrier to inspect it, then put them back in order.
-	free := make([]*linkSeg, a.linkFree.Len())
-	for i := range free {
-		free[i], _ = a.linkFree.Get()
-	}
-	for i, ls := range free {
-		if ls.c != nil || ls.node != nil || ls.seg != nil || ls.ev.Pending() {
-			t.Fatalf("free carrier %d still armed: client %v, node %v, seg %v, pending %v",
-				i, ls.c != nil, ls.node != nil, ls.seg != nil, ls.ev.Pending())
-		}
-		if ls.w != a {
-			t.Fatalf("free carrier %d belongs to another world", i)
-		}
-	}
-	for i := len(free) - 1; i >= 0; i-- {
-		a.linkFree.Put(free[i])
+	if got := a.segPool.Len() - segsBefore; got != up+down {
+		t.Fatalf("%d segments returned to the old world's free list, want %d", got, up+down)
 	}
 	b.AdoptClient(c, cfg, here, recs)
 
@@ -75,12 +64,76 @@ func TestMigrationDrainsCarriersIntoOldWorld(t *testing.T) {
 	if c.Driver.ConnectedCount() != 1 || c.ActiveFlows() != 1 {
 		t.Fatalf("migrated client not carrying traffic in its new world: %+v", c.Driver.Stats())
 	}
-	for _, ls := range append(append([]*linkSeg(nil), c.upLive...), c.downLive...) {
-		if ls.w != b || ls.c != c {
-			t.Fatal("migrated client's carrier does not come from its new world")
-		}
+	if c.segs.Pool() != &b.segCarriers || c.segs.Len() == 0 {
+		t.Fatalf("migrated client's %d carriers do not come from its new world", c.segs.Len())
 	}
 	if stay.Driver.ConnectedCount() != 1 || stay.ActiveFlows() != 1 {
 		t.Fatalf("client left behind stopped carrying traffic: %+v", stay.Driver.Stats())
+	}
+}
+
+// inFlight counts c's segments in flight up and down its backhauls.
+func inFlight(t *testing.T, c *Client) (up, down int) {
+	t.Helper()
+	segs, err := c.segs.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range segs {
+		if f.Kind == segUp {
+			up++
+		} else {
+			down++
+		}
+	}
+	return up, down
+}
+
+// A transfer the backhaul refuses (here a blackhole; a full shaper queue
+// takes the same path) arms no carrier, and its segment goes straight
+// back to the world's pool: the sender's contract is that the transmit
+// owner puts every segment back. On a warm world, refused uplink ACKs
+// and downlink segments leave both free lists as they were and
+// allocate nothing.
+func TestRefusedBackhaulSendRecycles(t *testing.T) {
+	w := NewWorld(1, labRadio())
+	node := w.AddAP(APSpec{Pos: geo.Point{X: 20}, Channel: 6, BackhaulKbps: 2000,
+		OfferLatency: sim.Constant{V: 50 * time.Millisecond},
+		AckLatency:   sim.Constant{V: 20 * time.Millisecond}})
+	cfg := core.SpiderDefaults(core.SingleChannelSingleAP, []core.ChannelSlice{{Channel: 6}})
+	c := w.AddClient(cfg, geo.Static{P: geo.Point{}})
+	w.Run(10 * time.Second)
+	if !node.AP.Associated(c.Addr()) || c.ActiveFlows() != 1 {
+		t.Fatal("client not downloading through the AP")
+	}
+	node.Link.SetBlackhole(true)
+	for end := w.Kernel.Now() + 5*time.Second; c.segs.Len() > 0 && w.Kernel.Now() < end; {
+		w.Run(w.Kernel.Now() + 10*time.Millisecond)
+	}
+	if c.segs.Len() != 0 {
+		t.Fatalf("%d segments still in flight across a blackholed link", c.segs.Len())
+	}
+
+	ack := &wifi.Frame{Type: wifi.TypeData, SA: c.Addr(), DA: node.AP.Addr(), BSSID: node.AP.Addr(),
+		Body: &wifi.DataBody{Proto: wifi.ProtoTCP,
+			Header: (&tcpsim.Segment{FlowID: 1, Ack: 1, IsAck: true}).AppendEncode(nil)}}
+	carriers, segs, drops := w.segCarriers.Len(), w.segPool.Len(), node.Link.ExportState().BlackholeDrops
+	if carriers == 0 || segs == 0 {
+		t.Fatalf("%d free carriers and %d free segments once the link went dark; a warm world has both", carriers, segs)
+	}
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, func() {
+		node.AP.RadioReceive(ack)
+		c.carry(node, w.segPool.Get(), segDown)
+	})
+	if got := node.Link.ExportState().BlackholeDrops - drops; got != 2*(runs+1) {
+		t.Fatalf("the link refused %d transfers, want %d", got, 2*(runs+1))
+	}
+	if w.segCarriers.Len() != carriers || w.segPool.Len() != segs || c.segs.Len() != 0 {
+		t.Fatalf("refused sends: %d free carriers (was %d), %d free segments (was %d), %d in flight",
+			w.segCarriers.Len(), carriers, w.segPool.Len(), segs, c.segs.Len())
+	}
+	if allocs != 0 {
+		t.Fatalf("a refused ACK and segment allocated %.1f times per round", allocs)
 	}
 }

@@ -37,7 +37,11 @@ func pumpWorld() (*World, *mac.AP, *[]heard) {
 			return
 		}
 		h := heard{seq: f.Seq, downDelivered: ap.DownDelivered}
-		for _, c := range ap.ExportState().Client {
+		st, err := ap.ExportState()
+		if err != nil {
+			panic(err)
+		}
+		for _, c := range st.Client {
 			if c.Addr == pumpSTA {
 				h.txBusy = c.TxBusy
 			}

@@ -69,19 +69,6 @@ type WorldState struct {
 	Medium  radio.MediumState
 }
 
-func exportLinkSegs(live []*linkSeg) ([]LinkSegState, error) {
-	out := make([]LinkSegState, 0, len(live))
-	for _, ls := range live {
-		ev := sim.CaptureEvent(ls.ev)
-		if !ev.Pending {
-			return nil, fmt.Errorf("scenario: tracked backhaul segment has no pending delivery")
-		}
-		out = append(out, LinkSegState{BSSID: ls.node.AP.Addr(), Seg: ls.seg.AppendEncode(nil), Ev: ev})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Ev.Before(out[j].Ev) })
-	return out, nil
-}
-
 // ExportState captures the client for a checkpoint. Clients running a
 // WebWorkload refuse: the page loop lives in closures the checkpoint
 // cannot reach (documented limitation; the metro scenarios use bulk).
@@ -95,6 +82,9 @@ func (c *Client) ExportState() (ClientState, error) {
 		Rec:    c.Rec.ExportState(),
 		Joins:  append([]JoinEvent(nil), c.Joins...),
 		Assocs: append([]AssocEvent(nil), c.Assocs...),
+
+		// Empty, not nil: a client with nothing in flight encodes [].
+		UpLive: []LinkSegState{}, DownLive: []LinkSegState{},
 	}
 	for b, cn := range c.conns {
 		if cn.onAbort != nil {
@@ -109,17 +99,23 @@ func (c *Client) ExportState() (ClientState, error) {
 		})
 	}
 	sort.Slice(st.Conns, func(i, j int) bool { return st.Conns[i].BSSID.Less(st.Conns[j].BSSID) })
-	var err error
-	if st.UpLive, err = exportLinkSegs(c.upLive); err != nil {
-		return ClientState{}, err
+	segs, err := c.segs.Capture()
+	if err != nil {
+		return ClientState{}, fmt.Errorf("scenario: client %s: %w", c.addr, err)
 	}
-	if st.DownLive, err = exportLinkSegs(c.downLive); err != nil {
-		return ClientState{}, err
+	for _, f := range segs {
+		ls := LinkSegState{BSSID: f.P.node.AP.Addr(), Seg: f.P.seg.AppendEncode(nil), Ev: f.Ev}
+		if f.Kind == segUp {
+			st.UpLive = append(st.UpLive, ls)
+		} else {
+			st.DownLive = append(st.DownLive, ls)
+		}
 	}
 	return st, nil
 }
 
-func (c *Client) restoreLinkSegs(states []LinkSegState, live *[]*linkSeg, kind uint8) error {
+// restoreSegs re-arms one direction's segments in flight.
+func (c *Client) restoreSegs(states []LinkSegState, kind uint8) error {
 	w := c.World
 	for _, lss := range states {
 		node := w.byBSS[lss.BSSID]
@@ -131,9 +127,10 @@ func (c *Client) restoreLinkSegs(states []LinkSegState, live *[]*linkSeg, kind u
 			w.segPool.Put(seg)
 			return fmt.Errorf("scenario: restoring in-flight segment for %s: bad encoding", c.addr)
 		}
-		ls := w.getLinkSeg(c, node, seg)
-		ls.ev = lss.Ev.Restore(w.Kernel, ls, kind)
-		c.trackSeg(live, ls)
+		if err := c.segs.Restore(lss.Ev, transit{node, seg}, kind); err != nil {
+			w.segPool.Put(seg)
+			return fmt.Errorf("scenario: restoring in-flight segment for %s: %w", c.addr, err)
+		}
 	}
 	return nil
 }
@@ -168,11 +165,11 @@ func (c *Client) RestoreState(st ClientState) error {
 		c.conns[ks.BSSID] = cn
 	}
 
-	c.upLive, c.downLive = c.upLive[:0], c.downLive[:0]
-	if err := c.restoreLinkSegs(st.UpLive, &c.upLive, segUp); err != nil {
+	c.segs.Drain(nil)
+	if err := c.restoreSegs(st.UpLive, segUp); err != nil {
 		return err
 	}
-	return c.restoreLinkSegs(st.DownLive, &c.downLive, segDown)
+	return c.restoreSegs(st.DownLive, segDown)
 }
 
 // ExportState captures the world for a checkpoint: APs in construction
@@ -180,7 +177,11 @@ func (c *Client) RestoreState(st ClientState) error {
 func (w *World) ExportState() (WorldState, error) {
 	st := WorldState{NextAP: w.nextAP}
 	for _, node := range w.APs {
-		st.APs = append(st.APs, APNodeState{AP: node.AP.ExportState(), Link: node.Link.ExportState()})
+		as, err := node.AP.ExportState()
+		if err != nil {
+			return WorldState{}, err
+		}
+		st.APs = append(st.APs, APNodeState{AP: as, Link: node.Link.ExportState()})
 	}
 	for _, c := range w.Clients {
 		cs, err := c.ExportState()

@@ -139,13 +139,9 @@ func (c *Client) newSender(cn *conn, size int64, onDone func()) *tcpsim.Sender {
 // backhaul link; a checkpoint restore rebuilds senders here too.
 func (c *Client) downlinkSender(node *APNode, flowID uint32, size int64, onDone func()) *tcpsim.Sender {
 	s := tcpsim.NewSender(c.World.Kernel, tcpsim.Config{}, flowID, size, func(seg *tcpsim.Segment) {
-		// The segment stays alive across the backhaul delay; linkSeg.down
-		// encodes it on arrival and recycles it into the world's pool.
-		ds := c.World.getLinkSeg(c, node, seg)
-		if ev, ok := node.Link.DownEv(seg.WireSize(), ds, segDown); ok {
-			ds.ev = ev
-			c.trackSeg(&c.downLive, ds)
-		}
+		// The segment stays alive across the backhaul delay; Arrive
+		// encodes it at the AP and recycles it into the world's pool.
+		c.carry(node, seg, segDown)
 	}, onDone)
 	s.SetSegPool(&c.World.segPool)
 	return s

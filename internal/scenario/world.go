@@ -18,7 +18,6 @@ import (
 	"spider/internal/obs"
 	"spider/internal/radio"
 	"spider/internal/sim"
-	"spider/internal/slab"
 	"spider/internal/tcpsim"
 	"spider/internal/wifi"
 )
@@ -65,15 +64,16 @@ type World struct {
 
 	// Free lists shared by everything in the world, all single-threaded
 	// with its kernel: segPool recycles the clients' TCP segments (data
-	// and uplink ACKs), linkFree the backhaul carriers, respPool the
-	// APs' delayed-response carriers and dhcpResps their DHCP servers'
-	// scheduled responses. A migrating client drains its carriers here
-	// before it leaves (RemoveClient), so no pooled object crosses to
-	// another world's goroutine.
-	segPool   tcpsim.SegPool
-	linkFree  slab.List[linkSeg]
-	respPool  mac.RespPool
-	dhcpResps dhcp.RespPool
+	// and uplink ACKs), and the carrier pools the carriers that hold
+	// segments across a backhaul, AP management responses across the
+	// processing delay and DHCP replies across the think time. A
+	// migrating client drains its carriers here before it leaves
+	// (RemoveClient), so no pooled object crosses to another world's
+	// goroutine.
+	segPool      tcpsim.SegPool
+	segCarriers  sim.CarrierPool[transit]
+	respCarriers sim.CarrierPool[*wifi.Frame]
+	dhcpCarriers sim.CarrierPool[dhcp.Message]
 
 	// obs, when set via AttachObs, is wired into every component added
 	// afterwards (and everything that existed at attach time).
@@ -135,8 +135,8 @@ func (w *World) AddAP(spec APSpec) *APNode {
 		}
 	}
 	ap := mac.NewAPAt(w.Medium, apCfg, wifi.NewAddr(0xA0, id), spec.Pos, id)
-	ap.SetRespPool(&w.respPool)
-	ap.DHCPServer().SetRespPool(&w.dhcpResps)
+	ap.SetRespPool(&w.respCarriers)
+	ap.DHCPServer().SetRespPool(&w.dhcpCarriers)
 	node := &APNode{
 		AP:   ap,
 		Link: backhaul.NewLink(w.Kernel, backhaul.Config{RateKbps: spec.BackhaulKbps, Latency: spec.BackhaulLat, QueueBytes: spec.QueueBytes}),
@@ -146,7 +146,7 @@ func (w *World) AddAP(spec APSpec) *APNode {
 	w.byBSS[ap.Addr()] = node
 	// Uplink router: TCP ACKs from any client traverse the backhaul to
 	// that client's flow server. The segment is copied out of the (maybe
-	// pooled) frame body into the client's segment pool before the
+	// pooled) frame body into the world's segment pool before the
 	// backhaul delay, and recycled once the sender has consumed it.
 	ap.SetUplinkHandler(func(from wifi.Addr, db *wifi.DataBody) {
 		if db.Proto != wifi.ProtoTCP {
@@ -161,111 +161,45 @@ func (w *World) AddAP(spec APSpec) *APNode {
 			w.segPool.Put(seg)
 			return
 		}
-		up := w.getLinkSeg(client, node, seg)
-		if ev, ok := node.Link.UpEv(seg.WireSize(), up, segUp); ok {
-			up.ev = ev
-			client.trackSeg(&client.upLive, up)
-		}
+		client.carry(node, seg, segUp)
 	})
 	return node
 }
 
-// linkSeg carries one segment across a backhaul link delay. The carrier
-// is the delivery's timer owner, so the TCP data path, which schedules
-// one delivery per segment, builds no closure for it. A carrier belongs
-// to one world's free list; c, node and seg are set while it is armed
-// and cleared when it goes back.
-type linkSeg struct {
-	w    *World
-	c    *Client
+// transit is one TCP segment crossing node's backhaul.
+type transit struct {
 	node *APNode
 	seg  *tcpsim.Segment
-	// ev/idx track the in-flight delivery for checkpoints: ev is the
-	// kernel event identity, idx the carrier's slot in the client's live
-	// registry (upLive/downLive).
-	ev  sim.Event
-	idx int
 }
 
-// linkSeg timer kinds, for Fire: the direction of the traversal.
+// Backhaul carrier kinds: the direction of the traversal.
 const (
 	segUp   uint8 = iota // an ACK reaches the flow's server
 	segDown              // a data segment reaches the AP
 )
 
-// Fire implements sim.Handler: the carrier's traversal ends.
-func (ls *linkSeg) Fire(kind uint8) {
-	if kind == segDown {
-		ls.down()
+// carry sends seg across node's backhaul in kind's direction, to reach
+// Arrive at the far end. A segment the link refuses goes straight back
+// to the world's pool.
+func (c *Client) carry(node *APNode, seg *tcpsim.Segment, kind uint8) {
+	if at, ok := node.Link.Send(kind == segDown, seg.WireSize()); ok {
+		c.segs.ArmAt(at, transit{node, seg}, kind)
 		return
 	}
-	ls.up()
+	c.World.segPool.Put(seg)
 }
 
-// trackSeg registers an armed carrier in the given live registry.
-func (c *Client) trackSeg(live *[]*linkSeg, ls *linkSeg) {
-	ls.idx = len(*live)
-	*live = append(*live, ls)
-}
-
-// untrackSeg removes a completed carrier (swap-remove; order is
-// irrelevant, exports sort by event identity).
-func (c *Client) untrackSeg(live *[]*linkSeg, ls *linkSeg) {
-	l := *live
-	last := len(l) - 1
-	if ls.idx <= last && l[ls.idx] == ls {
-		l[ls.idx] = l[last]
-		l[ls.idx].idx = ls.idx
-		*live = l[:last]
+// Arrive implements sim.CarrierOwner: a segment's backhaul traversal
+// ends. An uplink ACK goes to the live sender (if the association still
+// exists), a data segment through the AP toward the client; either way
+// the segment then goes back to the world's pool.
+func (c *Client) Arrive(t transit, kind uint8) {
+	if kind == segDown {
+		t.node.AP.Deliver(c.addr, c.bodyFor(t.seg))
+	} else if live, ok := c.conns[t.node.AP.Addr()]; ok && live.sender != nil {
+		live.sender.HandleAck(t.seg)
 	}
-}
-
-// drainLinkSegs cancels every carrier in a live registry and recycles
-// it with its segment: the segment dies with the backhaul traversal, as
-// if the link dropped it.
-func (w *World) drainLinkSegs(live *[]*linkSeg) {
-	for _, ls := range *live {
-		ls.ev.Cancel()
-		w.segPool.Put(ls.seg)
-		w.putLinkSeg(ls)
-	}
-	*live = (*live)[:0]
-}
-
-// getLinkSeg pops a carrier from the world's free list (or carves one)
-// and arms it for c.
-func (w *World) getLinkSeg(c *Client, node *APNode, seg *tcpsim.Segment) *linkSeg {
-	ls, _ := w.linkFree.Get()
-	ls.w, ls.c, ls.node, ls.seg = w, c, node, seg
-	return ls
-}
-
-// putLinkSeg disarms a carrier and returns it to its world's free list.
-func (w *World) putLinkSeg(ls *linkSeg) {
-	ls.c, ls.node, ls.seg, ls.ev = nil, nil, nil, sim.Event{}
-	w.linkFree.Put(ls)
-}
-
-// up completes an uplink ACK's backhaul traversal: hand it to the live
-// sender (if the association still exists) and recycle everything.
-func (ls *linkSeg) up() {
-	w, c, node, seg := ls.w, ls.c, ls.node, ls.seg
-	c.untrackSeg(&c.upLive, ls)
-	w.putLinkSeg(ls)
-	if live, ok := c.conns[node.AP.Addr()]; ok && live.sender != nil {
-		live.sender.HandleAck(seg)
-	}
-	w.segPool.Put(seg)
-}
-
-// down completes a data segment's backhaul traversal: deliver it
-// through the AP toward the client and recycle the segment.
-func (ls *linkSeg) down() {
-	w, c, node, seg := ls.w, ls.c, ls.node, ls.seg
-	c.untrackSeg(&c.downLive, ls)
-	w.putLinkSeg(ls)
-	node.AP.Deliver(c.addr, c.bodyFor(seg))
-	w.segPool.Put(seg)
+	c.World.segPool.Put(t.seg)
 }
 
 // Run advances the world to the given virtual time.
@@ -319,12 +253,11 @@ type Client struct {
 	Joins  []JoinEvent
 	Assocs []AssocEvent
 
-	// upLive/downLive register the client's carriers currently in
-	// flight across a backhaul (drawn from its world's free list), so
-	// checkpoints can capture the pending deliveries. dlSeg is the
-	// downlink decode scratch.
-	upLive, downLive []*linkSeg
-	dlSeg            tcpsim.Segment
+	// segs holds the client's segments in flight across a backhaul,
+	// on carriers from its world's pool. dlSeg is the downlink decode
+	// scratch.
+	segs  sim.Carriers[transit]
+	dlSeg tcpsim.Segment
 }
 
 // clientScalars are a client's plain evolving fields, checkpointed
@@ -390,6 +323,8 @@ func (w *World) AddClientAddr(addr wifi.Addr, cfg core.Config, mob geo.Mobility)
 // there — the shared tail of AddClientAddr and AdoptClient.
 func (c *Client) attachDriver(w *World, cfg core.Config, mob geo.Mobility) {
 	c.World = w
+	c.segs.Init(w.Kernel, c)
+	c.segs.SetPool(&w.segCarriers)
 	events := core.Events{
 		OnConnected:    c.openFlow,
 		OnDisconnected: c.closeFlow,
@@ -416,13 +351,12 @@ func (c *Client) attachDriver(w *World, cfg core.Config, mob geo.Mobility) {
 // totals — stays alive for AdoptClient in the destination world.
 func (w *World) RemoveClient(c *Client) []core.APRecord {
 	recs := c.Driver.ExportAPRecords()
-	// Drain in-flight backhaul carriers. Their completions close over
-	// this client and would otherwise fire in THIS world's kernel after
-	// the client moved on — touching the client's new world (its medium
-	// frame pool) from the old world's goroutine. The carriers and their
-	// segments go back to this world's free lists.
-	w.drainLinkSegs(&c.upLive)
-	w.drainLinkSegs(&c.downLive)
+	// Drain in-flight backhaul carriers. They would otherwise fire in
+	// THIS world's kernel after the client moved on — touching the
+	// client's new world (its medium frame pool) from the old world's
+	// goroutine. The carriers and their segments go back to this
+	// world's free lists; the segments die as if the link dropped them.
+	c.segs.Drain(func(t transit) { w.segPool.Put(t.seg) })
 	c.Driver.Shutdown()
 	c.sc.StatsClosed = c.sc.StatsClosed.Add(c.Driver.Stats())
 	c.sc.InvClosed += c.Driver.Invariants().Total()

@@ -63,6 +63,15 @@ func (p *SegPool) Put(s *Segment) {
 	p.list.Put(s)
 }
 
+// Len reports how many recycled segments wait for a Get (none in a nil
+// pool).
+func (p *SegPool) Len() int {
+	if p == nil {
+		return 0
+	}
+	return p.list.Len()
+}
+
 const segHeaderLen = 4 + 8 + 8 + 2 + 1
 
 // ackWireSize approximates a TCP ACK on the wire (TCP/IP headers).

@@ -59,6 +59,16 @@ func TestSegmentFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// carry sends size bytes one way across l and runs fn when they arrive;
+// it reports whether the link took them.
+func carry(k *sim.Kernel, l *backhaul.Link, downstream bool, size int, fn func()) bool {
+	at, ok := l.Send(downstream, size)
+	if ok {
+		k.FireAt(at, sim.Func(fn), 0)
+	}
+	return ok
+}
+
 // pipe is a bidirectional test network with fixed latency, a rate-shaped
 // downlink, and programmable blackouts and drops.
 type pipe struct {
@@ -91,7 +101,7 @@ func (p *pipe) start(size int64, cfg Config) {
 		if p.dropData != nil && p.dropData(seg) {
 			return
 		}
-		p.link.Down(seg.WireSize(), func() {
+		carry(p.k, p.link, true, seg.WireSize(), func() {
 			if p.blackout != nil && p.blackout() {
 				return
 			}
@@ -99,7 +109,7 @@ func (p *pipe) start(size int64, cfg Config) {
 			if ack == nil {
 				return
 			}
-			p.link.Up(ack.WireSize(), func() {
+			carry(p.k, p.link, false, ack.WireSize(), func() {
 				if p.blackout != nil && p.blackout() {
 					return
 				}
@@ -304,9 +314,9 @@ func BenchmarkSenderReceiverLoop(b *testing.B) {
 		rcv := NewReceiver(1)
 		var snd *Sender
 		snd = NewSender(k, Config{}, 1, 500_000, func(seg *Segment) {
-			link.Down(seg.WireSize(), func() {
+			carry(k, link, true, seg.WireSize(), func() {
 				if ack := rcv.HandleData(seg); ack != nil {
-					link.Up(ack.WireSize(), func() { snd.HandleAck(ack) })
+					carry(k, link, false, ack.WireSize(), func() { snd.HandleAck(ack) })
 				}
 			})
 		}, nil)
