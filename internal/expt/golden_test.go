@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"testing"
@@ -22,6 +23,13 @@ func suiteSnapshot(t *testing.T, o Options) string {
 	return b.String()
 }
 
+// goldenSuiteSHA256 pins the seed-7, scale-0.02 suite snapshot across
+// commits: a change that moves any experiment's serialized result
+// (Table 1, the join-delay and throughput figures, Table 3, ...) fails
+// here even when it stays deterministic. Re-pin only for a change that
+// is meant to move a result, and say which.
+const goldenSuiteSHA256 = "4635d6569bd72feba1a71111c55bddbe82d75e13c16984dc8a9482ca29f475c1"
+
 // TestGoldenDeterminism is the contract the sweep engine exists to
 // keep: the full experiment suite produces byte-identical serialized
 // output at any worker count, and repeated runs with the same seed
@@ -35,6 +43,9 @@ func TestGoldenDeterminism(t *testing.T) {
 	golden := suiteSnapshot(t, opts)
 	if golden == "" {
 		t.Fatal("suite produced no output")
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(golden))); got != goldenSuiteSHA256 {
+		t.Errorf("suite snapshot sha256 = %s, pinned %s", got, goldenSuiteSHA256)
 	}
 
 	again := suiteSnapshot(t, opts)
