@@ -44,8 +44,8 @@ var checkpointedTypes = []checkpointed{
 		translated: []string{"table", "ifaces", "txq", "swPolls", "inv",
 			"scanEv", "sliceEv", "inactEv", "bgScanEv", "bgReturnEv", "apSliceEv", "startEv",
 			"swLingerEv", "swRetuneEv"},
-		derived: []string{"kernel", "cfg", "pol", "radio", "events", "sink", "pool", "backoffRNG",
-			"resetFault", "connectedHooks", "teardownHooks", "tr", "hAssoc", "hJoin", "hSwitch",
+		derived: []string{"kernel", "cfg", "pol", "radio", "host", "pool", "backoffRNG",
+			"tr", "hAssoc", "hJoin", "hSwitch",
 			"ifScratch", "connScratch", "ifaceFree", "dhcpMsg",
 			"stopped"}, // retired drivers are never exported
 	},
@@ -59,7 +59,7 @@ var checkpointedTypes = []checkpointed{
 		comp: typeOf[mac.AP](), state: typeOf[mac.APState](),
 		units:      []string{"sc", "APStats"},
 		translated: []string{"dhcpd", "beaconEv", "responses", "clients", "inv"},
-		derived:    []string{"kernel", "cfg", "radio", "pool", "uplink", "dhcpMsg"},
+		derived:    []string{"cfg", "radio", "pool", "uplink", "dhcpMsg"},
 	},
 	{
 		comp:       fieldType(typeOf[mac.AP](), "clients").Elem().Elem(), // *apClient
@@ -123,7 +123,7 @@ var checkpointedTypes = []checkpointed{
 		comp: typeOf[scenario.Client](), state: typeOf[scenario.ClientState](),
 		units:      []string{"sc"},
 		translated: []string{"addr", "Driver", "Rec", "conns", "Joins", "Assocs", "segs"},
-		derived: []string{"World", "workload", "dlSeg",
+		derived: []string{"World", "workload", "dlSeg", "injector",
 			"webActive", "webPage", "Web"}, // a web workload refuses to export
 	},
 	{
@@ -143,7 +143,7 @@ var checkpointedTypes = []checkpointed{
 		translated: []string{"addr", "channel", "promiscuous", "suspendedTo", "busyUntil", "air",
 			"txQueue", "txBusy", "txCh", "txDur", "txDoneEv",
 			"retuneCh"}, // the driver re-arms a retune through RestoreRetune
-		derived: []string{"m", "pos", "rx", "regIdx", "static", "maxSpeed",
+		derived: []string{"m", "mob", "rx", "regIdx", "static", "maxSpeed",
 			"posVal", "posAt", "posValid", "posFixed", "inMCells", "binCell",
 			"qbValid", "qbPos", "qbLo", "qbHi",
 			"retuneDone", "retuneKind", "txHead", "txF"},

@@ -80,8 +80,9 @@ func TestBackoffEscalates(t *testing.T) {
 
 // TestTeardownLeavesNoTimers crashes the AP at awkward moments — mid
 // link handshake and mid DHCP — and verifies that every teardown found
-// all interface timers cancelled (the invariant set stays clean) and
-// that dead interfaces took no callbacks.
+// all interface timers cancelled (the invariant set, where a leak is
+// recorded as core.teardown.timer-leak, stays clean) and that dead
+// interfaces took no callbacks.
 func TestTeardownLeavesNoTimers(t *testing.T) {
 	w := newWorld(13, 0)
 	ap := w.addAP(1, "open", 6, geo.Point{X: 30})
@@ -89,12 +90,6 @@ func TestTeardownLeavesNoTimers(t *testing.T) {
 	pol := policyFor(cfg.Mode)
 	pol.holdDown = 500 * time.Millisecond
 	d := w.addDriverPolicy(cfg, pol, geo.Static{P: geo.Point{}})
-	leaks := 0
-	d.AddTeardownHook(func(_ *Iface, leaked bool) {
-		if leaked {
-			leaks++
-		}
-	})
 	// Each cycle: a 4 s outage (past the 3 s inactivity timeout, so a
 	// connected iface tears down), then a short crash ~350 ms after the
 	// restart — right inside the rejoin's DHCP exchange (beacon ≤100 ms,
@@ -121,8 +116,8 @@ func TestTeardownLeavesNoTimers(t *testing.T) {
 		restart(base + 6*time.Second)
 	}
 	w.k.Run(100 * time.Second)
-	if leaks != 0 {
-		t.Fatalf("%d teardowns leaked timers", leaks)
+	if n := d.Invariants().Count("core.teardown.timer-leak"); n != 0 {
+		t.Fatalf("%d teardowns leaked timers", n)
 	}
 	if d.Invariants().Total() != 0 {
 		t.Fatalf("invariants violated: %s", d.Invariants())
@@ -158,13 +153,14 @@ func TestLeaseRevalidationOnReassociation(t *testing.T) {
 	}
 }
 
-// TestResetFaultHookExtendsSwitch verifies the injected hardware-reset
-// delay is applied and counted on channel switches.
+// TestResetFaultHookExtendsSwitch verifies the hardware-reset delay the
+// host reports (Host.ResetDelay) is applied and counted on channel
+// switches.
 func TestResetFaultHookExtendsSwitch(t *testing.T) {
 	w := newWorld(15, 0)
+	w.resetDelay = 50 * time.Millisecond
 	cfg := SpiderDefaults(MultiChannelMultiAP, EqualSchedule(200*time.Millisecond, 1, 6))
 	d := w.addDriver(cfg, geo.Static{P: geo.Point{}})
-	d.SetResetFaultHook(func() time.Duration { return 50 * time.Millisecond })
 	w.k.Run(5 * time.Second)
 	st := d.Stats()
 	if st.Switches == 0 {

@@ -15,20 +15,26 @@ import (
 	"spider/internal/wifi"
 )
 
-// Events are optional driver callbacks experiments hook into.
-type Events struct {
-	// OnConnected fires when an interface obtains a lease.
-	OnConnected func(ifc *Iface)
-	// OnDisconnected fires when a connected interface is torn down.
-	OnDisconnected func(ifc *Iface)
-	// OnAssocResult fires per link-layer join attempt outcome.
-	OnAssocResult func(bssid wifi.Addr, res mac.AssocResult)
-	// OnJoinResult fires per full join (assoc+DHCP) outcome; elapsed is
-	// measured from association start to DHCP outcome (Figs. 6, 11, 12).
-	OnJoinResult func(bssid wifi.Addr, success bool, elapsed time.Duration)
-	// OnSwitch fires per channel switch with the modeled total latency
-	// (PSM announcements + hardware reset + PS-polls; Table 1).
-	OnSwitch func(from, to int, latency time.Duration, connectedIfaces int)
+// Host is the driver's owner: the client the driver runs for. The
+// driver reports every outcome to it synchronously, and asks it for the
+// hardware-reset time a fault adds to each channel switch.
+type Host interface {
+	// Connected is called when an interface obtains a lease.
+	Connected(ifc *Iface)
+	// Disconnected is called when a connected interface is torn down.
+	Disconnected(ifc *Iface)
+	// AssocResult is called per link-layer join attempt outcome.
+	AssocResult(bssid wifi.Addr, res mac.AssocResult)
+	// JoinResult is called per full join (assoc+DHCP) outcome; elapsed
+	// is measured from association start to DHCP outcome (Figs. 6, 11,
+	// 12).
+	JoinResult(bssid wifi.Addr, success bool, elapsed time.Duration)
+	// Downlink takes each non-DHCP downlink payload from a known AP.
+	// db belongs to the frame, which is recycled after the call.
+	Downlink(bssid wifi.Addr, db *wifi.DataBody)
+	// ResetDelay returns the extra hardware-reset time a fault adds to
+	// the channel switch being made (0 for a healthy switch).
+	ResetDelay() time.Duration
 }
 
 // Stats aggregates driver counters.
@@ -123,7 +129,7 @@ type Driver struct {
 	cfg    Config
 	pol    policy
 	radio  *radio.Radio
-	events Events
+	host   Host
 
 	table  *apTable
 	ifaces map[wifi.Addr]*Iface
@@ -138,8 +144,6 @@ type Driver struct {
 	// channels: each channel's frames keep their order, and each channel
 	// is capped at pol.txQueueFrames on its own.
 	txq []queuedFrame
-
-	sink func(bssid wifi.Addr, db *wifi.DataBody)
 
 	// Every self-rescheduling tick keeps its live event handle so a
 	// checkpoint can record — and a restore re-arm — its exact identity,
@@ -179,13 +183,6 @@ type Driver struct {
 	// inv counts driver- and state-machine-level invariant violations
 	// (shared with each interface's joiner and DHCP client).
 	inv *metrics.InvariantSet
-	// resetFault, when set by the fault injector, returns extra hardware
-	// reset time for the next channel switch (0 = healthy).
-	resetFault func() time.Duration
-	// connectedHooks/teardownHooks observe interface lifecycle (fault
-	// injector recovery accounting, invariant checker).
-	connectedHooks []func(*Iface)
-	teardownHooks  []func(ifc *Iface, timersLeaked bool)
 
 	// Observability (all nil-safe; see AttachObs). The tracer guard at
 	// call sites skips argument construction when tracing is off.
@@ -224,33 +221,28 @@ type driverScalars struct {
 	Stats         Stats
 }
 
-// NewDriver creates a driver, registers its radio on the medium with the
-// given mobility model, tunes to the first scheduled channel, and starts
-// the scheduler and scanner.
-func NewDriver(m *radio.Medium, cfg Config, addr wifi.Addr, mob geo.Mobility, events Events) *Driver {
-	return newDriver(m, cfg, policyFor(cfg.Mode), addr, mob, events)
+// NewDriver creates a driver for host, registers its radio on the medium
+// with the given mobility model, tunes to the first scheduled channel,
+// and starts the scheduler and scanner.
+func NewDriver(m *radio.Medium, cfg Config, addr wifi.Addr, mob geo.Mobility, host Host) *Driver {
+	return newDriver(m, cfg, policyFor(cfg.Mode), addr, mob, host)
 }
 
 // newDriver is NewDriver with the timers given rather than taken from
 // the mode.
-func newDriver(m *radio.Medium, cfg Config, pol policy, addr wifi.Addr, mob geo.Mobility, events Events) *Driver {
+func newDriver(m *radio.Medium, cfg Config, pol policy, addr wifi.Addr, mob geo.Mobility, host Host) *Driver {
 	k := m.Kernel()
 	d := &Driver{
 		kernel:     k,
 		cfg:        cfg.withDefaults(),
 		pol:        pol,
-		events:     events,
+		host:       host,
 		table:      newAPTable(),
 		ifaces:     make(map[wifi.Addr]*Iface),
 		backoffRNG: k.RNG("core.backoff." + addr.String()),
 		inv:        metrics.NewInvariantSet(),
 	}
-	d.radio = m.NewRadio(addr, func() geo.Point { return mob.PositionAt(k.Now()) }, d)
-	// A mobility model's Speed bounds its instantaneous speed, so the
-	// radio can ride the index's drift-bounded mobile grid and the medium
-	// can place it without sampling; a model without a bound reports a
-	// negative Speed, which SetMaxSpeed ignores.
-	d.radio.SetMaxSpeed(mob.Speed())
+	d.radio = m.NewRadio(addr, mob, d)
 	d.pool = m.Pool()
 	if d.cfg.StartAt > k.Now() {
 		// Deferred admission: the driver exists — radio registered on the
@@ -479,27 +471,6 @@ func (d *Driver) AttachObs(o *obs.Obs) {
 	d.sc.DwellStart = d.kernel.Now()
 }
 
-// AddConnectedHook registers an observer invoked after each successful
-// join (after the OnConnected event). The fault injector uses it to
-// record recoveries.
-func (d *Driver) AddConnectedHook(fn func(*Iface)) {
-	d.connectedHooks = append(d.connectedHooks, fn)
-}
-
-// AddTeardownHook registers an observer invoked at the end of every
-// interface teardown. timersLeaked reports whether any of the
-// interface's timers survived the teardown — always false unless the
-// cancellation discipline regressed; the invariant checker fails the
-// run on it.
-func (d *Driver) AddTeardownHook(fn func(ifc *Iface, timersLeaked bool)) {
-	d.teardownHooks = append(d.teardownHooks, fn)
-}
-
-// SetResetFaultHook installs the fault injector's hardware-reset fault:
-// called once per channel switch, it returns extra reset time (0 =
-// healthy switch).
-func (d *Driver) SetResetFaultHook(fn func() time.Duration) { d.resetFault = fn }
-
 // Stalled returns a non-empty reason when the driver looks wedged: a
 // switch that never completed, a dwell with nothing to dwell on, or a
 // stopped channel rotation. Transient states trip it too (a switch IS
@@ -591,18 +562,14 @@ func (d *Driver) ConnectedCount() int {
 // KnownAPs returns the scan table contents.
 func (d *Driver) KnownAPs() []*APRecord { return d.table.all() }
 
-// SetDataSink registers the upcall for non-DHCP downlink payloads.
-func (d *Driver) SetDataSink(sink func(bssid wifi.Addr, db *wifi.DataBody)) { d.sink = sink }
-
-// SetSwitchHook replaces the OnSwitch callback after construction
-// (micro-benchmarks attach it once the interfaces are up).
-func (d *Driver) SetSwitchHook(fn func(from, to int, latency time.Duration, connected int)) {
-	d.events.OnSwitch = fn
-}
-
 // ForceSwitch performs an immediate channel switch outside the static
-// schedule — micro-benchmark machinery for Table 1.
-func (d *Driver) ForceSwitch(ch int) { d.switchTo(ch) }
+// schedule — micro-benchmark machinery for Table 1. It returns the
+// switch's modeled latency (PSM announcements + hardware reset +
+// PS-polls) and how many connected interfaces it announced PSM to;
+// ok is false when the radio already sits on ch and no switch is made.
+func (d *Driver) ForceSwitch(ch int) (latency time.Duration, connected int, ok bool) {
+	return d.switchTo(ch)
+}
 
 // ---- Scheduler ----
 
@@ -654,11 +621,11 @@ var (
 // A switch that starts while another is in flight supersedes it: the
 // earlier switch's pending linger/retune is cancelled and its straggling
 // PSM completions are ignored (generation guard), so the radio ends up
-// wherever the newest switch points.
-func (d *Driver) switchTo(ch int) {
+// wherever the newest switch points. It returns what ForceSwitch does.
+func (d *Driver) switchTo(ch int) (latency time.Duration, connected int, ok bool) {
 	from := d.radio.Channel()
 	if from == ch && !d.sc.Switching {
-		return
+		return 0, 0, false
 	}
 	d.sc.SwGen++
 	d.swLingerEv.Cancel()
@@ -668,8 +635,6 @@ func (d *Driver) switchTo(ch int) {
 	d.sc.Switching = true
 	d.sc.SwCh = ch
 	d.sc.SwOutstanding = 0
-	var latency time.Duration
-	connected := 0
 	ifaces := d.liveIfaces()
 	// Announce power-save to connected APs on the old channel so they
 	// buffer for us while we are away. The hardware reset waits for these
@@ -705,22 +670,18 @@ func (d *Driver) switchTo(ch int) {
 			obs.I("from", int64(from)), obs.I("to", int64(ch)),
 			obs.D("latency", latency), obs.I("connected", int64(connected)))
 	}
-	if d.events.OnSwitch != nil {
-		d.events.OnSwitch(from, ch, latency, connected)
-	}
 	// A fault-injected flaky chipset can stretch this reset; the modeled
 	// latency above keeps the healthy figure — the stretch is the fault.
 	reset := d.pol.resetBase
-	if d.resetFault != nil {
-		if stuck := d.resetFault(); stuck > 0 {
-			d.sc.Stats.ResetFaults++
-			reset += stuck
-		}
+	if stuck := d.host.ResetDelay(); stuck > 0 {
+		d.sc.Stats.ResetFaults++
+		reset += stuck
 	}
 	d.sc.SwReset = reset
 	if d.sc.SwOutstanding == 0 {
 		d.beginReset()
 	}
+	return latency, connected, true
 }
 
 // TxDone implements radio.Receiver: a PSM announcement of switch
@@ -915,9 +876,7 @@ func (d *Driver) sendDHCP(ifc *Iface, m *dhcp.Message) {
 }
 
 func (d *Driver) onAssocResult(ifc *Iface, res mac.AssocResult) {
-	if d.events.OnAssocResult != nil {
-		d.events.OnAssocResult(ifc.BSSID(), res)
-	}
+	d.host.AssocResult(ifc.BSSID(), res)
 	if !res.Success {
 		d.failJoin(ifc)
 		return
@@ -946,9 +905,7 @@ func (d *Driver) onDHCPResult(ifc *Iface, res dhcp.Result) {
 		return
 	}
 	elapsed := d.kernel.Now() - ifc.sc.JoinStart
-	if d.events.OnJoinResult != nil {
-		d.events.OnJoinResult(ifc.BSSID(), res.Success, elapsed)
-	}
+	d.host.JoinResult(ifc.BSSID(), res.Success, elapsed)
 	if !res.Success {
 		d.sc.Stats.DHCPFailures++
 		if d.pol.globalIdle > 0 {
@@ -984,12 +941,7 @@ func (d *Driver) onDHCPResult(ifc *Iface, res dhcp.Result) {
 		d.sc.Dwelling = true
 	}
 	d.scheduleRenewal(ifc, res.LeaseDur)
-	if d.events.OnConnected != nil {
-		d.events.OnConnected(ifc)
-	}
-	for _, fn := range d.connectedHooks {
-		fn(ifc)
-	}
+	d.host.Connected(ifc)
 }
 
 // scheduleRenewal arms the RFC 2131 T1 timer: halfway through the lease
@@ -1087,8 +1039,8 @@ func (d *Driver) applyFailBackoff(rec *APRecord) {
 
 // teardown removes an interface, cancelling every timer it owns and
 // purging its queued frames — after it returns, nothing may fire into
-// the dead interface. notify controls the OnDisconnected upcall (only
-// for interfaces that were connected).
+// the dead interface. The host hears of it (Disconnected) only for an
+// interface that was connected.
 func (d *Driver) teardown(ifc *Iface) {
 	bssid := ifc.BSSID()
 	if d.ifaces[bssid] != ifc {
@@ -1099,8 +1051,7 @@ func (d *Driver) teardown(ifc *Iface) {
 	ifc.dhcpc.Abort()
 	ifc.renewEv.Cancel()
 	ifc.renewEv = sim.Event{}
-	leaked := ifc.TimersPending()
-	if leaked {
+	if ifc.TimersPending() {
 		d.inv.Violate("core.teardown.timer-leak")
 	}
 	delete(d.ifaces, bssid)
@@ -1129,9 +1080,7 @@ func (d *Driver) teardown(ifc *Iface) {
 		df.Seq = d.nextSeq()
 		df.Body = deauthLeavingBody
 		d.transmit(ifc.Channel(), df)
-		if d.events.OnDisconnected != nil {
-			d.events.OnDisconnected(ifc)
-		}
+		d.host.Disconnected(ifc)
 	}
 	// Resume rotation once nothing is joined or joining anymore.
 	if d.sc.Dwelling && len(d.ifaces) == 0 && d.ConnectedCount() == 0 {
@@ -1145,12 +1094,9 @@ func (d *Driver) teardown(ifc *Iface) {
 	if d.cfg.APCentric && wasConnected && !d.sc.Switching {
 		d.apSliceRebalance()
 	}
-	for _, fn := range d.teardownHooks {
-		fn(ifc, leaked)
-	}
 	// Recycle the interface (and its joiner/DHCP machines) for the next
-	// join. Safe because nothing retains *Iface past teardown: the hooks
-	// above run synchronously, and the switch path's stale references
+	// join. Safe because nothing retains *Iface past teardown: the host
+	// hears of it synchronously, and the switch path's stale references
 	// guard on psmOn (cleared on reuse) plus the interface map.
 	d.ifaceFree = append(d.ifaceFree, ifc)
 }
@@ -1289,9 +1235,7 @@ func (d *Driver) RadioReceive(f *wifi.Frame) {
 		}
 		d.sc.Stats.DownlinkFrames++
 		d.sc.Stats.DownlinkBytes += uint64(db.BodySize())
-		if d.sink != nil {
-			d.sink(f.SA, db)
-		}
+		d.host.Downlink(f.SA, db)
 	}
 }
 

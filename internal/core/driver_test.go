@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -15,7 +17,8 @@ import (
 	"spider/internal/wifi"
 )
 
-// world is a shared test fixture: medium + APs + one driver.
+// world is a shared test fixture: medium + APs + one driver. It is the
+// driver's host, logging what the driver reports.
 type world struct {
 	k      *sim.Kernel
 	m      *radio.Medium
@@ -25,7 +28,27 @@ type world struct {
 	connected    []wifi.Addr
 	disconnected []wifi.Addr
 	joinResults  []bool
+	// downlinks logs each downlink payload's AP and body size.
+	downlinks []downlink
+	// resetDelay is the extra reset time every channel switch takes.
+	resetDelay time.Duration
 }
+
+type downlink struct {
+	bssid wifi.Addr
+	size  int
+}
+
+func (w *world) Connected(ifc *Iface)                   { w.connected = append(w.connected, ifc.BSSID()) }
+func (w *world) Disconnected(ifc *Iface)                { w.disconnected = append(w.disconnected, ifc.BSSID()) }
+func (w *world) AssocResult(wifi.Addr, mac.AssocResult) {}
+func (w *world) JoinResult(_ wifi.Addr, ok bool, _ time.Duration) {
+	w.joinResults = append(w.joinResults, ok)
+}
+func (w *world) Downlink(bssid wifi.Addr, db *wifi.DataBody) {
+	w.downlinks = append(w.downlinks, downlink{bssid, db.BodySize()})
+}
+func (w *world) ResetDelay() time.Duration { return w.resetDelay }
 
 func newWorld(seed int64, loss float64) *world {
 	w := &world{k: sim.NewKernel(seed)}
@@ -52,13 +75,36 @@ func (w *world) addDriver(cfg Config, mob geo.Mobility) *Driver {
 // addDriverPolicy is addDriver with the driver's timers given rather
 // than taken from the mode.
 func (w *world) addDriverPolicy(cfg Config, pol policy, mob geo.Mobility) *Driver {
-	ev := Events{
-		OnConnected:    func(ifc *Iface) { w.connected = append(w.connected, ifc.BSSID()) },
-		OnDisconnected: func(ifc *Iface) { w.disconnected = append(w.disconnected, ifc.BSSID()) },
-		OnJoinResult:   func(_ wifi.Addr, ok bool, _ time.Duration) { w.joinResults = append(w.joinResults, ok) },
-	}
-	w.driver = newDriver(w.m, cfg, pol, wifi.NewAddr(1, 1), mob, ev)
+	w.driver = newDriver(w.m, cfg, pol, wifi.NewAddr(1, 1), mob, w)
 	return w.driver
+}
+
+// tracedSwitches lists the channel switches in tr: each one's target
+// channel and modeled latency.
+func tracedSwitches(t *testing.T, tr *obs.Tracer) (to []int, lat []time.Duration) {
+	t.Helper()
+	for _, ev := range tr.Events() {
+		if ev.Cat != "core.switch" {
+			continue
+		}
+		for _, a := range ev.Args {
+			switch a.Key {
+			case "to":
+				ch, err := strconv.Atoi(a.Val)
+				if err != nil {
+					t.Fatal(err)
+				}
+				to = append(to, ch)
+			case "latency":
+				l, err := time.ParseDuration(a.Val)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lat = append(lat, l)
+			}
+		}
+	}
+	return to, lat
 }
 
 func singleChannelCfg(mode Mode, ch int) Config {
@@ -76,7 +122,7 @@ func TestDriverJoinsAPOnSingleChannel(t *testing.T) {
 		t.Fatalf("connected %d, want 1 (stats %+v)", d.ConnectedCount(), d.Stats())
 	}
 	if len(w.connected) != 1 || w.connected[0] != w.aps[0].Addr() {
-		t.Fatalf("OnConnected events: %v", w.connected)
+		t.Fatalf("host heard Connected for %v", w.connected)
 	}
 	if st := d.Stats(); st.JoinSuccesses != 1 || st.AssocSuccesses != 1 {
 		t.Fatalf("%d joins and %d associations, want 1 each", st.JoinSuccesses, st.AssocSuccesses)
@@ -136,17 +182,19 @@ func TestMaxInterfacesRespected(t *testing.T) {
 func TestMultiChannelRotationVisitsAllChannels(t *testing.T) {
 	w := newWorld(5, 0)
 	cfg := SpiderDefaults(MultiChannelMultiAP, EqualSchedule(200*time.Millisecond, 1, 6, 11))
-	var switches []int
-	visited := map[int]bool{}
-	ev := Events{OnSwitch: func(from, to int, lat time.Duration, n int) {
-		switches = append(switches, to)
-		visited[to] = true
-		if lat < policyFor(cfg.Mode).resetBase {
-			t.Errorf("switch latency %v below reset base", lat)
-		}
-	}}
-	d := NewDriver(w.m, cfg, wifi.NewAddr(1, 1), geo.Static{P: geo.Point{}}, ev)
+	d := w.addDriver(cfg, geo.Static{P: geo.Point{}})
+	o := obs.New(0)
+	o.Tracer.AttachClock(w.k.Now)
+	d.AttachObs(o)
 	w.k.Run(3 * time.Second)
+	switches, lats := tracedSwitches(t, o.Tracer)
+	visited := map[int]bool{}
+	for i, to := range switches {
+		visited[to] = true
+		if lats[i] < policyFor(cfg.Mode).resetBase {
+			t.Errorf("switch latency %v below reset base", lats[i])
+		}
+	}
 	if !visited[1] || !visited[6] || !visited[11] {
 		t.Fatalf("channels visited: %v", visited)
 	}
@@ -318,21 +366,16 @@ func TestDataSinkReceivesDownlink(t *testing.T) {
 	w := newWorld(13, 0)
 	ap := w.addAP(1, "a", 6, geo.Point{X: 20})
 	d := w.addDriver(singleChannelCfg(SingleChannelSingleAP, 6), geo.Static{P: geo.Point{}})
-	var sunk []int
-	d.SetDataSink(func(bssid wifi.Addr, db *wifi.DataBody) {
-		if bssid != ap.Addr() {
-			t.Errorf("sink bssid %v", bssid)
-		}
-		sunk = append(sunk, db.BodySize())
-	})
 	w.k.Run(20 * time.Second)
 	if d.ConnectedCount() != 1 {
 		t.Fatal("not connected")
 	}
-	ap.Deliver(d.Addr(), &wifi.DataBody{Proto: wifi.ProtoPing, VirtualLen: 300})
+	body := &wifi.DataBody{Proto: wifi.ProtoPing, VirtualLen: 300}
+	size := body.BodySize()
+	ap.Deliver(d.Addr(), body)
 	w.k.Run(w.k.Now() + time.Second)
-	if len(sunk) != 1 {
-		t.Fatalf("sink got %d payloads", len(sunk))
+	if want := []downlink{{ap.Addr(), size}}; !slices.Equal(w.downlinks, want) {
+		t.Fatalf("host got downlinks %v, want %v", w.downlinks, want)
 	}
 	if d.Stats().DownlinkBytes == 0 {
 		t.Fatal("downlink bytes not counted")
@@ -377,19 +420,19 @@ func TestSwitchLatencyGrowsWithConnectedIfaces(t *testing.T) {
 		for i := uint32(1); i <= nAPs; i++ {
 			w.addAP(i, "a", 6, geo.Point{X: float64(10 * i)})
 		}
-		var last time.Duration
 		cfg := SpiderDefaults(SingleChannelMultiAP, []ChannelSlice{{Channel: 6}})
-		d := NewDriver(w.m, cfg, wifi.NewAddr(1, 1), geo.Static{P: geo.Point{}}, Events{
-			OnSwitch: func(from, to int, l time.Duration, n int) { last = l },
-		})
+		d := w.addDriver(cfg, geo.Static{P: geo.Point{}})
 		w.k.Run(30 * time.Second)
 		if d.ConnectedCount() != int(nAPs) {
 			t.Fatalf("connected %d of %d", d.ConnectedCount(), nAPs)
 		}
 		// Force a manual switch to measure.
-		d.switchTo(11)
+		l, n, ok := d.ForceSwitch(11)
+		if !ok || n != int(nAPs) {
+			t.Fatalf("forced switch: made %v, announced PSM to %d of %d", ok, n, nAPs)
+		}
 		w.k.Run(w.k.Now() + time.Second)
-		return last
+		return l
 	}
 	l0, l2, l4 := lat(0), lat(2), lat(4)
 	if !(l0 < l2 && l2 < l4) {
@@ -410,8 +453,7 @@ func TestSwitchWithPSMAnnouncementsAllocatesNothing(t *testing.T) {
 	w := newWorld(21, 0)
 	w.addAP(1, "a", 6, geo.Point{X: 10})
 	w.addAP(2, "a", 6, geo.Point{X: 20})
-	d := NewDriver(w.m, SpiderDefaults(SingleChannelMultiAP, []ChannelSlice{{Channel: 6}}),
-		wifi.NewAddr(1, 1), geo.Static{P: geo.Point{}}, Events{})
+	d := w.addDriver(SpiderDefaults(SingleChannelMultiAP, []ChannelSlice{{Channel: 6}}), geo.Static{P: geo.Point{}})
 	w.k.Run(30 * time.Second)
 	if d.ConnectedCount() != 2 {
 		t.Fatalf("connected %d of 2", d.ConnectedCount())

@@ -29,7 +29,7 @@ func TestShutdownSilencesDriver(t *testing.T) {
 		t.Fatalf("%d interfaces survived Shutdown", got)
 	}
 	if len(w.disconnected) == 0 {
-		t.Fatal("no OnDisconnected for the connected interface")
+		t.Fatal("the host heard no Disconnected for the connected interface")
 	}
 	if d.CurrentChannel() != 0 {
 		t.Fatalf("radio still tuned to %d after Shutdown", d.CurrentChannel())
@@ -108,7 +108,7 @@ func TestAPRecordHandoffWarmsRejoin(t *testing.T) {
 	// The "destination shard": same AP world, fresh driver importing the
 	// exported records — one local (AP present), one halo (AP absent).
 	d2 := NewDriver(w.m, singleChannelCfg(SingleChannelMultiAP, 1), wifi.NewAddr(1, 2),
-		geo.Static{P: geo.Point{}}, Events{})
+		geo.Static{P: geo.Point{}}, w)
 	for _, rec := range recs {
 		d2.ImportAPRecord(rec, false)
 	}

@@ -220,17 +220,15 @@ func Table1(o Options) Table {
 		}
 		// Alternate between the home channel and an empty one; only
 		// measure switches *away* (they carry the PSM announcements).
-		collect := func(from, to int, lat time.Duration, nconn int) {
-			if nconn == n {
+		switchTo := func(ch int) {
+			if lat, nconn, ok := c.Driver.ForceSwitch(ch); ok && nconn == n {
 				lats = append(lats, float64(lat.Microseconds())/1000)
 			}
+			w.Run(w.Kernel.Now() + 500*time.Millisecond)
 		}
-		c.Driver.SetSwitchHook(collect)
 		for i := 0; i < switches; i++ {
-			c.Driver.ForceSwitch(11)
-			w.Run(w.Kernel.Now() + 500*time.Millisecond)
-			c.Driver.ForceSwitch(6)
-			w.Run(w.Kernel.Now() + 500*time.Millisecond)
+			switchTo(11)
+			switchTo(6)
 		}
 		return []string{
 			fmt.Sprint(n),

@@ -12,8 +12,9 @@ import (
 )
 
 // Checker watches a chaos run for the failures fault injection must
-// never cause: leaked timers after interface teardown, invariant
-// violations recorded anywhere in the stack, and a deadlocked driver.
+// never cause: invariant violations recorded anywhere in the stack
+// (timers leaked past interface teardown among them), and a deadlocked
+// driver.
 // Verify() at end of run returns the first-class error for the CLI /
 // tests to fail on.
 type Checker struct {
@@ -47,17 +48,12 @@ func (c *Checker) Watch(name string, inv *metrics.InvariantSet) {
 	c.watched = append(c.watched, watchedSet{name, inv})
 }
 
-// AttachDriver hooks teardown so a timer leaked past interface death
-// fails the run, and registers the driver's invariant set.
+// AttachDriver registers the driver for deadlock polling and watches
+// its invariant set, where a timer leaked past interface teardown is
+// recorded (core.teardown.timer-leak).
 func (c *Checker) AttachDriver(d *core.Driver, name string) {
 	c.driver = d
 	c.Watch(name, d.Invariants())
-	d.AddTeardownHook(func(ifc *core.Iface, timersLeaked bool) {
-		if timersLeaked {
-			c.fail(fmt.Sprintf("timer leaked past teardown of iface %v at %v",
-				ifc.BSSID(), c.kernel.Now()))
-		}
-	})
 }
 
 // StartLiveness begins periodic deadlock polling. Only chaos runs call

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"spider/internal/backhaul"
-	"spider/internal/core"
 	"spider/internal/dhcp"
 	"spider/internal/mac"
 	"spider/internal/obs"
@@ -61,7 +60,9 @@ type Injector struct {
 	aps    []*mac.AP
 	links  []*backhaul.Link
 	medium *radio.Medium
-	driver *core.Driver
+	// driver marks an attached driver (AttachDriver), whose host routes
+	// its upcalls here.
+	driver bool
 
 	// apStream/linkStream map local attachment order to the stream index
 	// used for RNG derivation. They coincide for whole-world injectors;
@@ -194,9 +195,10 @@ func (in *Injector) recordFault(class string) {
 	}
 }
 
-// onDriverConnected credits every outstanding fault as recovered: the
-// driver proved it can still join the hostile city.
-func (in *Injector) onDriverConnected() {
+// DriverConnected credits every outstanding fault as recovered: the
+// attached driver proved it can still join the hostile city. The
+// driver's host calls it after each successful join.
+func (in *Injector) DriverConnected() {
 	now := in.kernel.Now()
 	for _, class := range Classes {
 		o := in.outstanding[class]
@@ -385,40 +387,48 @@ func (in *Injector) AttachMedium(m *radio.Medium, channels []int) {
 	}
 }
 
-// AttachDriver registers the Spider driver: recovery accounting chains
-// onto its connected hook, and reset faults install when configured.
-func (in *Injector) AttachDriver(d *core.Driver) {
-	in.driver = d
-	d.AddConnectedHook(func(*core.Iface) { in.onDriverConnected() })
+// AttachDriver registers the Spider driver whose host routes its
+// upcalls to this injector: DriverConnected after each successful join
+// (recovery accounting) and ResetDelay on each channel switch. Reset
+// faults arm when configured.
+func (in *Injector) AttachDriver() {
+	in.driver = true
 	if in.cfg.ResetFailProb > 0 {
-		in.ensureResetHook()
+		in.armResetFaults()
 	}
 }
 
-// ensureResetHook installs the hardware-reset fault on the driver once.
-func (in *Injector) ensureResetHook() {
-	if in.resetRNG != nil || in.driver == nil {
+// armResetFaults draws the attached driver's reset-fault stream, once.
+// Until then ResetDelay draws nothing.
+func (in *Injector) armResetFaults() {
+	if in.resetRNG != nil || !in.driver {
 		return
 	}
 	in.resetRNG = in.stream(ClassResetFail, 0)
-	in.driver.SetResetFaultHook(func() time.Duration {
-		p := in.cfg.ResetFailProb
-		if in.kernel.Now() < in.sc.ResetWindowUntil && in.sc.ResetWindowProb > p {
-			p = in.sc.ResetWindowProb
-		}
-		if p <= 0 || in.resetRNG.Float64() >= p {
-			return 0
-		}
-		in.recordFault(ClassResetFail)
-		stuck := 250 * time.Millisecond
-		if in.cfg.ResetStuck != nil {
-			stuck = in.cfg.ResetStuck.Sample(in.resetRNG)
-		}
-		if stuck < time.Millisecond {
-			stuck = time.Millisecond
-		}
-		return stuck
-	})
+}
+
+// ResetDelay returns the extra hardware-reset time a fault adds to the
+// attached driver's channel switch, 0 for a healthy one.
+func (in *Injector) ResetDelay() time.Duration {
+	if in.resetRNG == nil {
+		return 0
+	}
+	p := in.cfg.ResetFailProb
+	if in.kernel.Now() < in.sc.ResetWindowUntil && in.sc.ResetWindowProb > p {
+		p = in.sc.ResetWindowProb
+	}
+	if p <= 0 || in.resetRNG.Float64() >= p {
+		return 0
+	}
+	in.recordFault(ClassResetFail)
+	stuck := 250 * time.Millisecond
+	if in.cfg.ResetStuck != nil {
+		stuck = in.cfg.ResetStuck.Sample(in.resetRNG)
+	}
+	if stuck < time.Millisecond {
+		stuck = time.Millisecond
+	}
+	return stuck
 }
 
 // Snapshot returns every class's counters in canonical order.

@@ -68,7 +68,7 @@ func (in *Injector) ExportState() (InjectorState, error) {
 // state. The rebuild must have attached the same targets (episodes
 // match by stream key); construction-time gap draws are cancelled by
 // rewinding every stream in place — the rand.Rand pointers handed to
-// DHCP servers and reset hooks stay valid. Episodes re-arm with their
+// DHCP servers and the reset-fault stream stay valid. Episodes re-arm with their
 // recorded event identities; a mid-fault episode re-arms its stop, NOT
 // its start effect — the faulted component state (AP down, link
 // blackholed, channel burst) restores through that component.

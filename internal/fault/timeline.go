@@ -266,13 +266,13 @@ func (in *Injector) applyEntry(e Entry) {
 		in.medium.SetBurstLoss(e.Target, e.Param)
 		in.kernel.At(until, func() { in.medium.SetBurstLoss(e.Target, 0) })
 	case ClassResetFail:
-		if in.driver == nil {
+		if !in.driver {
 			in.classes[e.Class].Skipped++
 			return
 		}
-		// The hook records actual stuck resets; the window only raises
+		// ResetDelay records actual stuck resets; the window only raises
 		// the probability.
-		in.ensureResetHook()
+		in.armResetFaults()
 		in.sc.ResetWindowProb = e.Param
 		in.sc.ResetWindowUntil = until
 	}

@@ -74,7 +74,7 @@ func TestSpeedBoundsDisplacement(t *testing.T) {
 
 // TestOpenLoopDeclaresNoBound covers the models that cannot bound their
 // speed: a loop over an open route jumps from its end back to its start
-// at every wrap, so Speed must be negative (SetMaxSpeed then ignores it).
+// at every wrap, so Speed must be negative: no bound.
 // The same route without Loop parks at its end and keeps its bound, and
 // a closed loop is continuous across the wrap.
 func TestOpenLoopDeclaresNoBound(t *testing.T) {

@@ -79,12 +79,15 @@ type apClientScalars struct {
 // Wired-side traffic enters via Deliver and leaves via the uplink
 // handler; the owner (scenario) attaches the backhaul in between.
 type AP struct {
-	kernel *sim.Kernel
-	cfg    APConfig
-	radio  *radio.Radio
-	dhcpd  *dhcp.Server
-	pool   *wifi.Pool // the medium's frame pool (nil under NoPool)
-	sc     apScalars
+	cfg   APConfig
+	radio *radio.Radio
+	dhcpd *dhcp.Server
+	pool  *wifi.Pool // the medium's frame pool (nil under NoPool)
+	sc    apScalars
+	// dhcpMsg is the uplink DHCP decode scratch; the server copies what
+	// it keeps before any latency timer fires. It packs beside sc, so
+	// neither leaves padding.
+	dhcpMsg dhcp.Message
 
 	// beaconEv is the armed beacon tick, recorded by checkpoints. It
 	// fires through the AP itself (Fire), so re-arming it ten times a
@@ -92,14 +95,12 @@ type AP struct {
 	beaconEv sim.Event
 	// responses holds each management response across the processing
 	// delay; its carriers are recycled, so scheduling a response
-	// allocates nothing in steady state.
+	// allocates nothing in steady state. It also holds the AP's kernel
+	// (see kernel).
 	responses sim.Carriers[*wifi.Frame]
 
 	clients map[wifi.Addr]*apClient
 	uplink  func(from wifi.Addr, db *wifi.DataBody)
-	// dhcpMsg is the uplink DHCP decode scratch; the server copies what
-	// it keeps before any latency timer fires.
-	dhcpMsg dhcp.Message
 
 	// inv collects invariant violations from the AP and its DHCP server.
 	inv *metrics.InvariantSet
@@ -145,22 +146,26 @@ func NewAPAt(m *radio.Medium, cfg APConfig, addr wifi.Addr, pos geo.Point, serve
 		cfg.PSMBufferFrames = DefaultAPConfig(cfg.SSID, cfg.Channel).PSMBufferFrames
 	}
 	ap := &AP{
-		kernel:  m.Kernel(),
 		cfg:     cfg,
 		clients: make(map[wifi.Addr]*apClient),
 		inv:     metrics.NewInvariantSet(),
 	}
-	ap.responses.Init(ap.kernel, ap)
+	ap.responses.Init(m.Kernel(), ap)
 	ap.radio = m.NewStaticRadio(addr, pos, ap)
 	ap.radio.SetChannel(cfg.Channel)
 	ap.pool = m.Pool()
-	ap.dhcpd = dhcp.NewServer(ap.kernel, cfg.DHCP, serverID, ap.sendDHCP)
+	ap.dhcpd = dhcp.NewServer(ap.kernel(), cfg.DHCP, serverID, ap.sendDHCP)
 	ap.dhcpd.SetInvariants(ap.inv)
 	if cfg.BeaconInterval > 0 {
-		ap.beaconEv = ap.kernel.FireAfter(cfg.BeaconInterval, ap, 0)
+		ap.beaconEv = ap.kernel().FireAfter(cfg.BeaconInterval, ap, 0)
 	}
 	return ap
 }
+
+// kernel returns the AP's kernel. The AP keeps no copy of its own: its
+// response set holds one, and the pointer saved helps keep an AP in
+// Go's 352-byte size class (TestAPSize).
+func (ap *AP) kernel() *sim.Kernel { return ap.responses.Kernel() }
 
 // Addr returns the AP's BSSID.
 func (ap *AP) Addr() wifi.Addr { return ap.radio.Addr() }
@@ -260,7 +265,7 @@ func (ap *AP) beacon() {
 	} else {
 		ap.BeaconsMissed++
 	}
-	ap.beaconEv = ap.kernel.FireAfter(ap.cfg.BeaconInterval, ap, 0)
+	ap.beaconEv = ap.kernel().FireAfter(ap.cfg.BeaconInterval, ap, 0)
 }
 
 // beaconFrame builds a pooled beacon or probe-response frame — the two
@@ -281,7 +286,7 @@ func (ap *AP) beaconFrame(da wifi.Addr, t wifi.FrameType) *wifi.Frame {
 
 // respondAfterDelay transmits f after the AP's processing delay.
 func (ap *AP) respondAfterDelay(f *wifi.Frame) {
-	ap.responses.ArmAfter(ap.cfg.RespDelay.Sample(ap.kernel.RNG("mac.ap.resp")), f, 0)
+	ap.responses.ArmAfter(ap.cfg.RespDelay.Sample(ap.kernel().RNG("mac.ap.resp")), f, 0)
 }
 
 // Arrive implements sim.CarrierOwner: the processing delay ran out, so

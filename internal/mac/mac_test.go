@@ -30,7 +30,7 @@ type testClient struct {
 
 func newTestClient(k *sim.Kernel, m *radio.Medium, addr wifi.Addr, pos geo.Point, ap *AP, jcfg JoinConfig, dcfg dhcp.ClientConfig) *testClient {
 	c := &testClient{k: k, ap: ap.Addr()}
-	c.radio = m.NewRadio(addr, func() geo.Point { return pos }, radio.ReceiverFunc(c.receive))
+	c.radio = m.NewRadio(addr, geo.Static{P: pos}, radio.ReceiverFunc(c.receive))
 	c.radio.SetChannel(ap.Channel())
 	c.joiner = NewJoiner(k, jcfg, addr, ap.Addr(), ap.SSID(), c)
 	c.dhcpc = dhcp.NewClient(k, dcfg, addr, c)

@@ -108,7 +108,7 @@ func (ap *AP) RestoreState(st APState) error {
 	}
 
 	ap.beaconEv.Cancel()
-	ap.beaconEv = st.Beacon.Restore(ap.kernel, ap, 0)
+	ap.beaconEv = st.Beacon.Restore(ap.kernel(), ap, 0)
 	return nil
 }
 

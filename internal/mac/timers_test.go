@@ -3,6 +3,7 @@ package mac
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"spider/internal/dhcp"
 	"spider/internal/geo"
@@ -52,7 +53,7 @@ func TestArmingTimersAllocatesNothing(t *testing.T) {
 	ap.SetRespPool(new(sim.CarrierPool[*wifi.Frame]))
 	radios := make([]*radio.Radio, runs+1)
 	for i := range radios {
-		radios[i] = m.NewRadio(wifi.NewAddr(1, uint32(i)), func() geo.Point { return geo.Point{} }, radio.ReceiverFunc(func(*wifi.Frame) {}))
+		radios[i] = m.NewRadio(wifi.NewAddr(1, uint32(i)), geo.Static{}, radio.ReceiverFunc(func(*wifi.Frame) {}))
 	}
 
 	for _, tc := range []struct {
@@ -125,5 +126,17 @@ func TestPumpingToFreshClientsAllocatesNothing(t *testing.T) {
 	}
 	if ap.DownDelivered != runs+1 || k.Fired() != fired {
 		t.Fatalf("%d frames committed and %d events fired, want %d and none", ap.DownDelivered, k.Fired()-fired, runs+1)
+	}
+}
+
+// TestAPSize pins an AP to Go's 352-byte size class: every AP of a
+// metro is allocated at build, so the next class up (384) costs 32 bytes
+// per AP.
+func TestAPSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(AP{}); got > 352 {
+		t.Fatalf("AP is %d bytes, want at most 352", got)
 	}
 }

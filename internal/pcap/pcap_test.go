@@ -64,8 +64,8 @@ func TestCaptureTapsMedium(t *testing.T) {
 	m := radio.NewMedium(k, radio.Config{Range: 100, Loss: 0, EdgeStart: 1})
 	cap := NewCapture(m, 0)
 	rx := radio.ReceiverFunc(func(*wifi.Frame) {})
-	a := m.NewRadio(wifi.NewAddr(1, 1), func() geo.Point { return geo.Point{} }, rx)
-	b := m.NewRadio(wifi.NewAddr(1, 2), func() geo.Point { return geo.Point{X: 10} }, rx)
+	a := m.NewRadio(wifi.NewAddr(1, 1), geo.Static{}, rx)
+	b := m.NewRadio(wifi.NewAddr(1, 2), geo.Static{P: geo.Point{X: 10}}, rx)
 	a.SetChannel(6)
 	b.SetChannel(6)
 	for i := 0; i < 5; i++ {
@@ -104,7 +104,7 @@ func TestCaptureLimit(t *testing.T) {
 	m := radio.NewMedium(k, radio.Config{Range: 100, Loss: 0, EdgeStart: 1})
 	cap := NewCapture(m, 2)
 	rx := radio.ReceiverFunc(func(*wifi.Frame) {})
-	a := m.NewRadio(wifi.NewAddr(1, 1), func() geo.Point { return geo.Point{} }, rx)
+	a := m.NewRadio(wifi.NewAddr(1, 1), geo.Static{}, rx)
 	a.SetChannel(6)
 	for i := 0; i < 5; i++ {
 		a.Send(&wifi.Frame{Type: wifi.TypeBeacon, SA: a.Addr(), DA: wifi.Broadcast,

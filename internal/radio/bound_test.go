@@ -37,18 +37,14 @@ type boundProbe struct {
 	disagreement string
 }
 
-// newBoundProbe registers a radio following mob with its speed bound
-// declared from mob.Speed(), as the driver does, samples it at t1 and
-// advances the clock to t2.
+// newBoundProbe registers a radio following mob, which declares its
+// speed bound as mob.Speed(), samples it at t1 and advances the clock
+// to t2.
 func newBoundProbe(mob geo.Mobility, t1, t2 time.Duration) *boundProbe {
 	k := sim.NewKernel(1)
 	m := NewMedium(k, Defaults())
 	b := &boundProbe{mob: mob, t2: t2, radii: [2]float64{m.cfg.Range, m.cfg.CSRange}}
-	b.r = m.NewRadio(wifi.NewAddr(7, 1), func() geo.Point {
-		b.calls++
-		return mob.PositionAt(k.Now())
-	}, ReceiverFunc(func(*wifi.Frame) {}))
-	b.r.SetMaxSpeed(mob.Speed())
+	b.r = m.NewRadio(wifi.NewAddr(7, 1), counted{mob, &b.calls}, ReceiverFunc(func(*wifi.Frame) {}))
 	k.Run(t1)
 	b.r.position()
 	b.val, b.at, b.fixed = b.r.posVal, b.r.posAt, b.r.posFixed
@@ -318,14 +314,13 @@ func TestOpenLoopClientMatchesLinearScan(t *testing.T) {
 		}
 		ap := m.NewStaticRadio(apAddr, geo.Point{X: 40, Y: 10}, &logRx{k: k, id: 0, log: &log})
 		mob := &geo.RouteMobility{Route: geo.StraightRoad(1000), SpeedMS: 10, Loop: true}
-		client := m.NewRadio(wifi.NewAddr(2, 1), func() geo.Point { return mob.PositionAt(k.Now()) },
+		client := m.NewRadio(wifi.NewAddr(2, 1), mob,
 			ReceiverFunc(func(f *wifi.Frame) {
 				log = append(log, fmt.Sprintf("%v rx=client sa=%v", k.Now(), f.SA))
 				if f.SA == apAddr && k.Now() > 100*time.Second {
 					heardAfterWrap++
 				}
 			}))
-		client.SetMaxSpeed(mob.Speed())
 		ap.SetChannel(6)
 		client.SetChannel(6)
 		// The client wraps at exactly 100 s, one of the beacon instants.

@@ -37,7 +37,7 @@ import (
 // goes stale as it moves. Rather than observing every move (the medium
 // only samples positions it is asked about — a silent client can drive
 // into range without the medium ever evaluating it), each mobile declares
-// an upper bound on its speed (Radio.SetMaxSpeed), and the index
+// an upper bound on its speed (its mobility model's Speed), and the index
 // guarantees that no bin is ever older than cellSize/vmax: before any bin
 // is consulted, every mobile on the channel is re-binned at its current
 // position if the channel's sweep deadline has passed. A mobile can then

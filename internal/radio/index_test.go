@@ -54,9 +54,9 @@ func buildScriptedWorld(linear bool) (*sim.Kernel, *Medium, []*Radio, *[]string)
 		if i%3 == 0 {
 			// Mobile: drifts east at 5 m/s from a scattered origin.
 			ox, oy := rng.Float64()*800, rng.Float64()*800
-			r = m.NewRadio(addr, func() geo.Point {
-				return geo.Point{X: ox + 5*k.Now().Seconds(), Y: oy}
-			}, rx)
+			r = m.NewRadio(addr, unbounded(func(t time.Duration) geo.Point {
+				return geo.Point{X: ox + 5*t.Seconds(), Y: oy}
+			}), rx)
 		} else {
 			r = m.NewStaticRadio(addr, geo.Point{X: rng.Float64() * 800, Y: rng.Float64() * 800}, rx)
 		}
@@ -168,12 +168,13 @@ func TestMixedMobilesMatchLinearScan(t *testing.T) {
 			ox, oy := rng.Float64()*800, rng.Float64()*800
 			var r *Radio
 			if i%2 == 0 {
-				r = m.NewRadio(addr, func() geo.Point {
-					return geo.Point{X: ox + 5*k.Now().Seconds(), Y: oy}
-				}, rx)
-				if i%8 != 0 {
-					r.SetMaxSpeed(5)
+				v := 5.0
+				if i%8 == 0 {
+					v = -1
 				}
+				r = m.NewRadio(addr, track{func(t time.Duration) geo.Point {
+					return geo.Point{X: ox + 5*t.Seconds(), Y: oy}
+				}, v}, rx)
 			} else {
 				r = m.NewStaticRadio(addr, geo.Point{X: ox, Y: oy}, rx)
 			}

@@ -270,14 +270,14 @@ type Radio struct {
 	// Radio is 320 bytes, an allocation class whose objects start on
 	// 64-byte boundaries, so a visit touches one cache line.
 	//
-	// Position cache (see position and within): the last sample of pos
+	// Position cache (see position and within): the last sample of mob
 	// and the virtual instant it was taken at; posFixed marks a sample
 	// that holds for all time (a static radio's position, a parked
 	// radio's first sample). Derived state — never checkpointed; a
 	// restored radio simply samples afresh.
 	posVal geo.Point
 	posAt  time.Duration
-	// maxSpeed is the declared speed bound (SetMaxSpeed), negative when
+	// maxSpeed is the mobility model's speed bound, negative when
 	// none is.
 	maxSpeed    float64
 	channel     int
@@ -297,7 +297,7 @@ type Radio struct {
 
 	m    *Medium
 	addr wifi.Addr
-	pos  func() geo.Point // nil for a static radio, whose posVal is fixed
+	mob  geo.Mobility // nil for a static radio, whose posVal is fixed
 	rx   Receiver
 
 	// regIdx is the registration-order index in Medium.radios; candidate
@@ -368,28 +368,40 @@ type txJob struct {
 	tag     TxTag // handed to the owner's TxDone unless TagNone
 }
 
-// NewRadio registers a radio on the medium. pos is sampled at transmit
-// and delivery times, so mobile owners pass a closure over their mobility
-// model. pos must be a pure function of virtual time: the medium samples
-// it at most once per virtual instant (and, once SetMaxSpeed declares the
-// radio parked, only once), the mobile sweep re-bins from the same
-// samples, and carrier sense and delivery skip the sample altogether
-// when the speed bound already places the radio relative to the
-// transmitter (see within). The radio starts untuned (channel 0): it
-// hears nothing until SetChannel.
-func (m *Medium) NewRadio(addr wifi.Addr, pos func() geo.Point, rx Receiver) *Radio {
-	if pos == nil {
-		panic("radio: position is required")
+// NewRadio registers a radio that moves along mob. The medium samples
+// mob at transmit and delivery times, so mob must be a pure function of
+// virtual time: the medium samples it at most once per virtual instant
+// (a parked radio, whose Speed is 0, only once), the mobile sweep
+// re-bins from the same samples, and carrier sense and delivery skip
+// the sample altogether when the speed bound already places the radio
+// relative to the transmitter (see within). mob.Speed bounds the
+// radio's instantaneous speed, which lets the spatial index keep it in
+// a drift-bounded grid bin instead of the always-scanned mobile list.
+// The bound must hold at every instant, up to float and nanosecond
+// rounding — a radio that outruns it can slip out of its padded query
+// ring, or be placed out of range from a stale sample, and silently
+// miss deliveries or carrier sense. A negative Speed declares no bound.
+// The radio starts untuned (channel 0): it hears nothing until
+// SetChannel.
+func (m *Medium) NewRadio(addr wifi.Addr, mob geo.Mobility, rx Receiver) *Radio {
+	if mob == nil {
+		panic("radio: mobility is required")
 	}
 	r := m.register(addr, rx)
-	r.pos = pos
+	r.mob = mob
+	if v := mob.Speed(); v >= 0 {
+		r.maxSpeed = v
+		if m.idx != nil {
+			m.idx.noteSpeed(v)
+		}
+	}
 	return r
 }
 
 // NewStaticRadio registers a radio that never moves (an access point).
 // Static radios are tracked in the medium's spatial grid, so dense worlds
 // pay per-neighborhood — not per-deployment — cost on every frame. The
-// position is fixed here, so the radio has no position func.
+// position is fixed here, so the radio has no mobility model.
 func (m *Medium) NewStaticRadio(addr wifi.Addr, pos geo.Point, rx Receiver) *Radio {
 	r := m.register(addr, rx)
 	r.static = true
@@ -424,7 +436,7 @@ func (r *Radio) Position() geo.Point { return r.position() }
 
 // position is the one place the medium reads a radio's position: the
 // fixed position of a static radio; for a parked radio (declared speed
-// bound 0) a sample taken once; otherwise pos memoized per virtual
+// bound 0) a sample taken once; otherwise mob memoized per virtual
 // instant, since carrier sense, delivery, the hidden-terminal check and
 // the mobile sweep can all ask about one radio at the same instant.
 func (r *Radio) position() geo.Point {
@@ -433,7 +445,7 @@ func (r *Radio) position() geo.Point {
 	}
 	now := r.m.kernel.Now()
 	if !r.posValid || r.posAt != now {
-		r.posVal, r.posAt, r.posValid = r.pos(), now, true
+		r.posVal, r.posAt, r.posValid = r.mob.PositionAt(now), now, true
 		r.posFixed = r.maxSpeed == 0
 	}
 	return r.posVal
@@ -486,39 +498,6 @@ func (r *Radio) SetPromiscuous(on bool) {
 		r.m.promiscuous++
 	} else {
 		r.m.promiscuous--
-	}
-}
-
-// SetMaxSpeed declares an upper bound on the radio's instantaneous speed
-// in m/s, letting the spatial index keep the (mobile) radio in a
-// drift-bounded grid bin instead of the always-scanned mobile list, and
-// letting carrier sense and delivery decide whether it is in range from
-// its last position sample (within) instead of sampling it again. The
-// bound must hold at every instant, up to float and nanosecond rounding
-// — a radio that outruns it can slip out of its padded query ring, or
-// be placed out of range from a stale sample, and silently miss
-// deliveries or carrier sense. Zero is a valid bound (a parked station),
-// under which the medium samples the radio's position once. Owners that
-// cannot bound their speed never call this, or pass a negative value,
-// which is ignored. No-op for static radios, which are gridded under
-// their fixed position already.
-func (r *Radio) SetMaxSpeed(v float64) {
-	if r.static || v < 0 {
-		return
-	}
-	r.posValid, r.posFixed = false, false // a parked radio's one sample is taken from now on
-	ix := r.m.idx
-	if ix == nil {
-		r.maxSpeed = v
-		return
-	}
-	if r.channel != 0 {
-		ix.remove(r, r.channel)
-	}
-	r.maxSpeed = v
-	ix.noteSpeed(v)
-	if r.channel != 0 {
-		ix.add(r, r.channel)
 	}
 }
 

@@ -3,7 +3,6 @@ package scenario
 import (
 	"time"
 
-	"spider/internal/core"
 	"spider/internal/fault"
 )
 
@@ -51,18 +50,16 @@ func ApplyChaos(w *World, client *Client, cfg fault.Config) *Chaos {
 		chk.Watch("ap", n.AP.Invariants())
 	}
 	inj.AttachMedium(w.Medium, w.Channels())
-	var d *core.Driver
+	if client == nil && len(w.Clients) > 0 {
+		client = w.Clients[0]
+	}
 	if client != nil {
-		d = client.Driver
-	} else if len(w.Clients) > 0 {
-		d = w.Clients[0].Driver
-	}
-	if d != nil {
-		inj.AttachDriver(d)
-		chk.AttachDriver(d, "driver")
-	}
-	if cfg.Enabled() && d != nil {
-		chk.StartLiveness(livenessPoll)
+		client.injector = inj
+		inj.AttachDriver()
+		chk.AttachDriver(client.Driver, "driver")
+		if cfg.Enabled() {
+			chk.StartLiveness(livenessPoll)
+		}
 	}
 	// A world attached to an obs sink (AttachObs before ApplyChaos)
 	// exports the injector's per-class ledger and episode spans too.

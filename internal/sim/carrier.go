@@ -64,6 +64,9 @@ type Carriers[P any] struct {
 // client adopted by another world) must have been drained first.
 func (s *Carriers[P]) Init(k *Kernel, owner CarrierOwner[P]) { s.k, s.owner = k, owner }
 
+// Kernel returns the kernel the set is bound to.
+func (s *Carriers[P]) Kernel() *Kernel { return s.k }
+
 // SetPool points the set at a pool shared with the other owners of its
 // world. A set given no pool makes its own at its first carrier.
 func (s *Carriers[P]) SetPool(p *CarrierPool[P]) { s.pool = p }
