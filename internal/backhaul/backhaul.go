@@ -57,27 +57,11 @@ func NewLink(k *sim.Kernel, cfg Config) *Link {
 	return &Link{kernel: k, cfg: cfg.withDefaults()}
 }
 
-// Config returns the effective configuration.
-func (l *Link) Config() Config { return l.cfg }
-
-// SetRateKbps adjusts the shaped capacity, e.g. for Fig 9's sweep.
-func (l *Link) SetRateKbps(kbps int) {
-	if kbps > 0 {
-		l.cfg.RateKbps = kbps
-	}
-}
-
 // SetBlackhole starts or ends a backhaul outage: while set, both
 // directions silently drop everything — the dead DSLAM, the unplugged
 // modem. In-flight deliveries already scheduled still arrive (they had
 // left the pipe).
 func (l *Link) SetBlackhole(on bool) { l.st.Blackhole = on }
-
-// Blackholed reports whether an outage is active.
-func (l *Link) Blackholed() bool { return l.st.Blackhole }
-
-// FaultLatency returns the active latency-spike extra delay.
-func (l *Link) FaultLatency() time.Duration { return l.st.FaultLat }
 
 // SetFaultLatency sets extra one-way delay applied to traffic sent
 // while a latency-spike episode is active. Zero ends the episode.
@@ -144,17 +128,3 @@ func (l *Link) ExportState() State { return l.st }
 
 // RestoreState rewinds the link to a checkpointed state.
 func (l *Link) RestoreState(st State) { l.st = st }
-
-// QueueDelay reports how long a byte entering the given direction now
-// would wait before transmission begins.
-func (l *Link) QueueDelay(downstream bool) time.Duration {
-	busyUntil := l.st.UpBusyUntil
-	if downstream {
-		busyUntil = l.st.DownBusyUntil
-	}
-	d := busyUntil - l.kernel.Now()
-	if d < 0 {
-		return 0
-	}
-	return d
-}

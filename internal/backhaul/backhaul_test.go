@@ -107,30 +107,19 @@ func TestThroughputMatchesRate(t *testing.T) {
 	}
 }
 
-func TestSetRateKbps(t *testing.T) {
-	k := sim.NewKernel(1)
-	l := NewLink(k, DefaultConfig())
-	l.SetRateKbps(500)
-	if l.Config().RateKbps != 500 {
-		t.Fatal("SetRateKbps ignored")
-	}
-	l.SetRateKbps(0) // invalid, ignored
-	if l.Config().RateKbps != 500 {
-		t.Fatal("invalid rate accepted")
-	}
-}
-
 func TestQueueDelayReflectsBacklog(t *testing.T) {
 	k := sim.NewKernel(1)
 	l := NewLink(k, Config{RateKbps: 800, Latency: time.Millisecond, QueueBytes: 1 << 20})
-	if l.QueueDelay(true) != 0 {
+	// A direction's queue delay is how long a byte entering it now waits
+	// before transmission begins: its busy-until ledger less the clock.
+	if l.st.DownBusyUntil > k.Now() {
 		t.Fatal("idle link has queue delay")
 	}
 	carry(k, l, true, 1000, func() {}) // 10ms serialization
-	if d := l.QueueDelay(true); d != 10*time.Millisecond {
+	if d := l.st.DownBusyUntil - k.Now(); d != 10*time.Millisecond {
 		t.Fatalf("queue delay %v, want 10ms", d)
 	}
-	if l.QueueDelay(false) != 0 {
+	if l.st.UpBusyUntil > k.Now() {
 		t.Fatal("uplink delayed by downlink")
 	}
 	k.RunAll()
@@ -139,8 +128,8 @@ func TestQueueDelayReflectsBacklog(t *testing.T) {
 func TestDefaultsApplied(t *testing.T) {
 	k := sim.NewKernel(1)
 	l := NewLink(k, Config{})
-	if l.Config().RateKbps != 2000 || l.Config().Latency != 20*time.Millisecond {
-		t.Fatalf("defaults = %+v", l.Config())
+	if l.cfg.RateKbps != 2000 || l.cfg.Latency != 20*time.Millisecond {
+		t.Fatalf("defaults = %+v", l.cfg)
 	}
 }
 

@@ -8,7 +8,8 @@
 // The format goes through internal/docfile like every persisted
 // document (docs/CHECKPOINT.md):
 //
-//   - Encode is docfile's canonical encoder, so decode(encode(c)) == c.
+//   - WriteFile writes docfile's canonical encoding, so
+//     decode(encode(c)) == c.
 //   - Decode is docfile's strict decoder plus the format check and the
 //     version window; it never panics on arbitrary input.
 //   - Every list inside the state is sorted by a plan- or kernel-derived
@@ -91,16 +92,6 @@ func (ck *Checkpoint) Apply(c *shard.City, seed int64, configFP string) error {
 		return fmt.Errorf("checkpoint: config %s, resuming run has %s", ck.ConfigFP, configFP)
 	}
 	return c.RestoreState(ck.City)
-}
-
-// Encode renders the checkpoint in docfile's canonical form.
-func (ck *Checkpoint) Encode() []byte {
-	b, err := docfile.Encode(ck)
-	if err != nil {
-		// The state tree is plain data; Marshal cannot fail on it.
-		panic(fmt.Sprintf("checkpoint: encode: %v", err))
-	}
-	return b
 }
 
 // Decode parses a checkpoint document through docfile's strict decoder

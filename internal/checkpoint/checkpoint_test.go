@@ -13,6 +13,7 @@ import (
 	"spider/internal/archive"
 	"spider/internal/core"
 	"spider/internal/dhcp"
+	"spider/internal/docfile"
 	"spider/internal/fault"
 	"spider/internal/radio"
 	"spider/internal/scenario"
@@ -41,6 +42,16 @@ func buildCity(seed int64, workers int, chaos bool) *shard.City {
 		c.ApplyChaos(fault.Aggressive())
 	}
 	return c
+}
+
+// encode renders ck in docfile's canonical form, the bytes WriteFile
+// writes.
+func encode(ck *Checkpoint) []byte {
+	b, err := docfile.Encode(ck)
+	if err != nil {
+		panic(err) // the state tree is plain data; Marshal cannot fail on it
+	}
+	return b
 }
 
 // archiveBytes renders the run's archive — the regression currency the
@@ -207,7 +218,7 @@ func TestResumeAtEveryBarrier(t *testing.T) {
 				for i, n := range carriersInFlight(ck) {
 					seen[i] = max(seen[i], n)
 				}
-				enc := ck.Encode()
+				enc := encode(ck)
 				loaded, err := Decode(enc)
 				if err != nil {
 					t.Fatal(err)
@@ -220,7 +231,7 @@ func TestResumeAtEveryBarrier(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(again.Encode(), enc) {
+				if !bytes.Equal(encode(again), enc) {
 					t.Fatalf("restored at %v: the city re-exports different bytes", c.Now())
 				}
 				c = next
@@ -246,19 +257,19 @@ func TestCodecByteStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := ck.Encode()
+	enc := encode(ck)
 	ck2, err := Decode(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(ck2.Encode(), enc) {
+	if !bytes.Equal(encode(ck2), enc) {
 		t.Fatal("encode(decode(b)) != b")
 	}
 	ckAgain, err := Capture(c, 1, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(ckAgain.Encode(), enc) {
+	if !bytes.Equal(encode(ckAgain), enc) {
 		t.Fatal("two captures at the same barrier differ")
 	}
 	if enc[len(enc)-1] != '\n' || bytes.HasSuffix(enc, []byte("\n\n")) {
@@ -281,7 +292,7 @@ func TestResumeUnderChaosRestoresFaultState(t *testing.T) {
 		t.Fatal(err)
 	}
 	resumed := buildCity(3, 2, true)
-	loaded, err := Decode(ck.Encode())
+	loaded, err := Decode(encode(ck))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,19 +336,19 @@ func TestApplyRejectsMismatch(t *testing.T) {
 		t.Fatal("applied under the wrong config fingerprint")
 	}
 
-	bad := bytes.Replace(ck.Encode(), []byte(`"format": "spider-checkpoint"`),
+	bad := bytes.Replace(encode(ck), []byte(`"format": "spider-checkpoint"`),
 		[]byte(`"format": "spider-archive"`), 1)
 	if _, err := Decode(bad); err == nil {
 		t.Fatal("decoded a wrong-format document")
 	}
 	current := []byte(fmt.Sprintf(`"version": %d`, Version))
 	for _, v := range []int{minVersion - 1, Version + 1} {
-		bad = bytes.Replace(ck.Encode(), current, []byte(fmt.Sprintf(`"version": %d`, v)), 1)
+		bad = bytes.Replace(encode(ck), current, []byte(fmt.Sprintf(`"version": %d`, v)), 1)
 		if _, err := Decode(bad); err == nil || !strings.Contains(err.Error(), "version") {
 			t.Fatalf("version %d: decode error %v, want a version error", v, err)
 		}
 	}
-	if _, err := Decode(append(ck.Encode(), []byte("{}")...)); err == nil {
+	if _, err := Decode(append(encode(ck), []byte("{}")...)); err == nil {
 		t.Fatal("decoded trailing data")
 	}
 	if _, err := Decode([]byte(fmt.Sprintf(`{"format": "spider-checkpoint", "version": %d, "unknown_field": 1}`, Version))); err == nil {
@@ -370,7 +381,7 @@ func TestApplyRefusesCorruptState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := ck.Encode()
+	enc := encode(ck)
 	for _, tc := range []struct {
 		name string
 		edit func(st *shard.CityState)
@@ -432,7 +443,7 @@ func TestApplyErrorPrecedence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := ck.Encode()
+	enc := encode(ck)
 	st := &ck.City
 
 	// Case 1 corrupts a scan-table record in the first and the last tile

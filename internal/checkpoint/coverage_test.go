@@ -91,7 +91,7 @@ var checkpointedTypes = []checkpointed{
 		comp: typeOf[tcpsim.Sender](), state: typeOf[tcpsim.SenderState](),
 		units:      []string{"sc"},
 		translated: []string{"inflight", "rtoTimer"},
-		derived:    []string{"kernel", "cfg", "flowID", "transmit", "onDone", "segs"},
+		derived:    []string{"kernel", "flowID", "transmit", "onDone", "segs"},
 	},
 	{
 		comp: typeOf[tcpsim.Receiver](), state: typeOf[tcpsim.ReceiverState](),

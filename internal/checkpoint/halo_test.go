@@ -51,7 +51,7 @@ func TestPendingMirrorsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := ck.Encode()
+	enc := encode(ck)
 	pending, sources := 0, map[int]bool{}
 	for _, ts := range ck.City.Tiles {
 		pending += len(ts.Inbox)
@@ -75,7 +75,7 @@ func TestPendingMirrorsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(again.Encode(), enc) {
+	if !bytes.Equal(encode(again), enc) {
 		t.Fatal("export → restore → export changed the checkpoint bytes")
 	}
 	if err := resumed.Run(until); err != nil {
@@ -100,7 +100,7 @@ func TestRestoreRejectsMisroutedMirror(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := ck.Encode()
+	enc := encode(ck)
 	lay := victim.Layout
 	center := func(ix, iy int) geo.Point {
 		return geo.Point{X: (lay.XBounds[ix] + lay.XBounds[ix+1]) / 2, Y: (lay.YBounds[iy] + lay.YBounds[iy+1]) / 2}
@@ -163,7 +163,7 @@ func TestWarmStartFixtureReexports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(again.Encode(), ck.Encode()) {
+	if !bytes.Equal(encode(again), encode(ck)) {
 		t.Fatal("the warm-start fixture does not re-export to its own bytes")
 	}
 	pending := 0

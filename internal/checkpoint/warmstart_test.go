@@ -59,7 +59,7 @@ func writeWarmFixture(ck *Checkpoint) error {
 		return err
 	}
 	zw, _ := gzip.NewWriterLevel(f, gzip.BestCompression)
-	if _, err := zw.Write(ck.Encode()); err != nil {
+	if _, err := zw.Write(encode(ck)); err != nil {
 		f.Close()
 		return err
 	}
@@ -101,7 +101,7 @@ func TestWarmStartFixture(t *testing.T) {
 		if err := writeWarmFixture(ck); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("regenerated %s (%d bytes uncompressed, t=%v)", warmFixture, len(ck.Encode()), warmAt)
+		t.Logf("regenerated %s (%d bytes uncompressed, t=%v)", warmFixture, len(encode(ck)), warmAt)
 		return
 	}
 	ck, err := readWarmFixture()

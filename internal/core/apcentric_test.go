@@ -41,7 +41,7 @@ func TestAPCentricSlicerRotatesPSM(t *testing.T) {
 	sawActive := map[bool]bool{}
 	for i := 0; i < 8; i++ {
 		w.k.Run(w.k.Now() + 100*time.Millisecond)
-		p1, p2 := ap1.InPSM(me), ap2.InPSM(me)
+		p1, p2 := apEntry(t, ap1, me).PSM, apEntry(t, ap2, me).PSM
 		if p1 && p2 {
 			t.Fatalf("both APs in PSM at %v — nobody served", w.k.Now())
 		}
@@ -69,7 +69,7 @@ func TestAPCentricSingleAPStaysAwake(t *testing.T) {
 	if d.ConnectedCount() != 1 {
 		t.Fatalf("not connected (stats %+v)", d.Stats())
 	}
-	if ap.InPSM(d.Addr()) {
+	if apEntry(t, ap, d.Addr()).PSM {
 		t.Fatal("lone AP left in PSM by the slicer")
 	}
 	if apSliceActive(d) != [6]byte{} {

@@ -239,7 +239,7 @@ func newDriver(m *radio.Medium, cfg Config, pol policy, addr wifi.Addr, mob geo.
 		host:       host,
 		table:      newAPTable(),
 		ifaces:     make(map[wifi.Addr]*Iface),
-		backoffRNG: k.RNG("core.backoff." + addr.String()),
+		backoffRNG: backoffStream(k, addr),
 		inv:        metrics.NewInvariantSet(),
 	}
 	d.radio = m.NewRadio(addr, mob, d)
@@ -253,6 +253,16 @@ func newDriver(m *radio.Medium, cfg Config, pol policy, addr wifi.Addr, mob geo.
 	}
 	d.start()
 	return d
+}
+
+// backoffStream returns the driver's backoff stream, named
+// "core.backoff.<addr>". The name is assembled on the stack, so a driver
+// rebuilt in a world that already holds its stream (a client migrating
+// back) allocates nothing for it.
+func backoffStream(k *sim.Kernel, addr wifi.Addr) *rand.Rand {
+	var buf [32]byte // the prefix and one address: 30 bytes
+	b := append(buf[:0], "core.backoff."...)
+	return k.RNGBytes(addr.AppendTo(b))
 }
 
 // Driver timer kinds, for Fire. Every tick and switch stage fires
@@ -361,9 +371,6 @@ func (d *Driver) Shutdown() {
 	d.radio.SetChannel(0)
 }
 
-// Stopped reports whether Shutdown has run.
-func (d *Driver) Stopped() bool { return d.stopped }
-
 // ExportAPRecords returns value copies of the scan table, sorted by
 // BSSID — the deterministic handoff payload for a shard migration.
 func (d *Driver) ExportAPRecords() []APRecord {
@@ -437,9 +444,6 @@ func (d *Driver) backgroundReturn() {
 // Addr returns the client MAC address.
 func (d *Driver) Addr() wifi.Addr { return d.radio.Addr() }
 
-// Config returns the effective configuration.
-func (d *Driver) Config() Config { return d.cfg }
-
 // Stats returns a snapshot of the counters.
 func (d *Driver) Stats() Stats {
 	s := d.sc.Stats
@@ -497,9 +501,6 @@ func (d *Driver) Stalled() string {
 	}
 	return ""
 }
-
-// CurrentChannel returns the tuned channel (0 mid-reset).
-func (d *Driver) CurrentChannel() int { return d.radio.Channel() }
 
 // Interfaces returns the live virtual interfaces, ordered by BSSID.
 // Deterministic order is load-bearing: map-order iteration would make

@@ -50,6 +50,22 @@ func (w *world) Downlink(bssid wifi.Addr, db *wifi.DataBody) {
 }
 func (w *world) ResetDelay() time.Duration { return w.resetDelay }
 
+// apEntry returns ap's association-table entry for addr, read through
+// the AP's checkpoint export (zero if absent).
+func apEntry(t *testing.T, ap *mac.AP, addr wifi.Addr) mac.APClientState {
+	t.Helper()
+	st, err := ap.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range st.Client {
+		if c.Addr == addr {
+			return c
+		}
+	}
+	return mac.APClientState{}
+}
+
 func newWorld(seed int64, loss float64) *world {
 	w := &world{k: sim.NewKernel(seed)}
 	w.m = radio.NewMedium(w.k, radio.Config{Range: 100, Loss: loss, EdgeStart: 1, DataRetryLimit: 6})
@@ -237,8 +253,8 @@ func TestMultiChannelSingleAPDwellsOnConnectedChannel(t *testing.T) {
 		t.Fatalf("driver kept rotating while dwelling: %d → %d",
 			switchesAtConnect, d.Stats().Switches)
 	}
-	if d.CurrentChannel() != 6 {
-		t.Fatalf("dwelling on channel %d, want 6", d.CurrentChannel())
+	if d.radio.Channel() != 6 {
+		t.Fatalf("dwelling on channel %d, want 6", d.radio.Channel())
 	}
 }
 
@@ -258,7 +274,7 @@ func TestBackgroundScanPeeksAndReturns(t *testing.T) {
 		t.Fatal("background scan never left the home channel")
 	}
 	// …but the driver always comes home and stays connected.
-	if d.CurrentChannel() != 6 && d.CurrentChannel() != 0 {
+	if d.radio.Channel() != 6 && d.radio.Channel() != 0 {
 		// Mid-excursion is possible; advance a little and re-check.
 		w.k.Run(w.k.Now() + time.Second)
 	}
@@ -326,16 +342,16 @@ func TestUplinkQueuesWhenOffChannel(t *testing.T) {
 	// Wait for a FRESH arrival on channel 11 (away from the AP) so the
 	// remaining dwell comfortably covers the assertions below.
 	deadline := w.k.Now() + 2*time.Second
-	prev := d.CurrentChannel()
+	prev := d.radio.Channel()
 	for w.k.Now() < deadline {
 		w.k.Run(w.k.Now() + 5*time.Millisecond)
-		cur := d.CurrentChannel()
+		cur := d.radio.Channel()
 		if cur == 11 && prev != 11 {
 			break
 		}
 		prev = cur
 	}
-	if d.CurrentChannel() != 11 {
+	if d.radio.Channel() != 11 {
 		t.Fatal("never reached channel 11")
 	}
 	before := got
@@ -489,24 +505,24 @@ func TestPSMAnnouncedOnSwitch(t *testing.T) {
 	deadline := w.k.Now() + 2*time.Second
 	for w.k.Now() < deadline {
 		w.k.Run(w.k.Now() + 5*time.Millisecond)
-		if d.CurrentChannel() == 11 {
+		if d.radio.Channel() == 11 {
 			break
 		}
 	}
-	if d.CurrentChannel() != 11 {
+	if d.radio.Channel() != 11 {
 		t.Fatal("never away")
 	}
-	if !ap.InPSM(d.Addr()) {
+	if !apEntry(t, ap, d.Addr()).PSM {
 		t.Fatal("AP not told about PSM before switch")
 	}
 	// Downlink while away is buffered, then flushed when the driver
 	// returns and sends PSM-off.
 	ap.Deliver(d.Addr(), &wifi.DataBody{Proto: wifi.ProtoPing, VirtualLen: 100})
-	if ap.BufferedFrames(d.Addr()) != 1 {
+	if len(apEntry(t, ap, d.Addr()).Buffer) != 1 {
 		t.Fatal("frame not buffered while away")
 	}
 	w.k.Run(w.k.Now() + time.Second)
-	if ap.BufferedFrames(d.Addr()) != 0 {
+	if len(apEntry(t, ap, d.Addr()).Buffer) != 0 {
 		t.Fatal("buffer not flushed on return")
 	}
 }
@@ -629,16 +645,16 @@ func TestTxQueueOverflowDrops(t *testing.T) {
 	}
 	// Reach a moment where the driver is away on 11, then flood uplink.
 	deadline := w.k.Now() + 2*time.Second
-	prev := d.CurrentChannel()
+	prev := d.radio.Channel()
 	for w.k.Now() < deadline {
 		w.k.Run(w.k.Now() + 5*time.Millisecond)
-		cur := d.CurrentChannel()
+		cur := d.radio.Channel()
 		if cur == 11 && prev != 11 {
 			break
 		}
 		prev = cur
 	}
-	if d.CurrentChannel() != 11 {
+	if d.radio.Channel() != 11 {
 		t.Fatal("never away")
 	}
 	for i := 0; i < 10; i++ {
@@ -805,9 +821,9 @@ func TestLeaseRenewalFailureTearsDown(t *testing.T) {
 	thief := wifi.NewAddr(3, 9)
 	w.k.At(7*time.Second, func() {
 		srv := ap.DHCPServer()
-		srv.Revoke(d.Addr())
+		srv.Reset()
 		srv.HandleMessage(&dhcp.Message{Op: dhcp.Request, XID: 77, ClientMAC: thief,
-			YourIP: srv.Config().PoolStart})
+			YourIP: dhcp.DefaultServerConfig(0).PoolStart})
 	})
 	w.k.Run(60 * time.Second)
 	st := d.Stats()

@@ -22,7 +22,7 @@ func TestShutdownSilencesDriver(t *testing.T) {
 		t.Fatal("driver never connected; fixture broken")
 	}
 	d.Shutdown()
-	if !d.Stopped() {
+	if !d.stopped {
 		t.Fatal("Stopped() false after Shutdown")
 	}
 	if got := len(d.Interfaces()); got != 0 {
@@ -31,8 +31,8 @@ func TestShutdownSilencesDriver(t *testing.T) {
 	if len(w.disconnected) == 0 {
 		t.Fatal("the host heard no Disconnected for the connected interface")
 	}
-	if d.CurrentChannel() != 0 {
-		t.Fatalf("radio still tuned to %d after Shutdown", d.CurrentChannel())
+	if d.radio.Channel() != 0 {
+		t.Fatalf("radio still tuned to %d after Shutdown", d.radio.Channel())
 	}
 	// From here on the driver must be inert: no probes, no joins, no
 	// channel changes, even with the AP still beaconing next to it.
@@ -41,7 +41,7 @@ func TestShutdownSilencesDriver(t *testing.T) {
 	if d.Stats() != statsAt {
 		t.Fatalf("counters moved after Shutdown:\n before %+v\n after  %+v", statsAt, d.Stats())
 	}
-	if d.CurrentChannel() != 0 {
+	if d.radio.Channel() != 0 {
 		t.Fatal("radio re-tuned itself after Shutdown")
 	}
 	d.Shutdown() // idempotent
@@ -58,8 +58,8 @@ func TestShutdownDuringSwitchStaysDeaf(t *testing.T) {
 	// Stop exactly at a slice boundary, when a switch is mid-flight.
 	w.k.At(100*time.Millisecond+time.Millisecond, func() { d.Shutdown() })
 	w.k.Run(5 * time.Second)
-	if d.CurrentChannel() != 0 {
-		t.Fatalf("retune completed onto ch %d after Shutdown", d.CurrentChannel())
+	if d.radio.Channel() != 0 {
+		t.Fatalf("retune completed onto ch %d after Shutdown", d.radio.Channel())
 	}
 }
 

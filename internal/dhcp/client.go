@@ -137,15 +137,9 @@ type clientScalars struct {
 	Attempts, Successes, Failures uint64
 }
 
-// NewClient creates a client for the interface with the given MAC.
-func NewClient(k *sim.Kernel, cfg ClientConfig, mac wifi.Addr, host ClientHost) *Client {
-	c := new(Client)
-	c.Init(k, cfg, mac, host)
-	return c
-}
-
-// Init sets up c in place as NewClient would, so an owner can embed the
-// client by value instead of allocating it separately.
+// Init sets up c in place as the client for the interface with the
+// given MAC, so an owner can embed the client by value instead of
+// allocating it separately.
 func (c *Client) Init(k *sim.Kernel, cfg ClientConfig, mac wifi.Addr, host ClientHost) {
 	if host == nil {
 		panic("dhcp: client needs a host")
@@ -181,8 +175,8 @@ func clientStream(k *sim.Kernel, mac wifi.Addr) *rand.Rand {
 	return k.RNGBytes(mac.AppendTo(b))
 }
 
-// Reset returns a recycled client to the state a fresh NewClient would
-// have: idle, transaction ids restarted, per-association counters
+// Reset returns a recycled client to the state a freshly Init-ed client
+// would have: idle, transaction ids restarted, per-association counters
 // cleared. The driver calls it when it re-targets a pooled interface at
 // a new AP; the RNG stream is per-MAC and persistent, so a reused client
 // draws exactly what a fresh one would.
@@ -191,9 +185,6 @@ func (c *Client) Reset() {
 	c.sc = clientScalars{NextXID: 1}
 }
 
-// Config returns the effective configuration.
-func (c *Client) Config() ClientConfig { return c.cfg }
-
 // SetInvariants points the client at a shared invariant-violation set.
 // A nil set (the default) is safe: violations are simply not counted.
 func (c *Client) SetInvariants(inv *metrics.InvariantSet) { c.inv = inv }
@@ -201,9 +192,6 @@ func (c *Client) SetInvariants(inv *metrics.InvariantSet) { c.inv = inv }
 // SetTracer attaches a trace sink for acquisition spans. A nil tracer
 // (the default) records nothing and costs one branch per outcome.
 func (c *Client) SetTracer(tr *obs.Tracer) { c.tr = tr }
-
-// Busy reports whether an acquisition attempt is in flight.
-func (c *Client) Busy() bool { return c.sc.State == stateDiscovering || c.sc.State == stateRequesting }
 
 // TimersPending reports whether any client timer event is still armed —
 // after Abort it must be false, or the owner leaked a timer.

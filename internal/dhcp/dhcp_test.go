@@ -15,11 +15,11 @@ func mac(i uint32) wifi.Addr { return wifi.NewAddr(2, i) }
 func TestMessageRoundTrip(t *testing.T) {
 	in := &Message{Op: Offer, XID: 0xdeadbeef, ClientMAC: mac(7),
 		YourIP: IP(0x0A000065), ServerID: 42, LeaseSecs: 3600}
-	out, err := DecodeMessage(in.Encode())
-	if err != nil {
-		t.Fatal(err)
+	var out Message
+	if !DecodeMessageInto(&out, in.AppendEncode(nil)) {
+		t.Fatal("decode failed")
 	}
-	if !reflect.DeepEqual(in, out) {
+	if !reflect.DeepEqual(*in, out) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", in, out)
 	}
 }
@@ -28,8 +28,8 @@ func TestPropertyMessageRoundTrip(t *testing.T) {
 	f := func(op uint8, xid uint32, ip uint32, sid uint32, lease uint32) bool {
 		o := Op(op%5) + 1
 		in := &Message{Op: o, XID: xid, ClientMAC: mac(xid), YourIP: IP(ip), ServerID: sid, LeaseSecs: lease}
-		out, err := DecodeMessage(in.Encode())
-		return err == nil && reflect.DeepEqual(in, out)
+		var out Message
+		return DecodeMessageInto(&out, in.AppendEncode(nil)) && reflect.DeepEqual(*in, out)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -37,31 +37,33 @@ func TestPropertyMessageRoundTrip(t *testing.T) {
 }
 
 func TestDecodeMessageErrors(t *testing.T) {
-	if _, err := DecodeMessage(nil); err != ErrBadMessage {
+	var m Message
+	if DecodeMessageInto(&m, nil) {
 		t.Fatal("nil decode should fail")
 	}
-	b := (&Message{Op: Discover, ClientMAC: mac(1)}).Encode()
+	b := (&Message{Op: Discover, ClientMAC: mac(1)}).AppendEncode(nil)
 	b[0] = 99
-	if _, err := DecodeMessage(b); err != ErrBadMessage {
+	if DecodeMessageInto(&m, b) {
 		t.Fatal("bad op should fail")
 	}
 }
 
 func TestFrameRoundTrip(t *testing.T) {
 	m := &Message{Op: Request, XID: 5, ClientMAC: mac(3), YourIP: 0x0A000070}
-	f := m.Frame(mac(3), mac(9), mac(9))
-	got := FromFrame(f)
-	if got == nil || !reflect.DeepEqual(m, got) {
-		t.Fatalf("FromFrame mismatch: %+v", got)
+	f := &wifi.Frame{Type: wifi.TypeData, SA: mac(3), DA: mac(9), BSSID: mac(9),
+		Body: &wifi.DataBody{Proto: wifi.ProtoDHCP, Header: m.AppendEncode(nil), VirtualLen: WireOverhead}}
+	back, err := wifi.Decode(f.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, ok := back.Body.(*wifi.DataBody)
+	var got Message
+	if !ok || db.Proto != wifi.ProtoDHCP || !DecodeMessageInto(&got, db.Header) || !reflect.DeepEqual(*m, got) {
+		t.Fatalf("frame round trip mismatch: %+v", got)
 	}
 	// Frame large enough to cost realistic airtime.
 	if f.Size() < 250 {
 		t.Fatalf("DHCP frame suspiciously small: %d bytes", f.Size())
-	}
-	// Non-DHCP frame returns nil.
-	other := &wifi.Frame{Type: wifi.TypeData, Body: &wifi.DataBody{Proto: wifi.ProtoTCP}}
-	if FromFrame(other) != nil {
-		t.Fatal("extracted DHCP from TCP frame")
 	}
 }
 
@@ -107,8 +109,8 @@ func TestServerDiscoverOfferRequestAck(t *testing.T) {
 	if len(sent) != 2 || sent[1].Op != Ack || sent[1].YourIP != offered {
 		t.Fatalf("expected ACK for %v, got %+v", offered, sent[1])
 	}
-	if s.ActiveLeases() != 1 {
-		t.Fatalf("leases = %d", s.ActiveLeases())
+	if b, ok := s.bindings[mac(1)]; len(s.bindings) != 1 || !ok || b.expires <= k.Now() {
+		t.Fatalf("bindings = %+v", s.bindings)
 	}
 }
 
@@ -228,7 +230,8 @@ func newLoop(t *testing.T, ccfg ClientConfig, scfg *ServerConfig) *loop {
 		scfg = &cfg
 	}
 	l.s = NewServer(k, *scfg, 7, send)
-	l.c = NewClient(k, ccfg, mac(1), l)
+	l.c = new(Client)
+	l.c.Init(k, ccfg, mac(1), l)
 	return l
 }
 
@@ -340,7 +343,7 @@ func TestClientAbortSilences(t *testing.T) {
 	if l.result != nil {
 		t.Fatalf("aborted attempt reported result: %+v", l.result)
 	}
-	if l.c.Busy() {
+	if l.c.sc.State == stateDiscovering || l.c.sc.State == stateRequesting {
 		t.Fatal("client busy after abort")
 	}
 }
@@ -443,7 +446,8 @@ func (clientHost) DHCPResult(Result) {}
 // finds that stream without allocating its name.
 func TestClientStreamNamedByMAC(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := NewClient(k, DefaultClientConfig(), mac(3), clientHost{})
+	c := new(Client)
+	c.Init(k, DefaultClientConfig(), mac(3), clientHost{})
 	if c.rng != k.RNG("dhcp.client."+mac(3).String()) {
 		t.Fatal("client does not draw the per-MAC stream")
 	}

@@ -8,9 +8,9 @@ import (
 	"spider/internal/wifi"
 )
 
-// FuzzParseMessage asserts DecodeMessage never panics on arbitrary
-// bytes and that any accepted message survives Encode→DecodeMessage
-// unchanged with a byte-stable encoding. DecodeMessage ignores bytes
+// FuzzParseMessage asserts DecodeMessageInto never panics on arbitrary
+// bytes and that any accepted message survives AppendEncode→decode
+// unchanged with a byte-stable encoding. DecodeMessageInto ignores bytes
 // past the fixed wire length, so the round trip compares structs.
 func FuzzParseMessage(f *testing.F) {
 	seeds := []*Message{
@@ -21,26 +21,25 @@ func FuzzParseMessage(f *testing.F) {
 		{Op: Nak, XID: 2, ClientMAC: wifi.NewAddr(2, 7)},
 	}
 	for _, m := range seeds {
-		f.Add(m.Encode())
+		f.Add(m.AppendEncode(nil))
 	}
-	f.Add([]byte{})                             // empty
-	f.Add(bytes.Repeat([]byte{0x01, 0x00}, 11)) // one short of encodedLen
-	f.Add(append(seeds[0].Encode(), 0xee))      // trailing garbage
+	f.Add([]byte{})                                 // empty
+	f.Add(bytes.Repeat([]byte{0x01, 0x00}, 11))     // one short of encodedLen
+	f.Add(append(seeds[0].AppendEncode(nil), 0xee)) // trailing garbage
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := DecodeMessage(b)
-		if err != nil {
+		var m, m2 Message
+		if !DecodeMessageInto(&m, b) {
 			return
 		}
-		enc := m.Encode()
-		m2, err := DecodeMessage(enc)
-		if err != nil {
-			t.Fatalf("re-decode of accepted message failed: %v\nmessage: %v\nencoding: %x", err, m, enc)
+		enc := m.AppendEncode(nil)
+		if !DecodeMessageInto(&m2, enc) {
+			t.Fatalf("re-decode of accepted message failed\nmessage: %v\nencoding: %x", m, enc)
 		}
 		if !reflect.DeepEqual(m, m2) {
 			t.Fatalf("round trip changed the message:\n first: %#v\nsecond: %#v", m, m2)
 		}
-		if enc2 := m2.Encode(); !bytes.Equal(enc, enc2) {
+		if enc2 := m2.AppendEncode(nil); !bytes.Equal(enc, enc2) {
 			t.Fatalf("encoding is not byte-stable:\n first: %x\nsecond: %x", enc, enc2)
 		}
 	})

@@ -13,7 +13,6 @@ package dhcp
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"spider/internal/wifi"
@@ -65,20 +64,12 @@ const encodedLen = 1 + 4 + 6 + 4 + 4 + 4
 
 // WireOverhead approximates UDP/IP/BOOTP framing not modeled explicitly,
 // so DHCP frames occupy realistic airtime (~300 bytes on real networks).
-// Exported so frame builders that pool their DataBody (the driver, the
-// AP) can set VirtualLen without going through Frame.
+// Frame builders (the driver, the AP) set it as their DataBody's
+// VirtualLen.
 const WireOverhead = 270
 
-// ErrBadMessage reports an undecodable DHCP payload.
-var ErrBadMessage = errors.New("dhcp: malformed message")
-
-// Encode serializes the message.
-func (m *Message) Encode() []byte {
-	return m.AppendEncode(make([]byte, 0, encodedLen))
-}
-
-// AppendEncode serializes the message into b — Encode without the
-// allocation when the caller owns a reusable buffer.
+// AppendEncode serializes the message into b, which the caller owns and
+// may reuse.
 func (m *Message) AppendEncode(b []byte) []byte {
 	b = append(b, byte(m.Op))
 	b = binary.BigEndian.AppendUint32(b, m.XID)
@@ -89,19 +80,10 @@ func (m *Message) AppendEncode(b []byte) []byte {
 	return b
 }
 
-// DecodeMessage parses a wire-format message.
-func DecodeMessage(b []byte) (*Message, error) {
-	m := &Message{}
-	if !DecodeMessageInto(m, b) {
-		return nil, ErrBadMessage
-	}
-	return m, nil
-}
-
 // DecodeMessageInto parses a wire-format message into a caller-owned
-// value, reporting success — DecodeMessage without the allocation.
-// Receivers that keep anything must copy; both state machines read the
-// message synchronously.
+// value, reporting success. Bytes past the fixed wire length are
+// ignored. Receivers that keep anything must copy; both state machines
+// read the message synchronously.
 func DecodeMessageInto(m *Message, b []byte) bool {
 	if len(b) < encodedLen {
 		return false
@@ -117,26 +99,4 @@ func DecodeMessageInto(m *Message, b []byte) bool {
 	m.ServerID = binary.BigEndian.Uint32(b[15:19])
 	m.LeaseSecs = binary.BigEndian.Uint32(b[19:23])
 	return true
-}
-
-// Frame wraps the message in a wifi data frame from sa to da.
-func (m *Message) Frame(sa, da, bssid wifi.Addr) *wifi.Frame {
-	return &wifi.Frame{
-		Type: wifi.TypeData, SA: sa, DA: da, BSSID: bssid,
-		Body: &wifi.DataBody{Proto: wifi.ProtoDHCP, Header: m.Encode(), VirtualLen: WireOverhead},
-	}
-}
-
-// FromFrame extracts a DHCP message from a data frame, or nil if the
-// frame does not carry one.
-func FromFrame(f *wifi.Frame) *Message {
-	db, ok := f.Body.(*wifi.DataBody)
-	if !ok || db.Proto != wifi.ProtoDHCP {
-		return nil
-	}
-	m, err := DecodeMessage(db.Header)
-	if err != nil {
-		return nil
-	}
-	return m
 }

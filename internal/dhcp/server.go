@@ -154,9 +154,6 @@ func NewServer(k *sim.Kernel, cfg ServerConfig, serverID uint32, send func(to wi
 // a server given no pool makes its own at its first response.
 func (s *Server) SetRespPool(p *sim.CarrierPool[Message]) { s.replies.SetPool(p) }
 
-// Config returns the effective configuration.
-func (s *Server) Config() ServerConfig { return s.cfg }
-
 // SetChaos installs (or replaces) injected misbehavior. rng must be a
 // stream owned by the caller — the fault injector passes a dedicated
 // per-server stream so chaos draws never share randomness with the
@@ -336,22 +333,4 @@ func (s *Server) lookupOrAllocate(mac wifi.Addr) (IP, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Revoke drops a client's binding — what a router reboot or an
-// administrative lease-database reset does to clients that believe they
-// still hold an address. Their next renewal gets NAKed if the address
-// has moved on.
-func (s *Server) Revoke(mac wifi.Addr) { delete(s.bindings, mac) }
-
-// ActiveLeases counts unexpired bindings.
-func (s *Server) ActiveLeases() int {
-	now := s.kernel.Now()
-	n := 0
-	for _, b := range s.bindings {
-		if b.expires > now {
-			n++
-		}
-	}
-	return n
 }

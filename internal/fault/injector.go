@@ -127,9 +127,6 @@ func NewInjector(k *sim.Kernel, cfg Config, seed int64) *Injector {
 	return in
 }
 
-// Config returns the injector's fault profile.
-func (in *Injector) Config() Config { return in.cfg }
-
 // AttachObs exports per-class injected/recovered counters and records
 // each fault episode as a trace span. The counters are read-closures
 // over the ledger the injector already keeps, so the fault hot path is

@@ -24,7 +24,7 @@ func blackholeRun(seed int64) (uint64, []string) {
 	// schedule.
 	var poll func()
 	poll = func() {
-		if l.Blackholed() {
+		if l.ExportState().Blackhole {
 			trace = append(trace, k.Now().String())
 		}
 		k.After(250*time.Millisecond, poll)
@@ -94,11 +94,11 @@ func TestTimelineBlackholeApplies(t *testing.T) {
 	in.ScheduleTimeline(tl)
 	check := func(at time.Duration, wantHole bool, wantLat time.Duration) {
 		k.At(at, func() {
-			if l.Blackholed() != wantHole {
-				t.Errorf("at %v: blackholed=%v, want %v", at, l.Blackholed(), wantHole)
+			if l.ExportState().Blackhole != wantHole {
+				t.Errorf("at %v: blackholed=%v, want %v", at, l.ExportState().Blackhole, wantHole)
 			}
-			if l.FaultLatency() != wantLat {
-				t.Errorf("at %v: fault latency %v, want %v", at, l.FaultLatency(), wantLat)
+			if l.ExportState().FaultLat != wantLat {
+				t.Errorf("at %v: fault latency %v, want %v", at, l.ExportState().FaultLat, wantLat)
 			}
 		})
 	}

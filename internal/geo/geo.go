@@ -77,9 +77,6 @@ func (r *Route) Length() float64 { return r.cum[len(r.cum)-1] }
 // vehicle looping over it never jumps.
 func (r *Route) closed() bool { return r.points[0] == r.points[len(r.points)-1] }
 
-// Points returns a copy of the route's waypoints.
-func (r *Route) Points() []Point { return append([]Point(nil), r.points...) }
-
 // PointAt returns the position at path distance d from the start.
 // Distances beyond the end clamp to the final point; negative clamp to
 // the start.

@@ -106,15 +106,6 @@ func TestPropertyRouteContinuity(t *testing.T) {
 	}
 }
 
-func TestRoutePointsReturnsCopy(t *testing.T) {
-	r := NewRoute(Point{0, 0}, Point{1, 0})
-	pts := r.Points()
-	pts[0] = Point{99, 99}
-	if r.PointAt(0) != (Point{0, 0}) {
-		t.Fatal("Points() exposed internal slice")
-	}
-}
-
 func TestStaticMobility(t *testing.T) {
 	s := Static{P: Point{5, 5}}
 	if s.PositionAt(time.Hour) != (Point{5, 5}) || s.Speed() != 0 {

@@ -173,9 +173,6 @@ func (ap *AP) Addr() wifi.Addr { return ap.radio.Addr() }
 // Channel returns the AP's channel.
 func (ap *AP) Channel() int { return ap.cfg.Channel }
 
-// SSID returns the AP's network name.
-func (ap *AP) SSID() string { return ap.cfg.SSID }
-
 // DHCPServer exposes the embedded DHCP server.
 func (ap *AP) DHCPServer() *dhcp.Server { return ap.dhcpd }
 
@@ -227,26 +224,6 @@ func (ap *AP) BeaconInterval() time.Duration { return ap.cfg.BeaconInterval }
 
 // SetUplinkHandler registers the wired-side sink for client data frames.
 func (ap *AP) SetUplinkHandler(h func(from wifi.Addr, db *wifi.DataBody)) { ap.uplink = h }
-
-// Associated reports whether the client is currently associated.
-func (ap *AP) Associated(client wifi.Addr) bool {
-	c, ok := ap.clients[client]
-	return ok && c.sc.Associated
-}
-
-// InPSM reports whether the associated client has announced power-save.
-func (ap *AP) InPSM(client wifi.Addr) bool {
-	c, ok := ap.clients[client]
-	return ok && c.sc.PSM
-}
-
-// BufferedFrames reports the client's PSM queue depth.
-func (ap *AP) BufferedFrames(client wifi.Addr) int {
-	if c, ok := ap.clients[client]; ok {
-		return len(c.buffer)
-	}
-	return 0
-}
 
 func (ap *AP) nextSeq() uint16 {
 	ap.sc.Seq++

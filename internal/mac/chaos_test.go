@@ -19,18 +19,18 @@ func TestAPCrashDropsStateAndSilencesRadio(t *testing.T) {
 	if c.assocRes == nil || !c.assocRes.Success {
 		t.Fatalf("client failed to associate: %+v", c.assocRes)
 	}
-	if !ap.Associated(c.radio.Addr()) {
+	if !entry(ap, c.radio.Addr()).sc.Associated {
 		t.Fatal("AP does not know the associated client")
 	}
 
 	ap.Crash()
-	if !ap.Down() || ap.Associated(c.radio.Addr()) {
-		t.Fatalf("crash left state behind: down=%v assoc=%v", ap.Down(), ap.Associated(c.radio.Addr()))
+	if !ap.Down() || entry(ap, c.radio.Addr()).sc.Associated {
+		t.Fatalf("crash left state behind: down=%v assoc=%v", ap.Down(), entry(ap, c.radio.Addr()).sc.Associated)
 	}
 	// Probes into a crashed AP go unanswered.
 	before := len(c.frames)
 	c.radio.Send(&wifi.Frame{Type: wifi.TypeProbeReq, SA: c.radio.Addr(),
-		DA: wifi.Broadcast, Seq: 1, Body: &wifi.ProbeReqBody{SSID: ap.SSID()}})
+		DA: wifi.Broadcast, Seq: 1, Body: &wifi.ProbeReqBody{SSID: ap.cfg.SSID}})
 	k.Run(k.Now() + time.Second)
 	if got := len(c.frames) - before; got != 0 {
 		t.Fatalf("crashed AP answered %d frames", got)
@@ -112,7 +112,7 @@ func TestBeaconMuteSuppressesBeaconsOnly(t *testing.T) {
 	// Still answers probes while muted.
 	before := len(c.frames)
 	c.radio.Send(&wifi.Frame{Type: wifi.TypeProbeReq, SA: c.radio.Addr(),
-		DA: wifi.Broadcast, Seq: 1, Body: &wifi.ProbeReqBody{SSID: ap.SSID()}})
+		DA: wifi.Broadcast, Seq: 1, Body: &wifi.ProbeReqBody{SSID: ap.cfg.SSID}})
 	k.Run(k.Now() + time.Second)
 	probeResp := false
 	for _, f := range c.frames[before:] {

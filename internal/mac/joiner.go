@@ -134,15 +134,9 @@ type joinerScalars struct {
 	Attempts, Successes, Failures uint64
 }
 
-// NewJoiner creates a join engine for one (client, AP) pair.
-func NewJoiner(k *sim.Kernel, cfg JoinConfig, self, bssid wifi.Addr, ssid string, host JoinHost) *Joiner {
-	j := new(Joiner)
-	j.Init(k, cfg, self, bssid, ssid, host)
-	return j
-}
-
-// Init sets up j in place as NewJoiner would, so an owner can embed the
-// joiner by value instead of allocating it separately.
+// Init sets up j in place as the join engine for one (client, AP) pair,
+// so an owner can embed the joiner by value instead of allocating it
+// separately.
 func (j *Joiner) Init(k *sim.Kernel, cfg JoinConfig, self, bssid wifi.Addr, ssid string, host JoinHost) {
 	if host == nil {
 		panic("mac: joiner needs a host")
@@ -167,7 +161,7 @@ func joinerStream(k *sim.Kernel, self, bssid wifi.Addr) *rand.Rand {
 }
 
 // ResetTarget re-points a recycled joiner at a new AP, restoring the
-// state a fresh NewJoiner would have. RNG streams are named per
+// state a freshly Init-ed joiner would have. RNG streams are named per
 // (client, BSSID) and persistent in the kernel, so a reused joiner draws
 // exactly the values a newly constructed one would.
 func (j *Joiner) ResetTarget(bssid wifi.Addr, ssid string) {
@@ -176,9 +170,6 @@ func (j *Joiner) ResetTarget(bssid wifi.Addr, ssid string) {
 	j.bssid, j.ssid = bssid, ssid
 	j.rng = joinerStream(j.kernel, j.self, bssid)
 }
-
-// Config returns the effective configuration.
-func (j *Joiner) Config() JoinConfig { return j.cfg }
 
 // SetPool points the joiner at the medium's frame pool: its auth and
 // assoc requests are drawn from it and recycled by the medium at
@@ -199,9 +190,6 @@ func (j *Joiner) SetTracer(tr *obs.Tracer) { j.tr = tr }
 // after Abort it must be false, or the owner leaked a timer.
 func (j *Joiner) TimerPending() bool { return j.timer.Pending() }
 
-// Stage returns the current join stage.
-func (j *Joiner) Stage() JoinStage { return j.sc.Stage }
-
 // Busy reports whether a join attempt is in flight.
 func (j *Joiner) Busy() bool { return j.sc.Stage == StageAuth || j.sc.Stage == StageAssoc }
 
@@ -221,10 +209,6 @@ func (j *Joiner) Abort() {
 	j.cancelTimer()
 	j.sc.Stage = StageIdle
 }
-
-// Reset returns the joiner to idle, e.g. after the AP goes out of range
-// post-association.
-func (j *Joiner) Reset() { j.Abort() }
 
 func (j *Joiner) cancelTimer() {
 	j.timer.Cancel()

@@ -32,15 +32,26 @@ func newTestClient(k *sim.Kernel, m *radio.Medium, addr wifi.Addr, pos geo.Point
 	c := &testClient{k: k, ap: ap.Addr()}
 	c.radio = m.NewRadio(addr, geo.Static{P: pos}, radio.ReceiverFunc(c.receive))
 	c.radio.SetChannel(ap.Channel())
-	c.joiner = NewJoiner(k, jcfg, addr, ap.Addr(), ap.SSID(), c)
-	c.dhcpc = dhcp.NewClient(k, dcfg, addr, c)
+	c.joiner = new(Joiner)
+	c.joiner.Init(k, jcfg, addr, ap.Addr(), ap.cfg.SSID, c)
+	c.dhcpc = new(dhcp.Client)
+	c.dhcpc.Init(k, dcfg, addr, c)
 	return c
+}
+
+// entry returns ap's association-table entry for addr (zero if absent).
+func entry(ap *AP, addr wifi.Addr) apClient {
+	if c := ap.clients[addr]; c != nil {
+		return *c
+	}
+	return apClient{}
 }
 
 func (c *testClient) SendJoinFrame(f *wifi.Frame) { c.radio.Send(f) }
 func (c *testClient) JoinResult(r AssocResult)    { c.assocRes = &r }
 func (c *testClient) SendDHCP(m *dhcp.Message) {
-	c.radio.Send(m.Frame(c.radio.Addr(), c.ap, c.ap))
+	c.radio.Send(&wifi.Frame{Type: wifi.TypeData, SA: c.radio.Addr(), DA: c.ap, BSSID: c.ap,
+		Body: &wifi.DataBody{Proto: wifi.ProtoDHCP, Header: m.AppendEncode(nil), VirtualLen: dhcp.WireOverhead}})
 }
 func (c *testClient) DHCPResult(r dhcp.Result) { c.dhcpRes = &r }
 
@@ -50,8 +61,9 @@ func (c *testClient) receive(f *wifi.Frame) {
 	if f.Type == wifi.TypeData {
 		if db, ok := f.Body.(*wifi.DataBody); ok {
 			if db.Proto == wifi.ProtoDHCP {
-				if m := dhcp.FromFrame(f); m != nil {
-					c.dhcpc.HandleMessage(m)
+				var m dhcp.Message
+				if dhcp.DecodeMessageInto(&m, db.Header) {
+					c.dhcpc.HandleMessage(&m)
 				}
 				return
 			}
@@ -128,11 +140,11 @@ func TestJoinerAssociates(t *testing.T) {
 	if c.assocRes == nil || !c.assocRes.Success {
 		t.Fatalf("association failed: %+v", c.assocRes)
 	}
-	if !ap.Associated(c.radio.Addr()) {
+	if !entry(ap, c.radio.Addr()).sc.Associated {
 		t.Fatal("AP does not consider client associated")
 	}
-	if c.joiner.Stage() != StageAssociated {
-		t.Fatalf("stage = %v", c.joiner.Stage())
+	if c.joiner.sc.Stage != StageAssociated {
+		t.Fatalf("stage = %v", c.joiner.sc.Stage)
 	}
 	// Two exchanges at 2ms AP delay plus airtime: well under 100ms.
 	if c.assocRes.Elapsed > 100*time.Millisecond {
@@ -213,8 +225,12 @@ func TestFullJoinWithDHCPOverAir(t *testing.T) {
 	if c.dhcpRes.IP == 0 {
 		t.Fatal("no IP assigned")
 	}
-	if ap.DHCPServer().ActiveLeases() != 1 {
-		t.Fatal("server lease not recorded")
+	st, err := ap.dhcpd.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Bindings) != 1 || st.Bindings[0].Expires <= k.Now() {
+		t.Fatalf("server lease not recorded: %+v", st.Bindings)
 	}
 }
 
@@ -247,7 +263,7 @@ func TestPSMBuffersAndPSPollFlushes(t *testing.T) {
 	// Enter PSM.
 	c.radio.Send(&wifi.Frame{Type: wifi.TypeNull, SA: me, DA: ap.Addr(), BSSID: ap.Addr(), PowerMgmt: true})
 	k.Run(k.Now() + 100*time.Millisecond)
-	if !ap.InPSM(me) {
+	if !entry(ap, me).sc.PSM {
 		t.Fatal("AP did not record PSM")
 	}
 	// Downlink while in PSM: buffered, not delivered.
@@ -261,8 +277,8 @@ func TestPSMBuffersAndPSPollFlushes(t *testing.T) {
 	if c.gotData != before {
 		t.Fatal("frames delivered despite PSM")
 	}
-	if ap.BufferedFrames(me) != 3 {
-		t.Fatalf("buffered %d, want 3", ap.BufferedFrames(me))
+	if len(entry(ap, me).buffer) != 3 {
+		t.Fatalf("buffered %d, want 3", len(entry(ap, me).buffer))
 	}
 	// PS-Poll drains.
 	c.radio.Send(&wifi.Frame{Type: wifi.TypePSPoll, SA: me, DA: ap.Addr(), BSSID: ap.Addr()})
@@ -270,10 +286,10 @@ func TestPSMBuffersAndPSPollFlushes(t *testing.T) {
 	if c.gotData != before+3 {
 		t.Fatalf("after PS-poll got %d frames, want %d", c.gotData, before+3)
 	}
-	if ap.BufferedFrames(me) != 0 {
+	if len(entry(ap, me).buffer) != 0 {
 		t.Fatal("buffer not drained")
 	}
-	if !ap.InPSM(me) {
+	if !entry(ap, me).sc.PSM {
 		t.Fatal("PS-poll should not clear PSM state")
 	}
 }
@@ -288,7 +304,7 @@ func TestPSMExitFlushes(t *testing.T) {
 	// Leave PSM.
 	c.radio.Send(&wifi.Frame{Type: wifi.TypeNull, SA: me, DA: ap.Addr(), BSSID: ap.Addr(), PowerMgmt: false})
 	k.Run(k.Now() + 200*time.Millisecond)
-	if ap.InPSM(me) {
+	if entry(ap, me).sc.PSM {
 		t.Fatal("PSM not cleared")
 	}
 	if c.gotData != 1 {
@@ -342,7 +358,7 @@ func TestDeauthClearsAssociation(t *testing.T) {
 	c.radio.Send(&wifi.Frame{Type: wifi.TypeDeauth, SA: me, DA: ap.Addr(), BSSID: ap.Addr(),
 		Body: &wifi.DeauthBody{Reason: 3}})
 	k.Run(k.Now() + 100*time.Millisecond)
-	if ap.Associated(me) {
+	if entry(ap, me).sc.Associated {
 		t.Fatal("still associated after deauth")
 	}
 	if ap.Deliver(me, &wifi.DataBody{Proto: wifi.ProtoPing}) {
@@ -441,7 +457,8 @@ func TestJoinerStreamFollowsTarget(t *testing.T) {
 	stream := func(bssid wifi.Addr) *rand.Rand {
 		return k.RNG("mac.joiner." + self.String() + bssid.String())
 	}
-	j := NewJoiner(k, DefaultJoinConfig(), self, apA, "a", joinerHost{})
+	j := new(Joiner)
+	j.Init(k, DefaultJoinConfig(), self, apA, "a", joinerHost{})
 	if j.rng != stream(apA) {
 		t.Fatal("new joiner does not draw the (client, BSSID) stream")
 	}
@@ -454,7 +471,8 @@ func TestJoinerStreamFollowsTarget(t *testing.T) {
 	if j.rng != stream(apA) {
 		t.Fatal("re-targeted joiner lost its first target's stream")
 	}
-	fresh := NewJoiner(sim.NewKernel(1), DefaultJoinConfig(), self, apA, "a", joinerHost{})
+	fresh := new(Joiner)
+	fresh.Init(sim.NewKernel(1), DefaultJoinConfig(), self, apA, "a", joinerHost{})
 	fresh.rng.Int63()
 	if a, b := j.rng.Int63(), fresh.rng.Int63(); a != b {
 		t.Fatalf("recycled joiner drew %d, a fresh one %d", a, b)

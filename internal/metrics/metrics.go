@@ -72,17 +72,6 @@ func (r *Recorder) Bins() []BinCount {
 	return out
 }
 
-// Window returns the recorded data extent rounded up to a whole bin —
-// the smallest window that covers every byte this recorder has seen.
-// Callers that measured "until the run ended" can pass it to the
-// window-taking methods instead of re-deriving the duration.
-func (r *Recorder) Window() time.Duration {
-	if r.sc.Total == 0 {
-		return 0
-	}
-	return (r.sc.MaxT/r.bin + 1) * r.bin
-}
-
 // numBins returns how many bins the window covers, counting a trailing
 // partial bin as a bin. The earlier `window / bin` truncation silently
 // dropped the final partial bin for windows that were not a multiple of

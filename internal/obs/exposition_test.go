@@ -13,7 +13,7 @@ func TestExpositionHostileHelp(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("evil_help_total", "line one\nline two with \\backslash\\")
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
 	out := buf.String()
@@ -36,7 +36,7 @@ func TestExpositionHostileNames(t *testing.T) {
 	r.Counter("", "empty name")
 	r.Histogram("bad name{x=\"1\"}", "injection attempt", 1, 2)
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
 	out := buf.String()
@@ -63,7 +63,7 @@ func TestExpositionNameCollisions(t *testing.T) {
 	r.Histogram("h", "histogram", 1)
 	r.Counter("h-count", "sanitizes onto h's _count series")
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
 	out := buf.String()
@@ -111,13 +111,13 @@ func TestEscapeLabelValue(t *testing.T) {
 // must fail with the offending line.
 func TestCheckExposition(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("c_total", "a counter").Add(3)
+	r.Counter("c_total", "a counter").v.Add(3)
 	r.Gauge("g", "a gauge").Set(-1.5)
 	h := r.Histogram("lat_seconds", "a histogram", 0.1, 1)
 	h.Observe(0.05)
 	h.Observe(5)
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
 	if err := CheckExposition(buf.Bytes()); err != nil {

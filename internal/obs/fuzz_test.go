@@ -25,7 +25,7 @@ func FuzzExposition(f *testing.F) {
 			parts = append(parts, "")
 		}
 		r := NewRegistry()
-		r.Counter(parts[0], help).Add(n)
+		r.Counter(parts[0], help).v.Add(n)
 		if parts[1] != parts[0] {
 			r.Gauge(parts[1], help).Set(v)
 		}
@@ -33,7 +33,7 @@ func FuzzExposition(f *testing.F) {
 			r.Histogram(parts[2], help, b1, b2).Observe(obs)
 		}
 		var buf bytes.Buffer
-		if err := r.WritePrometheus(&buf); err != nil {
+		if err := r.Snapshot().WritePrometheus(&buf); err != nil {
 			t.Fatalf("WritePrometheus: %v", err)
 		}
 		if err := CheckExposition(buf.Bytes()); err != nil {

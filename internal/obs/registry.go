@@ -44,13 +44,6 @@ func (c *Counter) Inc() {
 	}
 }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 {
 	if c == nil {
@@ -522,10 +515,4 @@ func exposedName(name string, kind Kind, taken map[string]bool) string {
 		}
 	}
 	return out
-}
-
-// WritePrometheus exports the registry's current state (a convenience
-// for the single-run path).
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	return r.Snapshot().WritePrometheus(w)
 }

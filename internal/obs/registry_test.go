@@ -10,7 +10,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("x_total", "help")
 	c.Inc()
-	c.Add(4)
+	c.v.Add(4)
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
@@ -30,7 +30,6 @@ func TestNilHandlesAreSafe(t *testing.T) {
 	var g *Gauge
 	var h *Histogram
 	c.Inc()
-	c.Add(3)
 	g.Set(1)
 	h.Observe(0.5)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
@@ -119,7 +118,7 @@ func TestKindMismatchPanics(t *testing.T) {
 func TestCounterFuncAddsToSnapshot(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("mixed_total", "")
-	c.Add(3)
+	c.v.Add(3)
 	v := uint64(7)
 	r.CounterFunc("mixed_total", "", func() float64 { return float64(v) })
 	s := r.Snapshot()
@@ -148,7 +147,7 @@ func TestSnapshotIsNameSorted(t *testing.T) {
 func TestMergeSnapshots(t *testing.T) {
 	mk := func(counter float64, gauge float64, obs ...float64) Snapshot {
 		r := NewRegistry()
-		r.Counter("c_total", "").Add(uint64(counter))
+		r.Counter("c_total", "").v.Add(uint64(counter))
 		r.Gauge("g", "").Set(gauge)
 		h := r.Histogram("h_seconds", "", 1, 2)
 		for _, v := range obs {
@@ -188,7 +187,7 @@ func TestMergeSnapshots(t *testing.T) {
 func TestMergeSnapshotsEqualNameKindTieBreak(t *testing.T) {
 	counterSnap := func(v uint64) Snapshot {
 		r := NewRegistry()
-		r.Counter("clash", "").Add(v)
+		r.Counter("clash", "").v.Add(v)
 		return r.Snapshot()
 	}
 	gaugeSnap := func(v float64) Snapshot {
@@ -218,7 +217,7 @@ func TestMergeSnapshotsEqualNameKindTieBreak(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("spider_switches_total", "Channel switches.").Add(2)
+	r.Counter("spider_switches_total", "Channel switches.").v.Add(2)
 	r.Gauge("sim_virtual_time_seconds", "Virtual clock.").Set(120.5)
 	h := r.Histogram("spider_join_seconds", "Join durations.", 0.1, 1)
 	h.Observe(0.05)
@@ -226,7 +225,7 @@ func TestWritePrometheus(t *testing.T) {
 	h.Observe(3)
 
 	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
+	if err := r.Snapshot().WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

@@ -180,16 +180,6 @@ func (t *Tracer) Complete(cat, name string, start time.Duration, args ...Arg) {
 	t.record(TraceEvent{Ts: t.sc.Base + start, Dur: dur, Ph: PhaseComplete, Cat: cat, Name: name, Args: args})
 }
 
-// Total returns how many events were recorded (including overwritten).
-func (t *Tracer) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.sc.Total
-}
-
 // Dropped returns how many events the ring overwrote.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {

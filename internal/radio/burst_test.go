@@ -14,10 +14,10 @@ func TestBurstLossDropsFrames(t *testing.T) {
 	k, m, a, b, _, cb := newPair(t, cfg, 50)
 
 	m.SetBurstLoss(6, 1)
-	if got := m.BurstLoss(6); got != 1 {
-		t.Fatalf("BurstLoss(6) = %v, want 1", got)
+	if got := m.burst[6]; got != 1 {
+		t.Fatalf("burst loss on 6 = %v, want 1", got)
 	}
-	if m.BurstLoss(11) != 0 {
+	if m.burst[11] != 0 {
 		t.Fatal("burst loss bled onto another channel")
 	}
 	for i := 0; i < 20; i++ {
@@ -29,7 +29,7 @@ func TestBurstLossDropsFrames(t *testing.T) {
 	}
 
 	m.SetBurstLoss(6, 0)
-	if m.BurstLoss(6) != 0 {
+	if m.burst[6] != 0 {
 		t.Fatal("clearing burst loss failed")
 	}
 	a.Send(dataFrame(a, b))

@@ -212,12 +212,12 @@ func TestMixedMobilesMatchLinearScan(t *testing.T) {
 func TestIndexedChannelBusyMatchesLinear(t *testing.T) {
 	kL, mL, radiosL, _ := buildScriptedWorld(true)
 	kI, mI, radiosI, _ := buildScriptedWorld(false)
-	// Sample ChannelBusyUntil mid-transmission on both.
+	// Sample channelBusyUntil mid-transmission on both.
 	var busyL, busyI []time.Duration
 	sample := func(k *sim.Kernel, m *Medium, out *[]time.Duration) func() {
 		return func() {
 			for _, ch := range []int{1, 6, 11} {
-				*out = append(*out, m.ChannelBusyUntil(ch))
+				*out = append(*out, channelBusyUntil(m, ch))
 			}
 		}
 	}
@@ -229,7 +229,7 @@ func TestIndexedChannelBusyMatchesLinear(t *testing.T) {
 	runScript(kI, radiosI)
 	for i := range busyL {
 		if busyL[i] != busyI[i] {
-			t.Fatalf("ChannelBusyUntil sample %d differs: linear=%v indexed=%v", i, busyL[i], busyI[i])
+			t.Fatalf("channel busy-until sample %d differs: linear=%v indexed=%v", i, busyL[i], busyI[i])
 		}
 	}
 }
@@ -397,12 +397,12 @@ func benchDenseDeployment(b *testing.B, frame func(tx, nearest *Radio) *wifi.Fra
 					geo.Point{X: rng.Float64() * 3000, Y: rng.Float64() * 3000},
 					ReceiverFunc(func(*wifi.Frame) {}))
 				r.SetChannel([]int{1, 6, 11}[i%3])
-				if r.Channel() == 6 && (nearest == nil || txPos.DistSq(r.Position()) < txPos.DistSq(nearest.Position())) {
+				if r.Channel() == 6 && (nearest == nil || txPos.DistSq(r.position()) < txPos.DistSq(nearest.position())) {
 					nearest = r
 				}
 			}
-			if txPos.DistSq(nearest.Position()) > cfg.Range*cfg.Range {
-				b.Fatalf("nearest channel-6 AP is %.0f m away, beyond range", txPos.Dist(nearest.Position()))
+			if txPos.DistSq(nearest.position()) > cfg.Range*cfg.Range {
+				b.Fatalf("nearest channel-6 AP is %.0f m away, beyond range", txPos.Dist(nearest.position()))
 			}
 			tx := m.NewStaticRadio(wifi.NewAddr(5, 1), txPos, ReceiverFunc(func(*wifi.Frame) {}))
 			tx.SetChannel(6)
@@ -456,7 +456,7 @@ func TestStaticGridMatchesBruteForce(t *testing.T) {
 				for ch := 1; ch <= 11; ch++ { // channels 2–5 and 7–10 stay empty
 					var want, wantRows, got []*Radio
 					for _, r := range m.radios {
-						c := ix.cellOf(r.Position())
+						c := ix.cellOf(r.position())
 						if r.channel == ch && c.cx >= lo.cx && c.cx <= hi.cx && c.cy >= lo.cy && c.cy <= hi.cy {
 							want = append(want, r)
 						}
@@ -464,7 +464,7 @@ func TestStaticGridMatchesBruteForce(t *testing.T) {
 					for y := lo.cy; y <= hi.cy; y++ {
 						for x := lo.cx; x <= hi.cx; x++ {
 							for _, r := range want {
-								if ix.cellOf(r.Position()) == (cellKey{x, y}) {
+								if ix.cellOf(r.position()) == (cellKey{x, y}) {
 									wantRows = append(wantRows, r)
 								}
 							}

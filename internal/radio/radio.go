@@ -234,9 +234,6 @@ func NewMedium(k *sim.Kernel, cfg Config) *Medium {
 // builders) draw from it; the medium recycles at transmit completion.
 func (m *Medium) Pool() *wifi.Pool { return m.pool }
 
-// Config returns the medium's effective configuration.
-func (m *Medium) Config() Config { return m.cfg }
-
 // Stats returns a snapshot of the medium counters.
 func (m *Medium) Stats() Stats { return m.stats }
 
@@ -256,9 +253,6 @@ func (m *Medium) SetBurstLoss(ch int, extra float64) {
 	}
 	m.burst[ch] = extra
 }
-
-// BurstLoss returns the active additive loss on a channel (0 if none).
-func (m *Medium) BurstLoss(ch int) float64 { return m.burst[ch] }
 
 // Kernel returns the simulation kernel the medium runs on.
 func (m *Medium) Kernel() *sim.Kernel { return m.kernel }
@@ -430,9 +424,6 @@ func (r *Radio) Addr() wifi.Addr { return r.addr }
 
 // Channel returns the tuned channel (0 = untuned).
 func (r *Radio) Channel() int { return r.channel }
-
-// Position returns the radio's current position.
-func (r *Radio) Position() geo.Point { return r.position() }
 
 // position is the one place the medium reads a radio's position: the
 // fixed position of a static radio; for a parked radio (declared speed
@@ -951,26 +942,4 @@ func (m *Medium) lossAt(d float64) float64 {
 	}
 	frac := (d - edge) / (m.cfg.Range - edge)
 	return m.cfg.Loss + (1-m.cfg.Loss)*frac
-}
-
-// ChannelBusyUntil reports when the channel frees up as observed by the
-// busiest station tuned to it (tests and metrics). A max over the
-// channel's registry when indexed, over every radio otherwise.
-func (m *Medium) ChannelBusyUntil(ch int) time.Duration {
-	var max time.Duration
-	busiest := func(rs []*Radio) {
-		for _, r := range rs {
-			if r.channel == ch && r.busyUntil > max {
-				max = r.busyUntil
-			}
-		}
-	}
-	if m.idx == nil {
-		busiest(m.radios)
-	} else if ci := m.idx.channel(ch); ci != nil {
-		busiest(ci.statics)
-		busiest(ci.binned)
-		busiest(ci.unbinned)
-	}
-	return max
 }

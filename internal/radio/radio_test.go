@@ -56,6 +56,28 @@ func newPair(t *testing.T, cfg Config, dist float64) (*sim.Kernel, *Medium, *Rad
 	return k, m, a, b, ca, cb
 }
 
+// channelBusyUntil reports when the channel frees up as observed by the
+// busiest station tuned to it: a max over the channel's registry when
+// indexed, over every radio otherwise.
+func channelBusyUntil(m *Medium, ch int) time.Duration {
+	var latest time.Duration
+	busiest := func(rs []*Radio) {
+		for _, r := range rs {
+			if r.channel == ch && r.busyUntil > latest {
+				latest = r.busyUntil
+			}
+		}
+	}
+	if m.idx == nil {
+		busiest(m.radios)
+	} else if ci := m.idx.channel(ch); ci != nil {
+		busiest(ci.statics)
+		busiest(ci.binned)
+		busiest(ci.unbinned)
+	}
+	return latest
+}
+
 func dataFrame(from, to *Radio) *wifi.Frame {
 	return &wifi.Frame{Type: wifi.TypeData, SA: from.Addr(), DA: to.Addr(),
 		Body: &wifi.DataBody{Proto: wifi.ProtoPing, VirtualLen: 100}}
@@ -322,7 +344,7 @@ func TestChannelAirtimeSerialization(t *testing.T) {
 	// Both frames must not complete at the same instant; the second waits
 	// for the first. Verify via the busy ledger exceeding one TxTime.
 	single := wifi.TxTime(f1)
-	if got := m.ChannelBusyUntil(6); got < 2*single-time.Microsecond {
+	if got := channelBusyUntil(m, 6); got < 2*single-time.Microsecond {
 		t.Fatalf("busyUntil %v, want ≥ 2×%v", got, single)
 	}
 }
@@ -343,7 +365,7 @@ func TestTransmissionsOnDifferentChannelsDoNotSerialize(t *testing.T) {
 	a2.Send(dataFrame(a2, b2))
 	k.Run(time.Second)
 	d1 := wifi.TxTime(dataFrame(a1, b1))
-	if m.ChannelBusyUntil(1) > d1+time.Microsecond || m.ChannelBusyUntil(11) > d1+time.Microsecond {
+	if channelBusyUntil(m, 1) > d1+time.Microsecond || channelBusyUntil(m, 11) > d1+time.Microsecond {
 		t.Fatal("orthogonal channels serialized against each other")
 	}
 	if len(c1.frames) != 1 || len(c2.frames) != 1 {
@@ -582,7 +604,7 @@ func TestHiddenCollisionSurvivesUnrelatedTraffic(t *testing.T) {
 		d.SetChannel(1)
 		short := &wifi.Frame{Type: wifi.TypeData, SA: c.Addr(), DA: wifi.Broadcast,
 			Body: &wifi.DataBody{Proto: wifi.ProtoPing}}
-		if dur := wifi.TxTimeRate(short, m.Config().DataRateKbps); dur >= 600*time.Microsecond {
+		if dur := wifi.TxTimeRate(short, m.cfg.DataRateKbps); dur >= 600*time.Microsecond {
 			t.Fatalf("short broadcast takes %v; it must end before the far transmission", dur)
 		}
 		a.Send(&wifi.Frame{Type: wifi.TypeData, SA: a.Addr(), DA: b.Addr(),
@@ -628,9 +650,9 @@ func TestParkedRadioSamplesOnce(t *testing.T) {
 	}, 0}, &calls}, &collector{})
 	r.SetChannel(6)
 	k.Run(500 * time.Millisecond)
-	first := r.Position()
+	first := r.position()
 	k.Run(3 * time.Second)
-	if p := r.Position(); p != first || calls != 1 {
+	if p := r.position(); p != first || calls != 1 {
 		t.Fatalf("parked radio at 3 s reports %v after %d samples, want its first sample %v and one", p, calls, first)
 	}
 }
@@ -651,7 +673,7 @@ func TestPositionMemoizedPerInstant(t *testing.T) {
 		return geo.Point{X: 10}
 	}, 1e6}, &calls}, &collector{})
 	for i := 0; i < 2; i++ {
-		if p := r.Position(); p.X != 10 {
+		if p := r.position(); p.X != 10 {
 			t.Fatalf("read %d at t=0: %v, want x=10", i, p)
 		}
 	}
@@ -660,7 +682,7 @@ func TestPositionMemoizedPerInstant(t *testing.T) {
 	}
 	k.Run(time.Millisecond)
 	for i := 0; i < 2; i++ {
-		if p := r.Position(); p.X != 1000 {
+		if p := r.position(); p.X != 1000 {
 			t.Fatalf("read %d at t=1ms: %v, want x=1000", i, p)
 		}
 	}

@@ -15,7 +15,7 @@ import (
 // so a new per-client allocation shows up here.
 const (
 	addClientAllocs     = 15
-	migrationTripAllocs = 24
+	migrationTripAllocs = 22
 )
 
 // Adding a client allocates the client with its recorder and flow map,

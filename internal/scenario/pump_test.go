@@ -56,7 +56,7 @@ func pumpWorld() (*World, *mac.AP, *[]heard) {
 // associate hands the AP an association request from pumpSTA.
 func associate(ap *mac.AP) {
 	ap.RadioReceive(&wifi.Frame{Type: wifi.TypeAssocReq, SA: pumpSTA, DA: ap.Addr(), BSSID: ap.Addr(),
-		Body: &wifi.AssocReqBody{SSID: ap.SSID()}})
+		Body: &wifi.AssocReqBody{SSID: "open"}}) // the SSID pumpWorld's AP gets by default
 }
 
 // downlink queues n wired-side frames for pumpSTA.

@@ -33,7 +33,7 @@ func worldSignature(w *World) string {
 	for _, c := range w.Clients {
 		s += fmt.Sprintf("\n%s stats=%+v tcp=%+v joins=%v assocs=%d rec=%+v flows=%d inv=%d",
 			c.Addr(), c.Stats(), c.TCPStats(), c.Joins, len(c.Assocs),
-			c.Rec.ExportState(), c.ActiveFlows(), c.InvariantsTotal())
+			c.Rec.ExportState(), len(c.conns), c.InvariantsTotal())
 	}
 	for _, n := range w.APs {
 		s += fmt.Sprintf("\nap=%s link=%+v", n.AP.Addr(), n.Link.ExportState())

@@ -25,8 +25,8 @@ func TestStaticClientDownloadsThroughOneAP(t *testing.T) {
 	if c.Driver.ConnectedCount() != 1 {
 		t.Fatalf("not connected: %+v", c.Driver.Stats())
 	}
-	if c.ActiveFlows() != 1 {
-		t.Fatalf("flows = %d", c.ActiveFlows())
+	if len(c.conns) != 1 {
+		t.Fatalf("flows = %d", len(c.conns))
 	}
 	kbps := c.Rec.ThroughputKBps(30*time.Second) * 8
 	// 2 Mbps backhaul minus join time and air overhead: expect >1 Mbps.
@@ -76,8 +76,8 @@ func TestFlowDiesWithAssociation(t *testing.T) {
 	mob := &geo.RouteMobility{Route: geo.StraightRoad(5000), SpeedMS: 15}
 	c := w.AddClient(cfg, mob)
 	w.Run(120 * time.Second)
-	if c.ActiveFlows() != 0 {
-		t.Fatalf("flow still open after leaving range: %d", c.ActiveFlows())
+	if len(c.conns) != 0 {
+		t.Fatalf("flow still open after leaving range: %d", len(c.conns))
 	}
 	if c.Rec.TotalBytes() == 0 {
 		t.Fatal("no bytes transferred during the pass")

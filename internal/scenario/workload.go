@@ -138,7 +138,7 @@ func (c *Client) newSender(cn *conn, size int64, onDone func()) *tcpsim.Sender {
 // downlinkSender builds flow flowID's sender, transmitting down node's
 // backhaul link; a checkpoint restore rebuilds senders here too.
 func (c *Client) downlinkSender(node *APNode, flowID uint32, size int64, onDone func()) *tcpsim.Sender {
-	s := tcpsim.NewSender(c.World.Kernel, tcpsim.Config{}, flowID, size, func(seg *tcpsim.Segment) {
+	s := tcpsim.NewSender(c.World.Kernel, flowID, size, func(seg *tcpsim.Segment) {
 		// The segment stays alive across the backhaul delay; Arrive
 		// encodes it at the AP and recycles it into the world's pool.
 		c.carry(node, seg, segDown)

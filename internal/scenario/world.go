@@ -482,9 +482,6 @@ func (c *Client) Downlink(bssid wifi.Addr, db *wifi.DataBody) {
 	c.Driver.Uplink(bssid, c.bodyFor(ack))
 }
 
-// ActiveFlows reports how many downloads are currently open.
-func (c *Client) ActiveFlows() int { return len(c.conns) }
-
 // SuccessfulJoins filters the join log.
 func (c *Client) SuccessfulJoins() []JoinEvent {
 	var out []JoinEvent

@@ -9,7 +9,7 @@ import (
 
 // The calendar front-end must be observationally identical to the
 // retained heap-only scheduler: same fire order (the (at, seq) total
-// order), same clock, same Len and NextAt at every step. These tests
+// order), same clock, same Len and next event time at every step. These tests
 // drive both schedulers through identical schedules — including the
 // adversarial shape the calendar exists for, bursts of events at the
 // same timestamp — and require exact agreement.
@@ -18,7 +18,7 @@ import (
 // the same operations and compares their observable behaviour. Between
 // them its operations reach every scheduling entry point the sharded
 // city calls: At and After (also nested, from callbacks), Cancel,
-// Pending, State, Run over successive horizons, NextAt, Len, Fired,
+// Pending, State, Run over successive horizons, nextAt, Len, Fired,
 // NextSeq, and a checkpoint resume through BeginRestore and EventState.Restore.
 type kernelPair struct {
 	t        testing.TB
@@ -114,10 +114,10 @@ func (p *kernelPair) check() {
 	if c, r := p.cal.Len(), p.ref.Len(); c != r {
 		p.t.Fatalf("Len: calendar %d, heap %d", c, r)
 	}
-	ca, cok := p.cal.NextAt()
-	ra, rok := p.ref.NextAt()
+	ca, cok := nextAt(p.cal)
+	ra, rok := nextAt(p.ref)
 	if ca != ra || cok != rok {
-		p.t.Fatalf("NextAt: calendar (%v,%v), heap (%v,%v)", ca, cok, ra, rok)
+		p.t.Fatalf("nextAt: calendar (%v,%v), heap (%v,%v)", ca, cok, ra, rok)
 	}
 	if p.cal.Fired() != p.ref.Fired() {
 		p.t.Fatalf("Fired: calendar %d, heap %d", p.cal.Fired(), p.ref.Fired())
@@ -309,7 +309,7 @@ func TestCalendarRestore(t *testing.T) {
 // schedulers: every byte pair is an op (schedule with some delta —
 // zero deltas build same-timestamp bursts — cancel, advance, or resume
 // from a checkpoint) and the two kernels must agree on fire order,
-// clock, Len, NextAt and every handle's state throughout. Corpus seeds
+// clock, Len, nextAt and every handle's state throughout. Corpus seeds
 // cover the storm shape.
 func FuzzKernelOrdering(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 9, 255})          // t=0 burst then drain

@@ -147,19 +147,29 @@ func TestHorizonCancelAfterFire(t *testing.T) {
 	}
 }
 
-// TestNextAt pins the lookahead accessor.
+// nextAt reports the virtual time of the earliest queued event, without
+// disturbing dispatch order; ok is false when the queue is empty.
+func nextAt(k *Kernel) (at time.Duration, ok bool) {
+	idx, ok := k.next()
+	if !ok {
+		return 0, false
+	}
+	return k.slots[idx].at, true
+}
+
+// TestNextAt pins the kernel's lookahead.
 func TestNextAt(t *testing.T) {
 	k := NewKernel(1)
-	if _, ok := k.NextAt(); ok {
-		t.Fatal("NextAt on an empty queue reported ok")
+	if _, ok := nextAt(k); ok {
+		t.Fatal("nextAt on an empty queue reported ok")
 	}
 	k.At(3*time.Second, func() {})
 	ev := k.At(time.Second, func() {})
-	if at, ok := k.NextAt(); !ok || at != time.Second {
-		t.Fatalf("NextAt = %v,%v; want 1s,true", at, ok)
+	if at, ok := nextAt(k); !ok || at != time.Second {
+		t.Fatalf("nextAt = %v,%v; want 1s,true", at, ok)
 	}
 	ev.Cancel()
-	if at, ok := k.NextAt(); !ok || at != 3*time.Second {
-		t.Fatalf("NextAt after cancel = %v,%v; want 3s,true", at, ok)
+	if at, ok := nextAt(k); !ok || at != 3*time.Second {
+		t.Fatalf("nextAt after cancel = %v,%v; want 3s,true", at, ok)
 	}
 }

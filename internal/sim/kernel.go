@@ -77,9 +77,6 @@ type Event struct {
 	gen uint32
 }
 
-// At reports the virtual time the event was scheduled for.
-func (e Event) At() time.Duration { return e.at }
-
 // live reports whether the handle still refers to a queued event.
 func (e Event) live() bool {
 	return e.k != nil && int(e.idx) < len(e.k.slots) &&
@@ -214,9 +211,6 @@ func (k *Kernel) Seed() int64 { return k.seed }
 
 // Fired returns the number of events executed so far.
 func (k *Kernel) Fired() uint64 { return k.fired }
-
-// NumStreams reports how many named RNG streams exist (drawn or not).
-func (k *Kernel) NumStreams() int { return len(k.rngs) }
 
 // streamSeed derives the seed for the named RNG stream by mixing the
 // kernel seed with an FNV-1a hash of the name.
@@ -479,18 +473,6 @@ func (k *Kernel) next() (int32, bool) {
 		return hi, true
 	}
 	return ri, true
-}
-
-// NextAt reports the virtual time of the earliest queued event, without
-// disturbing dispatch order. ok is false when the queue is empty. The
-// calendar-versus-heap tests compare it at every step, as one more view
-// of the queue the two schedulers must agree on.
-func (k *Kernel) NextAt() (at time.Duration, ok bool) {
-	idx, ok := k.next()
-	if !ok {
-		return 0, false
-	}
-	return k.slots[idx].at, true
 }
 
 // Len reports the number of queued events.

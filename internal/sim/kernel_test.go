@@ -381,8 +381,8 @@ func TestZeroEventIsInert(t *testing.T) {
 	if e.Cancel() {
 		t.Fatal("zero Event cancelled something")
 	}
-	if e.At() != 0 {
-		t.Fatalf("zero Event At() = %v", e.At())
+	if e.at != 0 {
+		t.Fatalf("zero Event at = %v", e.at)
 	}
 }
 

@@ -137,8 +137,8 @@ func TestRNGStreamsRoundTrip(t *testing.T) {
 		}
 	}
 	k.RNG("never")
-	if n := k.NumStreams(); n != 4 {
-		t.Fatalf("NumStreams = %d, want 4", n)
+	if n := len(k.rngs); n != 4 {
+		t.Fatalf("%d streams, want 4", n)
 	}
 	pos := k.ExportRNGs()
 	if len(pos) != 3 || pos[0].Name != "a" || pos[1].Name != "b.client.1" || pos[2].Name != "c" {

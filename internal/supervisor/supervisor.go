@@ -439,16 +439,3 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return fmt.Errorf("supervisor: drain deadline passed with runs in flight: %w", ctx.Err())
 	}
 }
-
-// Wait blocks until the campaign's runner goroutine has exited —
-// a test convenience.
-func (s *Server) Wait(id string) bool {
-	s.mu.Lock()
-	c := s.campaigns[id]
-	s.mu.Unlock()
-	if c == nil {
-		return false
-	}
-	<-c.donech
-	return true
-}

@@ -256,7 +256,7 @@ func TestKillRestartResume(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer s2.Shutdown(context.Background())
-	if !s2.Wait(id) {
+	if !wait(s2, id) {
 		t.Fatalf("campaign %s not adopted on restart", id)
 	}
 	cs, _ := s2.Status(id)
@@ -296,7 +296,7 @@ func TestConcurrentCampaignsDeterminism(t *testing.T) {
 		}
 	}
 	for i, id := range ids {
-		s.Wait(id)
+		wait(s, id)
 		cs, _ := s.Status(id)
 		if cs.Status != StatusDone {
 			t.Fatalf("campaign %d ended %s (%s)", i, cs.Status, cs.Error)
@@ -328,7 +328,7 @@ func TestCancelAndArchiveGating(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("cancel: HTTP %d %v", code, out)
 	}
-	s.Wait(id)
+	wait(s, id)
 	cs, _ := s.Status(id)
 	switch cs.Status {
 	case StatusCancelled:
@@ -451,7 +451,7 @@ func TestStaggeredCampaignMatchesCLI(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	s.Wait(id)
+	wait(s, id)
 	got, status, _ := s.ArchiveBytes(id)
 	if status != StatusDone {
 		t.Fatalf("campaign ended %s", status)
@@ -491,7 +491,7 @@ func TestLegacyStaggeredRecordResumes(t *testing.T) {
 		t.Fatalf("reopen legacy store: %v", err)
 	}
 	defer s.Shutdown(context.Background())
-	if !s.Wait("c000001") {
+	if !wait(s, "c000001") {
 		t.Fatal("legacy campaign not adopted")
 	}
 	got, status, _ := s.ArchiveBytes("c000001")
@@ -502,4 +502,17 @@ func TestLegacyStaggeredRecordResumes(t *testing.T) {
 	if sum := fmt.Sprintf("%x", sha256.Sum256(got)); sum != "dbaf40cac69da244e725198f09ca67bd7f6972b9a9d4ea006a57ef2a8ffcec6e" {
 		t.Fatalf("legacy archive sha256 %s", sum)
 	}
+}
+
+// wait blocks until the campaign's runner goroutine has exited; false
+// if the server holds no such campaign.
+func wait(s *Server, id string) bool {
+	s.mu.Lock()
+	c := s.campaigns[id]
+	s.mu.Unlock()
+	if c == nil {
+		return false
+	}
+	<-c.donech
+	return true
 }

@@ -13,10 +13,8 @@ package tcpsim
 
 import (
 	"encoding/binary"
-	"errors"
 
 	"spider/internal/slab"
-	"spider/internal/wifi"
 )
 
 // Segment is one TCP segment (flow-level: no ports, flows carry IDs).
@@ -77,16 +75,8 @@ const segHeaderLen = 4 + 8 + 8 + 2 + 1
 // ackWireSize approximates a TCP ACK on the wire (TCP/IP headers).
 const ackWireSize = 40
 
-// ErrBadSegment reports an undecodable segment header.
-var ErrBadSegment = errors.New("tcpsim: malformed segment")
-
-// Encode serializes the segment header.
-func (s *Segment) Encode() []byte {
-	return s.AppendEncode(make([]byte, 0, segHeaderLen))
-}
-
-// AppendEncode serializes the segment header into b — Encode without
-// the allocation when the caller owns a reusable buffer.
+// AppendEncode serializes the segment header into b, which the caller
+// owns and may reuse.
 func (s *Segment) AppendEncode(b []byte) []byte {
 	b = binary.BigEndian.AppendUint32(b, s.FlowID)
 	b = binary.BigEndian.AppendUint64(b, s.Seq)
@@ -102,17 +92,8 @@ func (s *Segment) AppendEncode(b []byte) []byte {
 	return append(b, flags)
 }
 
-// DecodeSegment parses a segment header.
-func DecodeSegment(b []byte) (*Segment, error) {
-	s := &Segment{}
-	if !DecodeSegmentInto(s, b) {
-		return nil, ErrBadSegment
-	}
-	return s, nil
-}
-
 // DecodeSegmentInto parses a segment header into a caller-owned
-// segment, reporting success — DecodeSegment without the allocation.
+// segment, reporting success. Bytes past the header are ignored.
 func DecodeSegmentInto(s *Segment, b []byte) bool {
 	if len(b) < segHeaderLen {
 		return false
@@ -137,29 +118,4 @@ func (s *Segment) WireSize() int {
 		return ackWireSize
 	}
 	return segHeaderLen + 20 + s.Len // header codec + IP-ish overhead + payload
-}
-
-// Frame wraps the segment in a wifi data frame.
-func (s *Segment) Frame(sa, da, bssid wifi.Addr) *wifi.Frame {
-	virt := 0
-	if !s.IsAck {
-		virt = s.Len + 20
-	}
-	return &wifi.Frame{
-		Type: wifi.TypeData, SA: sa, DA: da, BSSID: bssid,
-		Body: &wifi.DataBody{Proto: wifi.ProtoTCP, Header: s.Encode(), VirtualLen: uint16(virt)},
-	}
-}
-
-// FromFrame extracts a segment from a data frame, or nil if absent.
-func FromFrame(f *wifi.Frame) *Segment {
-	db, ok := f.Body.(*wifi.DataBody)
-	if !ok || db.Proto != wifi.ProtoTCP {
-		return nil
-	}
-	s, err := DecodeSegment(db.Header)
-	if err != nil {
-		return nil
-	}
-	return s
 }

@@ -6,55 +6,16 @@ import (
 	"spider/internal/sim"
 )
 
-// Config holds the sender's TCP parameters.
-type Config struct {
-	MSS          int           // payload bytes per segment
-	InitCwnd     int           // initial congestion window, segments
-	MaxCwnd      int           // window clamp, segments
-	RTOMin       time.Duration // Linux-style 200 ms floor
-	RTOMax       time.Duration // back-off ceiling
-	InitialRTO   time.Duration // before the first RTT sample
-	DupAckThresh int
-}
-
-// DefaultConfig returns standards-shaped TCP parameters.
-func DefaultConfig() Config {
-	return Config{
-		MSS:          1448,
-		InitCwnd:     2,
-		MaxCwnd:      64,
-		RTOMin:       200 * time.Millisecond,
-		RTOMax:       60 * time.Second,
-		InitialRTO:   time.Second,
-		DupAckThresh: 3,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.MSS <= 0 {
-		c.MSS = d.MSS
-	}
-	if c.InitCwnd <= 0 {
-		c.InitCwnd = d.InitCwnd
-	}
-	if c.MaxCwnd <= 0 {
-		c.MaxCwnd = d.MaxCwnd
-	}
-	if c.RTOMin <= 0 {
-		c.RTOMin = d.RTOMin
-	}
-	if c.RTOMax <= 0 {
-		c.RTOMax = d.RTOMax
-	}
-	if c.InitialRTO <= 0 {
-		c.InitialRTO = d.InitialRTO
-	}
-	if c.DupAckThresh <= 0 {
-		c.DupAckThresh = d.DupAckThresh
-	}
-	return c
-}
+// The sender's TCP parameters, standards-shaped.
+const (
+	mss          = 1448                   // payload bytes per segment
+	initCwnd     = 2                      // initial congestion window, segments
+	maxCwnd      = 64                     // window clamp, segments
+	rtoMin       = 200 * time.Millisecond // Linux-style floor
+	rtoMax       = 60 * time.Second       // back-off ceiling
+	initialRTO   = time.Second            // before the first RTT sample
+	dupAckThresh = 3
+)
 
 // unacked is one outstanding segment; a checkpoint stores the list
 // as it is.
@@ -70,7 +31,6 @@ type unacked struct {
 // (through backhaul, AP, and air); ACKs return via HandleAck.
 type Sender struct {
 	kernel   *sim.Kernel
-	cfg      Config
 	flowID   uint32
 	transmit func(*Segment)
 
@@ -137,19 +97,17 @@ func (t Stats) Add(o Stats) Stats {
 // NewSender creates a sender for one flow. size is the bytes to send
 // (-1 for an unbounded bulk download). onDone (optional) fires when a
 // finite flow is fully acknowledged.
-func NewSender(k *sim.Kernel, cfg Config, flowID uint32, size int64, transmit func(*Segment), onDone func()) *Sender {
+func NewSender(k *sim.Kernel, flowID uint32, size int64, transmit func(*Segment), onDone func()) *Sender {
 	if transmit == nil {
 		panic("tcpsim: sender needs transmit")
 	}
-	c := cfg.withDefaults()
-	s := &Sender{
-		kernel: k, cfg: c, flowID: flowID, transmit: transmit, onDone: onDone,
+	return &Sender{
+		kernel: k, flowID: flowID, transmit: transmit, onDone: onDone,
 		sc: senderScalars{
-			Remaining: size, Cwnd: float64(c.InitCwnd), Ssthresh: float64(c.MaxCwnd),
-			RTO: c.InitialRTO,
+			Remaining: size, Cwnd: initCwnd, Ssthresh: maxCwnd,
+			RTO: initialRTO,
 		},
 	}
-	return s
 }
 
 // SetSegPool points the sender at a segment free list. Segments handed
@@ -169,23 +127,8 @@ func (s *Sender) Stats() Stats {
 	return s.sc.Stats
 }
 
-// Config returns the effective configuration.
-func (s *Sender) Config() Config { return s.cfg }
-
-// Cwnd returns the current congestion window in segments.
-func (s *Sender) Cwnd() float64 { return s.sc.Cwnd }
-
-// RTO returns the current retransmission timeout.
-func (s *Sender) RTO() time.Duration { return s.sc.RTO }
-
-// SRTT returns the smoothed RTT estimate (0 before the first sample).
-func (s *Sender) SRTT() time.Duration { return s.sc.SRTT }
-
 // Done reports whether a finite flow has been fully acknowledged.
 func (s *Sender) Done() bool { return s.sc.Closed }
-
-// NextSeq returns the next byte to be sent.
-func (s *Sender) NextSeq() uint64 { return s.sc.NextSeq }
 
 // Start begins transmission.
 func (s *Sender) Start() { s.pump() }
@@ -203,7 +146,7 @@ func (s *Sender) pump() {
 		return
 	}
 	for float64(len(s.inflight)) < s.sc.Cwnd && s.sc.Remaining != 0 {
-		l := s.cfg.MSS
+		l := mss
 		if s.sc.Remaining > 0 && int64(l) > s.sc.Remaining {
 			l = int(s.sc.Remaining)
 		}
@@ -253,8 +196,8 @@ func (s *Sender) onRTO() {
 	s.sc.Cwnd = 1
 	s.sc.Backoff++
 	s.sc.RTO *= 2
-	if s.sc.RTO > s.cfg.RTOMax {
-		s.sc.RTO = s.cfg.RTOMax
+	if s.sc.RTO > rtoMax {
+		s.sc.RTO = rtoMax
 	}
 	s.sc.DupAcks = 0
 	s.sc.InRecovery = false
@@ -329,14 +272,14 @@ func (s *Sender) HandleAck(seg *Segment) {
 			}
 		}
 		// Congestion control.
-		segsAcked := float64(newly) / float64(s.cfg.MSS)
+		segsAcked := float64(newly) / float64(mss)
 		if s.sc.Cwnd < s.sc.Ssthresh {
 			s.sc.Cwnd += segsAcked // slow start
 		} else {
 			s.sc.Cwnd += segsAcked / s.sc.Cwnd // congestion avoidance
 		}
-		if s.sc.Cwnd > float64(s.cfg.MaxCwnd) {
-			s.sc.Cwnd = float64(s.cfg.MaxCwnd)
+		if s.sc.Cwnd > maxCwnd {
+			s.sc.Cwnd = maxCwnd
 		}
 		if s.sc.Remaining == 0 && len(s.inflight) == 0 {
 			s.Stop()
@@ -351,7 +294,7 @@ func (s *Sender) HandleAck(seg *Segment) {
 	// Duplicate ACK.
 	if ack == s.sc.LastAck || ack == s.sc.SndUna {
 		s.sc.DupAcks++
-		if s.sc.DupAcks == s.cfg.DupAckThresh && len(s.inflight) > 0 && !s.sc.InRecovery {
+		if s.sc.DupAcks == dupAckThresh && len(s.inflight) > 0 && !s.sc.InRecovery {
 			s.sc.FastRetx++
 			s.sc.Ssthresh = s.sc.Cwnd / 2
 			if s.sc.Ssthresh < 2 {
@@ -384,11 +327,11 @@ func (s *Sender) sampleRTT(rtt time.Duration) {
 		s.sc.SRTT = (7*s.sc.SRTT + rtt) / 8
 	}
 	s.sc.RTO = s.sc.SRTT + 4*s.sc.RTTVar
-	if s.sc.RTO < s.cfg.RTOMin {
-		s.sc.RTO = s.cfg.RTOMin
+	if s.sc.RTO < rtoMin {
+		s.sc.RTO = rtoMin
 	}
-	if s.sc.RTO > s.cfg.RTOMax {
-		s.sc.RTO = s.cfg.RTOMax
+	if s.sc.RTO > rtoMax {
+		s.sc.RTO = rtoMax
 	}
 }
 
@@ -471,9 +414,6 @@ func (r *Receiver) insert(n segRange) {
 	}
 	r.ooo = merged
 }
-
-// NextExpected returns the receiver's cumulative position.
-func (r *Receiver) NextExpected() uint64 { return r.sc.RcvNxt }
 
 // Delivered returns the in-order bytes handed to the application.
 func (r *Receiver) Delivered() uint64 { return r.sc.Delivered }

@@ -9,15 +9,16 @@ import (
 
 	"spider/internal/backhaul"
 	"spider/internal/sim"
+	"spider/internal/wifi"
 )
 
 func TestSegmentRoundTrip(t *testing.T) {
 	in := &Segment{FlowID: 7, Seq: 1 << 40, Ack: 12345, Len: 1448, IsAck: false, Retx: true}
-	out, err := DecodeSegment(in.Encode())
-	if err != nil {
-		t.Fatal(err)
+	var out Segment
+	if !DecodeSegmentInto(&out, in.AppendEncode(nil)) {
+		t.Fatal("decode failed")
 	}
-	if !reflect.DeepEqual(in, out) {
+	if !reflect.DeepEqual(*in, out) {
 		t.Fatalf("mismatch: %+v vs %+v", in, out)
 	}
 }
@@ -25,8 +26,8 @@ func TestSegmentRoundTrip(t *testing.T) {
 func TestPropertySegmentRoundTrip(t *testing.T) {
 	f := func(id uint32, seq, ack uint64, l uint16, isAck, retx bool) bool {
 		in := &Segment{FlowID: id, Seq: seq, Ack: ack, Len: int(l), IsAck: isAck, Retx: retx}
-		out, err := DecodeSegment(in.Encode())
-		return err == nil && reflect.DeepEqual(in, out)
+		var out Segment
+		return DecodeSegmentInto(&out, in.AppendEncode(nil)) && reflect.DeepEqual(*in, out)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -34,7 +35,7 @@ func TestPropertySegmentRoundTrip(t *testing.T) {
 }
 
 func TestDecodeSegmentShort(t *testing.T) {
-	if _, err := DecodeSegment([]byte{1, 2}); err != ErrBadSegment {
+	if DecodeSegmentInto(&Segment{}, []byte{1, 2}) {
 		t.Fatal("short segment decoded")
 	}
 }
@@ -52,9 +53,17 @@ func TestWireSize(t *testing.T) {
 
 func TestSegmentFrameRoundTrip(t *testing.T) {
 	s := &Segment{FlowID: 3, Seq: 100, Len: 500}
-	f := s.Frame([6]byte{1}, [6]byte{2}, [6]byte{2})
-	got := FromFrame(f)
-	if got == nil || !reflect.DeepEqual(s, got) {
+	f := &wifi.Frame{
+		Type: wifi.TypeData, SA: wifi.Addr{1}, DA: wifi.Addr{2}, BSSID: wifi.Addr{2},
+		Body: &wifi.DataBody{Proto: wifi.ProtoTCP, Header: s.AppendEncode(nil), VirtualLen: uint16(s.Len + 20)},
+	}
+	back, err := wifi.Decode(f.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, ok := back.Body.(*wifi.DataBody)
+	got := &Segment{}
+	if !ok || db.Proto != wifi.ProtoTCP || !DecodeSegmentInto(got, db.Header) || !reflect.DeepEqual(s, got) {
 		t.Fatalf("frame round trip: %+v", got)
 	}
 }
@@ -93,8 +102,8 @@ func newPipe(t *testing.T, rateKbps int) *pipe {
 	return p
 }
 
-func (p *pipe) start(size int64, cfg Config) {
-	p.sender = NewSender(p.k, cfg, 1, size, func(seg *Segment) {
+func (p *pipe) start(size int64) {
+	p.sender = NewSender(p.k, 1, size, func(seg *Segment) {
 		if p.blackout != nil && p.blackout() {
 			return
 		}
@@ -122,7 +131,7 @@ func (p *pipe) start(size int64, cfg Config) {
 
 func TestBulkFlowSaturatesBottleneck(t *testing.T) {
 	p := newPipe(t, 2000)
-	p.start(-1, Config{})
+	p.start(-1)
 	p.k.Run(20 * time.Second)
 	gotKbps := float64(p.receiver.Delivered()*8) / 20 / 1000
 	if gotKbps < 1700 || gotKbps > 2100 {
@@ -135,7 +144,7 @@ func TestBulkFlowSaturatesBottleneck(t *testing.T) {
 
 func TestFiniteFlowCompletes(t *testing.T) {
 	p := newPipe(t, 2000)
-	p.start(100_000, Config{})
+	p.start(100_000)
 	p.k.Run(time.Minute)
 	if !p.done {
 		t.Fatal("finite flow never completed")
@@ -152,7 +161,7 @@ func TestLossRecoveredByFastRetransmit(t *testing.T) {
 	p := newPipe(t, 2000)
 	r := rand.New(rand.NewSource(4))
 	p.dropData = func(seg *Segment) bool { return !seg.Retx && r.Float64() < 0.02 }
-	p.start(-1, Config{})
+	p.start(-1)
 	p.k.Run(30 * time.Second)
 	if p.sender.Stats().FastRetx == 0 {
 		t.Fatal("no fast retransmits under loss")
@@ -167,7 +176,7 @@ func TestBlackoutCausesTimeoutsAndBackoff(t *testing.T) {
 	p := newPipe(t, 2000)
 	dark := false
 	p.blackout = func() bool { return dark }
-	p.start(-1, Config{})
+	p.start(-1)
 	p.k.Run(5 * time.Second)
 	preTimeouts := p.sender.Stats().Timeouts
 	dark = true
@@ -175,11 +184,11 @@ func TestBlackoutCausesTimeoutsAndBackoff(t *testing.T) {
 	if p.sender.Stats().Timeouts <= preTimeouts {
 		t.Fatal("no RTO during blackout")
 	}
-	if p.sender.RTO() <= 400*time.Millisecond {
-		t.Fatalf("RTO %v did not back off", p.sender.RTO())
+	if p.sender.sc.RTO <= 400*time.Millisecond {
+		t.Fatalf("RTO %v did not back off", p.sender.sc.RTO)
 	}
-	if p.sender.Cwnd() != 1 {
-		t.Fatalf("cwnd %v after timeouts, want 1", p.sender.Cwnd())
+	if p.sender.sc.Cwnd != 1 {
+		t.Fatalf("cwnd %v after timeouts, want 1", p.sender.sc.Cwnd)
 	}
 	// Recovery.
 	dark = false
@@ -192,40 +201,39 @@ func TestBlackoutCausesTimeoutsAndBackoff(t *testing.T) {
 
 func TestRTTEstimator(t *testing.T) {
 	p := newPipe(t, 8000)
-	p.start(-1, Config{})
+	p.start(-1)
 	p.k.Run(5 * time.Second)
 	// Path RTT = 2×10ms + serialization; srtt should be in [20ms, 120ms].
-	if p.sender.SRTT() < 20*time.Millisecond || p.sender.SRTT() > 120*time.Millisecond {
-		t.Fatalf("srtt %v implausible for ~20ms path", p.sender.SRTT())
+	if p.sender.sc.SRTT < 20*time.Millisecond || p.sender.sc.SRTT > 120*time.Millisecond {
+		t.Fatalf("srtt %v implausible for ~20ms path", p.sender.sc.SRTT)
 	}
-	if p.sender.RTO() < p.sender.Config().RTOMin {
-		t.Fatalf("RTO %v below floor", p.sender.RTO())
+	if p.sender.sc.RTO < rtoMin {
+		t.Fatalf("RTO %v below floor", p.sender.sc.RTO)
 	}
 }
 
 func TestCwndClampedAtMax(t *testing.T) {
 	p := newPipe(t, 100_000) // effectively infinite
-	cfg := Config{MaxCwnd: 8}
-	p.start(-1, cfg)
+	p.start(-1)
 	p.k.Run(10 * time.Second)
-	if p.sender.Cwnd() > 8 {
-		t.Fatalf("cwnd %v exceeded clamp 8", p.sender.Cwnd())
+	if p.sender.sc.Cwnd > maxCwnd {
+		t.Fatalf("cwnd %v exceeded clamp %d", p.sender.sc.Cwnd, maxCwnd)
 	}
 }
 
 func TestSlowStartDoubling(t *testing.T) {
 	p := newPipe(t, 100_000)
-	p.start(-1, Config{})
+	p.start(-1)
 	// After one RTT the window should have grown beyond the initial 2.
 	p.k.Run(100 * time.Millisecond)
-	if p.sender.Cwnd() <= 2 {
-		t.Fatalf("cwnd %v after 5 RTTs, slow start inert", p.sender.Cwnd())
+	if p.sender.sc.Cwnd <= 2 {
+		t.Fatalf("cwnd %v after 5 RTTs, slow start inert", p.sender.sc.Cwnd)
 	}
 }
 
 func TestStopSilencesSender(t *testing.T) {
 	p := newPipe(t, 2000)
-	p.start(-1, Config{})
+	p.start(-1)
 	p.k.Run(time.Second)
 	sent := p.sender.Stats().SegmentsSent
 	p.sender.Stop()
@@ -301,7 +309,7 @@ func TestPropertyReceiverReassembly(t *testing.T) {
 		for _, i := range perm {
 			rcv.HandleData(&Segment{FlowID: 1, Seq: uint64(i * 100), Len: 100})
 		}
-		if rcv.Delivered() != uint64(n*100) || rcv.NextExpected() != uint64(n*100) {
+		if rcv.Delivered() != uint64(n*100) || rcv.sc.RcvNxt != uint64(n*100) {
 			t.Fatalf("perm %v: delivered=%d", perm, rcv.Delivered())
 		}
 	}
@@ -313,7 +321,7 @@ func BenchmarkSenderReceiverLoop(b *testing.B) {
 		link := backhaul.NewLink(k, backhaul.Config{RateKbps: 10000, Latency: 5 * time.Millisecond, QueueBytes: 1 << 20})
 		rcv := NewReceiver(1)
 		var snd *Sender
-		snd = NewSender(k, Config{}, 1, 500_000, func(seg *Segment) {
+		snd = NewSender(k, 1, 500_000, func(seg *Segment) {
 			carry(k, link, true, seg.WireSize(), func() {
 				if ack := rcv.HandleData(seg); ack != nil {
 					carry(k, link, false, ack.WireSize(), func() { snd.HandleAck(ack) })

@@ -20,8 +20,8 @@ import "spider/internal/slab"
 //     path: once a frame has been delivered (or dropped by a retune
 //     flush) and every receiver has returned, the radio recycles it.
 //     Receivers must therefore copy anything they keep — every decoder
-//     in the tree (tcpsim.FromFrame, dhcp.DecodeMessage, the AP table's
-//     observe) already copies by value.
+//     in the tree (tcpsim.DecodeSegmentInto, dhcp.DecodeMessageInto,
+//     the AP table's observe) already copies by value.
 //   - Frames that die before reaching the air (PSM buffer trims,
 //     transmit-queue purges on teardown) are simply dropped on the
 //     floor; the GC reclaims them. Leaking out of the pool is always
