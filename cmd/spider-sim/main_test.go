@@ -46,10 +46,10 @@ func TestOutputDigests(t *testing.T) {
 			"a.json": cityArchive, "m.prom": cityMetrics, "x.jsonl": cityTrace,
 		}},
 		{"city-ckpt", city + " -checkpoint-out c.ckpt", map[string]string{
-			"c.ckpt": "403289bfb8602faafa64b83af5f285c5d19c73ad72a96018edfa3f26aaf070fa",
+			"c.ckpt": "f74d9fad2678ed1e5aa75eecf268b7055e23abe6652a7bc080e07e5d66696c37",
 		}},
 		{"city-ckpt-archive", city + " -checkpoint-out c.ckpt -archive-out a.json", map[string]string{
-			"c.ckpt": "f123ed7961f502963cb4cbc2840bfdef174354a253739f678fe86b9aba4fe55a", "a.json": cityArchive,
+			"c.ckpt": "1633f50be0f3ce14be5d37745d46b0e7f075b1e1f3607055dcc1edf1385891bb", "a.json": cityArchive,
 		}},
 		{"city-staggered", "-city citygrid -clients 24 -aps 80 -area-w 2400 -area-h 1600 -minutes 1 -seed 5" +
 			" -join-spread 20s -join-ramp exp -archive-out a.json", map[string]string{

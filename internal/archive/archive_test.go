@@ -3,6 +3,7 @@ package archive
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -163,16 +164,19 @@ func TestFlatten(t *testing.T) {
 			t.Fatalf("field %q = %+v, want %g", field, o, want)
 		}
 	}
-	// Per-client rows: one per scalar per client, anchored to ledger IDs.
-	cl0 := a.Experiments[0].Clients[0]
-	var tb *Observation
-	for i := range rows {
-		if rows[i].ID == cl0.ID && rows[i].Field == "client.total_bytes" {
-			tb = &rows[i]
+	// Per-client rows: one per scalar per client, in ledger order.
+	var totals []float64
+	for _, o := range rows {
+		if o.Field == "client.total_bytes" {
+			totals = append(totals, o.Num)
 		}
 	}
-	if tb == nil || tb.Num != 1000 {
-		t.Fatalf("client.total_bytes row for %s = %+v, want 1000", cl0.ID, tb)
+	var want []float64
+	for _, c := range a.Experiments[0].Clients {
+		want = append(want, float64(c.TotalBytes))
+	}
+	if !slices.Equal(totals, want) || want[0] != 1000 {
+		t.Fatalf("client.total_bytes rows = %v, want %v", totals, want)
 	}
 	if o := byField["result.drive.verdict"]; o.IsNum || o.Str != "clean" {
 		t.Fatalf("string result flattened as %+v", o)

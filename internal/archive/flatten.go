@@ -2,20 +2,19 @@ package archive
 
 import "fmt"
 
-// Observation is one flat tabular row unpacked from an archive: the
-// sub-measurement it came from, the field within it, and the value.
-// This is the representation analysis and statistical diffing work on —
-// any archive reduces to a plain table of (id, field, value) rows.
+// Observation is one flat tabular row unpacked from an archive: a field
+// of one sub-measurement and its value. This is the representation
+// statistical diffing works on — any archive reduces to a plain table
+// of (field, value) rows.
 type Observation struct {
-	ID    string // owning sub-measurement ID
 	Field string // e.g. "client.total_bytes", "result.table2.row=…/col=…"
 	Num   float64
 	Str   string
 	IsNum bool
 }
 
-func num(id, field string, v float64) Observation {
-	return Observation{ID: id, Field: field, Num: v, IsNum: true}
+func num(field string, v float64) Observation {
+	return Observation{Field: field, Num: v, IsNum: true}
 }
 
 // Flatten unpacks the archive into tabular observations, in document
@@ -26,51 +25,51 @@ func (a *Archive) Flatten() []Observation {
 	var out []Observation
 	for _, e := range a.Experiments {
 		prefix := "experiment." + e.Name
-		out = append(out, num(e.ID, prefix+".clients", float64(len(e.Clients))))
+		out = append(out, num(prefix+".clients", float64(len(e.Clients))))
 		for _, c := range e.Clients {
 			out = append(out,
-				num(c.ID, "client.total_bytes", float64(c.TotalBytes)),
-				num(c.ID, "client.bins_nonzero", float64(len(c.Bins))),
-				num(c.ID, "client.joins", float64(len(c.Joins))),
-				num(c.ID, "client.join_successes", float64(c.JoinSuccesses)),
-				num(c.ID, "client.dhcp_failures", float64(c.DHCPFailures)),
-				num(c.ID, "client.switches", float64(c.Switches)),
-				num(c.ID, "client.assoc_attempts", float64(c.AssocAttempts)),
-				num(c.ID, "client.soft_handoffs", float64(c.SoftHandoffs)),
-				num(c.ID, "client.blacklisted", float64(c.Blacklisted)),
-				num(c.ID, "client.segments_sent", float64(c.SegmentsSent)),
-				num(c.ID, "client.retx_segments", float64(c.RetxSegments)),
-				num(c.ID, "client.bytes_acked", float64(c.BytesAcked)),
-				num(c.ID, "client.invariants", float64(c.Invariants)),
+				num("client.total_bytes", float64(c.TotalBytes)),
+				num("client.bins_nonzero", float64(len(c.Bins))),
+				num("client.joins", float64(len(c.Joins))),
+				num("client.join_successes", float64(c.JoinSuccesses)),
+				num("client.dhcp_failures", float64(c.DHCPFailures)),
+				num("client.switches", float64(c.Switches)),
+				num("client.assoc_attempts", float64(c.AssocAttempts)),
+				num("client.soft_handoffs", float64(c.SoftHandoffs)),
+				num("client.blacklisted", float64(c.Blacklisted)),
+				num("client.segments_sent", float64(c.SegmentsSent)),
+				num("client.retx_segments", float64(c.RetxSegments)),
+				num("client.bytes_acked", float64(c.BytesAcked)),
+				num("client.invariants", float64(c.Invariants)),
 			)
 		}
 		for _, f := range e.Faults {
 			out = append(out,
-				num(f.ID, "fault."+f.Class+".injected", float64(f.Injected)),
-				num(f.ID, "fault."+f.Class+".recovered", float64(f.Recovered)),
-				num(f.ID, "fault."+f.Class+".ttr_total_us", float64(f.TTRTotalUS)),
+				num("fault."+f.Class+".injected", float64(f.Injected)),
+				num("fault."+f.Class+".recovered", float64(f.Recovered)),
+				num("fault."+f.Class+".ttr_total_us", float64(f.TTRTotalUS)),
 			)
 		}
 		for _, m := range e.Metrics {
 			if m.Kind == "histogram" {
 				out = append(out,
-					num(m.ID, "metric."+m.Name+".sum", m.Sum),
-					num(m.ID, "metric."+m.Name+".count", float64(m.Count)))
+					num("metric."+m.Name+".sum", m.Sum),
+					num("metric."+m.Name+".count", float64(m.Count)))
 				continue
 			}
-			out = append(out, num(m.ID, "metric."+m.Name, m.Value))
+			out = append(out, num("metric."+m.Name, m.Value))
 		}
 		for _, s := range e.Spans {
 			out = append(out,
-				num(s.ID, fmt.Sprintf("span.%s.%s.count", s.Cat, s.Name), float64(s.Count)),
-				num(s.ID, fmt.Sprintf("span.%s.%s.total_us", s.Cat, s.Name), float64(s.TotalDurUS)))
+				num(fmt.Sprintf("span.%s.%s.count", s.Cat, s.Name), float64(s.Count)),
+				num(fmt.Sprintf("span.%s.%s.total_us", s.Cat, s.Name), float64(s.TotalDurUS)))
 		}
 		for _, r := range e.Results {
 			field := "result." + r.Name + "." + r.Key
 			if r.Num != nil {
-				out = append(out, num(r.ID, field, *r.Num))
+				out = append(out, num(field, *r.Num))
 			} else {
-				out = append(out, Observation{ID: r.ID, Field: field, Str: r.Str})
+				out = append(out, Observation{Field: field, Str: r.Str})
 			}
 		}
 	}

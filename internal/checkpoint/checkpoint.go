@@ -48,13 +48,19 @@ import (
 //	    logs are gone. Older documents are refused.
 //	4 — CityState lost ShardFaults: no city keeps a shard-fault ledger
 //	    any more. Older documents are refused.
+//	5 — the fields nothing read are gone: the joiner's and the DHCP
+//	    client's attempt counters, the DHCP client's cached address,
+//	    the TCP sender's Backoff, the recorder's MaxT, a scan-table
+//	    record's BackhaulKbps and FirstSeen, an AP's UplinkFrames and
+//	    DownFrames, and an association event's At and Res.Retries.
+//	    Older documents are refused.
 const (
 	Format  = "spider-checkpoint"
-	Version = 4
+	Version = 5
 )
 
 // minVersion is the oldest document version the decoder still accepts.
-const minVersion = 4
+const minVersion = 5
 
 // Checkpoint is one resumable snapshot document.
 type Checkpoint struct {

@@ -15,6 +15,7 @@ import (
 	"spider/internal/dhcp"
 	"spider/internal/docfile"
 	"spider/internal/fault"
+	"spider/internal/obs"
 	"spider/internal/radio"
 	"spider/internal/scenario"
 	"spider/internal/shard"
@@ -412,6 +413,15 @@ func TestApplyRefusesCorruptState(t *testing.T) {
 				t.Fatal("fixture is dead: no queued frame carries a completion tag")
 			}
 			st.Tiles[i].World.Medium.Radios[r].Queue[q].Tag.Kind = radio.TagPSM + 1
+		}},
+		{"histogram handle restored as a counter", func(st *shard.CityState) {
+			for i, hs := range st.Tiles[0].Obs.Handles {
+				if hs.Kind == obs.KindHistogram {
+					st.Tiles[0].Obs.Handles[i].Kind = obs.KindCounter
+					return
+				}
+			}
+			t.Fatal("fixture is dead: tile 0 checkpointed no histogram")
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

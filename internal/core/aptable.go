@@ -17,13 +17,10 @@ import (
 // successful joins" — join time, not end-to-end bandwidth, is the
 // critical factor at vehicular speeds.
 type APRecord struct {
-	BSSID        wifi.Addr
-	SSID         string
-	Channel      int
-	BackhaulKbps int
-
-	FirstSeen time.Duration
-	LastSeen  time.Duration
+	BSSID    wifi.Addr
+	SSID     string
+	Channel  int
+	LastSeen time.Duration
 
 	Attempts  int
 	Successes int
@@ -131,17 +128,14 @@ func newAPTable() *apTable {
 // sighting that arrived through a shard halo rather than this shard's
 // own air; a direct sighting always clears the Halo mark (the AP is
 // local after all), a halo sighting never sets it on a local record.
-func (t *apTable) observe(bssid wifi.Addr, ssid string, channel int, backhaulKbps int, now time.Duration, halo bool) *APRecord {
+func (t *apTable) observe(bssid wifi.Addr, ssid string, channel int, now time.Duration, halo bool) *APRecord {
 	r, ok := t.byBSSID[bssid]
 	if !ok {
-		r = &APRecord{BSSID: bssid, SSID: ssid, Channel: channel, FirstSeen: now, Halo: halo}
+		r = &APRecord{BSSID: bssid, SSID: ssid, Channel: channel, Halo: halo}
 		t.byBSSID[bssid] = r
 	}
 	r.SSID = ssid
 	r.Channel = channel
-	if backhaulKbps > 0 {
-		r.BackhaulKbps = backhaulKbps
-	}
 	r.LastSeen = now
 	if !halo {
 		r.Halo = false

@@ -58,7 +58,7 @@ func TestBackoffEscalates(t *testing.T) {
 	w := newWorld(12, 0)
 	ap := w.addAP(1, "open", 6, geo.Point{X: 30})
 	d := w.addDriver(singleChannelCfg(SingleChannelMultiAP, 6), geo.Static{P: geo.Point{}})
-	rec := d.table.observe(ap.Addr(), "open", 6, 0, 0, false)
+	rec := d.table.observe(ap.Addr(), "open", 6, 0, false)
 
 	d.applyFailBackoff(rec)
 	if got := rec.HoldUntil; got != d.pol.holdDown {

@@ -1201,7 +1201,7 @@ func (d *Driver) RadioReceive(f *wifi.Frame) {
 		if !ok {
 			return
 		}
-		d.table.observe(f.BSSID, body.SSID, int(body.Channel), int(body.BackhaulKbps), now, f.Halo)
+		d.table.observe(f.BSSID, body.SSID, int(body.Channel), now, f.Halo)
 		if ifc, ok := d.ifaces[f.BSSID]; ok {
 			ifc.sc.LastHeard = now
 		}

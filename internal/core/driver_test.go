@@ -545,14 +545,14 @@ func TestAPTableScoring(t *testing.T) {
 func TestAPTableCandidatesFilterAndOrder(t *testing.T) {
 	tb := newAPTable()
 	now := 100 * time.Second
-	a := tb.observe(wifi.NewAddr(0, 1), "a", 6, 0, now, false)
+	a := tb.observe(wifi.NewAddr(0, 1), "a", 6, now, false)
 	a.Attempts, a.Successes, a.TotalJoin = 5, 5, 5*time.Second
-	b := tb.observe(wifi.NewAddr(0, 2), "b", 6, 0, now, false)
+	b := tb.observe(wifi.NewAddr(0, 2), "b", 6, now, false)
 	b.Attempts, b.Successes, b.TotalJoin = 5, 1, 4*time.Second
-	tb.observe(wifi.NewAddr(0, 3), "c", 11, 0, now, false)                        // wrong channel
-	stale := tb.observe(wifi.NewAddr(0, 4), "d", 6, 0, now-10*time.Second, false) // stale
+	tb.observe(wifi.NewAddr(0, 3), "c", 11, now, false)                        // wrong channel
+	stale := tb.observe(wifi.NewAddr(0, 4), "d", 6, now-10*time.Second, false) // stale
 	_ = stale
-	held := tb.observe(wifi.NewAddr(0, 5), "e", 6, 0, now, false)
+	held := tb.observe(wifi.NewAddr(0, 5), "e", 6, now, false)
 	held.HoldUntil = now + time.Minute
 	got := tb.candidates(6, now, 2*time.Second, true)
 	if len(got) != 2 {
@@ -740,7 +740,7 @@ func TestPropertyCandidateOrderingStable(t *testing.T) {
 			if i >= 12 {
 				break
 			}
-			r := tb.observe(wifi.NewAddr(0, uint32(i)), "s", 6, 0, now, false)
+			r := tb.observe(wifi.NewAddr(0, uint32(i)), "s", 6, now, false)
 			r.Attempts = int(b % 7)
 			r.Successes = int(b%7) / 2
 			r.TotalJoin = time.Duration(b) * 100 * time.Millisecond
@@ -840,13 +840,13 @@ func TestLeaseRenewalFailureTearsDown(t *testing.T) {
 }
 
 // Every join attempt allocates an Iface, so its size decides how much
-// a join storm allocates. 512 bytes is a malloc size class; one byte
-// more costs the next class, 576.
+// a join storm allocates. 384 bytes is a malloc size class; one byte
+// more costs the next class, 416.
 func TestIfaceSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(Iface{}); got > 512 {
-		t.Fatalf("Iface is %d bytes, want at most 512", got)
+	if got := unsafe.Sizeof(Iface{}); got > 384 {
+		t.Fatalf("Iface is %d bytes, want at most 384", got)
 	}
 }

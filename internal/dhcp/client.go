@@ -129,12 +129,8 @@ type clientScalars struct {
 	XID      uint32
 	NextXID  uint32
 	Offered  IP
-	Cached   IP
 	Started  time.Duration
 	RetxN    int
-
-	// Counters across attempts (Table 3 feeds on these).
-	Attempts, Successes, Failures uint64
 }
 
 // Init sets up c in place as the client for the interface with the
@@ -203,10 +199,8 @@ func (c *Client) TimersPending() bool { return c.retxTimer.Pending() || c.deadli
 // attempt.
 func (c *Client) Start(cachedIP IP) {
 	c.stopTimers()
-	c.sc.Attempts++
 	c.sc.Started = c.kernel.Now()
 	c.sc.RetxN = 0
-	c.sc.Cached = cachedIP
 	c.sc.XID = c.sc.NextXID
 	c.sc.NextXID++
 	c.deadline = c.kernel.FireAfter(c.cfg.AttemptWindow, c, timerDeadline)
@@ -285,7 +279,6 @@ func (c *Client) fail() {
 	}
 	c.stopTimers()
 	c.sc.State = stateIdle
-	c.sc.Failures++
 	if c.tr != nil {
 		c.tr.Complete("dhcp", "acquire", c.sc.Started,
 			obs.S("result", "failed"), obs.I("retx", int64(c.sc.RetxN)))
@@ -317,7 +310,6 @@ func (c *Client) HandleMessage(m *Message) {
 		}
 		c.stopTimers()
 		c.sc.State = stateBound
-		c.sc.Successes++
 		if c.tr != nil {
 			c.tr.Complete("dhcp", "acquire", c.sc.Started,
 				obs.S("result", "ok"), obs.S("ip", m.YourIP.String()),
@@ -340,7 +332,6 @@ func (c *Client) HandleMessage(m *Message) {
 		// same attempt window.
 		c.retxTimer.Cancel()
 		c.retxTimer = sim.Event{}
-		c.sc.Cached = 0
 		c.sc.FastPath = false
 		c.sc.State = stateDiscovering
 		c.sc.XID = c.sc.NextXID

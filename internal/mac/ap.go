@@ -125,8 +125,6 @@ type APStats struct {
 	PSMBuffered   uint64
 	PSMDrops      uint64
 	PSMFlushed    uint64
-	UplinkFrames  uint64
-	DownFrames    uint64
 	DownDelivered uint64
 	// BeaconsMissed counts beacon slots whose transmission was suppressed
 	// because the AP was crashed or beacon-muted — the fault injector's
@@ -368,7 +366,6 @@ func (ap *AP) RadioReceive(f *wifi.Frame) {
 			ap.radio.Send(df)
 			return
 		}
-		ap.UplinkFrames++
 		if ap.uplink != nil {
 			ap.uplink(f.SA, db)
 		}
@@ -458,7 +455,6 @@ func (ap *AP) sendDHCP(to wifi.Addr, m dhcp.Message) {
 // frame is buffered (bounded, head-drop); if the client is not associated
 // the frame is dropped. Returns false on drop.
 func (ap *AP) Deliver(to wifi.Addr, db *wifi.DataBody) bool {
-	ap.DownFrames++
 	c, ok := ap.clients[to]
 	if !ok || !c.sc.Associated {
 		return false

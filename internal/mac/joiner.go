@@ -78,7 +78,6 @@ type AssocResult struct {
 	Success bool
 	Stage   JoinStage // stage reached (on failure, where it stalled)
 	Elapsed time.Duration
-	Retries int
 }
 
 // JoinHost is the owner a Joiner reports through. The driver's virtual
@@ -130,8 +129,6 @@ type joinerScalars struct {
 	Started time.Duration
 	// StageStart is the kernel time the current phase began.
 	StageStart time.Duration
-
-	Attempts, Successes, Failures uint64
 }
 
 // Init sets up j in place as the join engine for one (client, AP) pair,
@@ -196,7 +193,6 @@ func (j *Joiner) Busy() bool { return j.sc.Stage == StageAuth || j.sc.Stage == S
 // Start begins a join attempt. Restarts any attempt in flight.
 func (j *Joiner) Start() {
 	j.cancelTimer()
-	j.sc.Attempts++
 	j.sc.Started = j.kernel.Now()
 	j.sc.StageStart = j.sc.Started
 	j.sc.Retries = 0
@@ -262,13 +258,12 @@ func (j *Joiner) onTimeout() {
 	if j.sc.Retries > j.cfg.MaxRetries {
 		stage := j.sc.Stage
 		j.sc.Stage = StageIdle
-		j.sc.Failures++
 		if j.tr != nil {
 			j.tr.Complete("mac.join", stage.String(), j.sc.StageStart,
 				obs.S("bssid", j.bssid.String()), obs.S("result", "failed"))
 		}
 		j.host.JoinResult(AssocResult{Success: false, Stage: stage,
-			Elapsed: j.kernel.Now() - j.sc.Started, Retries: j.sc.Retries - 1})
+			Elapsed: j.kernel.Now() - j.sc.Started})
 		return
 	}
 	j.sendCurrent()
@@ -307,13 +302,12 @@ func (j *Joiner) HandleFrame(f *wifi.Frame) {
 		}
 		j.cancelTimer()
 		j.sc.Stage = StageAssociated
-		j.sc.Successes++
 		if j.tr != nil {
 			j.tr.Complete("mac.join", "assoc", j.sc.StageStart,
 				obs.S("bssid", j.bssid.String()))
 		}
 		j.host.JoinResult(AssocResult{Success: true, Stage: StageAssociated,
-			Elapsed: j.kernel.Now() - j.sc.Started, Retries: j.sc.Retries})
+			Elapsed: j.kernel.Now() - j.sc.Started})
 	case wifi.TypeDeauth:
 		if j.sc.Stage == StageAssociated {
 			j.sc.Stage = StageIdle

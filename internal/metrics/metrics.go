@@ -27,7 +27,6 @@ type Recorder struct {
 // whole.
 type recorderScalars struct {
 	Total int64
-	MaxT  time.Duration
 }
 
 // NewRecorder creates a recorder with the given bin width (the paper
@@ -46,9 +45,6 @@ func (r *Recorder) Add(t time.Duration, bytes int) {
 	}
 	r.bins[int64(t/r.bin)] += int64(bytes)
 	r.sc.Total += int64(bytes)
-	if t > r.sc.MaxT {
-		r.sc.MaxT = t
-	}
 }
 
 // TotalBytes returns all bytes recorded.

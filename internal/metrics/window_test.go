@@ -45,20 +45,3 @@ func TestPartialWindowBinAccounting(t *testing.T) {
 		t.Fatalf("instantaneous = %v, want [1, 4]", rates)
 	}
 }
-
-// TestWindowAccessor: the recorder tracks its data extent, the latest
-// time it was handed bytes, and counts nothing while empty.
-func TestWindowAccessor(t *testing.T) {
-	r := NewRecorder(time.Second)
-	if r.sc.Total != 0 || r.sc.MaxT != 0 {
-		t.Fatalf("empty recorder: total %d, extent %v", r.sc.Total, r.sc.MaxT)
-	}
-	r.Add(2300*time.Millisecond, 10)
-	if r.sc.MaxT != 2300*time.Millisecond {
-		t.Fatalf("extent = %v, want 2.3s", r.sc.MaxT)
-	}
-	r.Add(5*time.Second, 10)
-	if r.sc.MaxT != 5*time.Second || r.sc.Total != 20 {
-		t.Fatalf("extent = %v, total %d; want 5s, 20", r.sc.MaxT, r.sc.Total)
-	}
-}

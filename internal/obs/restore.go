@@ -85,6 +85,9 @@ func (r *Registry) RestoreHandles(st []HandleState) error {
 		if e == nil {
 			return fmt.Errorf("obs: restored metric %q was never registered", hs.Name)
 		}
+		if hs.Kind != e.kind {
+			return fmt.Errorf("obs: metric %q restored as a %v, registered as a %v", hs.Name, hs.Kind, e.kind)
+		}
 		switch {
 		case e.counter != nil:
 			e.counter.v.Store(hs.Value)

@@ -2,6 +2,7 @@ package pcap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -11,12 +12,13 @@ import (
 	"spider/internal/wifi"
 )
 
-// FuzzReadAll: ReadAll never panics on arbitrary bytes and never returns
+// FuzzReadAll: ReadAll never panics on arbitrary bytes, never returns
 // more records than the input has room for (each needs a 16-byte record
-// header after the 24-byte global header). The seed corpus starts from a
-// real medium capture, whose Dump output must read back intact: same
-// record count, same frame bytes, timestamps at the format's microsecond
-// resolution.
+// header after the 24-byte global header), and returns none from a
+// capture whose link type is not LINKTYPE_USER0. The seed corpus starts
+// from a real medium capture, whose Dump output must read back intact:
+// same record count, same frame bytes, timestamps at the format's
+// microsecond resolution.
 func FuzzReadAll(f *testing.F) {
 	dump := captureDump(f)
 	f.Add(dump)
@@ -25,11 +27,17 @@ func FuzzReadAll(f *testing.F) {
 	f.Add(dump[:10])            // truncated global header
 	f.Add([]byte("not a pcap")) // bad magic
 	f.Add([]byte{})
+	other := bytes.Clone(dump)
+	binary.LittleEndian.PutUint32(other[20:], 105) // LINKTYPE_IEEE802_11
+	f.Add(other)
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		recs, _ := ReadAll(bytes.NewReader(b))
 		if len(recs) > len(b)/16 {
 			t.Fatalf("%d records from %d bytes", len(recs), len(b))
+		}
+		if len(recs) > 0 && binary.LittleEndian.Uint32(b[20:]) != LinkTypeUser0 {
+			t.Fatalf("%d records from a capture of link type %d", len(recs), binary.LittleEndian.Uint32(b[20:]))
 		}
 	})
 }

@@ -3,6 +3,7 @@ package pcap
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 	"time"
 
@@ -157,6 +158,20 @@ func TestReaderRejectsGarbage(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()-2]
 	if _, err := ReadAll(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated record accepted")
+	}
+}
+
+// A capture of another link type (here LINKTYPE_IEEE802_11, 105) holds
+// no simulator frames; the reader refuses it rather than decode them.
+func TestReaderRejectsOtherLinkType(t *testing.T) {
+	var buf bytes.Buffer
+	pw, _ := NewWriter(&buf)
+	pw.Write(Record{At: time.Second, Data: []byte{1, 2, 3, 4}})
+	b := buf.Bytes()
+	binary.LittleEndian.PutUint32(b[20:], 105)
+	recs, err := ReadAll(bytes.NewReader(b))
+	if !errors.Is(err, ErrBadLinkType) || len(recs) != 0 {
+		t.Fatalf("link type 105: %d records, err %v; want none and ErrBadLinkType", len(recs), err)
 	}
 }
 

@@ -10,18 +10,19 @@ import (
 
 // Reading errors.
 var (
-	ErrBadMagic  = errors.New("pcap: bad magic (not a microsecond little-endian capture)")
-	ErrTruncated = errors.New("pcap: truncated record")
+	ErrBadMagic    = errors.New("pcap: bad magic (not a microsecond little-endian capture)")
+	ErrBadLinkType = errors.New("pcap: link type is not LINKTYPE_USER0 (not a simulator capture)")
+	ErrTruncated   = errors.New("pcap: truncated record")
 )
 
 // Reader consumes a pcap stream produced by Writer.
 type Reader struct {
 	r io.Reader
-	// LinkType from the global header.
-	LinkType uint32
 }
 
-// NewReader validates the global header and returns a Reader.
+// NewReader validates the global header and returns a Reader. A capture
+// of any other link type is refused: its records are not frames in the
+// simulator's wire format.
 func NewReader(r io.Reader) (*Reader, error) {
 	hdr := make([]byte, 24)
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -30,7 +31,10 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if binary.LittleEndian.Uint32(hdr[0:]) != magicMicroseconds {
 		return nil, ErrBadMagic
 	}
-	return &Reader{r: r, LinkType: binary.LittleEndian.Uint32(hdr[20:])}, nil
+	if lt := binary.LittleEndian.Uint32(hdr[20:]); lt != LinkTypeUser0 {
+		return nil, fmt.Errorf("%w: link type %d", ErrBadLinkType, lt)
+	}
+	return &Reader{r: r}, nil
 }
 
 // Next returns the next record, or io.EOF at a clean end of stream.

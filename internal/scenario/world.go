@@ -218,7 +218,6 @@ type JoinEvent struct {
 type AssocEvent struct {
 	BSSID wifi.Addr
 	Res   mac.AssocResult
-	At    time.Duration
 }
 
 // conn is one association's live traffic state.
@@ -406,7 +405,7 @@ func (c *Client) Connected(ifc *core.Iface) {
 // AssocResult implements core.Host: the outcome joins the client's
 // association log.
 func (c *Client) AssocResult(bssid wifi.Addr, res mac.AssocResult) {
-	c.Assocs = append(c.Assocs, AssocEvent{BSSID: bssid, Res: res, At: c.World.Kernel.Now()})
+	c.Assocs = append(c.Assocs, AssocEvent{BSSID: bssid, Res: res})
 }
 
 // JoinResult implements core.Host: the outcome joins the client's join

@@ -51,8 +51,6 @@ const speedSpread = 1.3
 // is at least twice the halo (a mirror only ever reaches the adjacent
 // tile).
 type Layout struct {
-	// WorldW, WorldH are the city extents in meters.
-	WorldW, WorldH float64
 	// Halo is the mirror depth in meters: transmissions within Halo of a
 	// tile edge are ghosted into the adjacent tile(s) at the next epoch
 	// boundary. Halo ≥ radio range + the farthest a client can stray
@@ -66,7 +64,7 @@ type Layout struct {
 	Nx, Ny int
 	NTiles int
 	// XBounds (len Nx+1) and YBounds (len Ny+1) are the column/row
-	// boundaries, XBounds[0]=0 and XBounds[Nx]=WorldW. Tile (ix,iy) owns
+	// boundaries, XBounds[0]=0 and XBounds[Nx]=spec.AreaW. Tile (ix,iy) owns
 	// the half-open rect [XBounds[ix],XBounds[ix+1]) × [YBounds[iy],
 	// YBounds[iy+1]).
 	XBounds, YBounds []float64
@@ -132,7 +130,6 @@ func DeriveLayout(spec scenario.CityGridSpec, plan scenario.CityPlan) Layout {
 	sort.Float64s(xs)
 	sort.Float64s(ys)
 	return Layout{
-		WorldW: spec.AreaW, WorldH: spec.AreaH,
 		Halo: h, Epoch: epoch,
 		Nx: nx, Ny: ny, NTiles: nx * ny,
 		XBounds: loadBounds(xs, nx, spec.AreaW, 2*h),

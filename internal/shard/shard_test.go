@@ -108,7 +108,7 @@ func TestLayoutInvariants(t *testing.T) {
 				bounds []float64
 				n      int
 				w      float64
-			}{{l.XBounds, l.Nx, l.WorldW}, {l.YBounds, l.Ny, l.WorldH}} {
+			}{{l.XBounds, l.Nx, tc.spec.AreaW}, {l.YBounds, l.Ny, tc.spec.AreaH}} {
 				if len(ax.bounds) != ax.n+1 || ax.bounds[0] != 0 || ax.bounds[ax.n] != ax.w {
 					t.Fatalf("bounds not pinned to world edges: %+v", l)
 				}
@@ -129,7 +129,7 @@ func TestLayoutInvariants(t *testing.T) {
 			if l.Epoch < minEpoch || l.Epoch > maxEpoch {
 				t.Fatalf("epoch outside bounds: %+v", l)
 			}
-			last := geo.Point{X: l.WorldW - 1e-9, Y: l.WorldH - 1e-9}
+			last := geo.Point{X: tc.spec.AreaW - 1e-9, Y: tc.spec.AreaH - 1e-9}
 			if l.TileOf(geo.Point{}) != 0 || l.TileOf(last) != l.NTiles-1 {
 				t.Fatalf("world corners map outside tile range: %+v", l)
 			}
@@ -140,7 +140,7 @@ func TestLayoutInvariants(t *testing.T) {
 				t.Fatalf("row boundary not owned by the upper tile: %+v", l)
 			}
 			if l.TileOf(geo.Point{X: -5, Y: -5}) != 0 ||
-				l.TileOf(geo.Point{X: l.WorldW + 5, Y: l.WorldH + 5}) != l.NTiles-1 {
+				l.TileOf(geo.Point{X: tc.spec.AreaW + 5, Y: tc.spec.AreaH + 5}) != l.NTiles-1 {
 				t.Fatal("out-of-world positions must clamp")
 			}
 		})

@@ -387,6 +387,9 @@ func TestCalendarStagingAllocatesNothing(t *testing.T) {
 	if got := unsafe.Sizeof(slot{}); got != 48 {
 		t.Errorf("slot is %d bytes, want 48", got)
 	}
+	if got := unsafe.Sizeof(Event{}); got != 16 {
+		t.Errorf("an Event handle is %d bytes, want 16", got)
+	}
 	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
 		t.Fatalf("warm calendar allocated %.1f times per cycle", allocs)
 	}

@@ -30,7 +30,7 @@ func (p *CarrierPool[P]) Len() int { return p.list.Len() }
 // carrier holds one payload across a delay. It is its own timer's
 // Handler, so arming one builds no closure. set is non-nil while the
 // carrier is armed; idx is its position in set.live. The small fields
-// come last, so a carrier of a pointer is 48 bytes.
+// come last, so a carrier of a pointer is 40 bytes.
 type carrier[P any] struct {
 	set  *Carriers[P]
 	ev   Event

@@ -193,11 +193,11 @@ func TestCarrierNotPendingRefused(t *testing.T) {
 }
 
 // Once the pool and the kernel's arena are warm, arming a carrier and
-// firing it allocates nothing. A carrier of a pointer packs into 48
+// firing it allocates nothing. A carrier of a pointer packs into 40
 // bytes.
 func TestCarrierArmAndFireAllocatesNothing(t *testing.T) {
-	if n := unsafe.Sizeof(carrier[*string]{}); n != 48 {
-		t.Fatalf("a carrier of a pointer is %d bytes, want 48", n)
+	if n := unsafe.Sizeof(carrier[*string]{}); n != 40 {
+		t.Fatalf("a carrier of a pointer is %d bytes, want 40", n)
 	}
 	k := NewKernel(1)
 	s, log := newCarrierSet(k)

@@ -72,7 +72,6 @@ func (f Func) Fire(uint8) { f() }
 // fired retains no kernel or callback memory.
 type Event struct {
 	k   *Kernel
-	at  time.Duration
 	idx int32
 	gen uint32
 }
@@ -279,7 +278,7 @@ func (k *Kernel) FireAt(t time.Duration, h Handler, kind uint8) Event {
 	s.seq = k.nextSeq
 	k.nextSeq++
 	k.enqueue(idx)
-	return Event{k: k, at: t, idx: idx, gen: s.gen}
+	return Event{k: k, idx: idx, gen: s.gen}
 }
 
 // alloc takes a slot off the free list, growing the arena only when the

@@ -215,7 +215,8 @@ func CaptureEvent(e Event) EventState {
 	if !e.live() {
 		return EventState{}
 	}
-	return EventState{Pending: true, At: e.at, Seq: e.k.slots[e.idx].seq}
+	s := &e.k.slots[e.idx]
+	return EventState{Pending: true, At: s.at, Seq: s.seq}
 }
 
 // Before orders captured timers as the kernel fires them, by (At,
@@ -260,7 +261,7 @@ func (es EventState) Restore(k *Kernel, h Handler, kind uint8) Event {
 	s.at = es.At
 	s.seq = es.Seq
 	k.enqueue(idx)
-	return Event{k: k, at: es.At, idx: idx, gen: s.gen}
+	return Event{k: k, idx: idx, gen: s.gen}
 }
 
 // RestoreErr reports the first timer Restore refused since the last

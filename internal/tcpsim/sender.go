@@ -59,7 +59,6 @@ type senderScalars struct {
 	SRTT     time.Duration
 	RTTVar   time.Duration
 	RTO      time.Duration
-	Backoff  int
 	DupAcks  int
 	LastAck  uint64
 
@@ -194,7 +193,6 @@ func (s *Sender) onRTO() {
 		s.sc.Ssthresh = 2
 	}
 	s.sc.Cwnd = 1
-	s.sc.Backoff++
 	s.sc.RTO *= 2
 	if s.sc.RTO > rtoMax {
 		s.sc.RTO = rtoMax
@@ -262,7 +260,6 @@ func (s *Sender) HandleAck(seg *Segment) {
 		if haveSample {
 			s.sampleRTT(s.kernel.Now() - sample.SentAt)
 		}
-		s.sc.Backoff = 0
 		if s.sc.InRecovery {
 			if ack >= s.sc.Recover {
 				s.sc.InRecovery = false

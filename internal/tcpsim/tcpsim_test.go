@@ -118,11 +118,15 @@ func (p *pipe) start(size int64) {
 			if ack == nil {
 				return
 			}
-			carry(p.k, p.link, false, ack.WireSize(), func() {
+			// HandleData returns the receiver's scratch ACK, which its
+			// next segment overwrites; the ACK in flight is a copy, as the
+			// encoded frame is in a world.
+			a := *ack
+			carry(p.k, p.link, false, a.WireSize(), func() {
 				if p.blackout != nil && p.blackout() {
 					return
 				}
-				p.sender.HandleAck(ack)
+				p.sender.HandleAck(&a)
 			})
 		})
 	}, func() { p.done = true })
@@ -218,6 +222,9 @@ func TestCwndClampedAtMax(t *testing.T) {
 	p.k.Run(10 * time.Second)
 	if p.sender.sc.Cwnd > maxCwnd {
 		t.Fatalf("cwnd %v exceeded clamp %d", p.sender.sc.Cwnd, maxCwnd)
+	}
+	if p.sender.sc.Cwnd < maxCwnd {
+		t.Fatalf("cwnd %v never reached the clamp %d: the test cannot see it", p.sender.sc.Cwnd, maxCwnd)
 	}
 }
 

@@ -81,7 +81,6 @@ func (s Spec) withDefaults() Spec {
 
 // Trace is a generated day of user flows.
 type Trace struct {
-	Spec  Spec
 	Flows []Flow
 }
 
@@ -89,7 +88,7 @@ type Trace struct {
 func Generate(spec Spec) *Trace {
 	spec = spec.withDefaults()
 	r := rand.New(rand.NewSource(spec.Seed))
-	tr := &Trace{Spec: spec}
+	tr := &Trace{}
 	for u := 0; u < spec.Users; u++ {
 		// Each user is active for a random sub-window of the day.
 		activeStart := time.Duration(r.Float64() * float64(spec.Day) * 0.5)

@@ -76,14 +76,15 @@ func TestGapDistributionShape(t *testing.T) {
 }
 
 func TestGapsNonNegativeAndFlowsInWindow(t *testing.T) {
-	tr := Generate(DefaultSpec(3))
+	spec := DefaultSpec(3)
+	tr := Generate(spec)
 	for _, g := range tr.InterConnectionGaps() {
 		if g <= 0 {
 			t.Fatalf("non-positive gap %v", g)
 		}
 	}
 	for _, f := range tr.Flows {
-		if f.Start < 0 || f.Start > tr.Spec.Day {
+		if f.Start < 0 || f.Start > spec.Day {
 			t.Fatalf("flow starts outside the day: %v", f.Start)
 		}
 		if f.Duration <= 0 || f.Bytes <= 0 {

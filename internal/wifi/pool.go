@@ -43,10 +43,6 @@ type Pool struct {
 	// header into a fresh body does not grow its Header from nil. Only
 	// carved from, never put back: a header stays with its body.
 	headers slab.List[[dataHeaderCap]byte]
-
-	// Fresh counts allocations that missed the free list; Recycled
-	// counts frames returned. Benchmark/test instrumentation only.
-	Fresh, Recycled uint64
 }
 
 // dataHeaderCap is the Header capacity a carved data body starts with:
@@ -54,22 +50,12 @@ type Pool struct {
 // A longer header outgrows it and reallocates, as append does.
 const dataHeaderCap = 23
 
-// take pops a recycled object from l, or carves one and counts the
-// miss. The caller resets the object it gets.
-func take[T any](p *Pool, l *slab.List[T]) *T {
-	x, fresh := l.Get()
-	if fresh {
-		p.Fresh++
-	}
-	return x
-}
-
 // Frame returns a zeroed pool-owned frame.
 func (p *Pool) Frame() *Frame {
 	if p == nil {
 		return &Frame{}
 	}
-	f := take(p, &p.frames)
+	f, _ := p.frames.Get()
 	*f = Frame{pooled: true}
 	return f
 }
@@ -79,7 +65,7 @@ func (p *Pool) Beacon() *BeaconBody {
 	if p == nil {
 		return &BeaconBody{}
 	}
-	b := take(p, &p.beacons)
+	b, _ := p.beacons.Get()
 	*b = BeaconBody{pooled: true}
 	return b
 }
@@ -90,7 +76,7 @@ func (p *Pool) Data() *DataBody {
 	if p == nil {
 		return &DataBody{}
 	}
-	d := take(p, &p.datas)
+	d, _ := p.datas.Get()
 	if d.Header == nil {
 		h, _ := p.headers.Get()
 		d.Header = h[:0]
@@ -104,7 +90,7 @@ func (p *Pool) Probe() *ProbeReqBody {
 	if p == nil {
 		return &ProbeReqBody{}
 	}
-	b := take(p, &p.probes)
+	b, _ := p.probes.Get()
 	*b = ProbeReqBody{pooled: true}
 	return b
 }
@@ -114,7 +100,7 @@ func (p *Pool) AssocReq() *AssocReqBody {
 	if p == nil {
 		return &AssocReqBody{}
 	}
-	b := take(p, &p.assocReqs)
+	b, _ := p.assocReqs.Get()
 	*b = AssocReqBody{pooled: true}
 	return b
 }
@@ -124,7 +110,7 @@ func (p *Pool) AssocResp() *AssocRespBody {
 	if p == nil {
 		return &AssocRespBody{}
 	}
-	b := take(p, &p.assocResps)
+	b, _ := p.assocResps.Get()
 	*b = AssocRespBody{pooled: true}
 	return b
 }
@@ -167,7 +153,6 @@ func (p *Pool) Recycle(f *Frame) {
 	f.pooled = false
 	f.Body = nil
 	p.frames.Put(f)
-	p.Recycled++
 }
 
 // PoolOwned reports whether the frame is currently owned by a pool —

@@ -10,6 +10,10 @@ package spider
 //     other package's test that calls it.
 //   - Fuzz inventory: every package exporting a Decode*/Parse*/Read* func
 //     that takes []byte or an io.Reader has a Fuzz* target.
+//   - No write-only state: every struct field under internal/ without a
+//     json tag is read by non-test code or sits on fieldAllowlist naming
+//     the test that reads it, and every unexported package-level
+//     declaration there is used.
 
 import (
 	"bufio"
@@ -21,6 +25,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -158,10 +163,11 @@ func checkPackages(fset *token.FileSet, files map[string][]*ast.File) ([]*srcPac
 			}
 		}
 		info := &types.Info{
-			Types:     map[ast.Expr]types.TypeAndValue{},
-			Instances: map[*ast.Ident]types.Instance{},
-			Defs:      map[*ast.Ident]types.Object{},
-			Uses:      map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Instances:  map[*ast.Ident]types.Instance{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}
 		conf := types.Config{Importer: imp}
 		p, err := conf.Check(path, fset, fs, info)
@@ -528,10 +534,16 @@ func Register[P any](o Owner[P]) {}
 // given body, and returns what unusedExported flags.
 func checkFixture(t *testing.T, body string) []string {
 	t.Helper()
-	srcs := map[string]string{
+	return unusedExported(fixtureModule(t, map[string]string{
 		"fixture/internal/a": surfaceFixture,
 		"fixture/cmd/x":      "package main\n\nimport \"fixture/internal/a\"\n\nfunc main() {\n" + body + "\n}\n",
-	}
+	}))
+}
+
+// fixtureModule type-checks in-memory packages (import path -> source)
+// as the module "fixture".
+func fixtureModule(t *testing.T, srcs map[string]string) *srcModule {
+	t.Helper()
 	fset := token.NewFileSet()
 	files := map[string][]*ast.File{}
 	for path, src := range srcs {
@@ -545,7 +557,7 @@ func checkFixture(t *testing.T, body string) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return unusedExported(&srcModule{Path: "fixture", Fset: fset, Pkgs: pkgs})
+	return &srcModule{Path: "fixture", Fset: fset, Pkgs: pkgs}
 }
 
 func TestSurfaceCheckerFixture(t *testing.T) {
@@ -558,5 +570,232 @@ func TestSurfaceCheckerFixture(t *testing.T) {
 	got = checkFixture(t, "\tvar _ a.T")
 	if want := []string{"internal/a.Register", "internal/a.T.Arrive", "internal/a.T.Unused"}; !slices.Equal(got, want) {
 		t.Errorf("without Owner[int]: flagged %q, want %q", got, want)
+	}
+}
+
+// fieldAllowlist holds the struct fields under internal/ that no
+// non-test code reads but a test reads as an oracle of behaviour. Each
+// key is "pkg.Type.Field" (pkg is the import path below the module);
+// each value is the test file, relative to the module root, that reads
+// it.
+var fieldAllowlist = map[string]string{
+	"internal/archive.Observation.Str":       "internal/archive/archive_test.go",
+	"internal/backhaul.State.BlackholeDrops": "internal/scenario/freelist_test.go",
+	"internal/dhcp.Result.Elapsed":           "internal/dhcp/dhcp_test.go",
+	"internal/dhcp.Result.Retx":              "internal/dhcp/dhcp_test.go",
+	"internal/mac.APStats.DownDelivered":     "internal/mac/timers_test.go",
+	"internal/mac.AssocResult.Stage":         "internal/mac/mac_test.go",
+	"internal/pcap.Record.Channel":           "internal/pcap/pcap_test.go",
+}
+
+// writeOnly lists, sorted, every struct field declared in a package
+// under internal/ that code in m never reads, and every unexported
+// package-level declaration there that nothing uses. A field use is a
+// write when it is the selector on the left of =, op= or ++/--, or a key
+// in a composite literal; every other use is a read, and so is every
+// embedded field a promoted selector passes through. Fields with a json
+// tag belong to documents, which code outside the module reads; they
+// are skipped.
+func writeOnly(m *srcModule) []string {
+	read := map[types.Object]bool{}
+	used := map[types.Object]bool{}
+	for _, p := range m.Pkgs {
+		written := map[*ast.Ident]bool{}
+		lhs := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				written[sel.Sel] = true
+			}
+		}
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					if n.Tok != token.DEFINE {
+						for _, e := range n.Lhs {
+							lhs(e)
+						}
+					}
+				case *ast.IncDecStmt:
+					lhs(n.X)
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						written[id] = true
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range p.Info.Uses {
+			used[origin(obj)] = true
+			if v, ok := obj.(*types.Var); ok && v.IsField() && !written[id] {
+				read[origin(v)] = true
+			}
+		}
+		for _, s := range p.Info.Selections {
+			t := s.Recv()
+			for _, i := range s.Index()[:len(s.Index())-1] {
+				if ptr, ok := t.Underlying().(*types.Pointer); ok {
+					t = ptr.Elem()
+				}
+				st, ok := t.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				read[origin(st.Field(i))] = true
+				t = st.Field(i).Type()
+			}
+		}
+	}
+	var out []string
+	for _, p := range m.Pkgs {
+		if !strings.HasPrefix(p.Path, m.Path+"/internal/") {
+			continue
+		}
+		pkg := strings.TrimPrefix(p.Path, m.Path+"/")
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					if !n.Assign.IsValid() { // an alias names fields declared elsewhere
+						out = appendUnread(out, read, pkg+"."+n.Name.Name, p.Info.Defs[n.Name].Type().Underlying())
+					}
+					return false
+				case *ast.StructType: // a struct type outside a type declaration
+					out = appendUnread(out, read, pkg+".struct", p.Info.TypeOf(n))
+					return false
+				}
+				return true
+			})
+		}
+		for id, obj := range p.Info.Defs {
+			if obj == nil || id.Name == "_" || obj.Exported() || obj.Parent() != p.Types.Scope() || used[obj] {
+				continue
+			}
+			if _, ok := obj.(*types.Func); ok && (id.Name == "init" || id.Name == "main") {
+				continue
+			}
+			out = append(out, objectName(m.Path, obj))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// appendUnread appends "prefix.Field" for every field of t, a struct
+// type or a pointer, slice, array or map of one, that is not in read and
+// has no json tag, descending into unnamed struct types in fields as
+// "prefix.Field.Inner".
+func appendUnread(out []string, read map[types.Object]bool, prefix string, t types.Type) []string {
+	for {
+		switch u := t.(type) {
+		case *types.Pointer:
+			t = u.Elem()
+			continue
+		case *types.Slice:
+			t = u.Elem()
+			continue
+		case *types.Array:
+			t = u.Elem()
+			continue
+		case *types.Map:
+			t = u.Elem()
+			continue
+		}
+		break
+	}
+	st, ok := t.(*types.Struct)
+	if !ok {
+		return out
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		if f.Name() == "_" {
+			continue
+		}
+		if _, doc := reflect.StructTag(st.Tag(i)).Lookup("json"); !doc && !read[f] {
+			out = append(out, prefix+"."+f.Name())
+		}
+		out = appendUnread(out, read, prefix+"."+f.Name(), f.Type())
+	}
+	return out
+}
+
+// TestNoWriteOnlyFields: every struct field under internal/ is read by
+// non-test code or allowlisted for the test that reads it, and every
+// unexported package-level declaration there is used. State nothing
+// reads is state every checkpoint carries for nothing.
+func TestNoWriteOnlyFields(t *testing.T) {
+	m, err := moduleForTest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]bool{}
+	for _, name := range writeOnly(m) {
+		file, ok := fieldAllowlist[name]
+		if !ok {
+			t.Errorf("%s: nothing outside tests reads it; delete it, or allowlist the test that reads it", name)
+			continue
+		}
+		listed[name] = true
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Errorf("%s: allowlisted for %s: %v", name, file, err)
+			continue
+		}
+		if !strings.HasSuffix(file, "_test.go") || !strings.Contains(string(src), "."+name[strings.LastIndex(name, ".")+1:]) {
+			t.Errorf("%s: allowlist entry must name a test that reads it, not %s", name, file)
+		}
+	}
+	for name := range fieldAllowlist {
+		if !listed[name] {
+			t.Errorf("%s: on the allowlist, but production code reads it or it is gone; drop the entry", name)
+		}
+	}
+}
+
+// writeOnlyFixture is a package under internal/ for the field checker's
+// own test: fields that are only assigned, only incremented, only set in
+// a composite literal or only set through a nested struct; fields that
+// are read, directly, after an op= write or through promotion; a field
+// with a json tag; and three unused unexported declarations.
+const writeOnlyFixture = `package a
+
+type T struct {
+	Written int
+	Bumped  int
+	Literal int
+	Read    int
+	Doc     int ` + "`json:\"doc\"`" + `
+	Nested  struct{ Deep int }
+	inner
+}
+
+type inner struct{ Promoted int }
+
+var unusedVar int
+
+func unusedFunc() {}
+
+type unusedType struct{}
+
+func New() *T { return &T{Literal: 1} }
+
+func (t *T) Step() int {
+	t.Written = 2
+	t.Bumped++
+	t.Read += 1
+	t.Nested.Deep = 3
+	return t.Read + t.Promoted
+}
+`
+
+func TestWriteOnlyCheckerFixture(t *testing.T) {
+	got := writeOnly(fixtureModule(t, map[string]string{"fixture/internal/a": writeOnlyFixture}))
+	want := []string{
+		"internal/a.T.Bumped", "internal/a.T.Literal", "internal/a.T.Nested.Deep", "internal/a.T.Written",
+		"internal/a.unusedFunc", "internal/a.unusedType", "internal/a.unusedVar",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("flagged %q, want %q", got, want)
 	}
 }
