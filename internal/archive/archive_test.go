@@ -160,7 +160,7 @@ func TestFlatten(t *testing.T) {
 		if !ok {
 			t.Fatalf("flatten missing field %q (have %d rows)", field, len(rows))
 		}
-		if !o.IsNum || o.Num != want {
+		if o.Num != want {
 			t.Fatalf("field %q = %+v, want %g", field, o, want)
 		}
 	}
@@ -178,7 +178,9 @@ func TestFlatten(t *testing.T) {
 	if !slices.Equal(totals, want) || want[0] != 1000 {
 		t.Fatalf("client.total_bytes rows = %v, want %v", totals, want)
 	}
-	if o := byField["result.drive.verdict"]; o.IsNum || o.Str != "clean" {
+	// A string result (the synthetic archive's drive verdict) has no
+	// numeric value to compare, so it yields no row.
+	if o, ok := byField["result.drive.verdict"]; ok {
 		t.Fatalf("string result flattened as %+v", o)
 	}
 }

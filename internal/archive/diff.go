@@ -261,9 +261,7 @@ func DiffStat(a, b *Archive, opt StatOptions) []StatField {
 	group := func(ar *Archive) map[string][]float64 {
 		m := make(map[string][]float64)
 		for _, o := range ar.Flatten() {
-			if o.IsNum {
-				m[o.Field] = append(m[o.Field], o.Num)
-			}
+			m[o.Field] = append(m[o.Field], o.Num)
 		}
 		return m
 	}

@@ -2,25 +2,24 @@ package archive
 
 import "fmt"
 
-// Observation is one flat tabular row unpacked from an archive: a field
-// of one sub-measurement and its value. This is the representation
-// statistical diffing works on — any archive reduces to a plain table
-// of (field, value) rows.
+// Observation is one flat tabular row unpacked from an archive: a
+// numeric field of one sub-measurement and its value. This is the
+// representation statistical diffing works on — any archive reduces to
+// a plain table of (field, value) rows.
 type Observation struct {
 	Field string // e.g. "client.total_bytes", "result.table2.row=…/col=…"
 	Num   float64
-	Str   string
-	IsNum bool
 }
 
 func num(field string, v float64) Observation {
-	return Observation{Field: field, Num: v, IsNum: true}
+	return Observation{Field: field, Num: v}
 }
 
 // Flatten unpacks the archive into tabular observations, in document
 // order. Per-bin ledger entries stay inside the ledger (they are fields
-// of one sub-measurement, summarized here as counts); every scalar that
-// regression analysis compares becomes its own row.
+// of one sub-measurement, summarized here as counts); every numeric
+// scalar that regression analysis compares becomes its own row. A
+// string result has no mean to compare, so it yields no row.
 func (a *Archive) Flatten() []Observation {
 	var out []Observation
 	for _, e := range a.Experiments {
@@ -65,11 +64,8 @@ func (a *Archive) Flatten() []Observation {
 				num(fmt.Sprintf("span.%s.%s.total_us", s.Cat, s.Name), float64(s.TotalDurUS)))
 		}
 		for _, r := range e.Results {
-			field := "result." + r.Name + "." + r.Key
 			if r.Num != nil {
-				out = append(out, num(field, *r.Num))
-			} else {
-				out = append(out, Observation{Field: field, Str: r.Str})
+				out = append(out, num("result."+r.Name+"."+r.Key, *r.Num))
 			}
 		}
 	}

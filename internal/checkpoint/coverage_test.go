@@ -46,7 +46,7 @@ var checkpointedTypes = []checkpointed{
 			"swLingerEv", "swRetuneEv"},
 		derived: []string{"kernel", "cfg", "pol", "radio", "host", "pool", "backoffRNG",
 			"tr", "hAssoc", "hJoin", "hSwitch",
-			"ifScratch", "connScratch", "ifaceFree", "dhcpMsg",
+			"ifScratch", "connScratch", "ifaceFree", "ifArr", "pollArr", "dhcpMsg",
 			"stopped"}, // retired drivers are never exported
 	},
 	{

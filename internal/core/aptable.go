@@ -88,8 +88,11 @@ type apTable struct {
 	// sorter holds the candidates scratch: the slice and ranking mode
 	// live on the table so the periodic selection path allocates nothing
 	// (sorting a pointer receiver boxes no value). Callers must not
-	// retain the returned slice across calls.
-	sorter apCandSorter
+	// retain the returned slice across calls. candArr is its first
+	// backing: a channel rarely holds more candidates than the paper's
+	// interface count, and more spill to the heap.
+	sorter  apCandSorter
+	candArr [paperInterfaces]*APRecord
 }
 
 // apCandSorter ranks candidate records best-first without the per-call
@@ -121,7 +124,9 @@ func (s *apCandSorter) Less(i, j int) bool {
 }
 
 func newAPTable() *apTable {
-	return &apTable{byBSSID: make(map[wifi.Addr]*APRecord)}
+	t := &apTable{byBSSID: make(map[wifi.Addr]*APRecord)}
+	t.sorter.recs = t.candArr[:0]
+	return t
 }
 
 // observe records a beacon or probe response sighting. halo marks a

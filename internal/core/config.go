@@ -62,6 +62,11 @@ func (m Mode) MultiAP() bool {
 	return m == SingleChannelMultiAP || m == MultiChannelMultiAP
 }
 
+// paperInterfaces is the paper's bound on concurrent virtual
+// interfaces, the default MaxInterfaces. The driver's per-interface
+// scratch starts on arrays this long.
+const paperInterfaces = 7
+
 // ChannelSlice is one entry of the driver's static schedule.
 type ChannelSlice struct {
 	Channel int
@@ -111,7 +116,7 @@ func SpiderDefaults(mode Mode, schedule []ChannelSlice) Config {
 	cfg := Config{
 		Mode:          mode,
 		Schedule:      schedule,
-		MaxInterfaces: 7,
+		MaxInterfaces: paperInterfaces,
 		Join:          mac.ReducedJoinConfig(),
 		DHCP:          dhcp.ReducedClientConfig(200 * time.Millisecond),
 		UseLeaseCache: true,
@@ -150,7 +155,7 @@ func (c Config) withDefaults() Config {
 		c.Schedule = EqualSchedule(200*time.Millisecond, 1, 6, 11)
 	}
 	if c.MaxInterfaces <= 0 {
-		c.MaxInterfaces = 7
+		c.MaxInterfaces = paperInterfaces
 	}
 	if !c.Mode.MultiAP() {
 		c.MaxInterfaces = 1
@@ -205,7 +210,8 @@ type policy struct {
 // policyFor returns the timers a mode runs with: the stock driver's
 // for StockWiFi, Spider's reduced ones for the four Spider modes, and
 // the background scan only for MultiChannelSingleAP, the one mode that
-// dwells on one channel while its schedule names others.
+// dwells on one channel while its schedule names others. A driver
+// points at modePolicy's copy, shared by every driver of its mode.
 func policyFor(m Mode) policy {
 	p := policy{
 		resetBase:      4940 * time.Microsecond,
@@ -229,4 +235,21 @@ func policyFor(m Mode) policy {
 	p.backoffCap = 8 * p.holdDown
 	p.quarantine = 8 * p.holdDown
 	return p
+}
+
+// modePolicies holds policyFor of every mode.
+var modePolicies = func() (ps [StockWiFi + 1]policy) {
+	for m := range ps {
+		ps[m] = policyFor(Mode(m))
+	}
+	return ps
+}()
+
+// modePolicy returns the shared, read-only policyFor(m). A mode outside
+// the table gets the Spider timers, as policyFor gives it.
+func modePolicy(m Mode) *policy {
+	if m < 0 || int(m) >= len(modePolicies) {
+		return &modePolicies[SingleChannelSingleAP]
+	}
+	return &modePolicies[m]
 }

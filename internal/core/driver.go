@@ -127,7 +127,7 @@ var deauthLeavingBody = &wifi.DeauthBody{Reason: 3}
 type Driver struct {
 	kernel *sim.Kernel
 	cfg    Config
-	pol    policy
+	pol    *policy
 	radio  *radio.Radio
 	host   Host
 
@@ -142,7 +142,8 @@ type Driver struct {
 
 	// txq holds the frames waiting for their channel, one queue for all
 	// channels: each channel's frames keep their order, and each channel
-	// is capped at pol.txQueueFrames on its own.
+	// is capped at pol.txQueueFrames on its own. Its first backing holds
+	// txqFirst frames.
 	txq []queuedFrame
 
 	// Every self-rescheduling tick keeps its live event handle so a
@@ -173,6 +174,10 @@ type Driver struct {
 	ifScratch   []*Iface
 	connScratch []*Iface
 	ifaceFree   []*Iface
+	// ifArr and pollArr are the first backing of ifScratch and swPolls,
+	// with room for the paper's interface count, so neither grows from
+	// nil on a driver's first joins; more interfaces spill to the heap.
+	ifArr, pollArr [paperInterfaces]*Iface
 	// dhcpMsg is the downlink DHCP decode scratch, handed synchronously
 	// to the interface's client.
 	dhcpMsg dhcp.Message
@@ -225,12 +230,12 @@ type driverScalars struct {
 // with the given mobility model, tunes to the first scheduled channel,
 // and starts the scheduler and scanner.
 func NewDriver(m *radio.Medium, cfg Config, addr wifi.Addr, mob geo.Mobility, host Host) *Driver {
-	return newDriver(m, cfg, policyFor(cfg.Mode), addr, mob, host)
+	return newDriver(m, cfg, modePolicy(cfg.Mode), addr, mob, host)
 }
 
 // newDriver is NewDriver with the timers given rather than taken from
-// the mode.
-func newDriver(m *radio.Medium, cfg Config, pol policy, addr wifi.Addr, mob geo.Mobility, host Host) *Driver {
+// the mode. The driver keeps pol and never writes to it.
+func newDriver(m *radio.Medium, cfg Config, pol *policy, addr wifi.Addr, mob geo.Mobility, host Host) *Driver {
 	k := m.Kernel()
 	d := &Driver{
 		kernel:     k,
@@ -242,6 +247,7 @@ func newDriver(m *radio.Medium, cfg Config, pol policy, addr wifi.Addr, mob geo.
 		backoffRNG: backoffStream(k, addr),
 		inv:        metrics.NewInvariantSet(),
 	}
+	d.ifScratch, d.swPolls = d.ifArr[:0], d.pollArr[:0]
 	d.radio = m.NewRadio(addr, mob, d)
 	d.pool = m.Pool()
 	if d.cfg.StartAt > k.Now() {
@@ -1138,8 +1144,17 @@ func (d *Driver) transmit(ch int, f *wifi.Frame) {
 		d.sc.Stats.TxQueueDrops++
 		return
 	}
+	if d.txq == nil {
+		d.txq = make([]queuedFrame, 0, txqFirst)
+	}
 	d.txq = append(d.txq, queuedFrame{f: f, ch: ch})
 }
+
+// txqFirst is the capacity of a transmit queue's first backing. A
+// joining driver queues a few frames per channel visit, so a queue
+// that started empty would grow 1, 2, 4, 8 on the first joins; eight
+// holds most visits' frames, and the queue never shrinks.
+const txqFirst = 8
 
 // queuedOn counts the frames queued for ch.
 func (d *Driver) queuedOn(ch int) int {

@@ -91,7 +91,7 @@ func (w *world) addDriver(cfg Config, mob geo.Mobility) *Driver {
 // addDriverPolicy is addDriver with the driver's timers given rather
 // than taken from the mode.
 func (w *world) addDriverPolicy(cfg Config, pol policy, mob geo.Mobility) *Driver {
-	w.driver = newDriver(w.m, cfg, pol, wifi.NewAddr(1, 1), mob, w)
+	w.driver = newDriver(w.m, cfg, &pol, wifi.NewAddr(1, 1), mob, w)
 	return w.driver
 }
 
@@ -848,5 +848,18 @@ func TestIfaceSize(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(Iface{}); got > 384 {
 		t.Fatalf("Iface is %d bytes, want at most 384", got)
+	}
+}
+
+// Every client builds a driver, so its size decides a metro's resident
+// heap. The inline interface scratch fits because the timers are a
+// pointer to the mode's shared policy: the driver stays within the
+// 896-byte malloc size class it had without either.
+func TestDriverSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Driver{}); got > 896 {
+		t.Fatalf("Driver is %d bytes, want at most 896", got)
 	}
 }

@@ -1,11 +1,13 @@
 package scenario
 
 import (
+	"math/rand"
 	"time"
 
 	"spider/internal/core"
 	"spider/internal/sim"
 	"spider/internal/tcpsim"
+	"spider/internal/wifi"
 )
 
 // Workload decides what traffic a client runs over each association.
@@ -96,7 +98,7 @@ func (w *WebWorkload) fetchOn(c *Client, cn *conn, page int64) {
 		c.webPage = page + 1
 		think := 2 * time.Second
 		if w.Think != nil {
-			think = w.Think.Sample(c.World.Kernel.RNG("scenario.web." + c.Driver.Addr().String()))
+			think = w.Think.Sample(webThinkStream(c.World.Kernel, c.Driver.Addr()))
 		}
 		c.World.Kernel.After(think, func() {
 			// Continue on the same association if it survived the think.
@@ -108,6 +110,15 @@ func (w *WebWorkload) fetchOn(c *Client, cn *conn, page int64) {
 		})
 	})
 	cn.sender.Start()
+}
+
+// webThinkStream returns the client's think-time stream, named
+// "scenario.web.<addr>". The name is assembled on the stack, so finding
+// the stream after the first page allocates nothing.
+func webThinkStream(k *sim.Kernel, addr wifi.Addr) *rand.Rand {
+	var buf [32]byte // the prefix and one address: 30 bytes
+	b := append(buf[:0], "scenario.web."...)
+	return k.RNGBytes(addr.AppendTo(b))
 }
 
 // resume restarts the session on any surviving association, or parks it

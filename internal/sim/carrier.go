@@ -29,15 +29,25 @@ func (p *CarrierPool[P]) Len() int { return p.list.Len() }
 
 // carrier holds one payload across a delay. It is its own timer's
 // Handler, so arming one builds no closure. set is non-nil while the
-// carrier is armed; idx is its position in set.live. The small fields
-// come last, so a carrier of a pointer is 40 bytes.
+// carrier is armed; prev and next link it into its set's list of armed
+// carriers, so tracking one needs no storage beyond the carrier. slot
+// and gen are its event's handle without the kernel pointer, which
+// the set holds. The small fields come last, so a carrier of a pointer
+// is 48 bytes.
 type carrier[P any] struct {
-	set  *Carriers[P]
-	ev   Event
-	p    P
-	idx  int32
-	kind uint8
+	set        *Carriers[P]
+	prev, next *carrier[P]
+	p          P
+	slot       int32
+	gen        uint32
+	kind       uint8
 }
+
+// arm records ev as the carrier's event.
+func (c *carrier[P]) arm(ev Event) { c.slot, c.gen = ev.idx, ev.gen }
+
+// event returns the armed carrier's event.
+func (c *carrier[P]) event() Event { return Event{k: c.set.k, idx: c.slot, gen: c.gen} }
 
 // Fire implements Handler: the delay ran out.
 func (c *carrier[P]) Fire(kind uint8) {
@@ -51,13 +61,16 @@ func (c *carrier[P]) Fire(kind uint8) {
 // back for a delay (an AP's processing delay, a DHCP server's think
 // time, a backhaul's serialization and latency), each in flight on its
 // own kernel event. The set lists them for a checkpoint and re-arms
-// them at restore with their recorded (at, seq) identities. Call Init
-// before arming.
+// them at restore with their recorded (at, seq) identities. The armed
+// carriers form a doubly linked list from head, threaded through the
+// carriers themselves, so a set never grows a slice. Call Init before
+// arming.
 type Carriers[P any] struct {
 	k     *Kernel
 	owner CarrierOwner[P]
 	pool  *CarrierPool[P]
-	live  []*carrier[P]
+	head  *carrier[P]
+	n     int
 }
 
 // Init binds the set to its kernel and owner. A set being re-bound (a
@@ -76,19 +89,19 @@ func (s *Carriers[P]) SetPool(p *CarrierPool[P]) { s.pool = p }
 func (s *Carriers[P]) Pool() *CarrierPool[P] { return s.pool }
 
 // Len reports how many carriers are armed.
-func (s *Carriers[P]) Len() int { return len(s.live) }
+func (s *Carriers[P]) Len() int { return s.n }
 
 // ArmAt hands p to the owner at t, with kind.
 func (s *Carriers[P]) ArmAt(t time.Duration, p P, kind uint8) {
 	c := s.take(p, kind)
-	c.ev = s.k.FireAt(t, c, kind)
+	c.arm(s.k.FireAt(t, c, kind))
 }
 
 // ArmAfter hands p to the owner d from now, with kind; a negative d is
 // zero, as in FireAfter.
 func (s *Carriers[P]) ArmAfter(d time.Duration, p P, kind uint8) {
 	c := s.take(p, kind)
-	c.ev = s.k.FireAfter(d, c, kind)
+	c.arm(s.k.FireAfter(d, c, kind))
 }
 
 // take draws a carrier for p from the pool and registers it; the
@@ -97,26 +110,35 @@ func (s *Carriers[P]) take(p P, kind uint8) *carrier[P] {
 	if s.pool == nil {
 		s.pool = new(CarrierPool[P])
 	}
-	c, _ := s.pool.list.Get()
+	c := s.pool.list.Get()
 	c.set, c.p, c.kind = s, p, kind
-	c.idx = int32(len(s.live))
-	s.live = append(s.live, c)
+	c.next = s.head
+	if s.head != nil {
+		s.head.prev = c
+	}
+	s.head = c
+	s.n++
 	return c
 }
 
-// untrack swap-removes c from the armed list; order there is
-// irrelevant, since Capture sorts by event identity.
+// untrack unlinks c from the armed list; order there is irrelevant,
+// since Capture sorts by event identity.
 func (s *Carriers[P]) untrack(c *carrier[P]) {
-	last := len(s.live) - 1
-	s.live[c.idx] = s.live[last]
-	s.live[c.idx].idx = c.idx
-	s.live = s.live[:last]
+	if c.prev != nil {
+		c.prev.next = c.next
+	} else {
+		s.head = c.next
+	}
+	if c.next != nil {
+		c.next.prev = c.prev
+	}
+	s.n--
 }
 
 // put disarms c and returns it to the pool, holding nothing.
 func (s *Carriers[P]) put(c *carrier[P]) {
 	var zero P
-	c.set, c.p, c.ev = nil, zero, Event{}
+	c.set, c.prev, c.next, c.p, c.slot, c.gen = nil, nil, nil, zero, 0, 0
 	s.pool.list.Put(c)
 }
 
@@ -124,15 +146,18 @@ func (s *Carriers[P]) put(c *carrier[P]) {
 // its payload to fn (a nil fn drops the payloads). The owner gets no
 // Arrive for them.
 func (s *Carriers[P]) Drain(fn func(P)) {
-	for _, c := range s.live {
-		c.ev.Cancel()
+	c := s.head
+	s.head, s.n = nil, 0
+	for c != nil {
+		next := c.next
+		c.event().Cancel()
 		p := c.p
 		s.put(c)
 		if fn != nil {
 			fn(p)
 		}
+		c = next
 	}
-	s.live = s.live[:0]
 }
 
 // InFlight is one armed carrier as a checkpoint records it.
@@ -147,9 +172,9 @@ type InFlight[P any] struct {
 // or the free list's history. A registered carrier with no pending
 // event is an error: the set no longer describes what is in flight.
 func (s *Carriers[P]) Capture() ([]InFlight[P], error) {
-	out := make([]InFlight[P], 0, len(s.live))
-	for _, c := range s.live {
-		ev := CaptureEvent(c.ev)
+	out := make([]InFlight[P], 0, s.n)
+	for c := s.head; c != nil; c = c.next {
+		ev := CaptureEvent(c.event())
 		if !ev.Pending {
 			return nil, errors.New("sim: a tracked carrier has no pending event")
 		}
@@ -167,6 +192,6 @@ func (s *Carriers[P]) Restore(es EventState, p P, kind uint8) error {
 		return errors.New("sim: restoring a carrier with no pending event")
 	}
 	c := s.take(p, kind)
-	c.ev = es.Restore(s.k, c, kind)
+	c.arm(es.Restore(s.k, c, kind))
 	return nil
 }

@@ -12,7 +12,10 @@
 // named, independently seeded RNG streams so that adding randomness to one
 // component never perturbs another. A component that names its stream per
 // peer assembles the name in a stack buffer and finds the stream with
-// RNGBytes, which allocates nothing once the stream exists.
+// RNGBytes, which allocates nothing once the stream exists. Streams are
+// keyed by the 64-bit FNV-1a hash of their names, and the names
+// themselves are kept in chunks of a per-kernel byte arena, so creating
+// a stream makes no string.
 //
 // The scheduler is allocation-free on the hot path and burst-optimized:
 // events live in a slab of slots, and the queue is a calendar-style
@@ -40,7 +43,6 @@ package sim
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"slices"
 	"time"
@@ -163,7 +165,11 @@ type Kernel struct {
 	heap    []int32 // 4-ary min-heap of slot indices, keyed by (at, seq)
 	nextSeq uint64
 	seed    int64
-	rngs    map[string]*stream
+	// rngs maps a name's hash to its stream, and through the streams'
+	// next links to any other stream whose name hashes alike. names is
+	// the name arena's current chunk; new names are appended to it.
+	rngs  map[uint64]*stream
+	names []byte
 
 	// Calendar front-end state. heapOnly bypasses the front-end,
 	// sending every event through the heap: the reference scheduler
@@ -193,7 +199,7 @@ type Kernel struct {
 func NewKernel(seed int64) *Kernel {
 	k := &Kernel{
 		seed: seed,
-		rngs: make(map[string]*stream),
+		rngs: make(map[uint64]*stream),
 		free: nilSlot,
 	}
 	for b := range k.heads {
@@ -211,19 +217,68 @@ func (k *Kernel) Seed() int64 { return k.seed }
 // Fired returns the number of events executed so far.
 func (k *Kernel) Fired() uint64 { return k.fired }
 
-// streamSeed derives the seed for the named RNG stream by mixing the
-// kernel seed with an FNV-1a hash of the name.
-func (k *Kernel) streamSeed(name string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return k.seed ^ int64(h.Sum64())
+// FNV-1a's 64-bit parameters.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// nameHash is the 64-bit FNV-1a hash of a stream name: the stream's key
+// in the kernel's table and, mixed with the kernel seed, its seed.
+func nameHash[N string | []byte](name N) uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= fnvPrime64
+	}
+	return h
 }
 
+// streamSeed derives the seed of the stream whose name hashes to h by
+// mixing it with the kernel seed.
+func (k *Kernel) streamSeed(h uint64) int64 { return k.seed ^ int64(h) }
+
+// A kernel's name arena grows in chunks that start at nameChunkFirst
+// bytes and double up to nameChunkMax (a few dozen names). A sharded
+// metro has over a thousand kernels, many holding a handful of names,
+// so a fixed large chunk would leave most of each one's arena unused.
+const (
+	nameChunkFirst = 128
+	nameChunkMax   = 1024
+)
+
 // stream is one named RNG stream: the generator handed to components
-// and the counted source under it, in a single allocation.
+// and the counted source under it, in a single allocation, with its
+// name (a slice of the kernel's name arena) and the next stream whose
+// name hashes alike.
 type stream struct {
-	r   rand.Rand
-	src CountedSource
+	r    rand.Rand
+	src  CountedSource
+	name []byte
+	next *stream
+}
+
+// findStream returns the stream named name, whose hash is h, creating
+// it on first use. A new stream's name is appended to the arena's
+// current chunk; a name that does not fit starts the next chunk, and
+// the old one stays as it is, so no name is ever moved.
+func findStream[N string | []byte](k *Kernel, h uint64, name N) *stream {
+	head := k.rngs[h]
+	for s := head; s != nil; s = s.next {
+		if string(s.name) == string(name) {
+			return s
+		}
+	}
+	if cap(k.names)-len(k.names) < len(name) {
+		size := min(max(2*cap(k.names), nameChunkFirst), nameChunkMax)
+		k.names = make([]byte, 0, max(size, len(name)))
+	}
+	n := len(k.names)
+	k.names = append(k.names, name...)
+	s := &stream{src: *NewCountedSource(k.streamSeed(h)), name: k.names[n:len(k.names):len(k.names)], next: head}
+	s.r = *rand.New(&s.src)
+	k.rngs[h] = s
+	return s
 }
 
 // RNG returns the named random stream, creating it on first use. The
@@ -231,24 +286,15 @@ type stream struct {
 // mutually independent and stable across runs. Streams sit on counted
 // sources so checkpoints can record and restore their exact positions.
 func (k *Kernel) RNG(name string) *rand.Rand {
-	if s, ok := k.rngs[name]; ok {
-		return &s.r
-	}
-	s := &stream{src: *NewCountedSource(k.streamSeed(name))}
-	s.r = *rand.New(&s.src)
-	k.rngs[name] = s
-	return &s.r
+	return &findStream(k, nameHash(name), name).r
 }
 
-// RNGBytes is RNG for a name assembled in a byte buffer. Looking up an
-// existing stream does not allocate, so a caller that builds the name
-// in a stack buffer finds its stream for free; only the first use,
-// which creates the stream, copies the name.
+// RNGBytes is RNG for a name assembled in a byte buffer. Neither the
+// lookup nor the creation keeps the buffer, so a caller that builds the
+// name in a stack buffer finds its stream without allocating once it
+// exists.
 func (k *Kernel) RNGBytes(name []byte) *rand.Rand {
-	if s, ok := k.rngs[string(name)]; ok {
-		return &s.r
-	}
-	return k.RNG(string(name))
+	return &findStream(k, nameHash(name), name).r
 }
 
 // At schedules the one-off callback fn to run at absolute virtual time

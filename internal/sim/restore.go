@@ -139,9 +139,11 @@ func (k *Kernel) NextSeq() uint64 { return k.nextSeq }
 // first use, which is the same state.
 func (k *Kernel) ExportRNGs() []RNGPos {
 	out := make([]RNGPos, 0, len(k.rngs))
-	for name, s := range k.rngs {
-		if n := s.src.Steps(); n > 0 {
-			out = append(out, RNGPos{Name: name, N: n})
+	for _, head := range k.rngs {
+		for s := head; s != nil; s = s.next {
+			if n := s.src.Steps(); n > 0 {
+				out = append(out, RNGPos{Name: string(s.name), N: n})
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -156,12 +158,14 @@ func (k *Kernel) ExportRNGs() []RNGPos {
 // created. Cached *rand.Rand pointers held by components stay valid:
 // the reseed mutates the underlying source in place.
 func (k *Kernel) RestoreRNGs(pos []RNGPos) {
-	for name, s := range k.rngs {
-		s.src.Reseed(k.streamSeed(name), 0)
+	for h, head := range k.rngs {
+		for s := head; s != nil; s = s.next {
+			s.src.Reseed(k.streamSeed(h), 0)
+		}
 	}
 	for _, p := range pos {
-		k.RNG(p.Name) // ensure the stream exists
-		k.rngs[p.Name].src.Reseed(k.streamSeed(p.Name), p.N)
+		h := nameHash(p.Name)
+		findStream(k, h, p.Name).src.Reseed(k.streamSeed(h), p.N)
 	}
 }
 

@@ -11,13 +11,13 @@ import (
 func TestCountedSourceTransparent(t *testing.T) {
 	k := NewKernel(42)
 	r := k.RNG("test.stream")
-	ref := rand.New(rand.NewSource(k.streamSeed("test.stream")))
+	ref := rand.New(rand.NewSource(k.streamSeed(nameHash("test.stream"))))
 	for i := 0; i < 1000; i++ {
 		if got, want := r.Uint64(), ref.Uint64(); got != want {
 			t.Fatalf("draw %d: counted %d != plain %d", i, got, want)
 		}
 	}
-	if n := k.rngs["test.stream"].src.Steps(); n != 1000 {
+	if n := findStream(k, nameHash("test.stream"), "test.stream").src.Steps(); n != 1000 {
 		t.Fatalf("steps = %d, want 1000", n)
 	}
 }

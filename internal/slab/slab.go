@@ -27,21 +27,21 @@ type List[T any] struct {
 }
 
 // Get returns the most recently recycled object, or a zeroed one carved
-// from a slab; fresh reports a carve. A recycled object comes back as
-// it was put, so the caller resets it.
-func (l *List[T]) Get() (x *T, fresh bool) {
+// from a slab. A recycled object comes back as it was put, so the
+// caller resets it.
+func (l *List[T]) Get() *T {
 	if n := len(l.free); n > 0 {
-		x = l.free[n-1]
+		x := l.free[n-1]
 		l.free = l.free[:n-1]
-		return x, false
+		return x
 	}
 	if len(l.slab) == 0 {
 		l.next = min(max(2*l.next, firstSlab), maxSlab)
 		l.slab = make([]T, l.next)
 	}
-	x = &l.slab[0]
+	x := &l.slab[0]
 	l.slab = l.slab[1:]
-	return x, true
+	return x
 }
 
 // Put recycles x for the next Get. The caller must not use x

@@ -19,9 +19,9 @@ func TestSlabsGrowFromSmall(t *testing.T) {
 	var live []*obj
 	for i := 0; i < 4+8+16+32+64+64+64; i++ {
 		newSlab := len(l.slab) == 0
-		x, fresh := l.Get()
-		if !fresh {
-			t.Fatalf("get %d reused an object from an empty free list", i)
+		x := l.Get()
+		if l.Len() != 0 {
+			t.Fatalf("get %d left %d objects on a free list nothing was put on", i, l.Len())
 		}
 		if newSlab {
 			sizes = append(sizes, len(l.slab)+1)
@@ -43,9 +43,7 @@ func TestSlabsGrowFromSmall(t *testing.T) {
 // it was put, and carves only once the free list is empty.
 func TestReuseIsLIFO(t *testing.T) {
 	var l List[obj]
-	a, _ := l.Get()
-	b, _ := l.Get()
-	c, _ := l.Get()
+	a, b, c := l.Get(), l.Get(), l.Get()
 	a.id, b.id, c.id = 1, 2, 3
 	l.Put(a)
 	l.Put(c)
@@ -54,13 +52,15 @@ func TestReuseIsLIFO(t *testing.T) {
 		t.Fatalf("Len %d after three puts, want 3", l.Len())
 	}
 	for _, want := range []*obj{b, c, a} {
-		got, fresh := l.Get()
-		if got != want || fresh {
-			t.Fatalf("got object %d (fresh %v), want object %d recycled", got.id, fresh, want.id)
+		if got := l.Get(); got != want {
+			t.Fatalf("got object %d, want object %d recycled", got.id, want.id)
 		}
 	}
-	if d, fresh := l.Get(); !fresh || d.id != 0 || d == a || d == b || d == c {
-		t.Fatalf("get from an empty free list returned %+v (fresh %v), want a zeroed new object", d, fresh)
+	if l.Len() != 0 {
+		t.Fatalf("Len %d after taking back all three, want 0", l.Len())
+	}
+	if d := l.Get(); d.id != 0 || d == a || d == b || d == c {
+		t.Fatalf("get from an empty free list returned %+v, want a zeroed new object", d)
 	}
 }
 
@@ -71,7 +71,7 @@ func TestWarmListAllocatesNothing(t *testing.T) {
 	held := make([]*obj, 100)
 	cycle := func() {
 		for i := range held {
-			held[i], _ = l.Get()
+			held[i] = l.Get()
 		}
 		for _, x := range held {
 			l.Put(x)

@@ -45,7 +45,7 @@ func (p *SegPool) Get() *Segment {
 	if p == nil {
 		return &Segment{}
 	}
-	s, _ := p.list.Get()
+	s := p.list.Get()
 	*s = Segment{pooled: true}
 	return s
 }

@@ -55,7 +55,7 @@ func (p *Pool) Frame() *Frame {
 	if p == nil {
 		return &Frame{}
 	}
-	f, _ := p.frames.Get()
+	f := p.frames.Get()
 	*f = Frame{pooled: true}
 	return f
 }
@@ -65,7 +65,7 @@ func (p *Pool) Beacon() *BeaconBody {
 	if p == nil {
 		return &BeaconBody{}
 	}
-	b, _ := p.beacons.Get()
+	b := p.beacons.Get()
 	*b = BeaconBody{pooled: true}
 	return b
 }
@@ -76,9 +76,9 @@ func (p *Pool) Data() *DataBody {
 	if p == nil {
 		return &DataBody{}
 	}
-	d, _ := p.datas.Get()
+	d := p.datas.Get()
 	if d.Header == nil {
-		h, _ := p.headers.Get()
+		h := p.headers.Get()
 		d.Header = h[:0]
 	}
 	*d = DataBody{pooled: true, Header: d.Header[:0]}
@@ -90,7 +90,7 @@ func (p *Pool) Probe() *ProbeReqBody {
 	if p == nil {
 		return &ProbeReqBody{}
 	}
-	b, _ := p.probes.Get()
+	b := p.probes.Get()
 	*b = ProbeReqBody{pooled: true}
 	return b
 }
@@ -100,7 +100,7 @@ func (p *Pool) AssocReq() *AssocReqBody {
 	if p == nil {
 		return &AssocReqBody{}
 	}
-	b, _ := p.assocReqs.Get()
+	b := p.assocReqs.Get()
 	*b = AssocReqBody{pooled: true}
 	return b
 }
@@ -110,7 +110,7 @@ func (p *Pool) AssocResp() *AssocRespBody {
 	if p == nil {
 		return &AssocRespBody{}
 	}
-	b, _ := p.assocResps.Get()
+	b := p.assocResps.Get()
 	*b = AssocRespBody{pooled: true}
 	return b
 }

@@ -579,7 +579,6 @@ func TestSurfaceCheckerFixture(t *testing.T) {
 // each value is the test file, relative to the module root, that reads
 // it.
 var fieldAllowlist = map[string]string{
-	"internal/archive.Observation.Str":       "internal/archive/archive_test.go",
 	"internal/backhaul.State.BlackholeDrops": "internal/scenario/freelist_test.go",
 	"internal/dhcp.Result.Elapsed":           "internal/dhcp/dhcp_test.go",
 	"internal/dhcp.Result.Retx":              "internal/dhcp/dhcp_test.go",
