@@ -144,7 +144,7 @@ var checkpointedTypes = []checkpointed{
 			"txQueue", "txBusy", "txCh", "txDur", "txDoneEv",
 			"retuneCh"}, // the driver re-arms a retune through RestoreRetune
 		derived: []string{"m", "mob", "rx", "regIdx", "static", "maxSpeed",
-			"posVal", "posAt", "posValid", "posFixed", "inMCells", "binCell",
+			"posVal", "posAt", "posValid", "posFixed", "binCell",
 			"qbValid", "qbPos", "qbLo", "qbHi",
 			"retuneDone", "retuneKind", "txHead", "txF"},
 	},

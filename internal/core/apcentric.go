@@ -35,12 +35,15 @@ func (d *Driver) apSliceRebalance() {
 	if ch == 0 {
 		return
 	}
+	// Filter the map, not liveIfaces: teardown calls this while
+	// inactivityTick is walking liveIfaces' scratch.
 	connected := d.connScratch[:0]
-	for _, ifc := range d.liveIfaces() {
+	for _, ifc := range d.ifaces {
 		if ifc.Channel() == ch && ifc.Connected() {
 			connected = append(connected, ifc)
 		}
 	}
+	sortIfaces(connected)
 	d.connScratch = connected
 	if len(connected) < 2 {
 		// Nothing to serialize: make sure a lone AP is awake.

@@ -76,3 +76,29 @@ func TestAPCentricSingleAPStaysAwake(t *testing.T) {
 		t.Fatal("active BSSID should be zero with one AP")
 	}
 }
+
+// TestAPCentricInactivityDropsEveryDeadAP crashes all three channel-6
+// APs an APCentric driver is connected to. One inactivity tick must
+// drop all three: tearing one down rebalances the AP slices, and the
+// rebalance must not disturb the interface list the tick is walking.
+func TestAPCentricInactivityDropsEveryDeadAP(t *testing.T) {
+	w := newWorld(43, 0)
+	for i := uint32(1); i <= 3; i++ {
+		w.addAP(i, "a", 6, geo.Point{X: float64(10 * i)})
+	}
+	cfg := SpiderDefaults(SingleChannelMultiAP, []ChannelSlice{{Channel: 6}})
+	cfg.APCentric = true
+	d := w.addDriver(cfg, geo.Static{P: geo.Point{}})
+	w.k.Run(20 * time.Second)
+	if d.ConnectedCount() != 3 {
+		t.Fatalf("connected %d of 3 (stats %+v)", d.ConnectedCount(), d.Stats())
+	}
+	for _, ap := range w.aps {
+		ap.Crash()
+	}
+	w.k.Run(24*time.Second + 500*time.Millisecond)
+	if len(w.disconnected) != 3 || d.ConnectedCount() != 0 {
+		t.Fatalf("by %v the driver dropped %v and still holds %d of the 3 dead APs",
+			w.k.Now(), w.disconnected, d.ConnectedCount())
+	}
+}

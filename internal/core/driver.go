@@ -168,9 +168,10 @@ type Driver struct {
 	swPolls    []*Iface
 	swLingerEv sim.Event
 	swRetuneEv sim.Event
-	// ifScratch backs liveIfaces (connScratch the AP slicer's filtered
-	// view of it); ifaceFree recycles torn-down interfaces
-	// (with their joiner and DHCP state machines) for the next join.
+	// ifScratch backs liveIfaces, connScratch the AP slicer's connected
+	// interfaces on the current channel; ifaceFree recycles torn-down
+	// interfaces (with their joiner and DHCP state machines) for the next
+	// join.
 	ifScratch   []*Iface
 	connScratch []*Iface
 	ifaceFree   []*Iface
@@ -522,9 +523,11 @@ func (d *Driver) Interfaces() []*Iface {
 }
 
 // liveIfaces is Interfaces into a reused scratch slice: same determinism,
-// no allocation. The result is valid until the next liveIfaces call —
-// callers must not start joins or re-enter the switch path mid-iteration
-// (teardown is fine: it mutates the map, not the scratch).
+// no allocation. The result is valid until the next liveIfaces call, so
+// nothing reachable from a loop over it may call liveIfaces again:
+// callers must not start joins or re-enter the switch path
+// mid-iteration. Teardown may run (it deletes from the map, and the AP
+// slicer it calls filters the map into its own scratch).
 func (d *Driver) liveIfaces() []*Iface {
 	s := d.ifScratch[:0]
 	for _, ifc := range d.ifaces {

@@ -29,8 +29,6 @@ const (
 type Record struct {
 	// At is the virtual capture time (frame end of transmission).
 	At time.Duration
-	// Channel the frame was transmitted on.
-	Channel int
 	// Data is the encoded frame.
 	Data []byte
 }
@@ -91,12 +89,12 @@ func NewCapture(m *radio.Medium, limit int) *Capture {
 		limit = 1 << 20
 	}
 	c := &Capture{limit: limit}
-	m.SetTap(func(f *wifi.Frame, ch int, at time.Duration) {
+	m.SetTap(func(f *wifi.Frame, _ int, at time.Duration) {
 		if len(c.Records) >= c.limit {
 			c.Dropped++
 			return
 		}
-		c.Records = append(c.Records, Record{At: at, Channel: ch, Data: f.Encode()})
+		c.Records = append(c.Records, Record{At: at, Data: f.Encode()})
 	})
 	return c
 }

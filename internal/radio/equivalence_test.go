@@ -10,6 +10,7 @@ package radio_test
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -85,23 +86,23 @@ func TestFullDriveIdenticalWithAndWithoutIndex(t *testing.T) {
 }
 
 // TestShardedCityIdenticalWithAndWithoutIndex runs a sharded city —
-// many static APs, concurrent mobile clients, several tiles exchanging
-// halo beacons and migrating clients at epoch barriers — with every
-// tile's medium on one path or the other. This covers the multi-client
-// interactions (collisions, carrier sense between clients) the
-// single-client drive cannot, plus what only a sharded city does: ghost
-// deliveries of mirrored halo frames (InjectFrame) and radios registered
-// by a tile adopting a migrating client.
+// many static APs, concurrent clients, several tiles exchanging halo
+// beacons at epoch barriers — with every tile's medium on one path or
+// the other. This covers the multi-client interactions (collisions,
+// carrier sense between clients) the single-client drive cannot, plus
+// what only a sharded city does: ghost deliveries of mirrored halo
+// frames (InjectFrame). The moving city also migrates clients, so a
+// tile registers the radio of a client it adopts. The parked city is a
+// small steady-state district (1 km², 75 APs behind 1 Mbps backhaul, 125
+// speed-0 clients on a channel-1 schedule): its mobiles take the
+// fixed-sample path of both indexed walks, which the moving city never
+// does.
 func TestShardedCityIdenticalWithAndWithoutIndex(t *testing.T) {
 	if testing.Short() {
 		t.Skip("city worlds are slow")
 	}
-	fingerprint := func(linear bool) string {
-		spec := scenario.CityGrid(3, 120, 24)
-		rc := radio.Defaults()
-		rc.DataRateKbps = 24_000
-		spec.Radio = rc
-		c := shard.NewCity(spec, spiderCfg(), 2)
+	fingerprint := func(t *testing.T, spec scenario.CityGridSpec, cfg core.Config, migrate, linear bool) string {
+		c := shard.NewCity(spec, cfg, 2)
 		if c.Layout.NTiles < 2 {
 			t.Fatalf("fixture expects several tiles, layout %v", c.Layout)
 		}
@@ -123,16 +124,36 @@ func TestShardedCityIdenticalWithAndWithoutIndex(t *testing.T) {
 			halo += st.HaloInjected
 			fmt.Fprintf(&b, "tile=%d medium=%+v fired=%d\n", tile.Index, st, tile.World.Kernel.Fired())
 		}
-		if halo == 0 || c.Migrations == 0 {
-			t.Fatalf("%d halo frames injected, %d migrations: the city must exercise ghost delivery and re-registration",
+		if halo == 0 || (c.Migrations == 0) == migrate {
+			t.Fatalf("%d halo frames injected, %d migrations: the city must exercise ghost delivery, and re-registration exactly when its clients move",
 				halo, c.Migrations)
 		}
 		fmt.Fprintf(&b, "migrations=%d\n", c.Migrations)
 		return b.String()
 	}
-	lin := fingerprint(true)
-	idx := fingerprint(false)
-	if lin != idx {
-		t.Fatalf("sharded city diverged between linear scan and spatial index:\n--- linear ---\n%s\n--- indexed ---\n%s", lin, idx)
+	moving := scenario.CityGrid(3, 120, 24)
+	parked := scenario.CityGrid(3, 75, 125)
+	parked.AreaW, parked.AreaH = 1000, 1000
+	parked.SpeedMS = 0
+	parked.BackhaulKbps = func(*rand.Rand) int { return 1000 }
+	for _, v := range []struct {
+		name    string
+		spec    scenario.CityGridSpec
+		cfg     core.Config
+		migrate bool
+	}{
+		{"moving", moving, spiderCfg(), true},
+		{"parked", parked, core.SpiderDefaults(core.MultiChannelMultiAP, core.EqualSchedule(200*time.Millisecond, 1)), false},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			rc := radio.Defaults()
+			rc.DataRateKbps = 24_000
+			v.spec.Radio = rc
+			lin := fingerprint(t, v.spec, v.cfg, v.migrate, true)
+			idx := fingerprint(t, v.spec, v.cfg, v.migrate, false)
+			if lin != idx {
+				t.Fatalf("sharded city diverged between linear scan and spatial index:\n--- linear ---\n%s\n--- indexed ---\n%s", lin, idx)
+			}
+		})
 	}
 }

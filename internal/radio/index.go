@@ -3,7 +3,6 @@ package radio
 import (
 	"math"
 	"slices"
-	"time"
 
 	"spider/internal/geo"
 	"spider/internal/wifi"
@@ -32,25 +31,12 @@ import (
 // tune once, so the grid is rebuilt rarely — lazily, on the first query
 // after an add or remove — and into buffers it keeps.
 //
-// Mobile radios are gridded too, but under a *drift-bounded* bin: a
-// mobile's position is a function of time, so the cell it was binned in
-// goes stale as it moves. Rather than observing every move (the medium
-// only samples positions it is asked about — a silent client can drive
-// into range without the medium ever evaluating it), each mobile declares
-// an upper bound on its speed (its mobility model's Speed), and the index
-// guarantees that no bin is ever older than cellSize/vmax: before any bin
-// is consulted, every mobile on the channel is re-binned at its current
-// position if the channel's sweep deadline has passed. A mobile can then
-// have drifted at most one cell side from its binned position, so queries
-// over the mobile grid pad their cell rectangle by one ring and remain
-// supersets of the radios in range. The sweep is O(mobiles on channel)
-// but runs once per sweep period of *virtual* time — during a join storm
-// the medium answers thousands of queries per virtual millisecond against
-// bins it almost never has to refresh, where the old design walked the
-// full mobile list per query. Every channel switch edits the mobile bins,
-// so they stay a map rather than a grid that would need a rebuild per
-// switch. Mobiles that never declare a speed bound stay in an
-// always-scanned list, the original behavior.
+// Mobile radios are one registration-ordered list per channel, which
+// every walk visits whole. They are not gridded: a mobile's cell goes
+// stale as it moves, so a mobile grid must pad its queries by how far a
+// mobile can drift between re-bins, and in a sharded tile, about two
+// carrier-sense ranges wide, the padded rectangle spans the whole tile
+// (DESIGN.md §14.3 has the measurements).
 //
 // Whatever a walk visits, the caller's range predicate stays exact. The
 // indexed carrier-sense walk and delivery pre-filter ask Radio.within,
@@ -61,8 +47,7 @@ import (
 
 // cellKey addresses one grid cell. Cell side length is the carrier-sense
 // range (the largest query radius), so any circular query touches at most
-// a 3×3 block of cells (4×4 straddling alignment), plus the one-ring pad
-// for drift-bounded mobiles.
+// a 3×3 block of cells (4×4 straddling alignment).
 type cellKey struct{ cx, cy int32 }
 
 // staticGrid is one channel's static radios in CSR form over the cell
@@ -130,31 +115,8 @@ type channelIndex struct {
 	statics []*Radio // static radios in registration order
 	grid    staticGrid
 
-	// Drift-bounded mobile grid: binned holds every speed-bounded mobile
-	// in registration order; once the population crosses gridThreshold,
-	// mcells carries the cell view of the same set, rebuilt wholesale
-	// whenever the sweep deadline passes. Per-cell lists inherit
-	// registration order from the rebuild's ordered walk. Below the
-	// threshold the grid stays off (gridded false) and binned is simply
-	// appended to every query: a handful of map probes per query costs
-	// more than scanning a short list, and sharded tiles hold only a few
-	// dozen mobiles each — the grid exists for the monolithic city,
-	// where one medium carries the full client population.
-	binned  []*Radio
-	mcells  map[cellKey][]*Radio
-	gridded bool
-	sweepAt time.Duration // next mandatory re-bin (zero forces one)
-
-	// unbinned holds mobiles with no declared speed bound; they are
-	// appended to every query, like the pre-grid mobile list.
-	unbinned []*Radio
+	mobiles []*Radio // mobile radios in registration order
 }
-
-// gridThreshold is the per-channel mobile population above which the
-// drift-bounded grid switches on. Below it, appending the whole binned
-// list beats probing a ring of grid cells. The switch is one-way: a
-// population that shrinks again just makes the periodic sweeps cheap.
-const gridThreshold = 32
 
 // mediumIndex is the medium's full registry: one channelIndex per tuned
 // channel, indexed by channel number (untuned radios, channel 0, hear
@@ -162,12 +124,6 @@ const gridThreshold = 32
 type mediumIndex struct {
 	cellSize float64
 	chans    [wifi.MaxChannel + 1]*channelIndex
-
-	// vmax is the largest declared mobile speed; sweepPeriod =
-	// cellSize/vmax keeps every bin within one cell of the truth (zero
-	// while only speed-0 mobiles are binned: their bins never stale).
-	vmax        float64
-	sweepPeriod time.Duration
 }
 
 func newMediumIndex(cfg Config) *mediumIndex {
@@ -194,29 +150,12 @@ func (ix *mediumIndex) cellOf(p geo.Point) cellKey {
 	}
 }
 
-// noteSpeed raises the fleet speed bound. A faster bound shortens the
-// sweep period, and bins placed under the old period may already be
-// staler than the new one allows — forcing an immediate sweep on every
-// channel restores the invariant before the next query.
-func (ix *mediumIndex) noteSpeed(v float64) {
-	if v <= ix.vmax {
-		return
-	}
-	ix.vmax = v
-	ix.sweepPeriod = time.Duration(ix.cellSize / v * float64(time.Second))
-	for _, ci := range ix.chans {
-		if ci != nil {
-			ci.sweepAt = 0
-		}
-	}
-}
-
 // byReg orders radios by registration, the linear scan's iteration order.
 func byReg(a, b *Radio) int { return int(a.regIdx - b.regIdx) }
 
 // insertOrdered adds r to a registration-ordered slice. Channel changes
-// are rare (a handful per simulated second) and per-cell lists are small,
-// so the O(n) shift is noise next to the per-frame scans it avoids.
+// are rare (a handful per simulated second) and per-channel lists are
+// small, so the O(n) shift is noise next to the per-frame scans it avoids.
 func insertOrdered(s []*Radio, r *Radio) []*Radio {
 	i, _ := slices.BinarySearchFunc(s, r, byReg)
 	return slices.Insert(s, i, r)
@@ -234,23 +173,15 @@ func removeRadio(s []*Radio, r *Radio) []*Radio {
 func (ix *mediumIndex) add(r *Radio, ch int) {
 	ci := ix.chans[ch]
 	if ci == nil {
-		ci = &channelIndex{mcells: make(map[cellKey][]*Radio)}
+		ci = &channelIndex{}
 		ix.chans[ch] = ci
 	}
-	switch {
-	case r.static:
+	if r.static {
 		r.binCell = ix.cellOf(r.position())
 		ci.statics = insertOrdered(ci.statics, r)
 		ci.grid.include(r.binCell, len(ci.statics))
-	case r.maxSpeed >= 0:
-		ci.binned = insertOrdered(ci.binned, r)
-		if ci.gridded {
-			r.binCell = ix.cellOf(r.position())
-			r.inMCells = true
-			ci.mcells[r.binCell] = insertOrdered(ci.mcells[r.binCell], r)
-		}
-	default:
-		ci.unbinned = insertOrdered(ci.unbinned, r)
+	} else {
+		ci.mobiles = insertOrdered(ci.mobiles, r)
 	}
 }
 
@@ -260,54 +191,11 @@ func (ix *mediumIndex) remove(r *Radio, ch int) {
 	if ci == nil {
 		return
 	}
-	switch {
-	case r.static:
+	if r.static {
 		ci.statics = removeRadio(ci.statics, r)
 		ci.grid.stale = true
-	case r.maxSpeed >= 0:
-		ci.binned = removeRadio(ci.binned, r)
-		if r.inMCells {
-			r.inMCells = false
-			if cell := removeRadio(ci.mcells[r.binCell], r); len(cell) > 0 {
-				ci.mcells[r.binCell] = cell
-			} else {
-				delete(ci.mcells, r.binCell)
-			}
-		}
-	default:
-		ci.unbinned = removeRadio(ci.unbinned, r)
-	}
-}
-
-// maybeSweep re-bins every speed-bounded mobile on ch if the channel's
-// sweep deadline has passed, restoring the one-cell drift bound. Callers
-// invoke it with the current virtual time before consulting bins. The
-// re-bin samples positions through the same pure PositionAt(t) paths the
-// delivery predicate uses, so when it runs has no observable effect —
-// any sweep schedule satisfying the drift bound yields candidate
-// supersets, and the exact predicates downstream decide delivery.
-func (ix *mediumIndex) maybeSweep(ch int, now time.Duration) {
-	ci := ix.channel(ch)
-	if ci == nil || now < ci.sweepAt {
-		return
-	}
-	if !ci.gridded {
-		if len(ci.binned) < gridThreshold {
-			return // stay listy; sweepAt stays 0, re-checked next query
-		}
-		ci.gridded = true
-	}
-	clear(ci.mcells)
-	for _, r := range ci.binned {
-		r.binCell = ix.cellOf(r.position())
-		r.inMCells = true
-		ci.mcells[r.binCell] = append(ci.mcells[r.binCell], r)
-	}
-	if ix.sweepPeriod > 0 {
-		ci.sweepAt = now + ix.sweepPeriod
 	} else {
-		// Only speed-0 mobiles are binned: their bins never go stale.
-		ci.sweepAt = math.MaxInt64
+		ci.mobiles = removeRadio(ci.mobiles, r)
 	}
 }
 
@@ -350,17 +238,14 @@ func (ix *mediumIndex) boundsFor(r *Radio, p geo.Point, rad float64, kind uint8)
 	return lo, hi
 }
 
-// walk calls visit, in place, with each run of channel-ch radios
-// registered in the [lo, hi] cell rectangle: the statics of each grid row
-// the rectangle crosses (one contiguous run per row, row-major, rebuilding
-// the grid first if an add or remove left it stale); the speed-bounded
-// mobiles of the rectangle padded by one ring, cell by cell, once their
-// grid is on (a bin can trail its radio by at most one cell side — see
-// maybeSweep), or the whole binned list while it is off; then every
-// unbinned mobile. The union is a superset of the channel's radios within
-// the query radius, in no particular order: callers apply the exact
-// predicate as they go, and sort what they keep when order matters. visit
-// must not change the registry; runs alias it.
+// walk calls visit, in place, with each run of channel-ch radios a
+// query over the [lo, hi] cell rectangle must consider: the statics of
+// each grid row the rectangle crosses (one contiguous run per row,
+// row-major, rebuilding the grid first if an add or remove left it
+// stale), then every mobile on the channel. The union is a superset of
+// the channel's radios within the query radius, in no particular order:
+// callers apply the exact predicate as they go, and sort what they keep
+// when order matters. visit must not change the registry; runs alias it.
 func (ix *mediumIndex) walk(ch int, lo, hi cellKey, visit func(run []*Radio)) {
 	ci := ix.channel(ch)
 	if ci == nil {
@@ -376,41 +261,21 @@ func (ix *mediumIndex) walk(ch int, lo, hi cellKey, visit func(run []*Radio)) {
 		row := g.slot(cellKey{x0, cy})
 		visit(g.members[g.start[row]:g.start[row+int(x1-x0)+1]])
 	}
-	if ci.gridded {
-		for cy := lo.cy - 1; cy <= hi.cy+1; cy++ {
-			for cx := lo.cx - 1; cx <= hi.cx+1; cx++ {
-				if cell := ci.mcells[cellKey{cx, cy}]; len(cell) > 0 {
-					visit(cell)
-				}
-			}
-		}
-	} else {
-		visit(ci.binned)
-	}
-	visit(ci.unbinned)
+	visit(ci.mobiles)
 }
 
 // covers reports whether a walk over the [lo, hi] rectangle on ch visits
-// r: unbinned mobiles on the channel always, statics when their cell lies
-// in the query rectangle, binned mobiles when their bin lies in the
-// one-ring-padded rectangle (the rectangle walk consults). The unicast
-// address path uses it to visit exactly the addressed radios a walk would
-// have, and both paths to union in an addressed radio the walk missed
-// without duplicating it.
+// r: mobiles on the channel always, statics when their cell lies in the
+// query rectangle. The unicast address path uses it to visit exactly the
+// addressed radios a walk would have, and both paths to union in an
+// addressed radio the walk missed without duplicating it.
 func (ix *mediumIndex) covers(r *Radio, ch int, lo, hi cellKey) bool {
 	if r.channel != ch {
 		return false
 	}
-	var c cellKey
-	switch {
-	case r.static:
-		c = r.binCell
-	case r.inMCells:
-		c = r.binCell
-		lo = cellKey{lo.cx - 1, lo.cy - 1}
-		hi = cellKey{hi.cx + 1, hi.cy + 1}
-	default:
-		return true // whole-list mobiles are always walked
+	if !r.static {
+		return true
 	}
+	c := r.binCell
 	return c.cx >= lo.cx && c.cx <= hi.cx && c.cy >= lo.cy && c.cy <= hi.cy
 }

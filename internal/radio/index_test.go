@@ -144,12 +144,11 @@ func TestIndexedMediumMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// TestMixedMobilesMatchLinearScan runs the scripted traffic over worlds
-// whose mobiles are of both kinds, speed-bounded (binned) and unbounded
-// (always scanned), beside the statics: a small world, where the binned
-// mobiles stay a list, and a large one, where enough of them share a
-// channel to switch the mobile grid on. Indexed delivery must merge the
-// statics and both kinds of mobile into the linear scan's order.
+// TestMixedMobilesMatchLinearScan runs the scripted traffic over a small
+// and a large world whose mobiles are of both kinds, speed-bounded
+// (placed by within from a stale sample when the bound decides) and
+// unbounded (always sampled), beside the statics. Indexed delivery must
+// merge the statics and both kinds of mobile into the linear scan's order.
 func TestMixedMobilesMatchLinearScan(t *testing.T) {
 	build := func(n int, linear bool) (*sim.Kernel, *Medium, []*Radio, *[]string) {
 		cfg := Defaults()
@@ -183,22 +182,12 @@ func TestMixedMobilesMatchLinearScan(t *testing.T) {
 		}
 		return k, m, radios, log
 	}
-	for _, v := range []struct {
-		n       int
-		gridded bool
-	}{{60, false}, {300, true}} {
-		t.Run(fmt.Sprint(v.n), func(t *testing.T) {
-			kL, mL, radiosL, logL := build(v.n, true)
-			kI, mI, radiosI, logI := build(v.n, false)
+	for _, n := range []int{60, 300} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			kL, mL, radiosL, logL := build(n, true)
+			kI, mI, radiosI, logI := build(n, false)
 			runScript(kL, radiosL)
 			runScript(kI, radiosI)
-			gridded := false
-			for _, ci := range mI.idx.chans {
-				gridded = gridded || (ci != nil && ci.gridded)
-			}
-			if gridded != v.gridded {
-				t.Fatalf("mobile grid on = %v, want %v: the world does not test the merge it is meant to", gridded, v.gridded)
-			}
 			if len(*logL) == 0 || !slices.Equal(*logL, *logI) {
 				t.Fatalf("delivery logs differ (linear %d entries, indexed %d)", len(*logL), len(*logI))
 			}

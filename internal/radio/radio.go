@@ -282,12 +282,9 @@ type Radio struct {
 	promiscuous bool
 	// static radios (NewStaticRadio) are indexed in the static grid under
 	// their fixed position (binCell is its cell); mobile radios live in
-	// the per-channel mobile registries — drift-bounded grid bins when a
-	// speed bound is declared (maxSpeed ≥ 0; binCell is the current bin),
-	// the always-scanned unbinned list otherwise.
-	static   bool
-	inMCells bool  // binCell currently registered in the mobile grid
-	qbValid  uint8 // bit set per kind when qbLo/qbHi[kind] match qbPos
+	// their channel's mobile list.
+	static  bool
+	qbValid uint8 // bit set per kind when qbLo/qbHi[kind] match qbPos
 
 	m    *Medium
 	addr wifi.Addr
@@ -365,30 +362,21 @@ type txJob struct {
 // NewRadio registers a radio that moves along mob. The medium samples
 // mob at transmit and delivery times, so mob must be a pure function of
 // virtual time: the medium samples it at most once per virtual instant
-// (a parked radio, whose Speed is 0, only once), the mobile sweep
-// re-bins from the same samples, and carrier sense and delivery skip
-// the sample altogether when the speed bound already places the radio
-// relative to the transmitter (see within). mob.Speed bounds the
-// radio's instantaneous speed, which lets the spatial index keep it in
-// a drift-bounded grid bin instead of the always-scanned mobile list.
-// The bound must hold at every instant, up to float and nanosecond
-// rounding — a radio that outruns it can slip out of its padded query
-// ring, or be placed out of range from a stale sample, and silently
-// miss deliveries or carrier sense. A negative Speed declares no bound.
-// The radio starts untuned (channel 0): it hears nothing until
-// SetChannel.
+// (a parked radio, whose Speed is 0, only once), and carrier sense and
+// delivery skip the sample altogether when the speed bound already
+// places the radio relative to the transmitter (see within). mob.Speed
+// bounds the radio's instantaneous speed, and the bound must hold at
+// every instant, up to float and nanosecond rounding — a radio that
+// outruns it can be placed out of range from a stale sample and
+// silently miss deliveries or carrier sense. A negative Speed declares
+// no bound. The radio starts untuned (channel 0): it hears nothing
+// until SetChannel.
 func (m *Medium) NewRadio(addr wifi.Addr, mob geo.Mobility, rx Receiver) *Radio {
 	if mob == nil {
 		panic("radio: mobility is required")
 	}
 	r := m.register(addr, rx)
-	r.mob = mob
-	if v := mob.Speed(); v >= 0 {
-		r.maxSpeed = v
-		if m.idx != nil {
-			m.idx.noteSpeed(v)
-		}
-	}
+	r.mob, r.maxSpeed = mob, mob.Speed()
 	return r
 }
 
@@ -428,8 +416,8 @@ func (r *Radio) Channel() int { return r.channel }
 // position is the one place the medium reads a radio's position: the
 // fixed position of a static radio; for a parked radio (declared speed
 // bound 0) a sample taken once; otherwise mob memoized per virtual
-// instant, since carrier sense, delivery, the hidden-terminal check and
-// the mobile sweep can all ask about one radio at the same instant.
+// instant, since carrier sense, delivery and the hidden-terminal check
+// can all ask about one radio at the same instant.
 func (r *Radio) position() geo.Point {
 	if r.posFixed {
 		return r.posVal
@@ -695,7 +683,6 @@ func (r *Radio) kick() {
 			}
 		}
 	} else {
-		m.idx.maybeSweep(ch, now)
 		lo, hi := m.idx.boundsFor(r, txPos, cs, qbCS)
 		m.idx.walk(ch, lo, hi, func(run []*Radio) {
 			for _, x := range run {
@@ -787,7 +774,6 @@ func (m *Medium) deliveryCandidates(tx *Radio, da wifi.Addr, ch int, txPos geo.P
 		return m.radios
 	}
 	now, rad := m.kernel.Now(), m.cfg.Range
-	m.idx.maybeSweep(ch, now)
 	lo, hi := m.idx.boundsFor(tx, txPos, rad, qbDelivery)
 	out := m.dlScratch[:0]
 	unicast := !da.IsBroadcast()

@@ -72,8 +72,7 @@ func channelBusyUntil(m *Medium, ch int) time.Duration {
 		busiest(m.radios)
 	} else if ci := m.idx.channel(ch); ci != nil {
 		busiest(ci.statics)
-		busiest(ci.binned)
-		busiest(ci.unbinned)
+		busiest(ci.mobiles)
 	}
 	return latest
 }

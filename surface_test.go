@@ -584,7 +584,6 @@ var fieldAllowlist = map[string]string{
 	"internal/dhcp.Result.Retx":              "internal/dhcp/dhcp_test.go",
 	"internal/mac.APStats.DownDelivered":     "internal/mac/timers_test.go",
 	"internal/mac.AssocResult.Stage":         "internal/mac/mac_test.go",
-	"internal/pcap.Record.Channel":           "internal/pcap/pcap_test.go",
 }
 
 // writeOnly lists, sorted, every struct field declared in a package
