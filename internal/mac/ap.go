@@ -247,16 +247,42 @@ func (ap *AP) beacon() {
 // frame kinds that advertise the AP, and by far the medium's highest
 // volume traffic. The medium recycles both at transmit completion.
 func (ap *AP) beaconFrame(da wifi.Addr, t wifi.FrameType) *wifi.Frame {
-	b := ap.pool.Beacon()
-	b.SSID = ap.cfg.SSID
-	b.Channel = uint8(ap.cfg.Channel)
-	b.BackhaulKbps = uint32(ap.cfg.BackhaulKbps)
 	f := ap.pool.Frame()
-	f.Type = t
-	f.SA, f.DA, f.BSSID = ap.Addr(), da, ap.Addr()
-	f.Seq = ap.nextSeq()
-	f.Body = b
+	ap.Advert().Fill(f, ap.pool.Beacon(), t, da, ap.nextSeq())
 	return f
+}
+
+// Advert is what every beacon and probe response of one AP carries
+// besides its type, destination and sequence number. An AP's advert
+// never changes, so a beacon is fixed by the advert and a sequence
+// number: the shard layer mirrors boundary beacons as exactly that.
+type Advert struct {
+	Addr         wifi.Addr
+	SSID         string
+	Channel      uint8
+	BackhaulKbps uint32
+}
+
+// Advert returns the AP's advert.
+func (ap *AP) Advert() Advert {
+	return Advert{Addr: ap.Addr(), SSID: ap.cfg.SSID,
+		Channel: uint8(ap.cfg.Channel), BackhaulKbps: uint32(ap.cfg.BackhaulKbps)}
+}
+
+// Fill writes into f and b the frame of type t (a beacon or a probe
+// response) that advertises a to da with sequence number seq. It is the
+// one builder of advertising frames: the AP's own transmissions and the
+// shard layer's halo mirrors both come from it. b becomes f's body.
+// Fill leaves f's flags and b's capabilities as they are: zero in every
+// advertising frame, so a scratch frame can be refilled in place.
+func (a Advert) Fill(f *wifi.Frame, b *wifi.BeaconBody, t wifi.FrameType, da wifi.Addr, seq uint16) {
+	b.SSID = a.SSID
+	b.Channel = a.Channel
+	b.BackhaulKbps = a.BackhaulKbps
+	f.Type = t
+	f.SA, f.DA, f.BSSID = a.Addr, da, a.Addr
+	f.Seq = seq
+	f.Body = b
 }
 
 // respondAfterDelay transmits f after the AP's processing delay.
