@@ -161,6 +161,10 @@ func (d *Driver) RestoreState(st DriverState) error {
 			return fmt.Errorf("core: restoring queue on ch %d: %w", qs.Ch, err)
 		}
 		for _, f := range fs {
+			// A client never sends a beacon.
+			if f.Type == wifi.TypeBeacon {
+				return fmt.Errorf("core: restored queue on ch %d holds %v", qs.Ch, f)
+			}
 			d.txq = append(d.txq, queuedFrame{f: f, ch: qs.Ch})
 		}
 	}

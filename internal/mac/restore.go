@@ -86,10 +86,16 @@ func (ap *AP) RestoreState(st APState) error {
 	ap.clients = make(map[wifi.Addr]*apClient, len(st.Client))
 	for _, cs := range st.Client {
 		buf, err := wifi.DecodeFrames(cs.Buffer)
+		if err == nil {
+			err = noBeacon(buf...)
+		}
 		if err != nil {
 			return fmt.Errorf("mac: restoring PSM buffer: %w", err)
 		}
 		pend, err := wifi.DecodeFrames(cs.Pending)
+		if err == nil {
+			err = noBeacon(pend...)
+		}
 		if err != nil {
 			return fmt.Errorf("mac: restoring pending frames: %w", err)
 		}
@@ -99,6 +105,9 @@ func (ap *AP) RestoreState(st APState) error {
 	ap.responses.Drain(nil)
 	for _, rs := range st.Resps {
 		f, err := wifi.Decode(rs.Frame)
+		if err == nil {
+			err = noBeacon(f)
+		}
 		if err != nil {
 			return fmt.Errorf("mac: restoring response: %w", err)
 		}
@@ -109,6 +118,19 @@ func (ap *AP) RestoreState(st APState) error {
 
 	ap.beaconEv.Cancel()
 	ap.beaconEv = st.Beacon.Restore(ap.kernel(), ap, 0)
+	return nil
+}
+
+// noBeacon refuses a restored frame an AP holds for sending that is a
+// beacon. The beacon tick hands its beacon straight to the radio, so no
+// response, PSM buffer or pending queue ever holds one, and a beacon
+// that is not the AP's own cannot be mirrored across a shard boundary.
+func noBeacon(fs ...*wifi.Frame) error {
+	for _, f := range fs {
+		if f.Type == wifi.TypeBeacon {
+			return fmt.Errorf("holds %v", f)
+		}
+	}
 	return nil
 }
 

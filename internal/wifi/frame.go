@@ -32,6 +32,9 @@ func NewAddr(class byte, index uint32) Addr {
 	return a
 }
 
+// Index returns the index NewAddr embedded in a.
+func (a Addr) Index() uint32 { return binary.BigEndian.Uint32(a[2:]) }
+
 // IsBroadcast reports whether a is the broadcast address.
 func (a Addr) IsBroadcast() bool { return a == Broadcast }
 
